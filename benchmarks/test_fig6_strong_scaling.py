@@ -19,18 +19,10 @@ Reproduced claims (asserted):
 
 from __future__ import annotations
 
-import json
-import os
-
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, by, emit, run_point, sweep_benchmark
+from benchmarks.conftest import by, emit, run_point, sweep_benchmark
 from repro.bench.configs import FIGURE_CONFIGS
-from repro.bench.strong_scaling import (
-    MEDIUM_ER,
-    can_show_speedup,
-    measure_strong_scaling,
-)
 
 
 def _sweep(config_name: str):
@@ -116,100 +108,3 @@ def test_fig6_k128(sweep_benchmark):
     # Communication volume grows with k: k=128 rows must move more data
     # than any k=16 row at the same (n, p).
     assert min(r.comm_words for r in rows if r.p == 16) > 0
-
-
-def test_fig6_process_backend_measured(sweep_benchmark):
-    """Measured (not modeled) strong scaling on the process backend.
-
-    The figure sweeps above report *modeled* time from exact traffic
-    accounting. This point runs the medium-ER configuration on real OS
-    processes — once synchronously and once with the comm/compute-
-    overlapped schedules (``overlap=True``) — and records measured
-    epoch-loop seconds, the p=4 vs p=1 speedup, and the per-rank
-    wait-time maximum into ``fig6_process_backend.json``. Speedup (and
-    the overlap wall-clock win) is *asserted only when the host has
-    enough cores*: a 1-core CI runner time-slices the ranks, so there
-    overlap cannot reduce wall time and the numbers are recorded, not
-    gated. Correctness is always gated — losses must be bit-identical
-    across p, across backends, and across overlap modes, and the byte
-    accounting must not depend on the transport or the overlap mode.
-    """
-    rows = sweep_benchmark(
-        lambda: measure_strong_scaling(
-            model_name="AGNN", backend="process", p_list=(1, 4),
-            overlap=False,
-        )
-    )
-    rows_overlap = measure_strong_scaling(
-        model_name="AGNN", backend="process", p_list=(1, 4), overlap=True
-    )
-
-    header = (
-        f"{'backend':<8} {'ovl':>3} {'p':>3} {'n':>6} {'k':>4} "
-        f"{'train_s':>10} {'speedup':>8} {'max_wait_s':>10} "
-        f"{'comm_words':>11}"
-    )
-    print()
-    print(header)
-    print("-" * len(header))
-    for row in rows + rows_overlap:
-        print(
-            f"{row['backend']:<8} {int(row['overlap']):>3} {row['p']:>3} "
-            f"{row['n']:>6} {row['k']:>4} {row['train_s']:>10.4f} "
-            f"{row['speedup_vs_p1']:>8.3f} {row['max_wait_s']:>10.4f} "
-            f"{row['comm_words']:>11}"
-        )
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {
-        "figure": "fig6_process_backend",
-        "config": MEDIUM_ER,
-        "cpu_count": os.cpu_count(),
-        "speedup_gated": can_show_speedup(4),
-        "note": (
-            "measured wall-clock of the epoch loop on spawned process "
-            "ranks, synchronous vs comm/compute-overlapped schedules; "
-            "speedup_vs_p1 > 1 (and the overlap win) requires "
-            "cpu_count >= p"
-        ),
-        "rows": rows,
-        "rows_overlap": rows_overlap,
-    }
-    with open(RESULTS_DIR / "fig6_process_backend.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-
-    # Correctness is always gated; speed only on capable hosts.
-    assert all(row["backend"] == "process" for row in rows + rows_overlap)
-    assert all(row["train_s"] > 0 for row in rows + rows_overlap)
-    first_losses = {row["first_loss"] for row in rows}
-    assert len(first_losses) == 1, "loss must not depend on p"
-    assert {row["first_loss"] for row in rows_overlap} == first_losses, (
-        "overlap must not change the numerics"
-    )
-    for sync_row, ovl_row in zip(rows, rows_overlap):
-        assert sync_row["comm_words"] == ovl_row["comm_words"], (
-            "overlap must not change the traffic"
-        )
-    thread_row = measure_strong_scaling(
-        model_name="AGNN", backend="thread", p_list=(4,)
-    )[0]
-    assert thread_row["first_loss"] in first_losses, (
-        "process and thread backends must agree numerically"
-    )
-    assert thread_row["comm_words"] == next(
-        row["comm_words"] for row in rows if row["p"] == 4
-    ), "byte accounting must be transport-independent"
-
-    if can_show_speedup(4):
-        # Multi-core host: ranks run on real cores, so p=4 must beat
-        # p=1 and the overlapped schedule must not lose to the
-        # synchronous one beyond timing noise (the cost model predicts
-        # max(compute, bandwidth) <= compute + bandwidth).
-        sync4 = next(row for row in rows if row["p"] == 4)
-        ovl4 = next(row for row in rows_overlap if row["p"] == 4)
-        assert sync4["speedup_vs_p1"] > 1.0, (
-            f"no measured strong scaling on a {os.cpu_count()}-core host"
-        )
-        assert ovl4["train_s"] < sync4["train_s"] * 1.25, (
-            "overlapped schedules regressed wall time beyond noise"
-        )

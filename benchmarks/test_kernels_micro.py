@@ -164,7 +164,6 @@ def test_sddmm_warm_cache_speedup(benchmark, operands):
     )
 
 
-@pytest.mark.benchcompare
 def test_multihead_batched_speedup(benchmark):
     """Head-batched GAT layer ≥2× faster than the per-head loop.
 
@@ -172,8 +171,8 @@ def test_multihead_batched_speedup(benchmark):
     the per-head loop re-pays kernel dispatch, structure-cache lookups
     and workspace checkout once per head, while the batched path walks
     the interned CSR pattern once for all heads. Warm structure cache,
-    forward + backward, float64. Timed with looped batches (like the
-    ``benchcompare`` suite) so sub-millisecond steps are not noise.
+    forward + backward, float64. Timed with looped batches so
+    sub-millisecond steps are not noise.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     from repro.models.gat import MultiHeadGATLayer

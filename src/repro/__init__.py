@@ -39,7 +39,9 @@ The package is organised into subsystems mirroring the paper:
 ``repro.theory``
     Closed-form communication-volume predictors (Section 7).
 ``repro.bench``
-    The benchmark harness regenerating every figure of the paper.
+    The paper-figure sweep: exact per-rank words and flops plus
+    alpha-beta modeled time for every figure's grid. Wall-clock is
+    measured outside the package, by ``benchmarks/e2e/run.py``.
 """
 
 from repro._version import __version__

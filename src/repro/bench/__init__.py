@@ -8,6 +8,14 @@
   to the simulated substrate (see DESIGN.md's experiment index).
 * :mod:`repro.bench.unified_bench` — a CLI mirroring the artifact's
   ``unified_single_bench.py`` / ``unified_distr_bench.py`` flags.
+* :mod:`repro.bench.sweep`, :mod:`repro.bench.report`,
+  :mod:`repro.bench.validate` — the artifact's sweep scripts, plot
+  step and reference-implementation check.
+
+The figures compare *counted* quantities (per-rank words, flops,
+modeled time). Wall-clock regressions are judged elsewhere, by
+``benchmarks/e2e/run.py`` and ``compare.py``; nothing outside this
+package imports it.
 """
 
 from repro.bench.configs import FIGURE_CONFIGS, scaled_figure

@@ -192,7 +192,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--model", default="AGNN")
     parser.add_argument("--backend", default=None,
                         choices=("thread", "process"),
-                        help="fabric backend (default: $REPRO_BACKEND)")
+                        help="fabric backend (default: $REPRO_FABRIC_BACKEND)")
     parser.add_argument("--out-dir", default="benchmarks/results/obs")
     parser.add_argument("--limit", type=int, default=15,
                         help="rows in the printed top-spans table")

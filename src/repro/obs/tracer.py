@@ -63,9 +63,9 @@ _FALSE = frozenset({"0", "false", "off", "no"})
 def trace_enabled_default() -> bool:
     """Whether ``$REPRO_TRACE`` asks for tracing (default: no).
 
-    Read at call time (like ``$REPRO_SEED``/``$REPRO_PIPELINE``) so
-    tests can monkeypatch it; an unrecognised value raises
-    ``ValueError`` naming the variable rather than silently disabling.
+    Read at call time (like ``$REPRO_PIPELINE``) so tests can
+    monkeypatch it; an unrecognised value raises ``ValueError`` naming
+    the variable rather than silently disabling.
     """
     raw = os.environ.get(TRACE_ENV_VAR)
     if raw is None:

@@ -51,7 +51,6 @@ from repro.runtime.fabric import (
     Fabric,
     FabricTimeoutError,
     SendHandle,
-    format_timeout,
 )
 from repro.runtime.stats import CommStats
 
@@ -356,7 +355,7 @@ class Communicator:
             deadline = time.monotonic() + self.fabric.timeout
             while True:
                 if self.fabric.aborted:
-                    raise FabricTimeoutError(ABORT_MESSAGE)
+                    raise self.fabric.stuck_in_recv(gsrc, gdst, key)
                 ok, payload = self.fabric.try_get(gsrc, gdst, key)
                 if ok:
                     return payload
@@ -370,9 +369,8 @@ class Communicator:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     self.fabric._trip_abort()
-                    raise FabricTimeoutError(
-                        format_timeout(gsrc, gdst, key, self.fabric.timeout,
-                                       self.fabric.pending_counts())
+                    raise self.fabric.stuck_in_recv(
+                        gsrc, gdst, key, timed_out_after=self.fabric.timeout
                     )
                 self.fabric.poll(gsrc, gdst, key,
                                  min(remaining, _PROGRESS_POLL_S))

@@ -2,7 +2,8 @@
 
 ``run_spmd(p, fn, ...)`` builds a fabric, runs ``p`` ranks each
 executing ``fn(comm, **kwargs)``, joins them, propagates the first
-failure (aborting the fabric so no rank hangs), and returns every
+failure (aborting the fabric so no rank hangs; a deadlock, where no
+rank failed on its own, reports every stuck rank), and returns every
 rank's return value together with the aggregated traffic statistics.
 
 Two execution backends share this entry point:
@@ -42,7 +43,11 @@ from typing import Any, Callable
 
 from repro.obs.tracer import Tracer, install_tracer, trace_enabled_default
 from repro.runtime.communicator import Communicator
-from repro.runtime.fabric import FabricTimeoutError, ThreadFabric
+from repro.runtime.fabric import (
+    FabricTimeoutError,
+    ThreadFabric,
+    format_deadlock,
+)
 from repro.runtime.stats import CommStats, RunStats
 
 __all__ = ["run_spmd", "SpmdResult", "BACKEND_ENV_VAR"]
@@ -189,11 +194,20 @@ def _run_thread_spmd(
         thread.join()
 
     if errors:
+        errors.sort(key=lambda item: item[0])
         # Prefer the root cause: a rank that failed on its own, not one
         # unblocked by the fabric abort after someone else had failed.
         primary = [e for e in errors if not isinstance(e[1], FabricTimeoutError)]
-        rank, exc = min(primary or errors, key=lambda item: item[0])
-        raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
+        if primary:
+            rank, exc = primary[0]
+            raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
+        # Nobody failed on their own: a deadlock. Whose timer fired
+        # first is a race, so report every stuck rank.
+        raise RuntimeError(
+            format_deadlock(
+                [(rank, exc.blocked or str(exc)) for rank, exc in errors]
+            )
+        ) from errors[0][1]
     return SpmdResult(
         values=values, stats=RunStats(per_rank=all_stats), backend="thread"
     )

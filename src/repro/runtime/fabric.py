@@ -20,9 +20,10 @@ mailbox model: :meth:`FabricBase.try_get` (probe-and-pop),
 :meth:`FabricBase.isend` / :meth:`FabricBase.irecv` pair returning
 completion handles (:class:`SendHandle` / :class:`RecvHandle` with
 ``wait``/``test``). Blocking :meth:`FabricBase.get` is implemented once
-here on top of those primitives, so the deadlock timeout report — the
-blocked ``(src, dst, tag)`` plus every undelivered mailbox — is
-identical across backends.
+here on top of those primitives, so the deadlock timeout report — each
+stuck rank's blocked ``(src, dst, tag)`` plus every undelivered mailbox,
+joined in rank order by :func:`format_deadlock` — is identical across
+backends and across runs.
 
 Communication *cost* is accounted separately (see
 :mod:`repro.runtime.stats`) and identically on both backends, because
@@ -57,7 +58,41 @@ ABORT_MESSAGE = "fabric aborted by another rank"
 
 
 class FabricTimeoutError(RuntimeError):
-    """A receive waited longer than the deadlock timeout."""
+    """A receive timed out, or was aborted because another rank failed."""
+
+    #: The receive this rank was stuck in and the traffic nobody
+    #: collected (``recv(src, dst, tag); <undelivered mailboxes>``) — the
+    #: same text whether this rank's own timer fired or another rank's
+    #: abort woke it, so a deadlock reads the same whichever rank gives
+    #: up first. ``None`` when the rank was not in a blocking receive.
+    blocked: str | None = None
+
+
+def _edge(src: int, dst: int, tag: Hashable) -> str:
+    return f"recv(src={src}, dst={dst}, tag={tag!r})"
+
+
+def _undelivered(pending: dict[tuple[int, int, Hashable], int]) -> str:
+    """Summarise the mailboxes holding messages nobody received."""
+    # Ties broken by the key's text: mailbox insertion order depends on
+    # which sender ran first.
+    boxes = sorted(
+        ((key, count) for key, count in pending.items() if count > 0),
+        key=lambda item: (-item[1], repr(item[0])),
+    )
+    if not boxes:
+        return "no undelivered messages (sender never sent)"
+    lines = [
+        f"(src={k[0]}, dst={k[1]}, tag={k[2]!r}) x{count}"
+        for k, count in boxes[:_SUMMARY_LIMIT]
+    ]
+    more = len(boxes) - _SUMMARY_LIMIT
+    if more > 0:
+        lines.append(f"... and {more} more mailboxes")
+    return (
+        f"{sum(c for _, c in boxes)} undelivered message(s) in "
+        f"{len(boxes)} mailbox(es): " + ", ".join(lines)
+    )
 
 
 def format_timeout(
@@ -75,29 +110,25 @@ def format_timeout(
     posted with :meth:`FabricBase.isend` land in the same mailboxes, so
     pending isends show up here exactly like blocking sends.
     """
-    head = (
-        f"recv(src={src}, dst={dst}, tag={tag!r}) timed out after "
-        f"{timeout}s — likely deadlock"
-    )
-    boxes = sorted(
-        ((key, count) for key, count in pending.items() if count > 0),
-        key=lambda item: item[1],
-        reverse=True,
-    )
-    if not boxes:
-        return head + "; no undelivered messages (sender never sent)"
-    lines = [
-        f"(src={k[0]}, dst={k[1]}, tag={k[2]!r}) x{count}"
-        for k, count in boxes[:_SUMMARY_LIMIT]
-    ]
-    more = len(boxes) - _SUMMARY_LIMIT
-    if more > 0:
-        lines.append(f"... and {more} more mailboxes")
     return (
-        head
-        + f"; {sum(c for _, c in boxes)} undelivered message(s) in "
-        + f"{len(boxes)} mailbox(es): "
-        + ", ".join(lines)
+        f"{_edge(src, dst, tag)} timed out after {timeout}s — likely "
+        f"deadlock; {_undelivered(pending)}"
+    )
+
+
+def format_deadlock(reports: list[tuple[int, str]]) -> str:
+    """The one message a driver raises when no rank failed on its own.
+
+    ``reports`` holds ``(rank, text)`` for every rank that ended in a
+    :class:`FabricTimeoutError` — its ``blocked`` text, else its
+    message. Joining all of them in rank order (rather than surfacing
+    whichever rank's timer fired first) makes the report the same on
+    every run of the same deadlock.
+    """
+    lines = [f"  rank {rank}: {text}" for rank, text in sorted(reports)]
+    return (
+        "fabric timed out — likely deadlock; stuck ranks in rank order:\n"
+        + "\n".join(lines)
     )
 
 
@@ -244,27 +275,48 @@ class FabricBase:
         """Blocking receive of the oldest matching message.
 
         On timeout the abort flag is tripped (unblocking all other
-        ranks) and the raised error names the blocked edge plus every
-        undelivered mailbox — including payloads posted via ``isend``
-        that nobody received.
+        ranks). Both the rank whose timer fired and the ranks that
+        abort wakes raise an error naming their own blocked edge plus
+        every undelivered mailbox — including payloads posted via
+        ``isend`` that nobody received.
         """
         self._check_ranks(src, dst)
         limit = self.timeout if timeout is None else timeout
         deadline = time.monotonic() + limit
         while True:
             if self.aborted:
-                raise FabricTimeoutError(ABORT_MESSAGE)
+                raise self.stuck_in_recv(src, dst, tag)
             ok, payload = self.try_get(src, dst, tag)
             if ok:
                 return payload
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self._trip_abort()
-                raise FabricTimeoutError(
-                    format_timeout(src, dst, tag, limit,
-                                   self.pending_counts())
-                )
+                raise self.stuck_in_recv(src, dst, tag, timed_out_after=limit)
             self.poll(src, dst, tag, remaining)
+
+    def stuck_in_recv(
+        self,
+        src: int,
+        dst: int,
+        tag: Hashable,
+        timed_out_after: float | None = None,
+    ) -> FabricTimeoutError:
+        """The error of a rank that cannot finish ``recv(src, dst, tag)``.
+
+        ``timed_out_after`` is the limit that expired when this rank's
+        own timer fired; ``None`` means another rank's abort woke it.
+        Either way the error's ``blocked`` text is the same.
+        """
+        pending = self.pending_counts()
+        blocked = f"{_edge(src, dst, tag)}; {_undelivered(pending)}"
+        error = FabricTimeoutError(
+            f"{ABORT_MESSAGE} while blocked in {blocked}"
+            if timed_out_after is None
+            else format_timeout(src, dst, tag, timed_out_after, pending)
+        )
+        error.blocked = blocked
+        return error
 
     def isend(self, src: int, dst: int, tag: Hashable,
               payload: Any) -> SendHandle:

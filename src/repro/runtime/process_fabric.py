@@ -20,8 +20,9 @@ Robustness contract (what the thread fabric never needed):
 * a child that *dies* (killed, segfault) is detected through its pipe's
   EOF plus the process sentinel and surfaces as a driver-side error
   naming the rank and exit code;
-* blocked receives give up after the fabric timeout with a report
-  naming the blocked ``(src, dst, tag)`` and the undelivered mailboxes;
+* blocked receives give up after the fabric timeout, and the driver
+  raises one report naming every stuck rank's blocked ``(src, dst,
+  tag)`` and undelivered mailboxes, in rank order;
 * shared-memory segments are reference-tracked end to end: receivers
   unlink after copying out, both sides drain their inboxes on exit, and
   the driver sweeps the run's name prefix as a last resort — no run
@@ -52,7 +53,11 @@ from typing import Any, Callable, Hashable
 
 import numpy as np
 
-from repro.runtime.fabric import FabricBase, FabricTimeoutError
+from repro.runtime.fabric import (
+    FabricBase,
+    FabricTimeoutError,
+    format_deadlock,
+)
 
 __all__ = ["ProcessFabric", "ProcessBackendError", "run_process_spmd"]
 
@@ -71,8 +76,6 @@ _POLL_S = 0.05
 #: Extra driver-side seconds on top of the fabric timeout, covering
 #: interpreter start-up and module imports in spawned children.
 _SPAWN_GRACE_S = 60.0
-
-_ABORT_MESSAGE = "fabric aborted by another rank"
 
 
 class ProcessBackendError(RuntimeError):
@@ -380,11 +383,14 @@ def _child_main(
         outcome = ("ok", value, stats, event_counter().snapshot())
     except BaseException as exc:  # noqa: BLE001 - reported to the driver
         abort_event.set()
-        is_timeout = isinstance(exc, FabricTimeoutError)
-        is_echo = is_timeout and str(exc) == _ABORT_MESSAGE
-        outcome = (
-            "error", repr(exc), traceback.format_exc(), is_timeout, is_echo
+        # A fabric timeout also ships its line of the joined deadlock
+        # report; ``None`` marks a rank that failed on its own.
+        stuck = (
+            exc.blocked or str(exc)
+            if isinstance(exc, FabricTimeoutError)
+            else None
         )
+        outcome = ("error", repr(exc), traceback.format_exc(), stuck)
     finally:
         fabric.drain()
     try:
@@ -398,22 +404,21 @@ def _child_main(
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def _pick_primary(errors: dict[int, tuple]) -> tuple[int, tuple]:
+def _pick_primary(errors: dict[int, tuple]) -> tuple[int, tuple] | None:
     """Root-cause heuristic matching the thread executor.
 
-    Prefer a rank that failed on its own over one unblocked by the
-    abort, and a genuine deadlock report over an abort echo; break ties
-    by rank so reports are deterministic.
+    The lowest rank that died or failed on its own, not one unblocked
+    by the abort after someone else had failed. ``None`` when every
+    failure is a fabric timeout: a deadlock has no single culprit, and
+    the caller reports every stuck rank instead of whichever rank's
+    timer happened to fire first.
     """
-
-    def badness(item):
-        rank, err = item
-        if err[0] == "died":
-            return (0, rank)
-        _kind, _repr, _tb, is_timeout, is_echo = err
-        return (0 if not is_timeout else 2 if is_echo else 1, rank)
-
-    return min(errors.items(), key=badness)
+    own = [
+        (rank, err)
+        for rank, err in sorted(errors.items())
+        if err[0] == "died" or err[3] is None
+    ]
+    return own[0] if own else None
 
 
 def _sweep_segments(shm_token: str) -> int:
@@ -500,9 +505,9 @@ def run_process_spmd(
                 for rank in range(size):
                     outcomes.setdefault(
                         rank,
-                        ("error",
-                         f"driver timeout after {timeout + _SPAWN_GRACE_S}s",
-                         "", True, False),
+                        ("error", "", "",
+                         "no outcome before the driver timeout "
+                         f"({timeout + _SPAWN_GRACE_S}s)"),
                     )
                 break
             for conn in connection_wait(waiting, timeout=min(remaining, 0.5)):
@@ -546,7 +551,14 @@ def run_process_spmd(
         if outcome[0] != "ok"
     }
     if errors:
-        rank, err = _pick_primary(errors)
+        primary = _pick_primary(errors)
+        if primary is None:
+            raise RuntimeError(
+                format_deadlock(
+                    [(rank, err[3]) for rank, err in errors.items()]
+                )
+            )
+        rank, err = primary
         if err[0] == "died":
             raise RuntimeError(
                 f"rank {rank} died without reporting (exit code {err[1]}); "
@@ -555,7 +567,7 @@ def run_process_spmd(
                 "run_spmd behind `if __name__ == '__main__':` (the spawn "
                 "start method re-imports the main module)"
             )
-        _kind, exc_repr, tb_text, _is_timeout, _is_echo = err
+        _kind, exc_repr, tb_text, _stuck = err
         detail = f"\n--- rank {rank} traceback ---\n{tb_text}" if tb_text else ""
         raise RuntimeError(f"rank {rank} failed: {exc_repr}{detail}")
 

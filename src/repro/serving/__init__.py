@@ -18,8 +18,8 @@ economics at serving time with three composable levers:
 :mod:`repro.serving.engine` ties them together behind
 :class:`ServingEngine` (consistent snapshots, hot reload, graph and
 feature deltas) and :class:`ServingServer` (worker threads and
-futures). The p50/p99 latency harness lives in
-:mod:`repro.bench.serving_latency`.
+futures). Latency and throughput are measured by the ``serve_openloop``
+and ``serve_churn`` workloads of ``benchmarks/e2e/run.py``.
 """
 
 from repro.serving.batcher import coalesce, compute_union_rows, flush_batch

@@ -55,7 +55,6 @@ from repro.serving.cache import ActivationCache
 from repro.serving.queue import AdmissionQueue
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.sampling_graph import hub_bias_weights
-from repro.util.rng import repro_seed_default
 
 __all__ = ["ServingEngine", "ServingServer"]
 
@@ -143,7 +142,7 @@ class ServingEngine:
         fanouts: tuple[int | None, ...] | None = None,
         cache: ActivationCache | int | None = 65536,
         weights: np.ndarray | str | None = None,
-        seed: int | None = None,
+        seed: int = 0,
     ) -> None:
         """``fanouts=None`` serves exact (full fan-out) ego graphs.
 
@@ -202,7 +201,7 @@ class ServingEngine:
         )
         self._mutate = threading.Lock()
         self._params = _ReadWriteLock()
-        self._seed = repro_seed_default() if seed is None else int(seed)
+        self._seed = int(seed)
         self._ticket = itertools.count()
 
     # ------------------------------------------------------------------

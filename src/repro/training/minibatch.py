@@ -57,7 +57,7 @@ from repro.training.metrics import accuracy
 from repro.training.optim import SGD, Adam, Optimizer
 from repro.training.trainer import TrainResult
 from repro.util.counters import FlopCounter, null_counter
-from repro.util.rng import make_rng, repro_seed_default
+from repro.util.rng import make_rng
 
 __all__ = [
     "MinibatchResult",
@@ -226,9 +226,8 @@ class MinibatchTrainer:
         Permute the target order each epoch (disable for the
         bit-identity parity against the full-batch loop).
     seed:
-        Sampling/shuffle seed; ``None`` resolves ``$REPRO_SEED``
-        (default 0). Each :meth:`fit` call restarts the stream, so a
-        run is reproducible from its arguments alone.
+        Sampling/shuffle seed. Each :meth:`fit` call restarts the
+        stream, so a run is reproducible from its arguments alone.
     """
 
     def __init__(
@@ -239,7 +238,7 @@ class MinibatchTrainer:
         fanouts: tuple[int | None, ...],
         batch_size: int = 1024,
         shuffle: bool = True,
-        seed: int | None = None,
+        seed: int = 0,
     ) -> None:
         fanouts = tuple(fanouts)
         if len(fanouts) != model.num_layers:
@@ -262,7 +261,7 @@ class MinibatchTrainer:
         self.fanouts = fanouts
         self.batch_size = int(batch_size)
         self.shuffle = bool(shuffle)
-        self.seed = repro_seed_default() if seed is None else int(seed)
+        self.seed = int(seed)
 
     # ------------------------------------------------------------------
     def fit(
@@ -512,7 +511,7 @@ def minibatch_train_pipelined(
     optimizer: str = "sgd",
     targets: np.ndarray | None = None,
     shuffle: bool = True,
-    seed: int | None = None,
+    seed: int = 0,
     model_seed: int = 0,
     dtype: np.dtype | type = np.float32,
     overlap: bool | None = None,
@@ -540,7 +539,7 @@ def minibatch_train_pipelined(
         "optimizer": optimizer,
         "targets": None if targets is None else np.asarray(targets),
         "shuffle": bool(shuffle),
-        "seed": repro_seed_default() if seed is None else int(seed),
+        "seed": int(seed),
         "model_seed": int(model_seed),
         "dtype": np.dtype(dtype).type,
         "overlap": (

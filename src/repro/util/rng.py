@@ -5,24 +5,13 @@ initialisation, mini-batch sampling) threads an explicit seed through
 :func:`make_rng`, so experiments are reproducible bit-for-bit — the
 paper's artifact likewise exposes a ``--seed`` flag on its benchmark
 drivers.
-
-The process-wide default seed can be pinned with ``$REPRO_SEED``
-(a validated integer, read at call time like the other ``REPRO_*``
-knobs): components that accept ``seed=None`` resolve it through
-:func:`repro_seed_default`, which is how the CI determinism matrix
-replays a sampled training run bit-for-bit and diffs the loss curves.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["make_rng", "repro_seed_default", "SEED_ENV_VAR"]
-
-#: Environment variable supplying the process-wide default seed.
-SEED_ENV_VAR = "REPRO_SEED"
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -35,22 +24,3 @@ def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def repro_seed_default(fallback: int = 0) -> int:
-    """Resolve the default seed from ``$REPRO_SEED``.
-
-    Read at *call* time, not at import, so tests and CI can flip the
-    variable per run. Unset (or empty) falls back to ``fallback``; a
-    non-integer value raises — a silently ignored typo would defeat
-    the determinism gate built on this knob.
-    """
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None or not raw.strip():
-        return int(fallback)
-    try:
-        return int(raw.strip(), 10)
-    except ValueError:
-        raise ValueError(
-            f"invalid ${SEED_ENV_VAR}={raw!r}; must be an integer"
-        ) from None

@@ -1,5 +1,8 @@
 """Tests for the benchmark harness, configs, CLI and report renderer."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -187,3 +190,43 @@ class TestValidation:
         )
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+
+def _imports_repro_bench(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            if node.module == "repro":
+                names += [f"repro.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "repro.bench" or n.startswith("repro.bench.") for n in names):
+            return True
+    return False
+
+
+def test_bench_is_a_leaf_holding_only_the_figure_sweep():
+    """``repro.bench`` is the paper-figure family and nobody's dependency.
+
+    Wall-clock has one runner, ``benchmarks/e2e/``; it and the library
+    must not reach into the figure harness, and no second timing
+    harness may grow back inside it.
+    """
+    root = Path(__file__).parent.parent
+    package = root / "src" / "repro"
+    assert sorted(p.stem for p in (package / "bench").glob("*.py")) == [
+        "__init__", "configs", "harness", "report", "sweep",
+        "unified_bench", "validate",
+    ]
+    outside = [
+        p for p in package.rglob("*.py") if (package / "bench") not in p.parents
+    ]
+    runner = list((root / "benchmarks" / "e2e").glob("*.py"))
+    assert outside and runner
+    offenders = [
+        str(p.relative_to(root)) for p in outside + runner
+        if _imports_repro_bench(p)
+    ]
+    assert offenders == []

@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.strong_scaling import can_show_speedup
 from repro.distributed.api import distributed_inference, distributed_train
 from repro.distributed.schedule import OVERLAP_ENV_VAR, overlap_default
 from repro.graphs import synthetic_classification
@@ -141,7 +140,9 @@ class TestHandleSemantics:
             run_spmd(2, programs.isend_then_deadlock, backend="process",
                      timeout=2.0)
         message = str(err.value)
-        assert "missing" in message   # the blocked tag
+        # Both ranks time out together; whichever timer fires first,
+        # the report names both blocked edges in rank order.
+        assert message.index("missing") < message.index("reply-never-sent")
         assert "decoy" in message     # rank 1's pending isend
 
     def test_communicator_isend_irecv_roundtrip(self):
@@ -420,8 +421,3 @@ class TestCostModelOverlap:
         assert breakdown["serial_fraction"] == pytest.approx(
             model.serial_fraction(stats)
         )
-
-
-def test_can_show_speedup_tracks_core_count():
-    assert can_show_speedup(1)
-    assert not can_show_speedup(10**6)

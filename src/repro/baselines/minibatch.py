@@ -36,7 +36,9 @@ from repro.models import build_model
 from repro.runtime.communicator import Communicator
 from repro.runtime.executor import run_spmd
 from repro.runtime.stats import RunStats
+from repro.tensor.coo import COOMatrix
 from repro.tensor.csr import CSRMatrix
+from repro.tensor.sampling_graph import sampling_graph_of
 from repro.training.loss import SoftmaxCrossEntropyLoss
 from repro.util.rng import make_rng
 
@@ -78,53 +80,32 @@ def sample_block(
     """Layer-wise neighbour sampling producing a DGL-style block.
 
     Starting from ``targets``, each hop samples up to ``fanout``
-    neighbours per frontier vertex (without replacement within a
-    vertex). Returns ``(vertices, block, sampled_edges)`` where
-    ``vertices`` is the sorted union of sampled vertices and ``block``
-    is a square CSR over them containing only the *sampled* edges (plus
-    self loops) — mirroring DGL's message-flow blocks, whose edge count
-    is bounded by the fan-out budget rather than by graph density.
+    neighbours per frontier vertex, without replacement within a vertex
+    (one :meth:`~repro.tensor.sampling_graph.SamplingGraph.sample_edges`
+    call per hop does the drawing). Returns ``(vertices, block,
+    sampled_edges)`` where ``vertices`` is the sorted union of sampled
+    vertices and ``block`` is a square CSR over them containing only
+    the *sampled* edges (plus self loops) — mirroring DGL's
+    message-flow blocks, whose edge count is bounded by the fan-out
+    budget rather than by graph density.
     """
-    vertices = np.unique(targets)
-    frontier = vertices
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    sampled_edges = 0
+    graph = sampling_graph_of(a)
+    vertices = frontier = np.unique(targets)
+    rows = cols = np.empty(0, dtype=np.int64)
     for fanout in fanouts:
-        picked = []
-        for v in frontier:
-            start, stop = a.indptr[v], a.indptr[v + 1]
-            degree = stop - start
-            if degree == 0:
-                continue
-            sampled_edges += min(degree, fanout)
-            if degree <= fanout:
-                neighbours = a.indices[start:stop]
-            else:
-                sel = rng.choice(degree, size=fanout, replace=False)
-                neighbours = a.indices[start + sel]
-            picked.append(neighbours)
-            srcs.append(np.full(neighbours.shape[0], v, dtype=np.int64))
-            dsts.append(neighbours)
-        if picked:
-            new = np.unique(np.concatenate(picked))
-            frontier = np.setdiff1d(new, vertices, assume_unique=False)
-            vertices = np.union1d(vertices, new)
-        else:
-            break
+        eids, counts = graph.sample_edges(frontier, fanout, rng)
+        rows = np.append(rows, np.repeat(frontier, counts))
+        cols = np.append(cols, a.indices[eids])
+        # Each vertex is expanded once, at the hop that discovers it.
+        frontier = np.setdiff1d(cols, vertices)
+        vertices = np.union1d(vertices, frontier)
     nv = vertices.shape[0]
-    if srcs:
-        rows = np.searchsorted(vertices, np.concatenate(srcs))
-        cols = np.searchsorted(vertices, np.concatenate(dsts))
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-    from repro.tensor.coo import COOMatrix
-
-    coo = COOMatrix(rows, cols, None, shape=(nv, nv)).add_self_loops()
+    coo = COOMatrix(
+        np.searchsorted(vertices, rows), np.searchsorted(vertices, cols), None, shape=(nv, nv)
+    ).add_self_loops()
     block = coo.to_csr()
     block = block.with_data(np.ones(block.nnz, dtype=a.dtype))
-    return vertices, block, sampled_edges
+    return vertices, block, int(rows.shape[0])
 
 
 def minibatch_train(

@@ -112,9 +112,9 @@ def compute_union_rows(
     level = num_layers
     while frontier.size and level > 0:
         layer_index = level - 1
-        block = sample_one_hop(
-            a, frontier, fanouts[layer_index], rng, weights
-        )
+        with tracer().span("serve.sample", level=level, frontier=int(frontier.size)) as span:
+            block = sample_one_hop(a, frontier, fanouts[layer_index], rng, weights)
+            span.annotate(sampled_edges=block.sampled_edges)
         hop_blocks.append((layer_index, block))
         level = layer_index
         if level == 0:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.tensor.segment import ragged_ranges
 from repro.tensor.structure import (
     PatternStructure,
     intern_structure,
@@ -272,20 +273,9 @@ class CSRMatrix:
         if vertices.size and np.any(np.diff(vertices) <= 0):
             raise ValueError("vertices must be strictly increasing")
         nv = vertices.shape[0]
-        # Gather the selected rows' entries: a vectorised ragged-range
-        # construction — entry j of segment i maps to starts[i] + j,
-        # built as repeat(starts - exclusive_cumsum(lengths)) + arange.
         starts = self.indptr[vertices]
-        stops = self.indptr[vertices + 1] if nv else starts
-        lengths = stops - starts
-        total = int(lengths.sum()) if nv else 0
-        if total:
-            offsets = np.zeros(nv, dtype=np.int64)
-            np.cumsum(lengths[:-1], out=offsets[1:])
-            gather = np.repeat(starts - offsets, lengths)
-            gather += np.arange(total, dtype=np.int64)
-        else:
-            gather = np.empty(0, dtype=np.int64)
+        lengths = self.indptr[vertices + 1] - starts
+        gather = ragged_ranges(starts, lengths)
         cols = self.indices[gather]
         data = self.data[gather]
         row_of_entry = np.repeat(np.arange(nv, dtype=np.int64), lengths)

@@ -16,7 +16,8 @@ L-hop neighbourhood. This module provides the sampling substrate
 * :func:`SamplingGraph.sample_edges` — seeded per-seed fan-out
   neighbour sampling **without replacement**, vectorised: sub-fan-out
   seeds take their full CSR slice, over-fan-out seeds draw a uniform
-  k-subset via random keys + per-segment top-k.
+  k-subset via random keys + per-segment partial selection, linear in
+  the candidate edges.
 * :class:`Block` / :func:`sample_blocks` — layered (per-hop) message
   flow blocks over **compacted local ids**. Each block is a *square*
   CSR over its source vertex set whose non-destination rows are empty,
@@ -35,17 +36,20 @@ a canonical (row-sorted) adjacency — sampled forward/backward are then
 ``tests/test_minibatch.py`` asserts for VA/AGNN/GAT.
 
 Events: ``sampling_graph.built`` / ``sampling_graph.hit`` (structure
-interning), ``sample.hop`` (one hop sampled), reported through
-:func:`repro.util.counters.event_counter`.
+interning), ``sample.hop`` (one hop sampled), ``sample.candidates``
+(random keys drawn: the candidate edges of over-fan-out seeds),
+reported through :func:`repro.util.counters.event_counter`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 from repro.tensor.csr import CSRMatrix
+from repro.tensor.segment import ragged_ranges
 from repro.tensor.structure import PatternStructure
 from repro.util.counters import event_counter
 
@@ -112,18 +116,22 @@ class SamplingGraph:
         their full CSR slice without consulting ``rng`` — with a
         graph-wide full fan-out the RNG state is never advanced.
 
-        ``weights`` selects *importance* sampling: a length-``nnz``
-        per-edge array (aligned with the pattern's ``indices``) giving
-        each edge's unnormalised inclusion propensity. It rides the
-        existing random-key top-k as an Efraimidis–Spirakis exponential
-        race — key ``-log(1 - u) / w`` per candidate, keep each
-        segment's ``fanout`` smallest — so exactly one uniform draw per
-        candidate edge is consumed either way and the unweighted path
-        (``weights=None``) is *bit-identical* to before. Weights must
-        be finite and non-negative where sampled; zero-weight edges
-        draw an infinite key, so they are only taken when a segment has
-        fewer than ``fanout`` positive-weight candidates. The
-        full-fan-out fast path never consults weights or the RNG.
+        ``weights`` selects *importance* sampling: a per-edge array
+        (aligned with the pattern's ``indices``) of unnormalised
+        inclusion propensities, finite and non-negative where sampled.
+        Keys become an Efraimidis–Spirakis exponential race,
+        ``-log(1 - u) / w``; a zero weight draws ``+inf``.
+
+        RNG contract: one ``rng.random(candidates)`` call — a uniform
+        per candidate edge of each over-fan-out seed, in seed order,
+        weighted or not — and each segment keeps its ``fanout`` smallest
+        keys, in time linear in the candidates. Arguments are validated
+        before the draw: a call that raises leaves ``rng`` where it was.
+
+        Tie rule: equal keys rank by edge id, lowest first. A segment
+        with ``p < fanout`` positive-weight candidates returns those
+        ``p`` plus its ``fanout - p`` lowest-id zero-weight edges;
+        all-zero weights return each segment's lowest ``fanout`` ids.
         """
         seeds = np.asarray(seeds, dtype=np.int64)
         if seeds.size and (
@@ -146,76 +154,84 @@ class SamplingGraph:
             if fanout < 0:
                 raise ValueError("fanout must be >= 0 (or None)")
             counts = np.minimum(deg, fanout)
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), counts
+        # Every seed's leading ``counts`` edges: final at or under the
+        # fan-out, overwritten below for the rest.
+        eids = ragged_ranges(starts, counts)
         over = counts < deg
-        if not over.any():
-            # Full-neighbour fast path: one ragged-range gather.
-            return _ragged_ranges(starts, counts), counts
-        eids = np.empty(total, dtype=np.int64)
-        offsets = np.zeros(seeds.shape[0], dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        take_all = ~over
-        if take_all.any():
-            dst_pos = _ragged_ranges(offsets[take_all], counts[take_all])
-            eids[dst_pos] = _ragged_ranges(starts[take_all], counts[take_all])
-        # Over-fan-out seeds: draw one uniform key per candidate edge
-        # and keep each segment's ``fanout`` smallest — a uniform
-        # k-subset without replacement, fully vectorised.
+        if not eids.size or not over.any():
+            return eids, counts
+        # Over-fan-out seeds: one uniform key per candidate edge, keep
+        # each segment's ``fanout`` smallest — a uniform k-subset.
+        starts_o = starts[over]
         deg_o = deg[over]
-        cand = _ragged_ranges(starts[over], deg_o)
-        seg = np.repeat(np.arange(deg_o.shape[0], dtype=np.int64), deg_o)
-        keys = rng.random(cand.shape[0])
         if weights is not None:
-            w = weights[cand].astype(np.float64, copy=False)
+            w = np.asarray(weights[ragged_ranges(starts_o, deg_o)], np.float64)
             if not np.all(np.isfinite(w)) or (w < 0).any():
                 raise ValueError(
                     "sampling weights must be finite and non-negative"
                 )
-            # Efraimidis–Spirakis: exponential(1)/w races, smallest-k
-            # wins — a weighted k-subset without replacement on the
-            # same one-uniform-per-candidate budget as the unweighted
-            # path. Zero weight -> infinite key (picked last).
-            positive = w > 0.0
-            with np.errstate(divide="ignore"):
-                keys = np.where(
-                    positive,
-                    -np.log1p(-keys) / np.where(positive, w, 1.0),
-                    np.inf,
-                )
-        order = np.lexsort((keys, seg))
-        seg_starts = np.zeros(deg_o.shape[0], dtype=np.int64)
-        np.cumsum(deg_o[:-1], out=seg_starts[1:])
-        winners = np.repeat(seg_starts, fanout) + np.tile(
-            np.arange(fanout, dtype=np.int64), deg_o.shape[0]
-        )
-        picked = cand[order][winners]
-        # Restore ascending edge-id order inside each seed's segment.
-        picked_seg = np.repeat(
-            np.arange(deg_o.shape[0], dtype=np.int64), fanout
-        )
-        picked = picked[np.lexsort((picked, picked_seg))]
-        dst_pos = _ragged_ranges(offsets[over], counts[over])
-        eids[dst_pos] = picked
+        keys = rng.random(int(deg_o.sum()))
+        event_counter().bump("sample.candidates", keys.shape[0])
+        if weights is not None:
+            # Exponential(1)/w races: the smallest k are a weighted
+            # k-subset without replacement. Zero weight -> +inf key.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                keys = -np.log1p(-keys) / w
+            keys[w == 0.0] = np.inf
+        picked = starts_o[:, None] + _smallest_per_segment(keys, deg_o, fanout)
+        slots = np.cumsum(counts)[over, None] + np.arange(-fanout, 0)
+        eids[slots.ravel()] = picked.ravel()
         return eids, counts
 
 
-def _ragged_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(s, s + l)`` for each (start, length) pair.
+#: Degree classes are ``2 ** _CLASS_BITS`` wide, which bounds a padded
+#: block's slots per candidate key.
+_CLASS_BITS = 2
 
-    The vectorised ragged-range construction used throughout the
-    tensor layer: ``repeat(starts - exclusive_cumsum(lengths),
-    lengths) + arange(total)``.
+
+def _smallest_per_segment(keys: np.ndarray, lengths: np.ndarray, k: int) -> np.ndarray:
+    """Within-segment positions of each segment's ``k`` smallest keys.
+
+    ``keys`` concatenates segments of ``lengths`` (each ``> k >= 1``);
+    the result is ``(segments, k)``, ascending along each row. Equal
+    keys rank by position, lowest first, as a stable sort would.
+
+    Linear in ``keys.size``: each degree class's keys fill one
+    ``+inf``-padded ``(segments, width)`` block, ``np.partition``
+    (introselect, no sort) finds each row's ``k``-th smallest key, and
+    the ``<=`` mask read in row-major order is the winners, ascending.
     """
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.zeros(lengths.shape[0], dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    out = np.repeat(starts - offsets, lengths)
-    out += np.arange(total, dtype=np.int64)
-    return out
+    num_seg = lengths.shape[0]
+    order = np.arange(num_seg)
+    bounds = [0, num_seg]
+    if num_seg * int(lengths.max()) > keys.shape[0] << _CLASS_BITS:
+        # One block over every segment would pad past the bound: bring
+        # each degree class's segments (and their keys) together.
+        cls = np.frexp(lengths)[1] // _CLASS_BITS
+        order = np.argsort(cls, kind="stable")
+        seg_starts = np.cumsum(lengths) - lengths
+        lengths = lengths[order]
+        keys = keys[ragged_ranges(seg_starts[order], lengths)]
+        bounds[1:1] = np.flatnonzero(np.diff(cls[order])) + 1
+    picked = np.empty((num_seg, k), dtype=np.int64)
+    stop = 0
+    for lo, hi in pairwise(bounds):
+        seg_len = lengths[lo:hi]
+        width = int(seg_len.max())
+        start, stop = stop, stop + int(seg_len.sum())
+        padded = np.full((hi - lo, width), np.inf)
+        padded[np.arange(width) < seg_len[:, None]] = keys[start:stop]
+        kth = np.partition(padded, k - 1, axis=1)[:, k - 1 : k]
+        keep = padded <= kth
+        if np.count_nonzero(keep) != (hi - lo) * k:
+            # A row ties at its k-th key (zero weights, like padding,
+            # hold +inf): the lowest positions fill the room left.
+            below = padded < kth
+            tied = padded == kth
+            room = k - np.count_nonzero(below, axis=1, keepdims=True)
+            keep = below | (tied & (np.cumsum(tied, axis=1) <= room))
+        picked[order[lo:hi]] = (np.flatnonzero(keep) % width).reshape(-1, k)
+    return picked
 
 
 def sampling_graph_of(a: CSRMatrix) -> SamplingGraph:
@@ -326,15 +342,15 @@ def sample_one_hop(
         raise ValueError("dst_nodes must be strictly increasing")
     graph = sampling_graph_of(a)
     eids, counts = graph.sample_edges(dst_nodes, fanout, rng, weights)
-    cols_global = a.indices[eids]
-    src_nodes = np.union1d(dst_nodes, cols_global)
+    # One sort compacts the hop: the sorted distinct endpoints are the
+    # (monotone) local id space, the inverse map their local ids.
+    num_dst = dst_nodes.shape[0]
+    src_nodes, local = np.unique(np.concatenate((dst_nodes, a.indices[eids])), return_inverse=True)
     num_src = int(src_nodes.shape[0])
-    dst_positions = np.searchsorted(src_nodes, dst_nodes)
-    local_cols = np.searchsorted(src_nodes, cols_global)
-    row_counts = np.zeros(num_src, dtype=np.int64)
-    row_counts[dst_positions] = counts
+    dst_positions, local_cols = local[:num_dst], local[num_dst:]
     indptr = np.zeros(num_src + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=indptr[1:])
+    indptr[dst_positions + 1] = counts
+    np.cumsum(indptr, out=indptr)
     matrix = CSRMatrix(
         indptr, local_cols, a.data[eids], (num_src, num_src)
     )

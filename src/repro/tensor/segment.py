@@ -25,6 +25,7 @@ __all__ = [
     "segment_mean",
     "segment_softmax",
     "expand_segments",
+    "ragged_ranges",
     "bincount_sum",
 ]
 
@@ -137,6 +138,17 @@ def expand_segments(
         return np.take(per_segment, rows, axis=0, out=out, mode="clip")
     lengths = np.diff(indptr)
     return np.repeat(per_segment, lengths, axis=0)
+
+
+def ragged_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(s, s + l)`` for each (start, length) pair.
+
+    The vectorised ragged gather of the tensor layer:
+    ``repeat(starts - exclusive_cumsum(lengths), lengths) + arange(total)``.
+    """
+    out = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    out += np.arange(out.shape[0], dtype=np.int64)
+    return out
 
 
 def segment_softmax(

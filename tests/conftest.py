@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graphs import erdos_renyi, synthetic_classification
 from repro.graphs.prep import prepare_adjacency
 from repro.tensor.csr import CSRMatrix
+
+# ``--hypothesis-profile=ci`` raises the example budget of every
+# property that does not pin ``max_examples`` itself.
+settings.register_profile("ci", max_examples=400, deadline=None)
 
 
 @pytest.fixture

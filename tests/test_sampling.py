@@ -15,15 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fusion.layer import DagLayer
+from repro.graphs import powerlaw_graph, prepare_adjacency
 from repro.models.base import GnnModel
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.sampling_graph import (
+    hub_bias_weights,
     sample_blocks,
     sample_one_hop,
     sampling_graph_of,
 )
 from repro.training.minibatch import backward_blocks, forward_blocks
+from repro.util.counters import event_counter
 from tests.conftest import random_csr
+from tests.reference_sampler import reference_sample_edges
 
 
 @pytest.fixture(scope="module")
@@ -483,8 +487,6 @@ class TestWeightedSampling:
             graph.sample_edges(seeds, 1, rng, bad)
 
     def test_hub_bias_weights_values(self, small_adjacency):
-        from repro.tensor.sampling_graph import hub_bias_weights
-
         weights = hub_bias_weights(small_adjacency)
         deg = np.maximum(
             np.diff(small_adjacency.indptr), 1
@@ -499,8 +501,6 @@ class TestWeightedSampling:
         assert np.array_equal(inv, 1.0 / deg[small_adjacency.indices])
 
     def test_weighted_blocks_keep_the_layer_contract(self, small_adjacency):
-        from repro.tensor.sampling_graph import hub_bias_weights
-
         weights = hub_bias_weights(small_adjacency)
         rng = np.random.default_rng(3)
         targets = np.arange(0, small_adjacency.shape[0], 4)
@@ -524,3 +524,190 @@ class TestWeightedSampling:
                 assert np.all(
                     np.isin(global_src, small_adjacency.indices[row])
                 )
+
+
+# ----------------------------------------------------------------------
+# Linear-time selection vs. the lexsort oracle
+# ----------------------------------------------------------------------
+#: Row degrees every generated pattern contains: empty, at / around the
+#: fan-outs under test, one per degree class up to a hub >= 2**12.
+ANCHOR_DEGREES = (0, 1, 2, 8, 9, 70, 600, 2**12 + 5)
+EXTRA_DEGREES = (0, 1, 2, 3, 8, 9, 17, 33, 130, 1100)
+PATTERN_COLS = 2**12 + 64
+
+
+def _ragged_pattern(rng: np.random.Generator, degrees) -> CSRMatrix:
+    """Square CSR whose leading rows have exactly ``degrees`` entries
+    (sorted distinct columns); the remaining rows are empty."""
+    n = PATTERN_COLS
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1 : len(degrees) + 1] = np.cumsum(degrees)
+    indptr[len(degrees) + 1 :] = indptr[len(degrees)]
+    indices = np.concatenate(
+        [np.sort(rng.choice(n, size=d, replace=False)) for d in degrees]
+    ).astype(np.int64)
+    return CSRMatrix(indptr, indices, np.ones(indices.shape[0]), (n, n))
+
+
+def _assert_matches_oracle(graph, seeds, fanout, weights, seed=0):
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    eids, counts = graph.sample_edges(seeds, fanout, rng, weights)
+    ref_eids, ref_counts = reference_sample_edges(
+        graph, seeds, fanout, rng_ref, weights
+    )
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(eids, ref_eids)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    return eids, counts
+
+
+class TestSelectionParity:
+    """``sample_edges`` == PR 8's full-sort selection, stream included."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        extra=st.lists(st.sampled_from(EXTRA_DEGREES), max_size=12),
+        picks=st.lists(st.integers(0, 10**6), max_size=24),
+        fanout=st.sampled_from([0, 1, 2, 8, None, "max"]),
+        weighting=st.sampled_from(
+            [None, "positive", "some_zeros", "zero_segments"]
+        ),
+    )
+    def test_same_edges_counts_and_stream(
+        self, seed, extra, picks, fanout, weighting
+    ):
+        rng = np.random.default_rng(seed)
+        degrees = np.array(ANCHOR_DEGREES + tuple(extra), dtype=np.int64)
+        rng.shuffle(degrees)
+        a = _ragged_pattern(rng, degrees)
+        graph = sampling_graph_of(a)
+        rows = degrees.shape[0]
+        if fanout == "max":
+            fanout = int(degrees.max()) + int(rng.integers(0, 2))
+        # Arbitrary rows (repeats allowed), plus each anchor twice: so
+        # degree 0, = fan-out and > fan-out all appear and repeat.
+        seeds = np.concatenate(
+            [np.array(picks, dtype=np.int64) % rows,
+             np.flatnonzero(np.isin(degrees, ANCHOR_DEGREES)),
+             rng.integers(0, rows, size=4)]
+        )
+        seeds = rng.permutation(np.concatenate([seeds, seeds[:6]]))
+        weights = None
+        if weighting is not None:
+            weights = rng.random(a.nnz) + 0.05
+            if weighting == "some_zeros":
+                weights[rng.random(a.nnz) < 0.6] = 0.0
+            elif weighting == "zero_segments":
+                for row in rng.choice(rows, size=3, replace=False):
+                    weights[a.indptr[row] : a.indptr[row + 1]] = 0.0
+        _assert_matches_oracle(graph, seeds, fanout, weights, seed)
+
+    @pytest.fixture(scope="class")
+    def e2e_graph(self):
+        """The ``sampled_train`` shape: power-law n = 2^15, m = 8n."""
+        n = 1 << 15
+        return prepare_adjacency(powerlaw_graph(n, 8 * n, seed=0))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_e2e_shape_two_hops(self, e2e_graph, weighted):
+        a = e2e_graph
+        graph = sampling_graph_of(a)
+        weights = hub_bias_weights(a) if weighted else None
+        targets = np.random.default_rng([0, 2]).choice(
+            a.shape[0], size=256, replace=False
+        )
+        blocks = sample_blocks(
+            a, targets, (8, 8), np.random.default_rng(0), weights
+        )
+        # Hop 1 seeds are the targets, hop 2 seeds hop 1's sources —
+        # hubs (degree in the thousands) among them.
+        sampled = 0
+        for hop_seeds in (blocks[1].dst_nodes, blocks[1].src_nodes):
+            eids, _ = _assert_matches_oracle(graph, hop_seeds, 8, weights)
+            sampled += eids.shape[0]
+        assert graph.degrees(blocks[1].src_nodes).max() > 2**10
+        assert sampled == sum(b.sampled_edges for b in blocks)
+
+
+class TestTieRule:
+    """Equal keys rank by edge id: zero-weight edges (key +inf) fill a
+    short segment from its lowest edge ids."""
+
+    FANOUT = 5
+
+    @pytest.fixture(scope="class")
+    def graph_and_row(self):
+        rng = np.random.default_rng(4)
+        a = _ragged_pattern(rng, np.array([3, 12, 40, 2**12 + 5, 7]))
+        return sampling_graph_of(a), a
+
+    @pytest.mark.parametrize("positive_at", [(), (7,), (3, 6, 8, 11)])
+    def test_short_segments_fill_from_lowest_ids(
+        self, graph_and_row, positive_at
+    ):
+        graph, a = graph_and_row
+        start = int(a.indptr[1])  # row 1: degree 12
+        weights = np.zeros(a.nnz)
+        weights[start + np.array(positive_at, dtype=np.int64)] = 1.0
+        eids, counts = _assert_matches_oracle(
+            graph, np.array([1]), self.FANOUT, weights
+        )
+        zeros = [j for j in range(12) if j not in positive_at]
+        fill = zeros[: self.FANOUT - len(positive_at)]
+        expect = start + np.array(sorted([*positive_at, *fill]))
+        assert np.array_equal(eids, expect)
+        assert np.array_equal(counts, [self.FANOUT])
+
+    def test_all_zero_weights_take_lowest_edge_ids(self, graph_and_row):
+        graph, a = graph_and_row
+        seeds = np.array([3, 0, 1, 2, 4, 3])  # hub twice, every class
+        eids, counts = _assert_matches_oracle(
+            graph, seeds, self.FANOUT, np.zeros(a.nnz)
+        )
+        expect = np.concatenate(
+            [a.indptr[s] + np.arange(c) for s, c in zip(seeds, counts)]
+        )
+        assert np.array_equal(eids, expect)
+
+
+class TestRejectedCallsLeaveTheStreamAlone:
+    def test_state_unchanged_after_each_rejection(self, small_adjacency):
+        graph = sampling_graph_of(small_adjacency)
+        seeds = np.arange(graph.num_nodes, dtype=np.int64)
+        nnz = small_adjacency.nnz
+        negative, infinite, nan = np.ones(nnz), np.ones(nnz), np.ones(nnz)
+        negative[0], infinite[nnz // 2], nan[-1] = -1.0, np.inf, np.nan
+        rejected = [
+            (seeds, 1, negative),
+            (seeds, 1, infinite),
+            (seeds, 1, nan),
+            (seeds, 1, np.ones(nnz - 1)),
+            (np.array([graph.num_nodes]), 1, None),
+            (np.array([0, -1]), 1, None),
+            (seeds, -1, None),
+        ]
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        for call_seeds, fanout, weights in rejected:
+            with pytest.raises(ValueError):
+                graph.sample_edges(call_seeds, fanout, rng, weights)
+            assert rng.bit_generator.state == before
+        # ... and an accepted over-fan-out call does advance it.
+        graph.sample_edges(seeds, 1, rng)
+        assert rng.bit_generator.state != before
+
+
+class TestCandidateEvent:
+    def test_counts_keys_drawn(self, small_adjacency):
+        graph = sampling_graph_of(small_adjacency)
+        seeds = np.arange(graph.num_nodes, dtype=np.int64)
+        deg = graph.degrees(seeds)
+        events = event_counter()
+        before = events.count("sample.candidates")
+        graph.sample_edges(seeds, 3, np.random.default_rng(0))
+        drawn = events.count("sample.candidates") - before
+        assert drawn == int(deg[deg > 3].sum())
+        # Full fan-out draws nothing.
+        graph.sample_edges(seeds, None, np.random.default_rng(0))
+        assert events.count("sample.candidates") - before == drawn

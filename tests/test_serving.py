@@ -30,6 +30,7 @@ from repro.graphs import erdos_renyi
 from repro.graphs.prep import prepare_adjacency
 from repro.models import build_model, state_dict
 from repro.models.base import ForwardState
+from repro.obs.tracer import Tracer, install_tracer
 from repro.serving import (
     ActivationCache,
     AdmissionQueue,
@@ -272,6 +273,24 @@ class TestBatchedIdentity:
         hops_before = event_counter().count("sample.hop")
         engine.serve_unique(seeds)
         assert event_counter().count("sample.hop") == hops_before
+
+    def test_each_sampled_hop_gets_a_serve_sample_span(
+        self, adjacency, features
+    ):
+        engine = ServingEngine(_model(), adjacency, features,
+                               fanouts=(3, 3), seed=5)
+        seeds = np.array([1, 4, 6], dtype=np.int64)
+        live = Tracer(rank=0)
+        install_tracer(live)
+        try:
+            engine.serve_unique(seeds)
+        finally:
+            install_tracer(None)
+        hops = [s.attrs for s in live.spans if s.name == "serve.sample"]
+        assert [h["level"] for h in hops] == [2, 1]  # output hop first
+        assert hops[0]["frontier"] == seeds.size
+        for hop in hops:
+            assert 0 < hop["sampled_edges"] <= 3 * hop["frontier"]
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import make_graph
-from repro.models.va import VALayer
+from repro.models import VA, AttentionLayer
 from repro.util.counters import FlopCounter
 
 N = 2048
@@ -27,7 +27,8 @@ def graph():
 
 
 def _flops(order, in_dim, out_dim, graph, h):
-    layer = VALayer(in_dim, out_dim, order=order, seed=0, dtype=np.float32)
+    layer = AttentionLayer(in_dim, out_dim, VA, order=order, seed=0,
+                           dtype=np.float32)
     counter = FlopCounter()
     layer.forward(graph, h, counter=counter, training=False)
     return counter.total
@@ -41,7 +42,8 @@ def test_composition_order_timing(benchmark, graph, order, dims):
     rng = np.random.default_rng(0)
     in_dim, out_dim = dims
     h = rng.normal(size=(N, in_dim)).astype(np.float32)
-    layer = VALayer(in_dim, out_dim, order=order, seed=0, dtype=np.float32)
+    layer = AttentionLayer(in_dim, out_dim, VA, order=order, seed=0,
+                           dtype=np.float32)
     out = benchmark(lambda: layer.forward(graph, h, training=False)[0])
     assert out.shape == (N, out_dim)
 
@@ -66,9 +68,10 @@ def test_orders_agree_numerically(benchmark, graph):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     rng = np.random.default_rng(0)
     h = rng.normal(size=(N, 16)).astype(np.float64)
-    proj = VALayer(16, 16, order="project_first", seed=3, dtype=np.float64)
-    agg = VALayer(16, 16, order="aggregate_first", seed=3, dtype=np.float64)
-    agg.weight = proj.weight.copy()
+    proj, agg = (
+        AttentionLayer(16, 16, VA, order=order, seed=3, dtype=np.float64)
+        for order in ("project_first", "aggregate_first")
+    )
     out_p, _ = proj.forward(graph, h)
     out_a, _ = agg.forward(graph, h)
     assert np.allclose(out_p, out_a, atol=1e-8)

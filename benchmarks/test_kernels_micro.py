@@ -168,44 +168,58 @@ def test_multihead_batched_speedup(benchmark):
     """Head-batched GAT layer ≥2× faster than the per-head loop.
 
     Eight heads on a small graph — the regime the batching targets:
-    the per-head loop re-pays kernel dispatch, structure-cache lookups
-    and workspace checkout once per head, while the batched path walks
-    the interned CSR pattern once for all heads. Warm structure cache,
-    forward + backward, float64. Timed with looped batches so
-    sub-millisecond steps are not noise.
+    the per-head loop (``heads`` single-head layers on the same
+    parameters, the oracle of ``tests/reference_heads.py``) re-pays
+    kernel dispatch, structure-cache lookups and workspace checkout
+    once per head, while the layer walks the interned CSR pattern once
+    for all heads. Warm structure cache, forward + backward, float64.
+    Timed with looped batches so sub-millisecond steps are not noise.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    from repro.models.gat import MultiHeadGATLayer
+    from repro.models import AttentionLayer, gat_spec
+    from tests.reference_heads import (
+        combine_heads,
+        head_gradients,
+        single_heads,
+    )
 
     n, heads, d, f = 64, 8, 8, 16
     a = make_graph("uniform", n, 4 * n, seed=0).astype(np.float64)
     rng = np.random.default_rng(0)
     h = rng.normal(size=(n, f))
     g = rng.normal(size=(n, heads * d))
-    batched = MultiHeadGATLayer(f, d, heads=heads, seed=3,
-                                dtype=np.float64, batched=True)
-    per_head = MultiHeadGATLayer(f, d, heads=heads, seed=3,
-                                 dtype=np.float64, batched=False)
+    layer = AttentionLayer(f, d, gat_spec(), activation="elu", heads=heads,
+                           seed=3, dtype=np.float64)
+    per_head = single_heads(layer, lambda: AttentionLayer(
+        f, d, gat_spec(), activation="identity", dtype=np.float64))
 
-    def step(layer):
+    def step_batched():
         out, cache = layer.forward(a, h)
         layer.backward(cache, g)
         return out
 
-    out_b, out_p = step(batched), step(per_head)  # warm caches
+    def step_per_head():
+        outs = []
+        for head, g_h in zip(per_head, head_gradients(layer, g)):
+            out, cache = head.forward(a, h)
+            head.backward(cache, g_h)
+            outs.append(out)
+        return combine_heads(layer, outs)
+
+    out_b, out_p = step_batched(), step_per_head()  # warm caches
     assert np.allclose(out_b, out_p, rtol=1e-10, atol=1e-12)
 
-    def timed(layer, repeats=9, iters=12):
+    def timed(step, repeats=9, iters=12):
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
             for _ in range(iters):
-                step(layer)
+                step()
             best = min(best, (time.perf_counter() - t0) / iters)
         return best
 
-    t_batched = timed(batched)
-    t_per_head = timed(per_head)
+    t_batched = timed(step_batched)
+    t_per_head = timed(step_per_head)
     assert t_per_head >= 2.0 * t_batched, (
         f"batched {t_batched * 1e3:.3f} ms vs per-head "
         f"{t_per_head * 1e3:.3f} ms ({t_per_head / t_batched:.2f}x)"

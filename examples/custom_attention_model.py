@@ -3,7 +3,8 @@
 
 The paper's generic formulation (Eq. 1) claims one can "easily design
 an arbitrary A-GNN model by appropriately specifying Psi, ⊕, and Phi".
-This example does exactly that, twice:
+This example does exactly that, twice, on the same ``AttentionLayer``
+class the built-in VA/AGNN/GAT/GCN models run on:
 
 1. A *temperature-scaled dot-product* attention (a softmax'd VA — the
    transformer scoring rule on graphs), with a hand-written VJP, so the
@@ -23,9 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.formulation import AttentionSpec, GenericLayer
+from repro.core.formulation import AttentionSpec
 from repro.graphs import synthetic_classification
-from repro.models.base import GnnModel
+from repro.models import AttentionLayer, GnnModel
 from repro.tensor.kernels import (
     masked_row_softmax_backward,
     sddmm_dot,
@@ -40,13 +41,16 @@ from repro.training import Adam, SoftmaxCrossEntropyLoss, Trainer
 # 1. Scaled dot-product attention: Psi = sm(A ⊙ (H H^T / sqrt(k)))
 # ----------------------------------------------------------------------
 def make_scaled_dot_spec(temperature: float) -> AttentionSpec:
-    def psi(a, h):
-        scores = sddmm_dot(a, h, h) / temperature
+    # A Psi is (A, X, params, counter) -> (S, cache); this one has no
+    # parameters of its own and reads the layer input H.
+    def psi(a, h, params, counter):
+        scores = sddmm_dot(a, h, h, counter=counter) / temperature
         soft = segment_softmax(scores, a.indptr)
         s = a.with_data(soft)
         return s, {"a": a, "h": h, "soft": soft}
 
-    def psi_vjp(ds_values, cache):
+    # Its VJP is (dS, cache, counter) -> (dX, parameter gradients).
+    def psi_vjp(ds_values, cache, counter):
         a, h = cache["a"], cache["h"]
         # Softmax backward, then the symmetric Gram-product backward —
         # all built from the library's Table-2 kernels.
@@ -54,7 +58,9 @@ def make_scaled_dot_spec(temperature: float) -> AttentionSpec:
             cache["soft"], ds_values, a.indptr
         ) / temperature
         n_mat = a.with_data(d_scores)
-        return spmm(n_mat, h) + spmm(n_mat.transpose(), h)
+        dh = spmm(n_mat, h, counter=counter)
+        dh += spmm(n_mat.transpose(), h, counter=counter)
+        return dh, {}
 
     return AttentionSpec(psi=psi, psi_vjp=psi_vjp, name="scaled-dot")
 
@@ -63,16 +69,13 @@ def make_scaled_dot_spec(temperature: float) -> AttentionSpec:
 # 2. Max-pooling attention: scores gate which neighbour dominates.
 # ----------------------------------------------------------------------
 def make_max_pool_spec() -> AttentionSpec:
-    def psi(a, h):
+    def psi(a, h, params, counter):
         # Tropical lifting: stored entries become the multiplicative
         # identity so A ⊕ H computes per-feature neighbourhood maxima.
         s = a.with_data(adjacency_values(TROPICAL_MAX, a.data))
         return s, None
 
-    return AttentionSpec(
-        psi=psi, aggregate=TROPICAL_MAX, order="aggregate_first",
-        name="max-pool",
-    )
+    return AttentionSpec(psi=psi, name="max-pool")
 
 
 def main() -> None:
@@ -81,10 +84,10 @@ def main() -> None:
 
     # --- trainable custom model ---------------------------------------
     layers = [
-        GenericLayer(k, 32, make_scaled_dot_spec(np.sqrt(k)),
-                     activation="relu", seed=0),
-        GenericLayer(32, classes, make_scaled_dot_spec(np.sqrt(32)),
-                     activation="identity", seed=1),
+        AttentionLayer(k, 32, make_scaled_dot_spec(np.sqrt(k)),
+                       activation="relu", seed=0),
+        AttentionLayer(32, classes, make_scaled_dot_spec(np.sqrt(32)),
+                       activation="identity", seed=1),
     ]
     model = GnnModel(layers)
     trainer = Trainer(model, SoftmaxCrossEntropyLoss(data.train_mask),
@@ -100,9 +103,12 @@ def main() -> None:
     assert acc > 0.75
 
     # --- semiring aggregation model (inference) ------------------------
-    max_layer = GenericLayer(k, k, make_max_pool_spec(),
-                             activation="identity", seed=2,
-                             dtype=np.float64)
+    # ⊕ and the Phi∘⊕ order are the layer's, not Psi's.
+    max_layer = AttentionLayer(k, k, make_max_pool_spec(),
+                               activation="identity",
+                               order="aggregate_first",
+                               aggregate=TROPICAL_MAX, seed=2,
+                               dtype=np.float64)
     out, _ = max_layer.forward(
         data.adjacency, data.features.astype(np.float64), training=False
     )

@@ -11,8 +11,9 @@ This package holds the model-agnostic pieces of Sections 3–5:
 * :mod:`repro.core.psi` — the per-model attention operators
   :math:`\\Psi(\\mathcal{A}, H)` of Section 4.1 with their backward
   passes (Section 5), expressed purely in Table-2 kernels.
-* :mod:`repro.core.formulation` — the programmable generic layer of
-  Eq. (1): :math:`H^{l+1} = \\sigma((\\Phi \\circ \\oplus)(\\Psi, H))`.
+* :mod:`repro.core.formulation` — the :math:`\\Psi` spec of Eq. (1),
+  :math:`H^{l+1} = \\sigma((\\Phi \\circ \\oplus)(\\Psi, H))`; the
+  layer executing it is :class:`repro.models.attention.AttentionLayer`.
 """
 
 from repro.core.activations import Activation, get_activation
@@ -25,7 +26,7 @@ from repro.core.blocks import (
     sum_cols,
     sum_rows,
 )
-from repro.core.formulation import AttentionSpec, GenericLayer
+from repro.core.formulation import AttentionSpec
 from repro.core.psi import (
     psi_agnn,
     psi_gat,
@@ -49,5 +50,4 @@ __all__ = [
     "psi_agnn",
     "psi_gat",
     "AttentionSpec",
-    "GenericLayer",
 ]

@@ -1,24 +1,21 @@
-"""The programmable generic GNN layer of Eq. (1).
+"""The programmable attention operator of Eq. (1).
 
 .. math:: H^{l+1} = \\sigma\\left(Z^l\\right), \\qquad
           Z^l = (\\Phi \\circ \\oplus)\\left(\\Psi(\\mathcal{A}, H^l), H^l\\right)
 
-A user designs an arbitrary A-GNN by supplying three ingredients
-(Section 4): the attention operator :math:`\\Psi`, the aggregation
-semiring :math:`\\oplus`, and the update :math:`\\Phi` (a linear
-projection here; MLPs compose multiple layers). The composition order
-of :math:`\\Phi` and :math:`\\oplus` is explicit — they commute
-mathematically for linear :math:`\\Phi` over the real semiring, but not
-computationally (Section 4.4): *project-first* aggregates ``k_out``-wide
-features, *aggregate-first* aggregates ``k_in``-wide features, and the
-cheaper choice depends on the dimensions. The composition-order
-ablation benchmark sweeps exactly this switch.
+A model is *only* its :math:`\\Psi`. Everything else in Eq. (1) — the
+linear update :math:`\\Phi`, the aggregation semiring :math:`\\oplus`,
+their composition order (Section 4.4), the heads, and the whole
+backward chain of Section 5 — is written once, in
+:class:`repro.models.attention.AttentionLayer`. VA, AGNN, GAT and GCN
+are the :class:`AttentionSpec` instances that module ships; a user
+model is one more instance (see ``examples/custom_attention_model.py``).
 
 Training through a custom :math:`\\Psi` requires its vector-Jacobian
 product; if none is supplied, the layer treats attention scores as
-constants during the backward pass (gradient stops at :math:`\\Psi`),
-which is a standard approximation and is documented in the returned
-gradients.
+constants during the backward pass (gradient stops at :math:`\\Psi`) —
+a standard approximation, and exactly what a C-GNN such as GCN
+(:math:`\\Psi(\\mathcal{A}, H) = \\mathcal{A}`) needs.
 """
 
 from __future__ import annotations
@@ -28,174 +25,56 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.activations import Activation, get_activation
 from repro.tensor.csr import CSRMatrix
-from repro.tensor.kernels import mm, sddmm_dot, spmm
-from repro.tensor.semiring import REAL, Semiring
-from repro.util.counters import FlopCounter, null_counter
-from repro.util.rng import make_rng
+from repro.util.counters import FlopCounter
 
-__all__ = ["AttentionSpec", "GenericLayer"]
+__all__ = ["AttentionSpec"]
 
-#: Type of a Psi operator: (A, H) -> (S, cache).
-PsiFn = Callable[[CSRMatrix, np.ndarray], tuple[CSRMatrix, Any]]
-#: Type of a Psi VJP: (ds_values, cache) -> dH (n x k_in).
-PsiVjpFn = Callable[[np.ndarray, Any], np.ndarray]
+#: Psi parameters by name; stacked ``(heads, ...)`` when ``heads > 1``.
+PsiParams = dict[str, np.ndarray]
+#: A Psi operator: ``(A, X, params, counter) -> (S, cache)``.
+PsiFn = Callable[
+    [CSRMatrix, np.ndarray, PsiParams, FlopCounter], tuple[CSRMatrix, Any]
+]
+#: A Psi VJP: ``(dS values, cache, counter) -> (dX, parameter gradients)``.
+PsiVjpFn = Callable[
+    [np.ndarray, Any, FlopCounter], tuple[np.ndarray, PsiParams]
+]
+#: A Psi parameter initialiser for one head:
+#: ``(rng, head width, dtype) -> params``.
+PsiInitFn = Callable[[np.random.Generator, int, np.dtype], PsiParams]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttentionSpec:
-    """Declarative description of an A-GNN layer's semantics.
+    """An attention operator :math:`\\Psi`, as the layer plugs it in.
 
     Attributes
     ----------
     psi:
-        Attention operator producing the sparse score matrix ``S``
-        (sharing A's pattern) and an opaque cache for the VJP.
+        ``(A, X, params, counter) -> (S, cache)``: the sparse score
+        matrix ``S`` on A's pattern plus an opaque cache for the VJP.
+        ``X`` is the layer input ``H``, or the projected features
+        ``H W`` when ``on_projected`` is set.
     psi_vjp:
-        Optional gradient of ``psi`` w.r.t. ``H`` given the gradient of
-        S's stored values. ``None`` detaches attention from the
-        gradient flow.
-    aggregate:
-        The :math:`\\oplus` semiring (Section 4.3). Training is
-        supported for the real semiring; exotic semirings are
-        inference-only (their reductions are not smooth).
-    order:
-        ``"project_first"`` computes :math:`S (H W)`;
-        ``"aggregate_first"`` computes :math:`(S H) W`.
+        ``(dS, cache, counter) -> (dX, grads)``: gradient of ``psi``
+        w.r.t. ``X`` and w.r.t. each of its parameters, given the
+        gradient of S's stored values. ``None`` detaches attention
+        from the gradient flow.
+    init:
+        ``(rng, width, dtype) -> params``: draws one head's trainable
+        Psi parameters (``width`` is the head's output width). ``None``
+        for a parameter-free Psi.
+    on_projected:
+        Psi reads ``H W`` (GAT) instead of ``H`` (VA, AGNN, GCN). Such
+        a Psi depends on ``W``, so its VJP feeds the weight gradient
+        (Eq. 7's second term) and it can run one Psi per head.
     name:
         Label used in reports.
     """
 
     psi: PsiFn
     psi_vjp: PsiVjpFn | None = None
-    aggregate: Semiring = REAL
-    order: str = "project_first"
+    init: PsiInitFn | None = None
+    on_projected: bool = False
     name: str = "custom"
-
-    def __post_init__(self) -> None:
-        if self.order not in ("project_first", "aggregate_first"):
-            raise ValueError(
-                "order must be 'project_first' or 'aggregate_first'"
-            )
-
-
-@dataclass
-class _GenericCache:
-    a: CSRMatrix
-    h: np.ndarray
-    s: CSRMatrix
-    psi_cache: Any
-    projected: np.ndarray | None  # H W   (project_first)
-    aggregated: np.ndarray | None  # S H  (aggregate_first)
-    z: np.ndarray
-
-
-class GenericLayer:
-    """One programmable GNN layer executing Eq. (1).
-
-    Parameters
-    ----------
-    in_dim, out_dim:
-        Feature dimensionality before/after the layer.
-    spec:
-        The :class:`AttentionSpec` defining :math:`\\Psi, \\oplus` and
-        the composition order.
-    activation:
-        Name of the non-linearity :math:`\\sigma` (see
-        :mod:`repro.core.activations`).
-    seed:
-        Seed for Glorot-style weight initialisation.
-    """
-
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        spec: AttentionSpec,
-        activation: str | Activation = "relu",
-        seed: int | np.random.Generator | None = 0,
-        dtype: np.dtype | type = np.float32,
-    ) -> None:
-        rng = make_rng(seed)
-        limit = float(np.sqrt(6.0 / (in_dim + out_dim)))
-        self.weight = rng.uniform(-limit, limit, (in_dim, out_dim)).astype(dtype)
-        self.spec = spec
-        self.activation = get_activation(activation)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-
-    # ------------------------------------------------------------------
-    def forward(
-        self,
-        a: CSRMatrix,
-        h: np.ndarray,
-        counter: FlopCounter = null_counter(),
-        training: bool = True,
-    ) -> tuple[np.ndarray, _GenericCache | None]:
-        """Run the layer; returns ``(H_next, cache)``.
-
-        ``training=False`` skips cache construction (inference mode —
-        the artifact's ``--inference`` flag behaviour).
-        """
-        s, psi_cache = self.spec.psi(a, h)
-        projected = aggregated = None
-        if self.spec.order == "project_first":
-            projected = mm(h, self.weight, counter=counter)
-            z = spmm(s, projected, semiring=self.spec.aggregate, counter=counter)
-        else:
-            aggregated = spmm(s, h, semiring=self.spec.aggregate, counter=counter)
-            z = mm(aggregated, self.weight, counter=counter)
-        h_next = self.activation.fn(z)
-        if not training:
-            return h_next, None
-        cache = _GenericCache(
-            a=a, h=h, s=s, psi_cache=psi_cache,
-            projected=projected, aggregated=aggregated, z=z,
-        )
-        return h_next, cache
-
-    # ------------------------------------------------------------------
-    def backward(
-        self,
-        cache: _GenericCache,
-        g: np.ndarray,
-        counter: FlopCounter = null_counter(),
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Backward pass given ``g = dL/dZ`` of this layer.
-
-        Returns ``(dH_in, grads)`` with ``grads["weight"]`` the weight
-        gradient. Requires the real aggregation semiring.
-        """
-        if self.spec.aggregate is not REAL:
-            raise NotImplementedError(
-                "training requires the real aggregation semiring"
-            )
-        s = cache.s
-        if self.spec.order == "project_first":
-            # Z = S (H W):  dW = H^T (S^T G);  dH = (S^T G) W^T + psi path.
-            st_g = spmm(s.transpose(), g, counter=counter)
-            d_weight = mm(cache.h.T, st_g, counter=counter)
-            dh = mm(st_g, self.weight.T, counter=counter)
-            hp = cache.projected
-        else:
-            # Z = (S H) W:  dW = (S H)^T G;  dH = S^T (G W^T) + psi path.
-            d_weight = mm(cache.aggregated.T, g, counter=counter)
-            m = mm(g, self.weight.T, counter=counter)
-            dh = spmm(s.transpose(), m, counter=counter)
-            hp = None
-        if self.spec.psi_vjp is not None:
-            if hp is None:
-                hp = mm(cache.h, self.weight, counter=counter)
-            ds = sddmm_dot(cache.a, g, hp, counter=counter)
-            dh = dh + self.spec.psi_vjp(ds, cache.psi_cache)
-        return dh, {"weight": d_weight}
-
-    # ------------------------------------------------------------------
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Trainable parameters by name."""
-        return {"weight": self.weight}
-
-    def apply_gradients(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        """Plain SGD step ``W := W - lr * dW`` (Section 5, Step 6)."""
-        self.weight -= lr * grads["weight"].astype(self.weight.dtype)

@@ -30,6 +30,14 @@ between a transfer and its first consumer (``REPRO_OVERLAP=1``).
 Transfer initiation order is identical in both modes, so traffic
 counters and tag streams never diverge.
 
+What every model shares is declared once in the base: the replicated
+parameters (drawn and named exactly as the single-node
+:class:`~repro.models.attention.AttentionLayer` does), the forward
+epilogue :math:`\\Psi H'` → reduce+redistribute, and the backward
+prologue (row broadcast of ``G``, :math:`\\Psi^T G`,
+:math:`H^T \\cdot`, weight-gradient allreduce). A model contributes
+the steps of its Ψ.
+
 Replication invariant: input feature blocks, weights, and every
 backward output are identical across the ranks of a grid column; all
 code paths preserve this bit-for-bit (NumPy kernels are deterministic),
@@ -49,6 +57,7 @@ from repro.core.activations import (
     leaky_relu,
     leaky_relu_grad,
 )
+from repro.core.formulation import PsiInitFn
 from repro.distributed.ops import (
     OpSequencer,
     distributed_row_softmax,
@@ -60,7 +69,15 @@ from repro.distributed.schedule import (
     Transfer,
     overlap_default,
 )
-from repro.models.base import glorot
+from repro.models.attention import (
+    agnn_spec,
+    draw_parameters,
+    gat_spec,
+    head_major,
+    named_parameters,
+    projection,
+    split_heads,
+)
 from repro.runtime.grid import ProcessGrid
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import mm, sddmm_add, sddmm_dot, spmm
@@ -73,50 +90,23 @@ __all__ = [
     "DistVALayer",
     "DistAGNNLayer",
     "DistGATLayer",
-    "DistMultiHeadGATLayer",
     "DistGCNLayer",
 ]
+
+Step = Compute | Transfer
 
 
 @dataclass
 class _DistLayerCache:
-    """Training cache shared by every distributed layer.
+    """Training cache of one distributed layer.
 
-    One dataclass with per-model optional fields replaces the five
-    near-identical per-layer caches the schedule refactor exposed.
-    ``as_ctx`` seeds the backward schedule's context with whatever the
-    forward pass recorded; ``caches`` is only used by the multi-head
-    per-head oracle (a list of per-head caches, never a ctx entry).
+    ``z_block`` is the pre-activation the model chains errors through;
+    ``ctx`` holds the forward context entries the backward schedule
+    reads and seeds its context.
     """
 
-    a_block: CSRMatrix | None = None
-    h_block: np.ndarray | None = None
-    z_block: np.ndarray | None = None
-    h_row: np.ndarray | None = None
-    s_block: CSRMatrix | None = None
-    hp: np.ndarray | None = None
-    hp_col: np.ndarray | None = None
-    hp_row: np.ndarray | None = None
-    raw_values: np.ndarray | None = None
-    cos_values: np.ndarray | None = None
-    norms_row: np.ndarray | None = None
-    norms_col: np.ndarray | None = None
-    denom: np.ndarray | None = None
-    caches: list | None = None
-
-    _CTX_FIELDS: ClassVar[tuple[str, ...]] = (
-        "a_block", "h_block", "z_block", "h_row", "s_block", "hp",
-        "hp_col", "hp_row", "raw_values", "cos_values", "norms_row",
-        "norms_col", "denom",
-    )
-
-    def as_ctx(self) -> dict[str, Any]:
-        """Non-``None`` fields as a schedule context seed."""
-        return {
-            name: value
-            for name in self._CTX_FIELDS
-            if (value := getattr(self, name)) is not None
-        }
+    z_block: np.ndarray
+    ctx: dict[str, Any]
 
 
 class DistGnnLayer(ABC):
@@ -125,22 +115,44 @@ class DistGnnLayer(ABC):
     Parameters are initialised from an explicit ``seed`` so that every
     rank constructs bit-identical replicas — the distributed equivalent
     of the paper's "weight matrices W and vectors a are replicated
-    across all processes".
+    across all processes". They are drawn, stored and named exactly as
+    :class:`~repro.models.attention.AttentionLayer` does it (``weight``
+    plus Ψ's own from ``psi_init``; ``head{i}.*`` views of head-major
+    stacks for several heads), which is what makes the two comparable
+    parameter for parameter.
 
-    Subclasses declare their data flow via :meth:`_forward_schedule` /
-    :meth:`_backward_schedule`; the concrete :meth:`forward` and
-    :meth:`backward` drivers here execute those schedules, apply the
-    activation, and assemble the cache/gradients. ``overlap`` selects
-    comm/compute-overlapped execution (default: the ``REPRO_OVERLAP``
-    environment variable).
+    Subclasses declare their data flow via :meth:`_forward_steps` /
+    :meth:`_backward_steps`, built around the shared
+    :meth:`_forward_epilogue` and :meth:`_backward_prologue`; the
+    concrete :meth:`forward` and :meth:`backward` drivers here execute
+    those schedules, apply the activation, and assemble the
+    cache/gradients. ``overlap`` selects comm/compute-overlapped
+    execution (default: the ``REPRO_OVERLAP`` environment variable).
     """
 
-    #: ctx keys (beyond ``a_block``/``h_block``/``z_block``) the
+    #: Schedule label (``"<name>.forward"`` / ``"<name>.backward"``).
+    name: ClassVar[str]
+    #: ctx keys (beyond ``a_block``/``h_block``/``s_block``) the
     #: backward schedule reads; recorded into the training cache.
     forward_cache_keys: ClassVar[tuple[str, ...]] = ()
 
-    def __init__(self, activation: str) -> None:
+    def __init__(
+        self,
+        in_dim: int,
+        out_dim: int,
+        activation: str = "relu",
+        seed: int | np.random.Generator | None = 0,
+        dtype: np.dtype | type = np.float32,
+        psi_init: PsiInitFn | None = None,
+        heads: int = 1,
+    ) -> None:
         self.activation = get_activation(activation)
+        self.in_dim = in_dim
+        self.out_dim = out_dim
+        self.heads = heads
+        self.weight, self.psi_params = draw_parameters(
+            make_rng(seed), in_dim, out_dim, heads, dtype, psi_init
+        )
 
     # ------------------------------------------------------------------
     def forward(
@@ -152,7 +164,7 @@ class DistGnnLayer(ABC):
         counter: FlopCounter = null_counter(),
         training: bool = True,
         overlap: bool | None = None,
-    ) -> tuple[np.ndarray, Any]:
+    ) -> tuple[np.ndarray, _DistLayerCache | None]:
         """Compute the next column-replicated feature block.
 
         ``h_block`` is this rank's input block :math:`H_j`; the return
@@ -164,18 +176,22 @@ class DistGnnLayer(ABC):
             "grid": grid, "a_block": a_block,
             "h_block": h_block, "counter": counter,
         }
-        self._forward_schedule().run(grid, sequencer, ctx, overlap=overlap)
+        CommSchedule(self._forward_steps(), name=f"{self.name}.forward").run(
+            grid, sequencer, ctx, overlap=overlap
+        )
         h_next = self.activation.fn(ctx["z_block"])
         if not training:
             return h_next, None
-        keys = ("a_block", "h_block", "z_block") + self.forward_cache_keys
-        return h_next, _DistLayerCache(**{key: ctx[key] for key in keys})
+        keys = ("a_block", "h_block", "s_block") + self.forward_cache_keys
+        return h_next, _DistLayerCache(
+            ctx["z_block"], {key: ctx[key] for key in keys}
+        )
 
     # ------------------------------------------------------------------
     def backward(
         self,
         grid: ProcessGrid,
-        cache: Any,
+        cache: _DistLayerCache,
         g_block: np.ndarray,
         sequencer: OpSequencer,
         counter: FlopCounter = null_counter(),
@@ -188,31 +204,66 @@ class DistGnnLayer(ABC):
         the first layer) and replicated parameter gradients.
         """
         overlap = overlap_default() if overlap is None else overlap
-        ctx = cache.as_ctx()
-        ctx.update({"grid": grid, "counter": counter, "g_block": g_block})
-        self._backward_schedule(need_input_grad).run(
-            grid, sequencer, ctx, overlap=overlap
+        ctx = {
+            **cache.ctx, "grid": grid, "counter": counter, "g_block": g_block,
+        }
+        CommSchedule(
+            self._backward_steps(need_input_grad), name=f"{self.name}.backward"
+        ).run(grid, sequencer, ctx, overlap=overlap)
+        psi_grads = {
+            name: ctx[f"d_{name}"].astype(param.dtype, copy=False)
+            for name, param in self.psi_params.items()
+        }
+        return ctx["gamma"] if need_input_grad else None, named_parameters(
+            head_major(ctx["d_weight"], self.heads), psi_grads, self.heads
         )
-        gamma = ctx["gamma"] if need_input_grad else None
-        return gamma, self._collect_grads(ctx)
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def _forward_schedule(self) -> CommSchedule:
-        """Declare the forward pass; must produce ``z_block``."""
+    def _forward_steps(self) -> list[Step]:
+        """Declare the forward pass; must produce ``s_block`` and
+        ``z_block``."""
 
     @abstractmethod
-    def _backward_schedule(self, need_input_grad: bool) -> CommSchedule:
-        """Declare the backward pass; must produce ``gamma`` when
-        ``need_input_grad`` and every key :meth:`_collect_grads` reads."""
+    def _backward_steps(self, need_input_grad: bool) -> list[Step]:
+        """Declare the backward pass; must produce ``d_weight``, a
+        ``d_<name>`` per Ψ parameter, and ``gamma`` when
+        ``need_input_grad``."""
 
-    @abstractmethod
-    def _collect_grads(self, ctx: dict[str, Any]) -> dict[str, np.ndarray]:
-        """Assemble the replicated parameter gradients from the ctx."""
+    # -- the steps every model shares ----------------------------------
+    def _project(self) -> Compute:
+        """:math:`H' = H W` on the local block. It reads nothing remote,
+        so it runs while an earlier broadcast is in flight."""
+        return Compute("hp", lambda c: mm(
+            c["h_block"], projection(self.weight), counter=c["counter"]))
 
-    @abstractmethod
+    def _forward_epilogue(self, out: str = "z_block") -> list[Step]:
+        """:math:`\\Psi H'` partial sums, reduced and redistributed into
+        the next layer's input distribution."""
+        return [
+            Compute("partial", lambda c: spmm(
+                c["s_block"], c["hp"], counter=c["counter"])),
+            Transfer(out, "redistribute", "partial", phase="redistribute"),
+        ]
+
+    def _backward_prologue(self) -> list[Step]:
+        """Eq. 13 for a Ψ that does not depend on ``W``: broadcast the
+        output gradient along the grid row, then
+        :math:`dW = H^T (\\Psi^T G)` summed over the grid."""
+        return [
+            Transfer("g_row", "row_bcast", "g_block", phase="backward"),
+            Compute("stg_partial", lambda c: spmm(
+                c["s_block"].transpose(), c["g_row"], counter=c["counter"]
+            ), needs=("g_row",)),
+            Compute("dw_local", lambda c: mm(
+                c["h_block"].T, c["stg_partial"], counter=c["counter"])),
+            Transfer("d_weight", "allreduce", "dw_local", phase="backward"),
+        ]
+
+    # ------------------------------------------------------------------
     def parameters(self) -> dict[str, np.ndarray]:
         """Replicated parameters by name."""
+        return named_parameters(self.weight, self.psi_params, self.heads)
 
     def apply_gradients(self, grads: dict[str, np.ndarray], lr: float) -> None:
         """SGD update; identical on every rank, preserving replication."""
@@ -228,48 +279,23 @@ class DistGnnLayer(ABC):
 class DistVALayer(DistGnnLayer):
     """Distributed VA layer: one fused SDDMM + one SpMM + redistribution."""
 
-    forward_cache_keys = ("h_row", "s_block", "hp")
+    name = "va"
+    forward_cache_keys = ("h_row", "hp")
 
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        activation: str = "relu",
-        seed: int | np.random.Generator | None = 0,
-        dtype: np.dtype | type = np.float32,
-    ) -> None:
-        super().__init__(activation)
-        self.weight = glorot(make_rng(seed), (in_dim, out_dim), dtype)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-
-    def _forward_schedule(self) -> CommSchedule:
-        return CommSchedule([
+    def _forward_steps(self) -> list[Step]:
+        return [
             Transfer("h_row", "row_bcast", "h_block", phase="psi"),
-            # H W reads nothing remote — it runs while H_i is in flight.
-            Compute("hp", lambda c: mm(
-                c["h_block"], self.weight, counter=c["counter"])),
+            self._project(),
             Compute("dots", lambda c: sddmm_dot(
                 c["a_block"], c["h_row"], c["h_block"], counter=c["counter"]
             ), needs=("h_row",)),
             Compute("s_block", lambda c: c["a_block"].with_data(
                 c["a_block"].data * c["dots"])),
-            Compute("partial", lambda c: spmm(
-                c["s_block"], c["hp"], counter=c["counter"])),
-            Transfer("z_block", "redistribute", "partial",
-                     phase="redistribute"),
-        ], name="va.forward")
-
-    def _backward_schedule(self, need_input_grad: bool) -> CommSchedule:
-        steps: list[Compute | Transfer] = [
-            Transfer("g_row", "row_bcast", "g_block", phase="backward"),
-            Compute("stg_partial", lambda c: spmm(
-                c["s_block"].transpose(), c["g_row"], counter=c["counter"]
-            ), needs=("g_row",)),
-            Compute("dw_local", lambda c: mm(
-                c["h_block"].T, c["stg_partial"], counter=c["counter"])),
-            Transfer("d_weight", "allreduce", "dw_local", phase="backward"),
+            *self._forward_epilogue(),
         ]
+
+    def _backward_steps(self, need_input_grad: bool) -> list[Step]:
+        steps = self._backward_prologue()
         if need_input_grad:
             steps += [
                 # The Eq.-14 score gradient and its two feature terms
@@ -293,13 +319,7 @@ class DistVALayer(DistGnnLayer):
                 Compute("gamma", lambda c: c["col_term"] + c["row_t"],
                         needs=("col_term", "row_t")),
             ]
-        return CommSchedule(steps, name="va.backward")
-
-    def _collect_grads(self, ctx):
-        return {"weight": ctx["d_weight"]}
-
-    def parameters(self):
-        return {"weight": self.weight}
+        return steps
 
 
 # ----------------------------------------------------------------------
@@ -308,9 +328,9 @@ class DistVALayer(DistGnnLayer):
 class DistAGNNLayer(DistGnnLayer):
     """Distributed AGNN layer (cosine attention + distributed softmax)."""
 
+    name = "agnn"
     forward_cache_keys = (
-        "h_row", "s_block", "hp", "cos_values",
-        "norms_row", "norms_col", "denom",
+        "h_row", "hp", "cos_values", "norms_row", "norms_col", "denom",
     )
 
     def __init__(
@@ -324,15 +344,18 @@ class DistAGNNLayer(DistGnnLayer):
         seed: int | np.random.Generator | None = 0,
         dtype: np.dtype | type = np.float32,
     ) -> None:
-        super().__init__(activation)
-        self.weight = glorot(make_rng(seed), (in_dim, out_dim), dtype)
-        self.beta = np.array(beta, dtype=dtype)
-        self.learnable_beta = learnable_beta
+        super().__init__(
+            in_dim, out_dim, activation, seed, dtype,
+            psi_init=agnn_spec(beta, learnable_beta).init,
+        )
+        self.beta = beta
         self.eps = eps
-        self.in_dim = in_dim
-        self.out_dim = out_dim
 
-    def _forward_schedule(self) -> CommSchedule:
+    def _beta(self) -> float:
+        """The propagation temperature: trained, or the fixed one."""
+        return float(self.psi_params.get("beta", self.beta))
+
+    def _forward_steps(self) -> list[Step]:
         def norms_row(c):
             norms = np.sqrt(np.einsum("ij,ij->i", c["h_row"], c["h_row"]))
             c["counter"].add(4 * c["h_block"].size, "norms")
@@ -340,19 +363,18 @@ class DistAGNNLayer(DistGnnLayer):
 
         def soft(c):
             values = distributed_row_softmax(
-                c["grid"], c["a_block"], float(self.beta) * c["cos_values"]
+                c["grid"], c["a_block"], self._beta() * c["cos_values"]
             )
             c["counter"].add(7 * c["a_block"].nnz, "softmax")
             return values
 
-        return CommSchedule([
+        return [
             Transfer("h_row", "row_bcast", "h_block", phase="psi"),
             # Column norms and the projection only read local blocks —
             # both overlap the broadcast.
             Compute("norms_col", lambda c: np.sqrt(
                 np.einsum("ij,ij->i", c["h_block"], c["h_block"]))),
-            Compute("hp", lambda c: mm(
-                c["h_block"], self.weight, counter=c["counter"])),
+            self._project(),
             Compute("norms_row", norms_row, needs=("h_row",)),
             Compute("dots", lambda c: sddmm_dot(
                 c["a_block"], c["h_row"], c["h_block"], counter=c["counter"])),
@@ -364,28 +386,18 @@ class DistAGNNLayer(DistGnnLayer):
             Compute("cos_values", lambda c: c["dots"] / c["denom"]),
             Compute("soft", soft, phase="softmax"),
             Compute("s_block", lambda c: c["a_block"].with_data(c["soft"])),
-            Compute("partial", lambda c: spmm(
-                c["s_block"], c["hp"], counter=c["counter"])),
-            Transfer("z_block", "redistribute", "partial",
-                     phase="redistribute"),
-        ], name="agnn.forward")
+            *self._forward_epilogue(),
+        ]
 
-    def _backward_schedule(self, need_input_grad: bool) -> CommSchedule:
-        steps: list[Compute | Transfer] = [
-            Transfer("g_row", "row_bcast", "g_block", phase="backward"),
-            Compute("stg_partial", lambda c: spmm(
-                c["s_block"].transpose(), c["g_row"], counter=c["counter"]
-            ), needs=("g_row",)),
-            Compute("dw_local", lambda c: mm(
-                c["h_block"].T, c["stg_partial"], counter=c["counter"])),
-            Transfer("d_weight", "allreduce", "dw_local", phase="backward"),
+    def _backward_steps(self, need_input_grad: bool) -> list[Step]:
+        steps = self._backward_prologue() + [
             Compute("ds", lambda c: sddmm_dot(
                 c["a_block"], c["g_row"], c["hp"], counter=c["counter"])),
             Compute("dt", lambda c: distributed_row_softmax_backward(
                 c["grid"], c["a_block"], c["s_block"].data, c["ds"]
             ), phase="backward"),
         ]
-        if self.learnable_beta:
+        if "beta" in self.psi_params:
             steps += [
                 Compute("d_beta_local", lambda c: np.array(
                     np.dot(c["dt"], c["cos_values"]))),
@@ -408,7 +420,7 @@ class DistAGNNLayer(DistGnnLayer):
                 c["counter"].add(8 * c["a_block"].nnz, "agnn_vjp")
 
             steps += [
-                Compute("dc", lambda c: float(self.beta) * c["dt"]),
+                Compute("dc", lambda c: self._beta() * c["dt"]),
                 # Forward already gathered/clipped the per-edge norm
                 # products (``denom``).
                 Compute("d_mat", lambda c: c["a_block"].with_data(
@@ -438,73 +450,108 @@ class DistAGNNLayer(DistGnnLayer):
                 Compute("gamma", lambda c: c["col_term"] + c["row_t"],
                         needs=("row_t",)),
             ]
-        return CommSchedule(steps, name="agnn.backward")
-
-    def _collect_grads(self, ctx):
-        grads = {"weight": ctx["d_weight"]}
-        if self.learnable_beta:
-            grads["beta"] = ctx["d_beta"].astype(self.beta.dtype)
-        return grads
-
-    def parameters(self):
-        params = {"weight": self.weight}
-        if self.learnable_beta:
-            params["beta"] = self.beta
-        return params
+        return steps
 
 
 # ----------------------------------------------------------------------
-# GAT
+# GAT, any head count
 # ----------------------------------------------------------------------
 class DistGATLayer(DistGnnLayer):
-    """Distributed GAT layer.
+    """Distributed GAT layer with ``heads`` attention heads.
 
     The projected features :math:`H' = H W` are computed locally
     (``W`` is replicated); the row-side block :math:`H'_i` is what gets
     broadcast along the grid row — one broadcast covers both the
     additive SDDMM (:math:`u_i + v_j`) and the backward pass.
+
+    Several heads travel together: every communication step carries
+    the flat ``(b, heads*d)`` stack of all heads — a single row
+    broadcast, one distributed softmax over stacked ``(nnz, heads)``
+    logits, one reduce+redistribute and one transpose exchange per
+    layer step — so a layer sends the same number of messages whatever
+    its head count, which :class:`~repro.runtime.stats.CommStats` makes
+    observable. One head hands the kernels plain 2-D operands. Because
+    Ψ depends on ``W``, the weight gradient folds in Ψ's rank-1 terms
+    and the shared backward prologue does not apply.
     """
 
-    forward_cache_keys = ("hp_col", "hp_row", "s_block", "raw_values")
+    name = "gat"
+    forward_cache_keys = ("hp", "hp_row", "raw_values")
 
     def __init__(
         self,
         in_dim: int,
         out_dim: int,
+        heads: int = 1,
+        combine: str = "concat",
         activation: str = "elu",
         slope: float = 0.2,
         seed: int | np.random.Generator | None = 0,
         dtype: np.dtype | type = np.float32,
     ) -> None:
-        super().__init__(activation)
-        rng = make_rng(seed)
-        self.weight = glorot(rng, (in_dim, out_dim), dtype)
-        self.a_src = glorot(rng, (out_dim,), dtype)
-        self.a_dst = glorot(rng, (out_dim,), dtype)
+        if combine not in ("concat", "mean"):
+            raise ValueError("combine must be 'concat' or 'mean'")
+        super().__init__(
+            in_dim, out_dim, activation, seed, dtype,
+            psi_init=gat_spec(slope).init, heads=heads,
+        )
         self.slope = slope
-        self.in_dim = in_dim
-        self.out_dim = out_dim
+        self.combine = combine
+        self.head_dim = out_dim
+        self.out_dim = out_dim * heads if combine == "concat" else out_dim
 
-    def _forward_schedule(self) -> CommSchedule:
+    # -- head layout: flat (b, heads*d) on the wire, split for kernels.
+    # One head takes the BLAS matrix-vector products; the stacked forms
+    # are their per-head einsum equivalents.
+    def _split(self, x: np.ndarray) -> np.ndarray:
+        return split_heads(x, self.heads)
+
+    def _logit_term(self, hp: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Per-head :math:`H' a`: ``(b,)``, or ``(b, heads)`` stacked."""
+        if self.heads == 1:
+            return hp @ a
+        return np.einsum("nhd,hd->nh", self._split(hp), a)
+
+    def _vector_grad(self, hp: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Per-head :math:`H'^T d` — the adjoint of :meth:`_logit_term`."""
+        if self.heads == 1:
+            return hp.T @ d
+        return np.einsum("nhd,nh->hd", self._split(hp), d)
+
+    def _averaged(self) -> bool:
+        """Heads are averaged, so Z and dL/dZ are one head wide."""
+        return self.heads > 1 and self.combine == "mean"
+
+    @staticmethod
+    def _rank1(d: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Per-head ``outer(d_h, a_h)``, flat ``(b, heads*d)``."""
+        return (d[..., None] * a).reshape(d.shape[0], -1)
+
+    # ------------------------------------------------------------------
+    def _forward_steps(self) -> list[Step]:
+        a_src, a_dst = self.psi_params["a_src"], self.psi_params["a_dst"]
+
         def u(c):
-            result = c["hp_row"] @ self.a_src
-            c["counter"].add(4 * c["hp_col"].size, "gat_uv")
+            result = self._logit_term(c["hp_row"], a_src)
+            c["counter"].add(4 * c["hp"].size, "gat_uv")
             return result
 
         def soft(c):
+            # Stacked (nnz, heads) logits: one distributed softmax (two
+            # feature-free allreduces) normalises all heads.
             values = distributed_row_softmax(
                 c["grid"], c["a_block"], c["logits"]
             )
-            c["counter"].add(6 * c["a_block"].nnz, "softmax")
+            c["counter"].add(6 * c["raw_values"].size, "softmax")
             return values
 
-        return CommSchedule([
-            Compute("hp_col", lambda c: mm(
-                c["h_block"], self.weight, counter=c["counter"])),
-            Transfer("hp_row", "row_bcast", "hp_col", phase="psi"),
+        steps = [
+            self._project(),
+            # ONE row broadcast carries every head's projected block.
+            Transfer("hp_row", "row_bcast", "hp", phase="psi"),
             # The destination scores only need the local block — they
             # overlap the broadcast of the source-side block.
-            Compute("v", lambda c: c["hp_col"] @ self.a_dst),
+            Compute("v", lambda c: self._logit_term(c["hp"], a_dst)),
             Compute("u", u, needs=("hp_row",)),
             Compute("raw_values", lambda c: sddmm_add(
                 c["a_block"], c["u"], c["v"], counter=c["counter"])),
@@ -512,52 +559,74 @@ class DistGATLayer(DistGnnLayer):
                 c["raw_values"], self.slope)),
             Compute("soft", soft, phase="softmax"),
             Compute("s_block", lambda c: c["a_block"].with_data(c["soft"])),
-            Compute("partial", lambda c: spmm(
-                c["s_block"], c["hp_col"], counter=c["counter"])),
-            Transfer("z_block", "redistribute", "partial",
-                     phase="redistribute"),
-        ], name="gat.forward")
+            # ONE reduce+redistribute of the flat (b, heads*d) partials.
+            *self._forward_epilogue(
+                "z_heads" if self._averaged() else "z_block"
+            ),
+        ]
+        if self._averaged():
+            steps.append(Compute("z_block", lambda c: self._split(
+                c["z_heads"]).mean(axis=1)))
+        return steps
 
-    def _backward_schedule(self, need_input_grad: bool) -> CommSchedule:
+    def _backward_steps(self, need_input_grad: bool) -> list[Step]:
+        a_src, a_dst = self.psi_params["a_src"], self.psi_params["a_dst"]
+
+        def g_heads(c):
+            # Mean combine: each head sees dL/dZ_h = g / heads.
+            g = c["g_block"] / self.heads
+            return np.ascontiguousarray(np.broadcast_to(
+                g[:, None, :], (g.shape[0], self.heads, self.head_dim)
+            )).reshape(g.shape[0], -1)
+
         def draw(c):
             result = c["dlogits"] * leaky_relu_grad(
                 c["raw_values"], self.slope
             )
-            c["counter"].add(4 * c["a_block"].nnz, "gat_vjp")
+            c["counter"].add(4 * result.size, "gat_vjp")
             return result
 
         # Attention-vector gradients: contribute each complete block
-        # exactly once (grid column 0 / grid row 0 / diagonal), then sum.
-        def da_src_local(c):
+        # exactly once (grid column 0 / grid row 0 / diagonal), then
+        # sum — one allreduce carries all heads' gradients.
+        def d_a_src_local(c):
             if c["grid"].col == 0:
-                return c["hp_row"].T @ c["du"]
-            return np.zeros_like(self.a_src, dtype=c["du"].dtype)
+                return self._vector_grad(c["hp_row"], c["du"])
+            return np.zeros_like(a_src, dtype=c["du"].dtype)
 
-        def da_dst_local(c):
+        def d_a_dst_local(c):
             if c["grid"].row == 0:
-                return c["hp_col"].T @ c["dv"]
-            return np.zeros_like(self.a_dst, dtype=c["dv"].dtype)
+                return self._vector_grad(c["hp"], c["dv"])
+            return np.zeros_like(a_dst, dtype=c["dv"].dtype)
 
         def col_partial(c):
             return c["stg_partial"] + (
-                np.outer(c["dv"], self.a_dst) if c["grid"].row == 0
+                c["dst_rank1"] if c["grid"].row == 0
                 else np.zeros_like(c["stg_partial"])
             )
 
-        # Weight gradient dW = H^T dH' assembled from single-count parts.
+        # Weight gradient dW = H^T dH' from single-count parts; one
+        # (in, heads*d) allreduce serves every head.
         def dw_local(c):
             grid = c["grid"]
             dw = mm(c["h_block"].T, c["stg_partial"], counter=c["counter"])
             if grid.row == 0:
-                dw = dw + c["h_block"].T @ np.outer(c["dv"], self.a_dst)
+                dw = dw + c["h_block"].T @ c["dst_rank1"]
             if grid.row == grid.col:
-                dw = dw + c["h_block"].T @ np.outer(c["du"], self.a_src)
+                dw = dw + c["h_block"].T @ c["src_rank1"]
             return dw
 
-        steps: list[Compute | Transfer] = [
-            Transfer("g_row", "row_bcast", "g_block", phase="backward"),
+        steps: list[Step] = []
+        g_src = "g_block"
+        if self._averaged():
+            steps.append(Compute("g_heads", g_heads))
+            g_src = "g_heads"
+        steps += [
+            # ONE row broadcast of the stacked output gradient.
+            Transfer("g_row", "row_bcast", g_src, phase="backward"),
             Compute("ds", lambda c: sddmm_dot(
-                c["a_block"], c["g_row"], c["hp_col"], counter=c["counter"]
+                c["a_block"], self._split(c["g_row"]), self._split(c["hp"]),
+                counter=c["counter"],
             ), needs=("g_row",)),
             Compute("dlogits", lambda c: distributed_row_softmax_backward(
                 c["grid"], c["a_block"], c["s_block"].data, c["ds"]
@@ -573,369 +642,16 @@ class DistGATLayer(DistGnnLayer):
             # score-gradient allreduces.
             Compute("stg_partial", lambda c: spmm(
                 c["s_block"].transpose(), c["g_row"], counter=c["counter"])),
-            Compute("da_src_local", da_src_local, needs=("du",)),
-            Transfer("da_src", "allreduce", "da_src_local",
+            Compute("d_a_src_local", d_a_src_local, needs=("du",)),
+            Transfer("d_a_src", "allreduce", "d_a_src_local",
                      phase="backward"),
-            Compute("da_dst_local", da_dst_local, needs=("dv",)),
-            Transfer("da_dst", "allreduce", "da_dst_local",
+            Compute("d_a_dst_local", d_a_dst_local, needs=("dv",)),
+            Transfer("d_a_dst", "allreduce", "d_a_dst_local",
                      phase="backward"),
+            Compute("dst_rank1", lambda c: self._rank1(c["dv"], a_dst)),
+            Compute("src_rank1", lambda c: self._rank1(c["du"], a_src)),
             Compute("col_partial", col_partial),
-            Transfer("col_term", "col_allreduce", "col_partial",
-                     phase="backward"),  # dHp via col terms
-            Compute("row_term", lambda c: np.outer(
-                c["du"], self.a_src)),  # complete locally
-            Compute("dw_local", dw_local),
-            Transfer("d_weight", "allreduce", "dw_local", phase="backward"),
-        ]
-        if need_input_grad:
-            steps += [
-                Transfer("row_t", "transpose", "row_term",
-                         phase="backward"),
-                Compute("dhp", lambda c: c["col_term"] + c["row_t"],
-                        needs=("col_term", "row_t")),
-                Compute("gamma", lambda c: mm(
-                    c["dhp"], self.weight.T, counter=c["counter"])),
-            ]
-        return CommSchedule(steps, name="gat.backward")
-
-    def _collect_grads(self, ctx):
-        return {
-            "weight": ctx["d_weight"],
-            "a_src": ctx["da_src"],
-            "a_dst": ctx["da_dst"],
-        }
-
-    def parameters(self):
-        return {"weight": self.weight, "a_src": self.a_src, "a_dst": self.a_dst}
-
-
-# ----------------------------------------------------------------------
-# GCN (C-GNN special case)
-# ----------------------------------------------------------------------
-class DistGCNLayer(DistGnnLayer):
-    """Distributed GCN layer: pure SpMM + MM, no attention traffic.
-
-    ``a_block`` must be the block of the pre-normalised adjacency.
-    One inference layer costs exactly one broadcast-free SpMM plus the
-    reduce+redistribute — the minimal-communication case of Section 8.4.
-    """
-
-    forward_cache_keys = ("hp",)
-
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        activation: str = "relu",
-        seed: int | np.random.Generator | None = 0,
-        dtype: np.dtype | type = np.float32,
-    ) -> None:
-        super().__init__(activation)
-        self.weight = glorot(make_rng(seed), (in_dim, out_dim), dtype)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-
-    def _forward_schedule(self) -> CommSchedule:
-        return CommSchedule([
-            Compute("hp", lambda c: mm(
-                c["h_block"], self.weight, counter=c["counter"])),
-            Compute("partial", lambda c: spmm(
-                c["a_block"], c["hp"], counter=c["counter"])),
-            Transfer("z_block", "redistribute", "partial",
-                     phase="redistribute"),
-        ], name="gcn.forward")
-
-    def _backward_schedule(self, need_input_grad: bool) -> CommSchedule:
-        steps: list[Compute | Transfer] = [
-            Transfer("g_row", "row_bcast", "g_block", phase="backward"),
-            Compute("stg_partial", lambda c: spmm(
-                c["a_block"].transpose(), c["g_row"], counter=c["counter"]
-            ), needs=("g_row",)),
-            Compute("dw_local", lambda c: mm(
-                c["h_block"].T, c["stg_partial"], counter=c["counter"])),
-            Transfer("d_weight", "allreduce", "dw_local", phase="backward"),
-        ]
-        if need_input_grad:
-            steps += [
-                Compute("gamma_local", lambda c: mm(
-                    c["stg_partial"], self.weight.T, counter=c["counter"])),
-                Transfer("gamma", "col_allreduce", "gamma_local",
-                         phase="backward"),
-            ]
-        return CommSchedule(steps, name="gcn.backward")
-
-    def _collect_grads(self, ctx):
-        return {"weight": ctx["d_weight"]}
-
-    def parameters(self):
-        return {"weight": self.weight}
-
-
-# ----------------------------------------------------------------------
-# Multi-head GAT (extension, mirrors models.gat.MultiHeadGATLayer)
-# ----------------------------------------------------------------------
-class DistMultiHeadGATLayer(DistGnnLayer):
-    """Distributed multi-head GAT on the 1.5D schedule.
-
-    With ``batched=True`` (the default) the per-head messages of every
-    communication step are coalesced into one stacked fabric transfer:
-    a single ``(b, heads*d)`` row broadcast, one distributed softmax
-    over stacked ``(nnz, heads)`` logits, one reduce+redistribute and
-    one transpose exchange per layer step — ``heads`` times fewer
-    messages than the per-head loop at the same total payload, which
-    :class:`~repro.runtime.stats.CommStats` makes observable.
-
-    ``batched=False`` keeps the original sequential per-head loop of
-    full :class:`DistGATLayer` objects as the correctness oracle. Both
-    modes share parameter storage (per-head ``weight``/``a_src``/
-    ``a_dst`` are views into the stacked arrays), matching the
-    single-node :class:`~repro.models.gat.MultiHeadGATLayer` given the
-    same seeds — the equivalence tests assert this.
-    """
-
-    forward_cache_keys = ("hp_col", "hp_row", "s_block", "raw_values")
-
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        heads: int = 4,
-        combine: str = "concat",
-        activation: str = "elu",
-        slope: float = 0.2,
-        seed: int | np.random.Generator | None = 0,
-        dtype: np.dtype | type = np.float32,
-        batched: bool = True,
-    ) -> None:
-        super().__init__(activation)
-        if combine not in ("concat", "mean"):
-            raise ValueError("combine must be 'concat' or 'mean'")
-        rng = make_rng(seed)
-        self.heads = [
-            DistGATLayer(in_dim, out_dim, activation="identity",
-                         slope=slope, seed=rng, dtype=dtype)
-            for _ in range(heads)
-        ]
-        self.combine = combine
-        self.batched = batched
-        self.slope = slope
-        self.in_dim = in_dim
-        self.head_dim = out_dim
-        self.num_heads = heads
-        self.out_dim = out_dim * heads if combine == "concat" else out_dim
-        # Stacked replicated parameters; per-head attributes are
-        # contiguous (head-major) views, so oracle and batched paths
-        # share storage, SGD updates and flat-index perturbation.
-        self._w_stack = np.stack([head.weight for head in self.heads])
-        self._a_src_mat = np.stack([head.a_src for head in self.heads])
-        self._a_dst_mat = np.stack([head.a_dst for head in self.heads])
-        for index, head in enumerate(self.heads):
-            head.weight = self._w_stack[index]
-            head.a_src = self._a_src_mat[index]
-            head.a_dst = self._a_dst_mat[index]
-
-    def _stacked_weight(self) -> np.ndarray:
-        """``(in, heads*d)`` column-block weight, rebuilt per call so
-        in-place updates are always reflected."""
-        return self._w_stack.transpose(1, 0, 2).reshape(
-            self.in_dim, self.num_heads * self.head_dim
-        )
-
-    # ------------------------------------------------------------------
-    def forward(self, grid, a_block, h_block, sequencer,
-                counter=null_counter(), training=True, overlap=None):
-        if self.batched:
-            return super().forward(
-                grid, a_block, h_block, sequencer,
-                counter=counter, training=training, overlap=overlap,
-            )
-        outputs, caches = [], []
-        for head in self.heads:
-            out, cache = head.forward(
-                grid, a_block, h_block, sequencer,
-                counter=counter, training=training, overlap=overlap,
-            )
-            outputs.append(out)
-            caches.append(cache)
-        if self.combine == "concat":
-            z_block = np.concatenate(outputs, axis=1)
-        else:
-            z_block = np.mean(outputs, axis=0)
-        h_next = self.activation.fn(z_block)
-        if not training:
-            return h_next, None
-        return h_next, _DistLayerCache(caches=caches, z_block=z_block)
-
-    def backward(self, grid, cache, g_block, sequencer,
-                 counter=null_counter(), need_input_grad=True, overlap=None):
-        if cache.caches is None:
-            return super().backward(
-                grid, cache, g_block, sequencer,
-                counter=counter, need_input_grad=need_input_grad,
-                overlap=overlap,
-            )
-        n_heads = len(self.heads)
-        if self.combine == "concat":
-            width = g_block.shape[1] // n_heads
-            head_grads = [
-                np.ascontiguousarray(g_block[:, i * width: (i + 1) * width])
-                for i in range(n_heads)
-            ]
-        else:
-            head_grads = [g_block / n_heads] * n_heads
-        gamma = None
-        grads: dict[str, np.ndarray] = {}
-        for index, (head, head_cache, head_g) in enumerate(
-            zip(self.heads, cache.caches, head_grads)
-        ):
-            head_gamma, head_param_grads = head.backward(
-                grid, head_cache, head_g, sequencer,
-                counter=counter, need_input_grad=need_input_grad,
-                overlap=overlap,
-            )
-            if need_input_grad:
-                gamma = head_gamma if gamma is None else gamma + head_gamma
-            for name, value in head_param_grads.items():
-                grads[f"head{index}.{name}"] = value
-        return gamma, grads
-
-    # ------------------------------------------------------------------
-    def _forward_schedule(self) -> CommSchedule:
-        heads, d = self.num_heads, self.head_dim
-
-        def u(c):
-            result = np.einsum("nhd,hd->nh", c["hp_row"], self._a_src_mat)
-            c["counter"].add(4 * c["hp_col"].size, "gat_uv")
-            return result
-
-        def soft(c):
-            # Stacked (nnz, heads) logits: one distributed softmax (two
-            # feature-free allreduces) normalises all heads.
-            values = distributed_row_softmax(
-                c["grid"], c["a_block"], c["logits"]
-            )
-            c["counter"].add(6 * c["raw_values"].size, "softmax")
-            return values
-
-        def z_block(c):
-            if self.combine == "concat":
-                return c["z_flat"]
-            return c["z_flat"].reshape(-1, heads, d).mean(axis=1)
-
-        return CommSchedule([
-            Compute("hp_col_flat", lambda c: mm(
-                c["h_block"], self._stacked_weight(), counter=c["counter"])),
-            # ONE row broadcast carries every head's projected block.
-            Transfer("hp_row_flat", "row_bcast", "hp_col_flat", phase="psi"),
-            Compute("hp_col", lambda c: c["hp_col_flat"].reshape(
-                -1, heads, d)),
-            Compute("v", lambda c: np.einsum(
-                "nhd,hd->nh", c["hp_col"], self._a_dst_mat)),
-            Compute("hp_row", lambda c: c["hp_row_flat"].reshape(
-                -1, heads, d), needs=("hp_row_flat",)),
-            Compute("u", u),
-            Compute("raw_values", lambda c: sddmm_add(
-                c["a_block"], c["u"], c["v"], counter=c["counter"])),
-            Compute("logits", lambda c: leaky_relu(
-                c["raw_values"], self.slope)),
-            Compute("soft", soft, phase="softmax"),
-            Compute("s_block", lambda c: c["a_block"].with_data(c["soft"])),
-            # ONE reduce+redistribute of the flat (b, heads*d) partials.
-            Compute("partial", lambda c: spmm(
-                c["s_block"], c["hp_col"], counter=c["counter"]
-            ).reshape(-1, heads * d)),
-            Transfer("z_flat", "redistribute", "partial",
-                     phase="redistribute"),
-            Compute("z_block", z_block),
-        ], name="mh_gat.forward")
-
-    def _backward_schedule(self, need_input_grad: bool) -> CommSchedule:
-        heads, d = self.num_heads, self.head_dim
-
-        def g_flat(c):
-            if self.combine == "concat":
-                return np.ascontiguousarray(c["g_block"])
-            # Mean combine: each head sees dL/dZ_h = g / heads.
-            b = c["g_block"].shape[0]
-            return np.ascontiguousarray(
-                np.broadcast_to(
-                    (c["g_block"] / heads)[:, None, :], (b, heads, d)
-                ).reshape(b, heads * d)
-            )
-
-        def draw(c):
-            result = c["dlogits"] * leaky_relu_grad(
-                c["raw_values"], self.slope
-            )
-            c["counter"].add(4 * result.size, "gat_vjp")
-            return result
-
-        # Attention-vector gradients: single-count blocks, then sum —
-        # one allreduce carries all heads' (heads, d) gradients.
-        def da_src_local(c):
-            if c["grid"].col == 0:
-                return np.einsum("nhd,nh->hd", c["hp_row"], c["du"])
-            return np.zeros_like(self._a_src_mat, dtype=c["du"].dtype)
-
-        def da_dst_local(c):
-            if c["grid"].row == 0:
-                return np.einsum("nhd,nh->hd", c["hp_col"], c["dv"])
-            return np.zeros_like(self._a_dst_mat, dtype=c["dv"].dtype)
-
-        def col_partial(c):
-            return c["stg_flat"] + (
-                c["dst_rank1"] if c["grid"].row == 0
-                else np.zeros_like(c["stg_flat"])
-            )
-
-        # Weight gradient dW = H^T dH' from single-count parts; one
-        # (in, heads*d) allreduce replaces `heads` separate ones.
-        def dw_local(c):
-            grid = c["grid"]
-            dw = mm(c["h_block"].T, c["stg_flat"], counter=c["counter"])
-            if grid.row == 0:
-                dw = dw + c["h_block"].T @ c["dst_rank1"]
-            if grid.row == grid.col:
-                dw = dw + c["h_block"].T @ c["src_rank1"]
-            return dw
-
-        steps: list[Compute | Transfer] = [
-            Compute("g_flat", g_flat),
-            # ONE row broadcast of the stacked output gradient.
-            Transfer("g_row_flat", "row_bcast", "g_flat", phase="backward"),
-            Compute("g_row", lambda c: c["g_row_flat"].reshape(
-                -1, heads, d), needs=("g_row_flat",)),
-            Compute("ds", lambda c: sddmm_dot(
-                c["a_block"], c["g_row"], c["hp_col"], counter=c["counter"])),
-            Compute("dlogits", lambda c: distributed_row_softmax_backward(
-                c["grid"], c["a_block"], c["s_block"].data, c["ds"]
-            ), phase="backward"),
-            Compute("draw", draw),
-            Compute("du_local", lambda c: segment_sum(
-                c["draw"], c["a_block"].indptr)),
-            Transfer("du", "row_allreduce", "du_local", phase="backward"),
-            Compute("dv_local", lambda c: bincount_sum(
-                c["a_block"].indices, c["draw"], c["a_block"].shape[1])),
-            Transfer("dv", "col_allreduce", "dv_local", phase="backward"),
-            Compute("stg_flat", lambda c: spmm(
-                c["s_block"].transpose(), c["g_row"], counter=c["counter"]
-            ).reshape(-1, heads * d)),
-            Compute("da_src_local", da_src_local, needs=("du",)),
-            Transfer("da_src", "allreduce", "da_src_local",
-                     phase="backward"),
-            Compute("da_dst_local", da_dst_local, needs=("dv",)),
-            Transfer("da_dst", "allreduce", "da_dst_local",
-                     phase="backward"),
-            # Per-head rank-1 updates, stacked flat: outer(dv_h, a_dst_h)
-            # becomes one (b, heads*d) array.
-            Compute("dst_rank1", lambda c: (
-                c["dv"][:, :, None] * self._a_dst_mat[None]
-            ).reshape(-1, heads * d)),
-            Compute("src_rank1", lambda c: (
-                c["du"][:, :, None] * self._a_src_mat[None]
-            ).reshape(-1, heads * d)),
-            Compute("col_partial", col_partial),
-            # ONE allreduce of the stacked column terms.
+            # ONE allreduce of the stacked column terms (dH' via cols).
             Transfer("col_term", "col_allreduce", "col_partial",
                      phase="backward"),
             Compute("dw_local", dw_local),
@@ -947,26 +663,43 @@ class DistMultiHeadGATLayer(DistGnnLayer):
                 # (src_rank1 is complete locally).
                 Transfer("row_t", "transpose", "src_rank1",
                          phase="backward"),
-                Compute("dhp_flat", lambda c: c["col_term"] + c["row_t"],
+                Compute("dhp", lambda c: c["col_term"] + c["row_t"],
                         needs=("col_term", "row_t")),
                 Compute("gamma", lambda c: mm(
-                    c["dhp_flat"], self._stacked_weight().T,
+                    c["dhp"], projection(self.weight).T,
                     counter=c["counter"])),
             ]
-        return CommSchedule(steps, name="mh_gat.backward")
+        return steps
 
-    def _collect_grads(self, ctx):
-        d = self.head_dim
-        grads: dict[str, np.ndarray] = {}
-        for i in range(self.num_heads):
-            grads[f"head{i}.weight"] = ctx["d_weight"][:, i * d: (i + 1) * d]
-            grads[f"head{i}.a_src"] = ctx["da_src"][i]
-            grads[f"head{i}.a_dst"] = ctx["da_dst"][i]
-        return grads
 
-    def parameters(self):
-        params: dict[str, np.ndarray] = {}
-        for index, head in enumerate(self.heads):
-            for name, value in head.parameters().items():
-                params[f"head{index}.{name}"] = value
-        return params
+# ----------------------------------------------------------------------
+# GCN (C-GNN special case)
+# ----------------------------------------------------------------------
+class DistGCNLayer(DistGnnLayer):
+    """Distributed GCN layer: pure SpMM + MM, no attention traffic.
+
+    ``a_block`` must be the block of the pre-normalised adjacency — it
+    *is* Ψ. One inference layer costs exactly one broadcast-free SpMM
+    plus the reduce+redistribute — the minimal-communication case of
+    Section 8.4.
+    """
+
+    name = "gcn"
+
+    def _forward_steps(self) -> list[Step]:
+        return [
+            self._project(),
+            Compute("s_block", lambda c: c["a_block"]),
+            *self._forward_epilogue(),
+        ]
+
+    def _backward_steps(self, need_input_grad: bool) -> list[Step]:
+        steps = self._backward_prologue()
+        if need_input_grad:
+            steps += [
+                Compute("gamma_local", lambda c: mm(
+                    c["stg_partial"], self.weight.T, counter=c["counter"])),
+                Transfer("gamma", "col_allreduce", "gamma_local",
+                         phase="backward"),
+            ]
+        return steps

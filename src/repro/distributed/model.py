@@ -26,7 +26,6 @@ from repro.distributed.layers import (
     DistGATLayer,
     DistGCNLayer,
     DistGnnLayer,
-    DistMultiHeadGATLayer,
     DistVALayer,
 )
 from repro.distributed.ops import OpSequencer
@@ -159,44 +158,28 @@ def build_dist_model(
         raise ValueError(f"unknown model {name!r}; use VA, AGNN, GAT or GCN")
     if activation is None:
         activation = "elu" if name.lower() == "gat" else "relu"
-    rng = make_rng(seed)
     heads = layer_kwargs.pop("heads", 1)
-    # Head-batched execution is a multi-head concern; single-head layer
-    # classes never see the flag.
-    batched = layer_kwargs.pop("batched", True)
-    if heads > 1:
-        if name.lower() != "gat":
-            raise ValueError("multi-head execution is a GAT feature")
-        # Mirror repro.models.gat.gat_model's multi-head structure.
-        layers: list[DistGnnLayer] = []
-        current = in_dim
-        for i in range(num_layers):
-            last = i + 1 == num_layers
-            layers.append(
-                DistMultiHeadGATLayer(
-                    current,
-                    out_dim if last else hidden_dim,
-                    heads=heads,
-                    combine="mean" if last else "concat",
-                    activation="identity" if last else activation,
-                    seed=rng,
-                    dtype=dtype,
-                    batched=batched,
-                    **layer_kwargs,
-                )
+    if heads > 1 and layer_cls is not DistGATLayer:
+        raise ValueError("multi-head execution is a GAT feature")
+    # Mirror repro.models.attention's stacking loop: hidden layers
+    # concatenate their heads, the final (linear) layer averages them.
+    rng = make_rng(seed)
+    layers: list[DistGnnLayer] = []
+    width = in_dim
+    for i in range(num_layers):
+        last = i + 1 == num_layers
+        if layer_cls is DistGATLayer:
+            layer_kwargs.update(
+                heads=heads, combine="mean" if last else "concat"
             )
-            current = hidden_dim * heads if not last else out_dim
-        return DistGnnModel(grid, layers, overlap=overlap)
-    dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
-    layers = [
-        layer_cls(
-            dims[i],
-            dims[i + 1],
-            activation=activation if i + 1 < num_layers else "identity",
+        layer = layer_cls(
+            width,
+            out_dim if last else hidden_dim,
+            activation="identity" if last else activation,
             seed=rng,
             dtype=dtype,
             **layer_kwargs,
         )
-        for i in range(num_layers)
-    ]
+        layers.append(layer)
+        width = layer.out_dim
     return DistGnnModel(grid, layers, overlap=overlap)

@@ -13,7 +13,8 @@ values, projected features, Gram dot products).
 ``DagLayer`` satisfies the :class:`repro.models.base.GnnLayer`
 contract, so it drops into :class:`repro.models.base.GnnModel` next to
 the hand-fused layers. The hand-written kernels
-(:mod:`repro.core.psi`, used by ``VALayer``/``AGNNLayer``/``GATLayer``)
+(:mod:`repro.core.psi`, plugged into
+:class:`repro.models.attention.AttentionLayer` as specs)
 remain the default *fast path* — they fuse the softmax into two
 segment sweeps and reuse pooled workspaces — while ``DagLayer`` is the
 *derived* path: slower per edge, but requiring zero backward code.

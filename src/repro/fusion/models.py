@@ -135,8 +135,9 @@ def agnn_layer_dag(beta: float = 1.0) -> OpDag:
 
     ``beta`` is baked into the DAG as a ``scale`` attribute — the
     paper's formulation keeps the temperature fixed; a learnable beta
-    stays on the hand-fused path (:class:`repro.models.agnn.AGNNLayer`
-    with ``learnable_beta=True``).
+    stays on the hand-fused path
+    (:func:`repro.models.attention.agnn_spec` with
+    ``learnable_beta=True``).
     """
     dag = OpDag()
     h = dag.input("H", "nk")

@@ -1,17 +1,26 @@
 """GNN models with global-formulation forward and backward passes.
 
-The artifact's code structure is mirrored here: :class:`GnnLayer`,
-:class:`GnnModel` and :class:`Loss` base classes with the forward and
-backward methods overloaded per model (VA, AGNN, GAT), caching of
-intermediate results for training, and redistribution hooks that the
-distributed subclasses override (see ``repro.distributed``).
+The artifact's :class:`GnnLayer`, :class:`GnnModel` and :class:`Loss`
+base classes are mirrored here, but where the artifact overloads
+forward and backward per model, VA, AGNN, GAT and GCN are one
+:class:`AttentionLayer` — Eq. (1) with its backward chain — taking
+the model's :math:`\\Psi` as a spec; it caches intermediate results
+for training. The distributed twins live in ``repro.distributed``.
 """
 
 from repro.models.base import ForwardState, GnnLayer, GnnModel, Loss
-from repro.models.va import VALayer, va_model
-from repro.models.agnn import AGNNLayer, agnn_model
-from repro.models.gat import GATLayer, MultiHeadGATLayer, gat_model
-from repro.models.gcn import GCNLayer, gcn_model, normalize_adjacency
+from repro.models.attention import (
+    GCN,
+    VA,
+    AttentionLayer,
+    agnn_model,
+    agnn_spec,
+    gat_model,
+    gat_spec,
+    gcn_model,
+    va_model,
+)
+from repro.models.gcn import normalize_adjacency
 from repro.models.gin import GINLayer, gin_model
 from repro.models.sgc import SGCLayer, sgc_model
 from repro.models.serialize import (
@@ -26,11 +35,11 @@ __all__ = [
     "GnnLayer",
     "GnnModel",
     "Loss",
-    "VALayer",
-    "AGNNLayer",
-    "GATLayer",
-    "MultiHeadGATLayer",
-    "GCNLayer",
+    "AttentionLayer",
+    "VA",
+    "GCN",
+    "agnn_spec",
+    "gat_spec",
     "GINLayer",
     "SGCLayer",
     "va_model",

@@ -1,40 +1,232 @@
-"""Shared Ψ/aggregation plumbing for the attentional layers.
+"""The one attention layer: Eq. (1) written once, Ψ plugged in.
 
-VA and AGNN differ *only* in their attention operator: the
-:math:`\\Phi \\circ \\oplus` composition (Section 4.4's
-``project_first`` / ``aggregate_first`` orders), the weight gradient
-:math:`Y = H^T \\Psi^T G` (Eq. 13) and the score-gradient SDDMM
-:math:`dS = \\mathcal{A} \\odot (\\cdot\\,\\cdot^T)` (Eq. 9) are
-identical. :class:`PairwiseAttentionLayer` owns that glue once;
-subclasses plug in the Ψ forward/VJP pair from :mod:`repro.core.psi`
-(the hand-fused fast path). The same structure is what
-:class:`repro.fusion.layer.DagLayer` derives automatically from the IR
-— the two implementations are tested against each other.
+.. math:: Z = (\\Phi \\circ \\oplus)\\left(\\Psi(\\mathcal{A}, H), H\\right),
+          \\qquad H' = \\sigma(Z)
 
-:func:`score_gradient` is the one Eq.-9 kernel every attentional
-backward (including GAT's) starts from; it hands out a pooled scratch
-vector because the result is always consumed synchronously by the Ψ
-VJP that follows.
+:class:`AttentionLayer` owns everything of Eq. (1) that does not depend
+on the model: the weight(s) of the linear update :math:`\\Phi`, the
+:math:`\\Phi \\circ \\oplus` composition order (Section 4.4), the
+aggregation semiring, the heads, and the whole backward chain — the
+weight gradient :math:`Y = H^T \\Psi^T G` (Eq. 13), the score-gradient
+SDDMM :math:`dS = \\mathcal{A} \\odot (\\cdot\\,\\cdot^T)` (Eq. 9) and
+the hand-off to the Ψ VJP (Eqs. 7, 11). A model contributes an
+:class:`~repro.core.formulation.AttentionSpec` and nothing else:
+
+========  ================================================  =========
+spec      :math:`\\Psi`                                      reads
+========  ================================================  =========
+``VA``    :math:`\\mathcal{A} \\odot (H H^T)`                 ``H``
+AGNN      :math:`\\mathrm{sm}(\\mathcal{A} \\odot \\beta\\,
+          (H H^T \\oslash n\\,n^T))`                          ``H``
+GAT       :math:`\\mathrm{sm}(\\mathcal{A} \\odot
+          \\mathrm{LeakyReLU}(\\mathrm{rep}(H'a) +
+          \\mathrm{rep}^T(H'\\bar{a})))`, :math:`H' = HW`     ``H W``
+``GCN``   :math:`\\mathcal{A}` (pre-normalised, constant)    —
+========  ================================================  =========
+
+each a thin wrapper over the ``psi_*`` kernels of
+:mod:`repro.core.psi`. GAT's Ψ depends on ``W`` through ``H'``, so its
+VJP lands in the weight gradient (Eq. 7's second term) and it may run
+``heads`` independent attention heads — all of them in the *same*
+kernel sweeps, over stacked ``(n, heads, d)`` features and
+``(nnz, heads)`` scores. A single head hands the kernels plain 2-D
+operands. :class:`repro.fusion.layer.DagLayer` derives the same chain
+automatically from the IR — the two are tested against each other.
 """
 
 from __future__ import annotations
 
-from abc import abstractmethod
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.models.base import GnnLayer, glorot
+from repro.core.formulation import AttentionSpec, PsiInitFn
+from repro.core.psi import (
+    psi_agnn,
+    psi_agnn_vjp,
+    psi_gat,
+    psi_gat_vjp,
+    psi_va,
+    psi_va_vjp,
+)
+from repro.models.base import GnnLayer, GnnModel, glorot
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import mm, sddmm_dot, spmm
+from repro.tensor.semiring import REAL, Semiring
 from repro.tensor.workspace import workspace
 from repro.util.counters import FlopCounter, null_counter
 from repro.util.rng import make_rng
 
-__all__ = ["PairwiseAttentionLayer", "PairAttentionCache", "score_gradient"]
+__all__ = [
+    "AttentionLayer",
+    "LayerCache",
+    "score_gradient",
+    "draw_parameters",
+    "named_parameters",
+    "head_major",
+    "projection",
+    "split_heads",
+    "VA",
+    "GCN",
+    "agnn_spec",
+    "gat_spec",
+    "va_model",
+    "agnn_model",
+    "gat_model",
+    "gcn_model",
+]
 
 
+# ----------------------------------------------------------------------
+# The built-in Ψ specs
+# ----------------------------------------------------------------------
+#: Vanilla attention: one SDDMM forward, :math:`N_+ H` backward (Eq. 11).
+VA = AttentionSpec(
+    psi=lambda a, h, params, counter: psi_va(a, h, counter=counter),
+    psi_vjp=lambda ds, cache, counter: (
+        psi_va_vjp(ds, cache, counter=counter), {}
+    ),
+    name="va",
+)
+
+#: The C-GNN case: the (pre-normalised) adjacency *is* Ψ — a constant,
+#: so there is no VJP and the gradient stops at Ψ (Section 4.4).
+GCN = AttentionSpec(
+    psi=lambda a, h, params, counter: (a, None), name="gcn"
+)
+
+
+def agnn_spec(beta: float = 1.0, learnable_beta: bool = False) -> AttentionSpec:
+    """AGNN's cosine attention with propagation temperature ``beta``.
+
+    The paper's AGNN keeps :math:`\\beta` fixed
+    (:math:`\\partial\\Psi/\\partial W = 0`); ``learnable_beta`` makes it
+    a trained parameter (the original AGNN of Thekumparampil et al.).
+    """
+
+    def psi(a, h, params, counter):
+        return psi_agnn(
+            a, h, beta=float(params.get("beta", beta)), counter=counter
+        )
+
+    def psi_vjp(ds, cache, counter):
+        dh, dbeta = psi_agnn_vjp(ds, cache, counter=counter)
+        if not learnable_beta:
+            return dh, {}
+        return dh, {"beta": np.array(dbeta, dtype=cache.h.dtype)}
+
+    def init(rng, width, dtype):
+        return {"beta": np.array(beta, dtype=dtype)}
+
+    return AttentionSpec(
+        psi, psi_vjp, init=init if learnable_beta else None, name="agnn"
+    )
+
+
+def gat_spec(slope: float = 0.2) -> AttentionSpec:
+    """GAT's additive attention on the projected features ``H W``.
+
+    ``slope`` is the LeakyReLU negative slope inside the logits (0.2 in
+    the GAT paper). Each head draws its split attention vector
+    :math:`\\mathbf{a} = (a\\;\\bar{a})`.
+    """
+
+    def psi(a, hp, params, counter):
+        return psi_gat(
+            a, hp, params["a_src"], params["a_dst"], slope=slope,
+            counter=counter,
+        )
+
+    def psi_vjp(ds, cache, counter):
+        dhp, da_src, da_dst = psi_gat_vjp(ds, cache, counter=counter)
+        return dhp, {"a_src": da_src, "a_dst": da_dst}
+
+    def init(rng, width, dtype):
+        return {
+            "a_src": glorot(rng, (width,), dtype),
+            "a_dst": glorot(rng, (width,), dtype),
+        }
+
+    return AttentionSpec(psi, psi_vjp, init=init, on_projected=True, name="gat")
+
+
+# ----------------------------------------------------------------------
+# Parameter storage, shared with the distributed layers
+# ----------------------------------------------------------------------
+def draw_parameters(
+    rng: np.random.Generator,
+    in_dim: int,
+    out_dim: int,
+    heads: int,
+    dtype: np.dtype | type,
+    psi_init: PsiInitFn | None,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Glorot-draw ``(weight, psi_params)``: per head ``W``, then Ψ's own.
+
+    One head yields the arrays as drawn; several are stacked
+    head-major, ``(heads, ...)``, so that each head's parameters stay
+    one contiguous block of the shared storage.
+    """
+    drawn = [
+        {
+            "weight": glorot(rng, (in_dim, out_dim), dtype),
+            **(psi_init(rng, out_dim, dtype) if psi_init else {}),
+        }
+        for _ in range(heads)
+    ]
+    params = drawn[0] if heads == 1 else {
+        name: np.stack([head[name] for head in drawn]) for name in drawn[0]
+    }
+    return params.pop("weight"), params
+
+
+def named_parameters(
+    weight: np.ndarray, psi: dict[str, np.ndarray], heads: int
+) -> dict[str, np.ndarray]:
+    """Name ``weight`` + Ψ arrays: plain for one head, ``head{i}.*``
+    views of head-major stacked arrays for several."""
+    named = {"weight": weight, **psi}
+    if heads == 1:
+        return named
+    return {
+        f"head{i}.{name}": value[i]
+        for i in range(heads)
+        for name, value in named.items()
+    }
+
+
+def projection(weight: np.ndarray) -> np.ndarray:
+    """The ``(in, heads*d)`` column-block matrix the matmuls use.
+
+    One head's ``(in, d)`` weight is that matrix already; a head-major
+    ``(heads, in, d)`` stack is rearranged per call (cheap next to the
+    matmuls it feeds) so in-place updates are always reflected.
+    """
+    if weight.ndim == 2:
+        return weight
+    return weight.transpose(1, 0, 2).reshape(weight.shape[1], -1)
+
+
+def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """``(n, heads*d)`` → ``(n, heads, d)``; one head stays 2-D, so the
+    kernels are handed 2-D operands exactly when there is one head."""
+    if heads == 1:
+        return x
+    return x.reshape(x.shape[0], heads, -1)
+
+
+def head_major(d_weight: np.ndarray, heads: int) -> np.ndarray:
+    """View a flat ``(in, heads*d)`` weight gradient as ``(heads, in, d)``
+    — the layout of the stacked weight (one head: unchanged)."""
+    if heads == 1:
+        return d_weight
+    return d_weight.reshape(d_weight.shape[0], heads, -1).transpose(1, 0, 2)
+
+
+# ----------------------------------------------------------------------
+# The layer
+# ----------------------------------------------------------------------
 def score_gradient(
     a: CSRMatrix,
     left: np.ndarray,
@@ -43,7 +235,7 @@ def score_gradient(
 ) -> np.ndarray:
     """Eq. 9: :math:`dS = \\mathcal{A} \\odot (L R^T)` edge values.
 
-    One SDDMM into a pooled scratch vector — safe because every caller
+    One SDDMM into a pooled scratch vector — safe because the layer
     consumes ``dS`` synchronously in the Ψ VJP that follows.
     Head-batched operands ``(n, heads, k)`` yield stacked
     ``(nnz, heads)`` score gradients.
@@ -58,59 +250,119 @@ def score_gradient(
 
 
 @dataclass
-class PairAttentionCache:
-    """Forward intermediates shared by VA and AGNN layers."""
+class LayerCache:
+    """Forward intermediates the backward pass reuses."""
 
     a: CSRMatrix
     h: np.ndarray
     s: CSRMatrix
     psi_cache: Any
-    hp: np.ndarray | None  # H W  (project_first)
-    ah: np.ndarray | None  # S H  (aggregate_first)
+    hp: np.ndarray | None  # H W, split by head  (project_first)
+    ah: np.ndarray | None  # S H                 (aggregate_first)
     z: np.ndarray
 
 
-class PairwiseAttentionLayer(GnnLayer):
-    """Base for attention layers whose Ψ depends on ``H`` alone.
+class AttentionLayer(GnnLayer):
+    """One GNN layer executing Eq. (1) for any :class:`AttentionSpec`.
 
-    Owns the weight matrix, the :math:`\\Phi \\circ \\oplus` composition
-    order and the full backward chaining (Eqs. 9–13); subclasses
-    implement the Ψ operator pair:
+    Parameters
+    ----------
+    in_dim, out_dim:
+        Feature dimensions of one head's
+        :math:`W \\in \\mathbb{R}^{in \\times out}`.
+    spec:
+        The attention operator Ψ (``VA``, ``GCN``, :func:`agnn_spec`,
+        :func:`gat_spec`, or a user-defined one).
+    activation:
+        Output non-linearity :math:`\\sigma`, applied once after the
+        heads are combined.
+    order:
+        :math:`\\Phi \\circ \\oplus` composition (Section 4.4):
+        ``"project_first"`` evaluates :math:`\\Psi (H W)`,
+        ``"aggregate_first"`` evaluates :math:`(\\Psi H) W`. They
+        commute mathematically over the real semiring but not in cost.
+    aggregate:
+        The :math:`\\oplus` semiring (Section 4.3). Training needs the
+        real semiring; the others are inference-only (their reductions
+        are not smooth).
+    heads, combine:
+        ``heads`` independent attention heads, concatenated
+        (``"concat"``, output width ``heads * out_dim``) or averaged
+        (``"mean"``). More than one head needs a Ψ on the projected
+        features, which in turn needs ``order="project_first"``.
+    seed:
+        Glorot initialisation seed; each head draws ``W`` and then its
+        Ψ parameters.
 
-    * :meth:`_psi_forward` — scores + VJP cache,
-    * :meth:`_psi_vjp` — feature-gradient contribution plus any extra
-      parameter gradients (e.g. AGNN's ``beta``).
+    With one head the parameters are ``weight`` plus Ψ's own, and every
+    kernel sees 2-D operands. With several they are stored stacked
+    ``(heads, ...)`` and exposed as contiguous ``head{i}.*`` views, so
+    in-place SGD updates, ``np.copyto`` checkpoint loads and flat-index
+    perturbation (gradcheck) all see one memory.
     """
 
     def __init__(
         self,
         in_dim: int,
         out_dim: int,
-        activation: str,
-        order: str,
-        seed: int | np.random.Generator | None,
-        dtype: np.dtype | type,
+        spec: AttentionSpec,
+        activation: str = "relu",
+        order: str = "project_first",
+        aggregate: Semiring = REAL,
+        heads: int = 1,
+        combine: str = "concat",
+        seed: int | np.random.Generator | None = 0,
+        dtype: np.dtype | type = np.float32,
     ) -> None:
         super().__init__(activation)
         if order not in ("project_first", "aggregate_first"):
-            raise ValueError("invalid composition order")
-        self.weight = glorot(make_rng(seed), (in_dim, out_dim), dtype)
+            raise ValueError(
+                "order must be 'project_first' or 'aggregate_first'"
+            )
+        if combine not in ("concat", "mean"):
+            raise ValueError("combine must be 'concat' or 'mean'")
+        if spec.on_projected and order != "project_first":
+            raise ValueError(
+                f"{spec.name}: a Psi on H W needs order='project_first'"
+            )
+        if heads > 1 and not spec.on_projected:
+            raise ValueError(
+                f"{spec.name}: multiple heads need a Psi on H W"
+            )
+        self.weight, self.psi_params = draw_parameters(
+            make_rng(seed), in_dim, out_dim, heads, dtype, spec.init
+        )
+        self.spec = spec
         self.order = order
+        self.aggregate = aggregate
+        self.heads = heads
+        self.combine = combine
         self.in_dim = in_dim
-        self.out_dim = out_dim
+        self.head_dim = out_dim
+        self.out_dim = (
+            out_dim * heads if combine == "concat" else out_dim
+        )
 
-    # -- the Ψ plug-in points ------------------------------------------
-    @abstractmethod
-    def _psi_forward(
-        self, a: CSRMatrix, h: np.ndarray, counter: FlopCounter
-    ) -> tuple[CSRMatrix, Any]:
-        """Attention scores ``S`` plus the Ψ-VJP cache."""
+    # -- head layout ---------------------------------------------------
+    def _combine(self, zh: np.ndarray) -> np.ndarray:
+        """Per-head outputs ``(n, heads, d)`` → Z: concatenated or averaged."""
+        if self.heads == 1:
+            return zh
+        if self.combine == "concat":
+            return zh.reshape(zh.shape[0], -1)
+        return zh.mean(axis=1)
 
-    @abstractmethod
-    def _psi_vjp(
-        self, ds: np.ndarray, psi_cache: Any, counter: FlopCounter
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Feature gradient through Ψ and extra parameter grads."""
+    def _uncombine(self, g: np.ndarray) -> np.ndarray:
+        """``dL/dZ`` → every head's ``dL/dZ_h``, stacked ``(n, heads, d)``."""
+        if self.heads == 1:
+            return g
+        if self.combine == "concat":
+            return split_heads(np.ascontiguousarray(g), self.heads)
+        # Mean combine: each head sees dL/dZ_h = g / heads.
+        return np.broadcast_to(
+            (g / self.heads)[:, None, :],
+            (g.shape[0], self.heads, self.head_dim),
+        )
 
     # ------------------------------------------------------------------
     def forward(
@@ -119,43 +371,202 @@ class PairwiseAttentionLayer(GnnLayer):
         h: np.ndarray,
         counter: FlopCounter = null_counter(),
         training: bool = True,
-    ) -> tuple[np.ndarray, PairAttentionCache | None]:
-        s, psi_cache = self._psi_forward(a, h, counter)
+    ) -> tuple[np.ndarray, LayerCache | None]:
+        spec, w = self.spec, projection(self.weight)
         hp = ah = None
         if self.order == "project_first":
-            hp = mm(h, self.weight, counter=counter)
-            z = spmm(s, hp, counter=counter)
+            hp = split_heads(mm(h, w, counter=counter), self.heads)
+            s, psi_cache = spec.psi(
+                a, hp if spec.on_projected else h, self.psi_params, counter
+            )
+            z = self._combine(
+                spmm(s, hp, semiring=self.aggregate, counter=counter)
+            )
         else:
-            ah = spmm(s, h, counter=counter)
-            z = mm(ah, self.weight, counter=counter)
+            s, psi_cache = spec.psi(a, h, self.psi_params, counter)
+            ah = spmm(s, h, semiring=self.aggregate, counter=counter)
+            z = mm(ah, w, counter=counter)
         h_next = self.activation.fn(z)
         if not training:
             return h_next, None
-        return h_next, PairAttentionCache(
+        return h_next, LayerCache(
             a=a, h=h, s=s, psi_cache=psi_cache, hp=hp, ah=ah, z=z
         )
 
     # ------------------------------------------------------------------
     def backward(
         self,
-        cache: PairAttentionCache,
+        cache: LayerCache,
         g: np.ndarray,
         counter: FlopCounter = null_counter(),
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        s_t = cache.s.transpose()
+        if self.aggregate is not REAL:
+            raise NotImplementedError(
+                "training requires the real aggregation semiring"
+            )
+        spec, w = self.spec, projection(self.weight)
         if self.order == "project_first":
-            st_g = spmm(s_t, g, counter=counter)
-            d_weight = mm(cache.h.T, st_g, counter=counter)
-            dh = mm(st_g, self.weight.T, counter=counter)
-            ds = score_gradient(cache.a, g, cache.hp, counter=counter)
+            # Z = S (H W):  dH' = S^T G;  dW = H^T dH';  dH = dH' W^T.
+            g = self._uncombine(g)
+            dx, psi_grads = self._psi_backward(cache, g, cache.hp, counter)
+            dhp = spmm(cache.s.transpose(), g, counter=counter)
+            if spec.on_projected and dx is not None:
+                # Psi read H', so its path joins dH' (and through it dW).
+                dhp, dx = dhp + dx, None
+            dhp = dhp.reshape(dhp.shape[0], -1)
+            d_weight = mm(cache.h.T, dhp, counter=counter)
+            dh = mm(dhp, w.T, counter=counter)
         else:
+            # Z = (S H) W:  dW = (S H)^T G;  dH = S^T (G W^T).
+            m = mm(g, w.T, counter=counter)
+            dx, psi_grads = self._psi_backward(cache, m, cache.h, counter)
             d_weight = mm(cache.ah.T, g, counter=counter)
-            m = mm(g, self.weight.T, counter=counter)
-            dh = spmm(s_t, m, counter=counter)
-            ds = score_gradient(cache.a, m, cache.h, counter=counter)
-        dh_psi, extra = self._psi_vjp(ds, cache.psi_cache, counter)
-        return dh + dh_psi, {"weight": d_weight, **extra}
+            dh = spmm(cache.s.transpose(), m, counter=counter)
+        if dx is not None:
+            dh = dh + dx
+        return dh, named_parameters(
+            head_major(d_weight, self.heads), psi_grads, self.heads
+        )
+
+    def _psi_backward(
+        self,
+        cache: LayerCache,
+        left: np.ndarray,
+        right: np.ndarray,
+        counter: FlopCounter,
+    ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
+        """Psi's path: ``dS = A ⊙ (L R^T)`` (Eq. 9) handed straight to
+        the VJP (``dS`` lives in a pooled buffer). Returns the gradient
+        w.r.t. what Psi read and w.r.t. its parameters; without a VJP
+        the gradient stops at Psi."""
+        if self.spec.psi_vjp is None:
+            return None, {}
+        ds = score_gradient(cache.a, left, right, counter=counter)
+        return self.spec.psi_vjp(ds, cache.psi_cache, counter)
 
     # ------------------------------------------------------------------
     def parameters(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight}
+        return named_parameters(self.weight, self.psi_params, self.heads)
+
+
+# ----------------------------------------------------------------------
+# Model factories: one stacking loop
+# ----------------------------------------------------------------------
+def _stack(
+    spec: AttentionSpec,
+    in_dim: int,
+    hidden_dim: int,
+    out_dim: int,
+    num_layers: int,
+    activation: str,
+    seed: int,
+    dtype: np.dtype | type,
+    order: str = "project_first",
+    heads: int = 1,
+) -> GnnModel:
+    """``num_layers`` layers of one spec sharing one seed stream.
+
+    Hidden layers use ``activation`` and concatenate their heads; the
+    final layer is linear (identity activation, heads averaged) so its
+    output feeds a downstream loss directly, following the usual GNN
+    benchmark setup.
+    """
+    rng = make_rng(seed)
+    layers: list[GnnLayer] = []
+    width = in_dim
+    for i in range(num_layers):
+        last = i + 1 == num_layers
+        layer = AttentionLayer(
+            width,
+            out_dim if last else hidden_dim,
+            spec,
+            activation="identity" if last else activation,
+            order=order,
+            heads=heads,
+            combine="mean" if last else "concat",
+            seed=rng,
+            dtype=dtype,
+        )
+        layers.append(layer)
+        width = layer.out_dim
+    return GnnModel(layers)
+
+
+def va_model(
+    in_dim: int,
+    hidden_dim: int,
+    out_dim: int,
+    num_layers: int = 3,
+    activation: str = "relu",
+    order: str = "project_first",
+    seed: int = 0,
+    dtype: np.dtype | type = np.float32,
+) -> GnnModel:
+    """Build an ``num_layers``-deep VA model (Figure 1; Eqs. 7–13)."""
+    return _stack(
+        VA, in_dim, hidden_dim, out_dim, num_layers, activation, seed,
+        dtype, order=order,
+    )
+
+
+def agnn_model(
+    in_dim: int,
+    hidden_dim: int,
+    out_dim: int,
+    num_layers: int = 3,
+    activation: str = "relu",
+    order: str = "project_first",
+    beta: float = 1.0,
+    learnable_beta: bool = False,
+    seed: int = 0,
+    dtype: np.dtype | type = np.float32,
+) -> GnnModel:
+    """Build an ``num_layers``-deep AGNN model (cosine attention)."""
+    return _stack(
+        agnn_spec(beta, learnable_beta), in_dim, hidden_dim, out_dim,
+        num_layers, activation, seed, dtype, order=order,
+    )
+
+
+def gat_model(
+    in_dim: int,
+    hidden_dim: int,
+    out_dim: int,
+    num_layers: int = 3,
+    activation: str = "elu",
+    slope: float = 0.2,
+    heads: int = 1,
+    seed: int = 0,
+    dtype: np.dtype | type = np.float32,
+) -> GnnModel:
+    """Build an ``num_layers``-deep GAT model (Figure 1/2).
+
+    ``heads == 1`` is the paper's benchmarked configuration; with more,
+    hidden layers concatenate their heads and the final layer averages
+    them, as in the original GAT paper.
+    """
+    return _stack(
+        gat_spec(slope), in_dim, hidden_dim, out_dim, num_layers,
+        activation, seed, dtype, heads=heads,
+    )
+
+
+def gcn_model(
+    in_dim: int,
+    hidden_dim: int,
+    out_dim: int,
+    num_layers: int = 3,
+    activation: str = "relu",
+    order: str = "project_first",
+    seed: int = 0,
+    dtype: np.dtype | type = np.float32,
+) -> GnnModel:
+    """Build an ``num_layers``-deep GCN — Section 8.4's C-GNN.
+
+    The adjacency passed to ``forward`` must already be normalised
+    (:func:`repro.models.gcn.normalize_adjacency`).
+    """
+    return _stack(
+        GCN, in_dim, hidden_dim, out_dim, num_layers, activation, seed,
+        dtype, order=order,
+    )

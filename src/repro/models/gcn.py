@@ -5,22 +5,18 @@ pre-normalised adjacency matrix taking the place of :math:`\\Psi`
 (Section 4.4: "once :math:`\\Psi` is computed, the same execution
 strategies can be applied to C-GNN and A-GNN models"). One inference
 layer is a single SpMM plus one MM, which is why the paper uses it to
-isolate the communication behaviour of the substrate.
+isolate the communication behaviour of the substrate. The layer itself
+is :class:`repro.models.attention.AttentionLayer` with the constant
+``GCN`` spec; what GCN adds is the normalisation below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.models.base import GnnLayer, GnnModel, glorot
 from repro.tensor.csr import CSRMatrix
-from repro.tensor.kernels import mm, spmm
-from repro.util.counters import FlopCounter, null_counter
-from repro.util.rng import make_rng
 
-__all__ = ["GCNLayer", "gcn_model", "normalize_adjacency"]
+__all__ = ["normalize_adjacency"]
 
 
 def normalize_adjacency(
@@ -45,104 +41,3 @@ def normalize_adjacency(
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
     inv_sqrt = inv_sqrt.astype(a.dtype)
     return a.scale_rows(inv_sqrt).scale_cols(inv_sqrt)
-
-
-@dataclass
-class _GCNCache:
-    a: CSRMatrix
-    h: np.ndarray
-    hp: np.ndarray | None
-    ah: np.ndarray | None
-    z: np.ndarray
-
-
-class GCNLayer(GnnLayer):
-    """One GCN layer :math:`\\sigma(\\mathcal{A} H W)`.
-
-    ``a`` passed to :meth:`forward` must already be normalised (use
-    :func:`normalize_adjacency`); the layer treats it as a constant, so
-    the backward pass has no :math:`\\Psi` term.
-    """
-
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        activation: str = "relu",
-        order: str = "project_first",
-        seed: int | np.random.Generator | None = 0,
-        dtype: np.dtype | type = np.float32,
-    ) -> None:
-        super().__init__(activation)
-        if order not in ("project_first", "aggregate_first"):
-            raise ValueError("invalid composition order")
-        self.weight = glorot(make_rng(seed), (in_dim, out_dim), dtype)
-        self.order = order
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-
-    def forward(
-        self,
-        a: CSRMatrix,
-        h: np.ndarray,
-        counter: FlopCounter = null_counter(),
-        training: bool = True,
-    ) -> tuple[np.ndarray, _GCNCache | None]:
-        hp = ah = None
-        if self.order == "project_first":
-            hp = mm(h, self.weight, counter=counter)
-            z = spmm(a, hp, counter=counter)
-        else:
-            ah = spmm(a, h, counter=counter)
-            z = mm(ah, self.weight, counter=counter)
-        h_next = self.activation.fn(z)
-        if not training:
-            return h_next, None
-        return h_next, _GCNCache(a=a, h=h, hp=hp, ah=ah, z=z)
-
-    def backward(
-        self,
-        cache: _GCNCache,
-        g: np.ndarray,
-        counter: FlopCounter = null_counter(),
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        a_t = cache.a.transpose()
-        if self.order == "project_first":
-            at_g = spmm(a_t, g, counter=counter)
-            d_weight = mm(cache.h.T, at_g, counter=counter)
-            dh = mm(at_g, self.weight.T, counter=counter)
-        else:
-            d_weight = mm(cache.ah.T, g, counter=counter)
-            m = mm(g, self.weight.T, counter=counter)
-            dh = spmm(a_t, m, counter=counter)
-        return dh, {"weight": d_weight}
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight}
-
-
-def gcn_model(
-    in_dim: int,
-    hidden_dim: int,
-    out_dim: int,
-    num_layers: int = 3,
-    activation: str = "relu",
-    order: str = "project_first",
-    seed: int = 0,
-    dtype: np.dtype | type = np.float32,
-) -> GnnModel:
-    """Build an ``num_layers``-deep GCN (linear final layer)."""
-    rng = make_rng(seed)
-    dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
-    layers = [
-        GCNLayer(
-            dims[i],
-            dims[i + 1],
-            activation=activation if i + 1 < num_layers else "identity",
-            order=order,
-            seed=rng,
-            dtype=dtype,
-        )
-        for i in range(num_layers)
-    ]
-    return GnnModel(layers)

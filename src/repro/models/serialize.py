@@ -50,31 +50,40 @@ def load_state_dict(
 
     The model must have the same architecture (layer count, parameter
     names, shapes); mismatches raise ``ValueError`` rather than
-    silently truncating. Values are copied into the existing parameter
-    arrays, so shared references (including models currently serving
-    requests) all see the swap.
+    silently truncating, and they raise before any parameter is
+    written, so a rejected checkpoint leaves the model untouched (the
+    serving engine's reload relies on it). Values are copied into the
+    existing parameter arrays, so shared references (including models
+    currently serving requests) all see the swap.
     """
-    available = set(state)
-    expected = {
-        f"layer{index}.{name}"
+    targets = {
+        f"layer{index}.{name}": value
         for index, params in enumerate(model.parameters())
-        for name in params
+        for name, value in params.items()
     }
-    if available != expected:
-        missing = sorted(expected - available)
-        extra = sorted(available - expected)
+    if set(state) != set(targets):
+        missing = sorted(set(targets) - set(state))
+        extra = sorted(set(state) - set(targets))
         raise ValueError(
             f"checkpoint mismatch: missing={missing}, extra={extra}"
         )
-    for index, params in enumerate(model.parameters()):
-        for name, value in params.items():
-            stored = np.asarray(state[f"layer{index}.{name}"])
-            if stored.shape != np.asarray(value).shape:
-                raise ValueError(
-                    f"shape mismatch for layer{index}.{name}: "
-                    f"{stored.shape} vs {np.asarray(value).shape}"
-                )
-            np.copyto(value, stored.astype(value.dtype))
+    # Validate and convert everything before the first write: a reject
+    # must leave the live parameters exactly as they were.
+    converted = {}
+    for key, value in targets.items():
+        stored = np.asarray(state[key])
+        if stored.shape != value.shape:
+            raise ValueError(
+                f"shape mismatch for {key}: {stored.shape} vs {value.shape}"
+            )
+        try:
+            converted[key] = stored.astype(value.dtype)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"cannot cast {key} from {stored.dtype} to {value.dtype}"
+            ) from exc
+    for key, value in targets.items():
+        np.copyto(value, converted[key])
     return model
 
 

@@ -269,7 +269,9 @@ class ServingEngine:
         each request computes entirely before or entirely after the
         swap. The whole cache is invalidated (old-version rows embed
         the old weights) and the new version starts clean. Returns the
-        new version.
+        new version. A ``state`` that does not fit the model raises
+        before anything is written: parameters, version and cache stay
+        as they were and the engine keeps serving them.
         """
         with self._mutate:
             old = self._snapshot

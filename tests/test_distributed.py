@@ -193,3 +193,27 @@ class TestOps:
             return True
 
         assert all(run_spmd(4, program, timeout=20).values)
+
+
+class TestOneGATLayer:
+    def test_any_head_count_builds_the_same_class(self):
+        """Single-head GAT is ``heads = 1`` of the one GAT layer class,
+        holding plain (unstacked) parameters."""
+        from repro.distributed.layers import DistGATLayer
+        from repro.distributed.model import build_dist_model
+
+        def program(comm):
+            grid = square_grid(comm)
+            one = build_dist_model(grid, "gat", 6, 8, 3, heads=1)
+            four = build_dist_model(grid, "gat", 6, 8, 3, heads=4)
+            assert {type(layer) for layer in one.layers + four.layers} == {
+                DistGATLayer
+            }
+            assert set(one.layers[0].parameters()) == {
+                "weight", "a_src", "a_dst"
+            }
+            assert one.layers[0].weight.ndim == 2
+            assert "head3.a_dst" in four.layers[0].parameters()
+            return True
+
+        assert all(run_spmd(1, program, timeout=20).values)

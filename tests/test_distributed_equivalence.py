@@ -98,7 +98,10 @@ class TestTrainingEquivalence:
 
     def test_mse_loss_variant(self, problem):
         a = problem.adjacency
+        # VA's scores are unbounded dot products: unit-norm rows keep
+        # two layers of them (and the MSE gradient) finite.
         h = problem.features.astype(np.float64)
+        h /= np.linalg.norm(h, axis=1, keepdims=True)
         n = h.shape[0]
         rng = np.random.default_rng(0)
         targets = rng.normal(size=(n,)).astype(np.float64)
@@ -114,6 +117,8 @@ class TestTrainingEquivalence:
             "VA", a, h, targets4, 8, 4, num_layers=2, p=4, epochs=3,
             lr=1e-6, loss="mse", seed=5, dtype=np.float64,
         )
+        assert np.isfinite(reference.losses).all()
+        assert np.isfinite(result.losses).all()
         assert np.allclose(reference.losses, result.losses, rtol=1e-8)
 
     def test_training_output_matches_forward(self, problem):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.formulation import AttentionSpec, GenericLayer
+from repro.core.formulation import AttentionSpec
 from repro.core.psi import psi_va
 from repro.fusion import execute, fuse, va_psi_dag
+from repro.models import AttentionLayer
 from repro.runtime import run_spmd
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import spmm
@@ -37,14 +38,15 @@ class TestAverageSemiringLayer:
         """An A-GNN whose ⊕ is the AVERAGE semiring: mean of the
         neighbours' projected features weighted by attention scores."""
 
-        def psi(a, h):
+        def psi(a, h, params=None, counter=None):
             s, cache = psi_va(a, h)
             return s.with_data(np.abs(s.data) + 0.1), cache
 
-        spec = AttentionSpec(psi=psi, aggregate=AVERAGE,
-                             order="project_first", name="avg-va")
-        layer = GenericLayer(5, 4, spec, activation="identity", seed=0,
-                             dtype=np.float64)
+        layer = AttentionLayer(
+            5, 4, AttentionSpec(psi=psi, name="avg-va"),
+            activation="identity", aggregate=AVERAGE, seed=0,
+            dtype=np.float64,
+        )
         h = rng.normal(size=(60, 5))
         out, _ = layer.forward(small_adjacency, h, training=False)
         # Row 0's output is the weight-normalised average of its

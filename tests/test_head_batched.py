@@ -9,11 +9,13 @@ These tests pin the contract down at every level:
   loop bit-for-bit or to float64 roundoff;
 * :class:`FlopCounter` tallies of the batched sweep equal the summed
   per-head loop *exactly*, per label;
-* the batched :class:`MultiHeadGATLayer` is allclose (rtol 1e-10) to
-  the ``batched=False`` oracle in forward and backward, and both
-  survive a finite-difference gradcheck for ``concat`` and ``mean``;
-* the distributed batched layer sends ``heads``-times fewer messages
-  at unchanged payload bytes (CommStats);
+* a multi-head GAT :class:`AttentionLayer` is allclose (rtol 1e-10)
+  to ``heads`` single-head layers on its own parameter views (the
+  oracle in :mod:`tests.reference_heads`) in forward and backward, and
+  survives a finite-difference gradcheck for ``concat`` and ``mean``;
+* the distributed multi-head layer sends ``heads``-times fewer
+  messages than ``heads`` single-head passes at unchanged payload
+  bytes (CommStats);
 * the ``REPRO_SDDMM_CHUNK`` override validates like the other
   ``REPRO_*`` knobs.
 """
@@ -24,9 +26,9 @@ import numpy as np
 import pytest
 
 from repro.distributed import distribute_adjacency, distribute_features
-from repro.distributed.layers import DistMultiHeadGATLayer
+from repro.distributed.layers import DistGATLayer
 from repro.distributed.ops import OpSequencer
-from repro.models.gat import MultiHeadGATLayer
+from repro.models import AttentionLayer, gat_spec
 from repro.runtime import run_spmd, square_grid
 from repro.tensor.kernels import (
     AVERAGE,
@@ -40,9 +42,33 @@ from repro.tensor.kernels import (
     spmm,
     spmmm,
 )
-from repro.util.counters import FlopCounter, event_counter
+from repro.util.counters import FlopCounter, event_counter, null_counter
+from tests.reference_heads import (
+    combine_heads,
+    head_gradients,
+    single_heads,
+    sum_head_backward,
+)
 
 HEADS = 4
+
+
+def _gat_layer(in_dim, out_dim, **kwargs):
+    return AttentionLayer(in_dim, out_dim, gat_spec(), **kwargs)
+
+
+def _per_head_step(layer, a, h, g, counter=null_counter()):
+    """Forward + backward of the per-head oracle on ``layer``'s params."""
+    heads = single_heads(layer, lambda: _gat_layer(
+        layer.in_dim, layer.head_dim, activation="identity",
+        dtype=layer.weight.dtype,
+    ))
+    outs, caches = zip(*(hd.forward(a, h, counter=counter) for hd in heads))
+    dh, grads = sum_head_backward([
+        hd.backward(cache, g_h, counter=counter)
+        for hd, cache, g_h in zip(heads, caches, head_gradients(layer, g))
+    ])
+    return combine_heads(layer, outs), dh, grads
 
 
 @pytest.fixture
@@ -258,15 +284,12 @@ class TestFlopParity:
         h = rng.normal(size=(a.shape[0], 6))
         g = rng.normal(size=(a.shape[0], 3 * HEADS if combine == "concat"
                              else 3))
-        kwargs = dict(heads=HEADS, combine=combine, seed=11,
-                      dtype=np.float64)
-        batched = MultiHeadGATLayer(6, 3, batched=True, **kwargs)
-        oracle = MultiHeadGATLayer(6, 3, batched=False, **kwargs)
+        layer = _gat_layer(6, 3, heads=HEADS, combine=combine, seed=11,
+                           activation="identity", dtype=np.float64)
         cb, co = FlopCounter(), FlopCounter()
-        _, cache_b = batched.forward(a, h, counter=cb)
-        _, cache_o = oracle.forward(a, h, counter=co)
-        batched.backward(cache_b, g, counter=cb)
-        oracle.backward(cache_o, g, counter=co)
+        _, cache = layer.forward(a, h, counter=cb)
+        layer.backward(cache, g, counter=cb)
+        _per_head_step(layer, a, h, g, counter=co)
         self.assert_equal_counts(cb, co)
 
 
@@ -281,15 +304,14 @@ class TestLayerParity:
         a = small_adjacency
         n = a.shape[0]
         h = rng.normal(size=(n, 6))
-        kwargs = dict(heads=HEADS, combine=combine, seed=3, dtype=np.float64)
-        batched = MultiHeadGATLayer(6, 3, batched=True, **kwargs)
-        oracle = MultiHeadGATLayer(6, 3, batched=False, **kwargs)
-        out_b, cache_b = batched.forward(a, h)
-        out_o, cache_o = oracle.forward(a, h)
-        np.testing.assert_allclose(out_b, out_o, rtol=1e-10, atol=1e-12)
+        layer = _gat_layer(6, 3, heads=HEADS, combine=combine, seed=3,
+                           dtype=np.float64)
+        out_b, cache = layer.forward(a, h)
+        # layer.backward takes dL/dZ, which the oracle splits per head.
         g = rng.normal(size=out_b.shape)
-        dh_b, grads_b = batched.backward(cache_b, g)
-        dh_o, grads_o = oracle.backward(cache_o, g)
+        dh_b, grads_b = layer.backward(cache, g)
+        out_o, dh_o, grads_o = _per_head_step(layer, a, h, g)
+        np.testing.assert_allclose(out_b, out_o, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(dh_b, dh_o, rtol=1e-10, atol=1e-12)
         assert grads_b.keys() == grads_o.keys()
         for name in grads_o:
@@ -304,9 +326,9 @@ class TestLayerParity:
         h = rng.normal(size=(n, 4))
         # Identity activation: layer.backward takes dL/dZ, so with
         # sigma = id the projection is directly the output gradient.
-        layer = MultiHeadGATLayer(
+        layer = _gat_layer(
             4, 2, heads=2, combine=combine, activation="identity",
-            seed=7, dtype=np.float64, batched=True,
+            seed=7, dtype=np.float64,
         )
         proj = rng.normal(size=(n, layer.out_dim))
 
@@ -330,27 +352,33 @@ class TestLayerParity:
 class TestDistributedCoalescing:
     HEADS = 4
 
-    def _run(self, a, h, batched):
+    def _run(self, a, h, per_head):
         heads = self.HEADS
 
         def program(comm):
             grid = square_grid(comm)
             a_block = distribute_adjacency(a, grid)
             h_block = distribute_features(h, grid)
-            layer = DistMultiHeadGATLayer(
+            layer = DistGATLayer(
                 h.shape[1], 3, heads=heads, seed=5, dtype=np.float64,
-                batched=batched,
             )
+            passes = [layer]
+            if per_head:
+                passes = single_heads(layer, lambda: DistGATLayer(
+                    h.shape[1], 3, activation="identity", dtype=np.float64,
+                ))
             seq = OpSequencer()
             # Snapshot after block distribution: only the layer step's
             # traffic is under test.
             msgs0 = comm.stats.messages_sent
             bytes0 = comm.stats.bytes_sent
-            out, cache = layer.forward(grid, a_block, h_block, seq)
-            g_block = np.ones_like(out)
-            layer.backward(grid, cache, g_block, seq)
+            outs = []
+            for one in passes:
+                out, cache = one.forward(grid, a_block, h_block, seq)
+                one.backward(grid, cache, np.ones_like(out), seq)
+                outs.append(out)
             return (
-                out,
+                combine_heads(layer, outs) if per_head else outs[0],
                 comm.stats.messages_sent - msgs0,
                 comm.stats.bytes_sent - bytes0,
             )
@@ -364,13 +392,14 @@ class TestDistributedCoalescing:
         a = prepare_adjacency(erdos_renyi(24, 120, seed=2),
                               dtype=np.float64)
         h = rng.normal(size=(24, 6))
-        results_b = self._run(a, h, batched=True)
-        results_p = self._run(a, h, batched=False)
+        results_b = self._run(a, h, per_head=False)
+        results_p = self._run(a, h, per_head=True)
         for (out_b, msgs_b, bytes_b), (out_p, msgs_p, bytes_p) in zip(
             results_b, results_p
         ):
             np.testing.assert_allclose(out_b, out_p, rtol=1e-10, atol=1e-12)
-            # Exactly heads-times fewer messages per rank.
+            # Exactly heads-times fewer messages per rank than ``heads``
+            # single-head passes.
             assert msgs_p == self.HEADS * msgs_b
             # Payload bytes are unchanged; the only slack is the 8-byte
             # algorithm flag each coalesced bcast sends once instead of

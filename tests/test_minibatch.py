@@ -19,9 +19,8 @@ import pytest
 
 from repro.fusion.layer import DagLayer
 from repro.graphs import synthetic_classification
-from repro.models import build_model
+from repro.models import AttentionLayer, build_model, gat_spec
 from repro.models.base import GnnModel
-from repro.models.gat import MultiHeadGATLayer
 from repro.training import (
     SGD,
     MinibatchTrainer,
@@ -150,8 +149,10 @@ class TestSampledTraining:
         a = problem.adjacency.astype(np.float64)
         c = problem.num_classes
         model = GnnModel([
-            MultiHeadGATLayer(6, 8, heads=4, seed=0, dtype=np.float64),
-            MultiHeadGATLayer(32, c, heads=1, seed=1, dtype=np.float64),
+            AttentionLayer(6, 8, gat_spec(), activation="elu", heads=4,
+                           seed=0, dtype=np.float64),
+            AttentionLayer(32, c, gat_spec(), activation="elu", seed=1,
+                           dtype=np.float64),
         ])
         trainer = MinibatchTrainer(
             model, SoftmaxCrossEntropyLoss(), SGD(0.05), fanouts=(3, 3),

@@ -3,16 +3,21 @@
 import numpy as np
 import pytest
 
+import ast
+from pathlib import Path
+
+import repro.core
+import repro.models
 from repro.models import (
+    GCN,
+    VA,
+    AttentionLayer,
     GnnModel,
-    MultiHeadGATLayer,
+    agnn_spec,
     build_model,
+    gat_spec,
     normalize_adjacency,
 )
-from repro.models.agnn import AGNNLayer
-from repro.models.gat import GATLayer
-from repro.models.gcn import GCNLayer
-from repro.models.va import VALayer
 from repro.util.counters import FlopCounter
 
 MODELS = ["VA", "AGNN", "GAT", "GCN"]
@@ -108,38 +113,88 @@ class TestForward:
             model.backward(np.zeros((60, 3)))
 
 
+class TestOneAttentionLayer:
+    """Eq. (1) is written once: a model is its Psi spec, nothing more."""
+
+    RETIRED = (
+        "GenericLayer", "PairwiseAttentionLayer", "VALayer", "AGNNLayer",
+        "GATLayer", "MultiHeadGATLayer", "GCNLayer",
+    )
+
+    def test_every_model_builds_the_same_layer_class(self):
+        cases = [("VA", {}), ("AGNN", {}), ("GCN", {}),
+                 ("GAT", {"heads": 1}), ("GAT", {"heads": 4})]
+        types = {
+            type(layer)
+            for name, kwargs in cases
+            for layer in build_model(name, 8, 16, 3, **kwargs).layers
+        }
+        assert types == {AttentionLayer}
+
+    def test_hand_written_layers_are_not_exported(self):
+        for package in (repro.core, repro.models):
+            for name in self.RETIRED:
+                assert not hasattr(package, name), f"{package.__name__}.{name}"
+
+    def test_no_signature_takes_batched(self):
+        """Head-batched is how heads run, not a switch."""
+        package = Path(repro.models.__file__).parent.parent
+        offenders = [
+            f"{path.relative_to(package)}:{getattr(node, 'name', 'lambda')}"
+            for sub in ("models", "distributed")
+            for path in sorted((package / sub).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for arg in (
+                node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            )
+            if arg.arg == "batched"
+        ]
+        assert offenders == []
+
+
 class TestLayerValidation:
-    @pytest.mark.parametrize("cls", [VALayer, AGNNLayer, GCNLayer])
-    def test_invalid_order_rejected(self, cls):
+    # ids predate the one-layer refactor; kept so the test history
+    # of each case stays one line.
+    @pytest.mark.parametrize(
+        "spec", [VA, agnn_spec(), GCN],
+        ids=["VALayer", "AGNNLayer", "GCNLayer"],
+    )
+    def test_invalid_order_rejected(self, spec):
         with pytest.raises(ValueError):
-            cls(4, 4, order="diagonal_first")
+            AttentionLayer(4, 4, spec, order="diagonal_first")
 
     def test_multihead_invalid_combine(self):
         with pytest.raises(ValueError):
-            MultiHeadGATLayer(4, 4, heads=2, combine="xor")
+            AttentionLayer(4, 4, gat_spec(), heads=2, combine="xor")
 
 
 class TestMultiHeadGAT:
     def test_concat_width(self, rng, small_adjacency):
-        layer = MultiHeadGATLayer(5, 4, heads=3, combine="concat",
-                                  dtype=np.float64)
+        layer = AttentionLayer(5, 4, gat_spec(), heads=3, combine="concat",
+                               dtype=np.float64)
         out, _ = layer.forward(small_adjacency, rng.normal(size=(60, 5)))
         assert out.shape == (60, 12)
 
     def test_mean_width(self, rng, small_adjacency):
-        layer = MultiHeadGATLayer(5, 4, heads=3, combine="mean",
-                                  dtype=np.float64)
+        layer = AttentionLayer(5, 4, gat_spec(), heads=3, combine="mean",
+                               dtype=np.float64)
         out, _ = layer.forward(small_adjacency, rng.normal(size=(60, 5)))
         assert out.shape == (60, 4)
 
     def test_single_head_mean_matches_gat_layer(self, rng, small_adjacency):
-        multi = MultiHeadGATLayer(5, 4, heads=1, combine="mean",
-                                  activation="elu", seed=7, dtype=np.float64)
-        single = GATLayer(5, 4, activation="elu", seed=7, dtype=np.float64)
+        """One head: ``combine`` is moot and the parameters are plain."""
+        multi = AttentionLayer(5, 4, gat_spec(), heads=1, combine="mean",
+                               activation="elu", seed=7, dtype=np.float64)
+        single = AttentionLayer(5, 4, gat_spec(), activation="elu", seed=7,
+                                dtype=np.float64)
+        assert set(multi.parameters()) == {"weight", "a_src", "a_dst"}
         h = rng.normal(size=(60, 5))
-        out_m, _ = multi.forward(small_adjacency, h)
+        out_m, cache = multi.forward(small_adjacency, h)
         out_s, _ = single.forward(small_adjacency, h)
-        assert np.allclose(out_m, out_s)
+        assert np.array_equal(out_m, out_s)
+        # ... and the kernels saw 2-D operands, not a (n, 1, d) stack.
+        assert cache.hp.ndim == 2 and cache.s.data.ndim == 1
 
     def test_model_factory_with_heads(self, rng, small_adjacency):
         model = build_model("GAT", 5, 4, 3, num_layers=2, heads=2,

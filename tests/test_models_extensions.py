@@ -7,9 +7,11 @@ from repro.models import (
     build_model,
     gin_model,
     load_model,
+    load_state_dict,
     normalize_adjacency,
     save_model,
     sgc_model,
+    state_dict,
 )
 from repro.models.sgc import propagate
 from repro.training import Adam, SoftmaxCrossEntropyLoss, Trainer
@@ -144,3 +146,15 @@ class TestSerialization:
         save_model(a, path)
         with pytest.raises(ValueError):
             load_model(b, path)
+
+    def test_rejected_load_leaves_model_untouched(self):
+        """A bad *last* entry must not tear the entries before it."""
+        model = build_model("GAT", 5, 8, 3, num_layers=2, seed=1)
+        before = state_dict(model)
+        bad = {k: v * 2 for k, v in before.items()}
+        last = list(bad)[-1]
+        bad[last] = np.zeros(bad[last].shape + (2,), bad[last].dtype)
+        with pytest.raises(ValueError, match=last):
+            load_state_dict(model, bad)
+        after = state_dict(model)
+        assert all(np.array_equal(after[k], before[k]) for k in before)

@@ -119,11 +119,12 @@ class TestDagLayerGradcheck:
     def test_mixed_hand_and_dag_stack(self, rng, problem):
         """DagLayer honours the GnnLayer contract: it stacks with the
         hand-fused layers inside one model."""
-        from repro.models.va import VALayer
+        from repro.models import VA, AttentionLayer
 
         a, h, target = problem
         model = GnnModel([
-            VALayer(5, 6, activation="tanh", seed=11, dtype=np.float64),
+            AttentionLayer(5, 6, VA, activation="tanh", seed=11,
+                           dtype=np.float64),
             DagLayer("va", 6, 3, activation="identity", seed=12,
                      dtype=np.float64),
         ])

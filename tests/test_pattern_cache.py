@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.graphs import erdos_renyi, synthetic_classification
 from repro.graphs.prep import prepare_adjacency
-from repro.models.gat import gat_model
+from repro.models import gat_model
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.structure import lookup_structure
 from repro.util.counters import event_counter

@@ -311,6 +311,27 @@ class TestEngineMutations:
         assert np.array_equal(after, reference[seeds])
         assert not np.array_equal(after, before)
 
+    def test_rejected_reload_leaves_engine_untouched(
+        self, adjacency, features
+    ):
+        """A mis-shaped checkpoint: no torn weights, version or cache."""
+        model = _model()
+        engine = ServingEngine(model, adjacency, features, cache=256, seed=5)
+        seeds = np.array([0, 5, 11], dtype=np.int64)
+        before = engine.serve_unique(seeds)
+        params, cached = state_dict(model), len(engine.cache)
+        bad = {k: v * 0.5 for k, v in params.items()}
+        bad["layer1.weight"] = bad["layer1.weight"][:, :-1]
+        with pytest.raises(ValueError, match="layer1.weight"):
+            engine.reload(bad)
+        assert engine.version == 0
+        assert len(engine.cache) == cached > 0
+        after = state_dict(model)
+        assert all(np.array_equal(after[k], params[k]) for k in params)
+        hits = engine.cache.hits
+        assert np.array_equal(engine.serve_unique(seeds), before)
+        assert engine.cache.hits > hits  # ... and served from the cache
+
     def test_feature_delta_serves_fresh_rows(self, adjacency, features):
         model = _model()
         engine = ServingEngine(model, adjacency, features, cache=256, seed=5)

@@ -108,7 +108,7 @@ def _inference_program(
     seed: int,
     dtype,
     layer_kwargs: dict,
-    overlap: bool | None = None,
+    overlap: bool = True,
 ):
     """SPMD rank program for :func:`distributed_inference`.
 
@@ -142,16 +142,17 @@ def distributed_inference(
     dtype: np.dtype | type = np.float32,
     timeout: float = 120.0,
     backend: str | None = None,
-    overlap: bool | None = None,
+    overlap: bool = True,
     **layer_kwargs,
 ) -> DistributedResult:
     """Run a full inference pass on ``p`` simulated ranks.
 
     ``p`` must be a perfect square (the Section-7 grid). Returns the
     assembled output features and the run's traffic statistics.
-    ``backend`` selects the execution fabric (thread/process) and
-    ``overlap`` the comm/compute-overlapped layer schedules; see
-    :func:`repro.runtime.executor.run_spmd`.
+    ``backend`` selects the execution fabric (thread/process, see
+    :func:`repro.runtime.executor.run_spmd`); the layer schedules are
+    comm/compute-overlapped by default and ``overlap=False`` is the
+    synchronous parity oracle.
     """
     result = run_spmd(
         p, _inference_program, timeout=timeout, backend=backend,
@@ -182,7 +183,7 @@ def _training_program(
     collect_output: bool,
     denom: int,
     layer_kwargs: dict,
-    overlap: bool | None = None,
+    overlap: bool = True,
 ):
     """SPMD rank program for :func:`distributed_train` (module-level,
     picklable — see :func:`_inference_program`)."""
@@ -241,7 +242,7 @@ def distributed_train(
     timeout: float = 300.0,
     collect_output: bool = True,
     backend: str | None = None,
-    overlap: bool | None = None,
+    overlap: bool = True,
     **layer_kwargs,
 ) -> DistributedResult:
     """Full-batch distributed training for ``epochs`` iterations.
@@ -250,8 +251,9 @@ def distributed_train(
     step — the paper's measured training unit. Returns the per-epoch
     losses, the final output features (assembled at rank 0 when
     ``collect_output``) and traffic statistics. ``backend`` selects the
-    execution fabric (thread/process); ``overlap`` the comm/compute-
-    overlapped layer schedules (``None`` defers to ``REPRO_OVERLAP``).
+    execution fabric (thread/process); the layer schedules are
+    comm/compute-overlapped by default and ``overlap=False`` is the
+    synchronous parity oracle.
     """
     n = features.shape[0]
     denom = _loss_denominator(loss, mask, n, out_dim)

@@ -24,11 +24,11 @@ layer *declares* its forward and backward passes as a
 :class:`~repro.distributed.schedule.CommSchedule` — an ordered list of
 :class:`~repro.distributed.schedule.Compute` kernels and labelled
 :class:`~repro.distributed.schedule.Transfer` patterns. The base class
-drives the shared scheduler, which can run the transfers synchronously
-(the parity oracle) or overlapped with the local kernels scheduled
-between a transfer and its first consumer (``REPRO_OVERLAP=1``).
-Transfer initiation order is identical in both modes, so traffic
-counters and tag streams never diverge.
+drives the shared scheduler, which runs the transfers overlapped with
+the local kernels scheduled between a transfer and its first consumer
+by default; ``overlap=False`` waits on every transfer at once and is the
+parity oracle. Transfer initiation order is identical in both modes, so
+traffic counters and tag streams never diverge.
 
 What every model shares is declared once in the base: the replicated
 parameters (drawn and named exactly as the single-node
@@ -67,7 +67,6 @@ from repro.distributed.schedule import (
     CommSchedule,
     Compute,
     Transfer,
-    overlap_default,
 )
 from repro.models.attention import (
     agnn_spec,
@@ -126,8 +125,8 @@ class DistGnnLayer(ABC):
     :meth:`_forward_epilogue` and :meth:`_backward_prologue`; the
     concrete :meth:`forward` and :meth:`backward` drivers here execute
     those schedules, apply the activation, and assemble the
-    cache/gradients. ``overlap`` selects comm/compute-overlapped
-    execution (default: the ``REPRO_OVERLAP`` environment variable).
+    cache/gradients. Execution is comm/compute-overlapped by default;
+    ``overlap=False`` is the synchronous parity oracle.
     """
 
     #: Schedule label (``"<name>.forward"`` / ``"<name>.backward"``).
@@ -163,7 +162,7 @@ class DistGnnLayer(ABC):
         sequencer: OpSequencer,
         counter: FlopCounter = null_counter(),
         training: bool = True,
-        overlap: bool | None = None,
+        overlap: bool = True,
     ) -> tuple[np.ndarray, _DistLayerCache | None]:
         """Compute the next column-replicated feature block.
 
@@ -171,7 +170,6 @@ class DistGnnLayer(ABC):
         value is :math:`H^{l+1}_j` (post-activation, already reduced
         and redistributed) plus a training cache exposing ``z_block``.
         """
-        overlap = overlap_default() if overlap is None else overlap
         ctx: dict[str, Any] = {
             "grid": grid, "a_block": a_block,
             "h_block": h_block, "counter": counter,
@@ -196,14 +194,13 @@ class DistGnnLayer(ABC):
         sequencer: OpSequencer,
         counter: FlopCounter = null_counter(),
         need_input_grad: bool = True,
-        overlap: bool | None = None,
+        overlap: bool = True,
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         """SPMD backward: ``g_block`` is :math:`dL/dZ` restricted to
         block ``j`` (column-replicated). Returns the input-feature
         gradient block (or ``None`` when ``need_input_grad=False`` —
         the first layer) and replicated parameter gradients.
         """
-        overlap = overlap_default() if overlap is None else overlap
         ctx = {
             **cache.ctx, "grid": grid, "counter": counter, "g_block": g_block,
         }

@@ -49,14 +49,13 @@ class DistGnnModel:
         self,
         grid: ProcessGrid,
         layers: Sequence[DistGnnLayer],
-        overlap: bool | None = None,
+        overlap: bool = True,
     ) -> None:
         if not layers:
             raise ValueError("a model needs at least one layer")
         self.grid = grid
         self.layers = list(layers)
         self.sequencer = OpSequencer()
-        # None defers to REPRO_OVERLAP at each layer call.
         self.overlap = overlap
         self._caches: list[Any] | None = None
 
@@ -136,7 +135,7 @@ def build_dist_model(
     activation: str | None = None,
     seed: int = 0,
     dtype: np.dtype | type = np.float32,
-    overlap: bool | None = None,
+    overlap: bool = True,
     **layer_kwargs,
 ) -> DistGnnModel:
     """Construct a distributed model by name (VA / AGNN / GAT / GCN).
@@ -144,9 +143,9 @@ def build_dist_model(
     Mirrors :func:`repro.models.build_model` — same dims, same seeds,
     same activations — so the two produce numerically identical results
     given the same inputs, which the equivalence tests rely on.
-    ``overlap`` selects comm/compute-overlapped layer execution
-    (``None`` defers to ``REPRO_OVERLAP``); results and traffic are
-    bit-identical either way.
+    Layers run comm/compute-overlapped by default; ``overlap=False`` is
+    the synchronous parity oracle (results and traffic are bit-identical
+    either way).
     """
     layer_cls = {
         "va": DistVALayer,

@@ -31,10 +31,8 @@ from repro.tensor.csr import CSRMatrix
 from repro.tensor.segment import expand_segments, segment_max, segment_sum
 
 __all__ = [
-    "row_bcast_from_diagonal",
     "irow_bcast_from_diagonal",
     "reduce_and_redistribute",
-    "transpose_exchange",
     "itranspose_exchange",
     "distributed_row_softmax",
     "distributed_row_softmax_backward",
@@ -82,28 +80,18 @@ class OpSequencer:
         return self._next
 
 
-def row_bcast_from_diagonal(
-    grid: ProcessGrid, block: np.ndarray | None
-) -> np.ndarray:
-    """Broadcast the diagonal rank's block along its grid row.
+def irow_bcast_from_diagonal(grid: ProcessGrid, block: np.ndarray | None):
+    """Start broadcasting the diagonal rank's block along its grid row.
 
     Rank ``(i, i)`` contributes its column block (which equals row
-    block ``i`` on a square grid); after the call every rank ``(i, j)``
-    holds :math:`H_i`. Volume :math:`O(nk/\\sqrt{p})` per rank over
-    :math:`O(\\log p)` steps, as in Section 7.1.
+    block ``i`` on a square grid); waiting on the returned
+    :class:`~repro.runtime.communicator.CollectiveHandle` gives every
+    rank ``(i, j)`` :math:`H_i`. The diagonal rank's sends go out
+    immediately, so local compute issued before ``wait()`` runs while
+    :math:`H_i` is in flight. Volume :math:`O(nk/\\sqrt{p})` per rank
+    over :math:`O(\\log p)` steps, as in Section 7.1.
     """
     root = grid.row  # local rank within row_comm whose col == row.
-    return grid.row_comm.bcast(block, root=root)
-
-
-def irow_bcast_from_diagonal(grid: ProcessGrid, block: np.ndarray | None):
-    """Non-blocking :func:`row_bcast_from_diagonal`.
-
-    Returns a :class:`~repro.runtime.communicator.CollectiveHandle`;
-    the diagonal rank's sends go out immediately, so local compute
-    issued before ``wait()`` runs while :math:`H_i` is in flight.
-    """
-    root = grid.row
     return grid.row_comm.ibcast(block, root=root)
 
 
@@ -111,14 +99,16 @@ def reduce_and_redistribute(
     grid: ProcessGrid,
     partial: np.ndarray,
     sequencer: OpSequencer,
+    op: str = "sum",
 ) -> np.ndarray:
-    """Sum row-wise partial outputs and form next-layer input blocks.
+    """Reduce row-wise partial outputs and form next-layer input blocks.
 
     ``partial`` is this rank's :math:`\\Psi_{ij} H'_j` contribution to
     output row block ``i``. Steps:
 
-    * ring reduce-scatter along the grid row: rank ``(i, j)`` ends with
-      the fully-summed ``j``-th chunk of row block ``i``;
+    * ring reduce-scatter along the grid row with ``op``: rank
+      ``(i, j)`` ends with the fully-reduced ``j``-th chunk of row
+      block ``i``;
     * chunk exchange: the chunk's rows belong to next-layer input
       block ``i``, needed by every rank of grid *column* ``i`` — send
       it there, and receive the chunks of block ``j`` from the ranks of
@@ -135,7 +125,7 @@ def reduce_and_redistribute(
         np.ascontiguousarray(partial[start:stop])
         for start, stop in block_ranges(partial.shape[0], p)
     ]
-    mine = grid.row_comm.reduce_scatter(chunks)
+    mine = grid.row_comm.reduce_scatter(chunks, op=op)
     comm = grid.comm
     # Send my chunk (rows of block `grid.row`) to every rank in grid
     # column `grid.row`; receive block `grid.col`'s chunks from grid
@@ -147,39 +137,21 @@ def reduce_and_redistribute(
     return np.concatenate(received, axis=0)
 
 
-def transpose_exchange(
-    grid: ProcessGrid,
-    block: np.ndarray,
-    sequencer: OpSequencer,
-) -> np.ndarray:
-    """Swap blocks between ranks ``(i, j)`` and ``(j, i)``.
-
-    Converts a quantity indexed by *row* block into the rank's *column*
-    block index (diagonal ranks are a no-op). One message of block size
-    each way.
-    """
-    # Advance the sequencer on EVERY rank — including diagonal ones that
-    # send nothing — so tag streams stay aligned across the grid.
-    tag = ("transpose", sequencer.next())
-    if grid.row == grid.col:
-        return block
-    partner = grid.col * grid.py + grid.row
-    grid.comm.send(block, partner, tag=tag)
-    return grid.comm.recv(partner, tag=tag)
-
-
 def itranspose_exchange(
     grid: ProcessGrid,
     block: np.ndarray,
     sequencer: OpSequencer,
 ):
-    """Non-blocking :func:`transpose_exchange`.
+    """Start swapping blocks between ranks ``(i, j)`` and ``(j, i)``.
 
-    The outgoing block is posted immediately (sends are buffered); the
-    returned handle's ``wait()`` collects the partner's block, keeping
-    any outstanding collectives progressing meanwhile. The sequencer
-    advances on every rank, identically to the blocking form.
+    Converts a quantity indexed by *row* block into the rank's *column*
+    block index (diagonal ranks are a no-op). One message of block size
+    each way: the outgoing block is posted immediately (sends are
+    buffered); the returned handle's ``wait()`` collects the partner's
+    block, keeping any outstanding collectives progressing meanwhile.
     """
+    # Advance the sequencer on EVERY rank — including diagonal ones that
+    # send nothing — so tag streams stay aligned across the grid.
     tag = ("transpose", sequencer.next())
     if grid.row == grid.col:
         return ReadyResult(block)
@@ -220,21 +192,7 @@ def distributed_semiring_aggregate(
     if op is None:
         raise ValueError(f"no collective reduce op for {semiring.name}")
     partial = _spmm(a_block, h_block, semiring=semiring, backend="reference")
-
-    p = grid.px
-    tag = ("semiring_redistribute", sequencer.next())
-    if p == 1:
-        return partial
-    chunks = [
-        np.ascontiguousarray(partial[start:stop])
-        for start, stop in block_ranges(partial.shape[0], p)
-    ]
-    mine = grid.row_comm.reduce_scatter(chunks, op=op)
-    comm = grid.comm
-    for t in range(p):
-        comm.send(mine, t * p + grid.row, tag=(tag, grid.col))
-    received = [comm.recv(grid.col * p + t, tag=(tag, t)) for t in range(p)]
-    return np.concatenate(received, axis=0)
+    return reduce_and_redistribute(grid, partial, sequencer, op=op)
 
 
 def distributed_row_softmax(

@@ -11,73 +11,45 @@ straight-line program over two kinds of steps:
 Instead of interleaving communicator calls and math by hand in five
 near-identical layer bodies, each layer *declares* its steps and a
 shared scheduler (:meth:`CommSchedule.run`) executes them against a
-context dict. The scheduler has two execution modes with bit-identical
-results and identical traffic:
+context dict. Every transfer is *initiated* in its asynchronous form at
+its program point; the two execution modes differ only in where the
+returned handle is waited, so results are bit-identical and traffic is
+equal by construction:
 
-**Synchronous** (the parity oracle): every transfer blocks in program
-order — exactly the pre-refactor behaviour, byte for byte.
+**Overlapped** (the default, ``overlap=True``): a handle is completed
+only when a later step first names its output — so the local compute
+scheduled between a transfer and its first consumer (the SDDMM under
+the H-block broadcast, the gamma assembly under the weight-gradient
+allreduces) runs while the wire is busy. Initiation order and
+resolution points are the same SPMD program points on every rank, which
+together with the communicator's ordered-completion engine makes
+overlap deadlock-free by construction.
 
-**Overlapped** (``REPRO_OVERLAP=1`` or ``overlap=True``): transfers
-with an asynchronous form are *initiated* at their program point but
-completed only when a later step first names their output — so the
-local compute scheduled between a transfer and its first consumer (the
-SDDMM under the H-block broadcast, the gamma assembly under the
-weight-gradient allreduces) runs while the wire is busy. Initiation
-order is identical to the synchronous mode and resolution points are
-the same SPMD program points on every rank, which together with the
-communicator's ordered-completion engine makes overlap deadlock-free
-by construction.
+**Synchronous** (``overlap=False``, the parity oracle the tests pass):
+every handle is waited at once, inside the step that initiated it —
+which is what the communicator's blocking calls are (``bcast`` is
+``ibcast(...).wait()``), so every transfer blocks in program order.
 
-Traffic parity holds because overlap changes only *when a rank blocks*,
-never what it sends: the same collective generators run either way,
-and phase labels are captured at initiation, so ``CommStats.by_phase``
-and ``comm_words`` are equal in both modes (pinned by tests).
+Phase labels are captured at initiation, so ``CommStats.by_phase`` and
+``comm_words`` are equal in both modes (pinned by tests).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.distributed.ops import (
     OpSequencer,
+    ReadyResult,
     irow_bcast_from_diagonal,
     itranspose_exchange,
     reduce_and_redistribute,
-    row_bcast_from_diagonal,
-    transpose_exchange,
 )
 from repro.obs.tracer import tracer
 from repro.runtime.grid import ProcessGrid
 
-__all__ = [
-    "Compute",
-    "Transfer",
-    "CommSchedule",
-    "overlap_default",
-    "OVERLAP_ENV_VAR",
-]
-
-#: Environment variable selecting overlapped execution by default.
-OVERLAP_ENV_VAR = "REPRO_OVERLAP"
-
-_TRUE_VALUES = frozenset({"1", "true", "yes", "on"})
-_FALSE_VALUES = frozenset({"", "0", "false", "no", "off"})
-
-
-def overlap_default() -> bool:
-    """Resolve the process-wide overlap default from ``REPRO_OVERLAP``."""
-    raw = os.environ.get(OVERLAP_ENV_VAR, "")
-    value = raw.strip().lower()
-    if value in _TRUE_VALUES:
-        return True
-    if value in _FALSE_VALUES:
-        return False
-    raise ValueError(
-        f"{OVERLAP_ENV_VAR} must be one of "
-        f"{sorted(_TRUE_VALUES | _FALSE_VALUES)!r}, got {raw!r}"
-    )
+__all__ = ["Compute", "Transfer", "CommSchedule"]
 
 
 @dataclass(frozen=True)
@@ -137,12 +109,6 @@ class Transfer:
         return f"Transfer({self.out!r} <- {self.kind} {self.src!r})"
 
 
-#: Transfer kinds with an asynchronous (handle-returning) form.
-_ASYNC_KINDS = frozenset({
-    "row_bcast", "row_allreduce", "col_allreduce", "allreduce", "transpose",
-})
-
-
 @dataclass
 class CommSchedule:
     """An ordered step list executed by the shared scheduler."""
@@ -155,15 +121,15 @@ class CommSchedule:
         grid: ProcessGrid,
         sequencer: OpSequencer,
         ctx: dict[str, Any],
-        overlap: bool = False,
+        overlap: bool = True,
     ) -> dict[str, Any]:
         """Execute the steps against ``ctx`` (mutated and returned).
 
-        In overlap mode, async-capable transfers leave a completion
-        handle in flight; the handle is resolved when a later step
-        first lists its output in ``needs`` (or ``src``), and any
-        transfer nothing consumed is resolved at the end, in initiation
-        order.
+        With ``overlap`` a transfer's completion handle stays in flight
+        until a later step first lists its output in ``needs`` (or
+        ``src``), and any transfer nothing consumed is resolved at the
+        end, in initiation order. Without it (the parity oracle) every
+        handle is waited inside the step that initiated it.
         """
         pending: dict[str, Any] = {}
 
@@ -187,14 +153,12 @@ class CommSchedule:
                     wait0 = stats.wait_s
                     for key in (*step.needs, step.src):
                         resolve(key)
-                    value_or_handle = self._execute_transfer(
-                        step, grid, sequencer, ctx, overlap
-                    )
+                    handle = self._execute_transfer(step, grid, sequencer, ctx)
+                    if overlap and step.kind != "redistribute":
+                        pending[step.out] = handle
+                    else:
+                        ctx[step.out] = handle.wait()
                     sp.annotate(wait_s=stats.wait_s - wait0)
-                if overlap and step.kind in _ASYNC_KINDS:
-                    pending[step.out] = value_or_handle
-                else:
-                    ctx[step.out] = value_or_handle
             else:
                 with t.span(
                     "sched.compute", sched=self.name,
@@ -221,29 +185,22 @@ class CommSchedule:
         grid: ProcessGrid,
         sequencer: OpSequencer,
         ctx: dict[str, Any],
-        overlap: bool,
     ) -> Any:
-        """Initiate one transfer; returns a value (sync) or handle."""
+        """Initiate one transfer; returns its completion handle."""
         grid.comm.stats.set_phase(step.phase)
         payload = ctx[step.src]
         kind = step.kind
         if kind == "row_bcast":
-            if overlap:
-                return irow_bcast_from_diagonal(grid, payload)
-            return row_bcast_from_diagonal(grid, payload)
+            return irow_bcast_from_diagonal(grid, payload)
         if kind in ("row_allreduce", "col_allreduce", "allreduce"):
             comm = {
                 "row_allreduce": grid.row_comm,
                 "col_allreduce": grid.col_comm,
                 "allreduce": grid.comm,
             }[kind]
-            if overlap:
-                return comm.iallreduce(payload, op=step.op)
-            return comm.allreduce(payload, op=step.op)
+            return comm.iallreduce(payload, op=step.op)
         if kind == "transpose":
-            if overlap:
-                return itranspose_exchange(grid, payload, sequencer)
-            return transpose_exchange(grid, payload, sequencer)
+            return itranspose_exchange(grid, payload, sequencer)
         if kind == "redistribute":
-            return reduce_and_redistribute(grid, payload, sequencer)
+            return ReadyResult(reduce_and_redistribute(grid, payload, sequencer))
         raise ValueError(f"unknown transfer kind {kind!r}")

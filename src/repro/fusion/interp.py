@@ -29,7 +29,6 @@ activations instead of recomputing them.
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 import numpy as np
@@ -49,28 +48,7 @@ from repro.util.counters import (
     null_counter,
 )
 
-__all__ = ["execute", "fusion_enabled_default", "ProgramRunner"]
-
-
-def fusion_enabled_default() -> bool:
-    """Resolve the megakernel default from ``$REPRO_FUSION``.
-
-    Read at *call* time (every :class:`ProgramRunner` construction with
-    ``fused=None``), not at import, so tests and callers can flip the
-    variable per run. Unset means off — the megakernel is opt-in.
-    """
-    raw = os.environ.get("REPRO_FUSION")
-    if raw is None:
-        return False
-    value = raw.strip().lower()
-    if value in ("1", "true", "on", "yes"):
-        return True
-    if value in ("0", "false", "off", "no", ""):
-        return False
-    raise ValueError(
-        f"invalid $REPRO_FUSION={raw!r}; "
-        "use one of 1/0, true/false, on/off, yes/no"
-    )
+__all__ = ["execute", "ProgramRunner"]
 
 
 def execute(
@@ -79,7 +57,7 @@ def execute(
     mode: str = "fused",
     tile_rows: int = 128,
     outputs: list[str] | tuple[str, ...] | None = None,
-    fused: bool | None = None,
+    fused: bool = False,
     counter: FlopCounter = null_counter(),
 ):
     """Run a psi DAG; returns the output node's value.
@@ -131,7 +109,7 @@ class ProgramRunner:
         inputs: dict[str, Any],
         mode: str = "fused",
         tile_rows: int = 128,
-        fused: bool | None = None,
+        fused: bool = False,
         counter: FlopCounter = null_counter(),
     ) -> None:
         if isinstance(program, OpDag):
@@ -142,8 +120,6 @@ class ProgramRunner:
         self.dag = program.dag
         self._inputs = dict(inputs)
         pattern = _find_pattern(self.dag, self._inputs)
-        if fused is None:
-            fused = fusion_enabled_default()
         chain = None
         if fused and mode == "fused":
             # Megakernel lowering: only the production executor has

@@ -143,9 +143,9 @@ class DagLayer(GnnLayer):
     fused:
         Megakernel switch forwarded to the runner: ``True`` lowers the
         recognised attention chain to the single-sweep executor
-        (:mod:`repro.tensor.megakernel`), ``False`` keeps the
-        kernel-at-a-time interpreter (the parity oracle), ``None``
-        (default) defers to ``$REPRO_FUSION``.
+        (:mod:`repro.tensor.megakernel`), ``False`` (the default: the
+        megakernel is opt-in) keeps the kernel-at-a-time interpreter,
+        which is also the parity oracle.
     beta, slope:
         AGNN temperature / GAT LeakyReLU slope baked into the DAG.
     """
@@ -157,7 +157,7 @@ class DagLayer(GnnLayer):
         out_dim: int,
         activation: str = "relu",
         mode: str = "fused",
-        fused: bool | None = None,
+        fused: bool = False,
         beta: float = 1.0,
         slope: float = 0.2,
         seed: int | np.random.Generator | None = 0,

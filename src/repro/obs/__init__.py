@@ -14,7 +14,7 @@ Tracing is off by default and costs nothing when off: the accessor
 :func:`~repro.obs.tracer.tracer` returns a shared null tracer whose
 ``span()`` is a no-op (mirroring
 :func:`~repro.util.counters.null_counter`). Enable it per run with
-``REPRO_TRACE=1`` (see :func:`~repro.obs.tracer.trace_enabled_default`)
+``REPRO_TRACE=1`` (see :func:`repro.config.trace_enabled_default`)
 or install a :class:`~repro.obs.tracer.Tracer` explicitly.
 """
 
@@ -39,7 +39,6 @@ from repro.obs.tracer import (
     install_global_tracer,
     install_tracer,
     null_tracer,
-    trace_enabled_default,
     traced,
     tracer,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "install_global_tracer",
     "install_tracer",
     "null_tracer",
-    "trace_enabled_default",
     "traced",
     "tracer",
     "Counter",

@@ -36,6 +36,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.config import TRACE_ENV_VAR, trace_enabled_default
 from repro.graphs import erdos_renyi
 from repro.graphs.prep import prepare_adjacency
 from repro.obs.export import (
@@ -45,12 +46,7 @@ from repro.obs.export import (
     write_profile_csv,
     write_profile_json,
 )
-from repro.obs.tracer import (
-    TRACE_ENV_VAR,
-    Tracer,
-    install_tracer,
-    trace_enabled_default,
-)
+from repro.obs.tracer import Tracer, install_tracer
 from repro.util.counters import FlopCounter
 from repro.util.rng import make_rng
 

@@ -26,15 +26,13 @@ Design rules, mirrored from :func:`repro.util.counters.null_counter`:
   spans recorded in spawned rank processes align with the driver's;
   the exporter normalises to the run's earliest span.
 
-Enabling follows the repo's validated env-var idiom: ``REPRO_TRACE``
-(``1/true/on/yes`` vs ``0/false/off/no``, anything else fails fast)
-read at call time by :func:`trace_enabled_default`.
+Run-wide tracing is a deployment setting: ``REPRO_TRACE``, read at
+call time by :func:`repro.config.trace_enabled_default`.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import threading
 import time
 from typing import Any
@@ -42,43 +40,14 @@ from typing import Any
 from repro.util.counters import FlopCounter, event_counter
 
 __all__ = [
-    "TRACE_ENV_VAR",
     "Span",
     "Tracer",
     "install_global_tracer",
     "install_tracer",
     "null_tracer",
-    "trace_enabled_default",
     "traced",
     "tracer",
 ]
-
-#: Environment variable turning on run-wide tracing (validated boolean).
-TRACE_ENV_VAR = "REPRO_TRACE"
-
-_TRUE = frozenset({"1", "true", "on", "yes"})
-_FALSE = frozenset({"0", "false", "off", "no"})
-
-
-def trace_enabled_default() -> bool:
-    """Whether ``$REPRO_TRACE`` asks for tracing (default: no).
-
-    Read at call time (like ``$REPRO_PIPELINE``) so tests can
-    monkeypatch it; an unrecognised value raises ``ValueError`` naming
-    the variable rather than silently disabling.
-    """
-    raw = os.environ.get(TRACE_ENV_VAR)
-    if raw is None:
-        return False
-    value = raw.strip().lower()
-    if value in _TRUE:
-        return True
-    if value in _FALSE:
-        return False
-    raise ValueError(
-        f"${TRACE_ENV_VAR} must be one of {sorted(_TRUE | _FALSE)}, "
-        f"got {raw!r}"
-    )
 
 
 class Span:

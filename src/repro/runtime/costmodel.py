@@ -110,10 +110,11 @@ class CostModel:
     def overlapped_time(self, stats: RunStats) -> float:
         """Modeled time when local compute hides the bandwidth term.
 
-        The overlapped schedule (``REPRO_OVERLAP=1``) initiates each
-        transfer at its program point but blocks only at first use, so
-        the wire and the local kernels run concurrently: per phase the
-        cost is ``max(compute, beta·B)`` rather than their sum. The
+        The layers run overlapped by default (``overlap=False`` is the
+        parity oracle): each transfer is initiated at its program point
+        but blocks only at first use, so the wire and the local kernels
+        run concurrently and per phase the cost is
+        ``max(compute, beta·B)`` rather than their sum. The
         per-message latency term stays serial — handles are resolved in
         initiation order, so every message's alpha is still paid on the
         critical path.

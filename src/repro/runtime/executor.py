@@ -34,14 +34,18 @@ explicitly is strict and raises
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.obs.tracer import Tracer, install_tracer, trace_enabled_default
+from repro.config import (
+    FABRIC_BACKENDS,
+    fabric_backend_default,
+    trace_enabled_default,
+)
+from repro.obs.tracer import Tracer, install_tracer
 from repro.runtime.communicator import Communicator
 from repro.runtime.fabric import (
     FabricTimeoutError,
@@ -50,12 +54,7 @@ from repro.runtime.fabric import (
 )
 from repro.runtime.stats import CommStats, RunStats
 
-__all__ = ["run_spmd", "SpmdResult", "BACKEND_ENV_VAR"]
-
-#: Environment variable consulted when ``run_spmd(backend=None)``.
-BACKEND_ENV_VAR = "REPRO_FABRIC_BACKEND"
-
-_VALID_BACKENDS = ("thread", "process")
+__all__ = ["run_spmd", "SpmdResult"]
 
 
 @dataclass
@@ -79,16 +78,14 @@ def _spmd_picklable(fn: Callable[..., Any], kwargs: dict[str, Any]) -> bool:
 
 def _resolve_backend(backend: str | None) -> tuple[str, bool]:
     """Resolve the backend name; returns ``(name, explicit)``."""
-    explicit = backend is not None
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR, "").strip().lower() or "thread"
-    if backend not in _VALID_BACKENDS:
-        source = "backend argument" if explicit else f"${BACKEND_ENV_VAR}"
+        return fabric_backend_default(), False
+    if backend not in FABRIC_BACKENDS:
         raise ValueError(
-            f"unknown fabric backend {backend!r} (from {source}); "
-            f"use one of {_VALID_BACKENDS}"
+            f"unknown fabric backend {backend!r} (from backend argument); "
+            f"use one of {FABRIC_BACKENDS}"
         )
-    return backend, explicit
+    return backend, True
 
 
 def run_spmd(

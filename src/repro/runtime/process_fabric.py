@@ -346,11 +346,8 @@ def _child_main(
     fn_bytes: bytes,
 ) -> None:
     """Run one rank program and report the outcome to the driver."""
-    from repro.obs.tracer import (
-        Tracer,
-        install_global_tracer,
-        trace_enabled_default,
-    )
+    from repro.config import trace_enabled_default
+    from repro.obs.tracer import Tracer, install_global_tracer
     from repro.runtime.communicator import Communicator
     from repro.runtime.stats import CommStats
     from repro.util.counters import event_counter

@@ -25,14 +25,7 @@ and ``serve_churn`` workloads of ``benchmarks/e2e/run.py``.
 from repro.serving.batcher import coalesce, compute_union_rows, flush_batch
 from repro.serving.cache import ActivationCache
 from repro.serving.engine import ServingEngine, ServingServer
-from repro.serving.queue import (
-    AdmissionQueue,
-    InferenceRequest,
-    MAX_BATCH_ENV_VAR,
-    MAX_DELAY_ENV_VAR,
-    serve_max_batch_default,
-    serve_max_delay_ms_default,
-)
+from repro.serving.queue import AdmissionQueue, InferenceRequest
 
 __all__ = [
     "ActivationCache",
@@ -43,8 +36,4 @@ __all__ = [
     "coalesce",
     "compute_union_rows",
     "flush_batch",
-    "MAX_BATCH_ENV_VAR",
-    "MAX_DELAY_ENV_VAR",
-    "serve_max_batch_default",
-    "serve_max_delay_ms_default",
 ]

@@ -390,8 +390,8 @@ class ServingServer:
     def __init__(
         self,
         engine: ServingEngine,
-        max_batch: int | None = None,
-        max_delay_ms: float | None = None,
+        max_batch: int = 64,
+        max_delay_ms: float = 2.0,
         workers: int = 1,
     ) -> None:
         if workers < 1:

@@ -13,8 +13,7 @@ under the ``serve.admit`` span and returns a
 :class:`concurrent.futures.Future` that resolves to the model's output
 row for that vertex. :meth:`next_batch` is the worker edge: it blocks
 until a flush is due and drains up to ``max_batch`` requests in FIFO
-order. Both defaults are env-tunable (``$REPRO_SERVE_MAX_BATCH``,
-``$REPRO_SERVE_MAX_DELAY_MS``), read at construction time.
+order.
 
 Queue depth is exported as the ``serving.queue_depth`` gauge and each
 request's queueing delay as the ``serving.queue_wait_ms`` histogram.
@@ -22,7 +21,8 @@ request's queueing delay as the ``serving.queue_wait_ms`` histogram.
 
 from __future__ import annotations
 
-import os
+import math
+import numbers
 import threading
 import time
 from collections import deque
@@ -32,64 +32,7 @@ from dataclasses import dataclass, field
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 
-__all__ = [
-    "AdmissionQueue",
-    "InferenceRequest",
-    "MAX_BATCH_ENV_VAR",
-    "MAX_DELAY_ENV_VAR",
-    "serve_max_batch_default",
-    "serve_max_delay_ms_default",
-]
-
-#: Environment variable giving the default coalescing batch cap.
-MAX_BATCH_ENV_VAR = "REPRO_SERVE_MAX_BATCH"
-
-#: Environment variable giving the default max queueing delay (ms).
-MAX_DELAY_ENV_VAR = "REPRO_SERVE_MAX_DELAY_MS"
-
-
-def serve_max_batch_default() -> int:
-    """Resolve the batch cap from ``$REPRO_SERVE_MAX_BATCH`` (read now).
-
-    Unset means 64 — large enough that a saturating open-loop load
-    amortises sampling across a whole union batch, small enough that
-    one flush's working set stays cache-resident.
-    """
-    raw = os.environ.get(MAX_BATCH_ENV_VAR)
-    if raw is None:
-        return 64
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(
-            f"invalid ${MAX_BATCH_ENV_VAR}={raw!r}; "
-            "expected a positive integer"
-        )
-    return value
-
-
-def serve_max_delay_ms_default() -> float:
-    """Resolve the delay bound from ``$REPRO_SERVE_MAX_DELAY_MS``.
-
-    Unset means 2 ms; ``0`` disables waiting entirely (every flush
-    takes whatever is pending — the lowest-latency, lowest-throughput
-    corner).
-    """
-    raw = os.environ.get(MAX_DELAY_ENV_VAR)
-    if raw is None:
-        return 2.0
-    try:
-        value = float(raw.strip())
-    except ValueError:
-        value = -1.0
-    if value < 0.0 or value != value:  # reject negatives and NaN
-        raise ValueError(
-            f"invalid ${MAX_DELAY_ENV_VAR}={raw!r}; "
-            "expected a non-negative number of milliseconds"
-        )
-    return value
+__all__ = ["AdmissionQueue", "InferenceRequest"]
 
 
 @dataclass
@@ -102,25 +45,33 @@ class InferenceRequest:
 
 
 class AdmissionQueue:
-    """FIFO request queue with a max-batch / max-delay flush policy."""
+    """FIFO request queue with a max-batch / max-delay flush policy.
 
-    def __init__(
-        self,
-        max_batch: int | None = None,
-        max_delay_ms: float | None = None,
-    ) -> None:
-        self.max_batch = (
-            serve_max_batch_default() if max_batch is None else int(max_batch)
-        )
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be positive")
-        self.max_delay_s = (
-            serve_max_delay_ms_default()
-            if max_delay_ms is None
-            else float(max_delay_ms)
-        ) / 1e3
-        if self.max_delay_s < 0.0:
-            raise ValueError("max_delay_ms must be non-negative")
+    ``max_batch`` 64 is large enough that a saturating open-loop load
+    amortises sampling across a whole union batch, small enough that
+    one flush's working set stays cache-resident. ``max_delay_ms`` 0
+    disables waiting entirely (every flush takes whatever is pending —
+    the lowest-latency, lowest-throughput corner).
+    """
+
+    def __init__(self, max_batch: int = 64, max_delay_ms: float = 2.0) -> None:
+        if (
+            isinstance(max_batch, bool)
+            or not isinstance(max_batch, numbers.Integral)
+            or max_batch < 1
+        ):
+            raise ValueError(
+                f"max_batch must be a positive integer, got {max_batch!r}"
+            )
+        # A NaN or infinite delay would make next_batch() sleep on a
+        # lone request until the queue is closed.
+        if not (math.isfinite(max_delay_ms) and max_delay_ms >= 0.0):
+            raise ValueError(
+                "max_delay_ms must be a finite, non-negative number of "
+                f"milliseconds, got {max_delay_ms!r}"
+            )
+        self.max_batch = int(max_batch)
+        self.max_delay_s = float(max_delay_ms) / 1e3
         self._pending: deque[InferenceRequest] = deque()
         self._cond = threading.Condition()
         self._closed = False

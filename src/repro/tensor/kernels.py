@@ -22,8 +22,6 @@ decomposes into them (Figure 1). Design points:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.obs.tracer import traced as _traced
@@ -49,65 +47,17 @@ __all__ = [
     "masked_row_softmax_backward",
     "set_default_backend",
     "get_default_backend",
-    "get_sddmm_chunk",
 ]
-
-#: Environment override for the SDDMM edge-chunk size (entries), read
-#: once at import and validated like ``REPRO_SPMM_BACKEND``.
-_SDDMM_CHUNK_ENV_VAR = "REPRO_SDDMM_CHUNK"
 
 #: Default edge-chunk size for SDDMM gathers; bounds peak scratch
 #: memory to ``2 * CHUNK * k`` floats regardless of nnz. 32k entries
 #: keeps both gather buffers inside the last-level cache at typical
 #: feature widths (measured ~2x faster than 1M-entry chunks at k=64).
-_DEFAULT_SDDMM_CHUNK = 1 << 15
-
-
-def _initial_sddmm_chunk() -> int:
-    env = os.environ.get(_SDDMM_CHUNK_ENV_VAR, "").strip()
-    if not env:
-        return _DEFAULT_SDDMM_CHUNK
-    try:
-        chunk = int(env)
-    except ValueError:
-        raise ValueError(
-            f"${_SDDMM_CHUNK_ENV_VAR}={env!r}: must be a positive integer"
-        ) from None
-    if chunk <= 0:
-        raise ValueError(
-            f"${_SDDMM_CHUNK_ENV_VAR}={env!r}: must be a positive integer"
-        )
-    return chunk
-
-
-_SDDMM_CHUNK = _initial_sddmm_chunk()
-
-
-def get_sddmm_chunk() -> int:
-    """The active SDDMM edge-chunk size (default or env override)."""
-    return _SDDMM_CHUNK
-
+_SDDMM_CHUNK = 1 << 15
 
 _VALID_BACKENDS = ("scipy", "reference")
 
-#: Environment override for the import-time default backend. CI runs
-#: the suite once per value so both the BLAS delegation and the
-#: pure-NumPy reference path stay covered.
-_BACKEND_ENV_VAR = "REPRO_SPMM_BACKEND"
-
-
-def _initial_backend() -> str:
-    env = os.environ.get(_BACKEND_ENV_VAR, "").strip().lower()
-    if not env:
-        return "scipy"
-    if env not in _VALID_BACKENDS:
-        raise ValueError(
-            f"${_BACKEND_ENV_VAR}={env!r}: use one of {_VALID_BACKENDS}"
-        )
-    return env
-
-
-_DEFAULT_BACKEND = _initial_backend()
+_DEFAULT_BACKEND = "scipy"
 
 
 def set_default_backend(backend: str) -> None:

@@ -36,8 +36,8 @@ budget still succeeds, it just leaves nothing else pooled). Eviction
 only drops the pool's reference; live views returned earlier keep
 their backing array alive, so bounding is always safe, never aliasing.
 The budget default comes from ``$REPRO_WORKSPACE_BUDGET_MB``
-(validated positive number, unset = unbounded), resolved lazily on
-first use.
+(:func:`repro.config.workspace_budget_default`: a validated positive
+number, unset = unbounded), resolved lazily on first use.
 
 Occupancy is observable: the ``workspace.pool_bytes`` /
 ``workspace.pool_high_water_bytes`` gauges in
@@ -53,11 +53,11 @@ Buffer hits/allocations/evictions are reported to
 from __future__ import annotations
 
 import math
-import os
 import threading
 
 import numpy as np
 
+from repro.config import workspace_budget_default
 from repro.util.counters import event_counter
 
 __all__ = [
@@ -67,17 +67,11 @@ __all__ = [
     "clear_workspaces",
     "set_workspace_budget",
     "workspace_budget",
-    "workspace_budget_default",
     "workspace_pool_bytes",
     "workspace_high_water_bytes",
-    "WORKSPACE_BUDGET_ENV_VAR",
 ]
 
 _ENABLED = True
-
-#: Environment variable giving the default per-thread pool budget in
-#: mebibytes (a validated positive number; unset means unbounded).
-WORKSPACE_BUDGET_ENV_VAR = "REPRO_WORKSPACE_BUDGET_MB"
 
 _UNRESOLVED = object()
 #: Per-thread pooled-byte cap (``None`` = unbounded). Starts
@@ -116,28 +110,6 @@ def clear_workspaces() -> None:
     _POOL.last_used.clear()
     _POOL.total_bytes = 0
     _set_pool_gauge()
-
-
-def workspace_budget_default() -> int | None:
-    """Resolve the budget from ``$REPRO_WORKSPACE_BUDGET_MB`` (bytes).
-
-    Unset (or empty) means unbounded; anything else must parse as a
-    positive number of mebibytes — a silently ignored typo would
-    defeat the bounding the serving engine relies on.
-    """
-    raw = os.environ.get(WORKSPACE_BUDGET_ENV_VAR)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        mb = float(raw.strip())
-    except ValueError:
-        mb = -1.0
-    if mb <= 0 or not math.isfinite(mb):
-        raise ValueError(
-            f"invalid ${WORKSPACE_BUDGET_ENV_VAR}={raw!r}; "
-            "must be a positive number of MiB"
-        )
-    return int(mb * (1 << 20))
 
 
 def set_workspace_budget(max_bytes: int | None) -> None:

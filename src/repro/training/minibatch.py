@@ -39,7 +39,6 @@ same arithmetic on the trainer rank).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,35 +65,7 @@ __all__ = [
     "forward_blocks",
     "backward_blocks",
     "minibatch_train_pipelined",
-    "pipeline_overlap_default",
-    "PIPELINE_ENV_VAR",
 ]
-
-#: Environment variable giving the default for the pipelined split's
-#: ``overlap=`` argument (same boolean spelling as ``$REPRO_FUSION``).
-PIPELINE_ENV_VAR = "REPRO_PIPELINE"
-
-
-def pipeline_overlap_default() -> bool:
-    """Resolve the pipelined-overlap default from ``$REPRO_PIPELINE``.
-
-    Read at call time; unset means overlapped (the pipeline exists to
-    overlap sampling with compute — the rendezvous mode is the parity
-    oracle, selected explicitly or via ``REPRO_PIPELINE=0``).
-    """
-    raw = os.environ.get(PIPELINE_ENV_VAR)
-    if raw is None:
-        return True
-    value = raw.strip().lower()
-    if value in ("1", "true", "on", "yes"):
-        return True
-    if value in ("0", "false", "off", "no", ""):
-        return False
-    raise ValueError(
-        f"invalid ${PIPELINE_ENV_VAR}={raw!r}; "
-        "use one of 1/0, true/false, on/off, yes/no"
-    )
-
 
 # ----------------------------------------------------------------------
 # One batch: forward / backward / update over layered blocks
@@ -514,14 +485,15 @@ def minibatch_train_pipelined(
     seed: int = 0,
     model_seed: int = 0,
     dtype: np.dtype | type = np.float32,
-    overlap: bool | None = None,
+    overlap: bool = True,
     backend: str | None = None,
     timeout: float = 120.0,
 ) -> tuple[list[float], RunStats]:
     """Two-rank pipelined sampled training; returns (batch losses, stats).
 
-    Rank 0 is the sampler, rank 1 the trainer; ``overlap=None``
-    consults ``$REPRO_PIPELINE`` (default on). The result is
+    Rank 0 is the sampler, rank 1 the trainer, overlapped by default
+    (the pipeline exists to overlap sampling with compute;
+    ``overlap=False`` is the rendezvous parity oracle). The result is
     bit-identical to :class:`MinibatchTrainer` with the same spec —
     the split moves *where* sampling runs, not what it computes.
     """
@@ -542,9 +514,7 @@ def minibatch_train_pipelined(
         "seed": int(seed),
         "model_seed": int(model_seed),
         "dtype": np.dtype(dtype).type,
-        "overlap": (
-            pipeline_overlap_default() if overlap is None else bool(overlap)
-        ),
+        "overlap": bool(overlap),
     }
     adj = (a.indptr, a.indices, a.data, a.shape[0])
     result = run_spmd(

@@ -1,0 +1,148 @@
+"""``repro.config`` is the one place ``src/`` reads the environment.
+
+Structural scans pin the boundary (one module touches ``os.environ``,
+three ``REPRO_*`` names exist, no mode argument keeps a ``None`` = "ask
+the environment" state); the rest validates the three surviving
+variables. ``REPRO_TRACE``'s spellings and ``REPRO_FABRIC_BACKEND``'s
+effect on ``run_spmd`` stay pinned where they always were
+(``tests/test_obs.py::TestEnvGate``,
+``tests/test_process_backend.py::TestBackendSelection``).
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from repro import config
+from repro.runtime.executor import run_spmd
+from tests import _spmd_programs as programs
+
+SRC = Path(__file__).parent.parent / "src"
+CONFIG = SRC / "repro" / "config.py"
+VARIABLES = {
+    "REPRO_TRACE": config.trace_enabled_default,
+    "REPRO_FABRIC_BACKEND": config.fabric_backend_default,
+    "REPRO_WORKSPACE_BUDGET_MB": config.workspace_budget_default,
+}
+
+
+def _trees():
+    files = sorted(SRC.rglob("*.py"))
+    assert CONFIG in files
+    return [(path, ast.parse(path.read_text())) for path in files]
+
+
+def _reads_environment(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            if {alias.name for alias in node.names} & {"environ", "getenv"}:
+                return True
+    return False
+
+
+class TestOneBoundary:
+    def test_only_config_reads_the_environment(self):
+        readers = [path for path, tree in _trees() if _reads_environment(tree)]
+        assert readers == [CONFIG]
+
+    def test_exactly_three_variables_are_named_in_src(self):
+        names = set()
+        for _, tree in _trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.update(re.findall(r"REPRO_[A-Z_]+", node.value))
+        assert names == set(VARIABLES)
+
+    def test_config_is_a_leaf(self):
+        for node in ast.walk(ast.parse(CONFIG.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                assert node.level == 0
+            else:
+                continue
+            assert not [m for m in modules if m.split(".")[0] == "repro"]
+
+    def test_no_mode_argument_defers_to_the_environment(self):
+        """``overlap`` / ``fused`` are plain booleans everywhere: the
+        ``None`` = "ask the environment" state is gone."""
+        offenders = []
+        for path, tree in _trees():
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = list(zip(positional[::-1], args.defaults[::-1]))
+                pairs += list(zip(args.kwonlyargs, args.kw_defaults))
+                for arg, default in pairs:
+                    if (
+                        arg.arg in ("overlap", "fused")
+                        and isinstance(default, ast.Constant)
+                        and default.value is None
+                    ):
+                        offenders.append(f"{path.name}:{node.name}({arg.arg})")
+        assert offenders == []
+
+
+class TestValidation:
+    @pytest.mark.parametrize("raw", [None, "", "  "])
+    def test_unset_or_empty_means_default(self, monkeypatch, raw):
+        for name in VARIABLES:
+            if raw is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, raw)
+        assert config.trace_enabled_default() is False
+        assert config.fabric_backend_default() == "thread"
+        assert config.workspace_budget_default() is None
+
+    @pytest.mark.parametrize("raw,expected", [
+        ("thread", "thread"), ("process", "process"), (" Process ", "process"),
+    ])
+    def test_fabric_backend_spellings(self, monkeypatch, raw, expected):
+        monkeypatch.setenv(config.BACKEND_ENV_VAR, raw)
+        assert config.fabric_backend_default() == expected
+
+    @pytest.mark.parametrize("raw,expected", [
+        ("64", 64 << 20), ("0.5", 1 << 19), (" 1e3 ", 1000 << 20),
+    ])
+    def test_workspace_budget_is_mebibytes(self, monkeypatch, raw, expected):
+        monkeypatch.setenv(config.WORKSPACE_BUDGET_ENV_VAR, raw)
+        assert config.workspace_budget_default() == expected
+
+    @pytest.mark.parametrize("name,bad", [
+        ("REPRO_TRACE", "verbose"),
+        ("REPRO_TRACE", "2"),
+        ("REPRO_FABRIC_BACKEND", "gpu"),
+        ("REPRO_WORKSPACE_BUDGET_MB", "0"),
+        ("REPRO_WORKSPACE_BUDGET_MB", "-4"),
+        ("REPRO_WORKSPACE_BUDGET_MB", "nan"),
+        ("REPRO_WORKSPACE_BUDGET_MB", "inf"),
+        ("REPRO_WORKSPACE_BUDGET_MB", "lots"),
+    ])
+    def test_bad_value_raises_naming_the_variable(self, monkeypatch, name, bad):
+        monkeypatch.setenv(name, bad)
+        with pytest.raises(ValueError, match=name):
+            VARIABLES[name]()
+
+    def test_trace_is_read_at_call_time(self, monkeypatch):
+        """The e2e probe sets ``REPRO_TRACE`` around one traced unit:
+        each ``run_spmd`` must see the value of the moment."""
+        def traced():
+            result = run_spmd(2, programs.traced_span_work, backend="thread")
+            return [s.tracer is not None for s in result.stats.per_rank]
+
+        monkeypatch.delenv(config.TRACE_ENV_VAR, raising=False)
+        assert traced() == [False, False]
+        monkeypatch.setenv(config.TRACE_ENV_VAR, "1")
+        assert traced() == [True, True]
+        monkeypatch.delenv(config.TRACE_ENV_VAR)
+        assert traced() == [False, False]

@@ -7,9 +7,9 @@ from repro.distributed.ops import (
     OpSequencer,
     distributed_row_softmax,
     distributed_row_softmax_backward,
+    irow_bcast_from_diagonal,
+    itranspose_exchange,
     reduce_and_redistribute,
-    row_bcast_from_diagonal,
-    transpose_exchange,
 )
 from repro.distributed.partition import (
     block_range,
@@ -129,7 +129,7 @@ class TestOps:
         def program(comm):
             grid = square_grid(comm)
             block = distribute_features(h, grid)
-            row_block = row_bcast_from_diagonal(grid, block)
+            row_block = irow_bcast_from_diagonal(grid, block).wait()
             r0, r1 = block_range(12, grid.px, grid.row)
             assert np.allclose(row_block, h[r0:r1])
             return True
@@ -140,7 +140,7 @@ class TestOps:
         def program(comm):
             grid = square_grid(comm)
             payload = np.full(2, float(grid.row))
-            out = transpose_exchange(grid, payload, OpSequencer())
+            out = itranspose_exchange(grid, payload, OpSequencer()).wait()
             assert np.allclose(out, float(grid.col))
             return True
 

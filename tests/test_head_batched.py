@@ -15,9 +15,7 @@ These tests pin the contract down at every level:
   survives a finite-difference gradcheck for ``concat`` and ``mean``;
 * the distributed multi-head layer sends ``heads``-times fewer
   messages than ``heads`` single-head passes at unchanged payload
-  bytes (CommStats);
-* the ``REPRO_SDDMM_CHUNK`` override validates like the other
-  ``REPRO_*`` knobs.
+  bytes (CommStats).
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from repro.models import AttentionLayer, gat_spec
 from repro.runtime import run_spmd, square_grid
 from repro.tensor.kernels import (
     AVERAGE,
-    get_sddmm_chunk,
     masked_row_softmax,
     masked_row_softmax_backward,
     mspmm,
@@ -407,35 +404,3 @@ class TestDistributedCoalescing:
             # row-broadcast and backward gradient row-broadcast).
             slack = 2 * 8 * (self.HEADS - 1)
             assert 0 <= bytes_p - bytes_b <= slack
-
-
-# ----------------------------------------------------------------------
-# REPRO_SDDMM_CHUNK validation
-# ----------------------------------------------------------------------
-class TestSddmmChunkEnv:
-    @pytest.mark.parametrize("unset", ["delete", "empty"])
-    def test_default(self, monkeypatch, unset):
-        from repro.tensor import kernels
-
-        if unset == "delete":
-            monkeypatch.delenv("REPRO_SDDMM_CHUNK", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_SDDMM_CHUNK", "")
-        assert kernels._initial_sddmm_chunk() == 1 << 15
-
-    def test_valid_override(self, monkeypatch):
-        from repro.tensor import kernels
-
-        monkeypatch.setenv("REPRO_SDDMM_CHUNK", "4096")
-        assert kernels._initial_sddmm_chunk() == 4096
-
-    @pytest.mark.parametrize("bad", ["0", "-17", "4096.5", "lots"])
-    def test_invalid_override_raises(self, monkeypatch, bad):
-        from repro.tensor import kernels
-
-        monkeypatch.setenv("REPRO_SDDMM_CHUNK", bad)
-        with pytest.raises(ValueError, match="REPRO_SDDMM_CHUNK"):
-            kernels._initial_sddmm_chunk()
-
-    def test_get_sddmm_chunk_reports_active_value(self):
-        assert get_sddmm_chunk() >= 1

@@ -80,17 +80,6 @@ class TestSpMMReal:
         finally:
             set_default_backend(original)
 
-    def test_backend_env_override(self, monkeypatch):
-        from repro.tensor import kernels
-
-        monkeypatch.setenv(kernels._BACKEND_ENV_VAR, "reference")
-        assert kernels._initial_backend() == "reference"
-        monkeypatch.setenv(kernels._BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(ValueError, match="REPRO_SPMM_BACKEND"):
-            kernels._initial_backend()
-        monkeypatch.delenv(kernels._BACKEND_ENV_VAR)
-        assert kernels._initial_backend() == "scipy"
-
 
 class TestSpMMSemirings:
     def _tropical_dense(self, a: CSRMatrix, sr):

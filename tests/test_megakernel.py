@@ -16,7 +16,7 @@ Three layers of assurance:
   memo stays empty and every ``mega.*`` pooled buffer stays within the
   cache-sized block budget), plans are memoised per ``(pattern, heads,
   k)``, flop accounting equals the summed unfused counts, and the
-  ``$REPRO_FUSION`` override engages/validates correctly.
+  megakernel engages only when ``fused=True`` is passed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fusion.interp import ProgramRunner, fusion_enabled_default
+from repro.fusion.interp import ProgramRunner
 from repro.fusion.layer import DagLayer
 from repro.graphs import erdos_renyi
 from repro.graphs.powerlaw import powerlaw_graph
@@ -385,30 +385,14 @@ class TestResourceGuarantees:
         assert starts[0] == 0 and starts[-1] == 256
         assert np.all(np.diff(starts) > 0)
 
-    def test_repro_fusion_env_override(self, monkeypatch):
+    def test_megakernel_is_opt_in_by_argument(self):
         a = random_csr(np.random.default_rng(4), 12, 12, density=0.4)
-        rng = np.random.default_rng(5)
-        h = rng.normal(size=(12, 4))
+        h = np.random.default_rng(5).normal(size=(12, 4))
         layer_kwargs = dict(model="va", in_dim=4, out_dim=3, seed=1)
-
-        monkeypatch.delenv("REPRO_FUSION", raising=False)
-        assert fusion_enabled_default() is False
         _, cache = DagLayer(**layer_kwargs).forward(a, h)
         assert not cache.runner.fused  # default: interpreter untouched
-
-        monkeypatch.setenv("REPRO_FUSION", "1")
-        assert fusion_enabled_default() is True
-        _, cache = DagLayer(**layer_kwargs).forward(a, h)
+        _, cache = DagLayer(**layer_kwargs, fused=True).forward(a, h)
         assert cache.runner.fused
-        # Explicit fused=False wins over the environment.
-        _, cache = DagLayer(**layer_kwargs, fused=False).forward(a, h)
-        assert not cache.runner.fused
-
-        monkeypatch.setenv("REPRO_FUSION", "off")
-        assert fusion_enabled_default() is False
-        monkeypatch.setenv("REPRO_FUSION", "maybe")
-        with pytest.raises(ValueError, match="REPRO_FUSION"):
-            fusion_enabled_default()
 
     def test_unmatched_program_falls_back(self):
         """A program without the attention chain runs on the

@@ -22,10 +22,6 @@ from repro.training import (
     SoftmaxCrossEntropyLoss,
     minibatch_train_pipelined,
 )
-from repro.training.minibatch import (
-    PIPELINE_ENV_VAR,
-    pipeline_overlap_default,
-)
 
 N, FEAT, HIDDEN, CLASSES = 64, 6, 8, 4
 BATCH, EPOCHS, LR, SEED = 24, 2, 0.05, 5
@@ -120,8 +116,9 @@ class TestDefaultBackend:
     ):
         # backend=None resolves through $REPRO_FABRIC_BACKEND (thread
         # by default); the CI sampling job re-runs this leg with the
-        # process fabric as the process-wide default.
-        losses, _ = _pipelined(problem, overlap=True)
+        # process fabric as the process-wide default. No ``overlap=``
+        # either: the production default is the overlapped pipeline.
+        losses, _ = _pipelined(problem)
         assert losses == serial_reference.batch_losses
 
 
@@ -133,31 +130,3 @@ class TestValidation:
                 problem.labels, HIDDEN, CLASSES, fanouts=(4,),
                 num_layers=2,
             )
-
-
-class TestOverlapEnvDefault:
-    def test_unset_means_overlapped(self, monkeypatch):
-        monkeypatch.delenv(PIPELINE_ENV_VAR, raising=False)
-        assert pipeline_overlap_default() is True
-
-    @pytest.mark.parametrize("value", ["1", "true", "ON", "yes"])
-    def test_truthy_spellings(self, monkeypatch, value):
-        monkeypatch.setenv(PIPELINE_ENV_VAR, value)
-        assert pipeline_overlap_default() is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "OFF", "no", ""])
-    def test_falsy_spellings(self, monkeypatch, value):
-        monkeypatch.setenv(PIPELINE_ENV_VAR, value)
-        assert pipeline_overlap_default() is False
-
-    def test_invalid_value_raises(self, monkeypatch):
-        monkeypatch.setenv(PIPELINE_ENV_VAR, "sideways")
-        with pytest.raises(ValueError, match="REPRO_PIPELINE"):
-            pipeline_overlap_default()
-
-    def test_env_drives_the_entry_point(self, problem, monkeypatch):
-        # overlap=None consults the env; an invalid value must surface
-        # before any fabric is spun up.
-        monkeypatch.setenv(PIPELINE_ENV_VAR, "sideways")
-        with pytest.raises(ValueError, match="REPRO_PIPELINE"):
-            _pipelined(problem, overlap=None, backend="thread")

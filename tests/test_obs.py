@@ -16,6 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.config import TRACE_ENV_VAR, trace_enabled_default
 from repro.graphs import synthetic_classification
 from repro.models import build_model
 from repro.obs.export import (
@@ -33,13 +34,11 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.tracer import (
-    TRACE_ENV_VAR,
     Span,
     Tracer,
     install_global_tracer,
     install_tracer,
     null_tracer,
-    trace_enabled_default,
     traced,
     tracer,
 )

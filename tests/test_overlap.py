@@ -8,10 +8,10 @@ Three guarantees are pinned here:
   Deadlock reports must name the blocked ``(src, dst, tag)`` edge and
   list pending *isends* exactly like blocking sends.
 * **Traffic parity** — the ``i``-prefixed collectives and the
-  overlapped layer schedules (``overlap=True`` / ``REPRO_OVERLAP=1``)
-  move byte-for-byte the same traffic as their blocking counterparts
-  and produce bit-identical numerics, on the thread and the process
-  backend alike.
+  overlapped layer schedules (the default) move byte-for-byte the same
+  traffic as their blocking counterparts and the synchronous oracle
+  (``overlap=False``) and produce bit-identical numerics, on the thread
+  and the process backend alike.
 * **Wait accounting** — blocked-on-recv seconds land in
   ``CommStats.wait_s`` (per phase), in the trace, and in
   ``RunStats.breakdown()``; the cost model's overlap projection
@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 from repro.distributed.api import distributed_inference, distributed_train
-from repro.distributed.schedule import OVERLAP_ENV_VAR, overlap_default
+from repro.distributed.ops import OpSequencer
+from repro.distributed.schedule import CommSchedule, Compute, Transfer
 from repro.graphs import synthetic_classification
 from repro.models import normalize_adjacency
 from repro.runtime.costmodel import CostModel
@@ -35,6 +36,7 @@ from repro.runtime.fabric import (
     FabricTimeoutError,
     ThreadFabric,
 )
+from repro.runtime.grid import square_grid
 from repro.runtime.stats import CommStats, RunStats
 from tests import _spmd_programs as programs
 
@@ -54,15 +56,16 @@ def adjacency_for(name, data):
     )
 
 
-def _train(problem, name, overlap, backend=None, epochs=3, **layer_kwargs):
+def _train(problem, name, backend=None, epochs=3, **kwargs):
+    """``kwargs`` may carry ``overlap=False`` (the synchronous oracle);
+    without it the run takes the production default."""
     np.seterr(over="ignore", invalid="ignore")
     a = adjacency_for(name, problem)
     h = problem.features.astype(np.float64)
     return distributed_train(
         name, a, h, problem.labels, 8, 4, num_layers=2, p=4,
         epochs=epochs, lr=0.005, mask=problem.train_mask, seed=5,
-        dtype=np.float64, overlap=overlap, backend=backend,
-        **layer_kwargs,
+        dtype=np.float64, backend=backend, **kwargs,
     )
 
 
@@ -245,21 +248,21 @@ class TestOverlapBitParity:
     @pytest.mark.parametrize("name", MODELS)
     def test_training_bit_identical(self, problem, name):
         sync = _train(problem, name, overlap=False)
-        ovl = _train(problem, name, overlap=True)
+        ovl = _train(problem, name)
         assert sync.losses == ovl.losses
         assert np.array_equal(sync.output, ovl.output)
         _assert_same_traffic(sync.stats, ovl.stats)
 
     def test_multi_head_gat_bit_identical(self, problem):
         sync = _train(problem, "GAT", overlap=False, heads=3)
-        ovl = _train(problem, "GAT", overlap=True, heads=3)
+        ovl = _train(problem, "GAT", heads=3)
         assert sync.losses == ovl.losses
         assert np.array_equal(sync.output, ovl.output)
         _assert_same_traffic(sync.stats, ovl.stats)
 
     def test_learnable_beta_agnn_bit_identical(self, problem):
         sync = _train(problem, "AGNN", overlap=False, learnable_beta=True)
-        ovl = _train(problem, "AGNN", overlap=True, learnable_beta=True)
+        ovl = _train(problem, "AGNN", learnable_beta=True)
         assert sync.losses == ovl.losses
         assert np.array_equal(sync.output, ovl.output)
         _assert_same_traffic(sync.stats, ovl.stats)
@@ -273,55 +276,46 @@ class TestOverlapBitParity:
             dtype=np.float64, overlap=False,
         )
         ovl = distributed_inference(
-            name, a, h, 8, 4, num_layers=3, p=4, seed=5,
-            dtype=np.float64, overlap=True,
+            name, a, h, 8, 4, num_layers=3, p=4, seed=5, dtype=np.float64,
         )
         assert np.array_equal(sync.output, ovl.output)
         _assert_same_traffic(sync.stats, ovl.stats)
 
     @pytest.mark.parametrize("name", MODELS)
-    def test_thread_process_parity_under_overlap(self, problem, name,
-                                                 monkeypatch):
-        """REPRO_OVERLAP=1: both backends, bit-identical numerics."""
-        monkeypatch.setenv(OVERLAP_ENV_VAR, "1")
-        thread = _train(problem, name, overlap=None, backend="thread",
+    def test_thread_process_parity_under_overlap(self, problem, name):
+        """Overlapped schedule: both backends, bit-identical numerics."""
+        thread = _train(problem, name, overlap=True, backend="thread",
                         epochs=2)
-        proc = _train(problem, name, overlap=None, backend="process",
+        proc = _train(problem, name, overlap=True, backend="process",
                       epochs=2)
         assert thread.losses == proc.losses
         assert np.array_equal(thread.output, proc.output)
         _assert_same_traffic(thread.stats, proc.stats)
 
 
-class TestOverlapEnvDefault:
-    def test_truthy_and_falsy_values(self, monkeypatch):
-        for value in ("1", "true", "YES", " on "):
-            monkeypatch.setenv(OVERLAP_ENV_VAR, value)
-            assert overlap_default() is True
-        for value in ("", "0", "false", "Off", "no"):
-            monkeypatch.setenv(OVERLAP_ENV_VAR, value)
-            assert overlap_default() is False
-        monkeypatch.delenv(OVERLAP_ENV_VAR, raising=False)
-        assert overlap_default() is False
+def _deferred_allreduce(comm, **run_kwargs):
+    """Whether an allreduce's result is in ctx before its first consumer."""
+    seen = {}
+    schedule = CommSchedule([
+        Transfer("total", "allreduce", "x", phase="psi"),
+        Compute(None, lambda ctx: seen.update(early="total" in ctx)),
+        Compute("y", lambda ctx: ctx["total"] + 1.0, needs=("total",)),
+    ])
+    ctx = schedule.run(
+        square_grid(comm), OpSequencer(), {"x": np.ones(3)}, **run_kwargs
+    )
+    return seen["early"], float(ctx["y"][0])
 
-    def test_invalid_value_raises(self, monkeypatch):
-        monkeypatch.setenv(OVERLAP_ENV_VAR, "bogus")
-        with pytest.raises(ValueError, match=OVERLAP_ENV_VAR):
-            overlap_default()
 
-    def test_env_var_drives_layer_execution(self, problem, monkeypatch):
-        a = problem.adjacency
-        h = problem.features.astype(np.float64)
-        baseline = distributed_inference(
-            "VA", a, h, 8, 4, num_layers=2, p=4, seed=3,
-            dtype=np.float64, overlap=False,
-        )
-        monkeypatch.setenv(OVERLAP_ENV_VAR, "1")
-        via_env = distributed_inference(
-            "VA", a, h, 8, 4, num_layers=2, p=4, seed=3, dtype=np.float64,
-        )
-        assert np.array_equal(baseline.output, via_env.output)
-        _assert_same_traffic(baseline.stats, via_env.stats)
+class TestOverlapIsTheDefault:
+    def test_default_completes_a_transfer_at_first_use(self):
+        result = run_spmd(4, _deferred_allreduce, backend="thread")
+        assert result.values == [(False, 5.0)] * 4
+
+    def test_sync_oracle_completes_it_in_the_initiating_step(self):
+        result = run_spmd(4, _deferred_allreduce, backend="thread",
+                          overlap=False)
+        assert result.values == [(True, 5.0)] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +362,7 @@ class TestWaitBreakdown:
     def test_overlap_does_not_change_comm_words(self, problem):
         """The headline invariant: overlap moves wait time, not bytes."""
         sync = _train(problem, "AGNN", overlap=False, epochs=2)
-        ovl = _train(problem, "AGNN", overlap=True, epochs=2)
+        ovl = _train(problem, "AGNN", epochs=2)
         assert sync.stats.max_words_sent == ovl.stats.max_words_sent
         assert sync.stats.phase_bytes() == ovl.stats.phase_bytes()
 

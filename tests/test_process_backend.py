@@ -21,10 +21,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.config import BACKEND_ENV_VAR
 from repro.distributed.api import distributed_train
 from repro.graphs import synthetic_classification
 from repro.models import build_model
-from repro.runtime.executor import BACKEND_ENV_VAR, run_spmd
+from repro.runtime.executor import run_spmd
 from repro.runtime.fabric import (
     FabricTimeoutError,
     ThreadFabric,

@@ -37,8 +37,6 @@ from repro.serving import (
     ServingEngine,
     ServingServer,
     coalesce,
-    serve_max_batch_default,
-    serve_max_delay_ms_default,
 )
 from repro.serving.queue import InferenceRequest
 from repro.tensor.csr import CSRMatrix
@@ -172,7 +170,7 @@ class TestAdmissionQueue:
         batch = queue.next_batch()
         waited = time.perf_counter() - t0
         assert [r.node for r in batch] == [42]
-        assert waited < 5.0  # well under the 5s-scale, ~5ms intent
+        assert waited < 0.005 + 0.5  # max_delay_ms + scheduling slack
 
     def test_zero_delay_flushes_immediately(self):
         queue = AdmissionQueue(max_batch=64, max_delay_ms=0.0)
@@ -193,27 +191,23 @@ class TestAdmissionQueue:
         with pytest.raises(RuntimeError, match="closed"):
             queue.submit(0)
 
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_MAX_BATCH", raising=False)
-        monkeypatch.delenv("REPRO_SERVE_MAX_DELAY_MS", raising=False)
-        assert serve_max_batch_default() == 64
-        assert serve_max_delay_ms_default() == 2.0
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "16")
-        monkeypatch.setenv("REPRO_SERVE_MAX_DELAY_MS", "0.5")
+    def test_defaults(self):
         queue = AdmissionQueue()
-        assert queue.max_batch == 16
-        assert queue.max_delay_s == pytest.approx(0.5e-3)
+        assert queue.max_batch == 64
+        assert queue.max_delay_s == pytest.approx(2.0e-3)
 
-    @pytest.mark.parametrize("var,bad", [
-        ("REPRO_SERVE_MAX_BATCH", "0"),
-        ("REPRO_SERVE_MAX_BATCH", "lots"),
-        ("REPRO_SERVE_MAX_DELAY_MS", "-1"),
-        ("REPRO_SERVE_MAX_DELAY_MS", "soon"),
+    @pytest.mark.parametrize("name,bad", [
+        ("max_batch", 0),
+        ("max_batch", 2.7),
+        ("max_batch", True),
+        ("max_batch", float("nan")),
+        ("max_delay_ms", -1.0),
+        ("max_delay_ms", float("nan")),
+        ("max_delay_ms", float("inf")),
     ])
-    def test_env_validation(self, monkeypatch, var, bad):
-        monkeypatch.setenv(var, bad)
-        with pytest.raises(ValueError, match=var):
-            AdmissionQueue()
+    def test_bad_policy_rejected_naming_the_argument(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            AdmissionQueue(**{name: bad})
 
     def test_coalesce_dedupes_and_inverts(self):
         requests = [InferenceRequest(node=n) for n in (5, 2, 5, 9, 2)]
@@ -495,6 +489,41 @@ class TestServingServer:
             futures = server.submit_many(nodes)
             rows = np.vstack([f.result(timeout=30) for f in futures])
         assert np.array_equal(rows, reference[np.arange(60) % N])
+
+    @pytest.mark.parametrize(
+        "admission", [(64, 2.0), (4, 0.0)], ids=["default", "tight"]
+    )
+    def test_admission_policy_does_not_change_rows(
+        self, adjacency, features, admission
+    ):
+        """The default policy and the tight one (tiny batches, no
+        waiting) answer the same burst with the same rows."""
+        model = _model("gat")
+        reference = model.forward(adjacency, features, training=False)
+        engine = ServingEngine(model, adjacency, features, cache=256, seed=5)
+        max_batch, max_delay_ms = admission
+        with ServingServer(
+            engine, max_batch=max_batch, max_delay_ms=max_delay_ms
+        ) as server:
+            assert server.queue.max_batch == max_batch
+            nodes = np.arange(70) % N
+            rows = np.vstack(
+                [f.result(timeout=30) for f in server.submit_many(nodes)]
+            )
+        assert np.array_equal(rows, reference[nodes])
+
+    def test_bad_policy_raises_before_any_worker_starts(
+        self, adjacency, features
+    ):
+        engine = ServingEngine(_model(), adjacency, features, seed=5)
+        with pytest.raises(ValueError, match="max_delay_ms"):
+            ServingServer(engine, max_delay_ms=float("inf"), workers=2)
+        with pytest.raises(ValueError, match="max_batch"):
+            ServingServer(engine, max_batch=2.7)
+        assert not [
+            t for t in threading.enumerate()
+            if t.name.startswith("serve-worker")
+        ]
 
     def test_engine_failure_propagates_to_futures(self, adjacency, features):
         engine = ServingEngine(_model(), adjacency, features, seed=5)

@@ -33,7 +33,7 @@ from repro.core.activations import (
     leaky_relu_grad,
 )
 from repro.distributed.partition import block_range
-from repro.models.base import glorot
+from repro.models.attention import draw_parameters, gat_spec
 from repro.runtime.communicator import Communicator
 from repro.runtime.executor import run_spmd
 from repro.runtime.stats import RunStats
@@ -45,6 +45,7 @@ from repro.tensor.segment import (
     segment_softmax,
     segment_sum,
 )
+from repro.training.loss import block_loss_terms, cross_entropy_terms
 from repro.util.rng import make_rng
 
 __all__ = ["dist_local_inference", "dist_local_train", "LocalPartition"]
@@ -304,15 +305,15 @@ def _backward_layer(
 def _build_params(
     model: str, dims: list[int], seed: int, dtype
 ) -> list[dict[str, np.ndarray]]:
-    """Replicated parameters with the same draw order as the global models."""
+    """Replicated parameters, drawn exactly as the global models' are."""
     rng = make_rng(seed)
+    psi_init = gat_spec().init if model == "gat" else None
     params = []
     for i in range(len(dims) - 1):
-        layer = {"weight": glorot(rng, (dims[i], dims[i + 1]), dtype)}
-        if model == "gat":
-            layer["a_src"] = glorot(rng, (dims[i + 1],), dtype)
-            layer["a_dst"] = glorot(rng, (dims[i + 1],), dtype)
-        params.append(layer)
+        weight, psi = draw_parameters(
+            rng, dims[i], dims[i + 1], 1, dtype, psi_init
+        )
+        params.append({"weight": weight, **psi})
     return params
 
 
@@ -393,8 +394,6 @@ def dist_local_train(
     :func:`repro.distributed.api.distributed_train` isolate the
     formulation, exactly as in the paper's comparison.
     """
-    from repro.training.loss import log_softmax
-
     model = model_name.lower()
     n = features.shape[0]
     dims = [features.shape[1]] + [hidden_dim] * (num_layers - 1) + [out_dim]
@@ -406,11 +405,7 @@ def dist_local_train(
         params = _build_params(model, dims, seed, dtype)
         h_in = np.ascontiguousarray(features[part.r0 : part.r1]).astype(dtype)
         labels_own = labels[part.r0 : part.r1]
-        mask_own = (
-            np.ones(part.n_own, dtype=bool)
-            if mask is None
-            else mask[part.r0 : part.r1]
-        )
+        mask_own = None if mask is None else mask[part.r0 : part.r1]
         losses = []
         for _epoch in range(epochs):
             # Forward, caching per layer.
@@ -427,22 +422,13 @@ def dist_local_train(
                 caches.append(cache)
                 h_own = acts[li].fn(z)
             # Loss + gradient on owned rows.
-            idx = np.flatnonzero(mask_own)
-            grad = np.zeros_like(h_own, dtype=np.float64)
-            local_sum = 0.0
-            if idx.size:
-                logp = log_softmax(h_own[idx].astype(np.float64))
-                local_sum = float(
-                    -logp[np.arange(idx.size), labels_own[idx]].sum()
-                )
-                gg = np.exp(logp)
-                gg[np.arange(idx.size), labels_own[idx]] -= 1.0
-                grad[idx] = gg / max(global_count, 1)
+            local_sum, gamma = block_loss_terms(
+                cross_entropy_terms, h_own, labels_own, mask_own, global_count
+            )
             losses.append(
                 float(comm.allreduce(np.array(local_sum))) / max(global_count, 1)
             )
             # Backward with reverse halo exchanges.
-            gamma = grad.astype(dtype)
             for li in range(num_layers - 1, -1, -1):
                 comm.stats.set_phase("compute")
                 g = gamma * acts[li].grad(caches[li]["z"])

@@ -40,6 +40,7 @@ from repro.tensor.coo import COOMatrix
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.sampling_graph import sampling_graph_of
 from repro.training.loss import SoftmaxCrossEntropyLoss
+from repro.training.optim import SGD
 from repro.util.rng import make_rng
 
 __all__ = ["MiniBatchConfig", "minibatch_train", "sample_block"]
@@ -142,6 +143,7 @@ def minibatch_train(
             num_layers=num_layers, seed=seed, dtype=dtype,
         )
         loss = SoftmaxCrossEntropyLoss()
+        optimizer = SGD(lr)
         losses = []
         for _it in range(iterations):
             comm.stats.set_phase("sample")
@@ -186,7 +188,7 @@ def minibatch_train(
                 }
                 for layer in grads
             ]
-            model.apply_gradients(synced, lr)
+            optimizer.step(model, synced)
             losses.append(float(comm.allreduce(np.array(value))) / comm.size)
         model.zero_caches()
         return losses

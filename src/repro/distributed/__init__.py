@@ -19,19 +19,17 @@ Modules:
   diagonal row broadcast, softmax row-reductions, the reduce+
   redistribute pipeline, the transpose exchange.
 * :mod:`repro.distributed.layers` — distributed VA/AGNN/GAT/GCN layers
-  (forward and backward).
-* :mod:`repro.distributed.model` — the distributed ``GnnModel``
-  equivalent orchestrating layers, loss and training steps.
+  (forward and backward), each a :class:`~repro.models.base.GnnLayer`.
+* :mod:`repro.distributed.model` — ``build_dist_model``: binds a stack
+  of those layers to a rank's grid and returns the one
+  :class:`~repro.models.base.GnnModel`; loss terms and optimisers come
+  from :mod:`repro.training`.
 * :mod:`repro.distributed.api` — one-call helpers that run a whole
   distributed inference/training job on the simulated cluster and
   return outputs plus communication statistics.
 """
 
-from repro.distributed.api import (
-    distributed_inference,
-    distributed_training_step,
-)
-from repro.distributed.model import DistGnnModel
+from repro.distributed.api import distributed_inference
 from repro.distributed.partition import (
     block_range,
     block_ranges,
@@ -46,7 +44,5 @@ __all__ = [
     "distribute_adjacency",
     "distribute_features",
     "collect_feature_blocks",
-    "DistGnnModel",
     "distributed_inference",
-    "distributed_training_step",
 ]

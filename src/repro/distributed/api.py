@@ -6,11 +6,12 @@ models, run inference or full-batch training, and hand back the
 assembled outputs together with the communication statistics that the
 benchmark harness converts into modeled time.
 
-Loss handling is genuinely distributed: each rank evaluates the loss
-and its gradient on its own feature block only, with the global
-normaliser (labelled-vertex count) and the scalar loss reduced across
-ranks — matching the numerics of the single-node trainer exactly, which
-the equivalence tests assert.
+Loss handling is genuinely distributed: each rank evaluates the
+:mod:`repro.training.loss` terms on its own feature block only,
+normalised by the global labelled count, and the scalar sums are reduced
+across ranks — matching the numerics of the single-node trainer exactly,
+which the equivalence tests assert. A rank's model is a plain
+:class:`~repro.models.base.GnnModel` stepped by ``training.optim.SGD``.
 
 The rank programs are module-level functions (not closures) so the
 same entry points run unchanged on the process-parallel backend:
@@ -36,14 +37,21 @@ from repro.runtime.executor import run_spmd
 from repro.runtime.grid import square_grid
 from repro.runtime.stats import RunStats
 from repro.tensor.csr import CSRMatrix
-from repro.training.loss import log_softmax
+from repro.training.loss import (
+    block_loss_terms,
+    cross_entropy_terms,
+    squared_error_terms,
+)
+from repro.training.optim import SGD
 
 __all__ = [
     "DistributedResult",
     "distributed_inference",
-    "distributed_training_step",
     "distributed_train",
 ]
+
+#: ``distributed_train(loss=...)`` names.
+_LOSS_TERMS = {"ce": cross_entropy_terms, "mse": squared_error_terms}
 
 
 @dataclass
@@ -55,75 +63,20 @@ class DistributedResult:
     stats: RunStats
 
 
-def _block_loss_gradient(
-    loss: str,
-    h_block: np.ndarray,
-    labels_block: np.ndarray,
-    mask_block: np.ndarray | None,
-    global_count: int,
-) -> tuple[float, np.ndarray]:
-    """Local (unreduced) loss sum and gradient block.
-
-    The gradient uses the *global* labelled count as normaliser so the
-    concatenated blocks equal the single-node gradient; the returned
-    loss is this block's unnormalised sum (callers allreduce and divide).
-    """
-    if mask_block is None:
-        mask_block = np.ones(h_block.shape[0], dtype=bool)
-    idx = np.flatnonzero(mask_block)
-    grad = np.zeros_like(h_block, dtype=np.float64)
-    if idx.size == 0:
-        return 0.0, grad.astype(h_block.dtype)
-    h = h_block[idx].astype(np.float64)
-    y = labels_block[idx]
-    if loss == "ce":
-        logp = log_softmax(h)
-        local_sum = float(-logp[np.arange(idx.size), y].sum())
-        g = np.exp(logp)
-        g[np.arange(idx.size), y] -= 1.0
-        grad[idx] = g / max(global_count, 1)
-    elif loss == "mse":
-        diff = h - y
-        local_sum = float((diff * diff).sum())
-        grad[idx] = 2.0 * diff / max(global_count * h.shape[1], 1)
-    else:
-        raise ValueError("loss must be 'ce' or 'mse'")
-    return local_sum, grad.astype(h_block.dtype)
-
-
-def _loss_denominator(loss: str, mask: np.ndarray | None, n: int,
-                      out_dim: int) -> int:
-    count = int(mask.sum()) if mask is not None else n
-    return count if loss == "ce" else count * out_dim
-
-
 def _inference_program(
-    comm,
-    model_name: str,
-    a: CSRMatrix,
-    features: np.ndarray,
-    hidden_dim: int,
-    out_dim: int,
-    num_layers: int,
-    seed: int,
-    dtype,
-    layer_kwargs: dict,
-    overlap: bool = True,
+    comm, a: CSRMatrix, features: np.ndarray, model_args: dict
 ):
     """SPMD rank program for :func:`distributed_inference`.
 
     Module-level (not a closure) so the spawn-based process backend can
     pickle it by reference; every argument after ``comm`` arrives via
-    ``run_spmd`` kwargs, identical on all ranks.
+    ``run_spmd`` kwargs, identical on all ranks. ``model_args`` is what
+    :func:`build_dist_model` takes after the rank's grid.
     """
     grid = square_grid(comm)
     a_block = distribute_adjacency(a, grid)
     h_block = distribute_features(features, grid)
-    model = build_dist_model(
-        grid, model_name, features.shape[1], hidden_dim, out_dim,
-        num_layers=num_layers, seed=seed, dtype=dtype, overlap=overlap,
-        **layer_kwargs,
-    )
+    model = build_dist_model(grid, **model_args)
     out_block = model.forward(
         a_block, h_block, counter=comm.stats.flops, training=False
     )
@@ -154,11 +107,14 @@ def distributed_inference(
     comm/compute-overlapped by default and ``overlap=False`` is the
     synchronous parity oracle.
     """
+    model_args = dict(
+        name=model_name, in_dim=features.shape[1], hidden_dim=hidden_dim,
+        out_dim=out_dim, num_layers=num_layers, seed=seed, dtype=dtype,
+        overlap=overlap, **layer_kwargs,
+    )
     result = run_spmd(
         p, _inference_program, timeout=timeout, backend=backend,
-        model_name=model_name, a=a, features=features,
-        hidden_dim=hidden_dim, out_dim=out_dim, num_layers=num_layers,
-        seed=seed, dtype=dtype, layer_kwargs=layer_kwargs, overlap=overlap,
+        a=a, features=features, model_args=model_args,
     )
     return DistributedResult(
         output=result.values[0], losses=[], stats=result.stats
@@ -167,23 +123,15 @@ def distributed_inference(
 
 def _training_program(
     comm,
-    model_name: str,
     a: CSRMatrix,
     features: np.ndarray,
     labels: np.ndarray,
-    hidden_dim: int,
-    out_dim: int,
-    num_layers: int,
+    model_args: dict,
     epochs: int,
     lr: float,
     loss: str,
     mask: np.ndarray | None,
-    seed: int,
-    dtype,
     collect_output: bool,
-    denom: int,
-    layer_kwargs: dict,
-    overlap: bool = True,
 ):
     """SPMD rank program for :func:`distributed_train` (module-level,
     picklable — see :func:`_inference_program`)."""
@@ -194,29 +142,31 @@ def _training_program(
     c0, c1 = block_range(n, grid.py, grid.col)
     labels_block = labels[c0:c1]
     mask_block = None if mask is None else mask[c0:c1]
-    model = build_dist_model(
-        grid, model_name, features.shape[1], hidden_dim, out_dim,
-        num_layers=num_layers, seed=seed, dtype=dtype, overlap=overlap,
-        **layer_kwargs,
-    )
+    # Globally averaged terms: labelled rows ("ce"), their elements ("mse").
+    count = n if mask is None else int(mask.sum())
+    if loss == "mse":
+        count *= model_args["out_dim"]
+    model = build_dist_model(grid, **model_args)
+    # Gradients are replicated, so the step is identical on every rank.
+    optimizer = SGD(lr)
     losses: list[float] = []
     out_block = None
     for _epoch in range(epochs):
         out_block = model.forward(
             a_block, h_block, counter=comm.stats.flops, training=True
         )
-        global_count = denom if loss == "ce" else denom // out_dim
-        local_sum, grad_block = _block_loss_gradient(
-            loss, out_block, labels_block, mask_block, global_count
+        local_sum, grad_block = block_loss_terms(
+            _LOSS_TERMS[loss], out_block, labels_block, mask_block, count
         )
         # Feature blocks are replicated down grid columns; count each
         # block's loss contribution exactly once (grid row 0).
         contribution = local_sum if grid.row == 0 else 0.0
         losses.append(
-            float(grid.comm.allreduce(np.array(contribution))) / denom
+            float(grid.comm.allreduce(np.array(contribution)))
+            / max(count, 1)
         )
         grads = model.backward(grad_block, counter=comm.stats.flops)
-        model.apply_gradients(grads, lr)
+        optimizer.step(model, grads)
     model.zero_caches()
     collected = (
         collect_feature_blocks(grid, out_block) if collect_output else None
@@ -255,31 +205,20 @@ def distributed_train(
     comm/compute-overlapped by default and ``overlap=False`` is the
     synchronous parity oracle.
     """
-    n = features.shape[0]
-    denom = _loss_denominator(loss, mask, n, out_dim)
+    if loss not in _LOSS_TERMS:
+        raise ValueError(
+            f"loss must be one of {sorted(_LOSS_TERMS)}, got {loss!r}"
+        )
+    model_args = dict(
+        name=model_name, in_dim=features.shape[1], hidden_dim=hidden_dim,
+        out_dim=out_dim, num_layers=num_layers, seed=seed, dtype=dtype,
+        overlap=overlap, **layer_kwargs,
+    )
     result = run_spmd(
         p, _training_program, timeout=timeout, backend=backend,
-        model_name=model_name, a=a, features=features, labels=labels,
-        hidden_dim=hidden_dim, out_dim=out_dim, num_layers=num_layers,
-        epochs=epochs, lr=lr, loss=loss, mask=mask, seed=seed, dtype=dtype,
-        collect_output=collect_output, denom=denom,
-        layer_kwargs=layer_kwargs, overlap=overlap,
+        a=a, features=features, labels=labels, model_args=model_args,
+        epochs=epochs, lr=lr, loss=loss, mask=mask,
+        collect_output=collect_output,
     )
     losses, output = result.values[0]
     return DistributedResult(output=output, losses=losses, stats=result.stats)
-
-
-def distributed_training_step(
-    model_name: str,
-    a: CSRMatrix,
-    features: np.ndarray,
-    labels: np.ndarray,
-    hidden_dim: int,
-    out_dim: int,
-    **kwargs,
-) -> DistributedResult:
-    """One full-batch training iteration (``epochs=1`` convenience)."""
-    kwargs.setdefault("epochs", 1)
-    return distributed_train(
-        model_name, a, features, labels, hidden_dim, out_dim, **kwargs
-    )

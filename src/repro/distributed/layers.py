@@ -1,11 +1,12 @@
 """Distributed GNN layers on the 1.5D A-stationary schedule.
 
 Each layer is the SPMD twin of its single-node counterpart in
-``repro.models``: identical mathematics, with the Table-2 kernels
-applied to local blocks and the four communication patterns of
-:mod:`repro.distributed.ops` carrying the cross-rank data flow. The
-communication structure per layer (square ``P x P`` grid, block size
-``b = n / P``):
+``repro.models`` under the same :class:`~repro.models.base.GnnLayer`
+contract (a stack of them is a plain ``GnnModel``): identical
+mathematics, with the Table-2 kernels applied to local blocks and the
+four communication patterns of :mod:`repro.distributed.ops` carrying the
+cross-rank data flow. The communication structure per layer (square
+``P x P`` grid, block size ``b = n / P``):
 
 ========================  =======================================
 operation                 per-rank volume (words)
@@ -46,17 +47,13 @@ which the distributed-equivalence tests assert.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import abstractmethod
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
 import numpy as np
 
-from repro.core.activations import (
-    get_activation,
-    leaky_relu,
-    leaky_relu_grad,
-)
+from repro.core.activations import leaky_relu, leaky_relu_grad
 from repro.core.formulation import PsiInitFn
 from repro.distributed.ops import (
     OpSequencer,
@@ -77,6 +74,7 @@ from repro.models.attention import (
     projection,
     split_heads,
 )
+from repro.models.base import GnnLayer
 from repro.runtime.grid import ProcessGrid
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import mm, sddmm_add, sddmm_dot, spmm
@@ -99,16 +97,16 @@ Step = Compute | Transfer
 class _DistLayerCache:
     """Training cache of one distributed layer.
 
-    ``z_block`` is the pre-activation the model chains errors through;
+    ``z`` is the pre-activation block the model chains errors through;
     ``ctx`` holds the forward context entries the backward schedule
     reads and seeds its context.
     """
 
-    z_block: np.ndarray
+    z: np.ndarray
     ctx: dict[str, Any]
 
 
-class DistGnnLayer(ABC):
+class DistGnnLayer(GnnLayer):
     """Base class: replicated parameters + schedule-driven SPMD passes.
 
     Parameters are initialised from an explicit ``seed`` so that every
@@ -125,8 +123,9 @@ class DistGnnLayer(ABC):
     :meth:`_forward_epilogue` and :meth:`_backward_prologue`; the
     concrete :meth:`forward` and :meth:`backward` drivers here execute
     those schedules, apply the activation, and assemble the
-    cache/gradients. Execution is comm/compute-overlapped by default;
-    ``overlap=False`` is the synchronous parity oracle.
+    cache/gradients. Where and how a layer runs is bound once, by
+    :meth:`bind`, not passed per call; an unbound layer holds
+    parameters only.
     """
 
     #: Schedule label (``"<name>.forward"`` / ``"<name>.backward"``).
@@ -145,7 +144,7 @@ class DistGnnLayer(ABC):
         psi_init: PsiInitFn | None = None,
         heads: int = 1,
     ) -> None:
-        self.activation = get_activation(activation)
+        super().__init__(activation)
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.heads = heads
@@ -153,29 +152,44 @@ class DistGnnLayer(ABC):
             make_rng(seed), in_dim, out_dim, heads, dtype, psi_init
         )
 
+    def bind(
+        self,
+        grid: ProcessGrid,
+        sequencer: OpSequencer,
+        overlap: bool = True,
+        input_grad: bool = True,
+    ) -> None:
+        """Attach this rank's grid and the model's one ``sequencer``.
+
+        ``overlap=False`` is the synchronous parity oracle;
+        ``input_grad=False`` (a model's first layer) skips the
+        input-feature gradient and its transfers in :meth:`backward`.
+        """
+        self.grid = grid
+        self.sequencer = sequencer
+        self.overlap = overlap
+        self.input_grad = input_grad
+
     # ------------------------------------------------------------------
     def forward(
         self,
-        grid: ProcessGrid,
         a_block: CSRMatrix,
         h_block: np.ndarray,
-        sequencer: OpSequencer,
         counter: FlopCounter = null_counter(),
         training: bool = True,
-        overlap: bool = True,
     ) -> tuple[np.ndarray, _DistLayerCache | None]:
         """Compute the next column-replicated feature block.
 
         ``h_block`` is this rank's input block :math:`H_j`; the return
         value is :math:`H^{l+1}_j` (post-activation, already reduced
-        and redistributed) plus a training cache exposing ``z_block``.
+        and redistributed) plus a training cache exposing ``z``.
         """
         ctx: dict[str, Any] = {
-            "grid": grid, "a_block": a_block,
+            "grid": self.grid, "a_block": a_block,
             "h_block": h_block, "counter": counter,
         }
         CommSchedule(self._forward_steps(), name=f"{self.name}.forward").run(
-            grid, sequencer, ctx, overlap=overlap
+            self.grid, self.sequencer, ctx, overlap=self.overlap
         )
         h_next = self.activation.fn(ctx["z_block"])
         if not training:
@@ -188,30 +202,28 @@ class DistGnnLayer(ABC):
     # ------------------------------------------------------------------
     def backward(
         self,
-        grid: ProcessGrid,
         cache: _DistLayerCache,
         g_block: np.ndarray,
-        sequencer: OpSequencer,
         counter: FlopCounter = null_counter(),
-        need_input_grad: bool = True,
-        overlap: bool = True,
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         """SPMD backward: ``g_block`` is :math:`dL/dZ` restricted to
         block ``j`` (column-replicated). Returns the input-feature
-        gradient block (or ``None`` when ``need_input_grad=False`` —
-        the first layer) and replicated parameter gradients.
+        gradient block (or ``None`` when bound with
+        ``input_grad=False``) and replicated parameter gradients.
         """
         ctx = {
-            **cache.ctx, "grid": grid, "counter": counter, "g_block": g_block,
+            **cache.ctx, "grid": self.grid, "counter": counter,
+            "g_block": g_block,
         }
         CommSchedule(
-            self._backward_steps(need_input_grad), name=f"{self.name}.backward"
-        ).run(grid, sequencer, ctx, overlap=overlap)
+            self._backward_steps(self.input_grad),
+            name=f"{self.name}.backward",
+        ).run(self.grid, self.sequencer, ctx, overlap=self.overlap)
         psi_grads = {
             name: ctx[f"d_{name}"].astype(param.dtype, copy=False)
             for name, param in self.psi_params.items()
         }
-        return ctx["gamma"] if need_input_grad else None, named_parameters(
+        return ctx["gamma"] if self.input_grad else None, named_parameters(
             head_major(ctx["d_weight"], self.heads), psi_grads, self.heads
         )
 
@@ -261,13 +273,6 @@ class DistGnnLayer(ABC):
     def parameters(self) -> dict[str, np.ndarray]:
         """Replicated parameters by name."""
         return named_parameters(self.weight, self.psi_params, self.heads)
-
-    def apply_gradients(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        """SGD update; identical on every rank, preserving replication."""
-        params = self.parameters()
-        for name, grad in grads.items():
-            param = params[name]
-            param -= lr * np.asarray(grad, dtype=param.dtype)
 
 
 # ----------------------------------------------------------------------

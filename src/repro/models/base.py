@@ -14,10 +14,11 @@ walks the layers backwards, converting each layer's input-feature
 gradient into the previous layer's :math:`G^{l-1} = \\sigma'(Z^{l-1})
 \\odot \\Gamma^l` (Eq. 6).
 
-The ``redistribute`` hook is the identity on a single node and is
-overridden by the distributed model to reshuffle the output of one
-layer into the input distribution of the next (Section 6.3), exactly as
-the artifact's distributed subclasses overload it.
+The same three classes carry distributed training: a
+:mod:`repro.distributed.layers` layer *is* a :class:`GnnLayer` over a
+rank's blocks (ending in its own reduce+redistribute, Section 6.3), so
+``build_dist_model`` returns a plain :class:`GnnModel`. The update rule
+lives in :mod:`repro.training.optim`.
 """
 
 from __future__ import annotations
@@ -81,25 +82,19 @@ class GnnLayer(ABC):
         cache: Any,
         g: np.ndarray,
         counter: FlopCounter = null_counter(),
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         """Given ``g = dL/dZ`` of this layer, return ``(dH_in, grads)``.
 
         ``dH_in`` is the loss gradient w.r.t. this layer's input
         features (the :math:`\\Gamma` of Eq. 6, before the previous
-        layer's :math:`\\sigma'` mask). ``grads`` maps parameter names
-        to gradients.
+        layer's :math:`\\sigma'` mask); a model's first layer may
+        return ``None``, since nothing reads it. ``grads`` maps
+        parameter names to gradients.
         """
 
     @abstractmethod
     def parameters(self) -> dict[str, np.ndarray]:
         """Trainable parameters by name (views, not copies)."""
-
-    def apply_gradients(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        """Default SGD rule ``p := p - lr * dp`` (Section 5, Step 6)."""
-        params = self.parameters()
-        for name, grad in grads.items():
-            param = params[name]
-            param -= lr * np.asarray(grad, dtype=param.dtype)
 
 
 @dataclass
@@ -149,11 +144,6 @@ class GnnModel:
         return len(self.layers)
 
     # ------------------------------------------------------------------
-    def redistribute(self, h: np.ndarray, layer_index: int) -> np.ndarray:
-        """Inter-layer data movement hook; identity on a single node."""
-        return h
-
-    # ------------------------------------------------------------------
     def forward(
         self,
         a: CSRMatrix,
@@ -170,10 +160,8 @@ class GnnModel:
         Without one, caches ride on the instance as before.
         """
         caches: list[Any] = []
-        for index, layer in enumerate(self.layers):
+        for layer in self.layers:
             h, cache = layer.forward(a, h, counter=counter, training=training)
-            if index + 1 < len(self.layers):
-                h = self.redistribute(h, index)
             caches.append(cache)
         if state is not None:
             state.caches = caches if training else []
@@ -215,13 +203,6 @@ class GnnModel:
     def parameters(self) -> list[dict[str, np.ndarray]]:
         """Per-layer parameter dictionaries."""
         return [layer.parameters() for layer in self.layers]
-
-    def apply_gradients(
-        self, grads: list[dict[str, np.ndarray]], lr: float
-    ) -> None:
-        """Apply one SGD step to every layer."""
-        for layer, layer_grads in zip(self.layers, grads):
-            layer.apply_gradients(layer_grads, lr)
 
     def zero_caches(self) -> None:
         """Drop cached activations (frees full-batch training memory)."""

@@ -1,12 +1,16 @@
-"""Counter/gauge/histogram registry with exact quantiles.
+"""Counter/gauge/histogram registry with exact quantiles, in bounded memory.
 
 The third leg of the observability stack (spans show *when*, the
-registry shows *how the distribution looks*). Histograms keep every
-observation — exact :func:`numpy.quantile` over the raw samples, not
-bucket interpolation — because the populations here (per-batch
-latencies, per-epoch losses, span durations) are thousands of points,
-not millions, and the serving-latency harness the ROADMAP plans (p50 /
-p99 under Poisson load) needs quantiles it can assert on bit-for-bit.
+registry shows *how the distribution looks*). A histogram keeps its
+first :data:`RESERVOIR_CAP` observations as they are — exact
+:func:`numpy.quantile` over the raw samples, not bucket interpolation —
+because the populations read here (per-batch latencies, per-epoch
+losses, one benchmark window) are thousands of points and the serving
+harness asserts on quantiles bit-for-bit. A process that never resets
+(a week-long ``ServingServer``) goes past the cap; from there the
+retained observations are a uniform sample of everything seen, so
+quantiles become estimates while ``count``, ``sum``, ``mean``, ``min``
+and ``max`` stay exact and memory stays flat.
 
 All three metric types share the registry's flat ``snapshot()`` form so
 one JSON dump carries the whole process state::
@@ -19,9 +23,22 @@ one JSON dump carries the whole process state::
 
 from __future__ import annotations
 
+import math
+import random
+import threading
+
 import numpy as np
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "metrics"]
+__all__ = [
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "metrics",
+    "RESERVOIR_CAP",
+]
+
+#: Observations a histogram retains (~4 MB of floats). Arrivals just
+#: past the cap are the likeliest to be taken (probability ``cap /
+#: arrivals``, a generator draw each), so it sits above a whole
+#: benchmark run's ~10^5 unreset observations, not in their middle.
+RESERVOIR_CAP = 1 << 17
 
 
 class Counter:
@@ -67,31 +84,75 @@ class Gauge:
 
 
 class Histogram:
-    """Exact-quantile histogram over all recorded observations."""
+    """Quantiles over the retained observations; exact moments.
 
-    __slots__ = ("name", "values")
+    Past :data:`RESERVOIR_CAP` observations ``values`` is a uniform
+    reservoir (Vitter's Algorithm L: one generator draw per
+    *replacement*, one integer comparison per observation passed over),
+    seeded so a run is reproducible; the moments of the observations it
+    no longer holds are kept beside it.
+    """
+
+    __slots__ = ("name", "values", "_lock", "_rng", "_w", "_next",
+                 "_out_count", "_out_sum", "_out_min", "_out_max")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.values: list[float] = []
+        # Moments of the observations ``values`` does not hold: those
+        # passed over and those evicted, one per arrival past the cap.
+        self._out_count = 0
+        self._out_sum = 0.0
+        self._out_min = math.inf
+        self._out_max = -math.inf
+        self._lock = threading.Lock()
+        self._rng = random.Random(0)
+        # Strictly below 1 so log1p(-w) is finite whatever the draw.
+        self._w = math.nextafter(1.0, 0.0)
+        self._next = 0
+        self._skip()
+
+    def _skip(self) -> None:
+        """Algorithm L: which arrival past the cap is taken next."""
+        self._w *= math.exp(-self._rng.expovariate(1.0) / RESERVOIR_CAP)
+        self._next += 1 + int(
+            self._rng.expovariate(1.0) / -math.log1p(-self._w)
+        )
 
     def observe(self, value: float) -> None:
-        self.values.append(float(value))
+        value = float(value)
+        if len(self.values) < RESERVOIR_CAP:
+            # list.append is atomic, so concurrent observers need no
+            # lock here (racing at the boundary they may overshoot the
+            # cap by an entry each, which stays retained).
+            self.values.append(value)
+            return
+        with self._lock:
+            self._out_count += 1
+            if self._out_count == self._next:
+                slot = self._rng.randrange(RESERVOIR_CAP)
+                value, self.values[slot] = self.values[slot], value
+                self._skip()
+            # ``value`` is now one the reservoir does not hold.
+            self._out_sum += value
+            self._out_min = min(self._out_min, value)
+            self._out_max = max(self._out_max, value)
 
     @property
     def count(self) -> int:
-        return len(self.values)
+        return len(self.values) + self._out_count
 
     @property
     def sum(self) -> float:
-        return float(sum(self.values))
+        return float(sum(self.values)) + self._out_sum
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.values else 0.0
 
     def quantile(self, q: float) -> float:
-        """Exact ``q``-quantile (linear interpolation between samples).
+        """``q``-quantile of the retained observations (linear
+        interpolation between samples) — exact up to the cap.
 
         An empty series has no quantiles: the result is ``NaN`` (never
         a fabricated 0.0, which would read as a real latency) and the
@@ -124,8 +185,8 @@ class Histogram:
             "count": self.count,
             "sum": self.sum,
             "mean": self.mean,
-            "min": float(min(self.values)),
-            "max": float(max(self.values)),
+            "min": min(min(self.values), self._out_min),
+            "max": max(max(self.values), self._out_max),
             **self.percentiles(50, 95, 99),
         }
 

@@ -7,7 +7,7 @@ line — the span-boundary FlopCounter deltas must add up to exactly the
 standalone counter totals, or the tracer is lying::
 
     REPRO_TRACE=1 PYTHONPATH=src python -m repro.obs.report \
-        --case pipeline --out-dir benchmarks/results/obs
+        --case distributed --out-dir benchmarks/results/obs
 
 Cases:
 
@@ -17,11 +17,10 @@ Cases:
 ``minibatch``
     The serial :class:`~repro.training.minibatch.MinibatchTrainer` —
     adds per-batch sample/train_step spans.
-``pipeline``
-    The two-rank pipelined sampler/trainer split
-    (:func:`~repro.training.minibatch.minibatch_train_pipelined`) —
-    one Perfetto track per rank; sample/send spans on rank 0 interleave
-    with recv/train_step spans and wait slices on rank 1.
+``distributed``
+    :func:`~repro.distributed.api.distributed_train` at ``p = 4`` on
+    the same problem — one Perfetto track per rank; each rank's
+    schedule step and transfer spans interleave with its wait slices.
 
 The command refuses to run without ``REPRO_TRACE=1``: silently
 producing an empty trace would be worse than failing.
@@ -64,7 +63,7 @@ _CASE = {
     "seed": 7,
 }
 
-CASES = ("fullbatch", "minibatch", "pipeline")
+CASES = ("fullbatch", "minibatch", "distributed")
 
 
 def _problem() -> tuple[Any, np.ndarray, np.ndarray]:
@@ -78,59 +77,40 @@ def _problem() -> tuple[Any, np.ndarray, np.ndarray]:
     return a, features, labels
 
 
-def _run_fullbatch(model_name: str) -> tuple[list[Tracer], dict[str, Any]]:
+def _run_driver(
+    case: str, model_name: str
+) -> tuple[list[Tracer], dict[str, Any]]:
+    """The single-process cases: one driver tracer around ``fit``."""
     from repro.models import build_model
-    from repro.training.loss import SoftmaxCrossEntropyLoss
-    from repro.training.optim import SGD
-    from repro.training.trainer import Trainer
+    from repro.training import (
+        SGD,
+        MinibatchTrainer,
+        SoftmaxCrossEntropyLoss,
+        Trainer,
+    )
 
     a, features, labels = _problem()
     model = build_model(
         model_name, _CASE["k"], _CASE["k"], _CASE["classes"],
         num_layers=_CASE["layers"], seed=_CASE["seed"],
     )
-    trainer = Trainer(model, SoftmaxCrossEntropyLoss(), SGD(lr=0.01))
+    loss, optimizer = SoftmaxCrossEntropyLoss(), SGD(lr=0.01)
+    if case == "fullbatch":
+        trainer, fit_kwargs = Trainer(model, loss, optimizer), {}
+    else:
+        trainer = MinibatchTrainer(
+            model, loss, optimizer, fanouts=(None,) * _CASE["layers"],
+            batch_size=_CASE["batch_size"], seed=_CASE["seed"],
+        )
+        fit_kwargs = {"full_eval": False}
     counter = FlopCounter()
     driver = Tracer(rank=0)
     install_tracer(driver)
     try:
-        with driver.span("driver.run", counter=counter, case="fullbatch"):
-            result = trainer.fit(
-                a, features, labels, epochs=_CASE["epochs"], counter=counter,
-            )
-    finally:
-        install_tracer(None)
-    return [driver], {
-        "losses": result.losses,
-        "counter_flops": counter.total,
-        "span_flops": _root_flops(driver),
-    }
-
-
-def _run_minibatch(model_name: str) -> tuple[list[Tracer], dict[str, Any]]:
-    from repro.models import build_model
-    from repro.training.loss import SoftmaxCrossEntropyLoss
-    from repro.training.minibatch import MinibatchTrainer
-    from repro.training.optim import SGD
-
-    a, features, labels = _problem()
-    model = build_model(
-        model_name, _CASE["k"], _CASE["k"], _CASE["classes"],
-        num_layers=_CASE["layers"], seed=_CASE["seed"],
-    )
-    trainer = MinibatchTrainer(
-        model, SoftmaxCrossEntropyLoss(), SGD(lr=0.01),
-        fanouts=(None,) * _CASE["layers"],
-        batch_size=_CASE["batch_size"], seed=_CASE["seed"],
-    )
-    counter = FlopCounter()
-    driver = Tracer(rank=0)
-    install_tracer(driver)
-    try:
-        with driver.span("driver.run", counter=counter, case="minibatch"):
+        with driver.span("driver.run", counter=counter, case=case):
             result = trainer.fit(
                 a, features, labels, epochs=_CASE["epochs"],
-                full_eval=False, counter=counter,
+                counter=counter, **fit_kwargs,
             )
     finally:
         install_tracer(None)
@@ -141,22 +121,22 @@ def _run_minibatch(model_name: str) -> tuple[list[Tracer], dict[str, Any]]:
     }
 
 
-def _run_pipeline(
+def _run_distributed(
     model_name: str, backend: str | None
 ) -> tuple[list[Tracer], dict[str, Any]]:
-    from repro.training.minibatch import minibatch_train_pipelined
+    from repro.distributed.api import distributed_train
 
     a, features, labels = _problem()
-    losses, stats = minibatch_train_pipelined(
+    result = distributed_train(
         model_name, a, features, labels,
         hidden_dim=_CASE["k"], out_dim=_CASE["classes"],
-        fanouts=(None,) * _CASE["layers"], num_layers=_CASE["layers"],
-        batch_size=_CASE["batch_size"], epochs=_CASE["epochs"],
+        num_layers=_CASE["layers"], p=4, epochs=_CASE["epochs"],
         seed=_CASE["seed"], dtype=np.float64, backend=backend,
     )
+    stats = result.stats
     tracers = [s.tracer for s in stats.per_rank if s.tracer is not None]
     return tracers, {
-        "losses": losses,
+        "losses": result.losses,
         "counter_flops": sum(s.flops.total for s in stats.per_rank),
         "span_flops": sum(_root_flops(t) for t in tracers),
         "total_wait_s": stats.total_wait_s,
@@ -173,18 +153,16 @@ def run_case(
     case: str, model_name: str = "AGNN", backend: str | None = None
 ) -> tuple[list[Tracer], dict[str, Any]]:
     """Run ``case`` under tracing; returns (per-rank tracers, summary)."""
-    if case == "fullbatch":
-        return _run_fullbatch(model_name)
-    if case == "minibatch":
-        return _run_minibatch(model_name)
-    if case == "pipeline":
-        return _run_pipeline(model_name, backend)
-    raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+    if case == "distributed":
+        return _run_distributed(model_name, backend)
+    return _run_driver(case, model_name)
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--case", default="pipeline", choices=CASES)
+    parser.add_argument("--case", default="distributed", choices=CASES)
     parser.add_argument("--model", default="AGNN")
     parser.add_argument("--backend", default=None,
                         choices=("thread", "process"),

@@ -131,6 +131,23 @@ def _expand_dirty(
     return np.unique(np.concatenate(parts))
 
 
+def _vertex_ids(ids, n: int, name: str) -> np.ndarray:
+    """``ids`` as sorted unique int64, or ``ValueError`` naming ``name``.
+
+    An id NumPy would wrap (negative) or truncate (fractional) writes
+    one row and invalidates the cone of another: stale rows, silently.
+    """
+    ids = np.unique(np.atleast_1d(np.asarray(ids)))
+    if ids.size and (
+        ids.dtype.kind not in "iu" or ids[0] < 0 or ids[-1] >= n
+    ):
+        raise ValueError(
+            f"{name} must be integer vertex ids in [0, {n}); got "
+            f"{ids.dtype} values from {ids[0]} to {ids[-1]}"
+        )
+    return ids.astype(np.int64)
+
+
 class ServingEngine:
     """Re-entrant online-inference engine over one loaded model."""
 
@@ -300,10 +317,18 @@ class ServingEngine:
 
         Copy-on-write: readers of the old snapshot keep the old
         feature matrix. Cache rows outside the touched nodes' L-hop
-        forward cone migrate to the new version. Returns it.
+        forward cone migrate to the new version. Returns it. ``rows``
+        holds one row per *unique* id, in sorted-id order; bad ids or a
+        mis-shaped ``rows`` raise ``ValueError`` before anything changes.
         """
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+        nodes = _vertex_ids(nodes, self.num_nodes, "nodes")
         rows = np.asarray(rows)
+        expected = (nodes.size,) + self._snapshot.features.shape[1:]
+        if rows.shape != expected:
+            raise ValueError(
+                f"rows must have shape {expected} (one row per unique "
+                f"node), got {rows.shape}"
+            )
         with self._mutate:
             old = self._snapshot
             features = np.array(old.features, copy=True)
@@ -335,12 +360,15 @@ class ServingEngine:
         cone — expanded through *both* graphs — is invalidated and the
         rest migrates. Without it the whole cache is dropped (safe for
         arbitrary rewires). Hub-bias sampling weights are recomputed.
-        Returns the new version.
+        Returns the new version; a bad ``touched_dst`` id raises
+        ``ValueError`` before anything changes.
         """
         if a.shape[0] != self._snapshot.features.shape[0]:
             raise ValueError(
                 "new adjacency must keep the vertex set (feature rows)"
             )
+        if touched_dst is not None:
+            touched_dst = _vertex_ids(touched_dst, a.shape[0], "touched_dst")
         with self._mutate:
             old = self._snapshot
             if self._weights_mode == "hub":
@@ -359,9 +387,7 @@ class ServingEngine:
                     # Level-1 activations of the touched destinations
                     # are stale; each further level adds one hop of the
                     # forward cone under either adjacency.
-                    dirty = np.unique(
-                        np.asarray(touched_dst, dtype=np.int64)
-                    )
+                    dirty = touched_dst
                     dropped = {1: dirty}
                     for level in range(2, self.model.num_layers + 1):
                         dirty = _expand_dirty(dirty, (old.a, a))

@@ -293,34 +293,6 @@ class Block:
         """Global ids of this hop's destination vertices (sorted)."""
         return self.src_nodes[self.dst_positions]
 
-    # ------------------------------------------------------------------
-    # Wire format (pipelined sampler/trainer split)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> tuple:
-        """Serialise to a tuple of arrays for a fabric transfer."""
-        m = self.matrix
-        return (
-            m.indptr,
-            m.indices,
-            m.data,
-            self.src_nodes,
-            self.dst_positions,
-            int(self.sampled_edges),
-        )
-
-    @classmethod
-    def from_payload(cls, payload: tuple) -> "Block":
-        """Rebuild from :meth:`to_payload` output (post-transfer)."""
-        indptr, indices, data, src_nodes, dst_positions, edges = payload
-        num_src = int(src_nodes.shape[0])
-        matrix = CSRMatrix(indptr, indices, data, (num_src, num_src))
-        return cls(
-            matrix=matrix,
-            src_nodes=np.asarray(src_nodes, dtype=np.int64),
-            dst_positions=np.asarray(dst_positions, dtype=np.int64),
-            sampled_edges=int(edges),
-        )
-
 
 def sample_one_hop(
     a: CSRMatrix,

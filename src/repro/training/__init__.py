@@ -6,7 +6,7 @@ provides the loss bootstraps of Eq. (4), classic first-order optimisers
 applying the Step-6 update rule, and a trainer driving the loop. For
 graphs beyond the full-batch memory ceiling,
 :mod:`repro.training.minibatch` drives the same models over sampled
-layered blocks instead (optionally pipelined across fabric ranks).
+layered blocks instead.
 """
 
 from repro.training.loss import MSELoss, SoftmaxCrossEntropyLoss
@@ -14,7 +14,6 @@ from repro.training.metrics import accuracy, f1_macro
 from repro.training.minibatch import (
     MinibatchResult,
     MinibatchTrainer,
-    minibatch_train_pipelined,
     train_step,
 )
 from repro.training.optim import SGD, Adam, Optimizer
@@ -30,7 +29,6 @@ __all__ = [
     "TrainResult",
     "MinibatchTrainer",
     "MinibatchResult",
-    "minibatch_train_pipelined",
     "train_step",
     "accuracy",
     "f1_macro",

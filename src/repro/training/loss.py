@@ -6,24 +6,34 @@ Each loss implements the :class:`~repro.models.base.Loss` interface:
 backward formulation (Eq. 4). Both support an optional boolean
 ``mask`` restricting the objective to labelled vertices, the standard
 semi-supervised node-classification setting.
+
+The arithmetic of each mean loss is written once, over the rows at hand
+and an explicit ``count`` of averaged terms: :func:`cross_entropy_terms`
+and :func:`squared_error_terms` return the *unnormalised* sum and the
+gradient of ``sum / count``. A single-node loss passes its own count; a
+rank of a partitioned run passes the global one through
+:func:`block_loss_terms`, allreduces the sums and divides — so block
+gradients concatenate, and block sums add, to the single-node result.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from repro.models.base import Loss
 
-__all__ = ["SoftmaxCrossEntropyLoss", "MSELoss"]
+__all__ = [
+    "SoftmaxCrossEntropyLoss",
+    "MSELoss",
+    "block_loss_terms",
+    "cross_entropy_terms",
+    "squared_error_terms",
+]
 
-
-def _masked(
-    h: np.ndarray, target: np.ndarray, mask: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    if mask is None:
-        return h, target, None
-    mask = np.asarray(mask, dtype=bool)
-    return h[mask], target[mask], mask
+#: ``(rows of h, their targets, count) -> (unnormalised sum, gradient)``.
+LossTerms = Callable[..., tuple[float, np.ndarray]]
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -32,7 +42,80 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-class SoftmaxCrossEntropyLoss(Loss):
+def cross_entropy_terms(
+    h: np.ndarray, labels: np.ndarray, count: int
+) -> tuple[float, np.ndarray]:
+    """``(Σ_i −log softmax(h_i)[y_i], (softmax(h) − onehot(y)) / count)``;
+    ``count`` is the number of rows the mean runs over — ``len(h)``, or
+    the global labelled count when ``h`` is one block of them."""
+    logp = log_softmax(h.astype(np.float64))
+    rows = np.arange(h.shape[0])
+    total = float((-logp[rows, labels]).sum())
+    grad = np.exp(logp)
+    grad[rows, labels] -= 1.0
+    grad /= max(count, 1)
+    return total, grad
+
+
+def squared_error_terms(
+    h: np.ndarray, target: np.ndarray, count: int
+) -> tuple[float, np.ndarray]:
+    """``(Σ (h − t)², 2 (h − t) / count)``; ``count`` is the number of
+    *elements* the mean runs over — ``h.size``, or the global labelled
+    rows times the width."""
+    diff = h.astype(np.float64) - target
+    return float((diff * diff).sum()), 2.0 * diff / max(count, 1)
+
+
+def block_loss_terms(
+    terms: LossTerms,
+    h: np.ndarray,
+    target: np.ndarray,
+    mask: np.ndarray | None,
+    count: int,
+) -> tuple[float, np.ndarray]:
+    """``terms`` over the rows of ``h`` that ``mask`` selects (``None``:
+    all); the gradient is scattered into a zero-filled array of ``h``'s
+    shape and cast to its dtype."""
+    if mask is None:
+        total, grad = terms(h, target, count)
+        return total, grad.astype(h.dtype)
+    index = np.flatnonzero(mask)
+    total, grad_rows = terms(h[index], target[index], count)
+    grad = np.zeros(h.shape, dtype=np.float64)
+    grad[index] = grad_rows
+    return total, grad.astype(h.dtype)
+
+
+class _MeanLoss(Loss):
+    """The mean of ``_terms`` over the (masked) rows."""
+
+    _terms: LossTerms
+    #: The mean runs over every element of those rows, not over the rows.
+    _per_element = False
+
+    def __init__(self, mask: np.ndarray | None = None) -> None:
+        self.mask = None if mask is None else np.asarray(mask, dtype=bool)
+
+    def _evaluate(
+        self, h_out: np.ndarray, target: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        count = h_out.shape[0] if self.mask is None else int(self.mask.sum())
+        if self._per_element:
+            count *= int(np.prod(h_out.shape[1:]))
+        total, grad = block_loss_terms(
+            self._terms, h_out, np.asarray(target), self.mask, count
+        )
+        return total / max(count, 1), grad
+
+    def value(self, h_out: np.ndarray, target: np.ndarray) -> float:
+        return self._evaluate(h_out, target)[0]
+
+    def gradient(self, h_out: np.ndarray, target: np.ndarray) -> np.ndarray:
+        return self._evaluate(h_out, target)[1]
+
+
+class SoftmaxCrossEntropyLoss(_MeanLoss):
     """Mean softmax cross-entropy over (masked) vertices.
 
     ``target`` holds integer class labels of shape ``(n,)``. The
@@ -40,48 +123,11 @@ class SoftmaxCrossEntropyLoss(Loss):
     ``1 / n_labelled``, scattered back to full shape when masked.
     """
 
-    def __init__(self, mask: np.ndarray | None = None) -> None:
-        self.mask = None if mask is None else np.asarray(mask, dtype=bool)
-
-    def value(self, h_out: np.ndarray, target: np.ndarray) -> float:
-        h, y, _ = _masked(h_out, np.asarray(target), self.mask)
-        if h.shape[0] == 0:
-            return 0.0
-        logp = log_softmax(h.astype(np.float64))
-        return float(-logp[np.arange(h.shape[0]), y].mean())
-
-    def gradient(self, h_out: np.ndarray, target: np.ndarray) -> np.ndarray:
-        y_full = np.asarray(target)
-        h, y, mask = _masked(h_out, y_full, self.mask)
-        grad_local = np.exp(log_softmax(h.astype(np.float64)))
-        grad_local[np.arange(h.shape[0]), y] -= 1.0
-        grad_local /= max(h.shape[0], 1)
-        if mask is None:
-            return grad_local.astype(h_out.dtype)
-        grad = np.zeros_like(h_out, dtype=np.float64)
-        grad[mask] = grad_local
-        return grad.astype(h_out.dtype)
+    _terms = staticmethod(cross_entropy_terms)
 
 
-class MSELoss(Loss):
+class MSELoss(_MeanLoss):
     """Mean squared error over (masked) vertices against dense targets."""
 
-    def __init__(self, mask: np.ndarray | None = None) -> None:
-        self.mask = None if mask is None else np.asarray(mask, dtype=bool)
-
-    def value(self, h_out: np.ndarray, target: np.ndarray) -> float:
-        h, t, _ = _masked(h_out, np.asarray(target), self.mask)
-        if h.size == 0:
-            return 0.0
-        diff = h.astype(np.float64) - t
-        return float((diff * diff).mean())
-
-    def gradient(self, h_out: np.ndarray, target: np.ndarray) -> np.ndarray:
-        t_full = np.asarray(target)
-        h, t, mask = _masked(h_out, t_full, self.mask)
-        grad_local = 2.0 * (h.astype(np.float64) - t) / max(h.size, 1)
-        if mask is None:
-            return grad_local.astype(h_out.dtype)
-        grad = np.zeros_like(h_out, dtype=np.float64)
-        grad[mask] = grad_local
-        return grad.astype(h_out.dtype)
+    _terms = staticmethod(squared_error_terms)
+    _per_element = True

@@ -7,34 +7,23 @@ fan-out-limited mini-batches sampled by
 :mod:`repro.tensor.sampling_graph`, so the working set per step is
 bounded by the fan-out budget instead of the graph.
 
-Three entry points:
+Two entry points:
 
-* :class:`MinibatchTrainer` — the serial loop: per epoch, shuffle the
+* :class:`MinibatchTrainer` — the training loop: per epoch, shuffle the
   target vertices, sample layered blocks per batch, run
   forward/backward through the *unchanged* model layers (hand-fused,
   ``DagLayer``-derived, fused-megakernel — blocks are square CSR
   matrices, so every execution path applies as-is), step the
   optimiser, and optionally evaluate on the full graph.
-* :func:`train_step` — one batch's forward/backward/update, shared by
-  the serial loop and the pipelined trainer rank so both are the same
-  arithmetic, statement for statement.
-* :func:`minibatch_train_pipelined` — a two-rank sampler/trainer split
-  over the process fabric: rank 0 samples batch ``i + 1`` while rank 1
-  trains batch ``i``, pushing serialised blocks through
-  ``isend``/``irecv`` handles. Block traffic is attributed to the
-  ``sample`` phase of :class:`~repro.runtime.stats.CommStats`; the
-  overlapped and rendezvous modes send identical bytes under identical
-  phases, so ``by_phase`` is bit-identical and only ``wait_s`` moves —
-  the same invariant the 1.5D overlap schedules keep.
+* :func:`train_step` — one batch's forward/backward/update over
+  already-sampled blocks, for callers that drive their own loop.
 
 Bit-identity contract (tested per model in
 ``tests/test_minibatch.py``): with ``fanout >= max degree`` and one
 batch covering every vertex, the sampled loop reproduces the
 full-batch trainer's loss curve and final weights *bit-for-bit* —
 sampling only reorders nothing, computes nothing differently, and the
-compaction map is the identity. The pipelined split reproduces the
-serial loop bit-for-bit in turn (same RNG stream on the sampler rank,
-same arithmetic on the trainer rank).
+compaction map is the identity.
 """
 
 from __future__ import annotations
@@ -43,17 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.models import build_model
 from repro.models.base import GnnModel, Loss
 from repro.obs.tracer import tracer
-from repro.runtime.communicator import Communicator
-from repro.runtime.executor import run_spmd
-from repro.runtime.stats import RunStats
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.sampling_graph import Block, sample_blocks
-from repro.training.loss import SoftmaxCrossEntropyLoss
 from repro.training.metrics import accuracy
-from repro.training.optim import SGD, Adam, Optimizer
+from repro.training.optim import Optimizer
 from repro.training.trainer import TrainResult
 from repro.util.counters import FlopCounter, null_counter
 from repro.util.rng import make_rng
@@ -64,7 +48,6 @@ __all__ = [
     "train_step",
     "forward_blocks",
     "backward_blocks",
-    "minibatch_train_pipelined",
 ]
 
 # ----------------------------------------------------------------------
@@ -169,7 +152,7 @@ def train_step(
 
 
 # ----------------------------------------------------------------------
-# Serial loop
+# The training loop
 # ----------------------------------------------------------------------
 @dataclass
 class MinibatchResult(TrainResult):
@@ -322,20 +305,24 @@ class MinibatchTrainer:
         targets: np.ndarray,
         seed: int | None = None,
     ) -> np.ndarray:
-        """Sampled inference: outputs for ``targets`` only.
+        """Sampled inference: one output row per entry of ``targets``,
+        in the caller's order (duplicates allowed).
 
         Uses the trainer's fan-outs; with full fan-outs this equals the
         full-batch forward rows bit-for-bit (the ego-graph serving
         path's building block).
         """
-        targets = np.unique(np.asarray(targets, dtype=np.int64))
+        seeds, inverse = np.unique(
+            np.atleast_1d(np.asarray(targets, dtype=np.int64)),
+            return_inverse=True,
+        )
         rng = make_rng(self.seed if seed is None else seed)
-        blocks = sample_blocks(a, targets, self.fanouts, rng)
+        blocks = sample_blocks(a, seeds, self.fanouts, rng)
         h0 = np.ascontiguousarray(features[blocks[0].src_nodes])
         out, _ = forward_blocks(
             self.model, blocks, h0, training=False
         )
-        return out
+        return out[inverse]
 
 
 def _as_target_ids(targets, n: int) -> np.ndarray:
@@ -353,173 +340,3 @@ def _as_mask(ids: np.ndarray, n: int) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[ids] = True
     return mask
-
-
-# ----------------------------------------------------------------------
-# Pipelined sampler/trainer split
-# ----------------------------------------------------------------------
-_SAMPLER_RANK = 0
-_TRAINER_RANK = 1
-
-
-def _pipeline_batches(
-    spec: dict, n: int
-) -> tuple[np.ndarray, int]:
-    """Deterministic target set and per-epoch batch count."""
-    targets = _as_target_ids(spec.get("targets"), n)
-    per_epoch = -(-targets.shape[0] // spec["batch_size"])
-    return targets, per_epoch
-
-
-def _pipeline_program(
-    comm: Communicator,
-    adj: tuple,
-    features: np.ndarray,
-    labels: np.ndarray,
-    spec: dict,
-):
-    """SPMD body of the sampler/trainer split (module-level: picklable).
-
-    Rank 0 samples and pushes serialised blocks under the ``sample``
-    phase; rank 1 rebuilds them and runs :func:`train_step`. In
-    overlapped mode the trainer posts the next batch's ``irecv``
-    before computing the current one and the sampler uses ``isend`` —
-    message content, order, tags and phases are identical to the
-    rendezvous mode, so ``CommStats.by_phase`` matches bit-for-bit.
-    """
-    indptr, indices, data, n = adj
-    a = CSRMatrix(indptr, indices, data, (n, n))
-    targets, per_epoch = _pipeline_batches(spec, n)
-    epochs = spec["epochs"]
-    total = epochs * per_epoch
-    overlap = spec["overlap"]
-    fanouts = spec["fanouts"]
-    batch_size = spec["batch_size"]
-
-    if comm.rank == _SAMPLER_RANK:
-        rng = make_rng(spec["seed"])
-        comm.stats.set_phase("sample")
-        t = tracer()
-        handles = []
-        i = 0
-        for _epoch in range(epochs):
-            order = rng.permutation(targets) if spec["shuffle"] else targets
-            for start in range(0, order.shape[0], batch_size):
-                batch = order[start : start + batch_size]
-                with t.span("pipeline.sample", batch=i):
-                    blocks = sample_blocks(a, batch, fanouts, rng)
-                    payload = [b.to_payload() for b in blocks]
-                with t.span("pipeline.send", batch=i):
-                    if overlap:
-                        handles.append(
-                            comm.isend(payload, _TRAINER_RANK, tag=("mb", i))
-                        )
-                    else:
-                        comm.send(payload, _TRAINER_RANK, tag=("mb", i))
-                i += 1
-        with t.span("pipeline.flush"):
-            for handle in handles:
-                handle.wait()
-        return None
-
-    model = build_model(
-        spec["model"], features.shape[1], spec["hidden_dim"],
-        spec["out_dim"], num_layers=spec["num_layers"],
-        seed=spec["model_seed"], dtype=spec["dtype"],
-    )
-    loss = SoftmaxCrossEntropyLoss()
-    optimizer = _build_optimizer(spec)
-    losses: list[float] = []
-    comm.stats.set_phase("compute")
-    t = tracer()
-    pending = None
-    if overlap and total:
-        pending = comm.irecv(_SAMPLER_RANK, tag=("mb", 0))
-    for i in range(total):
-        with t.span("pipeline.recv", batch=i):
-            if overlap:
-                payload = pending.wait()
-                if i + 1 < total:
-                    # Post the next receive *before* computing this
-                    # batch: the transfer of batch i+1 (and the
-                    # sampler's work on it) proceeds while train_step
-                    # runs.
-                    pending = comm.irecv(_SAMPLER_RANK, tag=("mb", i + 1))
-            else:
-                payload = comm.recv(_SAMPLER_RANK, tag=("mb", i))
-        blocks = [Block.from_payload(p) for p in payload]
-        losses.append(
-            train_step(
-                model, loss, optimizer, blocks, features, labels,
-                counter=comm.stats.flops,
-            )
-        )
-    model.zero_caches()
-    return losses
-
-
-def _build_optimizer(spec: dict) -> Optimizer:
-    kind = spec.get("optimizer", "sgd")
-    if kind == "sgd":
-        return SGD(lr=spec["lr"])
-    if kind == "adam":
-        return Adam(lr=spec["lr"])
-    raise ValueError(f"unknown optimizer {kind!r}")
-
-
-def minibatch_train_pipelined(
-    model_name: str,
-    a: CSRMatrix,
-    features: np.ndarray,
-    labels: np.ndarray,
-    hidden_dim: int,
-    out_dim: int,
-    fanouts: tuple[int | None, ...],
-    num_layers: int = 3,
-    batch_size: int = 1024,
-    epochs: int = 1,
-    lr: float = 0.01,
-    optimizer: str = "sgd",
-    targets: np.ndarray | None = None,
-    shuffle: bool = True,
-    seed: int = 0,
-    model_seed: int = 0,
-    dtype: np.dtype | type = np.float32,
-    overlap: bool = True,
-    backend: str | None = None,
-    timeout: float = 120.0,
-) -> tuple[list[float], RunStats]:
-    """Two-rank pipelined sampled training; returns (batch losses, stats).
-
-    Rank 0 is the sampler, rank 1 the trainer, overlapped by default
-    (the pipeline exists to overlap sampling with compute;
-    ``overlap=False`` is the rendezvous parity oracle). The result is
-    bit-identical to :class:`MinibatchTrainer` with the same spec —
-    the split moves *where* sampling runs, not what it computes.
-    """
-    if len(tuple(fanouts)) != num_layers:
-        raise ValueError("need one fan-out per layer")
-    spec = {
-        "model": model_name,
-        "hidden_dim": int(hidden_dim),
-        "out_dim": int(out_dim),
-        "num_layers": int(num_layers),
-        "fanouts": tuple(fanouts),
-        "batch_size": int(batch_size),
-        "epochs": int(epochs),
-        "lr": float(lr),
-        "optimizer": optimizer,
-        "targets": None if targets is None else np.asarray(targets),
-        "shuffle": bool(shuffle),
-        "seed": int(seed),
-        "model_seed": int(model_seed),
-        "dtype": np.dtype(dtype).type,
-        "overlap": bool(overlap),
-    }
-    adj = (a.indptr, a.indices, a.data, a.shape[0])
-    result = run_spmd(
-        2, _pipeline_program, timeout=timeout, backend=backend,
-        adj=adj, features=np.ascontiguousarray(features),
-        labels=np.ascontiguousarray(labels), spec=spec,
-    )
-    return result.values[_TRAINER_RANK], result.stats

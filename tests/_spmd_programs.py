@@ -140,3 +140,44 @@ def traced_span_work(comm):
         comm.stats.set_phase("work")
         comm.allreduce(np.ones(8))
     return len(tracer().spans)
+
+
+def dist_model_adam_train(comm, a, features, labels, state, epochs: int = 3):
+    """Checkpoint-load a distributed GAT and train it with Adam.
+
+    ``build_dist_model`` returns the one ``GnnModel``, so the shared
+    serialiser, loss terms and any optimiser drive it inside a rank
+    program. Returns ``(losses, state_dict)`` from every rank.
+    """
+    from repro.distributed.model import build_dist_model
+    from repro.distributed.partition import (
+        block_range,
+        distribute_adjacency,
+        distribute_features,
+    )
+    from repro.models import load_state_dict, state_dict
+    from repro.runtime import square_grid
+    from repro.training import Adam
+    from repro.training.loss import block_loss_terms, cross_entropy_terms
+
+    n = features.shape[0]
+    grid = square_grid(comm)
+    a_block = distribute_adjacency(a, grid)
+    h_block = distribute_features(features, grid)
+    c0, c1 = block_range(n, grid.py, grid.col)
+    model = build_dist_model(
+        grid, "gat", features.shape[1], 8, 3, num_layers=2, seed=0,
+        dtype=np.float64, heads=2,
+    )
+    load_state_dict(model, state)
+    optimizer = Adam(0.01)
+    losses = []
+    for _ in range(epochs):
+        out = model.forward(a_block, h_block)
+        local, grad = block_loss_terms(
+            cross_entropy_terms, out, labels[c0:c1], None, n
+        )
+        total = comm.allreduce(np.array(local if grid.row == 0 else 0.0))
+        losses.append(float(total) / n)
+        optimizer.step(model, model.backward(grad))
+    return losses, state_dict(model)

@@ -30,6 +30,8 @@ from repro.fusion import (
     va_psi_dag,
 )
 from repro.models import VA, AttentionLayer, agnn_spec, gat_spec
+from repro.models.base import GnnModel
+from repro.training import SGD
 
 TIGHT = 1e-8  # acceptance: DAG-derived grads match hand VJPs to <= 1e-8
 
@@ -290,7 +292,7 @@ class TestDagLayer:
         _z, cache = layer.forward(a, h)
         _dh, grads = layer.backward(cache, g)
         before = {k: v.copy() for k, v in params.items()}
-        layer.apply_gradients(grads, lr=0.1)
+        SGD(0.1).step(GnnModel([layer]), [grads])
         for name in params:
             assert not np.allclose(params[name], before[name])
 

@@ -6,7 +6,9 @@ import pytest
 from repro.core.formulation import AttentionSpec
 from repro.core.psi import psi_va, psi_va_vjp
 from repro.models import VA, AttentionLayer
+from repro.models.base import GnnModel
 from repro.tensor.semiring import TROPICAL_MAX, adjacency_values
+from repro.training import SGD
 
 
 def _raw_va_psi(a, h, params, counter):
@@ -135,7 +137,9 @@ class TestBackward:
     def test_apply_gradients_sgd(self, rng, small_adjacency, va_spec):
         layer = AttentionLayer(4, 3, va_spec, dtype=np.float64)
         before = layer.weight.copy()
-        layer.apply_gradients({"weight": np.ones_like(layer.weight)}, lr=0.1)
+        SGD(0.1).step(
+            GnnModel([layer]), [{"weight": np.ones_like(layer.weight)}]
+        )
         assert np.allclose(layer.weight, before - 0.1)
 
 

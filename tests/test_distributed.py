@@ -21,6 +21,7 @@ from repro.distributed.partition import (
 from repro.runtime import run_spmd, square_grid
 from repro.tensor.kernels import spmm
 from repro.tensor.segment import segment_softmax
+from tests import _spmd_programs as programs
 from tests.conftest import random_csr
 
 
@@ -217,3 +218,98 @@ class TestOneGATLayer:
             return True
 
         assert all(run_spmd(1, program, timeout=20).values)
+
+
+class TestOneModelClass:
+    """A distributed model is the one ``GnnModel`` of ``GnnLayer``s, so
+    checkpoints, loss terms and optimisers are the single-node ones."""
+
+    def test_build_returns_gnn_model_of_gnn_layers(self):
+        from repro.distributed.model import build_dist_model
+        from repro.models.base import GnnLayer, GnnModel
+
+        def program(comm):
+            grid = square_grid(comm)
+            for name, kwargs in [("va", {}), ("agnn", {}), ("gcn", {}),
+                                 ("gat", {"heads": 1}), ("gat", {"heads": 4})]:
+                model = build_dist_model(grid, name, 6, 8, 3, **kwargs)
+                assert type(model) is GnnModel
+                assert all(isinstance(layer, GnnLayer) for layer in model.layers)
+            return True
+
+        assert all(run_spmd(4, program, timeout=20).values)
+
+    def test_load_state_dict_of_a_single_node_model(self, rng, small_adjacency):
+        from repro.distributed.model import build_dist_model
+        from repro.models import build_model, load_state_dict, state_dict
+
+        h = rng.normal(size=(60, 5))
+        single = build_model("gat", 5, 8, 3, num_layers=2, seed=9,
+                             dtype=np.float64, heads=2)
+        state = state_dict(single)
+        reference = single.forward(small_adjacency, h, training=False)
+        misfit = dict(state)
+        misfit["layer1.head0.weight"] = np.zeros((3, 3))
+
+        def program(comm):
+            grid = square_grid(comm)
+            dist = build_dist_model(grid, "gat", 5, 8, 3, num_layers=2,
+                                    seed=0, dtype=np.float64, heads=2)
+            before = state_dict(dist)
+            with pytest.raises(ValueError):
+                load_state_dict(dist, misfit)
+            after = state_dict(dist)
+            assert all(np.array_equal(after[k], before[k]) for k in before)
+            load_state_dict(dist, state)
+            out = dist.forward(
+                distribute_adjacency(small_adjacency, grid),
+                distribute_features(h, grid),
+                training=False,
+            )
+            return collect_feature_blocks(grid, out)
+
+        collected = run_spmd(4, program, timeout=30).values[0]
+        np.testing.assert_allclose(collected, reference, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_adam_in_a_rank_program_matches_the_trainer(
+        self, rng, small_adjacency, backend
+    ):
+        from repro.models import build_model, state_dict
+        from repro.training import Adam, SoftmaxCrossEntropyLoss, Trainer
+
+        h = rng.normal(size=(60, 5)) * 0.1
+        labels = rng.integers(0, 3, 60)
+        single = build_model("gat", 5, 8, 3, num_layers=2, seed=9,
+                             dtype=np.float64, heads=2)
+        state = state_dict(single)
+        expected = Trainer(
+            single, SoftmaxCrossEntropyLoss(), Adam(0.01)
+        ).fit(small_adjacency, h, labels, epochs=3).losses
+        trained = state_dict(single)
+        values = run_spmd(
+            4, programs.dist_model_adam_train, timeout=60, backend=backend,
+            a=small_adjacency, features=h, labels=labels, state=state,
+        ).values
+        for losses, final in values:
+            np.testing.assert_allclose(losses, expected, rtol=1e-8)
+            for name, value in trained.items():
+                np.testing.assert_allclose(
+                    final[name], value, rtol=1e-6, atol=1e-9, err_msg=name
+                )
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_unknown_loss_rejected_before_any_rank_starts(
+        self, rng, small_adjacency, monkeypatch, epochs
+    ):
+        from repro.distributed import api
+
+        def no_ranks(*args, **kwargs):
+            raise AssertionError("a rank program was launched")
+
+        monkeypatch.setattr(api, "run_spmd", no_ranks)
+        with pytest.raises(ValueError, match="bogus"):
+            api.distributed_train(
+                "va", small_adjacency, rng.normal(size=(60, 5)),
+                rng.integers(0, 3, 60), 8, 3, loss="bogus", epochs=epochs,
+            )

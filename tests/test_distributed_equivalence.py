@@ -149,7 +149,8 @@ class TestDistributedValidation:
             )
 
     def test_bad_loss_name(self, problem):
-        with pytest.raises(RuntimeError):
+        # Rejected by the driver, before any rank starts.
+        with pytest.raises(ValueError, match="loss must be one of"):
             distributed_train(
                 "VA", problem.adjacency,
                 problem.features.astype(np.float64), problem.labels,

@@ -371,8 +371,9 @@ class TestDistributedCoalescing:
             bytes0 = comm.stats.bytes_sent
             outs = []
             for one in passes:
-                out, cache = one.forward(grid, a_block, h_block, seq)
-                one.backward(grid, cache, np.ones_like(out), seq)
+                one.bind(grid, seq)
+                out, cache = one.forward(a_block, h_block)
+                one.backward(cache, np.ones_like(out))
                 outs.append(out)
             return (
                 combine_heads(layer, outs) if per_head else outs[0],

@@ -12,7 +12,7 @@ from repro.baselines.dist_local import dist_local_train
 from repro.distributed.api import distributed_inference, distributed_train
 from repro.graphs import kronecker, synthetic_classification
 from repro.graphs.prep import graph_stats, prepare_adjacency
-from repro.models import build_model, save_model
+from repro.models import build_model, load_model, save_model
 from repro.runtime import run_spmd
 from repro.training import Adam, SoftmaxCrossEntropyLoss, Trainer
 
@@ -50,7 +50,8 @@ class TestFullPipeline:
         save_model(model, path)
 
         # Distributed inference builds replicated models from the same
-        # constructor seed; to use *trained* weights we load per rank.
+        # constructor seed; to use *trained* weights each rank loads the
+        # checkpoint into its GnnModel.
         from repro.distributed.model import build_dist_model
         from repro.distributed.partition import (
             collect_feature_blocks,
@@ -63,10 +64,7 @@ class TestFullPipeline:
             grid = square_grid(comm)
             dist = build_dist_model(grid, "GAT", 6, 8, data.num_classes,
                                     num_layers=2, seed=3, dtype=np.float64)
-            with np.load(path) as blob:
-                for index, layer in enumerate(dist.layers):
-                    for name, value in layer.parameters().items():
-                        np.copyto(value, blob[f"layer{index}.{name}"])
+            load_model(dist, path)
             out = dist.forward(
                 distribute_adjacency(data.adjacency, grid),
                 distribute_features(h, grid),

@@ -122,6 +122,18 @@ class TestFullFanoutBitParity:
         # full forward's rows exactly at full fan-out.
         assert np.array_equal(out, full[targets])
 
+    def test_predict_answers_in_request_order(self, problem, features):
+        a = problem.adjacency.astype(np.float64)
+        model, loss, opt = _ingredients("GAT", problem)
+        trainer = MinibatchTrainer(
+            model, loss, opt, fanouts=(None, None), batch_size=16
+        )
+        targets = np.array([5, 2, 2, 40, 0, 5])
+        out = trainer.predict(a, features, targets)
+        full = model.forward(a, features, training=False)
+        # One row per requested target, unsorted and duplicated alike.
+        assert np.array_equal(out, full[targets])
+
 
 class TestSampledTraining:
     def test_gat_learns_on_sampled_batches(self, problem):

@@ -1,45 +1,13 @@
-"""Coverage for GnnModel plumbing: hooks, counters, parameter flows."""
+"""Coverage for GnnModel plumbing: counters, parameter flows."""
 
 import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.models.base import GnnModel, glorot
+from repro.models.base import glorot
 from repro.training import SGD, SoftmaxCrossEntropyLoss, Trainer
 from repro.util.counters import FlopCounter
 from repro.util.rng import make_rng
-
-
-class TestRedistributeHook:
-    def test_hook_called_between_layers_only(self, rng, small_adjacency):
-        calls = []
-
-        class Hooked(GnnModel):
-            def redistribute(self, h, layer_index):
-                calls.append(layer_index)
-                return h
-
-        base = build_model("VA", 5, 6, 3, num_layers=3, dtype=np.float64)
-        model = Hooked(base.layers)
-        model.forward(small_adjacency, rng.normal(size=(60, 5)))
-        # Called after layers 0 and 1, not after the last layer.
-        assert calls == [0, 1]
-
-    def test_hook_can_transform(self, rng, small_adjacency):
-        class Doubling(GnnModel):
-            def redistribute(self, h, layer_index):
-                return 2 * h
-
-        base = build_model("GCN", 5, 6, 3, num_layers=2, dtype=np.float64)
-        from repro.models import normalize_adjacency
-
-        a = normalize_adjacency(small_adjacency)
-        plain = GnnModel(base.layers)
-        h = rng.normal(size=(60, 5))
-        out_plain = plain.forward(a, h, training=False)
-        doubled = Doubling(base.layers)
-        out_doubled = doubled.forward(a, h, training=False)
-        assert not np.allclose(out_plain, out_doubled)
 
 
 class TestParameterPlumbing:
@@ -57,7 +25,7 @@ class TestParameterPlumbing:
         ]
         out = model.forward(small_adjacency, rng.normal(size=(60, 5)))
         grads = model.backward(np.ones_like(out))
-        model.apply_gradients(grads, lr=0.1)
+        SGD(0.1).step(model, grads)
         for layer, snapshot in zip(model.layers, before):
             for name, value in layer.parameters().items():
                 assert not np.allclose(value, snapshot[name]), name

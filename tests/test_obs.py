@@ -218,6 +218,77 @@ class TestMetrics:
         pct = h.percentiles(50, 99)
         assert set(pct) == {"p50", "p99"}
 
+    def test_histogram_is_exact_up_to_the_cap(self):
+        from repro.obs.metrics import RESERVOIR_CAP
+
+        assert RESERVOIR_CAP >= 1 << 16
+        values = np.random.default_rng(0).lognormal(size=RESERVOIR_CAP)
+        h = Histogram("lat")
+        for v in values:
+            h.observe(v)
+        assert h.count == len(h.values) == RESERVOIR_CAP
+        # The exact oracle: np.quantile over every observation.
+        for q in (0.0, 0.25, 0.5, 0.99, 1.0):
+            assert h.quantile(q) == float(np.quantile(values, q))
+        assert h.sum == float(sum(values.tolist()))
+        summary = h.summary()
+        assert (summary["min"], summary["max"]) == (values.min(), values.max())
+
+    def test_histogram_memory_is_bounded_past_the_cap(self):
+        from repro.obs.metrics import RESERVOIR_CAP
+
+        n = 10**6
+        # Integer-valued, so the float sum is exact in any order.
+        values = np.random.default_rng(1).permutation(n) + 1.0
+        h = Histogram("lat")
+        for v in values.tolist():
+            h.observe(v)
+        assert len(h.values) <= RESERVOIR_CAP
+        assert h.count == n
+        assert h.sum == n * (n + 1) / 2
+        assert h.mean == (n + 1) / 2
+        summary = h.summary()
+        assert (summary["min"], summary["max"]) == (1.0, float(n))
+        # Quantiles are now estimates from a uniform sample.
+        for q in (0.5, 0.99):
+            assert h.quantile(q) == pytest.approx(np.quantile(values, q), rel=0.02)
+        # Seeded: a second run retains the same sample.
+        again = Histogram("lat")
+        for v in values.tolist():
+            again.observe(v)
+        assert again.values == h.values
+
+    def test_histogram_concurrent_observers_lose_nothing(self, monkeypatch):
+        import sys
+        import threading
+
+        # ``repro.obs.metrics`` the attribute is the accessor function;
+        # the module is reachable through ``sys.modules``.
+        module = sys.modules["repro.obs.metrics"]
+        monkeypatch.setattr(module, "RESERVOIR_CAP", 64)
+        h = Histogram("lat")
+        workers, each = 8, 5000
+
+        def observe():
+            for _ in range(each):
+                h.observe(1.0)
+
+        threads = [threading.Thread(target=observe) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # A lost update past the cap would show in the exact moments.
+        assert h.count == workers * each
+        assert h.sum == float(workers * each)
+        assert len(h.values) <= 64 + workers
+
     def test_histogram_validates_quantile(self):
         h = Histogram("lat")
         h.observe(1.0)

@@ -269,20 +269,6 @@ class TestSampleBlocks:
             assert np.array_equal(b1.matrix.indices, b2.matrix.indices)
             assert np.array_equal(b1.src_nodes, b2.src_nodes)
 
-    def test_payload_round_trip(self, small_adjacency):
-        from repro.tensor.sampling_graph import Block
-
-        (block,) = sample_blocks(
-            small_adjacency, np.array([0, 5]), (3,), np.random.default_rng(7)
-        )
-        clone = Block.from_payload(block.to_payload())
-        assert np.array_equal(clone.matrix.indptr, block.matrix.indptr)
-        assert np.array_equal(clone.matrix.indices, block.matrix.indices)
-        assert np.array_equal(clone.matrix.data, block.matrix.data)
-        assert np.array_equal(clone.src_nodes, block.src_nodes)
-        assert np.array_equal(clone.dst_positions, block.dst_positions)
-        assert clone.sampled_edges == block.sampled_edges
-
 
 class TestEmptyBlocksThroughMegakernel:
     """Zero-edge hop blocks must survive the fused attention chain."""

@@ -352,6 +352,49 @@ class TestEngineMutations:
         assert len(engine.cache) > 0
         assert len(engine.cache) < entries_before or N <= 2
 
+    @pytest.mark.parametrize(
+        "nodes, rows",
+        [
+            # NumPy would wrap -1 to row N-1 while the invalidation
+            # looks for column -1 and finds nothing: stale rows.
+            (np.array([-1]), np.ones((1, FEAT))),
+            (np.array([N]), np.ones((1, FEAT))),
+            # One 1-D row would broadcast over three vertices.
+            (np.array([1, 2, 3]), np.ones(FEAT)),
+            (np.array([1.5]), np.ones((1, FEAT))),
+        ],
+        ids=["negative", "past-the-end", "broadcast-row", "fractional"],
+    )
+    def test_malformed_feature_delta_changes_nothing(
+        self, adjacency, features, nodes, rows
+    ):
+        model = _model("gat")
+        engine = ServingEngine(model, adjacency, features, cache=4096, seed=5)
+        seeds = np.arange(N, dtype=np.int64)
+        reference = model.forward(adjacency, features, training=False)
+        engine.serve_unique(seeds)  # warm every level
+        entries = len(engine.cache)
+        with pytest.raises(ValueError, match="nodes|rows"):
+            engine.apply_feature_delta(nodes, rows)
+        assert engine.version == 0
+        assert len(engine.cache) == entries
+        assert np.array_equal(engine.serve_unique(seeds), reference)
+
+    @pytest.mark.parametrize("touched", [[-1], [N], [0.5]])
+    def test_malformed_graph_delta_changes_nothing(
+        self, adjacency, features, touched
+    ):
+        model = _model("gat")
+        engine = ServingEngine(model, adjacency, features, cache=4096, seed=5)
+        seeds = np.arange(N, dtype=np.int64)
+        reference = engine.serve_unique(seeds)
+        entries = len(engine.cache)
+        with pytest.raises(ValueError, match="touched_dst"):
+            engine.apply_graph_delta(adjacency, touched_dst=np.array(touched))
+        assert engine.version == 0
+        assert len(engine.cache) == entries
+        assert np.array_equal(engine.serve_unique(seeds), reference)
+
     def test_graph_delta_with_touched_rows(self, adjacency, features):
         model = _model()
         engine = ServingEngine(model, adjacency, features, cache=4096, seed=5)
@@ -419,6 +462,7 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("query"), st.integers(0, 2**31 - 1)),
         st.tuples(st.just("feat"), st.integers(0, 2**31 - 1)),
+        st.tuples(st.just("wild"), st.integers(0, 2**31 - 1)),
         st.tuples(st.just("reload"), st.integers(1, 7)),
         st.tuples(st.just("graph"), st.integers(0, len(_VARIANTS) - 1)),
     ),
@@ -451,12 +495,22 @@ class TestNeverStale:
                     reference = model.forward(a, current, training=False)
                     got = engine.serve_unique(seeds)
                     assert np.array_equal(got, reference[seeds])
-                elif kind == "feat":
+                elif kind in ("feat", "wild"):
                     rng = np.random.default_rng(payload)
-                    nodes = np.unique(rng.integers(0, N, rng.integers(1, 5)))
+                    # "wild" ids come from [-N, 2N): a delta naming a
+                    # vertex that does not exist is refused whole, which
+                    # makes it a no-op step.
+                    lo, hi = (0, N) if kind == "feat" else (-N, 2 * N)
+                    nodes = np.unique(rng.integers(lo, hi, rng.integers(1, 5)))
                     rows = rng.standard_normal((nodes.size, FEAT))
-                    engine.apply_feature_delta(nodes, rows)
-                    current[nodes] = rows
+                    version = engine.version
+                    try:
+                        engine.apply_feature_delta(nodes, rows)
+                    except ValueError:
+                        assert nodes[0] < 0 or nodes[-1] >= N
+                        assert engine.version == version
+                    else:
+                        current[nodes] = rows
                 elif kind == "reload":
                     scale = 1.0 + payload / 10.0
                     engine.reload(

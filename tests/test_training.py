@@ -1,8 +1,12 @@
 """Tests for losses, optimisers, trainer and metrics."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.models import build_model, normalize_adjacency
 from repro.training import (
     Adam,
@@ -12,6 +16,11 @@ from repro.training import (
     Trainer,
     accuracy,
     f1_macro,
+)
+from repro.training.loss import (
+    block_loss_terms,
+    cross_entropy_terms,
+    squared_error_terms,
 )
 
 
@@ -82,6 +91,121 @@ class TestMSE:
         loss = MSELoss(mask)
         assert np.isclose(loss.value(h, t), MSELoss().value(h[mask], t[mask]))
         assert np.allclose(loss.gradient(h, t)[~mask], 0)
+
+
+class TestSharedLossTerms:
+    """One copy of each loss's arithmetic serves the ``Loss`` classes
+    (local count) and the partitioned runs (global count)."""
+
+    CASES = [
+        # (terms, Loss class, target maker, averaged terms per row)
+        (cross_entropy_terms, SoftmaxCrossEntropyLoss,
+         lambda rng, n, c: rng.integers(0, c, n), lambda c: 1),
+        (squared_error_terms, MSELoss,
+         lambda rng, n, c: rng.normal(size=(n, c)), lambda c: c),
+    ]
+
+    @pytest.mark.parametrize("terms, loss_cls, make_target, per_row", CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_local_count_is_the_loss_class(
+        self, rng, terms, loss_cls, make_target, per_row, dtype
+    ):
+        h = rng.normal(size=(11, 4)).astype(dtype)
+        target = make_target(rng, 11, 4)
+        count = 11 * per_row(4)
+        total, grad = terms(h, target, count)
+        assert total / count == loss_cls().value(h, target)
+        expected = loss_cls().gradient(h, target)
+        assert expected.dtype == dtype
+        assert np.array_equal(grad.astype(dtype), expected)
+
+    @pytest.mark.parametrize("terms, loss_cls, make_target, per_row", CASES)
+    def test_blocks_with_the_global_count_add_up(
+        self, rng, terms, loss_cls, make_target, per_row
+    ):
+        h = rng.normal(size=(12, 4))
+        target = make_target(rng, 12, 4)
+        mask = rng.random(12) < 0.6
+        mask[[0, 6]] = True  # both halves hold labelled rows
+        count = int(mask.sum()) * per_row(4)
+        halves = [
+            block_loss_terms(terms, h[rows], target[rows], mask[rows], count)
+            for rows in (slice(0, 6), slice(6, 12))
+        ]
+        loss = loss_cls(mask)
+        # The sums associate differently (two halves vs one pass): one
+        # ulp of slack; the gradients are the same numbers.
+        assert sum(t for t, _ in halves) / count == pytest.approx(
+            loss.value(h, target), rel=1e-15
+        )
+        assert np.array_equal(
+            np.concatenate([g for _, g in halves]), loss.gradient(h, target)
+        )
+
+    def test_unmasked_block_and_empty_block(self, rng):
+        h = rng.normal(size=(5, 3)).astype(np.float32)
+        y = rng.integers(0, 3, 5)
+        total, grad = block_loss_terms(cross_entropy_terms, h, y, None, 5)
+        assert total / 5 == SoftmaxCrossEntropyLoss().value(h, y)
+        assert grad.dtype == np.float32
+        nothing = np.zeros(5, dtype=bool)
+        total, grad = block_loss_terms(cross_entropy_terms, h, y, nothing, 7)
+        assert total == 0.0 and not grad.any() and grad.shape == h.shape
+
+
+class TestOneTrainingStack:
+    """Structure: one model class, one copy of the loss arithmetic, one
+    SGD, one sampled-training loop (``ast`` scan of ``src/repro``)."""
+
+    GONE_DEFS = {
+        "apply_gradients", "redistribute", "_block_loss_gradient",
+        "_loss_denominator", "distributed_training_step",
+        "minibatch_train_pipelined", "to_payload", "from_payload",
+    }
+    PER_CALL = {"grid", "sequencer", "overlap", "need_input_grad"}
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        package = Path(repro.__file__).parent
+        return {
+            path.relative_to(package).as_posix(): ast.parse(path.read_text())
+            for path in sorted(package.rglob("*.py"))
+        }
+
+    def test_removed_names_are_defined_nowhere(self, trees):
+        offenders = [
+            f"{path}:{node.name}"
+            for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.ClassDef) and node.name == "DistGnnModel")
+            or (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in self.GONE_DEFS)
+        ]
+        assert offenders == []
+
+    def test_log_softmax_is_called_only_by_the_loss_module(self, trees):
+        callers = {
+            path
+            for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "log_softmax"
+        }
+        assert callers == {"training/loss.py"}
+
+    def test_passes_take_no_per_call_binding(self, trees):
+        offenders = [
+            f"{path}:{node.name}({arg.arg})"
+            for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("forward", "backward")
+            for arg in node.args.args + node.args.kwonlyargs
+            if arg.arg in ("need_input_grad", "sequencer")
+            or (path.startswith("distributed/") and arg.arg in self.PER_CALL)
+        ]
+        assert offenders == []
 
 
 class TestOptimizers:

@@ -12,8 +12,8 @@ economics at serving time with three composable levers:
   single fused forward; overlapping neighbourhoods (power-law hubs)
   are computed once per flush.
 * **Activation caching** (:mod:`repro.serving.cache`) — hot nodes'
-  hidden activations persist across flushes in a versioned LRU; cache
-  hits truncate sampling depth.
+  hidden activations persist across flushes in a one-live-version LRU;
+  cache hits truncate sampling depth.
 
 :mod:`repro.serving.engine` ties them together behind
 :class:`ServingEngine` (consistent snapshots, hot reload, graph and

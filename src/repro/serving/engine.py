@@ -14,13 +14,15 @@ kinds of operation:
   :func:`repro.fusion.layer.compiled_layer_program`).
 * **Mutations** (:meth:`reload`, :meth:`apply_feature_delta`,
   :meth:`apply_graph_delta`) serialise on one lock and are
-  copy-on-write: they build the next snapshot, migrate still-valid
-  cache rows to its version, and publish it with one assignment. An
-  in-flight serve keeps its old snapshot — and, crucially, keeps
-  *writing* cache rows under the old version, where no future read
-  can see them. Staleness is therefore structural: a row is only
-  readable under the version it was computed against. The one piece
-  of shared *mutable* state a serve does read is the model's
+  copy-on-write: they build the next snapshot, advance the cache to
+  its version — deleting the rows the mutation staled, leaving the
+  rest in place — and publish it with one assignment. An in-flight
+  serve keeps its old snapshot; the cache answers one live version,
+  so the overtaken serve's later lookups miss and its later writes
+  are dropped: it finishes its one flush uncached, exactly on the old
+  snapshot. Staleness is therefore structural: a row is only readable
+  under the version it was computed against. The one piece of shared
+  *mutable* state a serve does read is the model's
   parameter arrays (:meth:`reload` copies into them in place), so
   reload alone takes the read lock's exclusive side: it waits out
   in-flight serves and blocks new ones for the duration of the copy,
@@ -30,8 +32,14 @@ Delta invalidation is the standard dependency expansion: a change to
 level-ℓ state of node set ``S`` dirties, at level ``ℓ+1``, the set
 ``S ∪ {i : in-neighbours(i) ∩ S ≠ ∅}`` (each hop propagates one level
 up), so a feature delta invalidates the L-hop forward cone of the
-touched rows and everything else migrates intact. A model reload or an
-un-annotated graph swap invalidates everything.
+touched rows and nothing else. That hop is one boolean SpMV over the
+transposed pattern — the rows of ``Aᵀ`` that ``S`` names, read from the
+pattern-only transpose the adjacency's structure caches (built by a
+graph's first mutation; a read-only deployment never pays for it) — so
+a delta costs the out-edges of its cone plus the rows it drops, not
+the edges and rows that exist. A model reload or an un-annotated graph
+swap invalidates everything. Every mutation is one ``serve.delta`` span
+and one ``serving.delta_ms`` observation.
 
 :class:`ServingServer` is the thin thread-pool shell: an
 :class:`~repro.serving.queue.AdmissionQueue` in front, worker threads
@@ -41,20 +49,25 @@ draining it through :func:`~repro.serving.batcher.flush_batch`.
 from __future__ import annotations
 
 import itertools
+import numbers
 import threading
-from dataclasses import dataclass
+import time
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from concurrent.futures import Future
 
 import numpy as np
 
 from repro.models.base import GnnModel
 from repro.models.serialize import load_state_dict
+from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 from repro.serving.batcher import compute_union_rows, flush_batch
 from repro.serving.cache import ActivationCache
 from repro.serving.queue import AdmissionQueue
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.sampling_graph import hub_bias_weights
+from repro.tensor.segment import ragged_ranges
 
 __all__ = ["ServingEngine", "ServingServer"]
 
@@ -114,21 +127,17 @@ def _expand_dirty(
 
     Returns the sorted union of ``dirty`` with every vertex that has an
     in-edge from ``dirty`` in any of ``mats`` (old and new adjacency
-    for graph deltas — membership in either makes a row stale).
+    for graph deltas — membership in either makes a row stale): the
+    rows of each cached transposed pattern that ``dirty`` names, so
+    the work is the out-edges of ``dirty``.
     """
-    parts = [dirty]
-    for a in mats:
-        touched = np.isin(a.indices, dirty)
-        if touched.any():
-            # Edge position -> its CSR row (the destination vertex).
-            rows = (
-                np.searchsorted(
-                    a.indptr, np.flatnonzero(touched), side="right"
-                )
-                - 1
-            )
-            parts.append(np.unique(rows))
-    return np.unique(np.concatenate(parts))
+    stale = np.zeros(mats[0].shape[0], dtype=bool)
+    stale[dirty] = True
+    for pattern in {a.structure.transpose() for a in mats}:
+        starts = pattern.indptr[dirty]
+        lengths = pattern.indptr[dirty + 1] - starts
+        stale[pattern.indices[ragged_ranges(starts, lengths)]] = True
+    return np.flatnonzero(stale)
 
 
 def _vertex_ids(ids, n: int, name: str) -> np.ndarray:
@@ -277,6 +286,41 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Mutations (copy-on-write snapshot swap)
     # ------------------------------------------------------------------
+    @contextmanager
+    def _mutation(self, kind: str):
+        """Serialise one mutation under a ``serve.delta`` span and time
+        it, lock wait included, into ``serving.delta_ms``."""
+        t0 = time.perf_counter()
+        with self._mutate, tracer().span("serve.delta", kind=kind) as span:
+            yield span
+        metrics().histogram("serving.delta_ms").observe(
+            (time.perf_counter() - t0) * 1e3
+        )
+
+    def _publish(
+        self, span, dirty: np.ndarray | None = None, level: int = 0,
+        mats: tuple[CSRMatrix, ...] = (), **changed,
+    ) -> int:
+        """Publish the live snapshot with ``changed`` under the next version.
+
+        ``dirty`` names the ids stale at ``level``; each level above it
+        adds one hop of the forward cone through ``mats``, and the cache
+        drops those rows — every row when ``dirty`` is ``None``.
+        """
+        old = self._snapshot
+        if self.cache is not None:
+            cone = sizes = None
+            if dirty is not None:
+                cone = {level: dirty}
+                for level in range(level + 1, self.model.num_layers + 1):
+                    cone[level] = dirty = _expand_dirty(dirty, mats)
+                sizes = {level: ids.size for level, ids in cone.items()}
+            cached = len(self.cache)
+            kept = self.cache.advance(old.version, old.version + 1, cone)
+            span.annotate(cone=sizes, dropped=cached - kept)
+        self._snapshot = replace(old, version=old.version + 1, **changed)
+        return self._snapshot.version
+
     def reload(self, state: dict[str, np.ndarray]) -> int:
         """Hot-swap model parameters from a ``state_dict`` snapshot.
 
@@ -284,31 +328,22 @@ class ServingEngine:
         parameter lock, so the copy waits out every in-flight serve
         and blocks new ones until the bumped snapshot is published —
         each request computes entirely before or entirely after the
-        swap. The whole cache is invalidated (old-version rows embed
-        the old weights) and the new version starts clean. Returns the
+        swap. The whole cache is invalidated (its rows embed the old
+        weights) and the new version starts clean. Returns the
         new version. A ``state`` that does not fit the model raises
         before anything is written: parameters, version and cache stay
         as they were and the engine keeps serving them.
         """
-        with self._mutate:
-            old = self._snapshot
+        with self._mutation("reload") as span:
             # Exclusive side of the parameter lock: wait out in-flight
             # serves, copy, publish the bumped snapshot, then let new
             # serves in — no forward ever sees half-swapped weights.
             self._params.acquire_write()
             try:
                 load_state_dict(self.model, state)
-                if self.cache is not None:
-                    self.cache.advance(old.version, old.version + 1, None)
-                self._snapshot = _Snapshot(
-                    a=old.a,
-                    features=old.features,
-                    weights=old.weights,
-                    version=old.version + 1,
-                )
+                return self._publish(span)
             finally:
                 self._params.release_write()
-            return self._snapshot.version
 
     def apply_feature_delta(
         self, nodes: np.ndarray, rows: np.ndarray
@@ -316,10 +351,11 @@ class ServingEngine:
         """Replace the feature rows of ``nodes``; invalidate their cone.
 
         Copy-on-write: readers of the old snapshot keep the old
-        feature matrix. Cache rows outside the touched nodes' L-hop
-        forward cone migrate to the new version. Returns it. ``rows``
-        holds one row per *unique* id, in sorted-id order; bad ids or a
-        mis-shaped ``rows`` raise ``ValueError`` before anything changes.
+        feature matrix. Cache rows inside the touched nodes' L-hop
+        forward cone are deleted, the rest stay readable under the new
+        version. Returns it. ``rows`` holds one finite row per *unique*
+        id, in sorted-id order; bad ids, a mis-shaped or a non-finite
+        ``rows`` raise ``ValueError`` before anything changes.
         """
         nodes = _vertex_ids(nodes, self.num_nodes, "nodes")
         rows = np.asarray(rows)
@@ -329,26 +365,17 @@ class ServingEngine:
                 f"rows must have shape {expected} (one row per unique "
                 f"node), got {rows.shape}"
             )
-        with self._mutate:
+        if not np.isfinite(rows).all():
+            # One NaN feature row makes every served row of its cone NaN.
+            raise ValueError("rows must be finite (no NaN or infinity)")
+        with self._mutation("feature") as span:
             old = self._snapshot
             features = np.array(old.features, copy=True)
             features[nodes] = rows
-            if self.cache is not None:
-                dirty = nodes
-                dropped: dict[int, np.ndarray] = {}
-                for level in range(1, self.model.num_layers + 1):
-                    dirty = _expand_dirty(dirty, (old.a,))
-                    dropped[level] = dirty
-                self.cache.advance(
-                    old.version, old.version + 1, dropped
-                )
-            self._snapshot = _Snapshot(
-                a=old.a,
-                features=features,
-                weights=old.weights,
-                version=old.version + 1,
+            # Level 0 is the features themselves (never cached).
+            return self._publish(
+                span, nodes, 0, (old.a,), features=features
             )
-            return self._snapshot.version
 
     def apply_graph_delta(
         self, a: CSRMatrix, touched_dst: np.ndarray | None = None
@@ -358,7 +385,7 @@ class ServingEngine:
         ``touched_dst`` names the vertices whose in-edge lists (or
         edge values) differ between the two adjacencies; their forward
         cone — expanded through *both* graphs — is invalidated and the
-        rest migrates. Without it the whole cache is dropped (safe for
+        rest stays. Without it the whole cache is dropped (safe for
         arbitrary rewires). Hub-bias sampling weights are recomputed.
         Returns the new version; a bad ``touched_dst`` id raises
         ``ValueError`` before anything changes.
@@ -369,7 +396,7 @@ class ServingEngine:
             )
         if touched_dst is not None:
             touched_dst = _vertex_ids(touched_dst, a.shape[0], "touched_dst")
-        with self._mutate:
+        with self._mutation("graph") as span:
             old = self._snapshot
             if self._weights_mode == "hub":
                 weights = hub_bias_weights(a)
@@ -380,28 +407,12 @@ class ServingEngine:
                 )
             else:
                 weights = None
-            if self.cache is not None:
-                if touched_dst is None:
-                    self.cache.advance(old.version, old.version + 1, None)
-                else:
-                    # Level-1 activations of the touched destinations
-                    # are stale; each further level adds one hop of the
-                    # forward cone under either adjacency.
-                    dirty = touched_dst
-                    dropped = {1: dirty}
-                    for level in range(2, self.model.num_layers + 1):
-                        dirty = _expand_dirty(dirty, (old.a, a))
-                        dropped[level] = dirty
-                    self.cache.advance(
-                        old.version, old.version + 1, dropped
-                    )
-            self._snapshot = _Snapshot(
-                a=a,
-                features=old.features,
-                weights=weights,
-                version=old.version + 1,
+            # Level-1 activations of the touched destinations are
+            # stale; each further level adds one hop of the forward
+            # cone under either adjacency.
+            return self._publish(
+                span, touched_dst, 1, (old.a, a), a=a, weights=weights
             )
-            return self._snapshot.version
 
 
 class ServingServer:
@@ -446,14 +457,27 @@ class ServingServer:
 
     # ------------------------------------------------------------------
     def submit(self, node: int) -> Future:
-        """Enqueue one request; resolves to that vertex's output row."""
-        return self.queue.submit(node)
+        """Enqueue one request; resolves to that vertex's output row.
+
+        An id that is not an integer in ``[0, engine.num_nodes)`` fails
+        on its own future with ``ValueError`` and is never enqueued, so
+        it cannot fail the requests it would have been batched with.
+        """
+        n = self.engine.num_nodes
+        if isinstance(node, numbers.Integral) and 0 <= node < n:
+            return self.queue.submit(node)
+        refused: Future = Future()
+        refused.set_exception(ValueError(
+            f"node must be an integer vertex id in [0, {n}); got {node!r}"
+        ))
+        return refused
 
     def submit_many(self, nodes) -> list[Future]:
         """Enqueue a burst of requests (one future per node)."""
-        return [self.queue.submit(int(node)) for node in np.atleast_1d(
-            np.asarray(nodes, dtype=np.int64)
-        )]
+        # dtype=object: each id keeps its own type, so a fractional id
+        # in a list cannot turn its integer neighbours into floats.
+        nodes = np.atleast_1d(np.asarray(nodes, dtype=object))
+        return [self.submit(node) for node in nodes.tolist()]
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -8,10 +8,13 @@ The load-bearing guarantees:
   source frame and the compaction map is monotone).
 * **Never stale** — a hypothesis interleaving of feature deltas, graph
   deltas, model reloads and queries always answers every query exactly
-  as a fresh full-batch forward over the current state would
-  (versioned cache keys make staleness structural, not best-effort).
+  as a fresh full-batch forward over the current state would (the
+  cache answers one live version, so staleness is structural, not
+  best-effort), and a delta that lands *inside* a flush leaves that
+  flush exactly on its old snapshot.
 * **Queue policy** — flushes trigger on max-batch or max-delay,
-  drain on close, and propagate engine failures to every future.
+  drain on close, and propagate engine failures to every future; a
+  malformed request fails alone.
 * **Bounded pools** — 100 mixed-size union batches under a workspace
   budget leave the pool no larger than the budget allows.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from repro.graphs import erdos_renyi
 from repro.graphs.prep import prepare_adjacency
 from repro.models import build_model, state_dict
 from repro.models.base import ForwardState
+from repro.obs.metrics import metrics
 from repro.obs.tracer import Tracer, install_tracer
 from repro.serving import (
     ActivationCache,
@@ -80,7 +85,73 @@ def _model(name: str = "va", seed: int = 0):
 # ----------------------------------------------------------------------
 # Activation cache
 # ----------------------------------------------------------------------
+class _LoopCache:
+    """The cache as a per-entry loop over one ordered dict: the oracle
+    for the presence-mask bookkeeping in :class:`ActivationCache`."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity, self.version, self.evictions = capacity, 0, 0
+        self.rows: OrderedDict[tuple[int, int], None] = OrderedDict()
+
+    def get(self, level, nodes, version) -> list[bool]:
+        hits = []
+        for node in nodes:
+            key = (level, int(node))
+            hits.append(version == self.version and key in self.rows)
+            if hits[-1]:
+                self.rows.move_to_end(key)
+        return hits
+
+    def put(self, level, nodes, version) -> None:
+        if version != self.version:
+            return
+        for node in nodes:
+            self.rows[(level, int(node))] = None
+            self.rows.move_to_end((level, int(node)))
+        while len(self.rows) > self.capacity:
+            self.rows.popitem(last=False)
+            self.evictions += 1
+
+    def advance(self, dropped) -> None:
+        for level, node in list(self.rows):
+            if dropped is None or node in dropped.get(level, ()):
+                del self.rows[(level, node)]
+        self.version += 1
+
+
 class TestActivationCache:
+    @pytest.mark.parametrize("capacity", [3, 40, 4096])
+    def test_matches_the_per_entry_loop_under_random_traffic(self, capacity):
+        """Hits (so LRU order and evictions), size and version gating
+        equal the loop oracle's over puts, gets, targeted and total
+        advances, and accesses at a version that is not the live one."""
+        rng = np.random.default_rng(capacity)
+        cache, oracle = ActivationCache(capacity), _LoopCache(capacity)
+        for _ in range(400):
+            op = rng.integers(8)
+            level = int(rng.integers(1, 4))
+            nodes = np.unique(rng.integers(0, 60, rng.integers(1, 12)))
+            version = oracle.version - int(rng.random() < 0.15)
+            if op < 3:
+                rows = rng.standard_normal((nodes.size, 2))
+                cache.put_rows(level, nodes, rows, version)
+                oracle.put(level, nodes, version)
+            elif op < 7:
+                _, hits = cache.get_rows(level, nodes, version)
+                assert list(hits) == oracle.get(level, nodes, version)
+            else:
+                dropped = None if rng.random() < 0.2 else {
+                    lvl: np.unique(rng.integers(0, 90, rng.integers(0, 30)))
+                    for lvl in rng.choice(4, rng.integers(0, 3), replace=False)
+                }
+                oracle.advance(dropped)
+                kept = cache.advance(
+                    oracle.version - 1, oracle.version, dropped
+                )
+                assert kept == len(oracle.rows)
+            assert len(cache) == len(oracle.rows)
+            assert cache.evictions == oracle.evictions
+
     def test_put_get_roundtrip(self):
         cache = ActivationCache(capacity=8)
         nodes = np.array([2, 5, 9])
@@ -145,6 +216,39 @@ class TestActivationCache:
         cache.put_rows(1, np.array([4]), np.ones((1, 2)), version=0)
         _, hit = cache.get_rows(1, np.array([4]), version=1)
         assert not hit.any()
+
+    def test_advance_from_a_version_that_is_not_live_raises(self):
+        cache = ActivationCache(capacity=8)
+        cache.put_rows(1, np.array([3, 4]), np.ones((2, 2)), version=0)
+        cache.advance(0, 1, {1: np.array([4])})
+        for dropped in (None, {1: np.array([3])}):
+            with pytest.raises(ValueError, match="version 1"):
+                cache.advance(0, 2, dropped)
+        assert len(cache) == 1
+        _, hit = cache.get_rows(1, np.array([3]), version=1)
+        assert hit.all()
+
+    def test_advance_drops_only_rows_it_names_at_any_id(self):
+        # Ids past anything ever stored, levels never stored, repeats:
+        # none of it may touch a row that was not named.
+        cache = ActivationCache(capacity=8)
+        cache.put_rows(2, np.array([1, 6]), np.ones((2, 2)), version=0)
+        kept = cache.advance(
+            0, 1, {0: np.array([1]), 1: np.array([6]),
+                   2: np.array([6, 6, 900])},
+        )
+        assert kept == len(cache) == 1
+        _, hit = cache.get_rows(2, np.array([1, 6]), version=1)
+        assert list(hit) == [True, False]
+
+    def test_evicted_rows_are_not_counted_as_invalidated(self):
+        cache = ActivationCache(capacity=2)
+        cache.put_rows(1, np.array([0, 1, 2]), np.ones((3, 2)), version=0)
+        assert cache.evictions == 1 and len(cache) == 2
+        before = metrics().counter("serving.cache.invalidated").value
+        assert cache.advance(0, 1, {1: np.array([0, 1])}) == 1
+        after = metrics().counter("serving.cache.invalidated").value
+        assert after - before == 1  # node 0 was evicted, not invalidated
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -362,8 +466,12 @@ class TestEngineMutations:
             # One 1-D row would broadcast over three vertices.
             (np.array([1, 2, 3]), np.ones(FEAT)),
             (np.array([1.5]), np.ones((1, FEAT))),
+            # One NaN feature row makes its whole forward cone NaN.
+            (np.array([3]), np.full((1, FEAT), np.nan)),
+            (np.array([3, 4]), np.array([[1.0] * FEAT, [np.inf] * FEAT])),
         ],
-        ids=["negative", "past-the-end", "broadcast-row", "fractional"],
+        ids=["negative", "past-the-end", "broadcast-row", "fractional",
+             "nan-row", "inf-row"],
     )
     def test_malformed_feature_delta_changes_nothing(
         self, adjacency, features, nodes, rows
@@ -417,6 +525,102 @@ class TestEngineMutations:
         engine.apply_graph_delta(adjacency)
         assert len(engine.cache) == 0
 
+    def test_delta_drops_exactly_the_forward_cone(self, adjacency, features):
+        """Level ℓ loses the vertices within ℓ hops downstream of the
+        touched rows — dense reachability is the oracle — and no other."""
+        engine = ServingEngine(_model(), adjacency, features,
+                               cache=4096, seed=5)
+        everyone = np.arange(N, dtype=np.int64)
+        engine.serve_unique(everyone)  # every row of both levels cached
+        touched = np.array([2, 17])
+        engine.apply_feature_delta(touched, np.zeros((2, FEAT)))
+        reach = (adjacency.to_dense() != 0) | np.eye(N, dtype=bool)
+        stale = np.zeros(N, dtype=bool)
+        stale[touched] = True
+        for level in (1, 2):
+            stale = reach[:, stale].any(axis=1)
+            _, hits = engine.cache.get_rows(level, everyone, engine.version)
+            assert np.array_equal(hits, ~stale)
+
+    def test_mutations_emit_a_delta_span_and_metrics(
+        self, adjacency, features
+    ):
+        model = _model()
+        engine = ServingEngine(model, adjacency, features, cache=4096, seed=5)
+        engine.serve_unique(np.arange(N, dtype=np.int64))
+        count0 = metrics().histogram("serving.delta_ms").count
+        dropped0 = metrics().counter("serving.cache.invalidated").value
+        sizes = [len(engine.cache)]
+        live = Tracer(rank=0)
+        install_tracer(live)
+        try:
+            engine.apply_graph_delta(adjacency, touched_dst=np.array([6]))
+            sizes.append(len(engine.cache))
+            engine.apply_feature_delta(np.array([0, 9]), np.zeros((2, FEAT)))
+            sizes.append(len(engine.cache))
+            engine.reload(state_dict(model))
+            sizes.append(len(engine.cache))
+        finally:
+            install_tracer(None)
+        spans = [s.attrs for s in live.spans if s.name == "serve.delta"]
+        assert [s["kind"] for s in spans] == ["graph", "feature", "reload"]
+        assert [s["dropped"] for s in spans] == [
+            was - now for was, now in zip(sizes, sizes[1:])
+        ]
+        assert 0 < sizes[2] < sizes[1] < sizes[0] and sizes[3] == 0
+        # Cone sizes per level: the touched ids (level 1 for a graph
+        # delta, level 0 for a feature delta), then one hop per level.
+        assert spans[0]["cone"][1] == 1 and spans[1]["cone"][0] == 2
+        assert 2 < spans[1]["cone"][1] <= spans[1]["cone"][2] <= N
+        assert spans[2]["cone"] is None  # a reload names no ids
+        assert metrics().histogram("serving.delta_ms").count == count0 + 3
+        assert (
+            metrics().counter("serving.cache.invalidated").value
+            == dropped0 + sizes[0]
+        )
+
+    def test_delta_landing_mid_flush(self, adjacency, features):
+        """A serve captures snapshot 0, looks up its top level, and is
+        then overtaken by a feature delta before it looks any deeper."""
+
+        class OvertakenCache(ActivationCache):
+            overtake = None
+
+            def get_rows(self, level, nodes, version):
+                if level == 1 and self.overtake is not None:
+                    fire, self.overtake = self.overtake, None
+                    fire()
+                return super().get_rows(level, nodes, version)
+
+        model = _model("gat")
+        cache = OvertakenCache(capacity=4096)
+        engine = ServingEngine(model, adjacency, features, cache=cache, seed=5)
+        seeds = np.arange(0, N, 2, dtype=np.int64)
+        touched = np.array([2, 17])
+        new_rows = np.random.default_rng(9).standard_normal((2, FEAT))
+        current = np.array(features, copy=True)
+        current[touched] = new_rows
+        old = model.forward(adjacency, features, training=False)
+        new = model.forward(adjacency, current, training=False)
+        # Vertex 2's output is cached, so the overtaken serve also holds
+        # a row the delta is about to drop.
+        engine.serve_unique(touched)
+        after_delta = []
+
+        def overtake():
+            engine.apply_feature_delta(touched, new_rows)
+            after_delta.append(len(cache))
+
+        cache.overtake = overtake
+        hits = cache.hits
+        got = engine.serve_unique(seeds)
+        assert engine.version == 1 and after_delta  # it was overtaken
+        assert np.array_equal(got, old[seeds])
+        assert cache.hits == hits + 1  # vertex 2, read before the delta
+        assert len(cache) == after_delta[0]  # its late writes stored nothing
+        assert np.array_equal(engine.serve_unique(seeds), new[seeds])
+        assert len(cache) > after_delta[0]  # the live version does cache
+
     def test_explicit_weights_rejected_on_graph_swap(
         self, adjacency, features
     ):
@@ -463,6 +667,7 @@ _OPS = st.lists(
         st.tuples(st.just("query"), st.integers(0, 2**31 - 1)),
         st.tuples(st.just("feat"), st.integers(0, 2**31 - 1)),
         st.tuples(st.just("wild"), st.integers(0, 2**31 - 1)),
+        st.tuples(st.just("nonfinite"), st.integers(0, 2**31 - 1)),
         st.tuples(st.just("reload"), st.integers(1, 7)),
         st.tuples(st.just("graph"), st.integers(0, len(_VARIANTS) - 1)),
     ),
@@ -472,10 +677,7 @@ _OPS = st.lists(
 
 
 class TestNeverStale:
-    @settings(
-        max_examples=20, deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(ops=_OPS, capacity=st.sampled_from([2, 64, 4096]))
     def test_interleavings_always_serve_current_state(self, ops, capacity):
         model = _model("gat")
@@ -495,21 +697,30 @@ class TestNeverStale:
                     reference = model.forward(a, current, training=False)
                     got = engine.serve_unique(seeds)
                     assert np.array_equal(got, reference[seeds])
-                elif kind in ("feat", "wild"):
+                elif kind in ("feat", "wild", "nonfinite"):
                     rng = np.random.default_rng(payload)
                     # "wild" ids come from [-N, 2N): a delta naming a
                     # vertex that does not exist is refused whole, which
-                    # makes it a no-op step.
-                    lo, hi = (0, N) if kind == "feat" else (-N, 2 * N)
+                    # makes it a no-op step. So is one carrying a NaN
+                    # or an infinity.
+                    lo, hi = (-N, 2 * N) if kind == "wild" else (0, N)
                     nodes = np.unique(rng.integers(lo, hi, rng.integers(1, 5)))
                     rows = rng.standard_normal((nodes.size, FEAT))
+                    if kind == "nonfinite":
+                        rows[rng.integers(nodes.size), rng.integers(FEAT)] = (
+                            rng.choice([np.nan, np.inf, -np.inf])
+                        )
                     version = engine.version
                     try:
                         engine.apply_feature_delta(nodes, rows)
                     except ValueError:
-                        assert nodes[0] < 0 or nodes[-1] >= N
+                        assert (
+                            kind == "nonfinite"
+                            or nodes[0] < 0 or nodes[-1] >= N
+                        )
                         assert engine.version == version
                     else:
+                        assert kind != "nonfinite"
                         current[nodes] = rows
                 elif kind == "reload":
                     scale = 1.0 + payload / 10.0
@@ -587,6 +798,29 @@ class TestServingServer:
             future = server.submit(N + 100)  # out of range
             with pytest.raises(ValueError):
                 future.result(timeout=30)
+
+    @pytest.mark.parametrize("bad", [N + 5, -1, 2.9, np.float64(2.0)])
+    def test_bad_id_fails_alone(self, adjacency, features, bad):
+        """One malformed request in a flush of five: its future names
+        the id, the four valid ones of the same batch get their rows."""
+        model = _model("gat")
+        reference = model.forward(adjacency, features, training=False)
+        engine = ServingEngine(model, adjacency, features, seed=5)
+        with ServingServer(
+            engine, max_batch=8, max_delay_ms=20.0
+        ) as server:
+            nodes = [1, 2, 3, bad, 4]
+            futures = [server.submit(node) for node in nodes[:3]]
+            futures += server.submit_many(nodes[3:])
+            for node, future in zip(nodes, futures):
+                if node is bad:
+                    with pytest.raises(ValueError, match="node must be"):
+                        future.result(timeout=30)
+                    assert repr(bad) in str(future.exception())
+                else:
+                    assert np.array_equal(
+                        future.result(timeout=30), reference[node]
+                    )
 
     def test_concurrent_requesters_with_reloads(self, adjacency, features):
         # Heavier interleaving: requester threads race a reload; every

@@ -22,22 +22,6 @@ from repro.bench.harness import BenchRow, make_graph, run_config, write_csv
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def pytest_collection_modifyitems(items):
-    """Relax tier-1's ``error::RuntimeWarning`` for the figure sweeps.
-
-    They train on unscaled N(0, 1) features, where three VA layers on a
-    dense Kronecker graph overflow float32 — and they assert counted
-    words, flops and modeled time, none of which depends on a value.
-    Every other suite keeps the error.
-    """
-    here = Path(__file__).parent
-    for item in items:
-        if here in Path(item.fspath).parents:
-            item.add_marker(
-                pytest.mark.filterwarnings("default::RuntimeWarning")
-            )
-
-
 @functools.lru_cache(maxsize=32)
 def cached_graph(kind: str, n: int, m: int, seed: int = 0):
     """Graphs are expensive to generate; share them across sweep points."""

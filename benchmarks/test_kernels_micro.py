@@ -27,6 +27,7 @@ from repro.tensor.kernels import (
     sddmm_cosine,
     sddmm_dot,
     spmm,
+    spmm_reference,
     spmmm,
 )
 
@@ -45,13 +46,13 @@ def operands():
 
 def test_spmm_scipy(benchmark, operands):
     a, h, _, _ = operands
-    out = benchmark(lambda: spmm(a, h, backend="scipy"))
+    out = benchmark(lambda: spmm(a, h))
     assert out.shape == (N, K)
 
 
 def test_spmm_reference(benchmark, operands):
     a, h, _, _ = operands
-    out = benchmark(lambda: spmm(a, h, backend="reference"))
+    out = benchmark(lambda: spmm_reference(a, h))
     assert out.shape == (N, K)
 
 
@@ -96,10 +97,7 @@ def test_mspmm(benchmark, operands):
 def test_backends_agree(benchmark, operands):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     a, h, _, _ = operands
-    assert np.allclose(
-        spmm(a, h, backend="scipy"), spmm(a, h, backend="reference"),
-        atol=1e-4,
-    )
+    assert np.allclose(spmm(a, h), spmm_reference(a, h), atol=1e-4)
 
 
 # ----------------------------------------------------------------------

@@ -180,7 +180,7 @@ def distributed_semiring_aggregate(
     semiring would need a two-channel reduce and is left to the
     single-node path.
     """
-    from repro.tensor.kernels import spmm as _spmm
+    from repro.tensor.kernels import spmm_reference
 
     if semiring.pair_valued:
         raise NotImplementedError(
@@ -191,7 +191,7 @@ def distributed_semiring_aggregate(
     )
     if op is None:
         raise ValueError(f"no collective reduce op for {semiring.name}")
-    partial = _spmm(a_block, h_block, semiring=semiring, backend="reference")
+    partial = spmm_reference(a_block, h_block, semiring=semiring)
     return reduce_and_redistribute(grid, partial, sequencer, op=op)
 
 

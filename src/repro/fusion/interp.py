@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.fusion.dag import OpDag
 from repro.fusion.fuse import FusedProgram, fuse, match_attention_chain
+from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 from repro.fusion.sparsity import Sparsity
 from repro.tensor.csr import CSRMatrix
@@ -42,11 +43,7 @@ from repro.tensor.kernels import spmm
 from repro.tensor.megakernel import attention_backward, attention_forward
 from repro.tensor.segment import bincount_sum, segment_sum
 from repro.tensor.workspace import workspace
-from repro.util.counters import (
-    FlopCounter,
-    event_counter,
-    null_counter,
-)
+from repro.util.counters import FlopCounter, null_counter
 
 __all__ = ["execute", "ProgramRunner"]
 
@@ -126,7 +123,7 @@ class ProgramRunner:
             # single-sweep semantics; tiled/dense ablations stay as-is.
             chain = match_attention_chain(program)
             if chain is None:
-                event_counter().bump("megakernel.unmatched")
+                metrics().counter("megakernel.unmatched").inc()
         self.fused = chain is not None
         self._engine = _Engine(
             program, self._inputs, pattern, mode, tile_rows,

@@ -49,9 +49,10 @@ from repro.fusion.fuse import FusedProgram, fuse
 from repro.fusion.interp import ProgramRunner
 from repro.fusion.models import agnn_layer_dag, gat_layer_dag, va_layer_dag
 from repro.models.base import GnnLayer, glorot
+from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 from repro.tensor.csr import CSRMatrix
-from repro.util.counters import FlopCounter, event_counter, null_counter
+from repro.util.counters import FlopCounter, null_counter
 from repro.util.rng import make_rng
 
 __all__ = ["DagLayer", "LAYER_DAG_BUILDERS", "compiled_layer_program"]
@@ -104,9 +105,9 @@ def compiled_layer_program(
             program = build_vjp(forward, wrt, seed_name="dZ")
             entry = (program, fuse(program.dag))
             _PROGRAM_CACHE[key] = entry
-            event_counter().bump("dag_program.built")
+            metrics().counter("dag_program.built").inc()
         else:
-            event_counter().bump("dag_program.hit")
+            metrics().counter("dag_program.hit").inc()
     return entry
 
 
@@ -137,9 +138,6 @@ class DagLayer(GnnLayer):
         Output non-linearity applied outside the DAG (the DAG computes
         the pre-activation ``Z``; :math:`\\sigma'` masking is the
         model's job, per Eq. 4/6).
-    mode:
-        Executor mode forwarded to the runner (``"fused"`` for
-        production; ``"tiled"``/``"dense"`` for ablations/tests).
     fused:
         Megakernel switch forwarded to the runner: ``True`` lowers the
         recognised attention chain to the single-sweep executor
@@ -156,7 +154,6 @@ class DagLayer(GnnLayer):
         in_dim: int,
         out_dim: int,
         activation: str = "relu",
-        mode: str = "fused",
         fused: bool = False,
         beta: float = 1.0,
         slope: float = 0.2,
@@ -166,7 +163,6 @@ class DagLayer(GnnLayer):
         super().__init__(activation)
         _, extra = LAYER_DAG_BUILDERS.get(model, (None, ()))
         self.model = model
-        self.mode = mode
         self.fused = fused
         self.in_dim = in_dim
         self.out_dim = out_dim
@@ -198,7 +194,7 @@ class DagLayer(GnnLayer):
             "daglayer.forward", counter=counter, model=self.model,
         ):
             runner = ProgramRunner(
-                self._fused_program, self._bindings(a, h), mode=self.mode,
+                self._fused_program, self._bindings(a, h),
                 fused=self.fused, counter=counter,
             )
             z = runner.run()

@@ -1,14 +1,16 @@
 """Observability: span tracing, metrics, and Perfetto export.
 
-The runtime's accounting islands — :class:`~repro.util.counters.FlopCounter`,
-:class:`~repro.util.counters.EventCounter`, the per-rank
-:class:`~repro.runtime.stats.CommStats` and the bounded
-:class:`~repro.runtime.trace.CommTrace` — answer *how much*; this
-package answers *when* and *where*: nested timed spans over every
-execution layer (kernel sweeps, IR ops, schedule steps, epochs and
-batches), exported as Chrome trace-event JSON that Perfetto renders as
-one timeline track per rank, plus a counter/gauge/histogram registry
-with exact quantiles.
+The runtime's accounting islands — :class:`~repro.util.counters.FlopCounter`
+and the per-rank :class:`~repro.runtime.stats.CommStats` — answer *how
+much work and traffic*; this package holds everything else a run
+records about itself. Nested timed spans over every execution layer
+(kernel sweeps, IR ops, schedule steps, a rank's sends and waits,
+epochs and batches), exported as Chrome trace-event JSON that Perfetto
+renders as one timeline track per rank; and the one
+counter/gauge/histogram registry (:func:`metrics`) every occurrence
+count in the library goes to — cache hits, plan-memo hits, workspace
+allocations, sampler hops, the serving histograms — so
+``metrics().snapshot()`` is the one dump.
 
 Tracing is off by default and costs nothing when off: the accessor
 :func:`~repro.obs.tracer.tracer` returns a shared null tracer whose
@@ -19,6 +21,7 @@ or install a :class:`~repro.obs.tracer.Tracer` explicitly.
 """
 
 from repro.obs.export import (
+    diff_sends,
     format_top_spans,
     profile_spans,
     to_chrome_trace,
@@ -56,6 +59,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "metrics",
+    "diff_sends",
     "format_top_spans",
     "profile_spans",
     "to_chrome_trace",

@@ -20,10 +20,11 @@ Emission guarantees, which the test suite asserts:
   crossed pairs.
 
 :func:`profile_spans` is the flat view: per-name count, inclusive and
-exclusive (self) seconds, and the FlopCounter/EventCounter deltas
+exclusive (self) seconds, and the flop and registry-counter deltas
 captured at span boundaries — :func:`format_top_spans` renders it as
 the CLI's top-spans table, :func:`write_profile_json` /
-:func:`write_profile_csv` persist it.
+:func:`write_profile_csv` persist it. :func:`diff_sends` compares two
+ranks' ``"send"`` slices, the tool for a tag-mismatch hang.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "format_top_spans",
     "write_profile_json",
     "write_profile_csv",
+    "diff_sends",
 ]
 
 
@@ -244,3 +246,36 @@ def write_profile_csv(path: str | Path, rows: list[dict[str, Any]]) -> Path:
         for row in rows:
             writer.writerow({k: row[k] for k in PROFILE_FIELDS})
     return path
+
+
+def diff_sends(a: Tracer, b: Tracer) -> str:
+    """First divergence between two rank tracers' send sequences.
+
+    SPMD collectives keep ranks' *phase sequences* aligned even though
+    payload sizes differ; a phase divergence pinpoints a rank taking a
+    different code path (the root cause of most tag-mismatch hangs).
+    Reads the ``"send"`` slices :meth:`CommStats.record_send
+    <repro.runtime.stats.CommStats>` adds under ``$REPRO_TRACE``;
+    returns a human-readable report (``"traces agree"`` if none).
+    """
+    sends_a, sends_b = (
+        [s.attrs for s in t.spans if s.name == "send"] for t in (a, b)
+    )
+    for index, (sa, sb) in enumerate(zip(sends_a, sends_b)):
+        if sa["phase"] != sb["phase"]:
+            return (
+                f"divergence at event {index}: "
+                f"rank {a.rank} sent in phase {sa['phase']!r} "
+                f"({sa['nbytes']} B) but rank {b.rank} sent in phase "
+                f"{sb['phase']!r} ({sb['nbytes']} B)"
+            )
+    first = min(len(sends_a), len(sends_b))
+    for tracer, sends in ((a, sends_a), (b, sends_b)):
+        if len(sends) > first:
+            extra = sends[first]
+            return (
+                f"rank {tracer.rank} has extra events from index {first}: "
+                f"first extra is #{extra['seq']} {extra['phase']} "
+                f"{extra['nbytes']} B"
+            )
+    return "traces agree"

@@ -2,9 +2,8 @@
 
 A :class:`Tracer` records :class:`Span` intervals — name, wall-clock
 ``[t0, t1)``, nesting depth, free-form attributes, and the
-:class:`~repro.util.counters.FlopCounter` /
-:class:`~repro.util.counters.EventCounter` deltas that accrued inside
-the interval — so a run can be replayed as a timeline
+:class:`~repro.util.counters.FlopCounter` and registry-counter deltas
+that accrued inside the interval — so a run can be replayed as a timeline
 (:mod:`repro.obs.export`) instead of a pile of totals.
 
 Design rules, mirrored from :func:`repro.util.counters.null_counter`:
@@ -37,7 +36,8 @@ import threading
 import time
 from typing import Any
 
-from repro.util.counters import FlopCounter, event_counter
+from repro.obs.metrics import metrics
+from repro.util.counters import FlopCounter
 
 __all__ = [
     "Span",
@@ -55,10 +55,10 @@ class Span:
 
     ``flops`` is the delta of the :class:`FlopCounter` passed to
     :meth:`Tracer.span` (0 when none was); ``events`` is the delta of
-    the process-global :class:`~repro.util.counters.EventCounter`'s
-    total occurrence count over the interval. Both are *inclusive* of
-    child spans — the exporter derives exclusive ("self") figures from
-    the nesting.
+    ``metrics().increments`` over the interval: every registry counter
+    increment any thread made between the two boundaries. Both are
+    *inclusive* of child spans — the exporter derives exclusive
+    ("self") figures from the nesting.
     """
 
     __slots__ = ("name", "t0", "t1", "depth", "attrs", "flops", "events")
@@ -124,8 +124,7 @@ class _SpanHandle:
         t._open.append(self)
         if self._counter is not None:
             self._flops0 = self._counter.total
-        counts = event_counter().counts
-        self._events0 = sum(counts.values()) if counts else 0
+        self._events0 = metrics().increments
         self._t0 = time.perf_counter()
         return self
 
@@ -137,11 +136,9 @@ class _SpanHandle:
         flops = 0
         if self._counter is not None:
             flops = self._counter.total - self._flops0
-        counts = event_counter().counts
-        events = (sum(counts.values()) if counts else 0) - self._events0
         t.spans.append(Span(
             self._name, self._t0, t1, self._depth, self._attrs,
-            flops, events,
+            flops, metrics().increments - self._events0,
         ))
         return False
 

@@ -92,7 +92,6 @@ def run_spmd(
     size: int,
     fn: Callable[..., Any],
     timeout: float = 120.0,
-    trace: bool = False,
     backend: str | None = None,
     **kwargs: Any,
 ) -> SpmdResult:
@@ -109,9 +108,6 @@ def run_spmd(
         process backend, ``fn`` and ``kwargs`` must be picklable.
     timeout:
         Fabric deadlock guard in seconds.
-    trace:
-        Record a chronological send trace per rank (see
-        :mod:`repro.runtime.trace`) for debugging new operators.
     backend:
         ``"thread"``, ``"process"``, or ``None`` to consult the
         ``REPRO_FABRIC_BACKEND`` environment variable (default thread).
@@ -132,25 +128,22 @@ def run_spmd(
         from repro.runtime.process_fabric import run_process_spmd
 
         if explicit or _spmd_picklable(fn, kwargs):
-            return run_process_spmd(
-                size, fn, timeout=timeout, trace=trace, **kwargs
-            )
+            return run_process_spmd(size, fn, timeout=timeout, **kwargs)
         # Env-derived override over a closure-based program: stay on
         # threads rather than failing a suite-wide sweep.
         resolved = "thread"
-    return _run_thread_spmd(size, fn, timeout=timeout, trace=trace, **kwargs)
+    return _run_thread_spmd(size, fn, timeout=timeout, **kwargs)
 
 
 def _run_thread_spmd(
     size: int,
     fn: Callable[..., Any],
     timeout: float = 120.0,
-    trace: bool = False,
     **kwargs: Any,
 ) -> SpmdResult:
     """The original in-process backend: one thread per rank."""
     fabric = ThreadFabric(size, timeout=timeout)
-    all_stats = [CommStats(rank, trace=trace) for rank in range(size)]
+    all_stats = [CommStats(rank) for rank in range(size)]
     values: list[Any] = [None] * size
     errors: list[tuple[int, BaseException]] = []
     error_lock = threading.Lock()

@@ -53,6 +53,7 @@ from typing import Any, Callable, Hashable
 
 import numpy as np
 
+from repro.obs.metrics import metrics
 from repro.runtime.fabric import (
     FabricBase,
     FabricTimeoutError,
@@ -341,7 +342,6 @@ def _child_main(
     barrier,
     abort_event,
     timeout: float,
-    trace: bool,
     shm_token: str,
     fn_bytes: bytes,
 ) -> None:
@@ -350,12 +350,11 @@ def _child_main(
     from repro.obs.tracer import Tracer, install_global_tracer
     from repro.runtime.communicator import Communicator
     from repro.runtime.stats import CommStats
-    from repro.util.counters import event_counter
 
     fabric = ProcessFabric(
         rank, size, queues, barrier, abort_event, timeout, shm_token
     )
-    stats = CommStats(rank, trace=trace)
+    stats = CommStats(rank)
     comm = Communicator(fabric, rank, stats)
     try:
         # Spawned children inherit the driver's environment, so the
@@ -374,10 +373,10 @@ def _child_main(
         else:
             value = fn(comm, **kwargs)
         stats.wall_s = time.perf_counter() - start
-        # The child's process-global EventCounter is invisible to the
-        # driver; ship a snapshot so structure-cache hit/miss counts
-        # merge into the driver's counter (parity with threads).
-        outcome = ("ok", value, stats, event_counter().snapshot())
+        # The child's metrics registry is invisible to the driver;
+        # ship its counters so structure-cache hit/miss counts merge
+        # into the driver's registry (parity with threads).
+        outcome = ("ok", value, stats, metrics().counters())
     except BaseException as exc:  # noqa: BLE001 - reported to the driver
         abort_event.set()
         # A fabric timeout also ships its line of the joined deadlock
@@ -437,7 +436,6 @@ def run_process_spmd(
     size: int,
     fn: Callable[..., Any],
     timeout: float = 120.0,
-    trace: bool = False,
     **kwargs: Any,
 ):
     """Execute ``fn(comm, **kwargs)`` on ``size`` spawned process ranks.
@@ -472,7 +470,7 @@ def run_process_spmd(
             target=_child_main,
             args=(
                 rank, size, queues, pipes[rank][1], barrier, abort_event,
-                timeout, trace, shm_token, fn_bytes,
+                timeout, shm_token, fn_bytes,
             ),
             name=f"rank-{rank}",
             daemon=True,
@@ -570,14 +568,12 @@ def run_process_spmd(
 
     values = [outcomes[rank][1] for rank in range(size)]
     all_stats = [outcomes[rank][2] for rank in range(size)]
-    # Fold every child's EventCounter snapshot into the driver's
-    # process-global counter, mirroring what the thread backend gets
-    # for free by sharing one interpreter.
-    from repro.util.counters import event_counter
-
+    # Fold every child's counters into the driver's registry,
+    # mirroring what the thread backend gets for free by sharing one
+    # interpreter.
     for rank in range(size):
         for label, n in outcomes[rank][3].items():
-            event_counter().bump(label, n)
+            metrics().counter(label).inc(n)
     return SpmdResult(
         values=values,
         stats=RunStats(per_rank=all_stats),

@@ -14,7 +14,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-
 from repro.util.counters import FlopCounter
 
 __all__ = ["CommStats", "RunStats"]
@@ -52,17 +51,17 @@ class CommStats:
         and overlapped runs attribute waits to the same phases).
     tracer:
         Optional per-rank :class:`~repro.obs.tracer.Tracer`, installed
-        by the executor when tracing is on. Waits recorded here become
-        timed ``"wait"`` slices on the rank's timeline, and — because
-        ``CommStats`` is what the process fabric pickles back — the
-        rank's whole span record rides home to the driver on it.
+        by the executor when tracing is on. Sends recorded here become
+        zero-length ``"send"`` slices (``seq``, ``phase``, ``nbytes``)
+        on the rank's timeline and waits timed ``"wait"`` slices, and —
+        because ``CommStats`` is what the process fabric pickles back —
+        the rank's whole span record rides home to the driver on it.
     """
 
     __slots__ = ("rank", "bytes_sent", "messages_sent", "flops", "by_phase",
-                 "_phase", "trace", "wall_s", "wait_s", "wait_by_phase",
-                 "tracer")
+                 "_phase", "wall_s", "wait_s", "wait_by_phase", "tracer")
 
-    def __init__(self, rank: int, trace: bool = False) -> None:
+    def __init__(self, rank: int) -> None:
         self.rank = rank
         self.bytes_sent = 0
         self.messages_sent = 0
@@ -73,12 +72,6 @@ class CommStats:
         self.wait_s = 0.0
         self.wait_by_phase: dict[str, float] = {}
         self.tracer = None
-        if trace:
-            from repro.runtime.trace import CommTrace
-
-            self.trace: "CommTrace | None" = CommTrace()
-        else:
-            self.trace = None
 
     # ------------------------------------------------------------------
     def set_phase(self, phase: str) -> None:
@@ -92,13 +85,18 @@ class CommStats:
 
     def record_send(self, nbytes: int) -> None:
         """Charge one outgoing message of ``nbytes`` to this rank."""
-        self.bytes_sent += int(nbytes)
+        nbytes = int(nbytes)
+        self.bytes_sent += nbytes
         self.messages_sent += 1
         self.by_phase[self._phase] = (
-            self.by_phase.get(self._phase, 0) + int(nbytes)
+            self.by_phase.get(self._phase, 0) + nbytes
         )
-        if self.trace is not None:
-            self.trace.record(self.messages_sent, self._phase, int(nbytes))
+        if self.tracer is not None:
+            now = time.perf_counter()
+            self.tracer.add_slice(
+                "send", now, now, seq=self.messages_sent,
+                phase=self._phase, nbytes=nbytes,
+            )
 
     def record_wait(self, seconds: float, phase: str | None = None) -> None:
         """Charge blocked-on-recv time (attributed to ``phase``)."""
@@ -109,8 +107,6 @@ class CommStats:
         self.wait_by_phase[label] = (
             self.wait_by_phase.get(label, 0.0) + seconds
         )
-        if self.trace is not None:
-            self.trace.record_wait(label, seconds)
         if self.tracer is not None:
             # Callers invoke record_wait immediately after the blocking
             # wait returns, so "now" is the interval's end to within

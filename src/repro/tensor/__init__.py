@@ -5,15 +5,11 @@ semiring algebra (Section 4.3 of the paper), segment reductions, and the
 compute kernels listed in Table 2 of the paper: SpMM, SDDMM, MM, SpMMM,
 MSpMM, plus the masked row softmax used by graph attention.
 
-Two execution backends are provided for the real-semiring SpMM:
-
-``"reference"``
-    Pure NumPy gather + ``reduceat`` implementation, used as the
-    correctness oracle and for non-real semirings.
-``"scipy"``
-    Delegates the inner product to ``scipy.sparse`` (which links against
-    optimised BLAS), mirroring how the paper's implementation delegates
-    to cuSPARSE/MKL.
+SpMM picks its kernel from the semiring: the real semiring delegates
+to ``scipy.sparse`` (which links against optimised BLAS), mirroring how
+the paper's implementation delegates to cuSPARSE/MKL; every other
+semiring runs the pure NumPy gather + ``reduceat`` path, which
+``spmm_reference`` exposes for all of them as the correctness oracle.
 """
 
 from repro.tensor.coo import COOMatrix
@@ -32,6 +28,7 @@ from repro.tensor.kernels import (
     sddmm_cosine,
     sddmm_dot,
     spmm,
+    spmm_reference,
     spmmm,
 )
 from repro.tensor.segment import (
@@ -66,6 +63,7 @@ __all__ = [
     "TROPICAL_MAX",
     "AVERAGE",
     "spmm",
+    "spmm_reference",
     "sddmm_dot",
     "sddmm_add",
     "sddmm_cosine",

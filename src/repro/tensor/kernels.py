@@ -11,10 +11,10 @@ decomposes into them (Figure 1). Design points:
   attention logits without materialising the virtual :math:`n \\times n`
   score matrix (Section 6.1). Edge chunks bound peak memory — the
   "computed in small parts using a dynamic schedule" strategy.
-* **Backend selection**: the real-semiring SpMM can delegate to
-  ``scipy.sparse`` (BLAS-backed), mirroring the paper's delegation to
-  cuSPARSE; the pure-NumPy reference path is the correctness oracle
-  and the only path for exotic semirings.
+* **Kernel selection by semiring**: the real-semiring SpMM delegates
+  to ``scipy.sparse`` (BLAS-backed), mirroring the paper's delegation
+  to cuSPARSE; the pure-NumPy path (:func:`spmm_reference`) is the
+  correctness oracle and the only path for exotic semirings.
 * **Flop accounting**: every kernel reports textbook flop counts to an
   optional :class:`~repro.util.counters.FlopCounter`, feeding the
   simulated-cluster cost model.
@@ -38,6 +38,7 @@ from repro.util.counters import FlopCounter, null_counter
 __all__ = [
     "mm",
     "spmm",
+    "spmm_reference",
     "sddmm_dot",
     "sddmm_add",
     "sddmm_cosine",
@@ -45,8 +46,6 @@ __all__ = [
     "mspmm",
     "masked_row_softmax",
     "masked_row_softmax_backward",
-    "set_default_backend",
-    "get_default_backend",
 ]
 
 #: Default edge-chunk size for SDDMM gathers; bounds peak scratch
@@ -54,35 +53,6 @@ __all__ = [
 #: keeps both gather buffers inside the last-level cache at typical
 #: feature widths (measured ~2x faster than 1M-entry chunks at k=64).
 _SDDMM_CHUNK = 1 << 15
-
-_VALID_BACKENDS = ("scipy", "reference")
-
-_DEFAULT_BACKEND = "scipy"
-
-
-def set_default_backend(backend: str) -> None:
-    """Select the default SpMM execution backend globally.
-
-    ``"scipy"`` uses BLAS-backed sparse products for the real semiring;
-    ``"reference"`` forces the pure-NumPy path everywhere.
-    """
-    global _DEFAULT_BACKEND
-    if backend not in _VALID_BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; use one of {_VALID_BACKENDS}")
-    _DEFAULT_BACKEND = backend
-
-
-def get_default_backend() -> str:
-    """Return the currently-selected default backend."""
-    return _DEFAULT_BACKEND
-
-
-def _resolve_backend(backend: str | None) -> str:
-    if backend is None or backend == "auto":
-        return _DEFAULT_BACKEND
-    if backend not in _VALID_BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; use one of {_VALID_BACKENDS}")
-    return backend
 
 
 # ----------------------------------------------------------------------
@@ -114,10 +84,15 @@ def spmm(
     a: CSRMatrix,
     h: np.ndarray,
     semiring: Semiring = REAL,
-    backend: str | None = None,
     counter: FlopCounter = null_counter(),
 ) -> np.ndarray:
     """Sparse-dense product :math:`\\mathcal{A} \\oplus H` over a semiring.
+
+    The semiring picks the kernel: the real semiring multiplies through
+    the pattern's cached scipy view (one BLAS-backed C sweep; stacked
+    values go through the head-interleaved view), every other semiring
+    runs the gather + segment-reduce path that :func:`spmm_reference`
+    exposes for all of them.
 
     Parameters
     ----------
@@ -134,123 +109,120 @@ def spmm(
     semiring:
         Aggregation semiring; defaults to the real semiring (sum
         aggregation).
-    backend:
-        ``"scipy"``, ``"reference"``, or ``None``/"auto" for the module
-        default. Only the real semiring has a scipy path.
 
     Returns
     -------
     Dense ``n x k`` array. Rows with no stored entries receive the
     semiring's additive identity (0 for real/average, ±inf for the
-    tropical semirings).
+    tropical semirings). Flop counts are ``2·nnz·k`` per head, so a
+    stacked call counts exactly the summed per-head calls.
     """
+    h, out_shape = _spmm_operand(a, h)
+    counter.add(2 * a.nnz * int(np.prod(h.shape[1:])), "SpMM")
+    if semiring is REAL:
+        out = _spmm_scipy(a, h)
+    else:
+        out = _spmm_semiring(a, h, semiring)
+    return out.reshape(out_shape)
+
+
+def spmm_reference(
+    a: CSRMatrix, h: np.ndarray, semiring: Semiring = REAL
+) -> np.ndarray:
+    """:func:`spmm` in pure NumPy for every semiring, the real one too.
+
+    One gather and one segment reduction over the ``(nnz, k)`` — or
+    ``(nnz, heads, k)`` — stack: the path :func:`spmm` takes for every
+    semiring but the real one, and the oracle the scipy path is tested
+    against. Same operand layouts and result as :func:`spmm`.
+    """
+    h, out_shape = _spmm_operand(a, h)
+    return _spmm_semiring(a, h, semiring).reshape(out_shape)
+
+
+def _spmm_operand(
+    a: CSRMatrix, h: np.ndarray
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``h`` as ``(m, k)`` — ``(m, heads, k)`` against stacked values —
+    and the result's shape in the caller's layout."""
     h = np.asarray(h)
+    out_shape = (a.shape[0],) + h.shape[1:]
     if a.data.ndim == 2:
-        return _spmm_batched(
-            a, h, semiring=semiring, backend=backend, counter=counter
-        )
-    squeeze = h.ndim == 1
-    if squeeze:
+        heads = a.data.shape[1]
+        if h.ndim == 2:
+            if h.shape[1] % heads:
+                raise ValueError(
+                    f"flat operand width {h.shape[1]} is not a multiple of "
+                    f"heads={heads}"
+                )
+            h = h.reshape(h.shape[0], heads, -1)
+        if h.ndim != 3 or h.shape[1] != heads:
+            raise ValueError(
+                f"batched SpMM needs a (m, {heads}, k) or (m, {heads}*k) "
+                f"operand, got shape {np.shape(h)}"
+            )
+    elif h.ndim == 1:
         h = h[:, None]
     if a.shape[1] != h.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {a.shape} @ {h.shape}"
-        )
-    k = h.shape[1]
-    counter.add(2 * a.nnz * k, "SpMM")
-    resolved = _resolve_backend(backend)
-
-    if semiring is REAL and resolved == "scipy":
-        out = a.to_scipy() @ h
-    elif semiring is AVERAGE or semiring.pair_valued:
-        out = _spmm_average(a, h)
-    else:
-        out = _spmm_reference(a, h, semiring)
-    return out[:, 0] if squeeze else out
-
-
-def _spmm_batched(
-    a: CSRMatrix,
-    h: np.ndarray,
-    semiring: Semiring,
-    backend: str | None,
-    counter: FlopCounter,
-) -> np.ndarray:
-    """All-heads-at-once SpMM over stacked edge values ``(nnz, heads)``.
-
-    One traversal of the shared pattern serves every head: the scipy
-    path multiplies through the cached head-interleaved
-    ``(n·heads) x (m·heads)`` pattern (a single BLAS-backed sweep), the
-    reference path runs one gather + one segment reduction on the
-    ``(nnz, heads, k)`` stack. Flop counts are exactly the summed
-    per-head counts (``2·nnz·heads·k``).
-    """
-    heads = a.data.shape[1]
-    flat = h.ndim == 2
-    if flat:
-        if h.shape[1] % heads:
-            raise ValueError(
-                f"flat operand width {h.shape[1]} is not a multiple of "
-                f"heads={heads}"
-            )
-        h = h.reshape(h.shape[0], heads, -1)
-    if h.ndim != 3 or h.shape[1] != heads:
-        raise ValueError(
-            f"batched SpMM needs a (m, {heads}, k) or (m, {heads}*k) "
-            f"operand, got shape {np.shape(h)}"
-        )
-    if a.shape[1] != h.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {h.shape}")
-    k = h.shape[2]
-    counter.add(2 * a.nnz * heads * k, "SpMM")
-    resolved = _resolve_backend(backend)
-    if semiring is REAL and resolved == "scipy":
-        out = _spmm_batched_scipy(a, h)
-    elif semiring is AVERAGE or semiring.pair_valued:
-        num = _spmm_reference(a, h, REAL)
-        den = segment_sum(a.data, a.indptr)
-        safe = np.where(den == 0, 1, den).astype(h.dtype)
-        out = num / safe[:, :, None]
-        out[den == 0] = 0
-    else:
-        out = _spmm_reference(a, h, semiring)
-    return out.reshape(a.shape[0], heads * k) if flat else out
+    return h, out_shape
 
 
-def _spmm_batched_scipy(a: CSRMatrix, h: np.ndarray) -> np.ndarray:
-    """Real-semiring batched SpMM via the head-interleaved scipy view."""
+def _spmm_scipy(a: CSRMatrix, h: np.ndarray) -> np.ndarray:
+    """Real-semiring SpMM through scipy's C kernel.
+
+    Stacked values multiply through the cached head-interleaved
+    ``(n·heads) x (m·heads)`` pattern, so one sweep serves every head.
+    """
+    if a.data.ndim == 1:
+        return a.to_scipy() @ h
     heads = a.data.shape[1]
     n, m = a.shape
     k = h.shape[2]
     _, _, perm = a.structure.head_interleave(heads)
     data_x = workspace("spmm.head_data", (a.nnz * heads,), a.data.dtype)
-    stacked = (
-        a.data if a.data.flags.c_contiguous else np.ascontiguousarray(a.data)
-    )
+    stacked = np.ascontiguousarray(a.data)  # the array itself when it is
     np.take(stacked.reshape(-1), perm, out=data_x, mode="clip")
     mat = a.structure.head_scipy_view(heads, data_x)
     out = mat @ h.reshape(m * heads, k)
     return out.reshape(n, heads, k)
 
 
-def _spmm_reference(
-    a: CSRMatrix, h: np.ndarray, semiring: Semiring,
-    out: np.ndarray | None = None,
+def _spmm_semiring(
+    a: CSRMatrix, h: np.ndarray, semiring: Semiring
 ) -> np.ndarray:
-    """Gather + segment-reduce SpMM over an arbitrary scalar semiring.
+    """Gather + segment-reduce SpMM over any semiring, either layout.
+
+    The AVERAGE semiring of Section 4.3 runs in unpacked form: the
+    running pair ``(value, weight)`` is carried as separate
+    numerator/denominator arrays, which is exactly the tuple trick the
+    paper describes ("keeping track of partial sums and of their
+    contributions") vectorised over all rows (and heads).
+    """
+    if semiring is AVERAGE or semiring.pair_valued:
+        num = _spmm_gather_reduce(a, h, REAL)
+        den = segment_sum(a.data, a.indptr)
+        safe = np.where(den == 0, 1, den).astype(h.dtype)
+        out = num / safe[..., None]
+        out[den == 0] = 0
+        return out
+    return _spmm_gather_reduce(a, h, semiring)
+
+
+def _spmm_gather_reduce(
+    a: CSRMatrix, h: np.ndarray, semiring: Semiring
+) -> np.ndarray:
+    """One gather, one combine, one segment reduction (scalar semiring).
 
     The O(nnz·k) gather/combine temporaries live in pooled workspaces
-    (see :mod:`repro.tensor.workspace`); only the result is fresh,
-    unless the caller supplies ``out``.
-
-    Handles the head-batched layout as well: ``h`` may be
-    ``(m, heads, k)`` against stacked ``(nnz, heads)`` edge values —
-    the single gather and the single segment reduction then serve all
-    heads at once.
+    (see :mod:`repro.tensor.workspace`); only the result is fresh.
+    ``h`` may be ``(m, heads, k)`` against stacked ``(nnz, heads)``
+    edge values — the single gather and the single segment reduction
+    then serve all heads at once.
     """
     n = a.shape[0]
     feat = h.shape[1:]
-    result = out if out is not None else np.empty((n,) + feat, dtype=h.dtype)
+    result = np.empty((n,) + feat, dtype=h.dtype)
     if a.nnz == 0:
         result.fill(semiring.zero)
         return result
@@ -282,23 +254,6 @@ def _spmm_reference(
             combined, a.indptr[:-1][nonempty], axis=0
         )
     return result
-
-
-def _spmm_average(a: CSRMatrix, h: np.ndarray) -> np.ndarray:
-    """AVERAGE-semiring SpMM: weighted average of neighbour features.
-
-    Executes the pair-valued semiring of Section 4.3 in unpacked form:
-    the running pair ``(value, weight)`` is carried as separate
-    numerator/denominator arrays, which is exactly the tuple trick the
-    paper describes ("keeping track of partial sums and of their
-    contributions") vectorised over all rows.
-    """
-    num = _spmm_reference(a, h, REAL)
-    den = segment_sum(a.data, a.indptr)
-    safe = np.where(den == 0, 1, den).astype(h.dtype)
-    out = num / safe[:, None]
-    out[den == 0] = 0
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -469,7 +424,6 @@ def spmmm(
     b: np.ndarray,
     c: np.ndarray,
     semiring: Semiring = REAL,
-    backend: str | None = None,
     counter: FlopCounter = null_counter(),
 ) -> np.ndarray:
     """SpMMM: sparse × dense × dense, :math:`\\mathcal{A} B C`.
@@ -499,13 +453,10 @@ def spmmm(
     cost_right = heads * (2 * b.shape[0] * k * kp + 2 * a.nnz * kp)
     if cost_left <= cost_right:
         return mm(
-            spmm(a, b, semiring=semiring, backend=backend, counter=counter),
-            c,
-            counter=counter,
+            spmm(a, b, semiring=semiring, counter=counter), c, counter=counter
         )
     return spmm(
-        a, mm(b, c, counter=counter), semiring=semiring, backend=backend,
-        counter=counter,
+        a, mm(b, c, counter=counter), semiring=semiring, counter=counter
     )
 
 
@@ -514,7 +465,6 @@ def mspmm(
     d: np.ndarray,
     a: CSRMatrix,
     e: np.ndarray,
-    backend: str | None = None,
     counter: FlopCounter = null_counter(),
 ) -> np.ndarray:
     """MSpMM: dense × sparse × dense, :math:`D \\mathcal{A} E`.
@@ -534,17 +484,13 @@ def mspmm(
     d = np.asarray(d)
     e = np.asarray(e)
     if a.data.ndim == 2:
-        return _mspmm_batched(d, a, e, backend=backend, counter=counter)
+        return _mspmm_batched(d, a, e, counter)
     kd, ke = d.shape[0], e.shape[1]
     cost_right = 2 * a.nnz * ke + 2 * d.shape[0] * a.shape[0] * ke
     cost_left = 2 * a.nnz * kd + 2 * kd * a.shape[1] * ke
     if cost_right <= cost_left:
-        return mm(
-            d,
-            spmm(a, e, backend=backend, counter=counter),
-            counter=counter,
-        )
-    da = spmm(a.transpose(), d.T, backend=backend, counter=counter).T
+        return mm(d, spmm(a, e, counter=counter), counter=counter)
+    da = spmm(a.transpose(), d.T, counter=counter).T
     return mm(da, e, counter=counter)
 
 
@@ -552,7 +498,6 @@ def _mspmm_batched(
     d: np.ndarray,
     a: CSRMatrix,
     e: np.ndarray,
-    backend: str | None,
     counter: FlopCounter,
 ) -> np.ndarray:
     """Head-batched MSpMM: shared ``(kd, n)`` × stacked A × ``(m, H, ke)``.
@@ -576,11 +521,11 @@ def _mspmm_batched(
     cost_right = heads * (2 * a.nnz * ke + 2 * kd * a.shape[0] * ke)
     cost_left = heads * (2 * a.nnz * kd + 2 * kd * a.shape[1] * ke)
     if cost_right <= cost_left:
-        ae = spmm(a, e, backend=backend, counter=counter)
+        ae = spmm(a, e, counter=counter)
         counter.add(2 * heads * kd * a.shape[0] * ke, "MM")
         return np.einsum("kn,nhe->hke", d, ae)
     dt = np.broadcast_to(d.T[:, None, :], (a.shape[0], heads, kd))
-    da = spmm(a.transpose(), dt, backend=backend, counter=counter)
+    da = spmm(a.transpose(), dt, counter=counter)
     counter.add(2 * heads * kd * a.shape[1] * ke, "MM")
     return np.einsum("mhk,mhe->hke", da, e)
 

@@ -53,11 +53,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs.metrics import metrics
 from repro.obs.tracer import traced, tracer
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.structure import PatternStructure
 from repro.tensor.workspace import workspace
-from repro.util.counters import FlopCounter, event_counter, null_counter
+from repro.util.counters import FlopCounter, null_counter
 
 try:  # The per-block SpMM step rides scipy's C csr kernel when present.
     from scipy.sparse import _sparsetools as _scipy_sparsetools
@@ -137,7 +138,7 @@ def plan_sweep(
     k = max(1, int(k))
     cached = structure._sweep_plans.get((heads, k))
     if cached is not None:
-        event_counter().bump("megaplan.hit")
+        metrics().counter("megaplan.hit").inc()
         return cached
     stats = structure.degree_stats()
     n = structure.shape[0]
@@ -191,7 +192,7 @@ def plan_sweep(
         max_block_edges=max_edges,
     )
     structure._sweep_plans[(heads, k)] = plan
-    event_counter().bump("megaplan.computed")
+    metrics().counter("megaplan.computed").inc()
     return plan
 
 
@@ -518,8 +519,8 @@ def attention_forward(
     rows_all = a.expand_rows()
     starts = plan.block_starts
     y_heads = _head_slices(y3)
-    event_counter().bump("megakernel.forward")
-    event_counter().bump("megakernel.block", plan.n_blocks)
+    metrics().counter("megakernel.forward").inc()
+    metrics().counter("megakernel.block").inc(plan.n_blocks)
     for b in range(plan.n_blocks):
         r0, r1 = int(starts[b]), int(starts[b + 1])
         e0, e1 = int(indptr[r0]), int(indptr[r1])
@@ -678,7 +679,7 @@ def attention_backward(
         xsrc_heads = _head_slices(ops["x_src"])
         xdst_heads = _head_slices(ops["x_dst"])
 
-    event_counter().bump("megakernel.backward")
+    metrics().counter("megakernel.backward").inc()
 
     # ---- one sweep over the pattern -----------------------------------
     # Row-side gradients reduce over block rows as in the forward; the

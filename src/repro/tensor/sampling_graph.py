@@ -38,7 +38,7 @@ a canonical (row-sorted) adjacency — sampled forward/backward are then
 Events: ``sampling_graph.built`` / ``sampling_graph.hit`` (structure
 interning), ``sample.hop`` (one hop sampled), ``sample.candidates``
 (random keys drawn: the candidate edges of over-fan-out seeds),
-reported through :func:`repro.util.counters.event_counter`.
+counters in the :func:`repro.obs.metrics` registry.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ from itertools import pairwise
 
 import numpy as np
 
+from repro.obs.metrics import metrics
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.segment import ragged_ranges
 from repro.tensor.structure import PatternStructure
-from repro.util.counters import event_counter
 
 __all__ = [
     "Block",
@@ -171,7 +171,7 @@ class SamplingGraph:
                     "sampling weights must be finite and non-negative"
                 )
         keys = rng.random(int(deg_o.sum()))
-        event_counter().bump("sample.candidates", keys.shape[0])
+        metrics().counter("sample.candidates").inc(keys.shape[0])
         if weights is not None:
             # Exponential(1)/w races: the smallest k are a weighted
             # k-subset without replacement. Zero weight -> +inf key.
@@ -247,9 +247,9 @@ def sampling_graph_of(a: CSRMatrix) -> SamplingGraph:
     if graph is None:
         graph = SamplingGraph(structure)
         structure._sampling_graph = graph
-        event_counter().bump("sampling_graph.built")
+        metrics().counter("sampling_graph.built").inc()
     else:
-        event_counter().bump("sampling_graph.hit")
+        metrics().counter("sampling_graph.hit").inc()
     return graph
 
 
@@ -326,7 +326,7 @@ def sample_one_hop(
     matrix = CSRMatrix(
         indptr, local_cols, a.data[eids], (num_src, num_src)
     )
-    event_counter().bump("sample.hop")
+    metrics().counter("sample.hop").inc()
     return Block(
         matrix=matrix,
         src_nodes=src_nodes,

@@ -23,11 +23,10 @@ call. This module provides that cache:
   pattern is the original object, with the inverse permutation derived
   by a single scatter.
 
-Cache/compute events are reported to
-:func:`repro.util.counters.event_counter` under the labels
-``pattern.*``, ``expand_rows.*``, ``row_lengths.*``,
-``transpose_perm.*`` and ``scipy_view.*`` so tests can assert the
-amortization actually happens.
+Cache/compute events are counters in the :func:`repro.obs.metrics`
+registry under the labels ``pattern.*``, ``expand_rows.*``,
+``row_lengths.*``, ``transpose_perm.*`` and ``scipy_view.*`` so tests
+can assert the amortization actually happens.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.counters import event_counter
+from repro.obs.metrics import metrics
 
 __all__ = [
     "DegreeStats",
@@ -137,9 +136,9 @@ class PatternStructure:
         if out is None:
             out = _freeze(np.diff(self.indptr))
             self._row_lengths = out
-            event_counter().bump("row_lengths.computed")
+            metrics().counter("row_lengths.computed").inc()
         else:
-            event_counter().bump("row_lengths.hit")
+            metrics().counter("row_lengths.hit").inc()
         return out
 
     def expand_rows(self) -> np.ndarray:
@@ -153,9 +152,9 @@ class PatternStructure:
                 )
             )
             self._expand_rows = out
-            event_counter().bump("expand_rows.computed")
+            metrics().counter("expand_rows.computed").inc()
         else:
-            event_counter().bump("expand_rows.hit")
+            metrics().counter("expand_rows.hit").inc()
         return out
 
     def degree_stats(self) -> DegreeStats:
@@ -196,9 +195,9 @@ class PatternStructure:
                 histogram=hist,
             )
             self._degree_stats = out
-            event_counter().bump("degree_stats.computed")
+            metrics().counter("degree_stats.computed").inc()
         else:
-            event_counter().bump("degree_stats.hit")
+            metrics().counter("degree_stats.hit").inc()
         return out
 
     def transpose_permutation(self) -> np.ndarray:
@@ -213,12 +212,12 @@ class PatternStructure:
                 inv[other._tperm] = np.arange(inv.shape[0], dtype=np.int64)
                 out = _freeze(inv)
                 self._tperm = out
-                event_counter().bump("transpose_perm.computed")
+                metrics().counter("transpose_perm.computed").inc()
             else:
                 self._build_transpose()
                 out = self._tperm
         else:
-            event_counter().bump("transpose_perm.hit")
+            metrics().counter("transpose_perm.hit").inc()
         return out
 
     def transpose(self) -> "PatternStructure":
@@ -232,7 +231,7 @@ class PatternStructure:
             self.indptr, self.indices, self.shape
         )
         self._tperm = _freeze(perm)
-        event_counter().bump("transpose_perm.computed")
+        metrics().counter("transpose_perm.computed").inc()
         t = intern_structure(
             indptr_t, indices_t, (self.shape[1], self.shape[0])
         )
@@ -257,9 +256,9 @@ class PatternStructure:
                 (data, self.indices, self.indptr), shape=self.shape
             )
             self._scipy_proto = proto
-            event_counter().bump("scipy_view.built")
+            metrics().counter("scipy_view.built").inc()
         else:
-            event_counter().bump("scipy_view.hit")
+            metrics().counter("scipy_view.hit").inc()
         view = copy.copy(proto)
         view.data = data
         return view
@@ -310,9 +309,9 @@ class PatternStructure:
                 None,  # scipy prototype, built lazily
             ]
             self._head_cache[heads] = cache
-            event_counter().bump("head_interleave.computed")
+            metrics().counter("head_interleave.computed").inc()
         else:
-            event_counter().bump("head_interleave.hit")
+            metrics().counter("head_interleave.hit").inc()
         return cache[0], cache[1], cache[2]
 
     def head_scipy_view(self, heads: int, data_x: np.ndarray):
@@ -334,9 +333,9 @@ class PatternStructure:
                 shape=(self.shape[0] * heads, self.shape[1] * heads),
             )
             cache[3] = proto
-            event_counter().bump("head_scipy_view.built")
+            metrics().counter("head_scipy_view.built").inc()
         else:
-            event_counter().bump("head_scipy_view.hit")
+            metrics().counter("head_scipy_view.hit").inc()
         view = copy.copy(proto)
         view.data = data_x
         return view
@@ -409,7 +408,7 @@ def lookup_structure(
         and entry.indptr is indptr
         and entry.indices is indices
     ):
-        event_counter().bump("pattern.hit")
+        metrics().counter("pattern.hit").inc()
         return entry
     return None
 
@@ -429,5 +428,5 @@ def intern_structure(
     _freeze(indices)
     structure = PatternStructure(indptr, indices, shape)
     _REGISTRY[(id(indptr), id(indices), shape)] = structure
-    event_counter().bump("pattern.registered")
+    metrics().counter("pattern.registered").inc()
     return structure

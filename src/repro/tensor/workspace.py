@@ -2,7 +2,7 @@
 
 Steady-state training repeats the same kernel shapes every iteration;
 the gathers inside :func:`~repro.tensor.kernels.sddmm_dot`,
-:func:`~repro.tensor.kernels._spmm_reference` and the graph softmax
+:func:`~repro.tensor.kernels._spmm_gather_reduce` and the graph softmax
 would otherwise allocate O(nnz·k) temporaries per call. This module
 keeps one growing buffer per ``(tag, dtype)`` pair and hands out
 shaped views of it. Capacity is tracked flat (element count, not
@@ -45,9 +45,8 @@ Occupancy is observable: the ``workspace.pool_bytes`` /
 the process-wide high water; :func:`workspace_pool_bytes` /
 :func:`workspace_high_water_bytes` expose the same numbers directly.
 
-Buffer hits/allocations/evictions are reported to
-:func:`repro.util.counters.event_counter` as ``workspace.hit`` /
-``workspace.alloc`` / ``workspace.evict``.
+Buffer hits/allocations/evictions are the ``workspace.hit`` /
+``workspace.alloc`` / ``workspace.evict`` counters of the same registry.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ import threading
 import numpy as np
 
 from repro.config import workspace_budget_default
-from repro.util.counters import event_counter
+from repro.obs.metrics import metrics
 
 __all__ = [
     "workspace",
@@ -147,10 +146,6 @@ def workspace_high_water_bytes() -> int:
 def _set_pool_gauge() -> None:
     global _HIGH_WATER
     total = _POOL.total_bytes
-    # Local import: repro.obs.metrics is dependency-free, but keeping
-    # the import out of module scope keeps tensor importable first.
-    from repro.obs.metrics import metrics
-
     registry = metrics()
     registry.gauge("workspace.pool_bytes").set(total)
     if total > _HIGH_WATER:
@@ -167,7 +162,6 @@ def _evict(exempt: tuple[str, np.dtype], budget: int) -> None:
     request succeeds and simply leaves nothing else pooled.
     """
     pool = _POOL
-    counter = event_counter()
     while pool.total_bytes > budget and len(pool.buffers) > 1:
         victim = min(
             (k for k in pool.buffers if k != exempt),
@@ -178,7 +172,7 @@ def _evict(exempt: tuple[str, np.dtype], budget: int) -> None:
             break
         pool.total_bytes -= pool.buffers.pop(victim).nbytes
         pool.last_used.pop(victim, None)
-        counter.bump("workspace.evict")
+        metrics().counter("workspace.evict").inc()
 
 
 def workspace(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -205,11 +199,11 @@ def workspace(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         buf = np.empty(capacity, dtype=dtype)
         pool.buffers[key] = buf
         pool.total_bytes += buf.nbytes
-        event_counter().bump("workspace.alloc")
+        metrics().counter("workspace.alloc").inc()
         budget = workspace_budget()
         if budget is not None and pool.total_bytes > budget:
             _evict(key, budget)
         _set_pool_gauge()
     else:
-        event_counter().bump("workspace.hit")
+        metrics().counter("workspace.hit").inc()
     return buf[:size].reshape(shape)

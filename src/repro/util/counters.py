@@ -1,4 +1,4 @@
-"""Floating-point operation and cache-event accounting.
+"""Floating-point operation accounting.
 
 The simulated-cluster cost model (``repro.runtime.costmodel``) charges
 each rank for its local compute by flop count rather than wall-clock
@@ -8,17 +8,13 @@ deterministic. Every kernel in ``repro.tensor.kernels`` accepts an
 optional :class:`FlopCounter` and reports the flops of the textbook
 algorithm it implements.
 
-:class:`EventCounter` is the companion *occurrence* counter: the
-pattern-structure cache (``repro.tensor.structure``) and the workspace
-pool (``repro.tensor.workspace``) report cache hits, cold computations
-and buffer allocations to the process-global instance returned by
-:func:`event_counter`, so benchmarks and tests can assert that
-structural quantities are derived at most once per sparsity pattern.
+Occurrence counts (cache hits, allocations, sampler hops) are not kept
+here: they are counters in the :func:`repro.obs.metrics` registry.
 """
 
 from __future__ import annotations
 
-__all__ = ["FlopCounter", "EventCounter", "null_counter", "event_counter"]
+__all__ = ["FlopCounter", "null_counter"]
 
 
 class FlopCounter:
@@ -64,43 +60,3 @@ _NULL = _NullCounter()
 def null_counter() -> FlopCounter:
     """The shared no-op counter used when accounting is disabled."""
     return _NULL
-
-
-class EventCounter:
-    """Counts named occurrences (cache hits, allocations, recomputes).
-
-    Unlike :class:`FlopCounter`, which weighs work, this counter tallies
-    *how many times* something happened — e.g. how often a pattern's
-    ``expand_rows`` was actually computed versus served from cache.
-    """
-
-    __slots__ = ("counts",)
-
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {}
-
-    def bump(self, label: str, n: int = 1) -> None:
-        """Record ``n`` occurrences of ``label``."""
-        self.counts[label] = self.counts.get(label, 0) + n
-
-    def count(self, label: str) -> int:
-        """Occurrences recorded for ``label`` (0 if never seen)."""
-        return self.counts.get(label, 0)
-
-    def reset(self) -> None:
-        self.counts.clear()
-
-    def snapshot(self) -> dict[str, int]:
-        """A point-in-time copy, for before/after deltas in tests."""
-        return dict(self.counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"EventCounter({self.counts!r})"
-
-
-_EVENTS = EventCounter()
-
-
-def event_counter() -> EventCounter:
-    """The process-global event counter (structure cache + workspaces)."""
-    return _EVENTS

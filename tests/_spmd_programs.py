@@ -80,6 +80,18 @@ def traced_sends(comm):
     return comm.stats.messages_sent
 
 
+def ring_collectives(comm, stray_rank: int | None = None):
+    """Ring collectives (every rank sends the same sequence) under two
+    phases; ``stray_rank`` labels its second phase differently — same
+    traffic, another code path."""
+    comm.stats.set_phase("setup")
+    comm.allgather(np.full(2, float(comm.rank)))
+    comm.stats.set_phase("stray" if comm.rank == stray_rank else "work")
+    for _ in range(3):
+        comm.alltoall([np.full(2, float(d)) for d in range(comm.size)])
+    return True
+
+
 def isend_then_deadlock(comm):
     """Rank 1's pending *isend* must appear in rank 0's deadlock report."""
     if comm.rank == 0:
@@ -124,10 +136,10 @@ def waity_pingpong(comm, sleep_s: float = 0.15):
 
 
 def bump_named_event(comm, label: str = "obs_merge_probe"):
-    """Bump a unique event label child-side (EventCounter merge test)."""
-    from repro.util.counters import event_counter
+    """Bump a unique counter child-side (registry merge test)."""
+    from repro.obs.metrics import metrics
 
-    event_counter().bump(label, comm.rank + 1)
+    metrics().counter(label).inc(comm.rank + 1)
     comm.allreduce(np.ones(4))
     return comm.rank
 

@@ -9,29 +9,10 @@ from hypothesis import settings
 from repro.graphs import erdos_renyi, synthetic_classification
 from repro.graphs.prep import prepare_adjacency
 from repro.tensor.csr import CSRMatrix
-from repro.tensor.kernels import get_default_backend, set_default_backend
 
 # ``--hypothesis-profile=ci`` raises the example budget of every
 # property that does not pin ``max_examples`` itself.
 settings.register_profile("ci", max_examples=400, deadline=None)
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--spmm-backend", choices=("scipy", "reference"), default="scipy",
-        help="default SpMM backend for the session (CI covers both); "
-        "spawned process ranks keep the built-in default, so pair "
-        "'reference' with -k 'not process'",
-    )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def spmm_backend(request):
-    """Run the session under ``--spmm-backend``, then restore."""
-    original = get_default_backend()
-    set_default_backend(request.config.getoption("--spmm-backend"))
-    yield
-    set_default_backend(original)
 
 
 @pytest.fixture

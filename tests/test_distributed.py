@@ -19,7 +19,7 @@ from repro.distributed.partition import (
     distribute_features,
 )
 from repro.runtime import run_spmd, square_grid
-from repro.tensor.kernels import spmm
+from repro.tensor.kernels import spmm_reference
 from repro.tensor.segment import segment_softmax
 from tests import _spmd_programs as programs
 from tests.conftest import random_csr
@@ -116,7 +116,7 @@ class TestOps:
             grid = square_grid(comm)
             a_block = distribute_adjacency(a, grid)
             h_block = distribute_features(h, grid)
-            partial = spmm(a_block, h_block, backend="reference")
+            partial = spmm_reference(a_block, h_block)
             out = reduce_and_redistribute(grid, partial, OpSequencer())
             c0, c1 = block_range(n, grid.py, grid.col)
             assert np.allclose(out, reference[c0:c1])

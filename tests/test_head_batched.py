@@ -27,6 +27,7 @@ from repro.distributed import distribute_adjacency, distribute_features
 from repro.distributed.layers import DistGATLayer
 from repro.distributed.ops import OpSequencer
 from repro.models import AttentionLayer, gat_spec
+from repro.obs.metrics import metrics
 from repro.runtime import run_spmd, square_grid
 from repro.tensor.kernels import (
     AVERAGE,
@@ -37,9 +38,16 @@ from repro.tensor.kernels import (
     sddmm_cosine,
     sddmm_dot,
     spmm,
+    spmm_reference,
     spmmm,
 )
-from repro.util.counters import FlopCounter, event_counter, null_counter
+from repro.tensor.semiring import (
+    REAL,
+    TROPICAL_MAX,
+    TROPICAL_MIN,
+    adjacency_values,
+)
+from repro.util.counters import FlopCounter, null_counter
 from tests.reference_heads import (
     combine_heads,
     head_gradients,
@@ -109,15 +117,34 @@ def _numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 # Kernel-level parity
 # ----------------------------------------------------------------------
 class TestKernelParity:
-    @pytest.mark.parametrize("backend", ["scipy", "reference"])
-    def test_spmm_batched_matches_per_head(self, stacked, backend):
+    @pytest.mark.parametrize(
+        "kernel", [spmm, spmm_reference], ids=["scipy", "reference"]
+    )
+    def test_spmm_batched_matches_per_head(self, stacked, kernel):
         a, x, _, vals = stacked
         sa = a.with_data(vals)
-        out = spmm(sa, x, backend=backend)
+        out = kernel(sa, x)
         assert out.shape == x.shape
         for i, xi in enumerate(_heads_of(x)):
-            ref = spmm(a.with_data(vals[:, i].copy()), xi, backend=backend)
+            ref = kernel(a.with_data(vals[:, i].copy()), xi)
             np.testing.assert_allclose(out[:, i], ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "semiring", [REAL, TROPICAL_MIN, TROPICAL_MAX, AVERAGE],
+        ids=lambda s: s.name,
+    )
+    def test_spmm_batched_matches_the_oracle(self, stacked, semiring):
+        """The dispatch against ``spmm_reference`` on stacked values:
+        scipy's summation order for REAL, the very same path (so the
+        very same bits) for every other semiring."""
+        a, x, _, vals = stacked
+        sa = a.with_data(adjacency_values(semiring, vals))
+        out = spmm(sa, x, semiring=semiring)
+        ref = spmm_reference(sa, x, semiring=semiring)
+        if semiring is REAL:
+            np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(out, ref)
 
     def test_spmm_batched_flat_layout(self, stacked):
         """A flat ``(n, heads*k)`` operand is the same computation."""
@@ -214,10 +241,10 @@ class TestKernelParity:
     def test_head_interleave_is_cached_per_pattern(self, stacked):
         a, x, _, vals = stacked
         sa = a.with_data(vals)
-        spmm(sa, x, backend="scipy")  # warm
-        before = event_counter().snapshot()
-        spmm(sa, x, backend="scipy")
-        after = event_counter().snapshot()
+        spmm(sa, x)  # warm
+        before = metrics().counters()
+        spmm(sa, x)
+        after = metrics().counters()
         assert after.get("head_interleave.computed", 0) == before.get(
             "head_interleave.computed", 0
         )

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import (
-    get_default_backend,
     masked_row_softmax,
     masked_row_softmax_backward,
     mm,
@@ -15,8 +14,8 @@ from repro.tensor.kernels import (
     sddmm_add,
     sddmm_cosine,
     sddmm_dot,
-    set_default_backend,
     spmm,
+    spmm_reference,
     spmmm,
 )
 from repro.tensor.semiring import (
@@ -31,26 +30,27 @@ from tests.conftest import random_csr
 
 
 class TestSpMMReal:
-    @pytest.mark.parametrize("backend", ["scipy", "reference"])
-    def test_matches_dense(self, rng, backend):
+    @pytest.mark.parametrize(
+        "kernel", [spmm, spmm_reference], ids=["scipy", "reference"]
+    )
+    def test_matches_dense(self, rng, kernel):
         a = random_csr(rng, 10, 8, ensure_empty_row=True)
         h = rng.normal(size=(8, 4))
-        out = spmm(a, h, backend=backend)
-        assert np.allclose(out, a.to_dense() @ h)
+        assert np.allclose(kernel(a, h), a.to_dense() @ h)
 
     def test_backends_agree(self, rng):
+        """The dispatch (scipy for REAL) against the pure-NumPy oracle."""
         a = random_csr(rng, 12, 12)
         h = rng.normal(size=(12, 5))
-        assert np.allclose(
-            spmm(a, h, backend="scipy"), spmm(a, h, backend="reference")
-        )
+        assert np.allclose(spmm(a, h), spmm_reference(a, h))
 
     def test_vector_input_squeezed(self, rng):
         a = random_csr(rng, 6, 6)
         x = rng.normal(size=6)
-        out = spmm(a, x, backend="reference")
-        assert out.shape == (6,)
-        assert np.allclose(out, a.to_dense() @ x)
+        for kernel in (spmm, spmm_reference):
+            out = kernel(a, x)
+            assert out.shape == (6,)
+            assert np.allclose(out, a.to_dense() @ x)
 
     def test_dimension_mismatch(self, rng):
         a = random_csr(rng, 6, 6)
@@ -60,8 +60,8 @@ class TestSpMMReal:
     def test_empty_matrix(self):
         a = CSRMatrix(np.zeros(5, np.int64), np.empty(0, np.int64),
                       np.empty(0), (4, 4))
-        out = spmm(a, np.ones((4, 2)), backend="reference")
-        assert np.allclose(out, 0)
+        for kernel in (spmm, spmm_reference):
+            assert np.allclose(kernel(a, np.ones((4, 2))), 0)
 
     def test_flop_accounting(self, rng):
         a = random_csr(rng, 6, 6)
@@ -69,16 +69,6 @@ class TestSpMMReal:
         spmm(a, rng.normal(size=(6, 3)), counter=counter)
         assert counter.total == 2 * a.nnz * 3
         assert counter.by_label["SpMM"] == counter.total
-
-    def test_default_backend_switch(self, rng):
-        original = get_default_backend()
-        try:
-            set_default_backend("reference")
-            assert get_default_backend() == "reference"
-            with pytest.raises(ValueError):
-                set_default_backend("cuda")
-        finally:
-            set_default_backend(original)
 
 
 class TestSpMMSemirings:
@@ -92,7 +82,7 @@ class TestSpMMSemirings:
         a = random_csr(rng, 8, 8, ensure_empty_row=True)
         lifted = a.with_data(adjacency_values(sr, a.data))
         h = rng.normal(size=(8, 3))
-        out = spmm(lifted, h, semiring=sr, backend="reference")
+        out = spmm(lifted, h, semiring=sr)
         expected = semiring_matmul_dense(sr, self._tropical_dense(a, sr), h)
         assert np.allclose(out, expected)
 
@@ -101,7 +91,7 @@ class TestSpMMSemirings:
         a = random_csr(rng, 8, 8)
         lifted = a.with_data(adjacency_values(TROPICAL_MIN, a.data))
         h = rng.normal(size=(8, 3))
-        out = spmm(lifted, h, semiring=TROPICAL_MIN, backend="reference")
+        out = spmm(lifted, h, semiring=TROPICAL_MIN)
         dense = a.to_dense()
         for i in range(8):
             nz = np.nonzero(dense[i])[0]
@@ -253,5 +243,5 @@ class TestSpMMProperty:
     def test_reference_matches_dense_product(self, case):
         dense, h = case
         a = CSRMatrix.from_dense(dense)
-        out = spmm(a, h, backend="reference")
+        out = spmm_reference(a, h)
         assert np.allclose(out, dense @ h, atol=1e-8)

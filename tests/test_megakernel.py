@@ -30,6 +30,7 @@ from repro.graphs import erdos_renyi
 from repro.graphs.powerlaw import powerlaw_graph
 from repro.graphs.prep import prepare_adjacency
 from repro.models.base import GnnModel
+from repro.obs.metrics import metrics
 from repro.training.loss import MSELoss
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import (
@@ -48,7 +49,7 @@ from repro.tensor.megakernel import (
 )
 from repro.tensor.segment import bincount_sum, segment_sum
 from repro.tensor.workspace import _POOL, clear_workspaces
-from repro.util.counters import FlopCounter, event_counter
+from repro.util.counters import FlopCounter
 
 from tests.conftest import random_csr
 
@@ -315,10 +316,10 @@ class TestResourceGuarantees:
         g = rng.normal(size=(2048, 16))
         layer = DagLayer("gat", 32, 16, seed=3, fused=True)
         clear_workspaces()
-        base = event_counter().snapshot()
+        base = metrics().counters()
         _, cache = layer.forward(a, h)
         layer.backward(cache, g)
-        after = event_counter().snapshot()
+        after = metrics().counters()
         assert cache.runner.fused
         assert after.get("megakernel.forward", 0) > base.get(
             "megakernel.forward", 0
@@ -357,11 +358,11 @@ class TestResourceGuarantees:
 
     def test_plan_memoised_per_pattern_heads_k(self):
         a = prepare_adjacency(erdos_renyi(64, 512, seed=2), dtype=np.float64)
-        base = event_counter().snapshot()
+        base = metrics().counters()
         p1 = plan_sweep(a.structure, 1, 32)
         p2 = plan_sweep(a.structure, 1, 32)
         p3 = plan_sweep(a.structure, 8, 32)
-        after = event_counter().snapshot()
+        after = metrics().counters()
         assert p2 is p1
         assert p3 is not p1
         assert after.get("megaplan.computed", 0) - base.get(
@@ -406,12 +407,12 @@ class TestResourceGuarantees:
         dag.set_output(dag.row_sum(psi))  # not Z = Psi @ Y
         rng = np.random.default_rng(6)
         csr = random_csr(rng, 10, 10, density=0.4)
-        base = event_counter().snapshot()
+        base = metrics().counters()
         runner = ProgramRunner(
             dag, {"H": rng.normal(size=(10, 3)), "A": csr}, fused=True
         )
         assert not runner.fused
-        after = event_counter().snapshot()
+        after = metrics().counters()
         assert after.get("megakernel.unmatched", 0) > base.get(
             "megakernel.unmatched", 0
         )

@@ -12,6 +12,8 @@ traced-vs-untraced bit-identity contract.
 
 import json
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    metrics,
 )
 from repro.obs.tracer import (
     Span,
@@ -46,7 +49,7 @@ from repro.runtime.executor import run_spmd
 from repro.runtime.stats import CommStats, RunStats
 from repro.tensor.kernels import spmm
 from repro.training import SGD, SoftmaxCrossEntropyLoss, Trainer
-from repro.util.counters import FlopCounter, event_counter
+from repro.util.counters import FlopCounter
 from tests import _spmd_programs as programs
 
 
@@ -128,11 +131,16 @@ class TestTracer:
         assert live_tracer.spans[0].flops == 123
 
     def test_event_delta_captured(self, live_tracer):
-        before = event_counter().count("obs_test_probe")
+        # A span's ``events`` is exactly what the registry's counters
+        # took inside it, whichever counters they were.
+        metrics().counter("obs_test_outside").inc(2)
         with live_tracer.span("work"):
-            event_counter().bump("obs_test_probe", 7)
-        assert live_tracer.spans[0].events >= 7
-        assert event_counter().count("obs_test_probe") == before + 7
+            metrics().counter("obs_test_probe").inc(7)
+            with live_tracer.span("inner"):
+                metrics().counter("obs_test_other").inc(3)
+        metrics().counter("obs_test_outside").inc(5)
+        inner, work = live_tracer.spans
+        assert (inner.events, work.events) == (3, 10)
 
     def test_annotate_hits_innermost_open_span(self, live_tracer):
         with live_tracer.span("outer"):
@@ -189,6 +197,22 @@ class TestTracer:
         assert live_tracer.spans[0].flops == 50
 
 
+def _hammer(fn, workers: int) -> None:
+    """Run ``fn`` on ``workers`` threads (more than the box has cores)
+    that switch every few bytecodes, and see every one of them finish."""
+    threads = [threading.Thread(target=fn) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
 class TestMetrics:
     def test_counter(self):
         c = Counter("n")
@@ -197,6 +221,19 @@ class TestMetrics:
         assert c.value == 5
         with pytest.raises(ValueError):
             c.inc(-1)
+
+    def test_counts_exact_under_rank_threads(self):
+        """Get-or-create and ``inc`` from four threads lose nothing: one
+        Counter per name, every increment in it and in the total."""
+        reg = MetricsRegistry()
+
+        def count():
+            for _ in range(50_000):
+                reg.counter("fresh").inc()
+
+        _hammer(count, workers=4)
+        assert reg.counters() == {"fresh": 200_000}
+        assert reg.increments == 200_000
 
     def test_gauge(self):
         g = Gauge("depth")
@@ -259,9 +296,6 @@ class TestMetrics:
         assert again.values == h.values
 
     def test_histogram_concurrent_observers_lose_nothing(self, monkeypatch):
-        import sys
-        import threading
-
         # ``repro.obs.metrics`` the attribute is the accessor function;
         # the module is reachable through ``sys.modules``.
         module = sys.modules["repro.obs.metrics"]
@@ -273,17 +307,7 @@ class TestMetrics:
             for _ in range(each):
                 h.observe(1.0)
 
-        threads = [threading.Thread(target=observe) for _ in range(workers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        _hammer(observe, workers)
         # A lost update past the cap would show in the exact moments.
         assert h.count == workers * each
         assert h.sum == float(workers * each)
@@ -299,8 +323,6 @@ class TestMetrics:
         # An empty series must answer NaN (a fabricated 0.0 would read
         # as a real latency) and bump the process-wide warning counter.
         # The registry's counters are monotone, so assert the delta.
-        from repro.obs.metrics import metrics
-
         warn = metrics().counter("histogram.empty_quantile")
         before = warn.value
         h = Histogram("lat")
@@ -330,8 +352,50 @@ class TestMetrics:
         assert snap["sends"] == 3
         assert snap["depth"] == 2.0
         assert snap["lat"]["count"] == 1
+        assert reg.counters() == {"sends": 3}
         reg.reset()
         assert reg.snapshot() == {}
+        # The running total spans read is not a metric: it survives, so
+        # a span open across a reset still gets a non-negative delta.
+        reg.counter("later").inc(2)
+        assert reg.increments == 5
+
+
+class TestOneDump:
+    def test_snapshot_holds_every_subsystem(self):
+        """A full-batch epoch, a sampled epoch and a serving burst in
+        one process: the structure cache, the workspace pool, the
+        sampler and the serving stack all count into the one registry."""
+        from repro.serving import ServingEngine, ServingServer
+        from repro.training import MinibatchTrainer
+
+        problem = synthetic_classification(n=60, feature_dim=6, seed=2)
+        a, y = problem.adjacency.astype(np.float64), problem.labels
+        h = problem.features.astype(np.float64)
+        model = build_model("GAT", 6, 8, 4, num_layers=2, seed=5,
+                            dtype=np.float64)
+        metrics().reset()
+        Trainer(model, SoftmaxCrossEntropyLoss(), SGD(0.01)).fit(
+            a, h, y, epochs=1
+        )
+        MinibatchTrainer(
+            model, SoftmaxCrossEntropyLoss(), SGD(0.01), fanouts=(2, 2),
+            batch_size=16, seed=0,
+        ).fit(a, h, y, epochs=1, full_eval=False)
+        engine = ServingEngine(model, a, h, fanouts=(2, 2), cache=64, seed=5)
+        with ServingServer(engine, max_batch=8, max_delay_ms=1.0) as server:
+            for _ in range(2):  # the second burst hits the cache
+                for future in server.submit_many(list(range(20))):
+                    future.result(timeout=30)
+        snap = metrics().snapshot()
+        for name in ("pattern.registered", "expand_rows.hit",
+                     "workspace.alloc", "sampling_graph.hit", "sample.hop",
+                     "sample.candidates", "serving.cache.hit",
+                     "serving.requests"):
+            assert snap[name] > 0, name
+        for name in ("serving.queue_wait_ms", "serving.batch_size"):
+            assert snap[name]["count"] > 0, name
+        json.dumps(snap)  # one exportable document
 
 
 def _make_spanned_tracer(rank: int) -> Tracer:

@@ -322,18 +322,22 @@ class TestOverlapIsTheDefault:
 # Wait-time accounting
 # ---------------------------------------------------------------------------
 class TestWaitBreakdown:
-    def test_blocked_recv_charges_wait_s(self):
-        result = run_spmd(2, programs.waity_pingpong, backend="thread",
-                          trace=True)
+    def test_blocked_recv_charges_wait_s(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        result = run_spmd(2, programs.waity_pingpong, backend="thread")
         blocked = result.stats.per_rank[0]
         sender = result.stats.per_rank[1]
         assert blocked.wait_s >= 0.1
         assert blocked.wait_by_phase.get("stall", 0.0) >= 0.1
         assert sender.wait_s == 0.0
-        # The trace mirrors the counters.
-        assert blocked.trace is not None and blocked.trace.waits
-        assert blocked.trace.wait_s() == pytest.approx(blocked.wait_s)
-        assert blocked.trace.wait_by_phase()["stall"] >= 0.1
+        # The rank's timeline mirrors the counters.
+        waits = [s for s in blocked.tracer.spans if s.name == "wait"]
+        assert sum(s.duration_s for s in waits) == pytest.approx(
+            blocked.wait_s
+        )
+        assert sum(
+            s.duration_s for s in waits if s.attrs["phase"] == "stall"
+        ) >= 0.1
 
     def test_run_stats_breakdown_and_summary(self):
         result = run_spmd(2, programs.waity_pingpong, backend="thread")

@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 from repro.graphs import erdos_renyi, synthetic_classification
 from repro.graphs.prep import prepare_adjacency
 from repro.models import gat_model
+from repro.obs.metrics import metrics
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.structure import lookup_structure
-from repro.util.counters import event_counter
 
 from tests.conftest import random_csr
 
@@ -220,14 +220,13 @@ class TestDegreeStats:
 
     def test_warm_equals_cold_and_caches(self, rng):
         warm = random_csr(rng, 16, 16, density=0.3, ensure_empty_row=True)
-        events = event_counter()
-        base = events.snapshot()
+        base = metrics().counters()
         first = warm.degree_stats()
         again = warm.degree_stats()
         assert again is first  # memoised on the structure
         cold = cold_copy(warm)
         assert cold.degree_stats() == first  # value-equal, fresh cache
-        after = events.snapshot()
+        after = metrics().counters()
         computed = after.get("degree_stats.computed", 0) - base.get(
             "degree_stats.computed", 0
         )
@@ -273,11 +272,10 @@ class TestAmortization:
             model.backward(np.ones_like(out) / out.size)
 
         epoch()  # warm every structural cache
-        events = event_counter()
-        base = events.snapshot()
+        base = metrics().counters()
         for _ in range(3):
             epoch()
-        after = events.snapshot()
+        after = metrics().counters()
 
         def delta(label):
             return after.get(label, 0) - base.get(label, 0)
@@ -297,11 +295,10 @@ class TestAmortization:
         a = prepare_adjacency(erdos_renyi(50, 300, seed=5), dtype=np.float64)
         h = np.random.default_rng(0).normal(size=(50, 6))
         model = gat_model(6, 8, 3, num_layers=3, seed=0)
-        events = event_counter()
-        base = events.snapshot()
+        base = metrics().counters()
         out = model.forward(a, h, training=True)
         model.backward(np.ones_like(out) / out.size)
-        after = events.snapshot()
+        after = metrics().counters()
         # Patterns in play: the adjacency and (lazily) its transpose.
         registered = after.get("pattern.registered", 0) - base.get(
             "pattern.registered", 0

@@ -25,6 +25,7 @@ from repro.config import BACKEND_ENV_VAR
 from repro.distributed.api import distributed_train
 from repro.graphs import synthetic_classification
 from repro.models import build_model
+from repro.obs.metrics import metrics
 from repro.runtime.executor import run_spmd
 from repro.runtime.fabric import (
     FabricTimeoutError,
@@ -289,29 +290,45 @@ class TestBackendSelection:
 
 
 class TestTracePlumbing:
-    def test_traces_cross_the_process_boundary(self):
+    def test_traces_cross_the_process_boundary(self, monkeypatch):
+        """A spawned rank's send slices ride home on its tracer."""
+        monkeypatch.setenv("REPRO_TRACE", "1")
         result = run_spmd(2, programs.traced_sends, backend="process",
-                          trace=True, timeout=60.0)
-        trace = result.stats.per_rank[0].trace
-        assert trace is not None
-        assert len(trace.events) == result.stats.per_rank[0].messages_sent
-        phases = {event.phase for event in trace.events}
-        assert "alpha" in phases or "beta" in phases
+                          timeout=60.0)
+        stats = result.stats.per_rank[0]
+        sends = [s.attrs for s in stats.tracer.spans if s.name == "send"]
+        assert [s["seq"] for s in sends] == list(
+            range(1, stats.messages_sent + 1)
+        )
+        assert {s["phase"] for s in sends} == {"alpha", "beta"}
+        assert sum(s["nbytes"] for s in sends) == stats.bytes_sent
 
 
 class TestObservabilityPlumbing:
-    def test_event_counter_merges_back_to_driver(self):
-        """Child-process EventCounter bumps must reach the driver's
-        process-global counter — otherwise cache-hit/workspace tallies
-        silently vanish on the process backend (regression test)."""
-        from repro.util.counters import event_counter
-
+    def test_event_counter_merges_back_to_driver(self, problem):
+        """Child-process counter increments must reach the driver's
+        registry — otherwise cache-hit/workspace tallies silently
+        vanish on the process backend (regression test)."""
         label = "obs_merge_probe"
-        before = event_counter().count(label)
+        before = metrics().counter(label).value
         run_spmd(2, programs.bump_named_event, backend="process",
                  timeout=60.0, label=label)
         # Ranks 0 and 1 bump rank+1 occurrences: 1 + 2 = 3.
-        assert event_counter().count(label) == before + 3
+        assert metrics().counter(label).value == before + 3
+        # The library's own counts ride the same slot: the driver of a
+        # spawned run touches no pattern, so every structure-cache
+        # count it ends up with was taken in a child (one adjacency
+        # block per rank, at least).
+        before = metrics().counters()
+        distributed_train(
+            "VA", problem.adjacency, problem.features.astype(np.float64),
+            problem.labels, 8, 4, num_layers=2, p=4, epochs=1,
+            mask=problem.train_mask, seed=5, dtype=np.float64,
+            backend="process", timeout=120.0,
+        )
+        after = metrics().counters()
+        for name in ("pattern.registered", "expand_rows.computed"):
+            assert after[name] - before.get(name, 0) >= 4, name
 
     def test_rank_tracers_cross_the_process_boundary(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")

@@ -18,7 +18,7 @@ from repro.graphs import erdos_renyi
 from repro.graphs.prep import prepare_adjacency
 from repro.models import build_model
 from repro.runtime import run_spmd, square_grid
-from repro.tensor.kernels import spmm
+from repro.tensor.kernels import spmm_reference
 
 SLOW = settings(
     max_examples=12,
@@ -79,8 +79,8 @@ class TestRandomisedEquivalence:
             grid = square_grid(comm)
             out = reduce_and_redistribute(
                 grid,
-                spmm(distribute_adjacency(a, grid),
-                     distribute_features(h, grid), backend="reference"),
+                spmm_reference(distribute_adjacency(a, grid),
+                               distribute_features(h, grid)),
                 OpSequencer(),
             )
             c0, c1 = block_range(n, grid.py, grid.col)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.fusion.layer import DagLayer
 from repro.graphs import powerlaw_graph, prepare_adjacency
 from repro.models.base import GnnModel
+from repro.obs.metrics import metrics
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.sampling_graph import (
     hub_bias_weights,
@@ -25,7 +26,6 @@ from repro.tensor.sampling_graph import (
     sampling_graph_of,
 )
 from repro.training.minibatch import backward_blocks, forward_blocks
-from repro.util.counters import event_counter
 from tests.conftest import random_csr
 from tests.reference_sampler import reference_sample_edges
 
@@ -689,11 +689,10 @@ class TestCandidateEvent:
         graph = sampling_graph_of(small_adjacency)
         seeds = np.arange(graph.num_nodes, dtype=np.int64)
         deg = graph.degrees(seeds)
-        events = event_counter()
-        before = events.count("sample.candidates")
+        before = metrics().counter("sample.candidates").value
         graph.sample_edges(seeds, 3, np.random.default_rng(0))
-        drawn = events.count("sample.candidates") - before
+        drawn = metrics().counter("sample.candidates").value - before
         assert drawn == int(deg[deg > 3].sum())
         # Full fan-out draws nothing.
         graph.sample_edges(seeds, None, np.random.default_rng(0))
-        assert events.count("sample.candidates") - before == drawn
+        assert metrics().counter("sample.candidates").value - before == drawn

@@ -51,7 +51,6 @@ from repro.tensor.workspace import (
     workspace_high_water_bytes,
     workspace_pool_bytes,
 )
-from repro.util.counters import event_counter
 
 N = 40
 FEAT = 8
@@ -368,9 +367,9 @@ class TestBatchedIdentity:
                                cache=4096, seed=5)
         seeds = np.array([1, 4, 6], dtype=np.int64)
         engine.serve_unique(seeds)
-        hops_before = event_counter().count("sample.hop")
+        hops_before = metrics().counter("sample.hop").value
         engine.serve_unique(seeds)
-        assert event_counter().count("sample.hop") == hops_before
+        assert metrics().counter("sample.hop").value == hops_before
 
     def test_each_sampled_hop_gets_a_serve_sample_span(
         self, adjacency, features

@@ -1,121 +1,114 @@
-"""Tests for the communication-trace facility."""
+"""A rank's sends on its tracer, and the diff that finds a diverging rank."""
 
 import numpy as np
 
+from repro.obs import Tracer, diff_sends
 from repro.runtime import run_spmd
-from repro.runtime.trace import CommTrace, diff_traces
+from tests import _spmd_programs as programs
+
+
+def _sends(tracer):
+    return [s for s in tracer.spans if s.name == "send"]
+
+
+def _with_sends(rank, *sends):
+    """A rank tracer holding ``(phase, nbytes)`` sends, numbered from 1."""
+    tracer = Tracer(rank=rank)
+    for seq, (phase, nbytes) in enumerate(sends, start=1):
+        tracer.add_slice("send", 0.0, 0.0, seq=seq, phase=phase, nbytes=nbytes)
+    return tracer
 
 
 class TestTraceRecording:
     def test_disabled_by_default(self):
         result = run_spmd(2, lambda comm: comm.allreduce(np.ones(2)),
                           timeout=10)
-        assert result.stats.per_rank[0].trace is None
+        assert all(s.tracer is None for s in result.stats.per_rank)
 
-    def test_records_sends_with_phases(self):
-        def program(comm):
-            comm.stats.set_phase("alpha")
-            comm.allreduce(np.ones(4))
-            comm.stats.set_phase("beta")
-            comm.bcast(np.ones(4) if comm.rank == 0 else None, root=0)
-            return True
-
-        result = run_spmd(2, program, timeout=10, trace=True)
-        trace = result.stats.per_rank[0].trace
-        assert trace is not None
-        assert len(trace.events) == result.stats.per_rank[0].messages_sent
-        phases = trace.by_phase()
-        assert set(phases) <= {"alpha", "beta"}
-        assert sum(phases.values()) == len(trace.events)
-
-    def test_capacity_bound(self):
-        trace = CommTrace(capacity=3)
-        for i in range(5):
-            trace.record(i, "p", 10)
-        assert len(trace.events) == 3
-        assert trace.dropped == 2
-
-    def test_ring_drops_oldest_keeps_newest(self):
-        trace = CommTrace(capacity=3)
-        for i in range(5):
-            trace.record(i, "p", 10)
-        # A true ring: the tail survives, the head is evicted — a long
-        # run's trace ends at the interesting part.
-        assert [e.sequence for e in trace.events] == [2, 3, 4]
-        assert trace.dropped_events == 2
-        assert trace.dropped_waits == 0
-
-    def test_wait_ring_counts_separately(self):
-        trace = CommTrace(capacity=2)
-        for i in range(4):
-            trace.record_wait(f"phase{i}", 0.1)
-        assert [w.phase for w in trace.waits] == ["phase2", "phase3"]
-        assert trace.dropped_waits == 2
-        assert trace.dropped_events == 0
-        assert trace.dropped == 2
+    def test_records_sends_with_phases(self, monkeypatch):
+        # The process fabric's twin of this test is
+        # test_process_backend.py::TestTracePlumbing.
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        result = run_spmd(2, programs.traced_sends, backend="thread",
+                          timeout=10)
+        for stats in result.stats.per_rank:
+            sends = _sends(stats.tracer)
+            # Every message, in the order it left, under the phase that
+            # was active, and the sizes add up to the rank's counter.
+            assert [s.attrs["seq"] for s in sends] == list(
+                range(1, stats.messages_sent + 1)
+            )
+            phases = [s.attrs["phase"] for s in sends]
+            assert phases == sorted(phases) and set(phases) <= {
+                "alpha", "beta"
+            }
+            for phase, nbytes in stats.by_phase.items():
+                assert nbytes == sum(
+                    s.attrs["nbytes"] for s in sends
+                    if s.attrs["phase"] == phase
+                )
+            assert all(s.t0 == s.t1 for s in sends)
+            starts = [s.t0 for s in sends]
+            assert starts == sorted(starts)
 
 
 class TestDiffTraces:
     def test_agreement(self):
-        a, b = CommTrace(), CommTrace()
-        for trace in (a, b):
-            trace.record(1, "x", 10)
-            trace.record(2, "y", 99)  # sizes may differ; phases matter
-        b.events[1] = type(b.events[1])(2, "y", 50)
-        assert diff_traces(a, b) == "traces agree"
+        # Sizes may differ between ranks; phases are what must line up.
+        a = _with_sends(0, ("x", 10), ("y", 99))
+        b = _with_sends(1, ("x", 10), ("y", 50))
+        assert diff_sends(a, b) == "traces agree"
 
     def test_phase_divergence_detected(self):
-        a, b = CommTrace(), CommTrace()
-        a.record(1, "psi", 10)
-        b.record(1, "redistribute", 10)
-        report = diff_traces(a, b)
-        assert "divergence at event 0" in report
-        assert "psi" in report and "redistribute" in report
+        a = _with_sends(0, ("setup", 8), ("psi", 10), ("psi", 10))
+        b = _with_sends(3, ("setup", 8), ("redistribute", 10), ("psi", 10))
+        report = diff_sends(a, b)
+        assert "divergence at event 1" in report
+        assert "rank 0 sent in phase 'psi'" in report
+        assert "rank 3 sent in phase 'redistribute'" in report
 
     def test_length_divergence_detected(self):
-        a, b = CommTrace(), CommTrace()
-        a.record(1, "x", 10)
-        a.record(2, "x", 10)
-        b.record(1, "x", 10)
-        assert "extra events" in diff_traces(a, b)
+        a = _with_sends(0, ("x", 10), ("x", 24))
+        b = _with_sends(1, ("x", 10))
+        for report in (diff_sends(a, b), diff_sends(b, a)):
+            assert "rank 0 has extra events from index 1" in report
+            assert "#2 x 24 B" in report
 
-    def test_truncation_noted_in_report(self):
-        a, b = CommTrace(capacity=2), CommTrace(capacity=2)
-        for i in range(4):
-            a.record(i, "x", 10)
-        b.record(2, "x", 10)
-        b.record(3, "x", 10)
-        report = diff_traces(a, b)
-        assert report.startswith("traces agree")
-        assert "ring truncation" in report
-        assert "rank A dropped 2" in report
+    def test_non_send_spans_are_ignored(self):
+        a = _with_sends(0, ("x", 10))
+        b = _with_sends(1, ("x", 10))
+        b.add_slice("wait", 0.0, 0.5, phase="other")
+        with b.span("sched.step"):
+            pass
+        assert diff_sends(a, b) == "traces agree"
 
-    def test_truncation_noted_on_divergence(self):
-        a, b = CommTrace(capacity=2), CommTrace(capacity=2)
-        for i in range(4):
-            a.record(i, "x", 10)
-        b.record(0, "y", 10)
-        report = diff_traces(a, b)
-        assert "divergence at event 0" in report
-        assert "ring truncation" in report
-
-    def test_symmetric_collectives_give_identical_traces(self):
+    def test_symmetric_collectives_give_identical_traces(self, monkeypatch):
         """Ring collectives send the same message sequence on every
-        rank, so their traces agree exactly — the baseline diff_traces
-        compares against. (Tree collectives are rank-asymmetric by
-        design: roots and leaves send different counts.)"""
+        rank, so their send slices agree exactly — the baseline
+        diff_sends compares against. (Tree collectives are
+        rank-asymmetric by design: roots and leaves send different
+        counts.)"""
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        for backend in ("thread", "process"):
+            result = run_spmd(4, programs.ring_collectives, backend=backend,
+                              timeout=60.0)
+            tracers = [s.tracer for s in result.stats.per_rank]
+            assert _sends(tracers[0])
+            for other in tracers[1:]:
+                assert diff_sends(tracers[0], other) == "traces agree"
 
-        def program(comm):
-            comm.stats.set_phase("setup")
-            comm.allgather(np.full(2, float(comm.rank)))
-            comm.stats.set_phase("work")
-            for _ in range(3):
-                comm.alltoall(
-                    [np.full(2, float(d)) for d in range(comm.size)]
-                )
-            return True
-
-        result = run_spmd(4, program, timeout=10, trace=True)
-        traces = [s.trace for s in result.stats.per_rank]
-        for other in traces[1:]:
-            assert diff_traces(traces[0], other) == "traces agree"
+    def test_rank_on_another_code_path_is_named(self, monkeypatch):
+        """Rank 2 labels its second round differently: the diff against
+        any other rank stops at that round's first send."""
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        result = run_spmd(4, programs.ring_collectives, backend="thread",
+                          timeout=10, stray_rank=2)
+        tracers = [s.tracer for s in result.stats.per_rank]
+        assert diff_sends(tracers[0], tracers[1]) == "traces agree"
+        setup_sends = sum(
+            s.attrs["phase"] == "setup" for s in _sends(tracers[0])
+        )
+        report = diff_sends(tracers[0], tracers[2])
+        assert f"divergence at event {setup_sends}:" in report
+        assert "rank 0 sent in phase 'work'" in report
+        assert "rank 2 sent in phase 'stray'" in report

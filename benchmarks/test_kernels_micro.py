@@ -150,7 +150,7 @@ def _transpose_uncached(m):
 
 
 def test_sddmm_warm_cache_speedup(benchmark, operands):
-    """Cached/pooled SDDMM ≥1.5× faster than the pre-cache kernel."""
+    """Cached, chunked SDDMM ≥1.5× faster than the pre-cache kernel."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     a, h, _, _ = operands
     assert np.allclose(sddmm_dot(a, h, h), _sddmm_dot_uncached(a, h, h))
@@ -168,9 +168,9 @@ def test_multihead_batched_speedup(benchmark):
     Eight heads on a small graph — the regime the batching targets:
     the per-head loop (``heads`` single-head layers on the same
     parameters, the oracle of ``tests/reference_heads.py``) re-pays
-    kernel dispatch, structure-cache lookups and workspace checkout
-    once per head, while the layer walks the interned CSR pattern once
-    for all heads. Warm structure cache, forward + backward, float64.
+    kernel dispatch and structure-cache lookups once per head, while
+    the layer walks the interned CSR pattern once for all heads. Warm
+    structure cache, forward + backward, float64.
     Timed with looped batches so sub-millisecond steps are not noise.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

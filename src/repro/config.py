@@ -3,7 +3,7 @@
 How a run executes (overlapped or synchronous schedule, fused or
 interpreted program, SpMM backend, SDDMM chunk, admission policy) is an
 argument of the call that runs it, with the production value as its
-default. Three settings belong to a deployment rather than to a call:
+default. Two settings belong to a deployment rather than to a call:
 
 ``REPRO_TRACE``
     ``1/true/on/yes`` or ``0/false/off/no`` (default off): every SPMD
@@ -11,9 +11,6 @@ default. Three settings belong to a deployment rather than to a call:
 ``REPRO_FABRIC_BACKEND``
     ``thread`` (default) or ``process``: the fabric behind
     ``run_spmd(backend=None)``.
-``REPRO_WORKSPACE_BUDGET_MB``
-    Positive number of MiB (default unbounded): the per-thread
-    workspace-pool cap.
 
 Each accessor reads its variable at *call* time (a caller may set
 ``REPRO_TRACE`` around one traced unit), treats unset or empty as the
@@ -23,22 +20,18 @@ silently ignored typo would defeat the setting.
 
 from __future__ import annotations
 
-import math
 import os
 
 __all__ = [
     "TRACE_ENV_VAR",
     "BACKEND_ENV_VAR",
-    "WORKSPACE_BUDGET_ENV_VAR",
     "FABRIC_BACKENDS",
     "trace_enabled_default",
     "fabric_backend_default",
-    "workspace_budget_default",
 ]
 
 TRACE_ENV_VAR = "REPRO_TRACE"
 BACKEND_ENV_VAR = "REPRO_FABRIC_BACKEND"
-WORKSPACE_BUDGET_ENV_VAR = "REPRO_WORKSPACE_BUDGET_MB"
 FABRIC_BACKENDS = ("thread", "process")
 _TRUE = frozenset({"1", "true", "on", "yes"})
 _FALSE = frozenset({"0", "false", "off", "no"})
@@ -51,19 +44,6 @@ def _flag(name: str) -> bool:
     if not raw or raw.lower() in _FALSE:
         return False
     raise ValueError(f"${name}={raw!r}: use one of {sorted(_TRUE | _FALSE)}")
-
-
-def _positive_number(name: str) -> float | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"${name}={raw!r}: must be a positive number")
-    return value
 
 
 def _choice(name: str, choices: tuple[str, ...]) -> str:
@@ -81,9 +61,3 @@ def trace_enabled_default() -> bool:
 def fabric_backend_default() -> str:
     """The fabric ``$REPRO_FABRIC_BACKEND`` names (default: thread)."""
     return _choice(BACKEND_ENV_VAR, FABRIC_BACKENDS)
-
-
-def workspace_budget_default() -> int | None:
-    """``$REPRO_WORKSPACE_BUDGET_MB`` in bytes (default: unbounded)."""
-    mb = _positive_number(WORKSPACE_BUDGET_ENV_VAR)
-    return None if mb is None else int(mb * (1 << 20))

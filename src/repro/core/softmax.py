@@ -57,17 +57,16 @@ def graph_softmax_dense(
     return np.where(mask, exp / safe, 0.0)
 
 
-def graph_softmax(s: CSRMatrix, out: np.ndarray | None = None) -> CSRMatrix:
+def graph_softmax(s: CSRMatrix) -> CSRMatrix:
     """Sparse graph softmax: normalise each row's stored entries.
 
     Equivalent to :func:`graph_softmax_dense` restricted to the
     pattern, but never materialises the virtual replicated denominator.
     Numerically stabilised with a per-row max shift (which cancels in
-    the softmax). ``out``, if given, receives the normalised stored
-    values in place and becomes the data vector of the result.
+    the softmax).
 
     Head-batched matrices carrying stacked ``(nnz, heads)`` values are
     normalised per head in the same sweep — head ``i`` of the result
     equals the scalar softmax of head ``i``'s values.
     """
-    return masked_row_softmax(s, out=out)
+    return masked_row_softmax(s)

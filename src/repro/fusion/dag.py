@@ -19,13 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["OpNode", "OpDag", "SHAPE_KINDS"]
+__all__ = ["OpNode", "OpDag", "SHAPE_KINDS", "UNARY", "BINARY_ELEMENTWISE"]
 
 SHAPE_KINDS = ("nn", "nk", "kn", "kk", "n", "k", "scalar")
 
-#: Ops whose output shape follows these rules (checked at build time).
-_UNARY = {"exp", "leaky_relu", "leaky_relu_grad", "scale", "reciprocal"}
-_BINARY_ELEMENTWISE = {"hadamard", "divide", "add"}
+#: The element-wise op vocabulary: sparsity inference, the fusion pass
+#: and the executors all dispatch on these two sets.
+UNARY = frozenset(
+    {"exp", "leaky_relu", "leaky_relu_grad", "scale", "reciprocal"}
+)
+BINARY_ELEMENTWISE = frozenset({"hadamard", "divide", "add"})
 
 
 @dataclass

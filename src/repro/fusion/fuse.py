@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.fusion.dag import OpDag
+from repro.fusion.dag import BINARY_ELEMENTWISE, UNARY, OpDag
 from repro.fusion.sparsity import Sparsity, infer_sparsity
 
 __all__ = [
@@ -37,9 +37,7 @@ __all__ = [
 ]
 
 #: Ops that can traverse a virtual value without materialising it.
-_EDGEWISE = {"hadamard", "divide", "add", "exp", "leaky_relu",
-             "leaky_relu_grad", "scale", "reciprocal", "transpose",
-             "sample"}
+_EDGEWISE = UNARY | BINARY_ELEMENTWISE | {"transpose", "sample"}
 
 
 @dataclass

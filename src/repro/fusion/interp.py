@@ -33,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.fusion.dag import OpDag
+from repro.fusion.dag import BINARY_ELEMENTWISE, UNARY, OpDag
 from repro.fusion.fuse import FusedProgram, fuse, match_attention_chain
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
@@ -42,7 +42,6 @@ from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import spmm
 from repro.tensor.megakernel import attention_backward, attention_forward
 from repro.tensor.segment import bincount_sum, segment_sum
-from repro.tensor.workspace import workspace
 from repro.util.counters import FlopCounter, null_counter
 
 __all__ = ["execute", "ProgramRunner"]
@@ -313,22 +312,12 @@ class _Engine:
             out = self._matmul_dense(node)
         elif op == "transpose":
             out = self.value(node.inputs[0]).T
-        elif op in ("hadamard", "divide", "add"):
+        elif op in BINARY_ELEMENTWISE:
             a = self.value(node.inputs[0])
             b = self.value(node.inputs[1])
-            out = {"hadamard": a * b, "divide": _safe_div(a, b),
-                   "add": a + b}[op]
-        elif op == "exp":
-            out = np.exp(self.value(node.inputs[0]))
-        elif op in ("leaky_relu", "leaky_relu_grad"):
-            x = self.value(node.inputs[0])
-            out = _apply_unary(op, x, node.attrs)
-        elif op == "scale":
-            out = node.attrs["factor"] * self.value(node.inputs[0])
-        elif op == "reciprocal":
-            out = 1.0 / np.maximum(
-                self.value(node.inputs[0]), node.attrs.get("eps", 0.0) or 1e-300
-            )
+            out = _binary(op, a, b)
+        elif op in UNARY:
+            out = _apply_unary(op, self.value(node.inputs[0]), node.attrs)
         elif op == "row_sum":
             operand = node.inputs[0]
             if self.sparsity[operand] is Sparsity.SPARSE:
@@ -457,14 +446,12 @@ class _Engine:
                 # Virtual/dense operands evaluate eagerly (dense mode).
                 operands.append(self.value(operand))
         op = node.op
-        if op in ("hadamard", "divide", "add"):
+        if op in BINARY_ELEMENTWISE:
             a, b = operands
-            out = {"hadamard": a * b, "divide": _safe_div(a, b),
-                   "add": a + b}[op]
+            out = _binary(op, a, b)
         elif op == "sample":
             out = operands[0]
-        elif op in ("exp", "leaky_relu", "leaky_relu_grad", "scale",
-                    "reciprocal"):
+        elif op in UNARY:
             out = _apply_unary(op, operands[0], node.attrs)
         else:
             raise ValueError(f"sparse op {op!r} unsupported in dense mode")
@@ -482,16 +469,14 @@ class _Engine:
                 return base if rows is None else base
             # Sampling elementwise op: sparse operand keeps edge values,
             # the other side is evaluated at the edges.
-            if op in ("hadamard", "divide", "add"):
+            if op in BINARY_ELEMENTWISE:
                 a, b = node.inputs
                 va = self._operand_at(a, rows, cols)
                 vb = self._operand_at(b, rows, cols)
-                return {"hadamard": va * vb, "divide": _safe_div(va, vb),
-                        "add": va + vb}[op]
+                return _binary(op, va, vb)
             if op == "sample":
                 return self._operand_at(node.inputs[0], rows, cols)
-            if op in ("exp", "leaky_relu", "leaky_relu_grad", "scale",
-                      "reciprocal"):
+            if op in UNARY:
                 v = self._operand_at(node.inputs[0], rows, cols)
                 return _apply_unary(op, v, node.attrs)
             raise ValueError(f"sparse op {op!r} unsupported in fused mode")
@@ -499,19 +484,12 @@ class _Engine:
             if op == "matmul":
                 a = self.value(node.inputs[0])
                 b = self.value(node.inputs[1])
-                # Gather both operands into pooled scratch (row slices of
-                # ``a``, column slices of ``b``) instead of fancy-indexed
-                # temporaries; the per-edge dot products are returned
-                # fresh because they escape into the caller's DAG values.
-                ga = workspace(
-                    "interp.matmul.a", (rows.shape[0], a.shape[1]), a.dtype
+                # Row slices of ``a`` against column slices of ``b``.
+                return np.einsum(
+                    "ij,ji->i",
+                    np.take(a, rows, axis=0),
+                    np.take(b, cols, axis=1),
                 )
-                np.take(a, rows, axis=0, out=ga, mode="clip")
-                gb = workspace(
-                    "interp.matmul.b", (b.shape[0], cols.shape[0]), b.dtype
-                )
-                np.take(b, cols, axis=1, out=gb, mode="clip")
-                return np.einsum("ij,ji->i", ga, gb)
             if op == "transpose":
                 return self._operand_at(node.inputs[0], cols, rows)
             if op == "replicate":
@@ -523,13 +501,11 @@ class _Engine:
                     self.value(node.inputs[0])[rows]
                     * self.value(node.inputs[1])[cols]
                 )
-            if op in ("hadamard", "divide", "add"):
+            if op in BINARY_ELEMENTWISE:
                 va = self._operand_at(node.inputs[0], rows, cols)
                 vb = self._operand_at(node.inputs[1], rows, cols)
-                return {"hadamard": va * vb, "divide": _safe_div(va, vb),
-                        "add": va + vb}[op]
-            if op in ("exp", "leaky_relu", "leaky_relu_grad", "scale",
-                      "reciprocal"):
+                return _binary(op, va, vb)
+            if op in UNARY:
                 v = self._operand_at(node.inputs[0], rows, cols)
                 return _apply_unary(op, v, node.attrs)
             raise ValueError(f"virtual op {op!r} unsupported in fused mode")
@@ -588,14 +564,12 @@ class _Engine:
                 raise RuntimeError(
                     "dense n x n operand in sampled elementwise op"
                 )
-        if op in ("hadamard", "divide", "add"):
+        if op in BINARY_ELEMENTWISE:
             a, b = operands
-            return {"hadamard": a * b, "divide": _safe_div(a, b),
-                    "add": a + b}[op]
+            return _binary(op, a, b)
         if op == "sample":
             return operands[0]
-        if op in ("exp", "leaky_relu", "leaky_relu_grad", "scale",
-                  "reciprocal"):
+        if op in UNARY:
             return _apply_unary(op, operands[0], node.attrs)
         raise ValueError(f"sparse op {op!r} unsupported in tiled mode")
 
@@ -631,13 +605,11 @@ class _Engine:
             return np.outer(
                 self.value(node.inputs[0])[t0:t1], self.value(node.inputs[1])
             )
-        if op in ("hadamard", "divide", "add"):
+        if op in BINARY_ELEMENTWISE:
             a = self._tile_value(node.inputs[0], t0, t1)
             b = self._tile_value(node.inputs[1], t0, t1)
-            return {"hadamard": a * b, "divide": _safe_div(a, b),
-                    "add": a + b}[op]
-        if op in ("exp", "leaky_relu", "leaky_relu_grad", "scale",
-                  "reciprocal"):
+            return _binary(op, a, b)
+        if op in UNARY:
             return _apply_unary(
                 op, self._tile_value(node.inputs[0], t0, t1), node.attrs
             )
@@ -648,6 +620,16 @@ class _Engine:
 
 def _safe_div(a, b):
     return a / np.where(b == 0, 1.0, b) * (b != 0)
+
+
+def _binary(op: str, a, b):
+    if op == "hadamard":
+        return a * b
+    if op == "add":
+        return a + b
+    if op == "divide":
+        return _safe_div(a, b)
+    raise ValueError(op)
 
 
 def _apply_unary(op: str, v: np.ndarray, attrs: dict) -> np.ndarray:

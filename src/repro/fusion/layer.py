@@ -16,8 +16,8 @@ the hand-fused layers. The hand-written kernels
 (:mod:`repro.core.psi`, plugged into
 :class:`repro.models.attention.AttentionLayer` as specs)
 remain the default *fast path* — they fuse the softmax into two
-segment sweeps and reuse pooled workspaces — while ``DagLayer`` is the
-*derived* path: slower per edge, but requiring zero backward code.
+segment sweeps — while ``DagLayer`` is the *derived* path: slower per
+edge, but requiring zero backward code.
 Tests assert the two paths agree to tight tolerances, which is exactly
 the paper's argument that the global formulations and their derived
 gradients are the single source of truth.
@@ -31,7 +31,7 @@ Compiled programs are therefore interned in a module-level cache and
 shared read-only: the per-step :class:`ProgramRunner` (which binds the
 actual arrays and memoises activations) is the *per-request* state, so
 one compiled program serves any number of layers, models, and
-concurrent in-flight batches — the same parameters-vs-workspace split
+concurrent in-flight batches — the same parameters-vs-request split
 the serving engine makes at the model level. A side effect of interning
 is that fusion runs once per distinct layer shape instead of once per
 ``forward`` call.
@@ -115,7 +115,7 @@ def compiled_layer_program(
 class _DagCache:
     """Training cache: the joint-program runner plus the contract's ``z``.
 
-    The runner *is* the request-scoped workspace: it owns the bound
+    The runner *is* the request-scoped state: it owns the bound
     inputs and memoised activations of one forward/backward round
     trip, while the compiled program it executes is shared module
     state. Dropping the cache drops everything request-specific.

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from repro.fusion.dag import OpDag
+from repro.fusion.dag import BINARY_ELEMENTWISE, UNARY, OpDag
 
 __all__ = ["Sparsity", "infer_sparsity"]
 
@@ -52,7 +52,7 @@ def infer_sparsity(dag: OpDag) -> dict[int, Sparsity]:
             continue
 
         in_cls = [cls[i] for i in node.inputs]
-        if node.op in ("hadamard", "divide", "add"):
+        if node.op in BINARY_ELEMENTWISE:
             if Sparsity.SPARSE in in_cls:
                 # Sampling: the sparse operand masks the other.
                 cls[node.id] = Sparsity.SPARSE
@@ -60,10 +60,7 @@ def infer_sparsity(dag: OpDag) -> dict[int, Sparsity]:
                 cls[node.id] = Sparsity.VIRTUAL
             else:
                 cls[node.id] = Sparsity.DENSE
-        elif node.op in ("exp", "leaky_relu", "leaky_relu_grad", "scale",
-                         "reciprocal"):
-            cls[node.id] = in_cls[0]
-        elif node.op == "transpose":
+        elif node.op in UNARY or node.op == "transpose":
             cls[node.id] = in_cls[0]
         elif node.op == "matmul":
             if node.shape_kind == "nn":

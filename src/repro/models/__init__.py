@@ -8,7 +8,7 @@ the model's :math:`\\Psi` as a spec; it caches intermediate results
 for training. The distributed twins live in ``repro.distributed``.
 """
 
-from repro.models.base import ForwardState, GnnLayer, GnnModel, Loss
+from repro.models.base import GnnLayer, GnnModel, Loss
 from repro.models.attention import (
     GCN,
     VA,
@@ -31,7 +31,6 @@ from repro.models.serialize import (
 )
 
 __all__ = [
-    "ForwardState",
     "GnnLayer",
     "GnnModel",
     "Loss",

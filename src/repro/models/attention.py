@@ -54,14 +54,12 @@ from repro.models.base import GnnLayer, GnnModel, glorot
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import mm, sddmm_dot, spmm
 from repro.tensor.semiring import REAL, Semiring
-from repro.tensor.workspace import workspace
 from repro.util.counters import FlopCounter, null_counter
 from repro.util.rng import make_rng
 
 __all__ = [
     "AttentionLayer",
     "LayerCache",
-    "score_gradient",
     "draw_parameters",
     "named_parameters",
     "head_major",
@@ -227,28 +225,6 @@ def head_major(d_weight: np.ndarray, heads: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # The layer
 # ----------------------------------------------------------------------
-def score_gradient(
-    a: CSRMatrix,
-    left: np.ndarray,
-    right: np.ndarray,
-    counter: FlopCounter = null_counter(),
-) -> np.ndarray:
-    """Eq. 9: :math:`dS = \\mathcal{A} \\odot (L R^T)` edge values.
-
-    One SDDMM into a pooled scratch vector — safe because the layer
-    consumes ``dS`` synchronously in the Ψ VJP that follows.
-    Head-batched operands ``(n, heads, k)`` yield stacked
-    ``(nnz, heads)`` score gradients.
-    """
-    left = np.asarray(left)
-    right = np.asarray(right)
-    shape = (a.nnz,) if left.ndim == 2 else (a.nnz, left.shape[1])
-    return sddmm_dot(
-        a, left, right, counter=counter,
-        out=workspace("model.ds", shape, np.result_type(left, right)),
-    )
-
-
 @dataclass
 class LayerCache:
     """Forward intermediates the backward pass reuses."""
@@ -436,12 +412,11 @@ class AttentionLayer(GnnLayer):
         counter: FlopCounter,
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         """Psi's path: ``dS = A ⊙ (L R^T)`` (Eq. 9) handed straight to
-        the VJP (``dS`` lives in a pooled buffer). Returns the gradient
-        w.r.t. what Psi read and w.r.t. its parameters; without a VJP
-        the gradient stops at Psi."""
+        the VJP. Returns the gradient w.r.t. what Psi read and w.r.t.
+        its parameters; without a VJP the gradient stops at Psi."""
         if self.spec.psi_vjp is None:
             return None, {}
-        ds = score_gradient(cache.a, left, right, counter=counter)
+        ds = sddmm_dot(cache.a, left, right, counter=counter)
         return self.spec.psi_vjp(ds, cache.psi_cache, counter)
 
     # ------------------------------------------------------------------

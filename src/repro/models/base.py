@@ -24,7 +24,6 @@ lives in :mod:`repro.training.optim`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -33,7 +32,7 @@ from repro.core.activations import Activation, get_activation
 from repro.tensor.csr import CSRMatrix
 from repro.util.counters import FlopCounter, null_counter
 
-__all__ = ["ForwardState", "GnnLayer", "GnnModel", "Loss", "glorot"]
+__all__ = ["GnnLayer", "GnnModel", "Loss", "glorot"]
 
 
 def glorot(
@@ -97,23 +96,6 @@ class GnnLayer(ABC):
         """Trainable parameters by name (views, not copies)."""
 
 
-@dataclass
-class ForwardState:
-    """Per-request workspace of one forward/backward round trip.
-
-    The model's *parameters* are shared, long-lived state; the
-    activation caches a forward pass accumulates are *per-request*
-    state. Passing an explicit ``ForwardState`` to
-    :meth:`GnnModel.forward` / :meth:`GnnModel.backward` keeps that
-    request-scoped state out of the model instance entirely, so one
-    loaded model can run many in-flight passes concurrently (the
-    serving engine's re-entrancy contract). Omitting it preserves the
-    historical convenience behaviour: caches ride on the instance.
-    """
-
-    caches: list[Any] = field(default_factory=list)
-
-
 class GnnModel:
     """A stack of :class:`GnnLayer` with full-batch training support.
 
@@ -124,13 +106,10 @@ class GnnModel:
 
     Notes
     -----
-    By default ``forward`` retains per-layer caches on the instance
-    (full-batch training stores all layer activations, which is
-    exactly the memory behaviour the paper's scaling study measures);
-    call with ``training=False`` for cache-free inference, or pass an
-    explicit :class:`ForwardState` to keep request-scoped caches off
-    the shared instance (required when one model serves concurrent
-    in-flight batches).
+    ``forward`` retains per-layer caches on the instance (full-batch
+    training stores all layer activations, which is exactly the memory
+    behaviour the paper's scaling study measures); call with
+    ``training=False`` for cache-free inference.
     """
 
     def __init__(self, layers: Sequence[GnnLayer]) -> None:
@@ -150,23 +129,13 @@ class GnnModel:
         h: np.ndarray,
         counter: FlopCounter = null_counter(),
         training: bool = True,
-        state: ForwardState | None = None,
     ) -> np.ndarray:
-        """Full forward pass over all layers.
-
-        With an explicit ``state`` the per-layer caches land in
-        ``state.caches`` and the model instance is never written —
-        concurrent forwards over shared parameters stay independent.
-        Without one, caches ride on the instance as before.
-        """
+        """Full forward pass over all layers."""
         caches: list[Any] = []
         for layer in self.layers:
             h, cache = layer.forward(a, h, counter=counter, training=training)
             caches.append(cache)
-        if state is not None:
-            state.caches = caches if training else []
-        else:
-            self._caches = caches if training else None
+        self._caches = caches if training else None
         return h
 
     # ------------------------------------------------------------------
@@ -174,16 +143,14 @@ class GnnModel:
         self,
         d_h_out: np.ndarray,
         counter: FlopCounter = null_counter(),
-        state: ForwardState | None = None,
     ) -> list[dict[str, np.ndarray]]:
         """Full backward pass from :math:`\\nabla_{H^L}\\mathcal{L}`.
 
         Returns one gradient dict per layer (aligned with
         ``self.layers``). Requires a preceding ``forward`` in training
-        mode; pass the same :class:`ForwardState` the forward filled
-        to chain errors through request-scoped caches.
+        mode.
         """
-        caches = state.caches if state is not None else self._caches
+        caches = self._caches
         if not caches:
             raise RuntimeError(
                 "backward requires a prior forward(training=True)"

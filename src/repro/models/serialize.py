@@ -1,10 +1,9 @@
 """Model checkpointing: parameter snapshots and compressed-npz files.
 
 Parameters are the model's only durable state (activations and
-gradients are per-request workspaces — see
-:class:`repro.models.base.ForwardState`), so a checkpoint is a flat
-``layer{i}.{name}`` → array mapping and nothing else: no pickled code,
-no architecture metadata beyond a shape check.
+gradients live for one forward/backward round trip), so a checkpoint
+is a flat ``layer{i}.{name}`` → array mapping and nothing else: no
+pickled code, no architecture metadata beyond a shape check.
 
 Two layers of API:
 

@@ -8,9 +8,9 @@ records about itself. Nested timed spans over every execution layer
 epochs and batches), exported as Chrome trace-event JSON that Perfetto
 renders as one timeline track per rank; and the one
 counter/gauge/histogram registry (:func:`metrics`) every occurrence
-count in the library goes to — cache hits, plan-memo hits, workspace
-allocations, sampler hops, the serving histograms — so
-``metrics().snapshot()`` is the one dump.
+count in the library goes to — cache hits, plan-memo hits, sampler
+hops, the serving histograms — so ``metrics().snapshot()`` is the one
+dump.
 
 Tracing is off by default and costs nothing when off: the accessor
 :func:`~repro.obs.tracer.tracer` returns a shared null tracer whose

@@ -47,12 +47,6 @@ from repro.tensor.sampling_graph import (
     sampling_graph_of,
 )
 from repro.tensor.structure import PatternStructure, lookup_structure
-from repro.tensor.workspace import (
-    clear_workspaces,
-    set_workspace_reuse,
-    workspace,
-    workspace_reuse_enabled,
-)
 
 __all__ = [
     "COOMatrix",
@@ -83,8 +77,4 @@ __all__ = [
     "sampling_graph_of",
     "sample_one_hop",
     "sample_blocks",
-    "workspace",
-    "set_workspace_reuse",
-    "workspace_reuse_enabled",
-    "clear_workspaces",
 ]

@@ -32,7 +32,6 @@ from repro.tensor.segment import (
     segment_sum,
 )
 from repro.tensor.semiring import AVERAGE, REAL, Semiring
-from repro.tensor.workspace import workspace
 from repro.util.counters import FlopCounter, null_counter
 
 __all__ = [
@@ -180,9 +179,7 @@ def _spmm_scipy(a: CSRMatrix, h: np.ndarray) -> np.ndarray:
     n, m = a.shape
     k = h.shape[2]
     _, _, perm = a.structure.head_interleave(heads)
-    data_x = workspace("spmm.head_data", (a.nnz * heads,), a.data.dtype)
-    stacked = np.ascontiguousarray(a.data)  # the array itself when it is
-    np.take(stacked.reshape(-1), perm, out=data_x, mode="clip")
+    data_x = np.ascontiguousarray(a.data).reshape(-1)[perm]
     mat = a.structure.head_scipy_view(heads, data_x)
     out = mat @ h.reshape(m * heads, k)
     return out.reshape(n, heads, k)
@@ -214,8 +211,6 @@ def _spmm_gather_reduce(
 ) -> np.ndarray:
     """One gather, one combine, one segment reduction (scalar semiring).
 
-    The O(nnz·k) gather/combine temporaries live in pooled workspaces
-    (see :mod:`repro.tensor.workspace`); only the result is fresh.
     ``h`` may be ``(m, heads, k)`` against stacked ``(nnz, heads)``
     edge values — the single gather and the single segment reduction
     then serve all heads at once.
@@ -227,12 +222,11 @@ def _spmm_gather_reduce(
         result.fill(semiring.zero)
         return result
     cdtype = np.result_type(a.data, h)
-    gathered = workspace("spmm.gather", (a.nnz,) + feat, h.dtype)
-    np.take(h, a.indices, axis=0, out=gathered, mode="clip")
+    gathered = np.take(h, a.indices, axis=0)
     if cdtype == h.dtype:
         combined = gathered
     else:
-        combined = workspace("spmm.combine", (a.nnz,) + feat, cdtype)
+        combined = np.empty((a.nnz,) + feat, cdtype)
     edge_vals = a.data[:, None] if a.data.ndim == 1 else a.data[:, :, None]
     semiring.mul(edge_vals, gathered, out=combined)
     lengths = a.row_lengths()
@@ -242,8 +236,7 @@ def _spmm_gather_reduce(
         if cdtype == result.dtype:
             semiring.add.reduceat(combined, a.indptr[:-1], axis=0, out=result)
         else:
-            red = workspace("spmm.reduce", (n,) + feat, cdtype)
-            semiring.add.reduceat(combined, a.indptr[:-1], axis=0, out=red)
+            red = semiring.add.reduceat(combined, a.indptr[:-1], axis=0)
             # "unsafe" matches the old trailing astype(h.dtype) exactly.
             np.copyto(result, red, casting="unsafe")
         return result
@@ -266,7 +259,6 @@ def sddmm_dot(
     y: np.ndarray,
     counter: FlopCounter = null_counter(),
     chunk: int | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-edge dot products: ``e_rc = x[r] . y[c]`` for stored ``(r, c)``.
 
@@ -274,9 +266,7 @@ def sddmm_dot(
     :math:`\\mathcal{A} \\odot (H H^T)` — the dense ``H H^T`` is virtual
     and only its sampled entries are ever computed, in bounded-memory
     edge chunks. The COO row vector comes from the pattern's structure
-    cache and the two edge gathers run through pooled workspaces, so a
-    steady-state call allocates only the returned value vector (or
-    nothing, with ``out=``).
+    cache; the two edge gathers are chunk-sized temporaries.
 
     Head-batched operands ``(n, heads, k)`` produce ``(nnz, heads)``
     per-edge values — one pattern sweep computes every head's dot
@@ -303,11 +293,10 @@ def sddmm_dot(
     counter.add(2 * nnz * int(np.prod(feat)), "SDDMM")
     rows = pattern.expand_rows()
     cols = pattern.indices
-    if out is None:
-        out = np.empty((nnz,) + feat[:-1], dtype=np.result_type(x, y))
+    out = np.empty((nnz,) + feat[:-1], dtype=np.result_type(x, y))
     csize = min(chunk, nnz)
-    gx = workspace("sddmm_dot.x", (csize,) + feat, x.dtype)
-    gy = workspace("sddmm_dot.y", (csize,) + feat, y.dtype)
+    gx = np.empty((csize,) + feat, x.dtype)
+    gy = np.empty((csize,) + feat, y.dtype)
     spec = "ij,ij->i" if x.ndim == 2 else "ihj,ihj->ih"
     for start in range(0, nnz, chunk):
         stop = min(start + chunk, nnz)
@@ -347,15 +336,10 @@ def sddmm_add(
             "u/v must be matching vectors or (n, heads) stacks matching "
             "the pattern shape"
         )
-    nnz = pattern.nnz
-    shape = (nnz,) + u.shape[1:]
-    counter.add(nnz * int(np.prod(u.shape[1:])), "SDDMM")
-    gu = workspace("sddmm_add.u", shape, u.dtype)
-    gv = workspace("sddmm_add.v", shape, v.dtype)
-    np.take(u, pattern.expand_rows(), axis=0, out=gu, mode="clip")
-    np.take(v, pattern.indices, axis=0, out=gv, mode="clip")
-    out = np.empty(shape, dtype=np.result_type(u, v))
-    np.add(gu, gv, out=out)
+    counter.add(pattern.nnz * int(np.prod(u.shape[1:])), "SDDMM")
+    out = np.take(u, pattern.expand_rows(), axis=0)
+    out = out.astype(np.result_type(u, v), copy=False)
+    out += np.take(v, pattern.indices, axis=0)
     return out
 
 
@@ -367,7 +351,6 @@ def sddmm_cosine(
     eps: float = 1e-12,
     counter: FlopCounter = null_counter(),
     chunk: int | None = None,
-    out: np.ndarray | None = None,
     with_denom: bool = False,
 ) -> tuple[np.ndarray, ...]:
     """Per-edge cosine similarities (the AGNN :math:`\\Psi` kernel).
@@ -394,20 +377,10 @@ def sddmm_cosine(
     if norms is None:
         norms = np.sqrt(np.einsum("...j,...j->...", h, h))
         counter.add(2 * h.size, "norms")
-    values = sddmm_dot(pattern, h, h, counter=counter, chunk=chunk, out=out)
-    nnz = pattern.nnz
-    eshape = (nnz,) + h.shape[1:-1]
-    counter.add(2 * nnz * int(np.prod(h.shape[1:-1])), "SDDMM")
-    rows = pattern.expand_rows()
-    ndtype = norms.dtype
-    if with_denom:
-        denom = np.empty(eshape, dtype=ndtype)
-    else:
-        denom = workspace("sddmm_cosine.denom", eshape, ndtype)
-    tmp = workspace("sddmm_cosine.tmp", eshape, ndtype)
-    np.take(norms, rows, axis=0, out=denom, mode="clip")
-    np.take(norms, pattern.indices, axis=0, out=tmp, mode="clip")
-    np.multiply(denom, tmp, out=denom)
+    values = sddmm_dot(pattern, h, h, counter=counter, chunk=chunk)
+    counter.add(2 * pattern.nnz * int(np.prod(h.shape[1:-1])), "SDDMM")
+    denom = np.take(norms, pattern.expand_rows(), axis=0)
+    np.multiply(denom, np.take(norms, pattern.indices, axis=0), out=denom)
     np.maximum(denom, eps, out=denom)
     np.divide(values, denom, out=values)
     if with_denom:
@@ -537,7 +510,6 @@ def _mspmm_batched(
 def masked_row_softmax(
     s: CSRMatrix,
     counter: FlopCounter = null_counter(),
-    out: np.ndarray | None = None,
 ) -> CSRMatrix:
     """Row-wise softmax over the stored entries of ``s``.
 
@@ -546,12 +518,12 @@ def masked_row_softmax(
     \\mathrm{rs}_n(\\exp(\\mathcal{X}))` evaluated without materialising
     the replicated :math:`n \\times n` denominator (Section 6.1). Both
     replications are single gathers through the pattern's cached COO
-    row vector; ``out`` receives the softmax values in place. Stacked
-    ``(nnz, heads)`` values are normalised per head in the same sweep.
+    row vector. Stacked ``(nnz, heads)`` values are normalised per head
+    in the same sweep.
     """
     counter.add(5 * s.data.size, "softmax")
     return s.with_data(
-        segment_softmax(s.data, s.indptr, rows=s.expand_rows(), out=out)
+        segment_softmax(s.data, s.indptr, rows=s.expand_rows())
     )
 
 
@@ -572,17 +544,12 @@ def masked_row_softmax_backward(
     i.e. each row subtracts the row-scalar :math:`\\langle S, dS\\rangle`
     before rescaling — the Jacobian-vector product expressed with the
     Table-2 building blocks ``sum`` and ``rep`` only. ``rows`` (the
-    pattern's cached COO row vector) routes the replication through a
-    pooled gather buffer instead of a fresh ``repeat``.
+    pattern's cached COO row vector) makes the replication one gather
+    instead of a ``repeat`` of the row lengths.
     """
     counter.add(4 * softmax_values.size, "softmax_bwd")
     inner = segment_sum(softmax_values * grad_values, indptr)
-    if rows is not None:
-        rep = expand_segments(
-            inner, indptr, rows=rows,
-            out=workspace(
-                "softmax_bwd.rep", softmax_values.shape, inner.dtype
-            ),
-        )
-        return softmax_values * (grad_values - rep)
-    return softmax_values * (grad_values - expand_segments(inner, indptr))
+    out = expand_segments(inner, indptr, rows=rows)
+    np.subtract(grad_values, out, out=out)
+    np.multiply(softmax_values, out, out=out)
+    return out

@@ -7,7 +7,7 @@ intermediate in between. This module fuses the whole chain into **one
 CSR row-block sweep** (the DF-GNN strategy): per block of rows it
 computes the raw scores, the numerically-stable masked softmax and the
 feature aggregation back to back, so edge values only ever live in
-cache-sized pooled workspaces — never as full edge arrays.
+cache-sized block temporaries — never as full edge arrays.
 
 The backward pass is the *same single sweep* with *recomputation*
 (the FlashAttention trade): only the O(n·heads) per-row softmax
@@ -52,18 +52,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from repro.obs.metrics import metrics
 from repro.obs.tracer import traced, tracer
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.structure import PatternStructure
-from repro.tensor.workspace import workspace
 from repro.util.counters import FlopCounter, null_counter
-
-try:  # The per-block SpMM step rides scipy's C csr kernel when present.
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
-except ImportError:  # pragma: no cover - scipy is a hard test dep
-    _scipy_sparsetools = None
 
 __all__ = [
     "PSI_KINDS",
@@ -76,7 +71,7 @@ __all__ = [
 
 PSI_KINDS = ("dot", "add", "cosine")
 
-#: Scalar budget per gather buffer: block_edges · heads · k_chunk stays
+#: Scalar budget per block temporary: block_edges · heads · k_chunk stays
 #: under this, keeping the live working set L2-resident (2 MiB at
 #: float64). With the per-block SpMM/scatter running in C the sweep's
 #: fixed per-block cost amortises over larger blocks, so the budget
@@ -146,7 +141,7 @@ def plan_sweep(
     k_chunk = min(k, _MAX_K_CHUNK)
     edge_budget = max(1, _BLOCK_SCALAR_BUDGET // (heads * k_chunk))
     # Structural guarantee: large patterns sweep in at least ~4 blocks,
-    # so pooled edge workspaces stay strictly sub-nnz even when the
+    # so block temporaries stay strictly sub-nnz even when the
     # cache budget alone would allow a whole-graph block. Small graphs
     # (everything under _MIN_BLOCK_EDGES) keep their single block.
     edge_budget = min(edge_budget, max(nnz // 4, _MIN_BLOCK_EDGES))
@@ -244,13 +239,6 @@ def _block_reduceat(ufunc, values, local_indptr, identity, out):
     return out
 
 
-def _gather2(tag: str, arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Pooled (E, H) gather of a (n, H) operand at global indices."""
-    buf = workspace(tag, (idx.shape[0], arr.shape[1]), arr.dtype)
-    np.take(arr, idx, axis=0, out=buf, mode="clip")
-    return buf
-
-
 def _pair_dot_into(
     s: np.ndarray,
     left: np.ndarray,
@@ -258,29 +246,22 @@ def _pair_dot_into(
     rows: np.ndarray,
     cols: np.ndarray,
     k_chunk: int,
-    dtype,
 ) -> np.ndarray:
     """``s[e] = left[rows[e]] . right[cols[e]]`` with dense-k blocking.
 
     ``left``/``right`` are (n, H, k); ``s`` is a pre-sized (E, H)
     buffer. The k loop keeps both gathered slabs cache-resident.
     """
-    e = rows.shape[0]
-    heads = left.shape[1]
     k = left.shape[2]
     s.fill(0.0)
     for k0 in range(0, k, k_chunk):
         k1 = min(k0 + k_chunk, k)
-        gl = workspace("mega.sx", (e, heads, k1 - k0), dtype)
-        gr = workspace("mega.sy", (e, heads, k1 - k0), dtype)
-        np.take(left[:, :, k0:k1], rows, axis=0, out=gl, mode="clip")
-        np.take(right[:, :, k0:k1], cols, axis=0, out=gr, mode="clip")
+        gl = np.take(left[:, :, k0:k1], rows, axis=0)
+        gr = np.take(right[:, :, k0:k1], cols, axis=0)
         if k0 == 0 and k1 == k:
             np.einsum("ehk,ehk->eh", gl, gr, out=s)
         else:
-            part = workspace("mega.partial", (e, heads), dtype)
-            np.einsum("ehk,ehk->eh", gl, gr, out=part)
-            s += part
+            s += np.einsum("ehk,ehk->eh", gl, gr)
     return s
 
 
@@ -293,80 +274,49 @@ def _safe_div_into(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return num
 
 
-def _head_slices(src: np.ndarray) -> list[np.ndarray] | None:
+def _head_slices(src: np.ndarray) -> list[np.ndarray]:
     """Per-head contiguous ``(n, k)`` views/copies of a ``(n, H, k)``
-    operand, for the C SpMM path — or ``None`` when it doesn't apply.
+    operand, for the C SpMM path.
 
     Single-head slices alias the input; multi-head slices are copied
     once per *call* (never per block), which the per-block C sweeps
     amortise immediately.
     """
-    if _scipy_sparsetools is None:
-        return None
-    out = []
-    for h in range(src.shape[1]):
-        s = src[:, h, :]
-        out.append(s if s.flags.c_contiguous else np.ascontiguousarray(s))
-    return out
+    return [
+        np.ascontiguousarray(src[:, h, :]) for h in range(src.shape[1])
+    ]
 
 
 def _aggregate_block(
     out_block: np.ndarray,
     weights: np.ndarray,
-    src: np.ndarray,
+    src_heads: list[np.ndarray],
     idx: np.ndarray,
     local_indptr: np.ndarray,
-    k_chunk: int,
-    dtype,
-    src_heads: list[np.ndarray] | None = None,
 ) -> None:
-    """``out_block[r] = sum_e weights[e] * src[idx[e]]`` per segment.
+    """``out_block[r] += sum_e weights[e] * src[idx[e]]`` per segment.
 
-    The fused SpMM step. With scipy present (``src_heads`` prepared by
-    :func:`_head_slices`) each head runs scipy's C ``csr_matvecs`` over
-    the block's index slices — no gathered edge-feature slab at all.
-    The fallback gathers ``src`` rows in dense-k chunks, scales by the
-    per-edge weights and ``reduceat``-s over the block rows.
+    The fused SpMM step: each head (``src_heads`` prepared by
+    :func:`_head_slices`) runs scipy's C ``csr_matvecs`` over the
+    block's index slices — no gathered edge-feature slab at all.
     """
-    e = idx.shape[0]
-    heads = src.shape[1]
-    kp = src.shape[2]
-    if (
-        src_heads is not None
-        and idx.dtype == local_indptr.dtype
-        and out_block.dtype == dtype
-        and weights.dtype == dtype
-        and src_heads[0].dtype == dtype
-    ):
-        rows = out_block.shape[0]
-        n_src = src.shape[0]
-        for h in range(heads):
-            w = weights[:, h]
-            if not w.flags.c_contiguous:
-                wh = workspace("mega.wh", (e,), dtype)
-                wh[...] = w
-                w = wh
-            out_h = out_block[:, h, :]
-            if out_h.flags.c_contiguous:
-                _scipy_sparsetools.csr_matvecs(
-                    rows, n_src, kp, local_indptr, idx, w,
-                    src_heads[h].reshape(-1), out_h.reshape(-1),
-                )
-            else:
-                zh = workspace("mega.zh", (rows, kp), dtype)
-                zh.fill(0.0)
-                _scipy_sparsetools.csr_matvecs(
-                    rows, n_src, kp, local_indptr, idx, w,
-                    src_heads[h].reshape(-1), zh.reshape(-1),
-                )
-                out_h += zh
-        return
-    for k0 in range(0, kp, k_chunk):
-        k1 = min(k0 + k_chunk, kp)
-        g = workspace("mega.agg", (e, heads, k1 - k0), dtype)
-        np.take(src[:, :, k0:k1], idx, axis=0, out=g, mode="clip")
-        g *= weights[:, :, None]
-        _block_reduceat(np.add, g, local_indptr, 0.0, out_block[:, :, k0:k1])
+    rows, heads, kp = out_block.shape
+    n_src = src_heads[0].shape[0]
+    for h in range(heads):
+        w = np.ascontiguousarray(weights[:, h])
+        out_h = out_block[:, h, :]
+        if out_h.flags.c_contiguous:
+            _sparsetools.csr_matvecs(
+                rows, n_src, kp, local_indptr, idx, w,
+                src_heads[h].reshape(-1), out_h.reshape(-1),
+            )
+        else:
+            zh = np.zeros((rows, kp), out_block.dtype)
+            _sparsetools.csr_matvecs(
+                rows, n_src, kp, local_indptr, idx, w,
+                src_heads[h].reshape(-1), zh.reshape(-1),
+            )
+            out_h += zh
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +330,6 @@ def _masked_scores_block(
     cols: np.ndarray,
     ops: dict,
     k_chunk: int,
-    dtype,
     aux: np.ndarray | None = None,
     aux2: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -392,25 +341,22 @@ def _masked_scores_block(
     receives the cosine values (pre-``beta``, pre-mask).
     """
     if psi == "add":
-        gu = _gather2("mega.su", ops["u"], rows)
-        gv = _gather2("mega.sv", ops["v"], cols)
-        np.add(gu, gv, out=s)
+        np.add(
+            np.take(ops["u"], rows, axis=0),
+            np.take(ops["v"], cols, axis=0),
+            out=s,
+        )
         if aux is not None:
             aux[...] = s
         np.multiply(s, ops["slope"], out=s, where=s < 0)
         s *= a_vals[:, None]
         return s
-    _pair_dot_into(s, ops["x_src"], ops["x_dst"], rows, cols, k_chunk, dtype)
+    _pair_dot_into(s, ops["x_src"], ops["x_dst"], rows, cols, k_chunk)
     if psi == "cosine":
         norms = ops["norms"]
-        den = (
-            aux
-            if aux is not None
-            else workspace("mega.den", s.shape, dtype)
-        )
+        den = aux if aux is not None else np.empty_like(s)
         np.take(norms, rows, axis=0, out=den, mode="clip")
-        nc = _gather2("mega.nc", norms, cols)
-        np.multiply(den, nc, out=den)
+        np.multiply(den, np.take(norms, cols, axis=0), out=den)
         _safe_div_into(s, den)
         if aux2 is not None:
             aux2[...] = s
@@ -426,11 +372,9 @@ def _psi_from_stats(
     row_idx: np.ndarray,
 ) -> np.ndarray:
     """In-place softmax reconstruction from saved per-row statistics."""
-    rep = workspace("mega.rep", s.shape, s.dtype)
-    np.take(shift, row_idx, axis=0, out=rep, mode="clip")
-    np.subtract(s, rep, out=s)
+    np.subtract(s, np.take(shift, row_idx, axis=0), out=s)
     np.exp(s, out=s)
-    np.take(denom, row_idx, axis=0, out=rep, mode="clip")
+    rep = np.take(denom, row_idx, axis=0)
     np.divide(s, np.where(rep == 0, 1.0, rep), out=s)
     return s
 
@@ -475,7 +419,7 @@ def attention_forward(
     Returns ``(z, stats)`` where ``z = Psi @ y`` and ``stats`` holds the
     per-row softmax statistics the backward sweep needs (``None``
     without a softmax). No ``(nnz,)``-sized intermediate is written:
-    scores and softmax values live in block-bounded pooled workspaces.
+    scores and softmax values live in block-bounded temporaries.
     """
     if psi not in PSI_KINDS:
         raise ValueError(f"unknown psi kind {psi!r}; expected {PSI_KINDS}")
@@ -497,6 +441,8 @@ def attention_forward(
     dtype = np.result_type(a.data, y3, *(
         ops[key] for key in ("x_src", "u", "norms") if ops.get(key) is not None
     ))
+    y3 = y3.astype(dtype, copy=False)
+    ops = _cast_ops(ops, dtype)
     if plan is None:
         plan = plan_sweep(a.structure, heads, max(k_score, kp))
     tracer().annotate(
@@ -529,27 +475,18 @@ def attention_forward(
         rows_b = rows_all[e0:e1]
         cols_b = a.indices[e0:e1]
         lp = indptr[r0 : r1 + 1] - e0
-        s = workspace("mega.scores", (e1 - e0, heads), dtype)
+        s = np.empty((e1 - e0, heads), dtype)
         _masked_scores_block(
-            s, psi, a.data[e0:e1], rows_b, cols_b, ops, plan.k_chunk, dtype
+            s, psi, a.data[e0:e1], rows_b, cols_b, ops, plan.k_chunk
         )
         if softmax:
-            local = workspace("mega.lrows", rows_b.shape, np.int64)
-            np.subtract(rows_b, r0, out=local)
-            shift_b = stats.shift[r0:r1]
-            _block_reduceat(np.maximum, s, lp, 0.0, shift_b)
-            rep = workspace("mega.rep", s.shape, dtype)
-            np.take(shift_b, local, axis=0, out=rep, mode="clip")
-            np.subtract(s, rep, out=s)
+            _block_reduceat(np.maximum, s, lp, 0.0, stats.shift[r0:r1])
+            np.subtract(s, np.take(stats.shift, rows_b, axis=0), out=s)
             np.exp(s, out=s)
-            denom_b = stats.denom[r0:r1]
-            _block_reduceat(np.add, s, lp, 0.0, denom_b)
-            np.take(denom_b, local, axis=0, out=rep, mode="clip")
+            _block_reduceat(np.add, s, lp, 0.0, stats.denom[r0:r1])
+            rep = np.take(stats.denom, rows_b, axis=0)
             np.divide(s, np.where(rep == 0, 1.0, rep), out=s)
-        _aggregate_block(
-            z[r0:r1], s, y3, cols_b, lp, plan.k_chunk, dtype,
-            src_heads=y_heads,
-        )
+        _aggregate_block(z[r0:r1], s, y_heads, cols_b, lp)
     return (z[:, 0, :] if flat else z), stats
 
 
@@ -573,6 +510,17 @@ def _normalise_ops(psi, heads, *, x_src, x_dst, u, v, norms, slope, beta):
                 raise ValueError("psi 'cosine' needs precomputed norms")
             ops["norms"] = _norm_vec("norms", norms, heads)
     return ops
+
+
+def _cast_ops(ops: dict, dtype) -> dict:
+    """Every array operand in the sweep dtype, so the C kernels see one
+    type (a no-op on the model paths, whose operands already agree)."""
+    return {
+        key: val.astype(dtype, copy=False)
+        if isinstance(val, np.ndarray)
+        else val
+        for key, val in ops.items()
+    }
 
 
 # ----------------------------------------------------------------------
@@ -638,6 +586,9 @@ def attention_backward(
     kp = y3.shape[2]
     nnz = a.nnz
     dtype = np.result_type(a.data, y3, dz3)
+    y3 = y3.astype(dtype, copy=False)
+    dz3 = dz3.astype(dtype, copy=False)
+    ops = _cast_ops(ops, dtype)
     counter.add(2 * nnz * heads * kp, "SDDMM")  # dPsi sampled product
     if softmax:
         counter.add(4 * nnz * heads, "softmax_bwd")
@@ -674,7 +625,6 @@ def attention_backward(
     # Contiguous per-head operand slices for the C SpMM path, prepared
     # once per call (see _head_slices).
     dz_heads = _head_slices(dz3)
-    xsrc_heads = xdst_heads = None
     if psi in ("dot", "cosine"):
         xsrc_heads = _head_slices(ops["x_src"])
         xdst_heads = _head_slices(ops["x_dst"])
@@ -700,13 +650,10 @@ def attention_backward(
         cols_b = a.indices[e0:e1]
         lp = indptr[r0 : r1 + 1] - e0
         ds, dden, psi_vals = _edge_grad_block(
-            psi, a.data[e0:e1], rows_b, cols_b, ops, plan.k_chunk, dtype,
+            psi, a.data[e0:e1], rows_b, cols_b, ops, plan.k_chunk,
             y3, dz3, stats, softmax, r0=r0, local_indptr=lp,
         )
-        _scatter_add_block(
-            dy_hm, psi_vals, rows_b, cols_b, lp, dz3, dz_heads, r0, r1,
-            plan.k_chunk, dtype,
-        )
+        _scatter_add_block(dy_hm, psi_vals, cols_b, lp, dz_heads, r0, r1)
         if psi == "add":
             for h in range(heads):
                 out["dV"][:, h] += np.bincount(
@@ -714,25 +661,20 @@ def attention_backward(
                 )
             _block_reduceat(np.add, ds, lp, 0.0, out["dU"][r0:r1])
             continue
-        _scatter_add_block(
-            dcol_hm, ds, rows_b, cols_b, lp, ops["x_src"], xsrc_heads,
-            r0, r1, plan.k_chunk, dtype,
-        )
+        _scatter_add_block(dcol_hm, ds, cols_b, lp, xsrc_heads, r0, r1)
         if psi == "cosine":
             # dNormCol first: the row-side reduction consumes dden.
-            gr = _gather2("mega.nr", ops["norms"], rows_b)
+            gr = np.take(ops["norms"], rows_b, axis=0)
             np.multiply(gr, dden, out=gr)
             for h in range(heads):
                 out["dNormCol"][:, h] += np.bincount(
                     cols_b, weights=gr[:, h], minlength=m
                 )
-        _aggregate_block(
-            out["dRow"][r0:r1], ds, ops["x_dst"], cols_b, lp,
-            plan.k_chunk, dtype, src_heads=xdst_heads,
-        )
+        _aggregate_block(out["dRow"][r0:r1], ds, xdst_heads, cols_b, lp)
         if psi == "cosine":
-            gn = _gather2("mega.nc", ops["norms"], cols_b)
-            np.multiply(dden, gn, out=dden)
+            np.multiply(
+                dden, np.take(ops["norms"], cols_b, axis=0), out=dden
+            )
             _block_reduceat(np.add, dden, lp, 0.0, out["dNormRow"][r0:r1])
 
     if flat:
@@ -753,55 +695,27 @@ def attention_backward(
 def _scatter_add_block(
     out_hm: np.ndarray,
     weights: np.ndarray,
-    rows: np.ndarray,
     cols: np.ndarray,
     local_indptr: np.ndarray,
-    src3: np.ndarray,
-    src_heads: list[np.ndarray] | None,
+    src_heads: list[np.ndarray],
     r0: int,
     r1: int,
-    k_chunk: int,
-    dtype,
 ) -> None:
     """``out_hm[h, c] += sum_e weights[e, h] * src[row(e), h]`` — one
     row block's *column-side* aggregation, without a transpose sweep.
 
     The block's CSR arrays ``(local_indptr, cols, weights)`` are exactly
-    the CSC representation of the block's transpose, so with scipy
-    present each head is one C ``csc_matvecs`` scatter straight into the
-    full head-major output plane. The fallback gathers the source rows
-    in dense-k chunks and ``bincount``-s each feature column.
+    the CSC representation of the block's transpose, so each head is one
+    C ``csc_matvecs`` scatter straight into the full head-major output
+    plane.
     """
-    e = cols.shape[0]
     heads, m, kp = out_hm.shape
-    if (
-        src_heads is not None
-        and cols.dtype == local_indptr.dtype
-        and out_hm.dtype == dtype
-        and weights.dtype == dtype
-        and src_heads[0].dtype == dtype
-    ):
-        for h in range(heads):
-            w = weights[:, h]
-            if not w.flags.c_contiguous:
-                wh = workspace("mega.wh", (e,), dtype)
-                wh[...] = w
-                w = wh
-            _scipy_sparsetools.csc_matvecs(
-                m, r1 - r0, kp, local_indptr, cols, w,
-                src_heads[h][r0:r1].reshape(-1), out_hm[h].reshape(-1),
-            )
-        return
     for h in range(heads):
-        for k0 in range(0, kp, k_chunk):
-            k1 = min(k0 + k_chunk, kp)
-            g = workspace("mega.agg", (e, k1 - k0), dtype)
-            np.take(src3[:, h, k0:k1], rows, axis=0, out=g, mode="clip")
-            g *= weights[:, h : h + 1]
-            for kk in range(k0, k1):
-                out_hm[h, :, kk] += np.bincount(
-                    cols, weights=g[:, kk - k0], minlength=m
-                )
+        _sparsetools.csc_matvecs(
+            m, r1 - r0, kp, local_indptr, cols,
+            np.ascontiguousarray(weights[:, h]),
+            src_heads[h][r0:r1].reshape(-1), out_hm[h].reshape(-1),
+        )
 
 
 def _edge_grad_block(
@@ -811,7 +725,6 @@ def _edge_grad_block(
     cols: np.ndarray,
     ops: dict,
     k_chunk: int,
-    dtype,
     y3: np.ndarray,
     dz3: np.ndarray,
     stats: SweepStats | None,
@@ -826,38 +739,27 @@ def _edge_grad_block(
     pre-activation logit for ``add``), ``dDenom`` the cosine
     norm-product gradient (else ``None``), and ``psi_vals`` the
     reconstructed per-edge softmax values (masked scores without a
-    softmax) — the weights of the caller's ``dY`` scatter. ``psi_vals``
-    aliases the block score workspace: consume it before the next block.
+    softmax) — the weights of the caller's ``dY`` scatter.
     """
-    e = rows.shape[0]
-    heads = y3.shape[1]
-    s = workspace("mega.scores", (e, heads), dtype)
-    aux = workspace("mega.aux", (e, heads), dtype)
-    aux2 = (
-        workspace("mega.aux2", (e, heads), dtype)
-        if psi == "cosine"
-        else None
-    )
+    shape = (rows.shape[0], y3.shape[1])
+    s = np.empty(shape, y3.dtype)
+    aux = np.empty_like(s)
+    aux2 = np.empty_like(s) if psi == "cosine" else None
     _masked_scores_block(
-        s, psi, a_vals, rows, cols, ops, k_chunk, dtype, aux=aux, aux2=aux2
+        s, psi, a_vals, rows, cols, ops, k_chunk, aux=aux, aux2=aux2
     )
     if softmax:
         _psi_from_stats(s, stats.shift, stats.denom, rows)
     # dPsi_e = <dZ[r], Y[c]> — the sampled dense-dense product.
-    d = workspace("mega.dpsi", (e, heads), dtype)
-    _pair_dot_into(d, dz3, y3, rows, cols, k_chunk, dtype)
+    d = np.empty_like(s)
+    _pair_dot_into(d, dz3, y3, rows, cols, k_chunk)
     if softmax:
         # Softmax VJP: dMasked = psi * (dPsi - inner_row).
-        local = workspace("mega.lrows", rows.shape, np.int64)
-        np.subtract(rows, r0, out=local)
-        t = workspace("mega.inner", (e, heads), dtype)
-        np.multiply(s, d, out=t)
-        nrows = local_indptr.shape[0] - 1
-        inner_rows = workspace("mega.innerrow", (nrows, heads), dtype)
-        _block_reduceat(np.add, t, local_indptr, 0.0, inner_rows)
-        rep = workspace("mega.rep", (e, heads), dtype)
-        np.take(inner_rows, local, axis=0, out=rep, mode="clip")
-        np.subtract(d, rep, out=d)
+        inner_rows = np.empty(
+            (local_indptr.shape[0] - 1, shape[1]), s.dtype
+        )
+        _block_reduceat(np.add, s * d, local_indptr, 0.0, inner_rows)
+        np.subtract(d, np.take(inner_rows, rows - r0, axis=0), out=d)
         np.multiply(d, s, out=d)
     dden = None
     if psi == "add":
@@ -870,7 +772,6 @@ def _edge_grad_block(
         d *= a_vals[:, None]
         d *= ops["beta"]
         _safe_div_into(d, aux)  # dGram
-        dden = workspace("mega.dden", (e, heads), dtype)
-        np.multiply(d, aux2, out=dden)
+        dden = np.multiply(d, aux2)
         np.negative(dden, out=dden)
     return d, dden, s

@@ -122,7 +122,6 @@ def expand_segments(
     per_segment: np.ndarray,
     indptr: np.ndarray,
     rows: np.ndarray | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Replicate one value per segment back to per-entry length.
 
@@ -132,12 +131,11 @@ def expand_segments(
 
     When ``rows`` (the cached COO row vector of the pattern) is given,
     the replication is a single ``np.take`` — no ``repeat`` of the
-    segment lengths — and may write into ``out``.
+    segment lengths.
     """
     if rows is not None:
-        return np.take(per_segment, rows, axis=0, out=out, mode="clip")
-    lengths = np.diff(indptr)
-    return np.repeat(per_segment, lengths, axis=0)
+        return np.take(per_segment, rows, axis=0)
+    return np.repeat(per_segment, np.diff(indptr), axis=0)
 
 
 def ragged_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -155,7 +153,6 @@ def segment_softmax(
     values: np.ndarray,
     indptr: np.ndarray,
     rows: np.ndarray | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Numerically-stable softmax within each segment.
 
@@ -169,39 +166,23 @@ def segment_softmax(
     and element-wise division (step 4). A per-segment max-shift is
     applied first for stability, which leaves the softmax unchanged.
 
-    ``rows`` (the pattern's cached COO row vector) routes both
-    replications through pooled gather buffers; ``out`` receives the
-    result in place. Without them the allocation behaviour is the
-    classic one.
+    ``rows`` (the pattern's cached COO row vector) turns both
+    replications into single gathers; without it they ``repeat`` the
+    segment lengths. The values are the same either way.
     """
     values = np.asarray(values)
     indptr = np.asarray(indptr)
+    if not np.issubdtype(values.dtype, np.inexact):
+        values = values.astype(np.float64)
     if values.shape[0] == 0:
-        return values.copy() if out is None else out
-    shift = segment_max(values, indptr, identity=0.0)
-    res_dtype = (
-        values.dtype
-        if np.issubdtype(values.dtype, np.inexact)
-        else np.dtype(np.float64)
+        return values.copy()
+    result = expand_segments(
+        segment_max(values, indptr, identity=0.0), indptr, rows
     )
-    result = out if out is not None else np.empty(values.shape, dtype=res_dtype)
-    if rows is not None:
-        from repro.tensor.workspace import workspace
-
-        rep = workspace("segment_softmax.rep", values.shape, res_dtype)
-        # axis=0 keeps the per-segment rows aligned for 2-D (batched
-        # per-head) values; for 1-D values it matches the flat take.
-        np.take(shift, rows, axis=0, out=rep, mode="clip")
-        np.subtract(values, rep, out=result)
-        np.exp(result, out=result)
-        denom = segment_sum(result, indptr)
-        denom = np.where(denom == 0, 1, denom)
-        np.take(denom, rows, axis=0, out=rep, mode="clip")
-        np.divide(result, rep, out=result)
-        return result
-    exp = np.exp(values - expand_segments(shift, indptr))
-    denom = segment_sum(exp, indptr)
+    np.subtract(values, result, out=result)
+    np.exp(result, out=result)
+    denom = segment_sum(result, indptr)
     # Rows with no entries never index into denom; guard regardless.
     denom = np.where(denom == 0, 1, denom)
-    np.divide(exp, expand_segments(denom, indptr), out=result)
+    np.divide(result, expand_segments(denom, indptr, rows), out=result)
     return result

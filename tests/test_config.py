@@ -1,8 +1,8 @@
 """``repro.config`` is the one place ``src/`` reads the environment.
 
 Structural scans pin the boundary (one module touches ``os.environ``,
-three ``REPRO_*`` names exist, no mode argument keeps a ``None`` = "ask
-the environment" state); the rest validates the three surviving
+two ``REPRO_*`` names exist, no mode argument keeps a ``None`` = "ask
+the environment" state); the rest validates the two surviving
 variables. ``REPRO_TRACE``'s spellings and ``REPRO_FABRIC_BACKEND``'s
 effect on ``run_spmd`` stay pinned where they always were
 (``tests/test_obs.py::TestEnvGate``,
@@ -26,7 +26,6 @@ CONFIG = SRC / "repro" / "config.py"
 VARIABLES = {
     "REPRO_TRACE": config.trace_enabled_default,
     "REPRO_FABRIC_BACKEND": config.fabric_backend_default,
-    "REPRO_WORKSPACE_BUDGET_MB": config.workspace_budget_default,
 }
 
 
@@ -51,7 +50,7 @@ class TestOneBoundary:
         readers = [path for path, tree in _trees() if _reads_environment(tree)]
         assert readers == [CONFIG]
 
-    def test_exactly_three_variables_are_named_in_src(self):
+    def test_exactly_two_variables_are_named_in_src(self):
         names = set()
         for _, tree in _trees():
             for node in ast.walk(tree):
@@ -102,7 +101,6 @@ class TestValidation:
                 monkeypatch.setenv(name, raw)
         assert config.trace_enabled_default() is False
         assert config.fabric_backend_default() == "thread"
-        assert config.workspace_budget_default() is None
 
     @pytest.mark.parametrize("raw,expected", [
         ("thread", "thread"), ("process", "process"), (" Process ", "process"),
@@ -111,22 +109,10 @@ class TestValidation:
         monkeypatch.setenv(config.BACKEND_ENV_VAR, raw)
         assert config.fabric_backend_default() == expected
 
-    @pytest.mark.parametrize("raw,expected", [
-        ("64", 64 << 20), ("0.5", 1 << 19), (" 1e3 ", 1000 << 20),
-    ])
-    def test_workspace_budget_is_mebibytes(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(config.WORKSPACE_BUDGET_ENV_VAR, raw)
-        assert config.workspace_budget_default() == expected
-
     @pytest.mark.parametrize("name,bad", [
         ("REPRO_TRACE", "verbose"),
         ("REPRO_TRACE", "2"),
         ("REPRO_FABRIC_BACKEND", "gpu"),
-        ("REPRO_WORKSPACE_BUDGET_MB", "0"),
-        ("REPRO_WORKSPACE_BUDGET_MB", "-4"),
-        ("REPRO_WORKSPACE_BUDGET_MB", "nan"),
-        ("REPRO_WORKSPACE_BUDGET_MB", "inf"),
-        ("REPRO_WORKSPACE_BUDGET_MB", "lots"),
     ])
     def test_bad_value_raises_naming_the_variable(self, monkeypatch, name, bad):
         monkeypatch.setenv(name, bad)

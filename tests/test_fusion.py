@@ -173,6 +173,31 @@ class TestExecution:
         for other in outs[1:]:
             assert np.allclose(outs[0], other)
 
+    @pytest.mark.parametrize("mode", ["fused", "tiled", "dense"])
+    def test_binary_op_computes_only_itself(
+        self, graph_inputs, mode, monkeypatch
+    ):
+        """A DAG of ``hadamard`` / ``add`` never evaluates a division:
+        each binary node computes the op it names and nothing else."""
+        from repro.fusion import interp
+
+        def no_division(a, b):
+            raise AssertionError("divide evaluated for a non-divide op")
+
+        monkeypatch.setattr(interp, "_safe_div", no_division)
+        a, h, *_ = graph_inputs
+        dag = OpDag()
+        hh = dag.input("H", "nk")
+        aa = dag.input("A", "nn", sparse=True)
+        tall = dag.add(hh, dag.hadamard(hh, hh))  # dense n x k
+        gram = dag.matmul(tall, dag.transpose(tall))  # virtual n x n
+        dag.set_output(dag.hadamard(aa, dag.add(gram, gram)))  # sampled
+        out = execute(dag, {"H": h, "A": a}, mode=mode, tile_rows=16)
+        t = h + h * h
+        rows = a.expand_rows()
+        want = a.data * 2.0 * np.einsum("ij,ij->i", t[rows], t[a.indices])
+        assert np.allclose(out.data, want, atol=1e-10)
+
     def test_dense_result_returned_directly(self, graph_inputs):
         a, h, *_ = graph_inputs
         dag = OpDag()

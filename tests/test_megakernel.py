@@ -13,13 +13,17 @@ Three layers of assurance:
   (``fused=False``), plus a numeric gradcheck through the fused path.
 * **Resource guarantees** — no ``(nnz,)``-sized score/softmax
   intermediate is materialised on the fused path (the engine's edge
-  memo stays empty and every ``mega.*`` pooled buffer stays within the
-  cache-sized block budget), plans are memoised per ``(pattern, heads,
-  k)``, flop accounting equals the summed unfused counts, and the
-  megakernel engages only when ``fused=True`` is passed.
+  memo stays empty and what the allocator hands out beyond the returned
+  arrays stays within a few cache-sized blocks), plans are memoised per
+  ``(pattern, heads, k)``, flop accounting equals the summed unfused
+  counts, and the megakernel engages only when ``fused=True`` is passed.
+* **Mixed operand dtypes** — float64 adjacency values over float32
+  features run the same C sweep as the all-float64 call.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,7 +52,6 @@ from repro.tensor.megakernel import (
     plan_sweep,
 )
 from repro.tensor.segment import bincount_sum, segment_sum
-from repro.tensor.workspace import _POOL, clear_workspaces
 from repro.util.counters import FlopCounter
 
 from tests.conftest import random_csr
@@ -218,6 +221,32 @@ class TestKernelParity:
             assert mega_counter.by_label == ref_counter.by_label
             assert mega_counter.total == ref_counter.total
 
+    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("psi", PSIS)
+    def test_mixed_operand_dtypes_take_the_same_sweep(self, psi, heads):
+        """float64 adjacency values over float32 features: the operands
+        are cast to the sweep dtype once, so the call equals the one
+        whose operands were float64 to begin with."""
+        rng = np.random.default_rng(9)
+        for name, a in _patterns(rng):
+            assert a.data.dtype == np.float64
+            ops32 = {
+                key: val.astype(np.float32)
+                for key, val in _operands(
+                    rng, a.shape[0], heads, 5, 7, psi
+                ).items()
+            }
+            ops64 = {key: val.astype(np.float64) for key, val in ops32.items()}
+            got, _ = megakernel_results(a, psi, ops32, slope=0.3, beta=0.7)
+            want, _ = megakernel_results(a, psi, ops64, slope=0.3, beta=0.7)
+            assert set(got) == set(want)
+            for key in want:
+                assert got[key].dtype == np.float64
+                np.testing.assert_allclose(
+                    got[key], want[key], rtol=1e-6, atol=1e-6,
+                    err_msg=f"{psi}/{heads} heads/{name}/{key}",
+                )
+
 
 class TestProgramParity:
     """DagLayer(fused=True) against the untouched interpreter."""
@@ -304,57 +333,63 @@ class TestResourceGuarantees:
     """No edge-sized intermediates; plans memoised; env override."""
 
     def test_no_nnz_sized_intermediates(self):
-        """Fused training step on nnz >> block budget: every per-edge
-        quantity lives in a cache-sized pooled buffer, and the engine
-        never materialises an edge array."""
+        """Fused training step on nnz >> block budget: beyond the arrays
+        it returns, the step allocates a few block-sized temporaries —
+        less than one edge array — and the engine memoises none."""
         a = prepare_adjacency(
-            erdos_renyi(2048, 163840, seed=1), dtype=np.float64
+            erdos_renyi(2048, 800000, seed=1), dtype=np.float64
         )
         assert a.nnz > _BLOCK_SCALAR_BUDGET  # the claim is non-vacuous
         rng = np.random.default_rng(0)
         h = rng.normal(size=(2048, 32))
         g = rng.normal(size=(2048, 16))
         layer = DagLayer("gat", 32, 16, seed=3, fused=True)
-        clear_workspaces()
-        base = metrics().counters()
+        # What the first step caches on the pattern (COO rows, sweep
+        # plan) is retained state, not scratch: warm it untraced.
         _, cache = layer.forward(a, h)
         layer.backward(cache, g)
+        base = metrics().counters()
+        scratch = []
+        tracemalloc.start()
+        try:
+            _, cache = layer.forward(a, h)
+            held, peak = tracemalloc.get_traced_memory()
+            scratch.append(peak - held)
+            tracemalloc.reset_peak()
+            gamma, grads = layer.backward(cache, g)
+            held, peak = tracemalloc.get_traced_memory()
+            scratch.append(peak - held)
+        finally:
+            tracemalloc.stop()
         after = metrics().counters()
         assert cache.runner.fused
+        assert gamma.shape == h.shape and grads
         assert after.get("megakernel.forward", 0) > base.get(
             "megakernel.forward", 0
         )
         assert after.get("megakernel.backward", 0) > base.get(
             "megakernel.backward", 0
         )
-        engine = cache.runner._engine
-        assert engine._edge == {}  # no (nnz,) edge arrays memoised
-        # Every pooled sweep buffer is block-sized: bounded by the plan's
-        # largest row block (×2 for the pool's geometric growth), never
-        # by nnz. Blocks are row-granular, so max_block_edges can exceed
-        # the nominal scalar budget, but stays a small fraction of nnz.
+        assert cache.runner._engine._edge == {}  # no edge arrays memoised
+        # Peak traced bytes minus the bytes each call returns (output,
+        # cache, gradients) is the step's scratch. It is bounded by the
+        # plan's largest row block, never by nnz: the two gathered
+        # (edges, heads, k_chunk) slabs of the sampled dot product plus
+        # one more slab's worth of (edges, heads) score arrays and
+        # (n, k) partials — 3 blocks. Blocks are row-granular, so
+        # max_block_edges can exceed the nominal scalar budget, but
+        # stays a small fraction of nnz.
         plans = list(a.structure._sweep_plans.values())
         assert plans  # the planner really ran for this pattern
-        cap = 2 * max(
+        assert all(8 * p.max_block_edges < a.nnz for p in plans)
+        itemsize = h.dtype.itemsize
+        cap = 3 * itemsize * max(
             p.max_block_edges * p.heads * p.k_chunk for p in plans
         )
-        assert all(8 * p.max_block_edges < a.nnz for p in plans)
-        mega_buffers = {
-            tag: buf.shape[0]
-            for (tag, _), buf in _POOL.buffers.items()
-            if tag.startswith("mega.")
-        }
-        assert mega_buffers  # the sweep really ran through the pool
-        for tag, capacity in mega_buffers.items():
-            assert capacity <= cap, (
-                f"{tag} grew to {capacity} elements "
-                f"(block cap {cap}, nnz={a.nnz})"
-            )
-        # The per-edge score/softmax buffers — the arrays the unfused
-        # path materialises at (nnz,) — stay strictly block-sized.
-        for tag in ("mega.scores", "mega.dpsi"):
-            key = next(k for k in mega_buffers if k == tag)
-            assert 8 * mega_buffers[key] < a.nnz
+        assert cap < a.nnz * itemsize  # below one (nnz,) edge array
+        assert max(scratch) <= cap, (
+            f"scratch {scratch} bytes (3-block cap {cap}, nnz={a.nnz})"
+        )
 
     def test_plan_memoised_per_pattern_heads_k(self):
         a = prepare_adjacency(erdos_renyi(64, 512, seed=2), dtype=np.float64)

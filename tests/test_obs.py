@@ -364,8 +364,8 @@ class TestMetrics:
 class TestOneDump:
     def test_snapshot_holds_every_subsystem(self):
         """A full-batch epoch, a sampled epoch and a serving burst in
-        one process: the structure cache, the workspace pool, the
-        sampler and the serving stack all count into the one registry."""
+        one process: the structure cache, the sampler and the serving
+        stack all count into the one registry."""
         from repro.serving import ServingEngine, ServingServer
         from repro.training import MinibatchTrainer
 
@@ -389,7 +389,7 @@ class TestOneDump:
                     future.result(timeout=30)
         snap = metrics().snapshot()
         for name in ("pattern.registered", "expand_rows.hit",
-                     "workspace.alloc", "sampling_graph.hit", "sample.hop",
+                     "sampling_graph.hit", "sample.hop",
                      "sample.candidates", "serving.cache.hit",
                      "serving.requests"):
             assert snap[name] > 0, name

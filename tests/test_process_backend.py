@@ -307,7 +307,7 @@ class TestTracePlumbing:
 class TestObservabilityPlumbing:
     def test_event_counter_merges_back_to_driver(self, problem):
         """Child-process counter increments must reach the driver's
-        registry — otherwise cache-hit/workspace tallies silently
+        registry — otherwise cache-hit/plan-memo tallies silently
         vanish on the process backend (regression test)."""
         label = "obs_merge_probe"
         before = metrics().counter(label).value

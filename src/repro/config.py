@@ -12,6 +12,10 @@ default. Two settings belong to a deployment rather than to a call:
     ``thread`` (default) or ``process``: the fabric behind
     ``run_spmd(backend=None)``.
 
+One path is a deployment's too: :func:`kernel_cache_dir`, where the
+compiled edge kernels are kept (``$XDG_CACHE_HOME/repro``, else
+``~/.cache/repro``).
+
 Each accessor reads its variable at *call* time (a caller may set
 ``REPRO_TRACE`` around one traced unit), treats unset or empty as the
 default, and raises ``ValueError`` naming the variable otherwise: a
@@ -20,7 +24,10 @@ silently ignored typo would defeat the setting.
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
+import tempfile
 
 __all__ = [
     "TRACE_ENV_VAR",
@@ -28,6 +35,7 @@ __all__ = [
     "FABRIC_BACKENDS",
     "trace_enabled_default",
     "fabric_backend_default",
+    "kernel_cache_dir",
 ]
 
 TRACE_ENV_VAR = "REPRO_TRACE"
@@ -61,3 +69,27 @@ def trace_enabled_default() -> bool:
 def fabric_backend_default() -> str:
     """The fabric ``$REPRO_FABRIC_BACKEND`` names (default: thread)."""
     return _choice(BACKEND_ENV_VAR, FABRIC_BACKENDS)
+
+
+def kernel_cache_dir() -> str:
+    """The directory compiled kernels are cached in, created ``0700``.
+
+    ``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``. A candidate this
+    user does not own or cannot write is refused (a shared object is
+    loaded from here); with neither usable the answer is a private
+    ``tempfile.mkdtemp`` directory, removed at exit.
+    """
+    home_cache = os.path.join(os.path.expanduser("~"), ".cache")
+    for base in (os.environ.get("XDG_CACHE_HOME", "").strip(), home_cache):
+        if not os.path.isabs(base):  # unset; XDG says ignore a relative one
+            continue
+        path = os.path.join(base, "repro")
+        try:
+            os.makedirs(path, mode=0o700, exist_ok=True)
+            if os.stat(path).st_uid == os.getuid() and os.access(path, os.W_OK):
+                return path
+        except OSError:
+            continue
+    path = tempfile.mkdtemp(prefix="repro-")
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path

@@ -1,0 +1,137 @@
+"""Builds and loads the compiled edge kernels of ``_edge.c`` on first use.
+
+The first kernel call (never an import, never ``pip install``: the
+package runs from ``src/`` uninstalled) compiles ``_edge.c`` with the
+system ``cc`` / ``gcc`` into :func:`repro.config.kernel_cache_dir`, under
+a name hashed from source, flags and compiler version, written by
+temporary name and ``os.replace`` so racing processes each end with a
+whole file. ``ctypes.CDLL`` binds it and drops the GIL around every
+call. No compiler, a failed build or an unloadable library leave
+:func:`entry` answering ``None`` — callers then run their NumPy code —
+with the reason kept for :func:`backend` and counted once in
+``kernels.fallback``; nothing is warned about.
+
+Flags are plain ``-O3``: no ``-march=native`` (the cache stays valid on
+any CPU of the architecture) and no ``-ffast-math`` (NaN / inf semantics
+and the fixed summation order of ``_edge.c`` hold).
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+import time
+
+import numpy as np
+
+from repro.config import kernel_cache_dir
+from repro.obs.metrics import metrics
+
+__all__ = ["entry", "run", "backend"]
+
+_SOURCE = os.path.splitext(__file__)[0] + ".c"
+_FLAGS = ("-O3", "-shared", "-fPIC")
+_P, _I = ctypes.c_void_p, ctypes.c_int64
+#: Argument types per entry point (``_edge.c`` has the parameter names).
+_SIGNATURES = {
+    "sddmm_dot": (_I, _P, _P, _P, _P, _I, _I, _P),
+    "sddmm_add": (_I, _P, _P, _P, _P, _I, _P),
+    "sddmm_cosine": (_I, _P, _P, _P, _P, _I, _I, ctypes.c_double, _P, _P),
+    "segment_softmax": (_I, _P, _I, _P, _I, _P),
+    "masked_row_softmax_backward": (_I, _P, _I, _P, _P, _I, _P),
+}
+_SUFFIX = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+_LOCK = threading.Lock()
+#: ``(library or None, its path or why there is none)`` once resolved.
+_state: tuple[ctypes.CDLL | None, str] | None = None
+
+
+def _build() -> tuple[ctypes.CDLL, str]:
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        raise OSError("no C compiler (cc, gcc) on PATH")
+    version = subprocess.run(
+        [cc, "--version"], capture_output=True, check=True, timeout=60
+    ).stdout
+    with open(_SOURCE, "rb") as f:
+        key = hashlib.sha256(f.read() + repr(_FLAGS).encode() + version)
+    path = os.path.join(kernel_cache_dir(), f"edge-{key.hexdigest()[:16]}.so")
+    build_s = 0.0
+    if not os.path.exists(path):
+        t0 = time.perf_counter()
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+        os.close(fd)
+        try:
+            subprocess.run(
+                [cc, *_FLAGS, _SOURCE, "-o", tmp, "-lm"],
+                capture_output=True, check=True, timeout=300,
+            )
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        build_s = time.perf_counter() - t0
+    lib = ctypes.CDLL(path)
+    for name, argtypes in _SIGNATURES.items():
+        for suffix in _SUFFIX.values():
+            fn = getattr(lib, f"{name}_{suffix}")
+            fn.argtypes, fn.restype = argtypes, ctypes.c_int
+    metrics().gauge("kernels.build_s").set(build_s)
+    return lib, path
+
+
+def _resolve() -> tuple[ctypes.CDLL | None, str]:
+    """Build or load once per process; rank threads arrive together."""
+    global _state
+    with _LOCK:
+        if _state is None:
+            try:
+                _state = _build()
+            except (OSError, subprocess.SubprocessError) as exc:
+                detail = getattr(exc, "stderr", None) or b""
+                _state = (None, f"{exc} {detail.decode(errors='replace')}".strip())
+                metrics().counter("kernels.fallback").inc()
+    return _state
+
+
+def backend() -> tuple[str, str]:
+    """``("c", library path)`` or ``("numpy", why no library loaded)``."""
+    lib, detail = _state or _resolve()
+    return ("c" if lib is not None else "numpy", detail)
+
+
+def entry(name: str, *arrays: np.ndarray):
+    """The C function ``name`` for the arrays' one float dtype, else ``None``.
+
+    ``None`` — run the NumPy code — when the arrays mix dtypes, are not
+    float32 / float64, or no library could be built.
+    """
+    suffix = _SUFFIX.get(arrays[0].dtype)
+    if suffix is None or any(a.dtype != arrays[0].dtype for a in arrays[1:]):
+        return None
+    lib = (_state or _resolve())[0]
+    return None if lib is None else getattr(lib, f"{name}_{suffix}")
+
+
+def run(fn, out_shape: tuple[int, ...], dtype: np.dtype, *args) -> np.ndarray:
+    """``fn(*args, out)`` into a fresh ``out`` of the operands' dtype.
+
+    Array arguments cross as addresses of C-contiguous data (copied if
+    they were not), ints, floats and ``None`` as they are. The caller has
+    checked every shape; the one thing left to C is a raw row pointer,
+    whose refusal (status 1) is raised here.
+    """
+    keep = [np.ascontiguousarray(a) if isinstance(a, np.ndarray) else a for a in args]
+    out = np.empty(out_shape, dtype)
+    if fn(*(a.ctypes.data if isinstance(a, np.ndarray) else a for a in keep),
+          out.ctypes.data):
+        raise ValueError(
+            f"{fn.__name__[:-4]}: row pointer is not non-decreasing within "
+            f"[0, {out.shape[0]}]"
+        )
+    return out

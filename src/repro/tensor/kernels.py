@@ -9,8 +9,20 @@ decomposes into them (Figure 1). Design points:
   tropical min/max, or average semiring.
 * **SDDMM family**: sampled dense-dense products computing per-edge
   attention logits without materialising the virtual :math:`n \\times n`
-  score matrix (Section 6.1). Edge chunks bound peak memory — the
-  "computed in small parts using a dynamic schedule" strategy.
+  score matrix (Section 6.1).
+* **Two backends, chosen by what the machine has**: SDDMM (dot / add /
+  cosine) and the row softmax with its backward run as compiled CSR
+  row loops (:mod:`repro.tensor._edge`, built from ``_edge.c`` on the
+  first call) when a C compiler exists and the operands share one of
+  float32 / float64; the NumPy code in each function is the other
+  backend — the no-compiler install and the oracle the C side is tested
+  against. Each public function validates its operands, then dispatches
+  once; no argument or variable picks a side, :func:`backend` reports
+  it and those kernels' ``kernel.*`` spans carry it as ``backend=``. The two
+  agree to rounding (a C reduction sums in another order), not bit for
+  bit. On the NumPy side edge chunks bound peak scratch — the "computed
+  in small parts using a dynamic schedule" strategy; the row loops
+  need no scratch at all.
 * **Kernel selection by semiring**: the real-semiring SpMM delegates
   to ``scipy.sparse`` (BLAS-backed), mirroring the paper's delegation
   to cuSPARSE; the pure-NumPy path (:func:`spmm_reference`) is the
@@ -25,8 +37,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.tracer import traced as _traced
+from repro.obs.tracer import tracer as _tracer
+from repro.tensor import _edge
+from repro.tensor._edge import backend
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.segment import (
+    _row_kernel,
     expand_segments,
     segment_softmax,
     segment_sum,
@@ -45,6 +61,7 @@ __all__ = [
     "mspmm",
     "masked_row_softmax",
     "masked_row_softmax_backward",
+    "backend",
 ]
 
 #: Default edge-chunk size for SDDMM gathers; bounds peak scratch
@@ -252,6 +269,22 @@ def _spmm_gather_reduce(
 # ----------------------------------------------------------------------
 # SDDMM family — sampled dense-dense products on the edge set
 # ----------------------------------------------------------------------
+def _edge_entry(name: str, *arrays: np.ndarray):
+    """``_edge.entry``, recorded as ``backend=`` on the open kernel span."""
+    fn = _edge.entry(name, *arrays)
+    _tracer().annotate(backend="numpy" if fn is None else "c")
+    return fn
+
+
+def _check_sddmm_dot(pattern: CSRMatrix, x: np.ndarray, y: np.ndarray) -> None:
+    if x.ndim not in (2, 3) or x.ndim != y.ndim:
+        raise ValueError("sddmm_dot operands must both be 2-D or both 3-D")
+    if x.shape[1:] != y.shape[1:]:
+        raise ValueError("feature dimensions differ in sddmm_dot")
+    if x.shape[0] != pattern.shape[0] or y.shape[0] != pattern.shape[1]:
+        raise ValueError("operand row counts do not match pattern shape")
+
+
 @_traced("kernel.sddmm_dot")
 def sddmm_dot(
     pattern: CSRMatrix,
@@ -264,9 +297,10 @@ def sddmm_dot(
 
     This is the fused kernel behind the VA formulation
     :math:`\\mathcal{A} \\odot (H H^T)` — the dense ``H H^T`` is virtual
-    and only its sampled entries are ever computed, in bounded-memory
-    edge chunks. The COO row vector comes from the pattern's structure
-    cache; the two edge gathers are chunk-sized temporaries.
+    and only its sampled entries are ever computed: by one compiled
+    sweep over the CSR rows, or (NumPy backend) in bounded-memory edge
+    chunks of ``chunk`` edges, with the COO row vector from the
+    pattern's structure cache and two chunk-sized gather temporaries.
 
     Head-batched operands ``(n, heads, k)`` produce ``(nnz, heads)``
     per-edge values — one pattern sweep computes every head's dot
@@ -274,23 +308,24 @@ def sddmm_dot(
     """
     x = np.asarray(x)
     y = np.asarray(y)
-    if x.ndim not in (2, 3) or x.ndim != y.ndim:
-        raise ValueError("sddmm_dot operands must both be 2-D or both 3-D")
-    if x.shape[1:] != y.shape[1:]:
-        raise ValueError("feature dimensions differ in sddmm_dot")
-    if x.shape[0] != pattern.shape[0] or y.shape[0] != pattern.shape[1]:
-        raise ValueError("operand row counts do not match pattern shape")
-    if chunk is None:
-        chunk = _SDDMM_CHUNK
+    _check_sddmm_dot(pattern, x, y)
     nnz = pattern.nnz
     feat = x.shape[1:]
+    counter.add(2 * nnz * int(np.prod(feat)), "SDDMM")
+    fn = _edge_entry("sddmm_dot", x, y)
+    if fn is not None:
+        return _edge.run(
+            fn, (nnz,) + feat[:-1], x.dtype, pattern.shape[0], pattern.indptr,
+            pattern.indices, x, y, int(np.prod(feat[:-1])), feat[-1],
+        )
+    if chunk is None:
+        chunk = _SDDMM_CHUNK
     if x.ndim == 3:
         # The chunk budget counts edges at single-head width; stacked
         # operands gather ``heads`` times more scalars per edge, so shrink
         # the edge chunk to keep the scratch buffers cache-sized (measured
         # ~2x on 8-head float64 SDDMMs versus head-oblivious chunking).
         chunk = max(1, chunk // feat[0])
-    counter.add(2 * nnz * int(np.prod(feat)), "SDDMM")
     rows = pattern.expand_rows()
     cols = pattern.indices
     out = np.empty((nnz,) + feat[:-1], dtype=np.result_type(x, y))
@@ -337,6 +372,12 @@ def sddmm_add(
             "the pattern shape"
         )
     counter.add(pattern.nnz * int(np.prod(u.shape[1:])), "SDDMM")
+    fn = _edge_entry("sddmm_add", u, v)
+    if fn is not None:
+        return _edge.run(
+            fn, (pattern.nnz,) + u.shape[1:], u.dtype, pattern.shape[0],
+            pattern.indptr, pattern.indices, u, v, int(np.prod(u.shape[1:])),
+        )
     out = np.take(u, pattern.expand_rows(), axis=0)
     out = out.astype(np.result_type(u, v), copy=False)
     out += np.take(v, pattern.indices, axis=0)
@@ -374,11 +415,29 @@ def sddmm_cosine(
         re-gathering both norm endpoints.
     """
     h = np.asarray(h)
+    _check_sddmm_dot(pattern, h, h)
     if norms is None:
         norms = np.sqrt(np.einsum("...j,...j->...", h, h))
         counter.add(2 * h.size, "norms")
+    norms = np.asarray(norms)
+    if norms.shape != h.shape[:-1]:
+        raise ValueError(
+            f"sddmm_cosine: norms of shape {norms.shape} do not match "
+            f"operand rows {h.shape[:-1]}"
+        )
+    heads = int(np.prod(h.shape[1:-1]))
+    fn = _edge_entry("sddmm_cosine", h, norms)
+    if fn is not None:
+        counter.add(2 * pattern.nnz * heads * (h.shape[-1] + 1), "SDDMM")
+        shape = (pattern.nnz,) + h.shape[1:-1]
+        denom = np.empty(shape, h.dtype) if with_denom else None
+        values = _edge.run(
+            fn, shape, h.dtype, pattern.shape[0], pattern.indptr,
+            pattern.indices, h, norms, heads, h.shape[-1], float(eps), denom,
+        )
+        return (values, norms, denom) if with_denom else (values, norms)
     values = sddmm_dot(pattern, h, h, counter=counter, chunk=chunk)
-    counter.add(2 * pattern.nnz * int(np.prod(h.shape[1:-1])), "SDDMM")
+    counter.add(2 * pattern.nnz * heads, "SDDMM")
     denom = np.take(norms, pattern.expand_rows(), axis=0)
     np.multiply(denom, np.take(norms, pattern.indices, axis=0), out=denom)
     np.maximum(denom, eps, out=denom)
@@ -522,9 +581,9 @@ def masked_row_softmax(
     in the same sweep.
     """
     counter.add(5 * s.data.size, "softmax")
-    return s.with_data(
-        segment_softmax(s.data, s.indptr, rows=s.expand_rows())
-    )
+    # The compiled row loop never replicates: leave the row vector unbuilt.
+    rows = None if _edge_entry("segment_softmax", s.data) else s.expand_rows()
+    return s.with_data(segment_softmax(s.data, s.indptr, rows=rows))
 
 
 @_traced("kernel.masked_row_softmax_backward")
@@ -547,7 +606,16 @@ def masked_row_softmax_backward(
     pattern's cached COO row vector) makes the replication one gather
     instead of a ``repeat`` of the row lengths.
     """
+    softmax_values = np.asarray(softmax_values)
+    grad_values = np.asarray(grad_values)
+    out = _row_kernel(
+        "masked_row_softmax_backward", np.asarray(indptr), rows,
+        softmax_values, grad_values,
+    )
     counter.add(4 * softmax_values.size, "softmax_bwd")
+    _tracer().annotate(backend="numpy" if out is None else "c")
+    if out is not None:
+        return out
     inner = segment_sum(softmax_values * grad_values, indptr)
     out = expand_segments(inner, indptr, rows=rows)
     np.subtract(grad_values, out, out=out)

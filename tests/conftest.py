@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -9,6 +11,42 @@ from hypothesis import settings
 from repro.graphs import erdos_renyi, synthetic_classification
 from repro.graphs.prep import prepare_adjacency
 from repro.tensor.csr import CSRMatrix
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--kernels", choices=("c", "numpy"), default="c",
+        help="edge-kernel backend under test: the compiled library when it "
+        "builds (default), or the NumPy code with the loader patched to "
+        "'not available'",
+    )
+
+
+def pytest_configure(config):
+    """``--kernels numpy``: no library for this process or its children.
+
+    The loader's resolved state is set to "not available" before any
+    kernel runs. Spawned ranks re-import the package and would build
+    their own, so they are given a ``PATH`` without ``cc`` / ``gcc``:
+    the no-compiler install, which is what the NumPy side is.
+    """
+    if config.getoption("--kernels") == "numpy":
+        from repro.tensor import _edge
+
+        _edge._state = (None, "disabled by --kernels numpy")
+        os.environ["PATH"] = os.pathsep.join(
+            d for d in os.environ.get("PATH", "").split(os.pathsep)
+            if not any(os.path.exists(os.path.join(d, c)) for c in ("cc", "gcc"))
+        )
+
+
+@pytest.fixture(scope="session")
+def kernels_backend() -> str:
+    """``"c"`` or ``"numpy"``: the side this run's kernels are on."""
+    from repro.tensor.kernels import backend
+
+    return backend()[0]
+
 
 # ``--hypothesis-profile=ci`` raises the example budget of every
 # property that does not pin ``max_examples`` itself.

@@ -12,6 +12,7 @@ effect on ``run_spmd`` stay pinned where they always were
 from __future__ import annotations
 
 import ast
+import os
 import re
 from pathlib import Path
 
@@ -132,3 +133,36 @@ class TestValidation:
         assert traced() == [True, True]
         monkeypatch.delenv(config.TRACE_ENV_VAR)
         assert traced() == [False, False]
+
+
+class TestKernelCacheDir:
+    """Where the compiled edge kernels are cached (the loader itself:
+    ``tests/test_edge_kernels.py``)."""
+
+    @pytest.fixture
+    def home(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        return tmp_path / "home"
+
+    def test_xdg_first_then_home_created_private(self, monkeypatch, home, tmp_path):
+        assert config.kernel_cache_dir() == str(home / ".cache" / "repro")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        path = Path(config.kernel_cache_dir())
+        assert path == tmp_path / "xdg" / "repro"
+        assert path.stat().st_mode & 0o777 == 0o700
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")  # XDG: ignore
+        assert config.kernel_cache_dir() == str(home / ".cache" / "repro")
+
+    def test_a_directory_someone_else_owns_is_refused(self, monkeypatch, home):
+        owned = config.kernel_cache_dir()
+        monkeypatch.setattr(config.os, "getuid", lambda: os.stat(owned).st_uid + 1)
+        private = config.kernel_cache_dir()
+        assert private != owned and not private.startswith(str(home))
+        assert Path(private).stat().st_mode & 0o777 == 0o700
+        assert config.kernel_cache_dir() != private  # nothing shared, nothing cached
+
+    def test_unwritable_candidates_fall_to_a_private_directory(self, monkeypatch, home):
+        monkeypatch.setenv("HOME", "/proc/no-such-home")
+        monkeypatch.setenv("XDG_CACHE_HOME", "/proc/no-such-cache")
+        assert Path(config.kernel_cache_dir()).is_dir()

@@ -188,11 +188,21 @@ def megakernel_results(a, psi, ops, slope, beta, counter=None):
 
 
 class TestKernelParity:
-    """Megakernel vs the unfused kernel chain, every output, 1e-10."""
+    """Megakernel vs the unfused kernel chain, every output.
+
+    Parity is a tolerance (rtol 1e-10 at float64) wherever the two sum
+    in different orders: always for ``cosine`` (the sweep folds the norm
+    product in another place), and for every Psi once the unfused chain
+    runs the compiled kernels. On the NumPy side (``--kernels numpy``)
+    ``dot`` and ``add`` are the same arithmetic in the same order, and
+    are held bit for bit.
+    """
 
     @pytest.mark.parametrize("heads", [1, 8])
     @pytest.mark.parametrize("psi", PSIS)
-    def test_forward_backward_parity(self, psi, heads):
+    def test_forward_backward_parity(self, psi, heads, kernels_backend):
+        exact = kernels_backend == "numpy" and psi != "cosine"
+        rtol, atol = (0, 0) if exact else (RTOL, ATOL)
         rng = np.random.default_rng(42)
         for name, a in _patterns(rng):
             ops = _operands(rng, a.shape[0], heads, 5, 7, psi)
@@ -201,7 +211,7 @@ class TestKernelParity:
             assert set(got) == set(want)
             for key in want:
                 np.testing.assert_allclose(
-                    got[key], want[key], rtol=RTOL, atol=ATOL,
+                    got[key], want[key], rtol=rtol, atol=atol,
                     err_msg=f"{psi}/{heads} heads/{name}/{key}",
                 )
 

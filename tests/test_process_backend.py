@@ -318,7 +318,8 @@ class TestObservabilityPlumbing:
         # The library's own counts ride the same slot: the driver of a
         # spawned run touches no pattern, so every structure-cache
         # count it ends up with was taken in a child (one adjacency
-        # block per rank, at least).
+        # block per rank and one SpMM view of it, at least; the COO row
+        # vector is no witness, the compiled SDDMM never expands it).
         before = metrics().counters()
         distributed_train(
             "VA", problem.adjacency, problem.features.astype(np.float64),
@@ -327,7 +328,7 @@ class TestObservabilityPlumbing:
             backend="process", timeout=120.0,
         )
         after = metrics().counters()
-        for name in ("pattern.registered", "expand_rows.computed"):
+        for name in ("pattern.registered", "scipy_view.built"):
             assert after[name] - before.get(name, 0) >= 4, name
 
     def test_rank_tracers_cross_the_process_boundary(self, monkeypatch):

@@ -3,20 +3,17 @@
 How a run executes (overlapped or synchronous schedule, fused or
 interpreted program, SpMM backend, SDDMM chunk, admission policy) is an
 argument of the call that runs it, with the production value as its
-default. Two settings belong to a deployment rather than to a call:
+default. One setting belongs to a deployment rather than to a call:
 
 ``REPRO_TRACE``
     ``1/true/on/yes`` or ``0/false/off/no`` (default off): every SPMD
     rank records a :class:`~repro.obs.tracer.Tracer`.
-``REPRO_FABRIC_BACKEND``
-    ``thread`` (default) or ``process``: the fabric behind
-    ``run_spmd(backend=None)``.
 
 One path is a deployment's too: :func:`kernel_cache_dir`, where the
 compiled edge kernels are kept (``$XDG_CACHE_HOME/repro``, else
 ``~/.cache/repro``).
 
-Each accessor reads its variable at *call* time (a caller may set
+The accessor reads its variable at *call* time (a caller may set
 ``REPRO_TRACE`` around one traced unit), treats unset or empty as the
 default, and raises ``ValueError`` naming the variable otherwise: a
 silently ignored typo would defeat the setting.
@@ -31,16 +28,11 @@ import tempfile
 
 __all__ = [
     "TRACE_ENV_VAR",
-    "BACKEND_ENV_VAR",
-    "FABRIC_BACKENDS",
     "trace_enabled_default",
-    "fabric_backend_default",
     "kernel_cache_dir",
 ]
 
 TRACE_ENV_VAR = "REPRO_TRACE"
-BACKEND_ENV_VAR = "REPRO_FABRIC_BACKEND"
-FABRIC_BACKENDS = ("thread", "process")
 _TRUE = frozenset({"1", "true", "on", "yes"})
 _FALSE = frozenset({"0", "false", "off", "no"})
 
@@ -54,21 +46,9 @@ def _flag(name: str) -> bool:
     raise ValueError(f"${name}={raw!r}: use one of {sorted(_TRUE | _FALSE)}")
 
 
-def _choice(name: str, choices: tuple[str, ...]) -> str:
-    raw = os.environ.get(name, "").strip()
-    if raw.lower() not in ("", *choices):
-        raise ValueError(f"${name}={raw!r}: use one of {choices}")
-    return raw.lower() or choices[0]
-
-
 def trace_enabled_default() -> bool:
     """Whether ``$REPRO_TRACE`` asks for tracing (default: no)."""
     return _flag(TRACE_ENV_VAR)
-
-
-def fabric_backend_default() -> str:
-    """The fabric ``$REPRO_FABRIC_BACKEND`` names (default: thread)."""
-    return _choice(BACKEND_ENV_VAR, FABRIC_BACKENDS)
 
 
 def kernel_cache_dir() -> str:

@@ -30,6 +30,7 @@ from repro.tensor.kernels import (
     sddmm_add,
     sddmm_cosine,
     sddmm_dot,
+    softmax_rows,
     spmm,
 )
 from repro.tensor.segment import bincount_sum, segment_softmax, segment_sum
@@ -127,7 +128,8 @@ def psi_agnn(
     cos, norms, denom = sddmm_cosine(
         a, h, eps=eps, counter=counter, with_denom=True
     )
-    soft = segment_softmax(beta * cos, a.indptr, rows=a.expand_rows())
+    scaled = beta * cos
+    soft = segment_softmax(scaled, a.indptr, rows=softmax_rows(a, scaled))
     counter.add(5 * a.nnz, "softmax")
     s = a.with_data(soft)
     cache = PsiAGNNCache(
@@ -157,7 +159,8 @@ def psi_agnn_vjp(
     # Softmax backward on stored values.
     dt = masked_row_softmax_backward(
         cache.softmax_values, ds_values, a.indptr,
-        rows=a.expand_rows(), counter=counter,
+        rows=softmax_rows(a, cache.softmax_values, ds_values),
+        counter=counter,
     )
     dbeta = float(np.dot(dt, cache.cos_values))
     dc = cache.beta * dt
@@ -235,7 +238,7 @@ def psi_gat(
     raw = sddmm_add(a, u, v, counter=counter)
     logits = leaky_relu(raw, slope)
     counter.add(raw.size, "leaky_relu")
-    soft = segment_softmax(logits, a.indptr, rows=a.expand_rows())
+    soft = segment_softmax(logits, a.indptr, rows=softmax_rows(a, logits))
     counter.add(5 * raw.size, "softmax")
     s = a.with_data(soft)
     return s, PsiGATCache(
@@ -258,7 +261,8 @@ def psi_gat_vjp(
     a, hp = cache.a, cache.hp
     dlogits = masked_row_softmax_backward(
         cache.softmax_values, ds_values, a.indptr,
-        rows=a.expand_rows(), counter=counter,
+        rows=softmax_rows(a, cache.softmax_values, ds_values),
+        counter=counter,
     )
     draw = dlogits * leaky_relu_grad(cache.raw_values, cache.slope)
     du = segment_sum(draw, a.indptr)

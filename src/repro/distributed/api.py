@@ -13,11 +13,9 @@ across ranks — matching the numerics of the single-node trainer exactly,
 which the equivalence tests assert. A rank's model is a plain
 :class:`~repro.models.base.GnnModel` stepped by ``training.optim.SGD``.
 
-The rank programs are module-level functions (not closures) so the
-same entry points run unchanged on the process-parallel backend:
-``distributed_inference(..., backend="process")`` spawns real OS
-processes, and the ``REPRO_FABRIC_BACKEND`` environment variable flips
-a whole test run without touching call sites.
+Ranks are threads of this process (:func:`repro.runtime.executor.run_spmd`);
+the ``backend`` keyword both entry points still carry selects nothing —
+see :func:`_check_backend`.
 """
 
 from __future__ import annotations
@@ -54,6 +52,22 @@ __all__ = [
 _LOSS_TERMS = {"ce": cross_entropy_terms, "mse": squared_error_terms}
 
 
+def _check_backend(backend: str) -> None:
+    """Refuse anything but ``"thread"``.
+
+    Vestigial: ``benchmarks/e2e`` (``workloads.py``, ``probes.py``)
+    passes ``backend="thread"`` and a non-benchmark change may not edit
+    that directory, so the keyword outlived the process fabric it used
+    to select. It is forwarded nowhere; the next benchmark PR (ROADMAP
+    1(c)) drops it there and here.
+    """
+    if backend != "thread":
+        raise ValueError(
+            f"backend={backend!r}: the process fabric was removed, ranks "
+            'are threads; the only accepted value is "thread"'
+        )
+
+
 @dataclass
 class DistributedResult:
     """Assembled outcome of a distributed run."""
@@ -68,9 +82,8 @@ def _inference_program(
 ):
     """SPMD rank program for :func:`distributed_inference`.
 
-    Module-level (not a closure) so the spawn-based process backend can
-    pickle it by reference; every argument after ``comm`` arrives via
-    ``run_spmd`` kwargs, identical on all ranks. ``model_args`` is what
+    Every argument after ``comm`` arrives via ``run_spmd`` kwargs,
+    identical on all ranks. ``model_args`` is what
     :func:`build_dist_model` takes after the rank's grid.
     """
     grid = square_grid(comm)
@@ -94,7 +107,7 @@ def distributed_inference(
     seed: int = 0,
     dtype: np.dtype | type = np.float32,
     timeout: float = 120.0,
-    backend: str | None = None,
+    backend: str = "thread",
     overlap: bool = True,
     **layer_kwargs,
 ) -> DistributedResult:
@@ -102,18 +115,17 @@ def distributed_inference(
 
     ``p`` must be a perfect square (the Section-7 grid). Returns the
     assembled output features and the run's traffic statistics.
-    ``backend`` selects the execution fabric (thread/process, see
-    :func:`repro.runtime.executor.run_spmd`); the layer schedules are
-    comm/compute-overlapped by default and ``overlap=False`` is the
-    synchronous parity oracle.
+    The layer schedules are comm/compute-overlapped by default and
+    ``overlap=False`` is the synchronous parity oracle.
     """
+    _check_backend(backend)
     model_args = dict(
         name=model_name, in_dim=features.shape[1], hidden_dim=hidden_dim,
         out_dim=out_dim, num_layers=num_layers, seed=seed, dtype=dtype,
         overlap=overlap, **layer_kwargs,
     )
     result = run_spmd(
-        p, _inference_program, timeout=timeout, backend=backend,
+        p, _inference_program, timeout=timeout,
         a=a, features=features, model_args=model_args,
     )
     return DistributedResult(
@@ -191,7 +203,7 @@ def distributed_train(
     dtype: np.dtype | type = np.float32,
     timeout: float = 300.0,
     collect_output: bool = True,
-    backend: str | None = None,
+    backend: str = "thread",
     overlap: bool = True,
     **layer_kwargs,
 ) -> DistributedResult:
@@ -200,11 +212,11 @@ def distributed_train(
     Each epoch is one forward + backward pass plus a replicated SGD
     step — the paper's measured training unit. Returns the per-epoch
     losses, the final output features (assembled at rank 0 when
-    ``collect_output``) and traffic statistics. ``backend`` selects the
-    execution fabric (thread/process); the layer schedules are
+    ``collect_output``) and traffic statistics. The layer schedules are
     comm/compute-overlapped by default and ``overlap=False`` is the
     synchronous parity oracle.
     """
+    _check_backend(backend)
     if loss not in _LOSS_TERMS:
         raise ValueError(
             f"loss must be one of {sorted(_LOSS_TERMS)}, got {loss!r}"
@@ -215,7 +227,7 @@ def distributed_train(
         overlap=overlap, **layer_kwargs,
     )
     result = run_spmd(
-        p, _training_program, timeout=timeout, backend=backend,
+        p, _training_program, timeout=timeout,
         a=a, features=features, labels=labels, model_args=model_args,
         epochs=epochs, lr=lr, loss=loss, mask=mask,
         collect_output=collect_output,

@@ -8,11 +8,9 @@ as on whole matrices. Parameters and their gradients are replicated, so
 any :mod:`repro.training.optim` optimiser steps the model identically on
 every rank and :mod:`repro.models.serialize` checkpoints load per rank.
 
-Backend note: build the model *inside* the rank function (bound layers
-hold per-rank state and communicator references, neither of which may
-cross a process boundary). Only the rank function and its kwargs are
-pickled for the process backend — the model itself never is, so it
-works unchanged on both the thread and the process fabric.
+Build the model *inside* the rank function: bound layers hold per-rank
+state and a reference to the rank's communicator, so one model object
+belongs to exactly one rank thread.
 """
 
 from __future__ import annotations

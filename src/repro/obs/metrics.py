@@ -256,7 +256,7 @@ class MetricsRegistry:
         return name in self._metrics
 
     def counters(self) -> dict[str, float]:
-        """The counters alone, by name (what a spawned rank ships home)."""
+        """The counters alone, by name."""
         with self._lock:
             return {
                 name: metric.value

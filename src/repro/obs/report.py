@@ -121,9 +121,7 @@ def _run_driver(
     }
 
 
-def _run_distributed(
-    model_name: str, backend: str | None
-) -> tuple[list[Tracer], dict[str, Any]]:
+def _run_distributed(model_name: str) -> tuple[list[Tracer], dict[str, Any]]:
     from repro.distributed.api import distributed_train
 
     a, features, labels = _problem()
@@ -131,7 +129,7 @@ def _run_distributed(
         model_name, a, features, labels,
         hidden_dim=_CASE["k"], out_dim=_CASE["classes"],
         num_layers=_CASE["layers"], p=4, epochs=_CASE["epochs"],
-        seed=_CASE["seed"], dtype=np.float64, backend=backend,
+        seed=_CASE["seed"], dtype=np.float64,
     )
     stats = result.stats
     tracers = [s.tracer for s in stats.per_rank if s.tracer is not None]
@@ -150,13 +148,13 @@ def _root_flops(t: Tracer) -> int:
 
 
 def run_case(
-    case: str, model_name: str = "AGNN", backend: str | None = None
+    case: str, model_name: str = "AGNN"
 ) -> tuple[list[Tracer], dict[str, Any]]:
     """Run ``case`` under tracing; returns (per-rank tracers, summary)."""
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
     if case == "distributed":
-        return _run_distributed(model_name, backend)
+        return _run_distributed(model_name)
     return _run_driver(case, model_name)
 
 
@@ -164,9 +162,6 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--case", default="distributed", choices=CASES)
     parser.add_argument("--model", default="AGNN")
-    parser.add_argument("--backend", default=None,
-                        choices=("thread", "process"),
-                        help="fabric backend (default: $REPRO_FABRIC_BACKEND)")
     parser.add_argument("--out-dir", default="benchmarks/results/obs")
     parser.add_argument("--limit", type=int, default=15,
                         help="rows in the printed top-spans table")
@@ -178,7 +173,7 @@ def main(argv: list[str] | None = None) -> None:
             "(this command exists to produce traces)"
         )
 
-    tracers, summary = run_case(args.case, args.model, args.backend)
+    tracers, summary = run_case(args.case, args.model)
     out_dir = Path(args.out_dir)
     trace_path = write_chrome_trace(
         out_dir / f"trace_{args.case}.json", tracers

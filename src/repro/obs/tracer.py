@@ -14,16 +14,14 @@ Design rules, mirrored from :func:`repro.util.counters.null_counter`:
   instrumentation sites cost one attribute lookup and one call.
   No instrumented code ever checks an ``if tracing:`` flag.
 * **One tracer per rank.** SPMD rank programs get their own
-  :class:`Tracer` (installed thread-locally by the executor, or
-  process-globally inside a spawned child) and the instance rides back
-  to the driver on :attr:`CommStats.tracer
-  <repro.runtime.stats.CommStats>` — which is why :class:`Tracer` and
-  :class:`Span` are plain picklable objects and the thread-local
-  registry lives at module level, not on the tracer.
-* **Timestamps are absolute** ``time.perf_counter()`` readings.
-  On Linux that clock is CLOCK_MONOTONIC, which is system-wide, so
-  spans recorded in spawned rank processes align with the driver's;
-  the exporter normalises to the run's earliest span.
+  :class:`Tracer`, installed thread-locally by the executor, and the
+  driver finds the instance on :attr:`CommStats.tracer
+  <repro.runtime.stats.CommStats>` afterwards. :class:`Tracer` and
+  :class:`Span` are plain picklable objects; the thread-local registry
+  lives at module level, not on the tracer.
+* **Timestamps are absolute** ``time.perf_counter()`` readings, one
+  clock for every rank thread and the driver; the exporter normalises
+  to the run's earliest span.
 
 Run-wide tracing is a deployment setting: ``REPRO_TRACE``, read at
 call time by :func:`repro.config.trace_enabled_default`.
@@ -150,8 +148,8 @@ class _SpanHandle:
 class Tracer:
     """Collects the spans of one rank (or of the driver).
 
-    Plain picklable state — a rank's tracer crosses the process fabric
-    back to the driver on its :class:`~repro.runtime.stats.CommStats`.
+    Plain picklable state; a rank's tracer is left for the driver on
+    its :class:`~repro.runtime.stats.CommStats`.
     """
 
     #: Class-level flag: ``tracer().enabled`` distinguishes a live
@@ -253,11 +251,10 @@ def null_tracer() -> Tracer:
 # ----------------------------------------------------------------------
 # Active-tracer registry.
 #
-# Thread-local first, process-global second: the thread fabric runs
-# every rank as a thread inside one process, so each rank thread
-# installs its own tracer thread-locally; a spawned process-fabric
-# child is single-threaded and installs process-globally. The registry
-# lives at module level so Tracer itself stays picklable.
+# Thread-local first, process-global second: every rank is a thread of
+# this process and installs its own tracer thread-locally; a driver
+# that wants kernels on whatever thread they run installs globally. The
+# registry lives at module level so Tracer itself stays picklable.
 # ----------------------------------------------------------------------
 _TLS = threading.local()
 _GLOBAL: Tracer = _NULL

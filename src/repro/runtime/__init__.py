@@ -4,11 +4,8 @@ The paper runs on Piz Daint with mpi4py; this environment has neither a
 cluster nor MPI, so the distributed algorithms run on a *simulated*
 cluster instead (see DESIGN.md's substitution table):
 
-* :mod:`repro.runtime.fabric` — the fabric interface plus the
-  in-process backend: per-``(src, dst, tag)`` mailboxes, ranks are
-  Python threads.
-* :mod:`repro.runtime.process_fabric` — the process-parallel backend:
-  spawned ranks, shared-memory array transfer, child-crash detection.
+* :mod:`repro.runtime.fabric` — the one fabric: per-``(src, dst,
+  tag)`` mailboxes, ranks are Python threads of this process.
 * :mod:`repro.runtime.communicator` — an mpi4py-flavoured communicator
   (``send``/``recv``/``bcast``/``reduce``/``allreduce``/``allgather``/
   ``alltoall``/``reduce_scatter``/``split``) whose collectives use real
@@ -26,8 +23,7 @@ cluster instead (see DESIGN.md's substitution table):
   converting the accounting into modeled execution time, which is the
   quantity the scaling figures plot.
 * :mod:`repro.runtime.executor` — the SPMD launcher running one thread
-  or process per rank (``run_spmd(..., backend=...)``) and propagating
-  failures.
+  per rank (``run_spmd``) and propagating failures.
 * :mod:`repro.runtime.grid` — the 2D ``Px x Py`` cartesian process
   grid with row/column sub-communicators (Section 6.3).
 """
@@ -44,18 +40,13 @@ from repro.runtime.fabric import (
     FabricTimeoutError,
     RecvHandle,
     SendHandle,
-    ThreadFabric,
 )
 from repro.runtime.grid import ProcessGrid, square_grid
-from repro.runtime.process_fabric import ProcessBackendError, ProcessFabric
 from repro.runtime.stats import CommStats, RunStats
 
 __all__ = [
     "Fabric",
-    "ThreadFabric",
-    "ProcessFabric",
     "FabricTimeoutError",
-    "ProcessBackendError",
     "Communicator",
     "CollectiveHandle",
     "RecvFuture",

@@ -1,38 +1,33 @@
-"""Message fabrics backing the simulated MPI ranks.
+"""The message fabric under the simulated MPI ranks.
 
-A *fabric* is the transport layer underneath the
+The :class:`Fabric` is the transport layer underneath the
 :class:`~repro.runtime.communicator.Communicator`: per-``(src, dst,
 tag)`` mailboxes with blocking receives, a global barrier, and abort
-propagation so one failing rank unblocks everyone else. Two backends
-implement the interface:
+propagation so one failing rank unblocks everyone else. Ranks are
+Python threads of one process and a "transfer" is a reference hand-off
+guarded by a condition variable: zero-copy, and the compiled edge
+kernels, BLAS and scipy all release the GIL, so rank threads overlap on
+real cores wherever the time goes (DESIGN.md S10 records the
+measurement that retired the spawned-process fabric).
 
-* :class:`ThreadFabric` (this module) — ranks are Python threads and a
-  "transfer" is a reference hand-off guarded by a condition variable.
-  Cheap, zero-copy, but the GIL serialises pure-Python compute.
-* :class:`~repro.runtime.process_fabric.ProcessFabric` — ranks are
-  spawned processes; large arrays travel through POSIX shared memory
-  and everything else over multiprocessing queues. Real parallelism,
-  at the price of serialisation and process start-up.
-
-Both fabrics expose the same *non-blocking* primitives on top of the
-mailbox model: :meth:`FabricBase.try_get` (probe-and-pop),
-:meth:`FabricBase.poll` (bounded wait for arrivals) and the
-:meth:`FabricBase.isend` / :meth:`FabricBase.irecv` pair returning
-completion handles (:class:`SendHandle` / :class:`RecvHandle` with
-``wait``/``test``). Blocking :meth:`FabricBase.get` is implemented once
-here on top of those primitives, so the deadlock timeout report — each
-stuck rank's blocked ``(src, dst, tag)`` plus every undelivered mailbox,
-joined in rank order by :func:`format_deadlock` — is identical across
-backends and across runs.
+On top of the mailbox model sit the *non-blocking* primitives:
+:meth:`Fabric.try_get` (probe-and-pop), :meth:`Fabric.poll` (bounded
+wait for arrivals) and the :meth:`Fabric.isend` / :meth:`Fabric.irecv`
+pair returning completion handles (:class:`SendHandle` /
+:class:`RecvHandle` with ``wait``/``test``). Blocking
+:meth:`Fabric.get` is built on those primitives, and its deadlock
+timeout report — each stuck rank's blocked ``(src, dst, tag)`` plus
+every undelivered mailbox, joined in rank order by
+:func:`format_deadlock` — is identical across runs.
 
 Communication *cost* is accounted separately (see
-:mod:`repro.runtime.stats`) and identically on both backends, because
-the communicator's collective algorithms — not the transport — decide
-what goes on the simulated wire.
+:mod:`repro.runtime.stats`): the communicator's collective algorithms —
+not the transport — decide what goes on the simulated wire.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import defaultdict, deque
@@ -40,8 +35,6 @@ from typing import Any, Hashable
 
 __all__ = [
     "Fabric",
-    "FabricBase",
-    "ThreadFabric",
     "FabricTimeoutError",
     "SendHandle",
     "RecvHandle",
@@ -107,7 +100,7 @@ def format_timeout(
     ``pending`` maps ``(src, dst, tag)`` to the number of messages
     deposited but never received — the first place to look when a tag
     mismatch or a diverging collective sequence hangs a rank. Messages
-    posted with :meth:`FabricBase.isend` land in the same mailboxes, so
+    posted with :meth:`Fabric.isend` land in the same mailboxes, so
     pending isends show up here exactly like blocking sends.
     """
     return (
@@ -135,7 +128,7 @@ def format_deadlock(reports: list[tuple[int, str]]) -> str:
 class SendHandle:
     """Completion handle of a non-blocking send.
 
-    Both fabrics buffer sends (a deposit never blocks on the receiver),
+    The fabric buffers sends (a deposit never blocks on the receiver),
     so the handle is born complete; it exists so SPMD code can treat
     sends and receives uniformly (``wait`` all handles of a phase).
     """
@@ -168,7 +161,7 @@ class RecvHandle:
 
     __slots__ = ("_fabric", "src", "dst", "tag", "_done", "_value")
 
-    def __init__(self, fabric: "FabricBase", src: int, dst: int,
+    def __init__(self, fabric: "Fabric", src: int, dst: int,
                  tag: Hashable) -> None:
         self._fabric = fabric
         self.src = src
@@ -204,72 +197,106 @@ class RecvHandle:
         return self._value
 
 
-class FabricBase:
-    """Interface shared by the thread and process fabrics.
+class Fabric:
+    """Shared state connecting ``size`` simulated thread ranks.
 
-    Subclasses implement the non-blocking mailbox primitives
-    (:meth:`put`, :meth:`try_get`, :meth:`poll`,
-    :meth:`pending_counts`, :meth:`_trip_abort`) plus :meth:`abort` and
-    :meth:`barrier`; blocking :meth:`get` and the handle-returning
-    :meth:`isend`/:meth:`irecv` are provided here once, so timeout
-    diagnostics and handle semantics cannot drift between backends.
+    Messages are NumPy arrays (or arbitrary payloads) deposited into
+    per-``(src, dst, tag)`` mailboxes; blocking ``recv`` waits on a
+    condition variable, so rank interleaving is handled by the OS
+    scheduler exactly as in a real multi-process MPI job — with the
+    obvious difference that "transfer" is a reference hand-off.
 
     Parameters
     ----------
     size:
         Number of ranks.
     timeout:
-        Deadlock guard: any receive blocked longer than this raises
-        :class:`FabricTimeoutError` instead of hanging the test suite.
+        Deadlock guard: any receive blocked longer than this many
+        seconds raises :class:`FabricTimeoutError` instead of hanging
+        the test suite. Must be finite and positive.
     """
 
     def __init__(self, size: int, timeout: float = DEFAULT_TIMEOUT) -> None:
         if size < 1:
             raise ValueError("fabric needs at least one rank")
+        # A NaN deadline never expires (every comparison with it is
+        # false) and a zero or negative one calls a program that merely
+        # has not finished a deadlock.
+        if not (timeout > 0 and math.isfinite(timeout)):
+            raise ValueError(
+                "fabric timeout must be a finite positive number of "
+                f"seconds, got {timeout!r}"
+            )
         self.size = size
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._condition = threading.Condition(self._lock)
+        self._mailboxes: dict[tuple[int, int, Hashable], deque] = defaultdict(deque)
+        self._barrier = threading.Barrier(size)
+        self._aborted = False
 
-    # -- transport primitives (subclass responsibility) -----------------
+    # -- mailbox primitives ----------------------------------------------
     def put(self, src: int, dst: int, tag: Hashable, payload: Any) -> None:
         """Deposit a message; wakes any blocked receivers. Never blocks."""
-        raise NotImplementedError
+        self._check_ranks(src, dst)
+        with self._condition:
+            self._mailboxes[(src, dst, tag)].append(payload)
+            self._condition.notify_all()
 
     def try_get(self, src: int, dst: int, tag: Hashable) -> tuple[bool, Any]:
         """Non-blocking probe-and-pop: ``(True, payload)`` or ``(False, None)``."""
-        raise NotImplementedError
+        self._check_ranks(src, dst)
+        with self._condition:
+            box = self._mailboxes.get((src, dst, tag))
+            if box:
+                return True, box.popleft()
+        return False, None
 
     def poll(self, src: int, dst: int, tag: Hashable,
              timeout: float) -> None:
         """Block up to ``timeout`` seconds for inbound activity.
 
-        Returns as soon as *any* message lands at this rank (not only
-        the requested key), so callers interleaving several pending
-        receives can make progress on all of them.
+        Returns as soon as *any* message lands (not only the requested
+        key), so callers interleaving several pending receives can make
+        progress on all of them.
         """
-        raise NotImplementedError
+        key = (src, dst, tag)
+        with self._condition:
+            # Atomic re-check before sleeping: a deposit between the
+            # caller's probe and this lock acquisition must not be lost.
+            box = self._mailboxes.get(key)
+            if box or self._aborted:
+                return
+            self._condition.wait(timeout=timeout)
 
     def pending_counts(self) -> dict[tuple[int, int, Hashable], int]:
         """Undelivered-message counts per mailbox (for timeout reports)."""
-        raise NotImplementedError
+        with self._condition:
+            return {k: len(v) for k, v in self._mailboxes.items() if v}
 
     @property
     def aborted(self) -> bool:
         """Whether any rank tripped the abort flag."""
-        raise NotImplementedError
+        return self._aborted
 
     def _trip_abort(self) -> None:
         """Set the abort flag and wake blocked ranks (no barrier abort)."""
-        raise NotImplementedError
+        with self._condition:
+            self._aborted = True
+            self._condition.notify_all()
 
     def abort(self) -> None:
         """Unblock every waiting rank with an error (failure propagation)."""
-        raise NotImplementedError
+        with self._condition:
+            self._aborted = True
+            self._barrier.abort()
+            self._condition.notify_all()
 
     def barrier(self) -> None:
         """Global synchronisation across all ranks."""
-        raise NotImplementedError
+        self._barrier.wait(timeout=self.timeout)
 
-    # -- shared blocking receive + non-blocking handles ------------------
+    # -- blocking receive + non-blocking handles --------------------------
     def get(self, src: int, dst: int, tag: Hashable,
             timeout: float | None = None) -> Any:
         """Blocking receive of the oldest matching message.
@@ -335,75 +362,3 @@ class FabricBase:
             raise ValueError(
                 f"rank out of range: src={src}, dst={dst}, size={self.size}"
             )
-
-
-class ThreadFabric(FabricBase):
-    """Shared state connecting ``size`` simulated thread ranks.
-
-    Messages are NumPy arrays (or arbitrary payloads) deposited into
-    per-``(src, dst, tag)`` mailboxes; blocking ``recv`` waits on a
-    condition variable, so rank interleaving is handled by the OS
-    scheduler exactly as in a real multi-process MPI job — with the
-    obvious difference that "transfer" is a reference hand-off.
-    """
-
-    def __init__(self, size: int, timeout: float = DEFAULT_TIMEOUT) -> None:
-        super().__init__(size, timeout=timeout)
-        self._lock = threading.Lock()
-        self._condition = threading.Condition(self._lock)
-        self._mailboxes: dict[tuple[int, int, Hashable], deque] = defaultdict(deque)
-        self._barrier = threading.Barrier(size)
-        self._aborted = False
-
-    # ------------------------------------------------------------------
-    def put(self, src: int, dst: int, tag: Hashable, payload: Any) -> None:
-        self._check_ranks(src, dst)
-        with self._condition:
-            self._mailboxes[(src, dst, tag)].append(payload)
-            self._condition.notify_all()
-
-    def try_get(self, src: int, dst: int, tag: Hashable) -> tuple[bool, Any]:
-        self._check_ranks(src, dst)
-        with self._condition:
-            box = self._mailboxes.get((src, dst, tag))
-            if box:
-                return True, box.popleft()
-        return False, None
-
-    def poll(self, src: int, dst: int, tag: Hashable,
-             timeout: float) -> None:
-        key = (src, dst, tag)
-        with self._condition:
-            # Atomic re-check before sleeping: a deposit between the
-            # caller's probe and this lock acquisition must not be lost.
-            box = self._mailboxes.get(key)
-            if box or self._aborted:
-                return
-            self._condition.wait(timeout=timeout)
-
-    def pending_counts(self) -> dict[tuple[int, int, Hashable], int]:
-        with self._condition:
-            return {k: len(v) for k, v in self._mailboxes.items() if v}
-
-    @property
-    def aborted(self) -> bool:
-        return self._aborted
-
-    def _trip_abort(self) -> None:
-        with self._condition:
-            self._aborted = True
-            self._condition.notify_all()
-
-    def abort(self) -> None:
-        with self._condition:
-            self._aborted = True
-            self._barrier.abort()
-            self._condition.notify_all()
-
-    def barrier(self) -> None:
-        self._barrier.wait(timeout=self.timeout)
-
-
-#: Backward-compatible name: the thread fabric was the only backend
-#: before the process backend existed.
-Fabric = ThreadFabric

@@ -36,9 +36,10 @@ class CommStats:
         ``phase -> bytes`` breakdown (e.g. "psi", "redistribute").
     wall_s:
         Measured wall-clock seconds of this rank's program, set by the
-        executor. On the thread backend ranks share the GIL so this is
-        not a scaling signal; on the process backend it is real
-        per-rank time and the strong-scaling benchmarks report it.
+        executor. Rank threads share the GIL outside the compiled
+        kernels, BLAS and scipy, so this is an observation of this
+        box, not the paper's scaling signal (that is the modeled time
+        of :mod:`repro.runtime.costmodel`).
     wait_s:
         Seconds this rank spent *blocked on a receive* (inside the
         communicator waiting for a message or a collective step to
@@ -53,9 +54,9 @@ class CommStats:
         Optional per-rank :class:`~repro.obs.tracer.Tracer`, installed
         by the executor when tracing is on. Sends recorded here become
         zero-length ``"send"`` slices (``seq``, ``phase``, ``nbytes``)
-        on the rank's timeline and waits timed ``"wait"`` slices, and —
-        because ``CommStats`` is what the process fabric pickles back —
-        the rank's whole span record rides home to the driver on it.
+        on the rank's timeline and waits timed ``"wait"`` slices; the
+        driver reads the rank's whole span record off this attribute
+        after the run.
     """
 
     __slots__ = ("rank", "bytes_sent", "messages_sent", "flops", "by_phase",
@@ -212,8 +213,7 @@ class RunStats:
         """Blocked share of the slowest rank's wall-clock.
 
         ``max_wait_s / max_wall_s`` — the same summary-level definition
-        the strong-scaling bench reports; 0 when wall time is unset
-        (thread backend without measurement).
+        the strong-scaling bench reports; 0 when wall time is unset.
         """
         wall = self.max_wall_s
         return (self.max_wait_s / wall) if wall > 0 else 0.0

@@ -57,6 +57,7 @@ __all__ = [
     "sddmm_dot",
     "sddmm_add",
     "sddmm_cosine",
+    "softmax_rows",
     "spmmm",
     "mspmm",
     "masked_row_softmax",
@@ -581,9 +582,22 @@ def masked_row_softmax(
     in the same sweep.
     """
     counter.add(5 * s.data.size, "softmax")
-    # The compiled row loop never replicates: leave the row vector unbuilt.
-    rows = None if _edge_entry("segment_softmax", s.data) else s.expand_rows()
+    rows = softmax_rows(s, s.data)
+    _tracer().annotate(backend="c" if rows is None else "numpy")
     return s.with_data(segment_softmax(s.data, s.indptr, rows=rows))
+
+
+def softmax_rows(pattern: CSRMatrix, *values: np.ndarray) -> np.ndarray | None:
+    """The ``rows=`` to hand a row-softmax kernel running over ``pattern``.
+
+    Its cached COO row vector where the NumPy steps will gather through
+    it; ``None`` where the compiled row loop covers ``values`` — that
+    loop never replicates, so a cold pattern is not made to build
+    ``nnz`` int64 nobody reads.
+    """
+    if _edge.entry("segment_softmax", *values) is not None:
+        return None
+    return pattern.expand_rows()
 
 
 @_traced("kernel.masked_row_softmax_backward")

@@ -1,15 +1,6 @@
-"""Module-level SPMD rank programs for process-backend tests.
-
-The spawn start method pickles rank functions *by reference*, so every
-program that must run on the process backend lives here at module
-level — a closure defined inside a test function would raise
-:class:`repro.runtime.process_fabric.ProcessBackendError`.
-"""
+"""Named SPMD rank programs the test modules hand to ``run_spmd``."""
 
 from __future__ import annotations
-
-import os
-import signal
 
 import numpy as np
 
@@ -23,35 +14,10 @@ def collective_roundtrip(comm, n: int = 50_000):
     return float(total[0]) + sum(float(b[0]) for b in blocks)
 
 
-def large_array_pingpong(comm, shape=(512, 128)):
-    """Ship arrays above the SharedMemory threshold both directions."""
-    payload = np.full(shape, float(comm.rank), dtype=np.float64)
-    partner = comm.size - 1 - comm.rank
-    if comm.rank == partner:
-        return float(payload.sum())
-    comm.send(payload, partner, tag="pp")
-    received = comm.recv(partner, tag="pp")
-    assert received.shape == shape
-    assert np.all(received == float(partner))
-    return float(received[0, 0])
-
-
-def echo_rank(comm):
-    """Identity program for ordering / backend-selection tests."""
-    return comm.rank
-
-
 def crash_on_rank_one(comm):
     """Rank 1 raises; everyone else blocks until the abort unblocks them."""
     if comm.rank == 1:
-        raise ValueError("rank 1 exploded in a child process")
-    comm.recv(1, tag="never-sent")
-
-
-def die_on_rank_one(comm):
-    """Rank 1 dies without any Python-level cleanup (SIGKILL)."""
-    if comm.rank == 1:
-        os.kill(os.getpid(), signal.SIGKILL)
+        raise ValueError("rank 1 exploded")
     comm.recv(1, tag="never-sent")
 
 
@@ -101,27 +67,6 @@ def isend_then_deadlock(comm):
         comm.recv(0, tag="reply-never-sent")
 
 
-def nonblocking_collective_mix(comm, n: int = 2_048):
-    """Initiate several collectives, wait them out of initiation order.
-
-    Returns a checksum tuple so thread and process backends can be
-    compared; the engine's ordered completion makes the out-of-order
-    waits legal (waiting a later handle drains the earlier ones first).
-    """
-    h_bcast = comm.ibcast(np.arange(n, dtype=np.float64), root=0)
-    h_sum = comm.iallreduce(np.full(n, float(comm.rank + 1)))
-    h_gather = comm.iallgather(np.array([float(comm.rank)]))
-    gathered = h_gather.wait()     # initiated last, waited first
-    total = h_sum.wait()
-    bcast = h_bcast.wait()
-    comm.barrier()
-    return (
-        float(bcast.sum()),
-        float(total[0]),
-        sum(float(b[0]) for b in gathered),
-    )
-
-
 def waity_pingpong(comm, sleep_s: float = 0.15):
     """Rank 0 blocks on a receive rank 1 delays — creates real wait_s."""
     import time as _time
@@ -133,15 +78,6 @@ def waity_pingpong(comm, sleep_s: float = 0.15):
     _time.sleep(sleep_s)
     comm.send(np.ones(8), 0, tag="late")
     return 0.0
-
-
-def bump_named_event(comm, label: str = "obs_merge_probe"):
-    """Bump a unique counter child-side (registry merge test)."""
-    from repro.obs.metrics import metrics
-
-    metrics().counter(label).inc(comm.rank + 1)
-    comm.allreduce(np.ones(4))
-    return comm.rank
 
 
 def traced_span_work(comm):

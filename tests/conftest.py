@@ -26,9 +26,10 @@ def pytest_configure(config):
     """``--kernels numpy``: no library for this process or its children.
 
     The loader's resolved state is set to "not available" before any
-    kernel runs. Spawned ranks re-import the package and would build
-    their own, so they are given a ``PATH`` without ``cc`` / ``gcc``:
-    the no-compiler install, which is what the NumPy side is.
+    kernel runs. Child interpreters (the examples, the seeded-replay run of
+    ``test_minibatch``) re-import the package and would build their own, so they are given a
+    ``PATH`` without ``cc`` / ``gcc``: the no-compiler install, which is
+    what the NumPy side is.
     """
     if config.getoption("--kernels") == "numpy":
         from repro.tensor import _edge

@@ -1,12 +1,10 @@
 """``repro.config`` is the one place ``src/`` reads the environment.
 
 Structural scans pin the boundary (one module touches ``os.environ``,
-two ``REPRO_*`` names exist, no mode argument keeps a ``None`` = "ask
-the environment" state); the rest validates the two surviving
-variables. ``REPRO_TRACE``'s spellings and ``REPRO_FABRIC_BACKEND``'s
-effect on ``run_spmd`` stay pinned where they always were
-(``tests/test_obs.py::TestEnvGate``,
-``tests/test_process_backend.py::TestBackendSelection``).
+one ``REPRO_*`` name exists, no mode argument keeps a ``None`` = "ask
+the environment" state); the rest validates the surviving variable.
+``REPRO_TRACE``'s spellings stay pinned where they always were
+(``tests/test_obs.py::TestEnvGate``).
 """
 
 from __future__ import annotations
@@ -14,6 +12,7 @@ from __future__ import annotations
 import ast
 import os
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -24,10 +23,6 @@ from tests import _spmd_programs as programs
 
 SRC = Path(__file__).parent.parent / "src"
 CONFIG = SRC / "repro" / "config.py"
-VARIABLES = {
-    "REPRO_TRACE": config.trace_enabled_default,
-    "REPRO_FABRIC_BACKEND": config.fabric_backend_default,
-}
 
 
 def _trees():
@@ -51,13 +46,22 @@ class TestOneBoundary:
         readers = [path for path, tree in _trees() if _reads_environment(tree)]
         assert readers == [CONFIG]
 
-    def test_exactly_two_variables_are_named_in_src(self):
+    def test_exactly_one_variable_is_named_in_src(self):
         names = set()
         for _, tree in _trees():
             for node in ast.walk(tree):
                 if isinstance(node, ast.Constant) and isinstance(node.value, str):
                     names.update(re.findall(r"REPRO_[A-Z_]+", node.value))
-        assert names == set(VARIABLES)
+        assert names == {config.TRACE_ENV_VAR}
+
+    def test_the_removed_fabric_variable_is_not_read(self, monkeypatch):
+        """``REPRO_FABRIC_BACKEND`` selected the process fabric; set to
+        anything at all it now changes nothing and cannot raise: ranks
+        are threads of this process, closures included."""
+        for value in ("process", "gpu"):
+            monkeypatch.setenv("REPRO_FABRIC_BACKEND", value)
+            result = run_spmd(2, lambda comm: threading.current_thread().name)
+            assert result.values == ["rank-0", "rank-1"]
 
     def test_config_is_a_leaf(self):
         for node in ast.walk(ast.parse(CONFIG.read_text())):
@@ -95,36 +99,26 @@ class TestOneBoundary:
 class TestValidation:
     @pytest.mark.parametrize("raw", [None, "", "  "])
     def test_unset_or_empty_means_default(self, monkeypatch, raw):
-        for name in VARIABLES:
-            if raw is None:
-                monkeypatch.delenv(name, raising=False)
-            else:
-                monkeypatch.setenv(name, raw)
+        if raw is None:
+            monkeypatch.delenv(config.TRACE_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(config.TRACE_ENV_VAR, raw)
         assert config.trace_enabled_default() is False
-        assert config.fabric_backend_default() == "thread"
-
-    @pytest.mark.parametrize("raw,expected", [
-        ("thread", "thread"), ("process", "process"), (" Process ", "process"),
-    ])
-    def test_fabric_backend_spellings(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(config.BACKEND_ENV_VAR, raw)
-        assert config.fabric_backend_default() == expected
 
     @pytest.mark.parametrize("name,bad", [
         ("REPRO_TRACE", "verbose"),
         ("REPRO_TRACE", "2"),
-        ("REPRO_FABRIC_BACKEND", "gpu"),
     ])
     def test_bad_value_raises_naming_the_variable(self, monkeypatch, name, bad):
         monkeypatch.setenv(name, bad)
         with pytest.raises(ValueError, match=name):
-            VARIABLES[name]()
+            config.trace_enabled_default()
 
     def test_trace_is_read_at_call_time(self, monkeypatch):
         """The e2e probe sets ``REPRO_TRACE`` around one traced unit:
         each ``run_spmd`` must see the value of the moment."""
         def traced():
-            result = run_spmd(2, programs.traced_span_work, backend="thread")
+            result = run_spmd(2, programs.traced_span_work)
             return [s.tracer is not None for s in result.stats.per_rank]
 
         monkeypatch.delenv(config.TRACE_ENV_VAR, raising=False)

@@ -271,9 +271,8 @@ class TestOneModelClass:
         collected = run_spmd(4, program, timeout=30).values[0]
         np.testing.assert_allclose(collected, reference, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_adam_in_a_rank_program_matches_the_trainer(
-        self, rng, small_adjacency, backend
+        self, rng, small_adjacency
     ):
         from repro.models import build_model, state_dict
         from repro.training import Adam, SoftmaxCrossEntropyLoss, Trainer
@@ -288,7 +287,7 @@ class TestOneModelClass:
         ).fit(small_adjacency, h, labels, epochs=3).losses
         trained = state_dict(single)
         values = run_spmd(
-            4, programs.dist_model_adam_train, timeout=60, backend=backend,
+            4, programs.dist_model_adam_train, timeout=60,
             a=small_adjacency, features=h, labels=labels, state=state,
         ).values
         for losses, final in values:
@@ -313,3 +312,41 @@ class TestOneModelClass:
                 "va", small_adjacency, rng.normal(size=(60, 5)),
                 rng.integers(0, 3, 60), 8, 3, loss="bogus", epochs=epochs,
             )
+
+    def test_wall_clock_recorded(self, rng, small_adjacency):
+        from repro.distributed.api import distributed_train
+
+        stats = distributed_train(
+            "va", small_adjacency, rng.normal(size=(60, 5)) * 0.1,
+            rng.integers(0, 3, 60), 8, 3, num_layers=2,
+        ).stats
+        assert all(s.wall_s > 0.0 for s in stats.per_rank)
+        assert stats.max_wall_s == max(s.wall_s for s in stats.per_rank)
+
+    def test_backend_keyword_accepts_only_thread(self, rng, small_adjacency):
+        """``benchmarks/e2e`` still passes ``backend="thread"``; nothing
+        else names a fabric any more."""
+        from repro.distributed.api import (
+            distributed_inference,
+            distributed_train,
+        )
+
+        h = rng.normal(size=(60, 5)) * 0.1
+        labels = rng.integers(0, 3, 60)
+        trained = distributed_train(
+            "va", small_adjacency, h, labels, 8, 3, num_layers=2,
+            backend="thread",
+        )
+        inferred = distributed_inference(
+            "va", small_adjacency, h, 8, 3, num_layers=2, backend="thread",
+        )
+        assert len(trained.losses) == 1 and inferred.output.shape == (60, 3)
+        for bad in ("process", None):
+            with pytest.raises(ValueError, match="process fabric was removed"):
+                distributed_train(
+                    "va", small_adjacency, h, labels, 8, 3, backend=bad
+                )
+            with pytest.raises(ValueError, match="process fabric was removed"):
+                distributed_inference(
+                    "va", small_adjacency, h, 8, 3, backend=bad
+                )

@@ -1,8 +1,8 @@
 """Tests for the observability subsystem (span tracing + metrics).
 
 Covers the tracer's null fast path and env gating, span nesting and
-counter deltas, picklability (the process-fabric contract), the
-metrics registry's exact quantiles, the Chrome trace-event emission
+counter deltas, picklability, the metrics registry's exact
+quantiles, the Chrome trace-event emission
 guarantees Perfetto relies on (sorted timestamps, matched and
 well-nested B/E pairs, one pid per rank), the flat profile's
 flop-reconciliation against standalone counters, run-level tracing
@@ -388,7 +388,7 @@ class TestOneDump:
                 for future in server.submit_many(list(range(20))):
                     future.result(timeout=30)
         snap = metrics().snapshot()
-        for name in ("pattern.registered", "expand_rows.hit",
+        for name in ("pattern.registered", "transpose_perm.hit",
                      "sampling_graph.hit", "sample.hop",
                      "sample.candidates", "serving.cache.hit",
                      "serving.requests"):

@@ -3,15 +3,14 @@
 Three guarantees are pinned here:
 
 * **Handle semantics** — ``isend``/``irecv`` completion handles behave
-  like MPI requests on both fabrics: out-of-order completion, legal
+  like MPI requests: out-of-order completion, legal
   double-wait returning the cached payload, and abort-aware waits.
   Deadlock reports must name the blocked ``(src, dst, tag)`` edge and
   list pending *isends* exactly like blocking sends.
 * **Traffic parity** — the ``i``-prefixed collectives and the
   overlapped layer schedules (the default) move byte-for-byte the same
   traffic as their blocking counterparts and the synchronous oracle
-  (``overlap=False``) and produce bit-identical numerics, on the thread
-  and the process backend alike.
+  (``overlap=False``) and produce bit-identical numerics.
 * **Wait accounting** — blocked-on-recv seconds land in
   ``CommStats.wait_s`` (per phase), in the trace, and in
   ``RunStats.breakdown()``; the cost model's overlap projection
@@ -31,11 +30,7 @@ from repro.graphs import synthetic_classification
 from repro.models import normalize_adjacency
 from repro.runtime.costmodel import CostModel
 from repro.runtime.executor import run_spmd
-from repro.runtime.fabric import (
-    ABORT_MESSAGE,
-    FabricTimeoutError,
-    ThreadFabric,
-)
+from repro.runtime.fabric import ABORT_MESSAGE, Fabric, FabricTimeoutError
 from repro.runtime.grid import square_grid
 from repro.runtime.stats import CommStats, RunStats
 from tests import _spmd_programs as programs
@@ -56,7 +51,7 @@ def adjacency_for(name, data):
     )
 
 
-def _train(problem, name, backend=None, epochs=3, **kwargs):
+def _train(problem, name, epochs=3, **kwargs):
     """``kwargs`` may carry ``overlap=False`` (the synchronous oracle);
     without it the run takes the production default."""
     np.seterr(over="ignore", invalid="ignore")
@@ -65,7 +60,7 @@ def _train(problem, name, backend=None, epochs=3, **kwargs):
     return distributed_train(
         name, a, h, problem.labels, 8, 4, num_layers=2, p=4,
         epochs=epochs, lr=0.005, mask=problem.train_mask, seed=5,
-        dtype=np.float64, backend=backend, **kwargs,
+        dtype=np.float64, **kwargs,
     )
 
 
@@ -83,7 +78,7 @@ def _assert_same_traffic(stats_a, stats_b):
 # ---------------------------------------------------------------------------
 class TestHandleSemantics:
     def test_send_handle_is_born_complete(self):
-        fabric = ThreadFabric(2)
+        fabric = Fabric(2)
         handle = fabric.isend(0, 1, "t", np.ones(3))
         assert handle.done
         assert handle.test()
@@ -91,7 +86,7 @@ class TestHandleSemantics:
         assert np.all(fabric.get(0, 1, "t") == 1.0)
 
     def test_out_of_order_completion(self):
-        fabric = ThreadFabric(1)
+        fabric = Fabric(1)
         first = fabric.irecv(0, 0, "a")
         second = fabric.irecv(0, 0, "b")
         assert not first.test() and not second.test()
@@ -103,7 +98,7 @@ class TestHandleSemantics:
         assert np.all(first.wait() == 1.0)
 
     def test_double_wait_returns_cached_payload(self):
-        fabric = ThreadFabric(1)
+        fabric = Fabric(1)
         fabric.put(0, 0, "t", np.arange(4.0))
         handle = fabric.irecv(0, 0, "t")
         value = handle.wait()
@@ -112,7 +107,7 @@ class TestHandleSemantics:
         assert handle.test()
 
     def test_wait_after_abort_raises(self):
-        fabric = ThreadFabric(1, timeout=0.2)
+        fabric = Fabric(1, timeout=0.2)
         handle = fabric.irecv(0, 0, "never")
         fabric.abort()
         with pytest.raises(FabricTimeoutError, match=ABORT_MESSAGE):
@@ -121,7 +116,7 @@ class TestHandleSemantics:
             handle.test()
 
     def test_completed_handle_survives_abort(self):
-        fabric = ThreadFabric(1, timeout=0.2)
+        fabric = Fabric(1, timeout=0.2)
         fabric.put(0, 0, "t", np.ones(2))
         handle = fabric.irecv(0, 0, "t")
         value = handle.wait()
@@ -129,7 +124,7 @@ class TestHandleSemantics:
         assert handle.wait() is value
 
     def test_deadlock_report_names_edge_and_pending_isend(self):
-        fabric = ThreadFabric(2, timeout=0.2)
+        fabric = Fabric(2, timeout=0.2)
         fabric.isend(1, 0, "decoy", np.ones(3))
         with pytest.raises(FabricTimeoutError) as err:
             fabric.get(1, 0, "missing", timeout=0.2)
@@ -138,10 +133,9 @@ class TestHandleSemantics:
         assert "likely deadlock" in message
         assert "tag='decoy'" in message  # the undelivered isend
 
-    def test_isend_deadlock_reported_on_process_backend(self):
+    def test_isend_deadlock_reported_in_rank_order(self):
         with pytest.raises(RuntimeError, match="timed out|deadlock") as err:
-            run_spmd(2, programs.isend_then_deadlock, backend="process",
-                     timeout=2.0)
+            run_spmd(2, programs.isend_then_deadlock, timeout=2.0)
         message = str(err.value)
         # Both ranks time out together; whichever timer fires first,
         # the report names both blocked edges in rank order.
@@ -160,7 +154,7 @@ class TestHandleSemantics:
             assert handle.done and handle.test()
             return 0.0
 
-        result = run_spmd(2, program, backend="thread")
+        result = run_spmd(2, program)
         assert result.values[0] == 8.0
 
     def test_communicator_irecv_rejects_bad_source(self):
@@ -169,7 +163,7 @@ class TestHandleSemantics:
                 comm.irecv(comm.size)
             return True
 
-        assert all(run_spmd(2, program, backend="thread").values)
+        assert all(run_spmd(2, program).values)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +209,8 @@ def _collective_suite(comm, nonblocking: bool):
 class TestNonblockingCollectives:
     @pytest.mark.parametrize("p", [1, 4])
     def test_results_and_traffic_match_blocking(self, p):
-        blocking = run_spmd(
-            p, lambda comm: _collective_suite(comm, False), backend="thread"
-        )
-        handles = run_spmd(
-            p, lambda comm: _collective_suite(comm, True), backend="thread"
-        )
+        blocking = run_spmd(p, lambda comm: _collective_suite(comm, False))
+        handles = run_spmd(p, lambda comm: _collective_suite(comm, True))
         assert blocking.values == handles.values
         _assert_same_traffic(blocking.stats, handles.stats)
 
@@ -230,15 +220,7 @@ class TestNonblockingCollectives:
             first = handle.wait()
             return first is handle.wait()
 
-        assert all(run_spmd(4, program, backend="thread").values)
-
-    def test_process_backend_agrees_with_thread(self):
-        thread = run_spmd(4, programs.nonblocking_collective_mix,
-                          backend="thread")
-        proc = run_spmd(4, programs.nonblocking_collective_mix,
-                        backend="process")
-        assert thread.values == proc.values
-        _assert_same_traffic(thread.stats, proc.stats)
+        assert all(run_spmd(4, program).values)
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +263,6 @@ class TestOverlapBitParity:
         assert np.array_equal(sync.output, ovl.output)
         _assert_same_traffic(sync.stats, ovl.stats)
 
-    @pytest.mark.parametrize("name", MODELS)
-    def test_thread_process_parity_under_overlap(self, problem, name):
-        """Overlapped schedule: both backends, bit-identical numerics."""
-        thread = _train(problem, name, overlap=True, backend="thread",
-                        epochs=2)
-        proc = _train(problem, name, overlap=True, backend="process",
-                      epochs=2)
-        assert thread.losses == proc.losses
-        assert np.array_equal(thread.output, proc.output)
-        _assert_same_traffic(thread.stats, proc.stats)
-
 
 def _deferred_allreduce(comm, **run_kwargs):
     """Whether an allreduce's result is in ctx before its first consumer."""
@@ -309,12 +280,11 @@ def _deferred_allreduce(comm, **run_kwargs):
 
 class TestOverlapIsTheDefault:
     def test_default_completes_a_transfer_at_first_use(self):
-        result = run_spmd(4, _deferred_allreduce, backend="thread")
+        result = run_spmd(4, _deferred_allreduce)
         assert result.values == [(False, 5.0)] * 4
 
     def test_sync_oracle_completes_it_in_the_initiating_step(self):
-        result = run_spmd(4, _deferred_allreduce, backend="thread",
-                          overlap=False)
+        result = run_spmd(4, _deferred_allreduce, overlap=False)
         assert result.values == [(True, 5.0)] * 4
 
 
@@ -324,7 +294,7 @@ class TestOverlapIsTheDefault:
 class TestWaitBreakdown:
     def test_blocked_recv_charges_wait_s(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")
-        result = run_spmd(2, programs.waity_pingpong, backend="thread")
+        result = run_spmd(2, programs.waity_pingpong)
         blocked = result.stats.per_rank[0]
         sender = result.stats.per_rank[1]
         assert blocked.wait_s >= 0.1
@@ -340,7 +310,7 @@ class TestWaitBreakdown:
         ) >= 0.1
 
     def test_run_stats_breakdown_and_summary(self):
-        result = run_spmd(2, programs.waity_pingpong, backend="thread")
+        result = run_spmd(2, programs.waity_pingpong)
         stats = result.stats
         assert stats.max_wait_s >= 0.1
         assert stats.total_wait_s >= stats.max_wait_s
@@ -357,11 +327,6 @@ class TestWaitBreakdown:
         assert rows[0]["wait_fraction"] > 0.5
         assert rows[1]["wait_fraction"] == 0.0
         assert rows[0]["wait_by_phase"].get("stall", 0.0) >= 0.1
-
-    def test_process_backend_reports_wait_s(self):
-        result = run_spmd(2, programs.waity_pingpong, backend="process")
-        assert result.stats.per_rank[0].wait_s >= 0.1
-        assert result.stats.max_wall_s > 0.0
 
     def test_overlap_does_not_change_comm_words(self, problem):
         """The headline invariant: overlap moves wait time, not bytes."""

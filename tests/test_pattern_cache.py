@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.graphs import erdos_renyi, synthetic_classification
 from repro.graphs.prep import prepare_adjacency
-from repro.models import gat_model
+from repro.models import build_model, gat_model
 from repro.obs.metrics import metrics
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.structure import lookup_structure
@@ -259,7 +259,7 @@ class TestDegreeStats:
 class TestAmortization:
     """Structural quantities are computed at most once per pattern."""
 
-    def test_gat_training_computes_structure_once(self):
+    def test_gat_training_computes_structure_once(self, kernels_backend):
         data = synthetic_classification(n=80, feature_dim=8, seed=1)
         a = prepare_adjacency(
             erdos_renyi(80, 600, seed=2), dtype=np.float64
@@ -288,8 +288,26 @@ class TestAmortization:
         # … while the hot path keeps hitting the caches. (There is no
         # ``pattern.hit`` assertion: same-pattern constructors go through
         # ``_from_structure`` and skip the registry lookup entirely.)
-        assert delta("expand_rows.hit") > 0
+        # The COO row vector is the NumPy kernels' gather index; the
+        # compiled row loops never ask for it.
+        assert (delta("expand_rows.hit") > 0) == (kernels_backend == "numpy")
         assert delta("transpose_perm.hit") > 0
+
+    @pytest.mark.parametrize("name", ["agnn", "gat"])
+    def test_cold_pattern_builds_no_rows_on_c(self, name, kernels_backend):
+        """Every sampled or served block is a cold pattern: a forward
+        and backward over one builds the ``nnz``-long row vector once
+        where NumPy gathers through it, and not at all on the C side."""
+        a = prepare_adjacency(erdos_renyi(70, 400, seed=9), dtype=np.float64)
+        h = np.random.default_rng(1).normal(size=(70, 6))
+        model = build_model(name, 6, 8, 3, num_layers=2, seed=0,
+                            dtype=np.float64)
+        counter = metrics().counter("expand_rows.computed")
+        base = counter.value
+        out = model.forward(a, h, training=True)
+        assert counter.value - base == (kernels_backend == "numpy")
+        model.backward(np.ones_like(out) / out.size)
+        assert counter.value - base == (kernels_backend == "numpy")
 
     def test_first_epoch_computes_at_most_once_per_pattern(self):
         a = prepare_adjacency(erdos_renyi(50, 300, seed=5), dtype=np.float64)

@@ -1,5 +1,7 @@
 """Tests for the simulated MPI runtime: fabric, collectives, grid, cost."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from repro.runtime import (
     run_spmd,
     square_grid,
 )
-from repro.runtime.fabric import FabricTimeoutError
+from repro.runtime.fabric import FabricTimeoutError, format_timeout
+from tests import _spmd_programs as programs
 
 P_GRID = [1, 2, 3, 4, 5, 8]
 
@@ -41,6 +44,33 @@ class TestFabric:
         fabric = Fabric(2)
         with pytest.raises(ValueError):
             fabric.put(0, 5, "t", 1)
+
+    def test_timeout_message_names_edge_and_pending(self):
+        fabric = Fabric(2, timeout=0.1)
+        fabric.put(1, 0, "decoy", np.ones(3))
+        with pytest.raises(FabricTimeoutError) as excinfo:
+            fabric.get(1, 0, "missing")
+        message = str(excinfo.value)
+        assert "src=1, dst=0, tag='missing'" in message
+        assert "1 undelivered message(s)" in message
+        assert "tag='decoy'" in message
+
+    def test_format_timeout_no_pending(self):
+        message = format_timeout(2, 0, "t", 5.0, {})
+        assert "sender never sent" in message
+
+    def test_format_timeout_truncates_mailbox_list(self):
+        pending = {(i, 0, f"tag{i}"): i + 1 for i in range(12)}
+        message = format_timeout(9, 0, "t", 5.0, pending)
+        assert "12 mailbox(es)" in message
+        assert "and 4 more mailboxes" in message
+
+    @pytest.mark.parametrize("timeout", [float("nan"), 0, -1, float("inf")])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        """NaN never expires (the guard is gone); zero or negative calls
+        an unfinished program a deadlock."""
+        with pytest.raises(ValueError, match="finite positive"):
+            Fabric(2, timeout=timeout)
 
 
 class TestCollectives:
@@ -169,6 +199,47 @@ class TestExecutor:
     def test_return_values_ordered(self):
         result = run_spmd(4, lambda comm: comm.rank * 11, timeout=10)
         assert result.values == [0, 11, 22, 33]
+
+    def test_collective_checksums_match(self):
+        result = run_spmd(4, programs.collective_roundtrip, timeout=60.0,
+                          n=30_000)
+        # allreduce of rank+1 is 1+2+3+4; allgather of 10*rank adds 60.
+        assert result.values == [70.0] * 4
+
+    def test_timeout_names_edge_and_pending(self):
+        with pytest.raises(RuntimeError) as excinfo:
+            run_spmd(1, programs.self_deadlock, timeout=1.0)
+        message = str(excinfo.value)
+        assert "timed out" in message
+        assert "missing" in message  # the blocked tag
+        assert "decoy" in message    # the undelivered mailbox
+
+    @pytest.mark.parametrize("timeout", [float("nan"), 0, -1])
+    def test_bad_timeout_rejected_before_any_rank_starts(self, timeout):
+        started = []
+        with pytest.raises(ValueError, match="finite positive"):
+            run_spmd(2, lambda comm: started.append(comm.rank),
+                     timeout=timeout)
+        assert started == []
+
+    def test_failed_run_leaves_no_rank_thread(self):
+        def live_ranks():
+            return [t.name for t in threading.enumerate()
+                    if t.name.startswith("rank-") and t.is_alive()]
+
+        with pytest.raises(RuntimeError, match="rank 1 failed: ValueError"):
+            run_spmd(4, programs.crash_on_rank_one, timeout=30.0)
+        assert live_ranks() == []
+        with pytest.raises(RuntimeError) as excinfo:
+            run_spmd(2, programs.deadlock_rank_zero, timeout=2.0)
+        message = str(excinfo.value)
+        # Whichever timer fired first, both stuck ranks, in rank order.
+        assert "stuck ranks in rank order" in message
+        assert (message.index("rank 0: recv(src=1, dst=0")
+                < message.index("rank 1: recv(src=0, dst=1"))
+        assert message.index("missing") < message.index("reply-never-sent")
+        assert "decoy" in message  # rank 1's send nobody received
+        assert live_ranks() == []
 
 
 class TestGrid:

@@ -26,11 +26,8 @@ class TestTraceRecording:
         assert all(s.tracer is None for s in result.stats.per_rank)
 
     def test_records_sends_with_phases(self, monkeypatch):
-        # The process fabric's twin of this test is
-        # test_process_backend.py::TestTracePlumbing.
         monkeypatch.setenv("REPRO_TRACE", "1")
-        result = run_spmd(2, programs.traced_sends, backend="thread",
-                          timeout=10)
+        result = run_spmd(2, programs.traced_sends, timeout=10)
         for stats in result.stats.per_rank:
             sends = _sends(stats.tracer)
             # Every message, in the order it left, under the phase that
@@ -89,20 +86,18 @@ class TestDiffTraces:
         rank-asymmetric by design: roots and leaves send different
         counts.)"""
         monkeypatch.setenv("REPRO_TRACE", "1")
-        for backend in ("thread", "process"):
-            result = run_spmd(4, programs.ring_collectives, backend=backend,
-                              timeout=60.0)
-            tracers = [s.tracer for s in result.stats.per_rank]
-            assert _sends(tracers[0])
-            for other in tracers[1:]:
-                assert diff_sends(tracers[0], other) == "traces agree"
+        result = run_spmd(4, programs.ring_collectives, timeout=60.0)
+        tracers = [s.tracer for s in result.stats.per_rank]
+        assert _sends(tracers[0])
+        for other in tracers[1:]:
+            assert diff_sends(tracers[0], other) == "traces agree"
 
     def test_rank_on_another_code_path_is_named(self, monkeypatch):
         """Rank 2 labels its second round differently: the diff against
         any other rank stops at that round's first send."""
         monkeypatch.setenv("REPRO_TRACE", "1")
-        result = run_spmd(4, programs.ring_collectives, backend="thread",
-                          timeout=10, stray_rank=2)
+        result = run_spmd(4, programs.ring_collectives, timeout=10,
+                          stray_rank=2)
         tracers = [s.tracer for s in result.stats.per_rank]
         assert diff_sends(tracers[0], tracers[1]) == "traces agree"
         setup_sends = sum(

@@ -87,10 +87,9 @@ def scramble_if_skewed(
     :meth:`~repro.tensor.structure.PatternStructure.degree_stats` and
     returns a Graph500-style scramble permutation when the row-length
     coefficient of variation exceeds ``cv_threshold`` — the regime
-    where hub clustering unbalances 2D blocks (and where the megakernel
-    planner likewise switches to edge-balanced sweeps). Near-regular
-    graphs return ``None``: scrambling them costs cache locality for no
-    balance gain.
+    where hub clustering unbalances 2D blocks. Near-regular graphs
+    return ``None``: scrambling them costs cache locality for no balance
+    gain.
     """
     stats = a.degree_stats()
     if stats.cv <= cv_threshold:

@@ -188,8 +188,8 @@ class Tracer:
         """Attach attributes to the innermost open span (no-op if none).
 
         Lets a function annotated by an enclosing span record facts it
-        only learns mid-body (e.g. the :class:`SweepPlan` the
-        megakernel resolves after its span opened).
+        only learns mid-body (e.g. the ``backend=`` a kernel resolves
+        after its span opened).
         """
         if self._open:
             self._open[-1].annotate(**attrs)

@@ -1,5 +1,6 @@
-/* Compiled edge kernels: SDDMM (dot / add / cosine) and the masked row
- * softmax with its backward, as CSR row loops.
+/* Compiled edge kernels: SDDMM (dot / add / cosine), the masked row
+ * softmax with its backward, and the fused attention sweep (all three in
+ * one pass, forward and backward), as CSR row loops.
  *
  * Built on first use and bound through ctypes by _edge.py; the NumPy
  * code in kernels.py / segment.py is the oracle and the no-compiler
@@ -17,9 +18,10 @@
  *
  * Callers validate shapes, dtypes and contiguity before a pointer gets
  * here. Column indices are trusted (CSRMatrix checks them on
- * construction); a raw row pointer handed to the softmax entries is not,
- * so those check each row's bounds and return 1 instead of reading
- * outside the value array. Every entry returns 0 on success.
+ * construction); a raw row pointer handed to the softmax or the fused
+ * attention entries is not, so those check each row's bounds and return 1
+ * instead of reading outside the value array. Every entry returns 0 on
+ * success.
  */
 #ifndef T
 
@@ -27,6 +29,8 @@
 #include <stdint.h>
 
 #define LANES 8
+/* Score kinds of the fused attention entries (megakernel.PSI_KINDS order). */
+enum { DOT, ADD, COSINE };
 #define CAT_(a, b) a##_##b
 #define CAT(a, b) CAT_(a, b)
 #define FN(name) CAT(name, SUFFIX)
@@ -250,6 +254,270 @@ int FN(masked_row_softmax_backward)(int64_t n_rows, const int64_t *indptr,
                                     out + lo * heads + h, hi - lo, heads);
     }
     return 0;
+}
+
+/* ---- Fused attention: SDDMM -> masked row softmax -> SpMM, one row sweep.
+ *
+ * `kind` is DOT (src = x_src (n, H, k), dst = x_dst (m, H, k)), ADD (src = u
+ * (n, H), dst = v (m, H), coef = the LeakyReLU slope; k unused) or COSINE
+ * (DOT's operands, norms (n, H) read at both endpoints, coef = beta; a zero
+ * norm product scores 0). The score is multiplied by the edge's `mask` value
+ * before the softmax. Per-edge values live in `scratch`, a few vectors of
+ * `max_row * heads`: a row longer than `max_row` is refused like a bad row
+ * pointer. Nothing edge-sized is read or written. */
+
+static inline void FN(axpy)(T a, const T *restrict x, T *restrict y, int64_t k)
+{
+    for (int64_t j = 0; j < k; j++)
+        y[j] += a * x[j];
+}
+
+/* softmax_row in place, reporting the row's shift and (zero-repaired) sum. */
+static inline void FN(softmax_row_stats)(T *v, int64_t deg, int64_t stride,
+                                         T *shift, T *denom)
+{
+    T m = v[0];
+    for (int64_t i = 1; i < deg; i++) {
+        const T a = v[i * stride];
+        m = (a > m || a != a) ? a : m;
+    }
+    T acc[LANES] = {0};
+    for (int64_t i = 0; i < deg; i++) {
+        const T ex = EXP(v[i * stride] - m);
+        v[i * stride] = ex;
+        acc[i % LANES] += ex;
+    }
+    T sum = LANE_SUM(acc);
+    if (sum == 0)
+        sum = 1;
+    for (int64_t i = 0; i < deg; i++)
+        v[i * stride] /= sum;
+    *shift = m;
+    *denom = sum;
+}
+
+/* Masked scores of one row into s (deg, heads). The backward also keeps, per
+ * edge, the pre-activation logit (ADD) or the norm product (COSINE) in `aux`
+ * and the unscaled cosine in `aux2`; the forward passes NULL for both. */
+static inline void FN(score_row)(int kind, int64_t r, int64_t lo, int64_t hi,
+                                 int64_t last, const int64_t *indices,
+                                 const T *mask, const T *src, const T *dst,
+                                 const T *norms, int64_t heads, int64_t k,
+                                 T coef, T *restrict s, T *restrict aux,
+                                 T *restrict aux2)
+{
+    const int64_t width = kind == ADD ? heads : heads * k;
+    const T *sr = src + r * width;
+    for (int64_t e = lo; e < hi; e++) {
+        const int64_t c = indices[e], i = (e - lo) * heads;
+        const T *dc = dst + c * width;
+        if (kind != ADD)
+            PREFETCH_ROW(dst + indices[e + AHEAD < last ? e + AHEAD : last] * width);
+        for (int64_t h = 0; h < heads; h++) {
+            T v;
+            if (kind == ADD) {
+                const T pre = sr[h] + dc[h];
+                v = pre > 0 ? pre : coef * pre;
+                if (aux)
+                    aux[i + h] = pre;
+            } else {
+                v = FN(dot)(sr + h * k, dc + h * k, k);
+                if (kind == COSINE) {
+                    const T den = norms[r * heads + h] * norms[c * heads + h];
+                    v = den == 0 ? 0 : v / den;
+                    if (aux) {
+                        aux[i + h] = den;
+                        aux2[i + h] = v;
+                    }
+                    v *= coef;
+                }
+            }
+            s[i + h] = v * mask[e];
+        }
+    }
+}
+
+static inline int FN(attention_fwd_rows)(
+    int kind, int64_t n_rows, const int64_t *indptr, const int64_t *indices,
+    int64_t nnz, const T *mask, int softmax, const T *src, const T *dst,
+    const T *norms, int64_t heads, int64_t k, T coef, const T *y, int64_t kp,
+    int64_t max_row, T *scratch, T *shift, T *denom, T *restrict z)
+{
+    const int64_t yw = heads * kp, last = nnz - 1;
+    for (int64_t r = 0; r < n_rows; r++) {
+        const int64_t lo = indptr[r], hi = indptr[r + 1];
+        if (lo < 0 || hi < lo || hi > nnz || hi - lo > max_row)
+            return 1;
+        T *zr = z + r * yw;
+        for (int64_t j = 0; j < yw; j++)
+            zr[j] = 0;
+        if (softmax)
+            for (int64_t h = 0; h < heads; h++) {
+                shift[r * heads + h] = 0;
+                denom[r * heads + h] = 1;
+            }
+        if (hi == lo)
+            continue;
+        FN(score_row)(kind, r, lo, hi, last, indices, mask, src, dst, norms,
+                      heads, k, coef, scratch, 0, 0);
+        if (softmax)
+            for (int64_t h = 0; h < heads; h++)
+                FN(softmax_row_stats)(scratch + h, hi - lo, heads,
+                                      shift + r * heads + h,
+                                      denom + r * heads + h);
+        for (int64_t e = lo; e < hi; e++) {
+            const T *yc = y + indices[e] * yw, *p = scratch + (e - lo) * heads;
+            PREFETCH_ROW(y + indices[e + AHEAD < last ? e + AHEAD : last] * yw);
+            for (int64_t h = 0; h < heads; h++)
+                FN(axpy)(p[h], yc + h * kp, zr + h * kp, kp);
+        }
+    }
+    return 0;
+}
+
+/* z[r] = sum_e psi_e y[c] with psi the (softmaxed) masked scores; shift and
+ * denom (n, heads) receive the softmax statistics the backward recomputes
+ * psi from (0 and 1 on an empty row), and are not touched without softmax. */
+int FN(attention_forward)(int64_t n_rows, const int64_t *indptr,
+                          const int64_t *indices, int64_t nnz, const T *mask,
+                          int64_t kind, int64_t softmax, const T *src,
+                          const T *dst, const T *norms, int64_t heads,
+                          int64_t k, double coef, const T *y, int64_t kp,
+                          int64_t max_row, T *scratch, T *shift, T *denom,
+                          T *z)
+{
+#define FWD(KIND, HEADS) \
+    FN(attention_fwd_rows)(KIND, n_rows, indptr, indices, nnz, mask, \
+                           softmax != 0, src, dst, norms, HEADS, k, (T)coef, \
+                           y, kp, max_row, scratch, shift, denom, z)
+    switch (kind) {
+    case DOT: return heads == 1 ? FWD(DOT, 1) : FWD(DOT, heads);
+    case ADD: return heads == 1 ? FWD(ADD, 1) : FWD(ADD, heads);
+    case COSINE: return heads == 1 ? FWD(COSINE, 1) : FWD(COSINE, heads);
+    }
+    return 1;
+#undef FWD
+}
+
+static inline int FN(attention_bwd_rows)(
+    int kind, int64_t n_rows, const int64_t *indptr, const int64_t *indices,
+    int64_t nnz, const T *mask, int softmax, const T *src, const T *dst,
+    const T *norms, int64_t heads, int64_t k, T coef, const T *y, const T *dz,
+    int64_t kp, const T *shift, const T *denom, int64_t max_row, T *scratch,
+    T *restrict d_y, T *restrict d_dst, T *restrict d_norm_row,
+    T *restrict d_norm_col, T *restrict d_src)
+{
+    const int64_t yw = heads * kp, last = nnz - 1;
+    const int64_t width = kind == ADD ? heads : heads * k;
+    T *p = scratch, *d = p + max_row * heads, *aux = d + max_row * heads,
+      *aux2 = aux + max_row * heads;
+    for (int64_t r = 0; r < n_rows; r++) {
+        const int64_t lo = indptr[r], hi = indptr[r + 1], deg = hi - lo;
+        if (lo < 0 || hi < lo || hi > nnz || deg > max_row)
+            return 1;
+        T *dsr = d_src + r * width;
+        for (int64_t j = 0; j < width; j++)
+            dsr[j] = 0;
+        if (kind == COSINE)
+            for (int64_t h = 0; h < heads; h++)
+                d_norm_row[r * heads + h] = 0;
+        if (deg == 0)
+            continue;
+        const T *dzr = dz + r * yw, *sr = src + r * width;
+        /* The row's masked scores again, and dpsi_e = dz[r] . y[c]. */
+        FN(score_row)(kind, r, lo, hi, last, indices, mask, src, dst, norms,
+                      heads, k, coef, p, aux, aux2);
+        for (int64_t e = lo; e < hi; e++) {
+            const T *yc = y + indices[e] * yw;
+            PREFETCH_ROW(y + indices[e + AHEAD < last ? e + AHEAD : last] * yw);
+            for (int64_t h = 0; h < heads; h++)
+                d[(e - lo) * heads + h] = FN(dot)(dzr + h * kp, yc + h * kp, kp);
+        }
+        /* Score gradient per head: psi from the saved statistics and its
+         * softmax backward, the mask, then the score function's own
+         * derivative; row-side scalars reduce here. */
+        for (int64_t h = 0; h < heads; h++) {
+            if (softmax) {
+                const T sh = shift[r * heads + h], dn = denom[r * heads + h];
+                T acc[LANES] = {0};
+                for (int64_t i = 0; i < deg; i++) {
+                    const T ps = EXP(p[i * heads + h] - sh) / dn;
+                    p[i * heads + h] = ps;
+                    acc[i % LANES] += ps * d[i * heads + h];
+                }
+                const T inner = LANE_SUM(acc);
+                for (int64_t i = 0; i < deg; i++)
+                    d[i * heads + h] = p[i * heads + h] * (d[i * heads + h] - inner);
+            }
+            T acc[LANES] = {0};
+            for (int64_t i = 0; i < deg; i++) {
+                const int64_t ih = i * heads + h;
+                T g = d[ih] * mask[lo + i];
+                if (kind == ADD) {
+                    g = aux[ih] > 0 ? g : g * coef;
+                    acc[i % LANES] += g;
+                } else if (kind == COSINE) {
+                    g = aux[ih] == 0 ? 0 : g * coef / aux[ih];
+                    aux2[ih] = -(g * aux2[ih]); /* d(norm product) */
+                    acc[i % LANES] += aux2[ih] * norms[indices[lo + i] * heads + h];
+                }
+                d[ih] = g;
+            }
+            if (kind == ADD)
+                dsr[h] = LANE_SUM(acc);
+            else if (kind == COSINE)
+                d_norm_row[r * heads + h] = LANE_SUM(acc);
+        }
+        /* Column-side exits scatter; dRow accumulates in edge order. */
+        for (int64_t e = lo; e < hi; e++) {
+            const int64_t c = indices[e], i = (e - lo) * heads;
+            const int64_t ahead = indices[e + AHEAD < last ? e + AHEAD : last];
+            PREFETCH_ROW(d_y + ahead * yw);
+            if (kind != ADD) {
+                PREFETCH_ROW(dst + ahead * width);
+                PREFETCH_ROW(d_dst + ahead * width);
+            }
+            for (int64_t h = 0; h < heads; h++) {
+                FN(axpy)(p[i + h], dzr + h * kp, d_y + c * yw + h * kp, kp);
+                if (kind == ADD) {
+                    d_dst[c * heads + h] += d[i + h];
+                    continue;
+                }
+                FN(axpy)(d[i + h], dst + c * width + h * k, dsr + h * k, k);
+                FN(axpy)(d[i + h], sr + h * k, d_dst + c * width + h * k, k);
+                if (kind == COSINE)
+                    d_norm_col[c * heads + h] += norms[r * heads + h] * aux2[i + h];
+            }
+        }
+    }
+    return 0;
+}
+
+/* Every gradient exit of attention_forward in one row pass. Row-side exits
+ * are written whole: d_src (dU, or dRow) and d_norm_row (COSINE). Column-side
+ * ones are scattered into arrays the caller zeroed: d_y (m, heads, kp), d_dst
+ * (dV, or dCol) and d_norm_col (COSINE). `scratch` holds four vectors. */
+int FN(attention_backward)(int64_t n_rows, const int64_t *indptr,
+                           const int64_t *indices, int64_t nnz, const T *mask,
+                           int64_t kind, int64_t softmax, const T *src,
+                           const T *dst, const T *norms, int64_t heads,
+                           int64_t k, double coef, const T *y, const T *dz,
+                           int64_t kp, const T *shift, const T *denom,
+                           int64_t max_row, T *scratch, T *d_y, T *d_dst,
+                           T *d_norm_row, T *d_norm_col, T *d_src)
+{
+#define BWD(KIND, HEADS) \
+    FN(attention_bwd_rows)(KIND, n_rows, indptr, indices, nnz, mask, \
+                           softmax != 0, src, dst, norms, HEADS, k, (T)coef, \
+                           y, dz, kp, shift, denom, max_row, scratch, d_y, \
+                           d_dst, d_norm_row, d_norm_col, d_src)
+    switch (kind) {
+    case DOT: return heads == 1 ? BWD(DOT, 1) : BWD(DOT, heads);
+    case ADD: return heads == 1 ? BWD(ADD, 1) : BWD(ADD, heads);
+    case COSINE: return heads == 1 ? BWD(COSINE, 1) : BWD(COSINE, heads);
+    }
+    return 1;
+#undef BWD
 }
 
 #endif

@@ -44,6 +44,14 @@ _SIGNATURES = {
     "sddmm_cosine": (_I, _P, _P, _P, _P, _I, _I, ctypes.c_double, _P, _P),
     "segment_softmax": (_I, _P, _I, _P, _I, _P),
     "masked_row_softmax_backward": (_I, _P, _I, _P, _P, _I, _P),
+    "attention_forward": (
+        _I, _P, _P, _I, _P, _I, _I, _P, _P, _P, _I, _I, ctypes.c_double, _P, _I,
+        _I, _P, _P, _P, _P,
+    ),
+    "attention_backward": (
+        _I, _P, _P, _I, _P, _I, _I, _P, _P, _P, _I, _I, ctypes.c_double, _P, _P,
+        _I, _P, _P, _I, _P, _P, _P, _P, _P, _P,
+    ),
 }
 _SUFFIX = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _LOCK = threading.Lock()
@@ -122,9 +130,11 @@ def run(fn, out_shape: tuple[int, ...], dtype: np.dtype, *args) -> np.ndarray:
     """``fn(*args, out)`` into a fresh ``out`` of the operands' dtype.
 
     Array arguments cross as addresses of C-contiguous data (copied if
-    they were not), ints, floats and ``None`` as they are. The caller has
-    checked every shape; the one thing left to C is a raw row pointer,
-    whose refusal (status 1) is raised here.
+    they were not), ints, floats and ``None`` as they are; an entry with
+    more results than ``out`` writes the rest into fresh C-contiguous
+    arrays passed among ``args``. The caller has checked every shape;
+    the one thing left to C is a raw row pointer, whose refusal
+    (status 1) is raised here.
     """
     keep = [np.ascontiguousarray(a) if isinstance(a, np.ndarray) else a for a in args]
     out = np.empty(out_shape, dtype)
@@ -132,6 +142,6 @@ def run(fn, out_shape: tuple[int, ...], dtype: np.dtype, *args) -> np.ndarray:
           out.ctypes.data):
         raise ValueError(
             f"{fn.__name__[:-4]}: row pointer is not non-decreasing within "
-            f"[0, {out.shape[0]}]"
+            "the stored entries"
         )
     return out

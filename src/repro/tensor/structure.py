@@ -51,12 +51,11 @@ __all__ = [
 class DegreeStats:
     """Summary statistics of a pattern's row lengths (out-degrees).
 
-    The planner input of the fused megakernel
-    (:mod:`repro.tensor.megakernel`): the coefficient of variation
-    separates near-uniform patterns (fixed row blocks suffice) from
-    skewed/power-law ones (edge-balanced blocks needed), and the
-    histogram makes the shape of the tail inspectable — useful on its
-    own for the reordering diagnostics in :mod:`repro.graphs.reorder`.
+    ``max`` sizes the per-row scratch of the fused row sweep
+    (:mod:`repro.tensor.megakernel`); the coefficient of variation
+    separates near-uniform patterns from skewed/power-law ones, and the
+    histogram makes the shape of the tail inspectable — the reordering
+    diagnostics of :mod:`repro.graphs.reorder`.
     """
 
     n_rows: int
@@ -95,7 +94,6 @@ class PatternStructure:
         "_scipy_proto",
         "_head_cache",
         "_degree_stats",
-        "_sweep_plans",
         "_sampling_graph",
         "__weakref__",
     )
@@ -113,7 +111,6 @@ class PatternStructure:
         self._scipy_proto = None
         self._head_cache: dict[int, list] = {}
         self._degree_stats: DegreeStats | None = None
-        self._sweep_plans: dict = {}
         #: Interned :class:`repro.tensor.sampling_graph.SamplingGraph`
         #: (built lazily by ``sampling_graph_of``; structural only, so
         #: it is shared by every same-pattern matrix like the rest of
@@ -160,10 +157,9 @@ class PatternStructure:
     def degree_stats(self) -> DegreeStats:
         """Row-length summary statistics (cached per pattern).
 
-        Derived once from :meth:`row_lengths`; the megakernel planner
-        reads these on every plan computation, so the warm path is a
-        single attribute load. Events: ``degree_stats.computed`` /
-        ``degree_stats.hit``.
+        Derived once from :meth:`row_lengths`; the megakernel reads
+        ``max`` on every call, so the warm path is a single attribute
+        load. Events: ``degree_stats.computed`` / ``degree_stats.hit``.
         """
         out = self._degree_stats
         if out is None:

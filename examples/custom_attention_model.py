@@ -7,14 +7,16 @@ This example does exactly that, twice, on the same ``AttentionLayer``
 class the built-in VA/AGNN/GAT/GCN models run on:
 
 1. A *temperature-scaled dot-product* attention (a softmax'd VA — the
-   transformer scoring rule on graphs), with a hand-written VJP, so the
-   custom model is fully trainable.
+   transformer scoring rule on graphs). It *declares* its score kind,
+   so the layer runs it as one fused SDDMM → softmax → SpMM sweep; the
+   only code written here is dense: the operand prep ``H / T`` and its
+   two-term chain rule. The custom model is fully trainable.
 2. A *max-pooling attention* variant whose aggregation runs over the
-   tropical max-plus semiring (Section 4.3) — inference-only, since
+   tropical max-plus semiring (Section 4.3) — a Psi that hands the layer
+   its score matrix ``S`` (the general route); inference-only, since
    max-aggregation is not smooth.
 
-Both reuse the library's fused SDDMM/softmax kernels; no new kernel
-code is needed.
+Neither needs a new kernel, and neither touches an edge array.
 
 Run:
     python examples/custom_attention_model.py
@@ -27,12 +29,6 @@ import numpy as np
 from repro.core.formulation import AttentionSpec
 from repro.graphs import synthetic_classification
 from repro.models import AttentionLayer, GnnModel
-from repro.tensor.kernels import (
-    masked_row_softmax_backward,
-    sddmm_dot,
-    spmm,
-)
-from repro.tensor.segment import segment_softmax
 from repro.tensor.semiring import TROPICAL_MAX, adjacency_values
 from repro.training import Adam, SoftmaxCrossEntropyLoss, Trainer
 
@@ -41,28 +37,22 @@ from repro.training import Adam, SoftmaxCrossEntropyLoss, Trainer
 # 1. Scaled dot-product attention: Psi = sm(A ⊙ (H H^T / sqrt(k)))
 # ----------------------------------------------------------------------
 def make_scaled_dot_spec(temperature: float) -> AttentionSpec:
-    # A Psi is (A, X, params, counter) -> (S, cache); this one has no
-    # parameters of its own and reads the layer input H.
-    def psi(a, h, params, counter):
-        scores = sddmm_dot(a, h, h, counter=counter) / temperature
-        soft = segment_softmax(scores, a.indptr)
-        s = a.with_data(soft)
-        return s, {"a": a, "h": h, "soft": soft}
+    # The sweep scores an edge (i, j) as x_src[i] . x_dst[j]; the operand
+    # prep is (X, params, counter) -> its keyword operands. This Psi has
+    # no parameters of its own and reads the layer input H.
+    def operands(h, params, counter):
+        return {"x_src": h / temperature, "x_dst": h}
 
-    # Its VJP is (dS, cache, counter) -> (dX, parameter gradients).
-    def psi_vjp(ds_values, cache, counter):
-        a, h = cache["a"], cache["h"]
-        # Softmax backward, then the symmetric Gram-product backward —
-        # all built from the library's Table-2 kernels.
-        d_scores = masked_row_softmax_backward(
-            cache["soft"], ds_values, a.indptr
-        ) / temperature
-        n_mat = a.with_data(d_scores)
-        dh = spmm(n_mat, h, counter=counter)
-        dh += spmm(n_mat.transpose(), h, counter=counter)
-        return dh, {}
+    # The sweep's backward returns the gradients of those operands; what
+    # is left is (exits, X, params, operands, counter) -> (dX, parameter
+    # gradients): H entered twice, once through the division.
+    def operands_vjp(exits, h, params, ops, counter):
+        return exits["dRow"] / temperature + exits["dCol"], {}
 
-    return AttentionSpec(psi=psi, psi_vjp=psi_vjp, name="scaled-dot")
+    return AttentionSpec(
+        kind="dot", softmax=True, operands=operands,
+        operands_vjp=operands_vjp, name="scaled-dot",
+    )
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,10 @@ substrate and expresses VA, AGNN and GAT through it, i.e. *exactly the
 local formulations of Section 2.2* the paper argues against. They serve
 two purposes: a semantic cross-check (local and global formulations
 must agree numerically, which the tests assert) and the single-node
-compute engine of the DistDGL-like baselines.
+compute engine of the DistDGL-like baselines. AGNN and GAT here read the
+adjacency as a *pattern*, as DGL's ``edge_softmax`` does: they are
+comparators on binary graphs only — the global layers multiply stored
+weights into the score before the softmax.
 """
 
 from __future__ import annotations

@@ -8,12 +8,11 @@ This package holds the model-agnostic pieces of Sections 3–5:
   derivatives, used by both forward and backward formulations.
 * :mod:`repro.core.softmax` — the global graph-softmax formulation of
   Section 4.2 (dense reference and sparse production paths).
-* :mod:`repro.core.psi` — the per-model attention operators
-  :math:`\\Psi(\\mathcal{A}, H)` of Section 4.1 with their backward
-  passes (Section 5), expressed purely in Table-2 kernels.
 * :mod:`repro.core.formulation` — the :math:`\\Psi` spec of Eq. (1),
   :math:`H^{l+1} = \\sigma((\\Phi \\circ \\oplus)(\\Psi, H))`; the
-  layer executing it is :class:`repro.models.attention.AttentionLayer`.
+  layer executing it is :class:`repro.models.attention.AttentionLayer`,
+  which ships the per-model operators of Section 4.1 (VA, AGNN, GAT) as
+  specs over the fused sweep of :mod:`repro.tensor.megakernel`.
 """
 
 from repro.core.activations import Activation, get_activation
@@ -27,11 +26,6 @@ from repro.core.blocks import (
     sum_rows,
 )
 from repro.core.formulation import AttentionSpec
-from repro.core.psi import (
-    psi_agnn,
-    psi_gat,
-    psi_va,
-)
 from repro.core.softmax import graph_softmax, graph_softmax_dense
 
 __all__ = [
@@ -46,8 +40,5 @@ __all__ = [
     "matrix_plus_transpose",
     "graph_softmax",
     "graph_softmax_dense",
-    "psi_va",
-    "psi_agnn",
-    "psi_gat",
     "AttentionSpec",
 ]

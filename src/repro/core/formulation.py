@@ -11,11 +11,16 @@ backward chain of Section 5 — is written once, in
 are the :class:`AttentionSpec` instances that module ships; a user
 model is one more instance (see ``examples/custom_attention_model.py``).
 
-Training through a custom :math:`\\Psi` requires its vector-Jacobian
-product; if none is supplied, the layer treats attention scores as
-constants during the backward pass (gradient stops at :math:`\\Psi`) —
-a standard approximation, and exactly what a C-GNN such as GCN
-(:math:`\\Psi(\\mathcal{A}, H) = \\mathcal{A}`) needs.
+A :math:`\\Psi` is declared one of two ways. One the fused row sweep of
+:mod:`repro.tensor.megakernel` can score (a sampled dot product, a cosine
+or GAT's additive logit, softmaxed or not) names that ``kind`` and supplies
+only *dense* code: ``operands`` prepares the sweep's score operands and
+``operands_vjp`` is the chain rule of that prep; over the real semiring the
+layer then runs SDDMM → softmax → SpMM as one pass, forward and backward.
+Any other :math:`\\Psi` supplies ``psi``, returning the score matrix ``S``
+itself, and — to train through it — ``psi_vjp``. Without a VJP the gradient
+stops at :math:`\\Psi` — a standard approximation, and exactly what a C-GNN
+such as GCN (:math:`\\Psi(\\mathcal{A}, H) = \\mathcal{A}`) needs.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.tensor.csr import CSRMatrix
+from repro.tensor.megakernel import PSI_KINDS, attention_scores
 from repro.util.counters import FlopCounter
 
 __all__ = ["AttentionSpec"]
@@ -55,7 +61,9 @@ class AttentionSpec:
         ``(A, X, params, counter) -> (S, cache)``: the sparse score
         matrix ``S`` on A's pattern plus an opaque cache for the VJP.
         ``X`` is the layer input ``H``, or the projected features
-        ``H W`` when ``on_projected`` is set.
+        ``H W`` when ``on_projected`` is set. Left out by a spec that
+        declares a ``kind``: it is then ``attention_scores`` of the
+        operands, which is what a non-real semiring aggregates.
     psi_vjp:
         ``(dS, cache, counter) -> (dX, grads)``: gradient of ``psi``
         w.r.t. ``X`` and w.r.t. each of its parameters, given the
@@ -71,10 +79,40 @@ class AttentionSpec:
         (Eq. 7's second term) and it can run one Psi per head.
     name:
         Label used in reports.
+    kind, softmax:
+        The score the sweep computes per stored entry, one of
+        :data:`~repro.tensor.megakernel.PSI_KINDS`, and whether the graph
+        softmax follows (``None``: yes, except for ``"dot"``).
+    operands:
+        ``(X, params, counter) -> dict``: this kind's keyword operands of
+        :func:`~repro.tensor.megakernel.attention_forward`, computed
+        densely from ``X`` (head-stacked when ``X`` is).
+    operands_vjp:
+        ``(exits, X, params, operands, counter) -> (dX, grads)``: their
+        chain rule, from ``attention_backward``'s exits. ``None`` detaches
+        attention, as a missing ``psi_vjp`` does.
     """
 
-    psi: PsiFn
+    psi: PsiFn | None = None
     psi_vjp: PsiVjpFn | None = None
     init: PsiInitFn | None = None
     on_projected: bool = False
     name: str = "custom"
+    kind: str | None = None
+    softmax: bool | None = None
+    operands: Callable[..., dict[str, Any]] | None = None
+    operands_vjp: Callable[..., tuple[np.ndarray, PsiParams]] | None = None
+
+    def __post_init__(self) -> None:
+        swept = self.kind in PSI_KINDS and self.operands is not None
+        general = self.kind is None and not (self.operands or self.operands_vjp)
+        if (self.psi is None) != swept or not (swept or general) or (swept and self.psi_vjp):
+            raise ValueError(
+                f"{self.name}: a spec supplies psi (and psi_vjp), or declares "
+                f"kind (one of {PSI_KINDS}) with operands (and operands_vjp)"
+            )
+        if swept:  # psi is the scores as a matrix; a closure, so the spec stays hashable
+            kind, softmax, operands = self.kind, self.softmax, self.operands
+            object.__setattr__(self, "psi", lambda a, x, params, counter: (
+                attention_scores(a, kind, softmax=softmax, counter=counter,
+                                 **operands(x, params, counter)), None))

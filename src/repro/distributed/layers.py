@@ -93,6 +93,13 @@ __all__ = [
 Step = Compute | Transfer
 
 
+def _masked(c: dict[str, Any], values: np.ndarray) -> np.ndarray:
+    """:math:`\\mathcal{A} \\odot` on the local block's ``(nnz,)`` / ``(nnz, heads)``
+    values: the score before the softmax, and again in its VJP."""
+    data = c["a_block"].data
+    return values * data.reshape((-1,) + (1,) * (values.ndim - 1))
+
+
 @dataclass
 class _DistLayerCache:
     """Training cache of one distributed layer.
@@ -292,7 +299,7 @@ class DistVALayer(DistGnnLayer):
                 c["a_block"], c["h_row"], c["h_block"], counter=c["counter"]
             ), needs=("h_row",)),
             Compute("s_block", lambda c: c["a_block"].with_data(
-                c["a_block"].data * c["dots"])),
+                _masked(c, c["dots"]))),
             *self._forward_epilogue(),
         ]
 
@@ -305,7 +312,7 @@ class DistVALayer(DistGnnLayer):
                 Compute("ds", lambda c: sddmm_dot(
                     c["a_block"], c["g_row"], c["hp"], counter=c["counter"])),
                 Compute("n_block", lambda c: c["a_block"].with_data(
-                    c["ds"] * c["a_block"].data)),
+                    _masked(c, c["ds"]))),
                 Compute("row_partial", lambda c: spmm(
                     c["n_block"], c["h_block"], counter=c["counter"])),
                 Transfer("row_term", "row_allreduce", "row_partial",
@@ -365,7 +372,8 @@ class DistAGNNLayer(DistGnnLayer):
 
         def soft(c):
             values = distributed_row_softmax(
-                c["grid"], c["a_block"], self._beta() * c["cos_values"]
+                c["grid"], c["a_block"],
+                _masked(c, self._beta() * c["cos_values"]),
             )
             c["counter"].add(7 * c["a_block"].nnz, "softmax")
             return values
@@ -395,9 +403,10 @@ class DistAGNNLayer(DistGnnLayer):
         steps = self._backward_prologue() + [
             Compute("ds", lambda c: sddmm_dot(
                 c["a_block"], c["g_row"], c["hp"], counter=c["counter"])),
-            Compute("dt", lambda c: distributed_row_softmax_backward(
-                c["grid"], c["a_block"], c["s_block"].data, c["ds"]
-            ), phase="backward"),
+            Compute("dt", lambda c: _masked(
+                c, distributed_row_softmax_backward(
+                    c["grid"], c["a_block"], c["s_block"].data, c["ds"]
+                )), phase="backward"),
         ]
         if "beta" in self.psi_params:
             steps += [
@@ -557,8 +566,8 @@ class DistGATLayer(DistGnnLayer):
             Compute("u", u, needs=("hp_row",)),
             Compute("raw_values", lambda c: sddmm_add(
                 c["a_block"], c["u"], c["v"], counter=c["counter"])),
-            Compute("logits", lambda c: leaky_relu(
-                c["raw_values"], self.slope)),
+            Compute("logits", lambda c: _masked(c, leaky_relu(
+                c["raw_values"], self.slope))),
             Compute("soft", soft, phase="softmax"),
             Compute("s_block", lambda c: c["a_block"].with_data(c["soft"])),
             # ONE reduce+redistribute of the flat (b, heads*d) partials.
@@ -582,7 +591,7 @@ class DistGATLayer(DistGnnLayer):
             )).reshape(g.shape[0], -1)
 
         def draw(c):
-            result = c["dlogits"] * leaky_relu_grad(
+            result = _masked(c, c["dlogits"]) * leaky_relu_grad(
                 c["raw_values"], self.slope
             )
             c["counter"].add(4 * result.size, "gat_vjp")

@@ -12,12 +12,13 @@ values, projected features, Gram dot products).
 
 ``DagLayer`` satisfies the :class:`repro.models.base.GnnLayer`
 contract, so it drops into :class:`repro.models.base.GnnModel` next to
-the hand-fused layers. The hand-written kernels
-(:mod:`repro.core.psi`, plugged into
-:class:`repro.models.attention.AttentionLayer` as specs)
-remain the default *fast path* — they fuse the softmax into two
-segment sweeps — while ``DagLayer`` is the *derived* path: slower per
-edge, but requiring zero backward code.
+:class:`repro.models.attention.AttentionLayer`. Both end in the same
+edge-level code: ``AttentionLayer`` (what ``build_model`` returns) hands
+its built-in specs' hand-written dense operand prep straight to the
+compiled row sweep of :mod:`repro.tensor.megakernel`; ``DagLayer`` is
+the *derived* path — zero backward code — and reaches that sweep with
+``fused=True`` (kernel-at-a-time interpreter otherwise), paying the IR
+runner around it.
 Tests assert the two paths agree to tight tolerances, which is exactly
 the paper's argument that the global formulations and their derived
 gradients are the single source of truth.

@@ -4,8 +4,8 @@ These are the global tensor formulations written in the toolchain IR —
 the programmability demonstration of the paper: each model is a handful
 of Table-2 building blocks, and the fusion pass turns every virtual
 intermediate into an SDDMM-like kernel automatically. The executed
-results match the hand-fused kernels of :mod:`repro.core.psi` (tests
-assert it).
+results match :func:`repro.tensor.megakernel.attention_scores` and the
+layers built on the fused sweep (tests assert it).
 
 Two granularities are provided:
 
@@ -135,7 +135,7 @@ def agnn_layer_dag(beta: float = 1.0) -> OpDag:
 
     ``beta`` is baked into the DAG as a ``scale`` attribute — the
     paper's formulation keeps the temperature fixed; a learnable beta
-    stays on the hand-fused path
+    is the hand-written layer's
     (:func:`repro.models.attention.agnn_spec` with
     ``learnable_beta=True``).
     """

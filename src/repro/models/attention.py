@@ -24,14 +24,23 @@ GAT       :math:`\\mathrm{sm}(\\mathcal{A} \\odot
 ``GCN``   :math:`\\mathcal{A}` (pre-normalised, constant)    —
 ========  ================================================  =========
 
-each a thin wrapper over the ``psi_*`` kernels of
-:mod:`repro.core.psi`. GAT's Ψ depends on ``W`` through ``H'``, so its
-VJP lands in the weight gradient (Eq. 7's second term) and it may run
-``heads`` independent attention heads — all of them in the *same*
-kernel sweeps, over stacked ``(n, heads, d)`` features and
-``(nnz, heads)`` scores. A single head hands the kernels plain 2-D
-operands. :class:`repro.fusion.layer.DagLayer` derives the same chain
-automatically from the IR — the two are tested against each other.
+VA, AGNN and GAT declare a score ``kind`` the fused row sweep of
+:mod:`repro.tensor.megakernel` computes, plus the dense code around it
+(AGNN's row norms, GAT's ``u = H'a``, ``v = H'ā``, and their chain rule).
+Over the real semiring such a layer is *one* ``attention_forward`` — SDDMM
+→ graph softmax → SpMM in a single pass over the rows, no edge-sized
+intermediate, no ``S`` — and its backward one ``attention_backward``, whose
+``dY`` exit is Eq. 13's :math:`\\Psi^T G`. Everything else — ``GCN``, a user
+Ψ that returns ``S``, any other semiring — takes the general route:
+``spec.psi`` → ``S`` → ``spmm(S, ·, semiring)``, and back through Eq. 9's
+SDDMM into ``spec.psi_vjp``. The spec and the semiring alone decide.
+
+GAT's Ψ depends on ``W`` through ``H'``, so its VJP lands in the weight
+gradient (Eq. 7's second term) and it may run ``heads`` attention heads,
+all in the *same* sweep over stacked ``(n, heads, d)`` features; a single
+head hands the kernels plain 2-D operands.
+:class:`repro.fusion.layer.DagLayer` derives the same chain from the IR —
+the two are tested against each other.
 """
 
 from __future__ import annotations
@@ -42,17 +51,10 @@ from typing import Any
 import numpy as np
 
 from repro.core.formulation import AttentionSpec, PsiInitFn
-from repro.core.psi import (
-    psi_agnn,
-    psi_agnn_vjp,
-    psi_gat,
-    psi_gat_vjp,
-    psi_va,
-    psi_va_vjp,
-)
 from repro.models.base import GnnLayer, GnnModel, glorot
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import mm, sddmm_dot, spmm
+from repro.tensor.megakernel import SweepStats, attention_backward, attention_forward
 from repro.tensor.semiring import REAL, Semiring
 from repro.util.counters import FlopCounter, null_counter
 from repro.util.rng import make_rng
@@ -79,13 +81,11 @@ __all__ = [
 # ----------------------------------------------------------------------
 # The built-in Ψ specs
 # ----------------------------------------------------------------------
-#: Vanilla attention: one SDDMM forward, :math:`N_+ H` backward (Eq. 11).
+#: Vanilla attention: sampled dot products, no softmax; both endpoints of
+#: an edge read ``H``, so :math:`dH = N H + N^T H` (Eq. 11) is the two exits.
 VA = AttentionSpec(
-    psi=lambda a, h, params, counter: psi_va(a, h, counter=counter),
-    psi_vjp=lambda ds, cache, counter: (
-        psi_va_vjp(ds, cache, counter=counter), {}
-    ),
-    name="va",
+    kind="dot", name="va", operands=lambda h, params, counter: {"x_src": h},
+    operands_vjp=lambda ex, h, params, ops, counter: (ex["dRow"] + ex["dCol"], {}),
 )
 
 #: The C-GNN case: the (pre-normalised) adjacency *is* Ψ — a constant,
@@ -101,24 +101,34 @@ def agnn_spec(beta: float = 1.0, learnable_beta: bool = False) -> AttentionSpec:
     The paper's AGNN keeps :math:`\\beta` fixed
     (:math:`\\partial\\Psi/\\partial W = 0`); ``learnable_beta`` makes it
     a trained parameter (the original AGNN of Thekumparampil et al.).
+    A vertex with a zero feature row scores 0 against every neighbour.
     """
 
-    def psi(a, h, params, counter):
-        return psi_agnn(
-            a, h, beta=float(params.get("beta", beta)), counter=counter
-        )
+    def operands(h, params, counter):
+        counter.add(2 * h.size, "norms")
+        return {
+            "x_src": h,
+            "norms": np.sqrt(np.einsum("ij,ij->i", h, h)),
+            "beta": float(params.get("beta", beta)),
+        }
 
-    def psi_vjp(ds, cache, counter):
-        dh, dbeta = psi_agnn_vjp(ds, cache, counter=counter)
+    def operands_vjp(exits, h, params, ops, counter):
+        # Both endpoints read H, and n_i = |h_i| gives dn_i / dh_i = h_i / n_i
+        # (a zero row has no direction: its norm gradient is dropped).
+        dnorm = exits["dNormRow"] + exits["dNormCol"]
+        np.divide(dnorm, ops["norms"], out=dnorm, where=ops["norms"] != 0)
+        dh = exits["dRow"] + exits["dCol"] + dnorm[:, None] * h
+        counter.add(4 * h.size, "agnn_vjp")
         if not learnable_beta:
             return dh, {}
-        return dh, {"beta": np.array(dbeta, dtype=cache.h.dtype)}
+        return dh, {"beta": np.array(exits["dCoef"][0], dtype=h.dtype)}
 
     def init(rng, width, dtype):
         return {"beta": np.array(beta, dtype=dtype)}
 
     return AttentionSpec(
-        psi, psi_vjp, init=init if learnable_beta else None, name="agnn"
+        kind="cosine", operands=operands, operands_vjp=operands_vjp,
+        init=init if learnable_beta else None, name="agnn",
     )
 
 
@@ -127,18 +137,38 @@ def gat_spec(slope: float = 0.2) -> AttentionSpec:
 
     ``slope`` is the LeakyReLU negative slope inside the logits (0.2 in
     the GAT paper). Each head draws its split attention vector
-    :math:`\\mathbf{a} = (a\\;\\bar{a})`.
+    :math:`\\mathbf{a} = (a\\;\\bar{a})`. Figure 2's derivation: the
+    concatenated dot product :math:`\\mathbf{a}^T [Wh_i \\| Wh_j]` splits
+    into :math:`u_i + v_j` with :math:`u = H W a,\\; v = H W \\bar{a}`;
+    ``hp`` is ``(n, d)``, or ``(n, heads, d)`` with the vectors stacked
+    ``(heads, d)``.
     """
 
-    def psi(a, hp, params, counter):
-        return psi_gat(
-            a, hp, params["a_src"], params["a_dst"], slope=slope,
-            counter=counter,
-        )
+    def operands(hp, params, counter):
+        # einsum (not BLAS gemv) in both layouts: each row's logit is then
+        # bitwise independent of how many other rows share the batch, so a
+        # vertex scores identically in any ego-batch that contains it (the
+        # serving coalescer's batched == per-request identity contract).
+        logit = "nhd,hd->nh" if hp.ndim == 3 else "nd,d->n"
+        counter.add(4 * hp.size, "gat_uv")
+        return {
+            "u": np.einsum(logit, hp, params["a_src"]),
+            "v": np.einsum(logit, hp, params["a_dst"]),
+            "slope": slope,
+        }
 
-    def psi_vjp(ds, cache, counter):
-        dhp, da_src, da_dst = psi_gat_vjp(ds, cache, counter=counter)
-        return dhp, {"a_src": da_src, "a_dst": da_dst}
+    def operands_vjp(exits, hp, params, ops, counter):
+        # u = hp . a_src, v = hp . a_dst: rank-1 feature gradients (one
+        # rank-1 update per head in the stacked layout).
+        du, dv = exits["dU"], exits["dV"]
+        counter.add(6 * hp.size, "gat_vjp")
+        dhp = du[..., None] * params["a_src"] + dv[..., None] * params["a_dst"]
+        if hp.ndim == 3:
+            return dhp, {
+                "a_src": np.einsum("nhd,nh->hd", hp, du),
+                "a_dst": np.einsum("nhd,nh->hd", hp, dv),
+            }
+        return dhp, {"a_src": hp.T @ du, "a_dst": hp.T @ dv}
 
     def init(rng, width, dtype):
         return {
@@ -146,7 +176,10 @@ def gat_spec(slope: float = 0.2) -> AttentionSpec:
             "a_dst": glorot(rng, (width,), dtype),
         }
 
-    return AttentionSpec(psi, psi_vjp, init=init, on_projected=True, name="gat")
+    return AttentionSpec(
+        kind="add", operands=operands, operands_vjp=operands_vjp, init=init,
+        on_projected=True, name="gat",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -227,15 +260,19 @@ def head_major(d_weight: np.ndarray, heads: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 @dataclass
 class LayerCache:
-    """Forward intermediates the backward pass reuses."""
+    """Forward intermediates the backward pass reuses: the sweep's dense
+    score operands ``ops`` and ``(n, heads)`` softmax ``stats`` (nothing
+    edge-sized), or the general route's ``s`` / ``psi_cache``."""
 
     a: CSRMatrix
     h: np.ndarray
-    s: CSRMatrix
-    psi_cache: Any
     hp: np.ndarray | None  # H W, split by head  (project_first)
-    ah: np.ndarray | None  # S H                 (aggregate_first)
+    ah: np.ndarray | None  # Psi H               (aggregate_first)
     z: np.ndarray
+    ops: dict[str, Any] | None = None
+    stats: SweepStats | None = None
+    s: CSRMatrix | None = None
+    psi_cache: Any = None
 
 
 class AttentionLayer(GnnLayer):
@@ -349,24 +386,30 @@ class AttentionLayer(GnnLayer):
         training: bool = True,
     ) -> tuple[np.ndarray, LayerCache | None]:
         spec, w = self.spec, projection(self.weight)
-        hp = ah = None
-        if self.order == "project_first":
+        project = self.order == "project_first"
+        hp = ah = ops = stats = s = psi_cache = None
+        if project:
             hp = split_heads(mm(h, w, counter=counter), self.heads)
-            s, psi_cache = spec.psi(
-                a, hp if spec.on_projected else h, self.psi_params, counter
-            )
-            z = self._combine(
-                spmm(s, hp, semiring=self.aggregate, counter=counter)
+        y = hp if project else h  # what Psi aggregates
+        x = hp if spec.on_projected else h  # what Psi reads
+        if spec.kind is not None and self.aggregate is REAL:
+            # One fused row sweep: no S, nothing edge-sized.
+            ops = spec.operands(x, self.psi_params, counter)
+            zy, stats = attention_forward(
+                a, spec.kind, y, softmax=spec.softmax, counter=counter, **ops
             )
         else:
-            s, psi_cache = spec.psi(a, h, self.psi_params, counter)
-            ah = spmm(s, h, semiring=self.aggregate, counter=counter)
-            z = mm(ah, w, counter=counter)
+            s, psi_cache = spec.psi(a, x, self.psi_params, counter)
+            zy = spmm(s, y, semiring=self.aggregate, counter=counter)
+        if project:
+            z = self._combine(zy)
+        else:
+            ah, z = zy, mm(zy, w, counter=counter)
         h_next = self.activation.fn(z)
         if not training:
             return h_next, None
         return h_next, LayerCache(
-            a=a, h=h, s=s, psi_cache=psi_cache, hp=hp, ah=ah, z=z
+            a=a, h=h, hp=hp, ah=ah, z=z, ops=ops, stats=stats, s=s, psi_cache=psi_cache
         )
 
     # ------------------------------------------------------------------
@@ -382,10 +425,10 @@ class AttentionLayer(GnnLayer):
             )
         spec, w = self.spec, projection(self.weight)
         if self.order == "project_first":
-            # Z = S (H W):  dH' = S^T G;  dW = H^T dH';  dH = dH' W^T.
-            g = self._uncombine(g)
-            dx, psi_grads = self._psi_backward(cache, g, cache.hp, counter)
-            dhp = spmm(cache.s.transpose(), g, counter=counter)
+            # Z = Psi (H W):  dH' = Psi^T G;  dW = H^T dH';  dH = dH' W^T.
+            dhp, dx, psi_grads = self._psi_backward(
+                cache, self._uncombine(g), cache.hp, counter
+            )
             if spec.on_projected and dx is not None:
                 # Psi read H', so its path joins dH' (and through it dW).
                 dhp, dx = dhp + dx, None
@@ -393,11 +436,11 @@ class AttentionLayer(GnnLayer):
             d_weight = mm(cache.h.T, dhp, counter=counter)
             dh = mm(dhp, w.T, counter=counter)
         else:
-            # Z = (S H) W:  dW = (S H)^T G;  dH = S^T (G W^T).
-            m = mm(g, w.T, counter=counter)
-            dx, psi_grads = self._psi_backward(cache, m, cache.h, counter)
+            # Z = (Psi H) W:  dW = (Psi H)^T G;  dH = Psi^T (G W^T).
+            dh, dx, psi_grads = self._psi_backward(
+                cache, mm(g, w.T, counter=counter), cache.h, counter
+            )
             d_weight = mm(cache.ah.T, g, counter=counter)
-            dh = spmm(cache.s.transpose(), m, counter=counter)
         if dx is not None:
             dh = dh + dx
         return dh, named_parameters(
@@ -405,19 +448,28 @@ class AttentionLayer(GnnLayer):
         )
 
     def _psi_backward(
-        self,
-        cache: LayerCache,
-        left: np.ndarray,
-        right: np.ndarray,
-        counter: FlopCounter,
-    ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
-        """Psi's path: ``dS = A ⊙ (L R^T)`` (Eq. 9) handed straight to
-        the VJP. Returns the gradient w.r.t. what Psi read and w.r.t.
-        its parameters; without a VJP the gradient stops at Psi."""
-        if self.spec.psi_vjp is None:
-            return None, {}
+        self, cache: LayerCache, left: np.ndarray, right: np.ndarray, counter: FlopCounter
+    ) -> tuple[np.ndarray, np.ndarray | None, dict[str, np.ndarray]]:
+        """``(Psi^T L, dX, parameter gradients)`` for ``Z' = Psi R`` and
+        ``L = dZ'``, ``X`` being what Psi read. The sweep emits all of it in
+        one pass (``dY`` is Eq. 13's :math:`\\Psi^T L`; the score-side exits
+        feed the spec's dense VJP); the general route hands ``dS = A ⊙
+        (L R^T)`` (Eq. 9) to ``psi_vjp``. No VJP: the gradient stops at Psi."""
+        spec = self.spec
+        if cache.ops is not None:  # the forward was a sweep
+            exits = attention_backward(
+                cache.a, spec.kind, right, left, stats=cache.stats,
+                softmax=spec.softmax, counter=counter, **cache.ops,
+            )
+            if spec.operands_vjp is None:
+                return exits["dY"], None, {}
+            x = cache.hp if spec.on_projected else cache.h
+            return exits["dY"], *spec.operands_vjp(exits, x, self.psi_params, cache.ops, counter)
+        psi_t_left = spmm(cache.s.transpose(), left, counter=counter)
+        if spec.psi_vjp is None:
+            return psi_t_left, None, {}
         ds = sddmm_dot(cache.a, left, right, counter=counter)
-        return self.spec.psi_vjp(ds, cache.psi_cache, counter)
+        return psi_t_left, *spec.psi_vjp(ds, cache.psi_cache, counter)
 
     # ------------------------------------------------------------------
     def parameters(self) -> dict[str, np.ndarray]:

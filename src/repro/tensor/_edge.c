@@ -405,7 +405,7 @@ static inline int FN(attention_bwd_rows)(
     const T *norms, int64_t heads, int64_t k, T coef, const T *y, const T *dz,
     int64_t kp, const T *shift, const T *denom, int64_t max_row, T *scratch,
     T *restrict d_y, T *restrict d_dst, T *restrict d_norm_row,
-    T *restrict d_norm_col, T *restrict d_src)
+    T *restrict d_norm_col, T *restrict d_coef, T *restrict d_src)
 {
     const int64_t yw = heads * kp, last = nnz - 1;
     const int64_t width = kind == ADD ? heads : heads * k;
@@ -449,7 +449,7 @@ static inline int FN(attention_bwd_rows)(
                 for (int64_t i = 0; i < deg; i++)
                     d[i * heads + h] = p[i * heads + h] * (d[i * heads + h] - inner);
             }
-            T acc[LANES] = {0};
+            T acc[LANES] = {0}, cacc[LANES] = {0};
             for (int64_t i = 0; i < deg; i++) {
                 const int64_t ih = i * heads + h;
                 T g = d[ih] * mask[lo + i];
@@ -457,6 +457,7 @@ static inline int FN(attention_bwd_rows)(
                     g = aux[ih] > 0 ? g : g * coef;
                     acc[i % LANES] += g;
                 } else if (kind == COSINE) {
+                    cacc[i % LANES] += g * aux2[ih]; /* d(score)/d(beta) */
                     g = aux[ih] == 0 ? 0 : g * coef / aux[ih];
                     aux2[ih] = -(g * aux2[ih]); /* d(norm product) */
                     acc[i % LANES] += aux2[ih] * norms[indices[lo + i] * heads + h];
@@ -467,6 +468,8 @@ static inline int FN(attention_bwd_rows)(
                 dsr[h] = LANE_SUM(acc);
             else if (kind == COSINE)
                 d_norm_row[r * heads + h] = LANE_SUM(acc);
+            if (kind == COSINE && d_coef)
+                d_coef[h] += LANE_SUM(cacc);
         }
         /* Column-side exits scatter; dRow accumulates in edge order. */
         for (int64_t e = lo; e < hi; e++) {
@@ -496,7 +499,9 @@ static inline int FN(attention_bwd_rows)(
 /* Every gradient exit of attention_forward in one row pass. Row-side exits
  * are written whole: d_src (dU, or dRow) and d_norm_row (COSINE). Column-side
  * ones are scattered into arrays the caller zeroed: d_y (m, heads, kp), d_dst
- * (dV, or dCol) and d_norm_col (COSINE). `scratch` holds four vectors. */
+ * (dV, or dCol) and d_norm_col (COSINE). d_coef (heads; COSINE, may be NULL,
+ * zeroed by the caller) takes d/d(beta): sum_e dS_e cos_e mask_e, row after
+ * row. `scratch` holds four vectors. */
 int FN(attention_backward)(int64_t n_rows, const int64_t *indptr,
                            const int64_t *indices, int64_t nnz, const T *mask,
                            int64_t kind, int64_t softmax, const T *src,
@@ -504,13 +509,14 @@ int FN(attention_backward)(int64_t n_rows, const int64_t *indptr,
                            int64_t k, double coef, const T *y, const T *dz,
                            int64_t kp, const T *shift, const T *denom,
                            int64_t max_row, T *scratch, T *d_y, T *d_dst,
-                           T *d_norm_row, T *d_norm_col, T *d_src)
+                           T *d_norm_row, T *d_norm_col, T *d_coef,
+                           T *d_src)
 {
 #define BWD(KIND, HEADS) \
     FN(attention_bwd_rows)(KIND, n_rows, indptr, indices, nnz, mask, \
                            softmax != 0, src, dst, norms, HEADS, k, (T)coef, \
                            y, dz, kp, shift, denom, max_row, scratch, d_y, \
-                           d_dst, d_norm_row, d_norm_col, d_src)
+                           d_dst, d_norm_row, d_norm_col, d_coef, d_src)
     switch (kind) {
     case DOT: return heads == 1 ? BWD(DOT, 1) : BWD(DOT, heads);
     case ADD: return heads == 1 ? BWD(ADD, 1) : BWD(ADD, heads);

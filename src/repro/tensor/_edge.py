@@ -50,7 +50,7 @@ _SIGNATURES = {
     ),
     "attention_backward": (
         _I, _P, _P, _I, _P, _I, _I, _P, _P, _P, _I, _I, ctypes.c_double, _P, _P,
-        _I, _P, _P, _I, _P, _P, _P, _P, _P, _P,
+        _I, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P,
     ),
 }
 _SUFFIX = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}

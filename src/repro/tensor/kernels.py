@@ -393,8 +393,7 @@ def sddmm_cosine(
     eps: float = 1e-12,
     counter: FlopCounter = null_counter(),
     chunk: int | None = None,
-    with_denom: bool = False,
-) -> tuple[np.ndarray, ...]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge cosine similarities (the AGNN :math:`\\Psi` kernel).
 
     Computes ``e_rc = (h[r] . h[c]) / (n_r * n_c)`` on the stored
@@ -407,13 +406,9 @@ def sddmm_cosine(
 
     Returns
     -------
-    (values, norms) or (values, norms, denom):
-        Edge cosine values and the (possibly freshly computed) row
-        norms, which the backward pass reuses. With
-        ``with_denom=True`` the eps-clipped per-edge denominator
-        ``max(n_r * n_c, eps)`` is returned as well, so the backward
-        pass can divide by the exact forward quantity instead of
-        re-gathering both norm endpoints.
+    (values, norms):
+        Edge cosine values, each dot divided by ``max(n_r * n_c, eps)``,
+        and the (possibly freshly computed) row norms.
     """
     h = np.asarray(h)
     _check_sddmm_dot(pattern, h, h)
@@ -430,21 +425,18 @@ def sddmm_cosine(
     fn = _edge_entry("sddmm_cosine", h, norms)
     if fn is not None:
         counter.add(2 * pattern.nnz * heads * (h.shape[-1] + 1), "SDDMM")
-        shape = (pattern.nnz,) + h.shape[1:-1]
-        denom = np.empty(shape, h.dtype) if with_denom else None
         values = _edge.run(
-            fn, shape, h.dtype, pattern.shape[0], pattern.indptr,
-            pattern.indices, h, norms, heads, h.shape[-1], float(eps), denom,
+            fn, (pattern.nnz,) + h.shape[1:-1], h.dtype, pattern.shape[0],
+            pattern.indptr, pattern.indices, h, norms, heads, h.shape[-1],
+            float(eps), None,
         )
-        return (values, norms, denom) if with_denom else (values, norms)
+        return values, norms
     values = sddmm_dot(pattern, h, h, counter=counter, chunk=chunk)
     counter.add(2 * pattern.nnz * heads, "SDDMM")
     denom = np.take(norms, pattern.expand_rows(), axis=0)
     np.multiply(denom, np.take(norms, pattern.indices, axis=0), out=denom)
     np.maximum(denom, eps, out=denom)
     np.divide(values, denom, out=values)
-    if with_denom:
-        return values, norms, denom
     return values, norms
 
 

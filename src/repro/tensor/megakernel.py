@@ -1,18 +1,21 @@
 """Fused attention: SDDMM → masked row softmax → SpMM as one row sweep.
 
-The interpreter (:mod:`repro.fusion.interp`) runs the attention chain as
-separate Table-2 kernels with an ``(nnz,)``- or ``(nnz, heads)``-sized
-edge array between each pair. Here the chain is one pass over the CSR
+Every attention layer's edge level: ``AttentionLayer`` calls it directly for
+any spec that declares a score kind, ``DagLayer(fused=True)`` by matching the
+chain in the IR, whose interpreter otherwise runs separate Table-2 kernels with
+an ``(nnz,)``- or ``(nnz, heads)``-sized edge array between each pair. Here the
+chain is one pass over the CSR
 rows (``attention_forward`` / ``attention_backward`` in ``_edge.c``, the
 row-local strategy of DF-GNN): per row the masked scores, their stable
 softmax and ``z[r] += psi_e * y[c]`` run back to back over a scratch of
 the row's own length. The backward is the same pass with *recomputation*
 (the FlashAttention trade): from the ``(n, heads)`` softmax statistics
 the forward saved it re-derives ``psi_e``, takes ``dpsi_e = dz[r] . y[c]``
-and produces every gradient exit of the IR chain — row-side ones reduce
+and produces every gradient exit of the chain — row-side ones reduce
 in the row, column-side ones scatter directly, with no transpose sweep.
+:func:`attention_scores` is the same Psi *materialised*.
 
-Both functions validate, then dispatch once, as :mod:`repro.tensor.kernels`
+The two sweeps validate, then dispatch once, as :mod:`repro.tensor.kernels`
 does: the C entry when the library loaded and the promoted operands are
 float32 / float64, otherwise the same chain composed from the unfused
 kernels. No argument or variable picks a side; the spans carry
@@ -44,7 +47,10 @@ from repro.tensor.segment import bincount_sum, expand_segments, segment_max, seg
 from repro.tensor.structure import PatternStructure
 from repro.util.counters import FlopCounter, null_counter
 
-__all__ = ["PSI_KINDS", "SweepStats", "plan_sweep", "attention_forward", "attention_backward"]
+__all__ = [
+    "PSI_KINDS", "SweepStats", "plan_sweep", "attention_scores", "attention_forward",
+    "attention_backward",
+]
 
 #: The position of a kind is its ``kind`` argument in ``_edge.c``.
 PSI_KINDS = ("dot", "add", "cosine")
@@ -79,7 +85,10 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validate(a, psi, y, dz, softmax, slope, beta, x_src, x_dst, u, v, norms) -> _Call:
+def _validate(
+    a, psi, y, dz, softmax, slope=0.2, beta=1.0, x_src=None, x_dst=None, u=None, v=None,
+    norms=None,
+) -> _Call:
     """Check every operand against ``a`` — one ``ValueError`` naming the
     operand, before either backend reads it — and promote to one dtype."""
     if psi not in PSI_KINDS:
@@ -87,11 +96,14 @@ def _validate(a, psi, y, dz, softmax, slope, beta, x_src, x_dst, u, v, norms) ->
     if a.data.ndim != 1:
         raise ValueError("megakernel adjacency values must be scalar (1-D)")
     n, m = a.shape
-    y = np.asarray(y)
-    if y.ndim not in (2, 3):
-        raise ValueError(f"y has shape {y.shape}; expected (m, k) or (m, heads, k)")
-    stack = y.shape[1:-1]  # () plain, (heads,) stacked
-    checks = [("y", y, m, y.shape[1:])]
+    if y is None:  # attention_scores: the score operands carry the head axis
+        stack, checks = np.shape(u)[1:] if psi == "add" else np.shape(x_src)[1:-1], []
+    else:
+        y = np.asarray(y)
+        if y.ndim not in (2, 3):
+            raise ValueError(f"y has shape {y.shape}; expected (m, k) or (m, heads, k)")
+        stack = y.shape[1:-1]  # () plain, (heads,) stacked
+        checks = [("y", y, m, y.shape[1:])]
     if dz is not None:
         checks.append(("dz", dz, n, y.shape[1:]))
     if psi == "add":
@@ -112,7 +124,7 @@ def _validate(a, psi, y, dz, softmax, slope, beta, x_src, x_dst, u, v, norms) ->
         if found[name].shape != (rows,) + trailing:
             raise ValueError(
                 f"{name} has shape {found[name].shape}; a {a.shape} adjacency "
-                f"with y of shape {y.shape} needs {(rows,) + trailing}"
+                f"with {stack or 'no'} head axis needs {(rows,) + trailing}"
             )
     dtype = np.result_type(a.data, *found.values())
     found = {name: arr.astype(dtype, copy=False) for name, arr in found.items()}
@@ -122,7 +134,7 @@ def _validate(a, psi, y, dz, softmax, slope, beta, x_src, x_dst, u, v, norms) ->
         psi != "dot" if softmax is None else bool(softmax),
         float(slope if psi == "add" else beta),
         a.data.astype(dtype, copy=False).reshape((-1,) + (1,) * len(stack)),
-        found["y"], found.get("dz"), src, found[names[1]], found.get("norms"),
+        found.get("y"), found.get("dz"), src, found[names[1]], found.get("norms"),
     )
 
 
@@ -157,6 +169,47 @@ def _masked_scores(c: _Call, a: CSRMatrix):
     return s, aux, cos
 
 
+def _psi_values(c: _Call, a: CSRMatrix):
+    """``(Psi's stored values, SweepStats or None)``: the masked scores, then
+    the row softmax's NumPy steps kept apart so ``shift`` / ``denom`` come out."""
+    s, _, _ = _masked_scores(c, a)
+    if not c.softmax:
+        return s, None
+    rows = a.expand_rows()
+    shift = segment_max(s, a.indptr, identity=0.0)
+    s -= expand_segments(shift, a.indptr, rows)
+    np.exp(s, out=s)
+    denom = segment_sum(s, a.indptr)
+    denom[denom == 0] = 1
+    s /= expand_segments(denom, a.indptr, rows)
+    shape = (a.shape[0], c.heads)
+    return s, SweepStats(shift.reshape(shape), denom.reshape(shape))
+
+
+def _charge_scores(c: _Call, work: int, counter: FlopCounter) -> None:
+    # As the unfused sddmm_* count: one add, a dot, or a dot and its divide.
+    counter.add(work if c.psi == "add" else 2 * work * (c.k + (c.psi == "cosine")), "SDDMM")
+    if c.softmax:
+        counter.add(5 * work, "softmax")
+
+
+def attention_scores(
+    a: CSRMatrix,
+    psi: str,
+    *,
+    softmax: bool | None = None,
+    counter: FlopCounter = null_counter(),
+    **operands,
+) -> CSRMatrix:
+    """``Psi`` itself on ``a``'s pattern, values ``(nnz,)`` or ``(nnz, heads)``:
+    what :func:`attention_forward` aggregates with (``operands`` are its score
+    keywords), *materialised* from the unfused kernels for what the sweep does
+    not do — aggregating over another semiring, or inspecting ``S``."""
+    c = _validate(a, psi, None, None, softmax, **operands)
+    _charge_scores(c, a.nnz * c.heads, counter)
+    return a.with_data(_psi_values(c, a)[0])
+
+
 @traced("megakernel.forward")
 def attention_forward(
     a: CSRMatrix,
@@ -186,10 +239,7 @@ def attention_forward(
     """
     c = _validate(a, psi, y, None, softmax, slope, beta, x_src, x_dst, u, v, norms)
     n, work, kp = a.shape[0], a.nnz * c.heads, c.y.shape[-1]
-    # As the unfused sddmm_* count: one add, a dot, or a dot and its divide.
-    counter.add(work if psi == "add" else 2 * work * (c.k + (psi == "cosine")), "SDDMM")
-    if c.softmax:
-        counter.add(5 * work, "softmax")
+    _charge_scores(c, work, counter)
     counter.add(2 * work * kp, "SpMM")
     fn, args = _dispatch(c, "forward", a)
     if fn is not None:
@@ -201,16 +251,7 @@ def attention_forward(
             stats and stats.shift, stats and stats.denom,
         )
         return z, stats
-    (s, _, _), stats = _masked_scores(c, a), None
-    if c.softmax:
-        rows = a.expand_rows()
-        shift = segment_max(s, a.indptr, identity=0.0)
-        s -= expand_segments(shift, a.indptr, rows)
-        np.exp(s, out=s)
-        denom = segment_sum(s, a.indptr)
-        denom[denom == 0] = 1
-        s /= expand_segments(denom, a.indptr, rows)
-        stats = SweepStats(shift.reshape(n, c.heads), denom.reshape(n, c.heads))
+    s, stats = _psi_values(c, a)
     return spmm(a.with_data(s), c.y), stats
 
 
@@ -239,8 +280,9 @@ def attention_backward(
     its operand's layout: always ``"dY"`` (:math:`\\Psi^T dZ`); for
     ``dot`` / ``cosine`` ``"dRow"`` / ``"dCol"`` (w.r.t. ``x_src`` /
     ``x_dst`` through the sampled Gram product); for ``cosine`` also
-    ``"dNormRow"`` / ``"dNormCol"`` (the norm vector's two endpoints);
-    for ``add`` ``"dU"`` / ``"dV"``.
+    ``"dNormRow"`` / ``"dNormCol"`` (the norm vector's two endpoints) and
+    ``"dCoef"`` (``(heads,)``, w.r.t. ``beta``: ``dS_e cos_e mask_e`` summed, so
+    that it survives ``beta = 0``); for ``add`` ``"dU"`` / ``"dV"``.
     """
     c = _validate(a, psi, y, np.asarray(dz), softmax, slope, beta, x_src, x_dst, u, v, norms)
     (n, m), work, kp, dtype = a.shape, a.nnz * c.heads, c.y.shape[-1], c.y.dtype
@@ -265,11 +307,12 @@ def attention_backward(
         if psi == "cosine":
             out["dNormRow"] = np.empty(c.norms.shape, dtype)
             out["dNormCol"] = np.zeros(c.norms.shape, dtype)
+            out["dCoef"] = np.zeros(c.heads, dtype)
         length = plan_sweep(a.structure, c.heads, c.k)
         out[row_key] = _edge.run(
             fn, c.src.shape, dtype, *args, c.y, c.dz, kp, shift, denom,
             length // c.heads, np.empty(4 * length, dtype), out["dY"], out[col_key],
-            out.get("dNormRow"), out.get("dNormCol"),
+            out.get("dNormRow"), out.get("dNormCol"), out.get("dCoef"),
         )
         return out
     rows, cols = a.expand_rows(), a.indices
@@ -289,6 +332,7 @@ def attention_backward(
         out["dV"] = bincount_sum(cols, g, m)
         return out
     if psi == "cosine":
+        out["dCoef"] = (g * cos).reshape(a.nnz, c.heads).sum(axis=0)
         g = _safe_div(g * c.coef, aux)
         dden = -(g * cos)
         out["dNormRow"] = segment_sum(dden * np.take(c.norms, cols, axis=0), a.indptr)

@@ -22,7 +22,8 @@ L-hop neighbourhood. This module provides the sampling substrate
   flow blocks over **compacted local ids**. Each block is a *square*
   CSR over its source vertex set whose non-destination rows are empty,
   so it flows through the pattern cache, the head-batched kernels, the
-  fused megakernel and ``DagLayer`` completely unchanged.
+  fused row sweep every ``build_model`` layer runs and ``DagLayer``
+  completely unchanged.
 
 Bit-identity anchor
 -------------------
@@ -264,9 +265,9 @@ class Block:
     row ``r`` holds the sampled in-edges of ``src_nodes[r]`` if that
     vertex is a destination of this hop and is empty otherwise. Keeping
     the block square (rather than DGL's rectangular blocks) is what
-    lets the existing pattern cache, head-batched kernels, fused
-    megakernel and ``DagLayer`` run on it unchanged — empty rows cost
-    nothing in a CSR sweep.
+    lets the existing pattern cache, head-batched kernels, the fused
+    row sweep of the default layers and ``DagLayer`` run on it unchanged
+    — empty rows cost nothing in a CSR sweep.
 
     ``src_nodes`` are the hop's input vertices as **sorted global
     ids** (the compaction map is monotone); ``dst_positions`` indexes

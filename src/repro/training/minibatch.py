@@ -11,9 +11,11 @@ Two entry points:
 
 * :class:`MinibatchTrainer` — the training loop: per epoch, shuffle the
   target vertices, sample layered blocks per batch, run
-  forward/backward through the *unchanged* model layers (hand-fused,
-  ``DagLayer``-derived, fused-megakernel — blocks are square CSR
-  matrices, so every execution path applies as-is), step the
+  forward/backward through the *unchanged* model layers
+  (``AttentionLayer``'s one row sweep per block, ``DagLayer``-derived,
+  interpreted or fused — blocks are square CSR matrices, so every
+  execution path applies as-is; a block is a cold pattern, and the sweep
+  builds neither its transpose nor its row-index vector), step the
   optimiser, and optionally evaluate on the full graph.
 * :func:`train_step` — one batch's forward/backward/update over
   already-sampled blocks, for callers that drive their own loop.

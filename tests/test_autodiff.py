@@ -1,8 +1,9 @@
 """Tests for the reverse-mode autodiff pass over the op-DAG IR.
 
 The acceptance bar: for all three A-GNN models the DAG-derived
-gradients must match the hand-written Section-5 VJPs
-(:mod:`repro.core.psi`) to tight relative error, the joint
+gradients must match the compiled sweep's Section-5 backward
+(:func:`repro.tensor.megakernel.attention_backward`, seeded with a given
+``dS``) to tight relative error, the joint
 forward+backward program must pass the fusion pass with *no* virtual
 node escaping (no dense n x n in ``mode="fused"``), and the derived
 :class:`~repro.fusion.layer.DagLayer` must be interchangeable with the
@@ -12,14 +13,6 @@ hand-fused layers inside a :class:`~repro.models.base.GnnModel`.
 import numpy as np
 import pytest
 
-from repro.core.psi import (
-    psi_agnn,
-    psi_agnn_vjp,
-    psi_gat,
-    psi_gat_vjp,
-    psi_va,
-    psi_va_vjp,
-)
 from repro.fusion import (
     DagLayer,
     OpDag,
@@ -31,9 +24,14 @@ from repro.fusion import (
 )
 from repro.models import VA, AttentionLayer, agnn_spec, gat_spec
 from repro.models.base import GnnModel
+from repro.tensor.megakernel import (
+    attention_backward,
+    attention_forward,
+    attention_scores,
+)
 from repro.training import SGD
 
-TIGHT = 1e-8  # acceptance: DAG-derived grads match hand VJPs to <= 1e-8
+TIGHT = 1e-8  # acceptance: DAG-derived grads match the sweep's to <= 1e-8
 
 
 def rel_err(x, y):
@@ -60,8 +58,18 @@ def graph_inputs():
     return a, h, w, a_src, a_dst, ds, g
 
 
+def sweep_reference(a, kind, ds, **ops):
+    """``(S, gradient exits)`` of the sweep for a given score gradient: with
+    ``y = I`` the sampled ``dz[r] . y[c]`` is ``dz[r, c]``, so the dense
+    ``dS`` seeds exactly the VJP the derived program is asked for."""
+    y = np.eye(a.shape[1])
+    _, stats = attention_forward(a, kind, y, **ops)
+    exits = attention_backward(a, kind, y, ds.to_dense(), stats=stats, **ops)
+    return attention_scores(a, kind, **ops), exits
+
+
 # ----------------------------------------------------------------------
-# Psi-level: derived backward vs. the hand-written Section-5 VJPs
+# Psi-level: derived backward vs. the sweep's Section-5 backward
 # ----------------------------------------------------------------------
 class TestPsiVjpEquivalence:
     @pytest.mark.parametrize("mode", ["fused", "tiled", "dense"])
@@ -72,8 +80,8 @@ class TestPsiVjpEquivalence:
         s = runner.run()
         runner.bind("dS", ds)
         dh = runner.run("grad:H")
-        s_ref, cache = psi_va(a, h)
-        dh_ref = psi_va_vjp(ds.data, cache)
+        s_ref, exits = sweep_reference(a, "dot", ds, x_src=h)
+        dh_ref = exits["dRow"] + exits["dCol"]
         assert rel_err(s.data, s_ref.data) < TIGHT
         assert rel_err(dh, dh_ref) < TIGHT
 
@@ -87,8 +95,12 @@ class TestPsiVjpEquivalence:
         s = runner.run()
         runner.bind("dS", ds)
         dh = runner.run("grad:H")
-        s_ref, cache = psi_agnn(a, h, beta=1.3)
-        dh_ref, _dbeta = psi_agnn_vjp(ds.data, cache)
+        norms = np.sqrt(np.einsum("ij,ij->i", h, h))
+        s_ref, exits = sweep_reference(
+            a, "cosine", ds, x_src=h, norms=norms, beta=1.3
+        )
+        dnorm = exits["dNormRow"] + exits["dNormCol"]
+        dh_ref = exits["dRow"] + exits["dCol"] + (dnorm / norms)[:, None] * h
         assert rel_err(s.data, s_ref.data) < TIGHT
         assert rel_err(dh, dh_ref) < TIGHT
 
@@ -108,8 +120,12 @@ class TestPsiVjpEquivalence:
         s = runner.run()
         runner.bind("dS", ds)
         hp = h @ w
-        s_ref, cache = psi_gat(a, hp, a_src, a_dst, slope=0.2)
-        dhp, da_src, da_dst = psi_gat_vjp(ds.data, cache)
+        s_ref, exits = sweep_reference(
+            a, "add", ds, u=hp @ a_src, v=hp @ a_dst, slope=0.2
+        )
+        du, dv = exits["dU"], exits["dV"]
+        da_src, da_dst = hp.T @ du, hp.T @ dv
+        dhp = np.outer(du, a_src) + np.outer(dv, a_dst)
         assert rel_err(s.data, s_ref.data) < TIGHT
         assert rel_err(runner.run("grad:a_src"), da_src) < TIGHT
         assert rel_err(runner.run("grad:a_dst"), da_dst) < TIGHT

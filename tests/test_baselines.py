@@ -19,11 +19,10 @@ from repro.baselines.minibatch import (
     minibatch_train,
     sample_block,
 )
-from repro.core.psi import psi_agnn, psi_gat, psi_va
 from repro.graphs import synthetic_classification
 from repro.models import build_model, normalize_adjacency
 from repro.runtime import run_spmd
-from repro.tensor.kernels import spmm
+from repro.tensor.megakernel import attention_forward
 from repro.training import SGD, SoftmaxCrossEntropyLoss, Trainer
 from repro.util.rng import make_rng
 
@@ -41,8 +40,7 @@ class TestLocalVsGlobalFormulation:
         w = rng.normal(size=(5, 4))
         graph = LocalGraph.single_node(small_adjacency, h)
         local = local_va_layer(graph, w)
-        s, _ = psi_va(small_adjacency, h)
-        global_out = spmm(s, h @ w)
+        global_out, _ = attention_forward(small_adjacency, "dot", h @ w, x_src=h)
         assert np.allclose(local, global_out, atol=1e-9)
 
     def test_agnn(self, rng, small_adjacency):
@@ -50,8 +48,11 @@ class TestLocalVsGlobalFormulation:
         w = rng.normal(size=(5, 4))
         graph = LocalGraph.single_node(small_adjacency, h)
         local = local_agnn_layer(graph, w, beta=1.7)
-        s, _ = psi_agnn(small_adjacency, h, beta=1.7)
-        assert np.allclose(local, spmm(s, h @ w), atol=1e-9)
+        global_out, _ = attention_forward(
+            small_adjacency, "cosine", h @ w, x_src=h,
+            norms=np.sqrt((h * h).sum(axis=1)), beta=1.7,
+        )
+        assert np.allclose(local, global_out, atol=1e-9)
 
     def test_gat(self, rng, small_adjacency):
         h = rng.normal(size=(60, 5))
@@ -60,8 +61,10 @@ class TestLocalVsGlobalFormulation:
         a_dst = rng.normal(size=4)
         graph = LocalGraph.single_node(small_adjacency, h)
         local = local_gat_layer(graph, w, a_src, a_dst)
-        s, _ = psi_gat(small_adjacency, h @ w, a_src, a_dst)
-        assert np.allclose(local, spmm(s, h @ w), atol=1e-9)
+        global_out, _ = attention_forward(
+            small_adjacency, "add", h @ w, u=h @ w @ a_src, v=h @ w @ a_dst
+        )
+        assert np.allclose(local, global_out, atol=1e-9)
 
     def test_update_all_rejects_unknown_reducer(self, rng, small_adjacency):
         graph = LocalGraph.single_node(small_adjacency,

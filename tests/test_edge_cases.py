@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core.formulation import AttentionSpec
-from repro.core.psi import psi_va
-from repro.fusion import execute, fuse, va_psi_dag
-from repro.models import AttentionLayer
+from repro.distributed.api import distributed_train
+from repro.fusion import DagLayer, execute, fuse, va_psi_dag
+from repro.graphs import erdos_renyi, prepare_adjacency
+from repro.models import AttentionLayer, agnn_spec, build_model, gat_spec
 from repro.runtime import run_spmd
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import spmm
+from repro.tensor.megakernel import attention_scores
 from repro.tensor.semiring import AVERAGE
-from tests.conftest import random_csr
+from repro.training import SGD, SoftmaxCrossEntropyLoss, Trainer
+from tests.conftest import numeric_gradient, random_csr
 
 
 class TestWeightedAdjacency:
@@ -21,11 +24,117 @@ class TestWeightedAdjacency:
         a = random_csr(rng, 20, 20, density=0.4)
         a = a.with_data(np.abs(a.data) + 0.5)
         h = rng.normal(size=(20, 4))
-        hand, _ = psi_va(a, h)
+        hand = attention_scores(a, "dot", x_src=h)
         fused = execute(fuse(va_psi_dag()), {"H": h, "A": a}, mode="fused")
         assert np.allclose(hand.data, fused.data)
         dots = (h @ h.T)[a.expand_rows(), a.indices]
         assert np.allclose(hand.data, a.data * dots)
+
+    #: One rule, the formula's ``A ⊙ ·``: stored values multiply the score
+    #: *before* the softmax — in the hand-written layer, the derived one
+    #: (interpreted and fused) and the distributed one alike.
+    WEIGHTED = [
+        ("agnn", agnn_spec(beta=0.8), {"beta": 0.8}),
+        ("gat", gat_spec(slope=0.2), {"slope": 0.2}),
+    ]
+
+    @staticmethod
+    def _weighted(rng, n, edges, seed):
+        a = prepare_adjacency(erdos_renyi(n, edges, seed=seed), dtype=np.float64)
+        return a.with_data(rng.uniform(0.3, 2.5, size=a.nnz))
+
+    @staticmethod
+    def _dense_layer(name, a, h, params):
+        """Eq. (1) with dense n x n intermediates, identity activation."""
+        mask = a.to_dense()
+        hp = h @ params["weight"]
+        if name == "agnn":
+            unit = h / np.linalg.norm(h, axis=1, keepdims=True)
+            scores = 0.8 * (unit @ unit.T)
+        else:
+            raw = (hp @ params["a_src"])[:, None] + (hp @ params["a_dst"])[None, :]
+            scores = np.where(raw > 0, raw, 0.2 * raw)
+        scores = mask * scores
+        exp = np.where(mask != 0, np.exp(scores - scores.max()), 0.0)
+        return (exp / exp.sum(axis=1, keepdims=True)) @ hp
+
+    @pytest.mark.parametrize("name,spec,kwargs", WEIGHTED, ids=["agnn", "gat"])
+    def test_every_layer_masks_before_the_softmax(self, rng, name, spec, kwargs):
+        a = self._weighted(rng, 40, 260, seed=4)
+        h = rng.normal(size=(40, 5))
+        g = rng.normal(size=(40, 4))
+        hand = AttentionLayer(5, 4, spec, activation="identity", seed=3,
+                              dtype=np.float64)
+        z, cache = hand.forward(a, h)
+        dh, grads = hand.backward(cache, g)
+        assert np.allclose(
+            z, self._dense_layer(name, a, h, hand.parameters()),
+            rtol=1e-10, atol=1e-12,
+        )
+        # The weights matter: the binary pattern gives another answer.
+        binary, _ = hand.forward(a.with_data(np.ones(a.nnz)), h)
+        assert np.abs(binary - z).max() > 1e-2
+        # Every gradient against central differences of the dense formula.
+        params = hand.parameters()
+        for key, param in params.items():
+            numeric = numeric_gradient(
+                lambda: float((self._dense_layer(name, a, h, params) * g).sum()),
+                param,
+            )
+            assert np.allclose(grads[key], numeric, rtol=1e-6, atol=1e-7), key
+        numeric = numeric_gradient(
+            lambda: float((self._dense_layer(name, a, h, params) * g).sum()), h
+        )
+        assert np.allclose(dh, numeric, rtol=1e-6, atol=1e-7)
+        # ... and the derived layer, interpreted and fused, agrees.
+        for fused in (False, True):
+            derived = DagLayer(name, 5, 4, activation="identity", seed=9,
+                               dtype=np.float64, fused=fused, **kwargs)
+            for key, value in derived.parameters().items():
+                value[:] = params[key]
+            z_d, cache_d = derived.forward(a, h)
+            dh_d, grads_d = derived.backward(cache_d, g)
+            assert np.allclose(z_d, z, rtol=1e-10, atol=1e-12)
+            assert np.allclose(dh_d, dh, rtol=1e-10, atol=1e-12)
+            for key in grads:
+                assert np.allclose(
+                    grads_d[key], grads[key], rtol=1e-10, atol=1e-12
+                ), (fused, key)
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [("agnn", {}), ("agnn", {"learnable_beta": True}),
+         ("gat", {}), ("gat", {"heads": 2})],
+        ids=["agnn", "agnn-learnable-beta", "gat", "gat-two-heads"],
+    )
+    def test_distributed_training_masks_before_the_softmax(
+        self, rng, name, kwargs
+    ):
+        """p = 4 against the single-node trainer on a non-binary pattern:
+        the first loss is the forward, the later ones and the final
+        output go through every gradient."""
+        a = self._weighted(rng, 61, 420, seed=6)
+        h = rng.normal(size=(61, 6)) * 0.5
+        y = rng.integers(0, 3, 61)
+        model = build_model(name, 6, 5, 3, num_layers=2, seed=2,
+                            dtype=np.float64, **kwargs)
+        trainer = Trainer(model, SoftmaxCrossEntropyLoss(), SGD(0.05))
+        losses = trainer.fit(a, h, y, epochs=3).losses
+        # The distributed output is the last epoch's forward, taken
+        # before that epoch's update.
+        output = model.forward(a, h, training=False)
+        losses = losses + trainer.fit(a, h, y, epochs=1).losses
+        result = distributed_train(
+            name, a, h, y, 5, 3, num_layers=2, p=4, epochs=4, lr=0.05,
+            seed=2, dtype=np.float64, **kwargs,
+        )
+        assert np.allclose(result.losses, losses, rtol=1e-10, atol=0)
+        assert np.allclose(result.output, output, rtol=1e-9, atol=1e-11)
+        binary = build_model(name, 6, 5, 3, num_layers=2, seed=2,
+                             dtype=np.float64, **kwargs)
+        unweighted = binary.forward(a.with_data(np.ones(a.nnz)), h,
+                                    training=False)
+        assert np.abs(unweighted - result.output).max() > 1e-3
 
     def test_weighted_gcn_spmm(self, rng):
         a = random_csr(rng, 10, 10)
@@ -39,8 +148,8 @@ class TestAverageSemiringLayer:
         neighbours' projected features weighted by attention scores."""
 
         def psi(a, h, params=None, counter=None):
-            s, cache = psi_va(a, h)
-            return s.with_data(np.abs(s.data) + 0.1), cache
+            s = attention_scores(a, "dot", x_src=h)
+            return s.with_data(np.abs(s.data) + 0.1), None
 
         layer = AttentionLayer(
             5, 4, AttentionSpec(psi=psi, name="avg-va"),

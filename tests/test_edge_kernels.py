@@ -144,17 +144,18 @@ class TestAgainstNumpy:
         assert got.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(got, want)  # one add: no order to differ
 
-    @pytest.mark.parametrize("with_denom", [False, True])
-    def test_sddmm_cosine(self, pattern, heads, dtype, rng, with_denom):
+    @pytest.mark.parametrize("given_norms", [False, True])
+    def test_sddmm_cosine(self, pattern, heads, dtype, rng, given_norms):
         if pattern.shape[0] != pattern.shape[1]:
             pytest.skip("cosine scores one operand against itself")
         h = _operand(rng, pattern.shape[0], heads, dtype)
-        got, want = _both(lambda: kernels.sddmm_cosine(
-            pattern, h, with_denom=with_denom))
-        assert len(got) == len(want) == 2 + with_denom
+        norms = np.sqrt(np.einsum("...j,...j->...", h, h)) if given_norms else None
+        got, want = _both(lambda: kernels.sddmm_cosine(pattern, h, norms=norms))
+        assert len(got) == len(want) == 2
         _close(got[0], want[0], dtype)
-        for g, w in zip(got[1:], want[1:]):  # norms, clipped denominator
-            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(got[1], want[1])  # the row norms
+        if given_norms:
+            assert got[1] is norms
 
     def test_cosine_given_norms_and_eps_clip(self, heads, dtype, rng):
         a = PATTERNS["er"]()
@@ -162,10 +163,15 @@ class TestAgainstNumpy:
         h[:5] = 0  # zero rows: the denominator is the eps clip
         norms = np.sqrt(np.einsum("...j,...j->...", h, h))
         got, want = _both(lambda: kernels.sddmm_cosine(
-            a, h, norms=norms, eps=1e-6, with_denom=True))
+            a, h, norms=norms, eps=1e-6))
         _close(got[0], want[0], dtype)
-        np.testing.assert_array_equal(got[2], want[2])
-        assert got[2].min() == dtype(1e-6)
+        touched = (a.expand_rows() < 5) | (a.indices < 5)
+        assert touched.any() and not got[0][touched].any()  # 0 / eps
+        # Tiny norms: the product is below eps, so the clip is the divisor.
+        tiny = (h * dtype(1e-6)).astype(dtype)
+        got, want = _both(lambda: kernels.sddmm_cosine(a, tiny, eps=1e-6))
+        _close(got[0], want[0], dtype)
+        assert np.abs(got[0]).max() < 1e-3
 
     def test_row_softmax(self, pattern, heads, dtype, rng):
         s = pattern.with_data(_edge_values(rng, pattern, heads, dtype) * 4)
@@ -204,8 +210,7 @@ class TestNonFinite:
         h[30] = 0
         self._same_non_finites(
             *_both(lambda: kernels.sddmm_dot(a, h, h)), dtype)
-        for g, w in zip(*_both(lambda: kernels.sddmm_cosine(
-                a, h, with_denom=True))):
+        for g, w in zip(*_both(lambda: kernels.sddmm_cosine(a, h))):
             self._same_non_finites(g, w, dtype)
         u = h[:, 0].copy()
         self._same_non_finites(

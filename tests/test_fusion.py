@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.psi import psi_agnn, psi_gat, psi_va
 from repro.fusion import (
     OpDag,
     Sparsity,
@@ -16,6 +15,7 @@ from repro.fusion import (
 )
 from repro.graphs import erdos_renyi
 from repro.graphs.prep import prepare_adjacency
+from repro.tensor.megakernel import attention_scores
 
 
 @pytest.fixture(scope="module")
@@ -135,14 +135,16 @@ class TestExecution:
     @pytest.mark.parametrize("mode", ["fused", "tiled", "dense"])
     def test_va_matches_hand_kernel(self, graph_inputs, mode):
         a, h, *_ = graph_inputs
-        reference, _ = psi_va(a, h)
+        reference = attention_scores(a, "dot", x_src=h)
         out = execute(va_psi_dag(), {"H": h, "A": a}, mode=mode, tile_rows=16)
         assert np.allclose(out.data, reference.data, atol=1e-10)
 
     @pytest.mark.parametrize("mode", ["fused", "tiled", "dense"])
     def test_agnn_matches_hand_kernel(self, graph_inputs, mode):
         a, h, *_ = graph_inputs
-        reference, _ = psi_agnn(a, h, beta=1.3)
+        reference = attention_scores(
+            a, "cosine", x_src=h, norms=np.sqrt((h * h).sum(axis=1)), beta=1.3
+        )
         out = execute(agnn_psi_dag(beta=1.3), {"H": h, "A": a}, mode=mode,
                       tile_rows=16)
         assert np.allclose(out.data, reference.data, atol=1e-9)
@@ -150,7 +152,9 @@ class TestExecution:
     @pytest.mark.parametrize("mode", ["fused", "tiled", "dense"])
     def test_gat_matches_hand_kernel(self, graph_inputs, mode):
         a, h, w, a_src, a_dst = graph_inputs
-        reference, _ = psi_gat(a, h @ w, a_src, a_dst)
+        reference = attention_scores(
+            a, "add", u=h @ w @ a_src, v=h @ w @ a_dst
+        )
         out = execute(
             gat_psi_dag(),
             {"H": h, "A": a, "W": w, "a_src": a_src, "a_dst": a_dst},

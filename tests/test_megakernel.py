@@ -28,6 +28,7 @@ composition pattern by pattern.
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,7 @@ from repro.fusion.layer import DagLayer
 from repro.graphs import erdos_renyi
 from repro.graphs.powerlaw import powerlaw_graph
 from repro.graphs.prep import prepare_adjacency
+from repro.models import build_model
 from repro.models.base import GnnModel
 from repro.obs.metrics import metrics
 from repro.obs.tracer import Tracer, install_tracer
@@ -155,9 +157,11 @@ def unfused_reference(a, psi, ops, slope, beta, counter=None):
     if psi == "dot":
         dgram = dmasked * adata
     else:
-        cos, _, denom = sddmm_cosine(
-            a, ops["x"], norms=ops["norms"], with_denom=True
+        cos, _ = sddmm_cosine(a, ops["x"], norms=ops["norms"])
+        denom = np.take(ops["norms"], a.expand_rows(), axis=0) * np.take(
+            ops["norms"], a.indices, axis=0
         )
+        out["dCoef"] = (dmasked * adata * cos).reshape(a.nnz, heads).sum(axis=0)
         dgram = dmasked * adata * beta / denom
         ddenom = -(dgram * cos)
         norms_col = (
@@ -423,6 +427,71 @@ class TestResourceGuarantees:
         assert max(scratch) <= cap, (
             f"scratch {scratch} bytes (cap {cap}, longest row {longest}, nnz={a.nnz})"
         )
+
+    @pytest.mark.parametrize(
+        "name,kw", [("gat", {"heads": 2}), ("agnn", {}), ("va", {})],
+        ids=["gat-2-heads", "agnn", "va"],
+    )
+    def test_default_path_training_pass_holds_nothing_edge_sized(
+        self, name, kw, kernels_backend
+    ):
+        """``build_model``'s layers, three deep, forward + backward: beyond
+        the dense arrays the pass hands back or caches (operands, softmax
+        statistics, outputs, gradients) it retains no more than a few
+        vectors of the longest row — no ``S``, no transposed pattern, no
+        row-index vector — and its transient peak stays well under one
+        ``(nnz,)`` array. On the NumPy side the same pass runs the sweep's
+        fallback, and its spans say so."""
+
+        def array_bytes(obj, seen):
+            """nbytes of every distinct buffer reachable from ``obj``."""
+            if isinstance(obj, np.ndarray):
+                while isinstance(obj.base, np.ndarray):
+                    obj = obj.base
+                seen.setdefault(id(obj), obj.nbytes)
+            elif dataclasses.is_dataclass(obj):
+                array_bytes([getattr(obj, f.name) for f in dataclasses.fields(obj)], seen)
+            elif isinstance(obj, (dict, list, tuple)):
+                for item in (obj.values() if isinstance(obj, dict) else obj):
+                    array_bytes(item, seen)
+            return sum(seen.values())
+
+        a = prepare_adjacency(
+            erdos_renyi(2048, 800000, seed=1), dtype=np.float64
+        )
+        longest = a.structure.degree_stats().max
+        h = np.random.default_rng(0).normal(size=(2048, 8))
+        model = build_model(name, 8, 8, 4, num_layers=3, seed=3,
+                            dtype=np.float64, **kw)
+        tracer = Tracer()
+        install_tracer(tracer)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = model.forward(a, h, training=True)
+            caches = model._caches
+            grads = model.backward(np.ones_like(out) / out.size)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            install_tracer(None)
+        sweeps = [s for s in tracer.spans if s.name.startswith("megakernel.")]
+        assert len(sweeps) == 6
+        assert {s.attrs["backend"] for s in sweeps} == {kernels_backend}
+        if kernels_backend == "numpy":
+            assert any(s.name.startswith("kernel.sddmm_") and s.depth > 0
+                       for s in tracer.spans)
+            return
+        # The adjacency and the input were there before; the degree
+        # statistics the first sweep memoises on the pattern are scalars.
+        given = {id(x): 0 for x in (a.data, a.indices, a.indptr, h)}
+        dense = array_bytes([caches, out, grads], given)
+        itemsize, heads = h.dtype.itemsize, kw.get("heads", 1)
+        edge_array = a.nnz * itemsize
+        cap = 8 * longest * heads * itemsize
+        assert 50 * cap < edge_array
+        assert held - base - dense <= cap, (held - base, dense, cap)
+        assert 2 * (peak - base) < edge_array, (peak - base, edge_array)
 
     def test_plan_memoised_per_pattern_heads_k(self):
         """The scratch length is read from the pattern's memoised degree

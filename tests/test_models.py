@@ -194,7 +194,8 @@ class TestMultiHeadGAT:
         out_s, _ = single.forward(small_adjacency, h)
         assert np.array_equal(out_m, out_s)
         # ... and the kernels saw 2-D operands, not a (n, 1, d) stack.
-        assert cache.hp.ndim == 2 and cache.s.data.ndim == 1
+        assert cache.hp.ndim == 2 and cache.ops["u"].ndim == 1
+        assert cache.stats.denom.shape == (60, 1)
 
     def test_model_factory_with_heads(self, rng, small_adjacency):
         model = build_model("GAT", 5, 4, 3, num_layers=2, heads=2,

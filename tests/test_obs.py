@@ -388,7 +388,8 @@ class TestOneDump:
                 for future in server.submit_many(list(range(20))):
                     future.result(timeout=30)
         snap = metrics().snapshot()
-        for name in ("pattern.registered", "transpose_perm.hit",
+        for name in ("pattern.registered", "megakernel.forward",
+                     "megakernel.backward",
                      "sampling_graph.hit", "sample.hop",
                      "sample.candidates", "serving.cache.hit",
                      "serving.requests"):

@@ -25,6 +25,7 @@ from repro.graphs import erdos_renyi, synthetic_classification
 from repro.graphs.prep import prepare_adjacency
 from repro.models import build_model, gat_model
 from repro.obs.metrics import metrics
+from repro.obs.tracer import Tracer, install_tracer
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.structure import lookup_structure
 
@@ -288,26 +289,44 @@ class TestAmortization:
         # … while the hot path keeps hitting the caches. (There is no
         # ``pattern.hit`` assertion: same-pattern constructors go through
         # ``_from_structure`` and skip the registry lookup entirely.)
-        # The COO row vector is the NumPy kernels' gather index; the
-        # compiled row loops never ask for it.
+        # The COO row vector is the NumPy kernels' gather index and the
+        # transpose their backward's; the compiled sweep asks for neither
+        # (column-side gradients scatter directly).
         assert (delta("expand_rows.hit") > 0) == (kernels_backend == "numpy")
-        assert delta("transpose_perm.hit") > 0
+        assert (delta("transpose_perm.hit") > 0) == (kernels_backend == "numpy")
 
     @pytest.mark.parametrize("name", ["agnn", "gat"])
     def test_cold_pattern_builds_no_rows_on_c(self, name, kernels_backend):
         """Every sampled or served block is a cold pattern: a forward
-        and backward over one builds the ``nnz``-long row vector once
-        where NumPy gathers through it, and not at all on the C side."""
+        and backward over one builds the ``nnz``-long row vector and the
+        transposed pattern once where NumPy goes through them, and neither
+        on the C side — each layer is two sweeps and no unfused kernel."""
         a = prepare_adjacency(erdos_renyi(70, 400, seed=9), dtype=np.float64)
         h = np.random.default_rng(1).normal(size=(70, 6))
         model = build_model(name, 6, 8, 3, num_layers=2, seed=0,
                             dtype=np.float64)
-        counter = metrics().counter("expand_rows.computed")
-        base = counter.value
-        out = model.forward(a, h, training=True)
-        assert counter.value - base == (kernels_backend == "numpy")
-        model.backward(np.ones_like(out) / out.size)
-        assert counter.value - base == (kernels_backend == "numpy")
+        numpy_side = kernels_backend == "numpy"
+        rows = metrics().counter("expand_rows.computed")
+        transposes = metrics().counter("transpose_perm.computed")
+        base = rows.value, transposes.value
+        tracer = Tracer()
+        install_tracer(tracer)
+        try:
+            out = model.forward(a, h, training=True)
+            assert rows.value - base[0] == numpy_side
+            model.backward(np.ones_like(out) / out.size)
+        finally:
+            install_tracer(None)
+        assert rows.value - base[0] == numpy_side
+        assert transposes.value - base[1] == numpy_side
+        sweeps = [s for s in tracer.spans if s.name.startswith("megakernel.")]
+        assert [s.name for s in sweeps] == (
+            ["megakernel.forward"] * 2 + ["megakernel.backward"] * 2
+        )
+        assert {s.attrs["backend"] for s in sweeps} == {kernels_backend}
+        unfused = [s.name for s in tracer.spans if s.name.startswith(
+            ("kernel.sddmm_", "kernel.masked_row_softmax"))]
+        assert bool(unfused) == numpy_side, unfused
 
     def test_first_epoch_computes_at_most_once_per_pattern(self):
         a = prepare_adjacency(erdos_renyi(50, 300, seed=5), dtype=np.float64)

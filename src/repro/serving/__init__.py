@@ -5,8 +5,8 @@ planned batches; online inference gets neither for free — requests
 arrive one seed vertex at a time. This package recovers the batch
 economics at serving time with three composable levers:
 
-* **Request coalescing** (:mod:`repro.serving.queue`) — concurrent
-  requests accumulate under a max-delay/max-batch admission policy.
+* **Request coalescing** (:mod:`repro.serving.queue`) — an idle worker
+  takes every pending request at once, up to ``max_batch``.
 * **Union ego-batching** (:mod:`repro.serving.batcher`) — each flush
   samples *one* union ego-subgraph for all queued seeds and runs a
   single fused forward; overlapping neighbourhoods (power-law hubs)

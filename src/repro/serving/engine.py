@@ -64,7 +64,7 @@ from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 from repro.serving.batcher import compute_union_rows, flush_batch
 from repro.serving.cache import ActivationCache
-from repro.serving.queue import AdmissionQueue
+from repro.serving.queue import AdmissionQueue, _positive_int
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.sampling_graph import hub_bias_weights
 from repro.tensor.segment import ragged_ranges
@@ -428,15 +428,11 @@ class ServingServer:
         self,
         engine: ServingEngine,
         max_batch: int = 64,
-        max_delay_ms: float = 2.0,
         workers: int = 1,
     ) -> None:
-        if workers < 1:
-            raise ValueError("a server needs at least one worker")
+        workers = _positive_int("workers", workers)
         self.engine = engine
-        self.queue = AdmissionQueue(
-            max_batch=max_batch, max_delay_ms=max_delay_ms
-        )
+        self.queue = AdmissionQueue(max_batch=max_batch)
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -457,27 +453,37 @@ class ServingServer:
 
     # ------------------------------------------------------------------
     def submit(self, node: int) -> Future:
-        """Enqueue one request; resolves to that vertex's output row.
+        """Enqueue one request; resolves to that vertex's output row."""
+        return self.submit_many([node])[0]
+
+    def submit_many(self, nodes) -> list[Future]:
+        """Enqueue a burst of requests (one future per node, in order).
 
         An id that is not an integer in ``[0, engine.num_nodes)`` fails
         on its own future with ``ValueError`` and is never enqueued, so
         it cannot fail the requests it would have been batched with.
+        The valid ones enter the queue together: an idle worker sees the
+        whole burst and drains it in ``max_batch``-wide flushes.
         """
         n = self.engine.num_nodes
-        if isinstance(node, numbers.Integral) and 0 <= node < n:
-            return self.queue.submit(node)
-        refused: Future = Future()
-        refused.set_exception(ValueError(
-            f"node must be an integer vertex id in [0, {n}); got {node!r}"
-        ))
-        return refused
-
-    def submit_many(self, nodes) -> list[Future]:
-        """Enqueue a burst of requests (one future per node)."""
         # dtype=object: each id keeps its own type, so a fractional id
         # in a list cannot turn its integer neighbours into floats.
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=object))
-        return [self.submit(node) for node in nodes.tolist()]
+        nodes = np.atleast_1d(np.asarray(nodes, dtype=object)).tolist()
+        valid = [isinstance(v, numbers.Integral) and 0 <= v < n for v in nodes]
+        admitted = iter(self.queue.submit_many(
+            [node for node, ok in zip(nodes, valid) if ok]
+        ))
+        futures = []
+        for node, ok in zip(nodes, valid):
+            if ok:
+                futures.append(next(admitted))
+                continue
+            refused: Future = Future()
+            refused.set_exception(ValueError(
+                f"node must be an integer vertex id in [0, {n}); got {node!r}"
+            ))
+            futures.append(refused)
+        return futures
 
     # ------------------------------------------------------------------
     def close(self) -> None:

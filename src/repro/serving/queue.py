@@ -1,27 +1,25 @@
-"""Admission queue: collect concurrent requests into coalescable batches.
+"""Admission queue: hand an idle worker whatever is pending, at once.
 
 Online inference traffic arrives one seed vertex at a time, but the
 engine's cost is dominated by per-batch fixed work (union sampling,
-kernel launch sweeps), so serving throughput comes from *coalescing*:
-requests accumulate here until either ``max_batch`` of them are
-pending or the oldest has waited ``max_delay_ms`` — the standard
-batching-delay tradeoff (TensorFlow Serving's ``batching_parameters``;
-the delay bound caps the latency cost of waiting for a fuller batch).
+kernel launch sweeps), so throughput comes from *coalescing* requests
+into one union batch. The queue is work-conserving: a worker blocks
+only while nothing is pending, then takes up to ``max_batch`` requests
+at once. Batches grow only from load — requests that arrive while every
+worker is busy — and an idle server never holds a request back.
 
-:meth:`AdmissionQueue.submit` is the client edge: it enqueues the seed
-under the ``serve.admit`` span and returns a
-:class:`concurrent.futures.Future` that resolves to the model's output
-row for that vertex. :meth:`next_batch` is the worker edge: it blocks
-until a flush is due and drains up to ``max_batch`` requests in FIFO
-order.
-
-Queue depth is exported as the ``serving.queue_depth`` gauge and each
-request's queueing delay as the ``serving.queue_wait_ms`` histogram.
+:meth:`AdmissionQueue.submit` / :meth:`~AdmissionQueue.submit_many` are
+the client edge (``serve.admit`` span; one future per seed, resolving
+to its output row; a burst enters under one lock hold and one wake-up).
+:meth:`~AdmissionQueue.next_batch` is the worker edge: it drains FIFO
+and marks each future running, so it can no longer be cancelled; one
+cancelled before that is dropped and counted in ``serving.cancelled``.
+Queue depth is the ``serving.queue_depth`` gauge, each request's
+queueing delay the ``serving.queue_wait_ms`` histogram.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import threading
 import time
@@ -35,6 +33,17 @@ from repro.obs.tracer import tracer
 __all__ = ["AdmissionQueue", "InferenceRequest"]
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int; a bool or a fraction raises, never truncates."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < 1
+    ):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class InferenceRequest:
     """One queued seed vertex and the future its output row resolves."""
@@ -45,33 +54,15 @@ class InferenceRequest:
 
 
 class AdmissionQueue:
-    """FIFO request queue with a max-batch / max-delay flush policy.
+    """Work-conserving FIFO request queue with a batch-size cap.
 
     ``max_batch`` 64 is large enough that a saturating open-loop load
     amortises sampling across a whole union batch, small enough that
-    one flush's working set stays cache-resident. ``max_delay_ms`` 0
-    disables waiting entirely (every flush takes whatever is pending —
-    the lowest-latency, lowest-throughput corner).
+    one flush's working set stays cache-resident.
     """
 
-    def __init__(self, max_batch: int = 64, max_delay_ms: float = 2.0) -> None:
-        if (
-            isinstance(max_batch, bool)
-            or not isinstance(max_batch, numbers.Integral)
-            or max_batch < 1
-        ):
-            raise ValueError(
-                f"max_batch must be a positive integer, got {max_batch!r}"
-            )
-        # A NaN or infinite delay would make next_batch() sleep on a
-        # lone request until the queue is closed.
-        if not (math.isfinite(max_delay_ms) and max_delay_ms >= 0.0):
-            raise ValueError(
-                "max_delay_ms must be a finite, non-negative number of "
-                f"milliseconds, got {max_delay_ms!r}"
-            )
-        self.max_batch = int(max_batch)
-        self.max_delay_s = float(max_delay_ms) / 1e3
+    def __init__(self, max_batch: int = 64) -> None:
+        self.max_batch = _positive_int("max_batch", max_batch)
         self._pending: deque[InferenceRequest] = deque()
         self._cond = threading.Condition()
         self._closed = False
@@ -86,53 +77,54 @@ class AdmissionQueue:
         Raises ``RuntimeError`` after :meth:`close` — a closed queue
         can no longer guarantee the future would ever resolve.
         """
-        request = InferenceRequest(node=int(node))
-        with tracer().span("serve.admit", node=int(node)):
+        return self.submit_many([node])[0]
+
+    def submit_many(self, nodes) -> list[Future]:
+        """Enqueue a burst under one lock hold and one wake-up, so an idle
+        worker sees all of it; one future per node, as :meth:`submit`."""
+        requests = [InferenceRequest(node=int(node)) for node in nodes]
+        with tracer().span("serve.admit", requests=len(requests)):
             with self._cond:
                 if self._closed:
                     raise RuntimeError("admission queue is closed")
-                self._pending.append(request)
+                self._pending.extend(requests)
                 depth = len(self._pending)
                 self._cond.notify()
         registry = metrics()
-        registry.counter("serving.requests").inc()
+        registry.counter("serving.requests").inc(len(requests))
         registry.gauge("serving.queue_depth").set(depth)
-        return request.future
+        return [request.future for request in requests]
 
     # ------------------------------------------------------------------
     def next_batch(self) -> list[InferenceRequest] | None:
-        """Block until a flush is due; drain up to ``max_batch`` requests.
+        """Block while the queue is empty and open; drain at once.
 
-        A flush is due when ``max_batch`` requests are pending or the
-        oldest has aged past the delay bound. Returns ``None`` once the
-        queue is closed *and* drained — the worker's exit signal.
+        Returns up to ``max_batch`` pending requests in FIFO order, each
+        future marked running; requests cancelled while they waited are
+        dropped. Returns ``None`` once the queue is closed *and* drained
+        — the worker's exit signal.
         """
+        registry = metrics()
+        batch: list[InferenceRequest] = []
         with self._cond:
-            while True:
-                if self._pending:
-                    if len(self._pending) >= self.max_batch:
-                        return self._drain()
-                    wait = (
-                        self._pending[0].t_submit
-                        + self.max_delay_s
-                        - time.perf_counter()
-                    )
-                    if wait <= 0.0 or self._closed:
-                        return self._drain()
-                    self._cond.wait(timeout=wait)
-                elif self._closed:
-                    return None
-                else:
+            while not batch:
+                while not self._pending:
+                    if self._closed:
+                        return None
                     self._cond.wait()
-
-    def _drain(self) -> list[InferenceRequest]:
-        batch = [
-            self._pending.popleft()
-            for _ in range(min(self.max_batch, len(self._pending)))
-        ]
-        metrics().gauge("serving.queue_depth").set(len(self._pending))
+                while self._pending and len(batch) < self.max_batch:
+                    request = self._pending.popleft()
+                    if request.future.set_running_or_notify_cancel():
+                        batch.append(request)
+                    else:
+                        registry.counter("serving.cancelled").inc()
+            depth = len(self._pending)
+            if depth:
+                # What is left is another idle worker's batch.
+                self._cond.notify()
+        registry.gauge("serving.queue_depth").set(depth)
         now = time.perf_counter()
-        waits = metrics().histogram("serving.queue_wait_ms")
+        waits = registry.histogram("serving.queue_wait_ms")
         for request in batch:
             waits.observe((now - request.t_submit) * 1e3)
         return batch

@@ -383,7 +383,7 @@ class TestOneDump:
             batch_size=16, seed=0,
         ).fit(a, h, y, epochs=1, full_eval=False)
         engine = ServingEngine(model, a, h, fanouts=(2, 2), cache=64, seed=5)
-        with ServingServer(engine, max_batch=8, max_delay_ms=1.0) as server:
+        with ServingServer(engine, max_batch=8) as server:
             for _ in range(2):  # the second burst hits the cache
                 for future in server.submit_many(list(range(20))):
                     future.result(timeout=30)

@@ -12,9 +12,13 @@ The load-bearing guarantees:
   cache answers one live version, so staleness is structural, not
   best-effort), and a delta that lands *inside* a flush leaves that
   flush exactly on its old snapshot.
-* **Queue policy** — flushes trigger on max-batch or max-delay,
-  drain on close, and propagate engine failures to every future; a
-  malformed request fails alone.
+* **Queue policy** — work-conserving: an idle worker takes what is
+  pending at once (up to ``max_batch``, FIFO), a burst drains in
+  ``max_batch``-wide flushes, close drains, engine failures reach
+  every future of a flush, a malformed request fails alone and a
+  cancelled one neither is served nor kills the worker (a hypothesis
+  state machine over the queue holds these under any interleaving).
+  No test may leave a serving worker thread alive.
 * **Nothing retained between flushes** — after 100 mixed-size union
   batches the allocator holds what it held after the first 20.
 """
@@ -22,6 +26,7 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import gc
+import sys
 import threading
 import time
 import tracemalloc
@@ -31,6 +36,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.graphs import erdos_renyi
 from repro.graphs.prep import prepare_adjacency
@@ -74,6 +86,26 @@ def features() -> np.ndarray:
 
 def _model(name: str = "va", seed: int = 0):
     return build_model(name, FEAT, 12, 6, num_layers=2, seed=seed)
+
+
+def _serve_workers() -> set[threading.Thread]:
+    return {
+        t for t in threading.enumerate() if t.name.startswith("serve-worker")
+    }
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_serve_worker():
+    """Fail a test that leaves a serving worker thread alive — an
+    unclosed server or a hung flush — here, within seconds, instead of
+    as a stuck run much later."""
+    before = _serve_workers()
+    yield
+    leaked = _serve_workers() - before
+    for thread in leaked:
+        thread.join(timeout=5.0)
+    alive = sorted(t.name for t in leaked if t.is_alive())
+    assert not alive, f"serving workers still alive after the test: {alive}"
 
 
 # ----------------------------------------------------------------------
@@ -254,54 +286,72 @@ class TestActivationCache:
 # ----------------------------------------------------------------------
 class TestAdmissionQueue:
     def test_flush_on_max_batch(self):
-        queue = AdmissionQueue(max_batch=3, max_delay_ms=10_000.0)
+        queue = AdmissionQueue(max_batch=3)
         futures = [queue.submit(i) for i in range(5)]
         batch = queue.next_batch()
         assert [r.node for r in batch] == [0, 1, 2]
         assert [r.future for r in batch] == futures[:3]
         assert len(queue) == 2
 
-    def test_flush_on_delay(self):
-        queue = AdmissionQueue(max_batch=64, max_delay_ms=5.0)
-        queue.submit(42)
+    def test_lone_request_is_returned_at_once(self):
+        """Work-conserving: one pending request is a batch; nothing
+        waits for company (there is no timer to wait out)."""
+        queue = AdmissionQueue(max_batch=64)
+        future = queue.submit(42)
         t0 = time.perf_counter()
         batch = queue.next_batch()
-        waited = time.perf_counter() - t0
+        assert time.perf_counter() - t0 < 0.5
         assert [r.node for r in batch] == [42]
-        assert waited < 0.005 + 0.5  # max_delay_ms + scheduling slack
+        assert batch[0].future is future and future.running()
+        assert len(queue) == 0
 
-    def test_zero_delay_flushes_immediately(self):
-        queue = AdmissionQueue(max_batch=64, max_delay_ms=0.0)
-        queue.submit(1)
-        queue.submit(2)
-        assert [r.node for r in queue.next_batch()] == [1, 2]
+    def test_submit_wakes_a_blocked_worker(self):
+        queue = AdmissionQueue()
+        got = []
+        worker = threading.Thread(
+            target=lambda: got.append(queue.next_batch()), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=0.05)
+        assert worker.is_alive()  # blocked: the queue is empty and open
+        queue.submit(7)
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert [r.node for r in got[0]] == [7]
+
+    def test_burst_drains_in_max_batch_wide_flushes(self):
+        queue = AdmissionQueue(max_batch=64)
+        futures = queue.submit_many(range(130))
+        batches = [queue.next_batch() for _ in range(3)]
+        assert [len(b) for b in batches] == [64, 64, 2]
+        drained = [r for b in batches for r in b]
+        assert [r.node for r in drained] == list(range(130))
+        assert [r.future for r in drained] == futures
 
     def test_close_drains_then_signals_exit(self):
-        queue = AdmissionQueue(max_batch=2, max_delay_ms=10_000.0)
+        queue = AdmissionQueue(max_batch=2)
         queue.submit(7)
         queue.close()
         assert [r.node for r in queue.next_batch()] == [7]
         assert queue.next_batch() is None
 
     def test_submit_after_close_raises(self):
-        queue = AdmissionQueue(max_batch=2, max_delay_ms=1.0)
+        queue = AdmissionQueue(max_batch=2)
         queue.close()
         with pytest.raises(RuntimeError, match="closed"):
             queue.submit(0)
+        with pytest.raises(RuntimeError, match="closed"):
+            queue.submit_many([0, 1])
 
     def test_defaults(self):
         queue = AdmissionQueue()
         assert queue.max_batch == 64
-        assert queue.max_delay_s == pytest.approx(2.0e-3)
 
     @pytest.mark.parametrize("name,bad", [
         ("max_batch", 0),
         ("max_batch", 2.7),
         ("max_batch", True),
         ("max_batch", float("nan")),
-        ("max_delay_ms", -1.0),
-        ("max_delay_ms", float("nan")),
-        ("max_delay_ms", float("inf")),
     ])
     def test_bad_policy_rejected_naming_the_argument(self, name, bad):
         with pytest.raises(ValueError, match=name):
@@ -312,6 +362,81 @@ class TestAdmissionQueue:
         seeds, inverse = coalesce(requests)
         assert list(seeds) == [2, 5, 9]
         assert np.array_equal(seeds[inverse], [5, 2, 5, 9, 2])
+
+
+class AdmissionMachine(RuleBasedStateMachine):
+    """Any interleaving of submits, bursts, cancels, drains and a close:
+    the survivors drain FIFO in batches of at most ``max_batch``, no
+    cancelled request is ever drained, a drained one can no longer be
+    cancelled, and a closed queue drains and then returns ``None``."""
+
+    @initialize(max_batch=st.integers(1, 5))
+    def make_queue(self, max_batch):
+        self.queue = AdmissionQueue(max_batch=max_batch)
+        self.pending: list = []  # (node, future) not cancelled, not drained
+        self.cancelled: set[int] = set()
+        self.drained: list[int] = []
+        self.next_node = 0
+        self.closed = False
+
+    def _nodes(self, count: int) -> list[int]:
+        nodes = list(range(self.next_node, self.next_node + count))
+        self.next_node += count
+        return nodes
+
+    def _admit(self, nodes, enqueue) -> None:
+        if self.closed:
+            with pytest.raises(RuntimeError, match="closed"):
+                enqueue()
+            return
+        self.pending += zip(nodes, enqueue())
+
+    @rule()
+    def submit(self):
+        (node,) = self._nodes(1)
+        self._admit([node], lambda: [self.queue.submit(node)])
+
+    @rule(count=st.integers(0, 9))
+    def submit_many(self, count):
+        nodes = self._nodes(count)
+        self._admit(nodes, lambda: self.queue.submit_many(nodes))
+
+    @precondition(lambda self: self.pending)
+    @rule(data=st.data())
+    def cancel(self, data):
+        index = data.draw(st.integers(0, len(self.pending) - 1))
+        node, future = self.pending.pop(index)
+        assert future.cancel()
+        self.cancelled.add(node)
+
+    # With nothing live pending, an open queue's next_batch blocks.
+    @precondition(lambda self: self.pending or self.closed)
+    @rule()
+    def next_batch(self):
+        batch = self.queue.next_batch()
+        if not self.pending:
+            assert batch is None
+            return
+        expected = self.pending[: self.queue.max_batch]
+        assert [(r.node, r.future) for r in batch] == expected
+        for request in batch:
+            assert request.future.running()
+            assert not request.future.cancel()
+        del self.pending[: len(batch)]
+        self.drained += [r.node for r in batch]
+
+    @rule()
+    def close(self):
+        self.queue.close()
+        self.closed = True
+
+    @invariant()
+    def nothing_cancelled_is_drained(self):
+        assert self.cancelled.isdisjoint(self.drained)
+        assert self.drained == sorted(self.drained)  # FIFO
+
+
+TestAdmissionMachine = AdmissionMachine.TestCase
 
 
 # ----------------------------------------------------------------------
@@ -741,29 +866,22 @@ class TestServingServer:
         model = _model("gat")
         reference = model.forward(adjacency, features, training=False)
         engine = ServingEngine(model, adjacency, features, cache=256, seed=5)
-        with ServingServer(
-            engine, max_batch=8, max_delay_ms=1.0, workers=2
-        ) as server:
+        with ServingServer(engine, max_batch=8, workers=2) as server:
             nodes = [int(n) for n in np.arange(60) % N]
             futures = server.submit_many(nodes)
             rows = np.vstack([f.result(timeout=30) for f in futures])
         assert np.array_equal(rows, reference[np.arange(60) % N])
 
-    @pytest.mark.parametrize(
-        "admission", [(64, 2.0), (4, 0.0)], ids=["default", "tight"]
-    )
+    @pytest.mark.parametrize("max_batch", [64, 4], ids=["default", "tight"])
     def test_admission_policy_does_not_change_rows(
-        self, adjacency, features, admission
+        self, adjacency, features, max_batch
     ):
-        """The default policy and the tight one (tiny batches, no
-        waiting) answer the same burst with the same rows."""
+        """The default batch cap and a tight one (a burst split into
+        many tiny flushes) answer the same burst with the same rows."""
         model = _model("gat")
         reference = model.forward(adjacency, features, training=False)
         engine = ServingEngine(model, adjacency, features, cache=256, seed=5)
-        max_batch, max_delay_ms = admission
-        with ServingServer(
-            engine, max_batch=max_batch, max_delay_ms=max_delay_ms
-        ) as server:
+        with ServingServer(engine, max_batch=max_batch) as server:
             assert server.queue.max_batch == max_batch
             nodes = np.arange(70) % N
             rows = np.vstack(
@@ -775,20 +893,17 @@ class TestServingServer:
         self, adjacency, features
     ):
         engine = ServingEngine(_model(), adjacency, features, seed=5)
-        with pytest.raises(ValueError, match="max_delay_ms"):
-            ServingServer(engine, max_delay_ms=float("inf"), workers=2)
         with pytest.raises(ValueError, match="max_batch"):
-            ServingServer(engine, max_batch=2.7)
-        assert not [
-            t for t in threading.enumerate()
-            if t.name.startswith("serve-worker")
-        ]
+            ServingServer(engine, max_batch=2.7, workers=2)
+        # 2.5 used to fail in range(), True to start one worker.
+        for bad in (0, 2.5, True, float("nan")):
+            with pytest.raises(ValueError, match="workers"):
+                ServingServer(engine, workers=bad)
+        assert not _serve_workers()
 
     def test_engine_failure_propagates_to_futures(self, adjacency, features):
         engine = ServingEngine(_model(), adjacency, features, seed=5)
-        with ServingServer(
-            engine, max_batch=4, max_delay_ms=0.0
-        ) as server:
+        with ServingServer(engine, max_batch=4) as server:
             future = server.submit(N + 100)  # out of range
             with pytest.raises(ValueError):
                 future.result(timeout=30)
@@ -800,12 +915,10 @@ class TestServingServer:
         model = _model("gat")
         reference = model.forward(adjacency, features, training=False)
         engine = ServingEngine(model, adjacency, features, seed=5)
-        with ServingServer(
-            engine, max_batch=8, max_delay_ms=20.0
-        ) as server:
+        flushes = metrics().histogram("serving.batch_size").count
+        with ServingServer(engine, max_batch=8) as server:
             nodes = [1, 2, 3, bad, 4]
-            futures = [server.submit(node) for node in nodes[:3]]
-            futures += server.submit_many(nodes[3:])
+            futures = server.submit_many(nodes)
             for node, future in zip(nodes, futures):
                 if node is bad:
                     with pytest.raises(ValueError, match="node must be"):
@@ -815,6 +928,90 @@ class TestServingServer:
                     assert np.array_equal(
                         future.result(timeout=30), reference[node]
                     )
+        # One enqueue, an idle worker: the four valid ids shared a flush.
+        assert metrics().histogram("serving.batch_size").count == flushes + 1
+
+    def test_cancelled_request_is_dropped_and_the_worker_lives(
+        self, adjacency, features
+    ):
+        """Cancel one of three requests queued behind a busy worker:
+        the other two resolve, the cancelled one is never served, and
+        the worker is still there to answer a later request."""
+
+        class GatedEngine(ServingEngine):
+            entered, gate = threading.Event(), threading.Event()
+
+            def serve_unique(self, seeds):
+                self.entered.set()
+                self.gate.wait(timeout=30)
+                return super().serve_unique(seeds)
+
+        model = _model("gat")
+        reference = model.forward(adjacency, features, training=False)
+        engine = GatedEngine(model, adjacency, features, seed=5)
+        cancelled = metrics().counter("serving.cancelled").value
+        with ServingServer(engine) as server:
+            first = server.submit(0)
+            assert engine.entered.wait(timeout=30)  # the worker is busy
+            futures = server.submit_many([1, 2, 3])
+            assert futures[1].cancel()
+            engine.gate.set()
+            for node in (0, 1, 3):
+                future = first if node == 0 else futures[node - 1]
+                assert np.array_equal(future.result(timeout=30), reference[node])
+            assert futures[1].cancelled()
+            assert all(thread.is_alive() for thread in server._threads)
+            assert np.array_equal(
+                server.submit(4).result(timeout=30), reference[4]
+            )
+        assert metrics().counter("serving.cancelled").value == cancelled + 1
+
+    def test_more_workers_than_cores_with_bursts_and_cancels(
+        self, adjacency, features
+    ):
+        """Four workers, four requester threads bursting and cancelling,
+        a thread switch every microsecond: each request is served its
+        exact row or was cancelled before a worker took it, and every
+        cancel that succeeded is counted once."""
+        model = _model("gat")
+        reference = model.forward(adjacency, features, training=False)
+        engine = ServingEngine(model, adjacency, features, cache=256, seed=5)
+        cancelled = metrics().counter("serving.cancelled").value
+        sent: list = []
+
+        def requester(index: int) -> None:
+            rng = np.random.default_rng(index)
+            for _ in range(10):
+                nodes = rng.integers(0, N, rng.integers(1, 20)).tolist()
+                futures = server.submit_many(nodes)
+                drops = sum(future.cancel() for future in futures[::3])
+                sent.append((nodes, futures, drops))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServingServer(engine, max_batch=8, workers=4) as server:
+                threads = [
+                    threading.Thread(target=requester, args=(i,))
+                    for i in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                for nodes, futures, _ in sent:
+                    for node, future in zip(nodes, futures):
+                        if not future.cancelled():
+                            assert np.array_equal(
+                                future.result(timeout=30), reference[node]
+                            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(sent) == 40
+        assert metrics().counter("serving.cancelled").value == cancelled + sum(
+            drops for *_, drops in sent
+        )
 
     def test_concurrent_requesters_with_reloads(self, adjacency, features):
         # Heavier interleaving: requester threads race a reload; every
@@ -838,9 +1035,7 @@ class TestServingServer:
                     failures.append(f"stale row for node {node}")
 
         try:
-            with ServingServer(
-                engine, max_batch=16, max_delay_ms=0.5, workers=2
-            ) as server:
+            with ServingServer(engine, max_batch=16, workers=2) as server:
                 threads = [
                     threading.Thread(target=requester, args=(i,))
                     for i in range(4)

@@ -16,10 +16,11 @@ Modules:
 * :mod:`repro.distributed.partition` — block ranges, adjacency block
   extraction, feature distribution/collection.
 * :mod:`repro.distributed.ops` — the shared communication patterns:
-  diagonal row broadcast, softmax row-reductions, the reduce+
-  redistribute pipeline, the transpose exchange.
-* :mod:`repro.distributed.layers` — distributed VA/AGNN/GAT/GCN layers
-  (forward and backward), each a :class:`~repro.models.base.GnnLayer`.
+  diagonal row broadcast, the reduce+redistribute pipeline (which also
+  merges a split softmax's denominators), the transpose exchange.
+* :mod:`repro.distributed.layers` — ``DistAttentionLayer`` (VA, AGNN,
+  GAT or any spec with a score ``kind``: one fused sweep per block) and
+  ``DistGCNLayer``, each an ``AttentionLayer`` bound to a rank's grid.
 * :mod:`repro.distributed.model` — ``build_dist_model``: binds a stack
   of those layers to a rank's grid and returns the one
   :class:`~repro.models.base.GnnModel`; loss terms and optimisers come

@@ -9,9 +9,12 @@ benchmark harness converts into modeled time.
 Loss handling is genuinely distributed: each rank evaluates the
 :mod:`repro.training.loss` terms on its own feature block only,
 normalised by the global labelled count, and the scalar sums are reduced
-across ranks — matching the numerics of the single-node trainer exactly,
-which the equivalence tests assert. A rank's model is a plain
-:class:`~repro.models.base.GnnModel` stepped by ``training.optim.SGD``.
+across ranks. Losses and outputs match the single-node trainer's to
+summation-order noise — relative 1e-10 in float64 and 1e-5 in float32,
+the tolerances ``tests/test_distributed_equivalence.py`` writes down. A
+rank's model is a plain :class:`~repro.models.base.GnnModel` stepped by
+``training.optim.SGD``. Malformed inputs are refused with a
+``ValueError`` naming the argument before any rank starts.
 
 Ranks are threads of this process (:func:`repro.runtime.executor.run_spmd`);
 the ``backend`` keyword both entry points still carry selects nothing —
@@ -20,10 +23,12 @@ see :func:`_check_backend`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.formulation import AttentionSpec
 from repro.distributed.model import build_dist_model
 from repro.distributed.partition import (
     block_range,
@@ -68,6 +73,38 @@ def _check_backend(backend: str) -> None:
         )
 
 
+def _check_inputs(
+    a: CSRMatrix,
+    features: np.ndarray,
+    p: int,
+    labels: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+    loss: str | None = None,
+    out_dim: int | None = None,
+) -> None:
+    """Refuse a run that would fail inside a rank thread, naming the
+    argument: a square ``p`` and adjacency, one feature row per vertex,
+    ``labels`` / ``mask`` of length ``n``, and for ``"ce"`` integer
+    labels in ``[0, out_dim)`` wherever the mask reads one."""
+    if p < 1 or math.isqrt(p) ** 2 != p:
+        raise ValueError(f"p={p}: the 1.5D grid is square, so p must be a perfect square >= 1")
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError(f"a has shape {a.shape}; the adjacency must be square")
+    if np.ndim(features) != 2 or len(features) != n:
+        raise ValueError(
+            f"features has shape {np.shape(features)}; a {a.shape} adjacency needs ({n}, in_dim)")
+    for name, value in (("labels", labels), ("mask", mask)):
+        if value is not None and len(value) != n:
+            raise ValueError(f"{name} has length {len(value)}; the graph has {n} vertices")
+    if loss == "ce":
+        read = np.asarray(labels) if mask is None else np.asarray(labels)[np.asarray(mask, bool)]
+        if read.ndim != 1 or not np.issubdtype(read.dtype, np.integer) or (
+            read.size and (read.min() < 0 or read.max() >= out_dim)
+        ):
+            raise ValueError(f'labels for loss "ce" must be integer classes in [0, {out_dim})')
+
+
 @dataclass
 class DistributedResult:
     """Assembled outcome of a distributed run."""
@@ -97,7 +134,7 @@ def _inference_program(
 
 
 def distributed_inference(
-    model_name: str,
+    model_name: str | AttentionSpec,
     a: CSRMatrix,
     features: np.ndarray,
     hidden_dim: int,
@@ -113,12 +150,15 @@ def distributed_inference(
 ) -> DistributedResult:
     """Run a full inference pass on ``p`` simulated ranks.
 
-    ``p`` must be a perfect square (the Section-7 grid). Returns the
-    assembled output features and the run's traffic statistics.
-    The layer schedules are comm/compute-overlapped by default and
+    ``model_name`` is what :func:`build_dist_model` takes: a built-in
+    name or an ``AttentionSpec`` that declares a score kind. ``p`` must
+    be a perfect square (the Section-7 grid). Returns the assembled
+    output features and the run's traffic statistics. The layer
+    schedules are comm/compute-overlapped by default and
     ``overlap=False`` is the synchronous parity oracle.
     """
     _check_backend(backend)
+    _check_inputs(a, features, p)
     model_args = dict(
         name=model_name, in_dim=features.shape[1], hidden_dim=hidden_dim,
         out_dim=out_dim, num_layers=num_layers, seed=seed, dtype=dtype,
@@ -187,7 +227,7 @@ def _training_program(
 
 
 def distributed_train(
-    model_name: str,
+    model_name: str | AttentionSpec,
     a: CSRMatrix,
     features: np.ndarray,
     labels: np.ndarray,
@@ -221,6 +261,7 @@ def distributed_train(
         raise ValueError(
             f"loss must be one of {sorted(_LOSS_TERMS)}, got {loss!r}"
         )
+    _check_inputs(a, features, p, labels, mask, loss, out_dim)
     model_args = dict(
         name=model_name, in_dim=features.shape[1], hidden_dim=hidden_dim,
         out_dim=out_dim, num_layers=num_layers, seed=seed, dtype=dtype,

@@ -1,716 +1,374 @@
-"""Distributed GNN layers on the 1.5D A-stationary schedule.
+"""Distributed GNN layers on the 1.5D A-stationary schedule (Section 6.3).
 
-Each layer is the SPMD twin of its single-node counterpart in
-``repro.models`` under the same :class:`~repro.models.base.GnnLayer`
-contract (a stack of them is a plain ``GnnModel``): identical
-mathematics, with the Table-2 kernels applied to local blocks and the
-four communication patterns of :mod:`repro.distributed.ops` carrying the
-cross-rank data flow. The communication structure per layer (square
-``P x P`` grid, block size ``b = n / P``):
+A distributed layer *is* an :class:`~repro.models.attention.AttentionLayer`
+bound to a rank's grid — the same code draws, stores and names its
+parameters, and a stack of them is a plain ``GnnModel``. Its passes are
+:class:`~repro.distributed.schedule.CommSchedule` s of local ``Compute``
+kernels and labelled ``Transfer`` patterns, overlapped by default;
+``overlap=False`` is the parity oracle, with the same traffic.
+:class:`DistAttentionLayer` runs any spec that declares a score ``kind`` —
+VA, AGNN, GAT with any head count, a user's — as one fused sweep
+(``megakernel.attention_forward`` / ``attention_backward``) per block and
+pass, with no distributed code per model; :class:`DistGCNLayer` is the
+general route's one case, :math:`\\Psi = A`. Per-rank words per layer
+(square ``P x P`` grid, block size ``b = n / P``, ``h`` heads, width ``k``):
 
-========================  =======================================
-operation                 per-rank volume (words)
-========================  =======================================
-diagonal row broadcast    ``O(b k)`` (VA/AGNN/GAT forward+backward)
-softmax row reductions    ``O(b log p)``   (feature-free)
-reduce + redistribute     ``2 b k``
-transpose exchange        ``b k``          (backward only)
-weight-gradient reduce    ``O(k^2 log p)``
-========================  =======================================
+=============================  ==========================================
+diagonal row broadcast         ``O(b k)``; backward ``+ 2 b h`` row terms
+softmax row-max allreduce      ``O(b h log p)``   (feature-free)
+reduce + redistribute          ``2 b (k + h)``
+row, column allreduce          ``O(b k log p)`` each   (backward)
+transpose exchange             ``b k``   (backward)
+parameter-gradient allreduce   ``O(k^2 log p)``, one
+=============================  ==========================================
 
-summing to the paper's :math:`O(nk/\\sqrt{p} + k^2)` per layer.
+summing to the paper's :math:`O(nk/\\sqrt{p} + k^2)`.
 
-Rather than interleaving communicator calls and math by hand, each
-layer *declares* its forward and backward passes as a
-:class:`~repro.distributed.schedule.CommSchedule` — an ordered list of
-:class:`~repro.distributed.schedule.Compute` kernels and labelled
-:class:`~repro.distributed.schedule.Transfer` patterns. The base class
-drives the shared scheduler, which runs the transfers overlapped with
-the local kernels scheduled between a transfer and its first consumer
-by default; ``overlap=False`` waits on every transfer at once and is the
-parity oracle. Transfer initiation order is identical in both modes, so
-traffic counters and tag streams never diverge.
-
-What every model shares is declared once in the base: the replicated
-parameters (drawn and named exactly as the single-node
-:class:`~repro.models.attention.AttentionLayer` does), the forward
-epilogue :math:`\\Psi H'` → reduce+redistribute, and the backward
-prologue (row broadcast of ``G``, :math:`\\Psi^T G`,
-:math:`H^T \\cdot`, weight-gradient allreduce). A model contributes
-the steps of its Ψ.
-
-Replication invariant: input feature blocks, weights, and every
-backward output are identical across the ranks of a grid column; all
-code paths preserve this bit-for-bit (NumPy kernels are deterministic),
-which the distributed-equivalence tests assert.
+*Forward: a split softmax.* Each block's sweep normalises a row by its own
+``(shift, denom)``; the blocks merge as FlashAttention merges tiles. One
+``max`` allreduce along the grid row gives the row's shift ``m`` (a block
+holding none of the row, which the sweep reports as ``(0, 1)``, is masked
+out); each block rescales ``z · denom`` and ``denom`` by ``exp(shift - m)``;
+the denominators ride the reduce-scatter as ``h`` extra columns and divide
+each reduced chunk before the redistribute. *Backward.* Given the merged
+``(m, denom)``, each block's sweep recomputes the global Ψ. The one
+cross-block quantity, the row inner :math:`\\sum_e \\psi_e d\\psi_e = dz \\cdot
+z`, is appended with ``denom`` to the row broadcast of ``G`` by the diagonal
+rank, which holds row block ``i`` complete. *The spec, per side.*
+Row-endpoint operands (``x_src``, ``u``, ``norms``) are ``spec.operands`` of
+the broadcast row block, column-endpoint ones (``x_dst``, ``v``,
+``norms_dst``) of the local block. ``spec.operands_vjp`` is linear in the
+sweep's exits, so it runs once per side with the other side zeroed: the row
+side's input gradient sums along the grid row, the column side's along the
+column, every parameter-gradient partial in one allreduce. Nothing
+edge-sized is cached.
 """
 
 from __future__ import annotations
 
-from abc import abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar
+from typing import Any
 
 import numpy as np
 
-from repro.core.activations import leaky_relu, leaky_relu_grad
-from repro.core.formulation import PsiInitFn
-from repro.distributed.ops import (
-    OpSequencer,
-    distributed_row_softmax,
-    distributed_row_softmax_backward,
-)
-from repro.distributed.schedule import (
-    CommSchedule,
-    Compute,
-    Transfer,
-)
+from repro.core.formulation import AttentionSpec
+from repro.distributed.ops import OpSequencer
+from repro.distributed.schedule import CommSchedule, Compute, Transfer
 from repro.models.attention import (
-    agnn_spec,
-    draw_parameters,
-    gat_spec,
-    head_major,
-    named_parameters,
-    projection,
-    split_heads,
-)
-from repro.models.base import GnnLayer
+    GCN, AttentionLayer, head_major, named_parameters, projection, split_heads)
 from repro.runtime.grid import ProcessGrid
 from repro.tensor.csr import CSRMatrix
-from repro.tensor.kernels import mm, sddmm_add, sddmm_dot, spmm
-from repro.tensor.segment import bincount_sum, segment_sum
+from repro.tensor.kernels import mm, spmm
+from repro.tensor.megakernel import SweepStats, attention_backward, attention_forward
 from repro.util.counters import FlopCounter, null_counter
-from repro.util.rng import make_rng
 
-__all__ = [
-    "DistGnnLayer",
-    "DistVALayer",
-    "DistAGNNLayer",
-    "DistGATLayer",
-    "DistGCNLayer",
-]
+__all__ = ["DistGnnLayer", "DistAttentionLayer", "DistGCNLayer"]
 
 Step = Compute | Transfer
 
+#: (row-endpoint, column-endpoint) score operands of the sweep; a column one
+#: a spec leaves out is its row twin, as in the sweep's own defaults.
+_ENDPOINTS = (("x_src", "x_dst"), ("u", "v"), ("norms", "norms_dst"))
+#: The sweep's gradient exits of those operands, paired the same way.
+_EXITS = (("dRow", "dCol"), ("dU", "dV"), ("dNormRow", "dNormCol"))
 
-def _masked(c: dict[str, Any], values: np.ndarray) -> np.ndarray:
-    """:math:`\\mathcal{A} \\odot` on the local block's ``(nnz,)`` / ``(nnz, heads)``
-    values: the score before the softmax, and again in its VJP."""
-    data = c["a_block"].data
-    return values * data.reshape((-1,) + (1,) * (values.ndim - 1))
+
+def _block_operands(row: dict[str, Any], col: dict[str, Any]) -> dict[str, Any]:
+    """The sweep's keywords on ``A[i, j]``: row-endpoint operands and the
+    scalars (``slope``, ``beta``) from the spec on row block ``i``,
+    column-endpoint ones from it on column block ``j``."""
+    ops = {key: value for key, value in row.items() if key not in dict(_ENDPOINTS).values()}
+    for src, dst in _ENDPOINTS:
+        if dst in col or src in col:
+            ops[dst] = col.get(dst, col.get(src))
+    return ops
+
+
+def _side_exits(exits: dict[str, np.ndarray], side: int) -> dict[str, np.ndarray]:
+    """The exits of one endpoint side (0 row, 1 column), the other side's
+    read-only zeros; ``dCoef`` rides with the row side."""
+    out = {}
+    for pair in _EXITS:
+        if pair[side] in exits:
+            kept = out[pair[side]] = exits[pair[side]]
+            out[pair[1 - side]] = np.broadcast_to(np.zeros((), kept.dtype), kept.shape)
+    if "dCoef" in exits:
+        out["dCoef"] = exits["dCoef"] * (side == 0)
+    return out
 
 
 @dataclass
 class _DistLayerCache:
-    """Training cache of one distributed layer.
-
-    ``z`` is the pre-activation block the model chains errors through;
-    ``ctx`` holds the forward context entries the backward schedule
-    reads and seeds its context.
-    """
+    """``z``, the pre-activation block the model chains errors through,
+    and the forward context entries the backward schedule reads."""
 
     z: np.ndarray
     ctx: dict[str, Any]
 
 
-class DistGnnLayer(GnnLayer):
-    """Base class: replicated parameters + schedule-driven SPMD passes.
+class DistGnnLayer(AttentionLayer):
+    """An attention layer whose passes run on a rank's blocks.
 
-    Parameters are initialised from an explicit ``seed`` so that every
-    rank constructs bit-identical replicas — the distributed equivalent
-    of the paper's "weight matrices W and vectors a are replicated
-    across all processes". They are drawn, stored and named exactly as
-    :class:`~repro.models.attention.AttentionLayer` does it (``weight``
-    plus Ψ's own from ``psi_init``; ``head{i}.*`` views of head-major
-    stacks for several heads), which is what makes the two comparable
-    parameter for parameter.
-
-    Subclasses declare their data flow via :meth:`_forward_steps` /
-    :meth:`_backward_steps`, built around the shared
-    :meth:`_forward_epilogue` and :meth:`_backward_prologue`; the
-    concrete :meth:`forward` and :meth:`backward` drivers here execute
-    those schedules, apply the activation, and assemble the
-    cache/gradients. Where and how a layer runs is bound once, by
-    :meth:`bind`, not passed per call; an unbound layer holds
-    parameters only.
+    Every rank draws bit-identical parameter replicas from the same
+    ``seed``. Subclasses declare ``_forward_steps`` (leaving ``z_block``)
+    and ``_backward_steps`` (leaving ``d_weight``, ``psi_grads`` when Psi
+    has parameters and ``gamma`` when bound with ``input_grad``). Where and
+    how a layer runs is bound once, by :meth:`bind`.
     """
 
-    #: Schedule label (``"<name>.forward"`` / ``"<name>.backward"``).
-    name: ClassVar[str]
-    #: ctx keys (beyond ``a_block``/``h_block``/``s_block``) the
-    #: backward schedule reads; recorded into the training cache.
-    forward_cache_keys: ClassVar[tuple[str, ...]] = ()
+    #: Context entries the backward schedule reads, kept by the forward.
+    cached: tuple[str, ...] = ("a_block", "h_block")
 
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        activation: str = "relu",
-        seed: int | np.random.Generator | None = 0,
-        dtype: np.dtype | type = np.float32,
-        psi_init: PsiInitFn | None = None,
-        heads: int = 1,
-    ) -> None:
-        super().__init__(activation)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.heads = heads
-        self.weight, self.psi_params = draw_parameters(
-            make_rng(seed), in_dim, out_dim, heads, dtype, psi_init
-        )
-
-    def bind(
-        self,
-        grid: ProcessGrid,
-        sequencer: OpSequencer,
-        overlap: bool = True,
-        input_grad: bool = True,
-    ) -> None:
+    def bind(self, grid: ProcessGrid, sequencer: OpSequencer, overlap: bool = True,
+             input_grad: bool = True) -> None:
         """Attach this rank's grid and the model's one ``sequencer``.
-
         ``overlap=False`` is the synchronous parity oracle;
-        ``input_grad=False`` (a model's first layer) skips the
-        input-feature gradient and its transfers in :meth:`backward`.
-        """
-        self.grid = grid
-        self.sequencer = sequencer
-        self.overlap = overlap
-        self.input_grad = input_grad
+        ``input_grad=False`` (a first layer) skips the input gradient."""
+        self.grid, self.sequencer = grid, sequencer
+        self.overlap, self.input_grad = overlap, input_grad
 
-    # ------------------------------------------------------------------
     def forward(
-        self,
-        a_block: CSRMatrix,
-        h_block: np.ndarray,
-        counter: FlopCounter = null_counter(),
-        training: bool = True,
+        self, a_block: CSRMatrix, h_block: np.ndarray,
+        counter: FlopCounter = null_counter(), training: bool = True,
     ) -> tuple[np.ndarray, _DistLayerCache | None]:
-        """Compute the next column-replicated feature block.
-
-        ``h_block`` is this rank's input block :math:`H_j`; the return
-        value is :math:`H^{l+1}_j` (post-activation, already reduced
-        and redistributed) plus a training cache exposing ``z``.
-        """
-        ctx: dict[str, Any] = {
-            "grid": self.grid, "a_block": a_block,
-            "h_block": h_block, "counter": counter,
-        }
-        CommSchedule(self._forward_steps(), name=f"{self.name}.forward").run(
-            self.grid, self.sequencer, ctx, overlap=self.overlap
-        )
+        """:math:`H^{l+1}_j` (post-activation, redistributed) from this
+        rank's input block :math:`H_j`, and a training cache."""
+        ctx = {"grid": self.grid, "a_block": a_block, "h_block": h_block, "counter": counter}
+        self._run(self._forward_steps(), ctx, "forward")
         h_next = self.activation.fn(ctx["z_block"])
         if not training:
             return h_next, None
-        keys = ("a_block", "h_block", "s_block") + self.forward_cache_keys
         return h_next, _DistLayerCache(
-            ctx["z_block"], {key: ctx[key] for key in keys}
-        )
+            ctx["z_block"], {key: ctx[key] for key in self.cached if key in ctx})
 
-    # ------------------------------------------------------------------
     def backward(
-        self,
-        cache: _DistLayerCache,
-        g_block: np.ndarray,
-        counter: FlopCounter = null_counter(),
+        self, cache: _DistLayerCache, g_block: np.ndarray, counter: FlopCounter = null_counter(),
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
-        """SPMD backward: ``g_block`` is :math:`dL/dZ` restricted to
-        block ``j`` (column-replicated). Returns the input-feature
-        gradient block (or ``None`` when bound with
-        ``input_grad=False``) and replicated parameter gradients.
-        """
-        ctx = {
-            **cache.ctx, "grid": self.grid, "counter": counter,
-            "g_block": g_block,
-        }
-        CommSchedule(
-            self._backward_steps(self.input_grad),
-            name=f"{self.name}.backward",
-        ).run(self.grid, self.sequencer, ctx, overlap=self.overlap)
-        psi_grads = {
-            name: ctx[f"d_{name}"].astype(param.dtype, copy=False)
-            for name, param in self.psi_params.items()
-        }
+        """The input-gradient block (``None`` without ``input_grad``) and the
+        replicated parameter gradients from :math:`dL/dZ` on block ``j``."""
+        ctx = {**cache.ctx, "grid": self.grid, "counter": counter, "g_block": g_block}
+        self._run(self._backward_steps(), ctx, "backward")
         return ctx["gamma"] if self.input_grad else None, named_parameters(
-            head_major(ctx["d_weight"], self.heads), psi_grads, self.heads
-        )
+            head_major(ctx["d_weight"], self.heads), ctx.get("psi_grads", {}), self.heads)
 
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def _forward_steps(self) -> list[Step]:
-        """Declare the forward pass; must produce ``s_block`` and
-        ``z_block``."""
+    def _run(self, steps: list[Step], ctx: dict[str, Any], direction: str) -> None:
+        CommSchedule(steps, name=f"{self.spec.name}.{direction}").run(
+            self.grid, self.sequencer, ctx, overlap=self.overlap)
 
-    @abstractmethod
-    def _backward_steps(self, need_input_grad: bool) -> list[Step]:
-        """Declare the backward pass; must produce ``d_weight``, a
-        ``d_<name>`` per Ψ parameter, and ``gamma`` when
-        ``need_input_grad``."""
-
-    # -- the steps every model shares ----------------------------------
     def _project(self) -> Compute:
-        """:math:`H' = H W` on the local block. It reads nothing remote,
-        so it runs while an earlier broadcast is in flight."""
+        """:math:`H' = H W` on the local block, which reads nothing remote."""
         return Compute("hp", lambda c: mm(
             c["h_block"], projection(self.weight), counter=c["counter"]))
 
-    def _forward_epilogue(self, out: str = "z_block") -> list[Step]:
-        """:math:`\\Psi H'` partial sums, reduced and redistributed into
-        the next layer's input distribution."""
-        return [
-            Compute("partial", lambda c: spmm(
-                c["s_block"], c["hp"], counter=c["counter"])),
-            Transfer(out, "redistribute", "partial", phase="redistribute"),
-        ]
 
-    def _backward_prologue(self) -> list[Step]:
-        """Eq. 13 for a Ψ that does not depend on ``W``: broadcast the
-        output gradient along the grid row, then
-        :math:`dW = H^T (\\Psi^T G)` summed over the grid."""
-        return [
-            Transfer("g_row", "row_bcast", "g_block", phase="backward"),
-            Compute("stg_partial", lambda c: spmm(
-                c["s_block"].transpose(), c["g_row"], counter=c["counter"]
-            ), needs=("g_row",)),
-            Compute("dw_local", lambda c: mm(
-                c["h_block"].T, c["stg_partial"], counter=c["counter"])),
-            Transfer("d_weight", "allreduce", "dw_local", phase="backward"),
-        ]
+class DistAttentionLayer(DistGnnLayer):
+    """A spec that declares a score ``kind``, one sweep per block and pass
+    (module docstring). ``spec``, ``heads`` and ``combine`` are
+    :class:`~repro.models.attention.AttentionLayer`'s, at its default
+    ``order`` and semiring. Every transfer carries the flat ``(b, heads *
+    d)`` stack of all heads, so a layer sends as many messages whatever its
+    head count."""
 
-    # ------------------------------------------------------------------
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Replicated parameters by name."""
-        return named_parameters(self.weight, self.psi_params, self.heads)
-
-
-# ----------------------------------------------------------------------
-# Vanilla attention
-# ----------------------------------------------------------------------
-class DistVALayer(DistGnnLayer):
-    """Distributed VA layer: one fused SDDMM + one SpMM + redistribution."""
-
-    name = "va"
-    forward_cache_keys = ("h_row", "hp")
-
-    def _forward_steps(self) -> list[Step]:
-        return [
-            Transfer("h_row", "row_bcast", "h_block", phase="psi"),
-            self._project(),
-            Compute("dots", lambda c: sddmm_dot(
-                c["a_block"], c["h_row"], c["h_block"], counter=c["counter"]
-            ), needs=("h_row",)),
-            Compute("s_block", lambda c: c["a_block"].with_data(
-                _masked(c, c["dots"]))),
-            *self._forward_epilogue(),
-        ]
-
-    def _backward_steps(self, need_input_grad: bool) -> list[Step]:
-        steps = self._backward_prologue()
-        if need_input_grad:
-            steps += [
-                # The Eq.-14 score gradient and its two feature terms
-                # run under the weight-gradient allreduce.
-                Compute("ds", lambda c: sddmm_dot(
-                    c["a_block"], c["g_row"], c["hp"], counter=c["counter"])),
-                Compute("n_block", lambda c: c["a_block"].with_data(
-                    _masked(c, c["ds"]))),
-                Compute("row_partial", lambda c: spmm(
-                    c["n_block"], c["h_block"], counter=c["counter"])),
-                Transfer("row_term", "row_allreduce", "row_partial",
-                         phase="backward"),
-                Compute("col_partial", lambda c: spmm(
-                    c["n_block"].transpose(), c["h_row"],
-                    counter=c["counter"],
-                ) + mm(c["stg_partial"], self.weight.T,
-                       counter=c["counter"])),
-                Transfer("col_term", "col_allreduce", "col_partial",
-                         phase="backward"),
-                Transfer("row_t", "transpose", "row_term", phase="backward"),
-                Compute("gamma", lambda c: c["col_term"] + c["row_t"],
-                        needs=("col_term", "row_t")),
-            ]
-        return steps
-
-
-# ----------------------------------------------------------------------
-# AGNN
-# ----------------------------------------------------------------------
-class DistAGNNLayer(DistGnnLayer):
-    """Distributed AGNN layer (cosine attention + distributed softmax)."""
-
-    name = "agnn"
-    forward_cache_keys = (
-        "h_row", "hp", "cos_values", "norms_row", "norms_col", "denom",
-    )
+    cached = DistGnnLayer.cached + (
+        "hp", "x_row", "ops_row", "ops_col", "shift", "z_heads", "denom")
 
     def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        activation: str = "relu",
-        beta: float = 1.0,
-        learnable_beta: bool = False,
-        eps: float = 1e-12,
-        seed: int | np.random.Generator | None = 0,
-        dtype: np.dtype | type = np.float32,
+        self, in_dim: int, out_dim: int, spec: AttentionSpec, activation: str = "relu",
+        heads: int = 1, combine: str = "concat",
+        seed: int | np.random.Generator | None = 0, dtype: np.dtype | type = np.float32,
     ) -> None:
-        super().__init__(
-            in_dim, out_dim, activation, seed, dtype,
-            psi_init=agnn_spec(beta, learnable_beta).init,
-        )
-        self.beta = beta
-        self.eps = eps
-
-    def _beta(self) -> float:
-        """The propagation temperature: trained, or the fixed one."""
-        return float(self.psi_params.get("beta", self.beta))
+        if spec.kind is None:
+            raise ValueError(f"{spec.name}: the distributed sweep needs a spec with a kind")
+        super().__init__(in_dim, out_dim, spec, activation, heads=heads, combine=combine,
+                         seed=seed, dtype=dtype)
+        self.softmax = spec.kind != "dot" if spec.softmax is None else bool(spec.softmax)
+        #: The context entry Psi reads on the local block.
+        self.x = "hp" if spec.on_projected else "h_block"
 
     def _forward_steps(self) -> list[Step]:
-        def norms_row(c):
-            norms = np.sqrt(np.einsum("ij,ij->i", c["h_row"], c["h_row"]))
-            c["counter"].add(4 * c["h_block"].size, "norms")
-            return norms
+        spec, heads = self.spec, self.heads
 
-        def soft(c):
-            values = distributed_row_softmax(
-                c["grid"], c["a_block"],
-                _masked(c, self._beta() * c["cos_values"]),
-            )
-            c["counter"].add(7 * c["a_block"].nnz, "softmax")
-            return values
+        def operands(key):
+            return lambda c: spec.operands(
+                split_heads(c[key], heads), self.psi_params, c["counter"])
 
-        return [
-            Transfer("h_row", "row_bcast", "h_block", phase="psi"),
-            # Column norms and the projection only read local blocks —
-            # both overlap the broadcast.
-            Compute("norms_col", lambda c: np.sqrt(
-                np.einsum("ij,ij->i", c["h_block"], c["h_block"]))),
-            self._project(),
-            Compute("norms_row", norms_row, needs=("h_row",)),
-            Compute("dots", lambda c: sddmm_dot(
-                c["a_block"], c["h_row"], c["h_block"], counter=c["counter"])),
-            Compute("denom", lambda c: np.maximum(
-                c["norms_row"][c["a_block"].expand_rows()]
-                * c["norms_col"][c["a_block"].indices],
-                self.eps,
-            )),
-            Compute("cos_values", lambda c: c["dots"] / c["denom"]),
-            Compute("soft", soft, phase="softmax"),
-            Compute("s_block", lambda c: c["a_block"].with_data(c["soft"])),
-            *self._forward_epilogue(),
+        def sweep(c):
+            z, c["stats"] = attention_forward(
+                c["a_block"], spec.kind, split_heads(c["hp"], heads), softmax=spec.softmax,
+                counter=c["counter"], **_block_operands(c["ops_row"], c["ops_col"]))
+            return z.reshape(len(z), -1)
+
+        # Psi on H W broadcasts H'_i; on H, H_i goes out under the projection.
+        bcast = Transfer("x_row", "row_bcast", self.x, phase="psi")
+        steps = [self._project(), bcast] if spec.on_projected else [bcast, self._project()]
+        steps += [
+            Compute("ops_col", operands(self.x)),
+            Compute("ops_row", operands("x_row"), needs=("x_row",)),
+            Compute("z_local", sweep),
         ]
-
-    def _backward_steps(self, need_input_grad: bool) -> list[Step]:
-        steps = self._backward_prologue() + [
-            Compute("ds", lambda c: sddmm_dot(
-                c["a_block"], c["g_row"], c["hp"], counter=c["counter"])),
-            Compute("dt", lambda c: _masked(
-                c, distributed_row_softmax_backward(
-                    c["grid"], c["a_block"], c["s_block"].data, c["ds"]
-                )), phase="backward"),
-        ]
-        if "beta" in self.psi_params:
+        if self.softmax:
             steps += [
-                Compute("d_beta_local", lambda c: np.array(
-                    np.dot(c["dt"], c["cos_values"]))),
-                Transfer("d_beta", "allreduce", "d_beta_local",
-                         phase="backward"),
+                Compute("local_max", lambda c: np.where(
+                    self._present(c), c["stats"].shift, -np.inf)),
+                Transfer("row_max", "row_allreduce", "local_max", phase="softmax", op="max"),
+                Compute("partial", self._rescaled, needs=("row_max",)),
+                Transfer("merged", "redistribute", "partial", phase="redistribute",
+                         denominators=heads),
+                # Copies, so the cache keeps neither view's base alive.
+                Compute("z_heads", lambda c: np.ascontiguousarray(c["merged"][:, :-heads])),
+                Compute("denom", lambda c: np.ascontiguousarray(c["merged"][:, -heads:])),
             ]
-        if need_input_grad:
-            def corrections(c):
-                # Diagonal corrections of the cosine Jacobian.
-                norms_row = np.maximum(c["norms_row"], self.eps)
-                norms_col = np.maximum(c["norms_col"], self.eps)
-                c["row_term"] = (
-                    c["row_sum"]
-                    - (c["rc"] / (norms_row**2))[:, None] * c["h_row"]
-                )
-                c["col_term"] = (
-                    c["col_sum"]
-                    - (c["cc"] / (norms_col**2))[:, None] * c["h_block"]
-                )
-                c["counter"].add(8 * c["a_block"].nnz, "agnn_vjp")
-
-            steps += [
-                Compute("dc", lambda c: self._beta() * c["dt"]),
-                # Forward already gathered/clipped the per-edge norm
-                # products (``denom``).
-                Compute("d_mat", lambda c: c["a_block"].with_data(
-                    c["dc"] / c["denom"])),
-                Compute("row_partial", lambda c: spmm(
-                    c["d_mat"], c["h_block"], counter=c["counter"])),
-                Transfer("row_sum", "row_allreduce", "row_partial",
-                         phase="backward"),
-                Compute("col_partial", lambda c: spmm(
-                    c["d_mat"].transpose(), c["h_row"], counter=c["counter"]
-                ) + mm(c["stg_partial"], self.weight.T,
-                       counter=c["counter"])),
-                Transfer("col_sum", "col_allreduce", "col_partial",
-                         phase="backward"),
-                Compute("dcc", lambda c: c["dc"] * c["cos_values"]),
-                Compute("rc_local", lambda c: segment_sum(
-                    c["dcc"], c["a_block"].indptr)),
-                Transfer("rc", "row_allreduce", "rc_local",
-                         phase="backward"),
-                Compute("cc_local", lambda c: bincount_sum(
-                    c["a_block"].indices, c["dcc"], c["a_block"].shape[1])),
-                Transfer("cc", "col_allreduce", "cc_local",
-                         phase="backward"),
-                Compute(None, corrections,
-                        needs=("row_sum", "col_sum", "rc", "cc")),
-                Transfer("row_t", "transpose", "row_term", phase="backward"),
-                Compute("gamma", lambda c: c["col_term"] + c["row_t"],
-                        needs=("row_t",)),
-            ]
+        else:
+            steps.append(Transfer("z_heads", "redistribute", "z_local", phase="redistribute"))
+        steps.append(Compute("z_block", lambda c: self._combine(split_heads(c["z_heads"], heads))))
         return steps
-
-
-# ----------------------------------------------------------------------
-# GAT, any head count
-# ----------------------------------------------------------------------
-class DistGATLayer(DistGnnLayer):
-    """Distributed GAT layer with ``heads`` attention heads.
-
-    The projected features :math:`H' = H W` are computed locally
-    (``W`` is replicated); the row-side block :math:`H'_i` is what gets
-    broadcast along the grid row — one broadcast covers both the
-    additive SDDMM (:math:`u_i + v_j`) and the backward pass.
-
-    Several heads travel together: every communication step carries
-    the flat ``(b, heads*d)`` stack of all heads — a single row
-    broadcast, one distributed softmax over stacked ``(nnz, heads)``
-    logits, one reduce+redistribute and one transpose exchange per
-    layer step — so a layer sends the same number of messages whatever
-    its head count, which :class:`~repro.runtime.stats.CommStats` makes
-    observable. One head hands the kernels plain 2-D operands. Because
-    Ψ depends on ``W``, the weight gradient folds in Ψ's rank-1 terms
-    and the shared backward prologue does not apply.
-    """
-
-    name = "gat"
-    forward_cache_keys = ("hp", "hp_row", "raw_values")
-
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        heads: int = 1,
-        combine: str = "concat",
-        activation: str = "elu",
-        slope: float = 0.2,
-        seed: int | np.random.Generator | None = 0,
-        dtype: np.dtype | type = np.float32,
-    ) -> None:
-        if combine not in ("concat", "mean"):
-            raise ValueError("combine must be 'concat' or 'mean'")
-        super().__init__(
-            in_dim, out_dim, activation, seed, dtype,
-            psi_init=gat_spec(slope).init, heads=heads,
-        )
-        self.slope = slope
-        self.combine = combine
-        self.head_dim = out_dim
-        self.out_dim = out_dim * heads if combine == "concat" else out_dim
-
-    # -- head layout: flat (b, heads*d) on the wire, split for kernels.
-    # One head takes the BLAS matrix-vector products; the stacked forms
-    # are their per-head einsum equivalents.
-    def _split(self, x: np.ndarray) -> np.ndarray:
-        return split_heads(x, self.heads)
-
-    def _logit_term(self, hp: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Per-head :math:`H' a`: ``(b,)``, or ``(b, heads)`` stacked."""
-        if self.heads == 1:
-            return hp @ a
-        return np.einsum("nhd,hd->nh", self._split(hp), a)
-
-    def _vector_grad(self, hp: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Per-head :math:`H'^T d` — the adjoint of :meth:`_logit_term`."""
-        if self.heads == 1:
-            return hp.T @ d
-        return np.einsum("nhd,nh->hd", self._split(hp), d)
-
-    def _averaged(self) -> bool:
-        """Heads are averaged, so Z and dL/dZ are one head wide."""
-        return self.heads > 1 and self.combine == "mean"
 
     @staticmethod
-    def _rank1(d: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Per-head ``outer(d_h, a_h)``, flat ``(b, heads*d)``."""
-        return (d[..., None] * a).reshape(d.shape[0], -1)
+    def _present(c) -> np.ndarray:
+        """``(b, 1)``: the block's rows that store an entry (the sweep
+        reports ``(0, 1)`` statistics for the others)."""
+        return c["a_block"].row_lengths()[:, None] > 0
 
-    # ------------------------------------------------------------------
-    def _forward_steps(self) -> list[Step]:
-        a_src, a_dst = self.psi_params["a_src"], self.psi_params["a_dst"]
+    def _rescaled(self, c) -> np.ndarray:
+        """This block's share of the merge, ``z · denom`` and ``denom`` at the
+        grid row's max, as one ``(b, heads * d + heads)`` partial."""
+        # A row empty on the whole grid row keeps the sweep's shift, 0.
+        c["shift"] = np.where(c["row_max"] == -np.inf, 0, c["row_max"])
+        local, z = c["stats"], c["z_local"]
+        weight = local.denom * np.exp(
+            np.where(self._present(c), local.shift - c["shift"], -np.inf))
+        num = z.reshape(len(z), self.heads, -1) * weight[:, :, None]
+        return np.concatenate([num.reshape(len(z), -1), weight], axis=1)
 
-        def u(c):
-            result = self._logit_term(c["hp_row"], a_src)
-            c["counter"].add(4 * c["hp"].size, "gat_uv")
-            return result
+    def _backward_steps(self) -> list[Step]:
+        spec, heads, width, projected = self.spec, self.heads, self.out_dim, self.spec.on_projected
+        # The sweep's score half feeds the operand VJP, for an input gradient,
+        # Psi's parameters or (Psi on H W) the weight; else dY is all it needs.
+        vjp = spec.operands_vjp is not None and (
+            self.input_grad or projected or bool(self.psi_params))
+        rows = vjp and (self.input_grad or projected)  # the row side's dX is used
+        names = tuple(self.psi_params) if vjp else ()
 
-        def soft(c):
-            # Stacked (nnz, heads) logits: one distributed softmax (two
-            # feature-free allreduces) normalises all heads.
-            values = distributed_row_softmax(
-                c["grid"], c["a_block"], c["logits"]
-            )
-            c["counter"].add(6 * c["raw_values"].size, "softmax")
-            return values
+        def w_t(c, x):
+            return mm(x, projection(self.weight).T, counter=c["counter"])
 
-        steps = [
-            self._project(),
-            # ONE row broadcast carries every head's projected block.
-            Transfer("hp_row", "row_bcast", "hp", phase="psi"),
-            # The destination scores only need the local block — they
-            # overlap the broadcast of the source-side block.
-            Compute("v", lambda c: self._logit_term(c["hp"], a_dst)),
-            Compute("u", u, needs=("hp_row",)),
-            Compute("raw_values", lambda c: sddmm_add(
-                c["a_block"], c["u"], c["v"], counter=c["counter"])),
-            Compute("logits", lambda c: _masked(c, leaky_relu(
-                c["raw_values"], self.slope))),
-            Compute("soft", soft, phase="softmax"),
-            Compute("s_block", lambda c: c["a_block"].with_data(c["soft"])),
-            # ONE reduce+redistribute of the flat (b, heads*d) partials.
-            *self._forward_epilogue(
-                "z_heads" if self._averaged() else "z_block"
-            ),
-        ]
-        if self._averaged():
-            steps.append(Compute("z_block", lambda c: self._split(
-                c["z_heads"]).mean(axis=1)))
-        return steps
+        def payload(c):
+            # G_i is complete on the diagonal rank, whose copy is sent; under
+            # a softmax with the row inner dz . z per head and denom.
+            if c["grid"].row != c["grid"].col:
+                return None
+            if not self.softmax:
+                return c["g_block"]
+            z = split_heads(c["z_heads"], heads)
+            inner = np.einsum("...k,...k->...", self._uncombine(c["g_block"]), z)
+            c["counter"].add(2 * z.size, "softmax_bwd")
+            return np.concatenate([c["g_block"], inner.reshape(len(z), heads), c["denom"]], axis=1)
 
-    def _backward_steps(self, need_input_grad: bool) -> list[Step]:
-        a_src, a_dst = self.psi_params["a_src"], self.psi_params["a_dst"]
+        def sweep(c):
+            g, stats, inner = c["g_row"], None, None
+            if self.softmax:
+                stats = SweepStats(c["shift"], g[:, width + heads:])
+                g, inner = g[:, :width], g[:, width:width + heads]
+            return attention_backward(
+                c["a_block"], spec.kind, split_heads(c["hp"], heads), self._uncombine(g),
+                stats=stats, row_inner=inner, score_grad=vjp, softmax=spec.softmax,
+                counter=c["counter"], **_block_operands(c["ops_row"], c["ops_col"]))
 
-        def g_heads(c):
-            # Mean combine: each head sees dL/dZ_h = g / heads.
-            g = c["g_block"] / self.heads
-            return np.ascontiguousarray(np.broadcast_to(
-                g[:, None, :], (g.shape[0], self.heads, self.head_dim)
-            )).reshape(g.shape[0], -1)
+        def operand_grads(c):
+            # The spec's VJP once per side; returns the row side's dX.
+            (dx_row, grads_row), (dx_col, grads_col) = (
+                spec.operands_vjp(_side_exits(c["exits"], side), split_heads(c[x], heads),
+                                  self.psi_params, c[ops], c["counter"])
+                for side, x, ops in ((0, "x_row", "ops_row"), (1, self.x, "ops_col")))
+            c["dx_col"] = dx_col.reshape(len(dx_col), -1)
+            c["dpsi"] = {name: grads_row[name] + grads_col[name] for name in names}
+            return dx_row.reshape(len(dx_row), -1)
 
-        def draw(c):
-            result = _masked(c, c["dlogits"]) * leaky_relu_grad(
-                c["raw_values"], self.slope
-            )
-            c["counter"].add(4 * result.size, "gat_vjp")
-            return result
-
-        # Attention-vector gradients: contribute each complete block
-        # exactly once (grid column 0 / grid row 0 / diagonal), then
-        # sum — one allreduce carries all heads' gradients.
-        def d_a_src_local(c):
-            if c["grid"].col == 0:
-                return self._vector_grad(c["hp_row"], c["du"])
-            return np.zeros_like(a_src, dtype=c["du"].dtype)
-
-        def d_a_dst_local(c):
-            if c["grid"].row == 0:
-                return self._vector_grad(c["hp"], c["dv"])
-            return np.zeros_like(a_dst, dtype=c["dv"].dtype)
+        def dhp(c):
+            # This rank's share of dL/dH'_j, which dW sums over the grid.
+            dy = c["exits"]["dY"].reshape(len(c["exits"]["dY"]), -1)
+            return dy + c["dx_col"] if vjp and projected else dy
 
         def col_partial(c):
-            return c["stg_partial"] + (
-                c["dst_rank1"] if c["grid"].row == 0
-                else np.zeros_like(c["stg_partial"])
-            )
+            if projected:
+                return c["dhp"]
+            return w_t(c, c["dhp"]) + c["dx_col"] if vjp else w_t(c, c["dhp"])
 
-        # Weight gradient dW = H^T dH' from single-count parts; one
-        # (in, heads*d) allreduce serves every head.
-        def dw_local(c):
-            grid = c["grid"]
-            dw = mm(c["h_block"].T, c["stg_partial"], counter=c["counter"])
-            if grid.row == 0:
-                dw = dw + c["h_block"].T @ c["dst_rank1"]
-            if grid.row == grid.col:
-                dw = dw + c["h_block"].T @ c["src_rank1"]
-            return dw
+        def param_partial(c):
+            dw = mm(c["h_block"].T, c["dhp"], counter=c["counter"])
+            if rows and projected and c["grid"].row == c["grid"].col:
+                # Row block j's dH' part is complete here, once per grid column.
+                dw += mm(c["h_block"].T, c["row_sum"], counter=c["counter"])
+            return np.concatenate([dw.ravel(), *(c["dpsi"][n].ravel() for n in names)])
 
-        steps: list[Step] = []
-        g_src = "g_block"
-        if self._averaged():
-            steps.append(Compute("g_heads", g_heads))
-            g_src = "g_heads"
-        steps += [
-            # ONE row broadcast of the stacked output gradient.
-            Transfer("g_row", "row_bcast", g_src, phase="backward"),
-            Compute("ds", lambda c: sddmm_dot(
-                c["a_block"], self._split(c["g_row"]), self._split(c["hp"]),
-                counter=c["counter"],
-            ), needs=("g_row",)),
-            Compute("dlogits", lambda c: distributed_row_softmax_backward(
-                c["grid"], c["a_block"], c["s_block"].data, c["ds"]
-            ), phase="backward"),
-            Compute("draw", draw),
-            Compute("du_local", lambda c: segment_sum(
-                c["draw"], c["a_block"].indptr)),
-            Transfer("du", "row_allreduce", "du_local", phase="backward"),
-            Compute("dv_local", lambda c: bincount_sum(
-                c["a_block"].indices, c["draw"], c["a_block"].shape[1])),
-            Transfer("dv", "col_allreduce", "dv_local", phase="backward"),
-            # S^T G reads neither du nor dv — it runs under both
-            # score-gradient allreduces.
-            Compute("stg_partial", lambda c: spmm(
-                c["s_block"].transpose(), c["g_row"], counter=c["counter"])),
-            Compute("d_a_src_local", d_a_src_local, needs=("du",)),
-            Transfer("d_a_src", "allreduce", "d_a_src_local",
-                     phase="backward"),
-            Compute("d_a_dst_local", d_a_dst_local, needs=("dv",)),
-            Transfer("d_a_dst", "allreduce", "d_a_dst_local",
-                     phase="backward"),
-            Compute("dst_rank1", lambda c: self._rank1(c["dv"], a_dst)),
-            Compute("src_rank1", lambda c: self._rank1(c["du"], a_src)),
-            Compute("col_partial", col_partial),
-            # ONE allreduce of the stacked column terms (dH' via cols).
-            Transfer("col_term", "col_allreduce", "col_partial",
-                     phase="backward"),
-            Compute("dw_local", dw_local),
-            Transfer("d_weight", "allreduce", "dw_local", phase="backward"),
+        def gamma(c):
+            g = c["col_sum"] + c["row_t"] if vjp else c["col_sum"]
+            return w_t(c, g) if projected else g
+
+        def unpack(c):
+            flat, at = c["param_sum"], self.weight.size
+            c["d_weight"], c["psi_grads"] = flat[:at].reshape(self.in_dim, -1), {}
+            for name in names:
+                param = self.psi_params[name]
+                c["psi_grads"][name] = flat[at:at + param.size].reshape(param.shape).astype(
+                    param.dtype, copy=False)
+                at += param.size
+
+        steps: list[Step] = [
+            Compute("g_payload", payload),
+            Transfer("g_row", "row_bcast", "g_payload", phase="backward"),
+            Compute("exits", sweep, needs=("g_row",)),
         ]
-        if need_input_grad:
-            steps += [
-                # ONE transpose exchange of the stacked row terms
-                # (src_rank1 is complete locally).
-                Transfer("row_t", "transpose", "src_rank1",
-                         phase="backward"),
-                Compute("dhp", lambda c: c["col_term"] + c["row_t"],
-                        needs=("col_term", "row_t")),
-                Compute("gamma", lambda c: mm(
-                    c["dhp"], projection(self.weight).T,
-                    counter=c["counter"])),
-            ]
+        if vjp:
+            steps.append(Compute("dx_row", operand_grads))
+        if rows:
+            steps.append(Transfer("row_sum", "row_allreduce", "dx_row", phase="backward"))
+        steps.append(Compute("dhp", dhp))
+        if self.input_grad:
+            steps += [Compute("col_partial", col_partial),
+                      Transfer("col_sum", "col_allreduce", "col_partial", phase="backward")]
+        steps += [
+            Compute("param_partial", param_partial,
+                    needs=("row_sum",) if rows and projected else ()),
+            Transfer("param_sum", "allreduce", "param_partial", phase="backward"),
+        ]
+        if self.input_grad:
+            if vjp:
+                steps.append(Transfer("row_t", "transpose", "row_sum", phase="backward"))
+            steps.append(Compute("gamma", gamma, needs=("col_sum",) + ("row_t",) * vjp))
+        steps.append(Compute(None, unpack, needs=("param_sum",)))
         return steps
 
 
-# ----------------------------------------------------------------------
-# GCN (C-GNN special case)
-# ----------------------------------------------------------------------
 class DistGCNLayer(DistGnnLayer):
-    """Distributed GCN layer: pure SpMM + MM, no attention traffic.
+    """GCN: Ψ *is* the block of the pre-normalised adjacency, so a layer is
+    one SpMM + MM and no attention traffic — inference is the
+    broadcast-free minimal-communication case of Section 8.4."""
 
-    ``a_block`` must be the block of the pre-normalised adjacency — it
-    *is* Ψ. One inference layer costs exactly one broadcast-free SpMM
-    plus the reduce+redistribute — the minimal-communication case of
-    Section 8.4.
-    """
-
-    name = "gcn"
+    def __init__(self, in_dim: int, out_dim: int, activation: str = "relu",
+                 seed: int | np.random.Generator | None = 0,
+                 dtype: np.dtype | type = np.float32) -> None:
+        super().__init__(in_dim, out_dim, GCN, activation, seed=seed, dtype=dtype)
 
     def _forward_steps(self) -> list[Step]:
         return [
             self._project(),
-            Compute("s_block", lambda c: c["a_block"]),
-            *self._forward_epilogue(),
+            Compute("partial", lambda c: spmm(c["a_block"], c["hp"], counter=c["counter"])),
+            Transfer("z_block", "redistribute", "partial", phase="redistribute"),
         ]
 
-    def _backward_steps(self, need_input_grad: bool) -> list[Step]:
-        steps = self._backward_prologue()
-        if need_input_grad:
+    def _backward_steps(self) -> list[Step]:
+        # Eq. 13: G broadcast along the grid row, dW = H^T (Psi^T G) summed.
+        steps = [
+            Transfer("g_row", "row_bcast", "g_block", phase="backward"),
+            Compute("stg", lambda c: spmm(
+                c["a_block"].transpose(), c["g_row"], counter=c["counter"]), needs=("g_row",)),
+            Compute("dw_local", lambda c: mm(c["h_block"].T, c["stg"], counter=c["counter"])),
+            Transfer("d_weight", "allreduce", "dw_local", phase="backward"),
+        ]
+        if self.input_grad:
             steps += [
-                Compute("gamma_local", lambda c: mm(
-                    c["stg_partial"], self.weight.T, counter=c["counter"])),
-                Transfer("gamma", "col_allreduce", "gamma_local",
-                         phase="backward"),
+                Compute("gamma_local", lambda c: mm(c["stg"], self.weight.T, counter=c["counter"])),
+                Transfer("gamma", "col_allreduce", "gamma_local", phase="backward"),
             ]
         return steps

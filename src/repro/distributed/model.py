@@ -17,24 +17,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributed.layers import (
-    DistAGNNLayer,
-    DistGATLayer,
-    DistGCNLayer,
-    DistGnnLayer,
-    DistVALayer,
-)
+from repro.core.formulation import AttentionSpec
+from repro.distributed.layers import DistAttentionLayer, DistGCNLayer, DistGnnLayer
 from repro.distributed.ops import OpSequencer
+from repro.models.attention import GCN, VA, agnn_spec, gat_spec
 from repro.models.base import GnnModel
 from repro.runtime.grid import ProcessGrid
 from repro.util.rng import make_rng
 
 __all__ = ["build_dist_model"]
 
+#: Built-in models by name; keyword arguments are their spec's.
+_SPECS = {"va": lambda: VA, "agnn": agnn_spec, "gat": gat_spec, "gcn": lambda: GCN}
+
 
 def build_dist_model(
     grid: ProcessGrid,
-    name: str,
+    name: str | AttentionSpec,
     in_dim: int,
     hidden_dim: int,
     out_dim: int,
@@ -43,54 +42,53 @@ def build_dist_model(
     seed: int = 0,
     dtype: np.dtype | type = np.float32,
     overlap: bool = True,
-    **layer_kwargs,
+    heads: int = 1,
+    **spec_kwargs,
 ) -> GnnModel:
-    """Construct a distributed model by name (VA / AGNN / GAT / GCN).
+    """Construct a distributed model by name (VA / AGNN / GAT / GCN, with
+    ``agnn_spec`` / ``gat_spec`` keywords such as ``learnable_beta`` or
+    ``slope``) or from an :class:`~repro.core.formulation.AttentionSpec`
+    that declares a score ``kind``.
 
     Mirrors :func:`repro.models.build_model` — same dims, same seeds,
-    same activations — so the two produce numerically identical results
-    given the same inputs, which the equivalence tests rely on. Call it
-    *inside* the SPMD rank function, after the grid exists; the same
-    arguments (in particular ``seed``) on every rank guarantee
+    same activations, hidden layers concatenating their heads and the
+    final linear one averaging them — so the two compute the same
+    numbers given the same inputs, which the equivalence tests rely on.
+    Call it *inside* the SPMD rank function, after the grid exists; the
+    same arguments (in particular ``seed``) on every rank guarantee
     replicated parameters. Every layer is bound to ``grid`` and the
     model's one ``OpSequencer``; the first skips its input-feature
     gradient. Layers run comm/compute-overlapped by default;
     ``overlap=False`` is the synchronous parity oracle (results and
     traffic are bit-identical either way).
     """
-    layer_cls = {
-        "va": DistVALayer,
-        "agnn": DistAGNNLayer,
-        "gat": DistGATLayer,
-        "gcn": DistGCNLayer,
-    }.get(name.lower())
-    if layer_cls is None:
+    if isinstance(name, AttentionSpec):
+        if spec_kwargs:
+            raise TypeError(f"a spec takes no model keywords, got {sorted(spec_kwargs)}")
+        spec = name
+    elif name.lower() in _SPECS:
+        spec = _SPECS[name.lower()](**spec_kwargs)
+    else:
         raise ValueError(f"unknown model {name!r}; use VA, AGNN, GAT or GCN")
+    if heads > 1 and not spec.on_projected:
+        raise ValueError("multi-head execution is a GAT feature (a Psi on H W)")
     if activation is None:
-        activation = "elu" if name.lower() == "gat" else "relu"
-    heads = layer_kwargs.pop("heads", 1)
-    if heads > 1 and layer_cls is not DistGATLayer:
-        raise ValueError("multi-head execution is a GAT feature")
-    # Mirror repro.models.attention's stacking loop: hidden layers
-    # concatenate their heads, the final (linear) layer averages them.
+        activation = "elu" if spec.name == "gat" else "relu"
     rng = make_rng(seed)
     sequencer = OpSequencer()
     layers: list[DistGnnLayer] = []
     width = in_dim
     for i in range(num_layers):
         last = i + 1 == num_layers
-        if layer_cls is DistGATLayer:
-            layer_kwargs.update(
-                heads=heads, combine="mean" if last else "concat"
+        dims = (width, out_dim if last else hidden_dim)
+        act = "identity" if last else activation
+        if spec is GCN:
+            layer = DistGCNLayer(*dims, act, seed=rng, dtype=dtype)
+        else:
+            layer = DistAttentionLayer(
+                *dims, spec, act, heads=heads, combine="mean" if last else "concat",
+                seed=rng, dtype=dtype,
             )
-        layer = layer_cls(
-            width,
-            out_dim if last else hidden_dim,
-            activation="identity" if last else activation,
-            seed=rng,
-            dtype=dtype,
-            **layer_kwargs,
-        )
         layer.bind(grid, sequencer, overlap=overlap, input_grad=i > 0)
         layers.append(layer)
         width = layer.out_dim

@@ -8,9 +8,11 @@ backward passes (Figure 1's compute DAGs):
    column-replicated layout already provides :math:`H_j` locally, and
    :math:`H_i` is broadcast along grid row ``i`` from the diagonal
    rank ``(i, i)`` (which owns it as its column block).
-2. **Row-wise reductions** — the graph softmax needs per-row maxima
-   and sums over the *full* row of the distributed score matrix:
-   ``allreduce`` along the grid row with ``max``/``sum``.
+2. **Row-wise reductions** — a graph softmax over a row split across
+   the grid row needs the row's maximum score: one ``max`` allreduce
+   along the grid row, ``(b, heads)`` words. Its normalising sums ride
+   pattern 3, and the backward's one cross-block quantity rides the
+   diagonal's row broadcast of the output gradient.
 3. **Reduce + redistribute** — the layer output exists as ``P``
    partial sums per row block; a ring reduce-scatter along the grid
    row sums them leaving each rank one chunk, and a chunk exchange
@@ -28,38 +30,22 @@ import numpy as np
 from repro.distributed.partition import block_ranges
 from repro.runtime.grid import ProcessGrid
 from repro.tensor.csr import CSRMatrix
-from repro.tensor.segment import expand_segments, segment_max, segment_sum
 
 __all__ = [
-    "irow_bcast_from_diagonal",
-    "reduce_and_redistribute",
-    "itranspose_exchange",
-    "distributed_row_softmax",
-    "distributed_row_softmax_backward",
-    "distributed_semiring_aggregate",
-    "OpSequencer",
-    "ReadyResult",
+    "irow_bcast_from_diagonal", "reduce_and_redistribute", "itranspose_exchange",
+    "distributed_semiring_aggregate", "OpSequencer", "ReadyResult",
 ]
 
 
 class ReadyResult:
-    """Handle-shaped wrapper around an already-available value.
-
-    Lets schedule code treat local no-op "transfers" (diagonal ranks in
-    a transpose, 1x1 grids) uniformly with real completion handles.
-    """
+    """A completion handle whose value is already there, so local no-op
+    "transfers" (a diagonal rank's transpose, the synchronous
+    redistribute) are waited like real ones."""
 
     __slots__ = ("_value",)
 
     def __init__(self, value) -> None:
         self._value = value
-
-    @property
-    def done(self) -> bool:
-        return True
-
-    def test(self) -> bool:
-        return True
 
     def wait(self):
         return self._value
@@ -95,37 +81,47 @@ def irow_bcast_from_diagonal(grid: ProcessGrid, block: np.ndarray | None):
     return grid.row_comm.ibcast(block, root=root)
 
 
+def _normalised(block: np.ndarray, heads: int) -> np.ndarray:
+    """Divide each head's columns of ``block`` by its softmax denominator,
+    one of the last ``heads`` columns (a row with none divides by 1), in
+    place; the denominators stay."""
+    if heads:
+        den = block[:, -heads:]
+        den[den == 0] = 1
+        # A view: it splits the contiguous trailing axis.
+        num = block[:, :-heads].reshape(block.shape[0], heads, -1)
+        num /= den[:, :, None]
+    return block
+
+
 def reduce_and_redistribute(
-    grid: ProcessGrid,
-    partial: np.ndarray,
-    sequencer: OpSequencer,
-    op: str = "sum",
+    grid: ProcessGrid, partial: np.ndarray, sequencer: OpSequencer, op: str = "sum",
+    denominators: int = 0,
 ) -> np.ndarray:
     """Reduce row-wise partial outputs and form next-layer input blocks.
 
-    ``partial`` is this rank's :math:`\\Psi_{ij} H'_j` contribution to
-    output row block ``i``. Steps:
+    ``partial`` is this rank's :math:`\\Psi_{ij} H'_j` share of output row
+    block ``i``. A ring reduce-scatter along the grid row with ``op``
+    leaves rank ``(i, j)`` the reduced ``j``-th chunk of row block ``i``;
+    the chunk exchange sends it to every rank of grid *column* ``i``
+    (next-layer input block ``i``) and gathers block ``j``'s chunks from
+    grid row ``j``. Returns the column-replicated next input block
+    :math:`H_j`; on a 1x1 grid, ``partial``.
 
-    * ring reduce-scatter along the grid row with ``op``: rank
-      ``(i, j)`` ends with the fully-reduced ``j``-th chunk of row
-      block ``i``;
-    * chunk exchange: the chunk's rows belong to next-layer input
-      block ``i``, needed by every rank of grid *column* ``i`` — send
-      it there, and receive the chunks of block ``j`` from the ranks of
-      grid row ``j``.
-
-    Returns the complete, column-replicated next input block
-    :math:`H_j`. On a 1x1 grid this is the identity.
+    ``denominators > 0``: the last that many columns are a split softmax's
+    denominators, one per equal-width head group of the columns before
+    them; each reduced chunk is divided by its sums before the exchange,
+    which carries them along as the block's last columns.
     """
     p = grid.px
     tag = ("redistribute", sequencer.next())
     if p == 1:
-        return partial
+        return _normalised(partial, denominators)
     chunks = [
         np.ascontiguousarray(partial[start:stop])
         for start, stop in block_ranges(partial.shape[0], p)
     ]
-    mine = grid.row_comm.reduce_scatter(chunks, op=op)
+    mine = _normalised(grid.row_comm.reduce_scatter(chunks, op=op), denominators)
     comm = grid.comm
     # Send my chunk (rows of block `grid.row`) to every rank in grid
     # column `grid.row`; receive block `grid.col`'s chunks from grid
@@ -137,11 +133,7 @@ def reduce_and_redistribute(
     return np.concatenate(received, axis=0)
 
 
-def itranspose_exchange(
-    grid: ProcessGrid,
-    block: np.ndarray,
-    sequencer: OpSequencer,
-):
+def itranspose_exchange(grid: ProcessGrid, block: np.ndarray, sequencer: OpSequencer):
     """Start swapping blocks between ranks ``(i, j)`` and ``(j, i)``.
 
     Converts a quantity indexed by *row* block into the rank's *column*
@@ -161,11 +153,7 @@ def itranspose_exchange(
 
 
 def distributed_semiring_aggregate(
-    grid: ProcessGrid,
-    a_block: CSRMatrix,
-    h_block: np.ndarray,
-    semiring,
-    sequencer: OpSequencer,
+    grid: ProcessGrid, a_block: CSRMatrix, h_block: np.ndarray, semiring, sequencer: OpSequencer,
 ) -> np.ndarray:
     """Semiring aggregation :math:`\\mathcal{A} \\oplus H` on the 1.5D grid.
 
@@ -183,57 +171,9 @@ def distributed_semiring_aggregate(
     from repro.tensor.kernels import spmm_reference
 
     if semiring.pair_valued:
-        raise NotImplementedError(
-            "pair-valued semirings are not distributed"
-        )
-    op = {"add": "sum", "minimum": "min", "maximum": "max"}.get(
-        semiring.add.__name__
-    )
+        raise NotImplementedError("pair-valued semirings are not distributed")
+    op = {"add": "sum", "minimum": "min", "maximum": "max"}.get(semiring.add.__name__)
     if op is None:
         raise ValueError(f"no collective reduce op for {semiring.name}")
     partial = spmm_reference(a_block, h_block, semiring=semiring)
     return reduce_and_redistribute(grid, partial, sequencer, op=op)
-
-
-def distributed_row_softmax(
-    grid: ProcessGrid,
-    a_block: CSRMatrix,
-    values: np.ndarray,
-) -> np.ndarray:
-    """Graph softmax over rows that span the whole grid row.
-
-    The local block holds only a slice of each vertex's neighbourhood,
-    so the stabilising max and the normalising sum are reduced along
-    the grid row (``allreduce`` of one scalar per local row —
-    :math:`O(n/\\sqrt{p})` words, feature-free). The exp/divide steps
-    stay local, exactly as the global formulation's virtual replicated
-    denominator prescribes (Section 4.2).
-    """
-    indptr = a_block.indptr
-    local_max = segment_max(values, indptr, identity=-np.inf)
-    row_max = grid.row_comm.allreduce(local_max, op="max")
-    # Rows empty across the entire grid row keep -inf; make the shift
-    # benign (their exp contributes nothing anyway).
-    shift = np.where(np.isfinite(row_max), row_max, 0.0)
-    exp = np.exp(values - expand_segments(shift, indptr))
-    local_sum = segment_sum(exp, indptr)
-    row_sum = grid.row_comm.allreduce(local_sum)
-    denom = np.where(row_sum == 0, 1.0, row_sum)
-    return exp / expand_segments(denom, indptr)
-
-
-def distributed_row_softmax_backward(
-    grid: ProcessGrid,
-    a_block: CSRMatrix,
-    softmax_values: np.ndarray,
-    grad_values: np.ndarray,
-) -> np.ndarray:
-    """Jacobian-vector product of :func:`distributed_row_softmax`.
-
-    ``dE = S ⊙ (dS - rs(<S, dS>))`` with the per-row inner product
-    reduced along the grid row.
-    """
-    indptr = a_block.indptr
-    local_inner = segment_sum(softmax_values * grad_values, indptr)
-    inner = grid.row_comm.allreduce(local_inner)
-    return softmax_values * (grad_values - expand_segments(inner, indptr))

@@ -8,8 +8,8 @@ straight-line program over two kinds of steps:
   (diagonal row broadcast, row/column/world allreduce, transpose
   exchange, reduce+redistribute), labelled with its traffic phase.
 
-Instead of interleaving communicator calls and math by hand in five
-near-identical layer bodies, each layer *declares* its steps and a
+Instead of interleaving communicator calls and math by hand in each
+layer body, each layer *declares* its steps and a
 shared scheduler (:meth:`CommSchedule.run`) executes them against a
 context dict. Every transfer is *initiated* in its asynchronous form at
 its program point; the two execution modes differ only in where the
@@ -18,9 +18,10 @@ equal by construction:
 
 **Overlapped** (the default, ``overlap=True``): a handle is completed
 only when a later step first names its output — so the local compute
-scheduled between a transfer and its first consumer (the SDDMM under
-the H-block broadcast, the gamma assembly under the weight-gradient
-allreduces) runs while the wire is busy. Initiation order and
+scheduled between a transfer and its first consumer (the projection and
+the column block's score operands under the row broadcast, the input
+gradient under the parameter-gradient allreduce) runs while the wire is
+busy. Initiation order and
 resolution points are the same SPMD program points on every rank, which
 together with the communicator's ordered-completion engine makes
 overlap deadlock-free by construction.
@@ -59,15 +60,11 @@ class Compute:
     ``needs`` lists the context keys the kernel reads that may still be
     in flight — the scheduler resolves those transfers first. ``out``
     may be ``None`` for effect-only steps (e.g. writing several keys).
-    ``phase`` labels traffic for kernels that communicate internally
-    (the distributed softmax and its backward run feature-free
-    allreduces); plain local kernels leave it ``None``.
     """
 
     out: str | None
     fn: Callable[[dict[str, Any]], Any]
     needs: tuple[str, ...] = ()
-    phase: str | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Compute({self.out!r}, needs={self.needs!r})"
@@ -88,10 +85,12 @@ class Transfer:
         Pairwise ``(i, j) <-> (j, i)`` exchange (async form: deferred
         receive; the send is always posted at the program point).
     ``"redistribute"``
-        Ring reduce-scatter + chunk exchange. Always synchronous: it is
-        the terminal transfer of a pass, so there is no later compute
-        to hide it behind, and its internal collective is itself a
-        blocking rendezvous of the whole grid row.
+        Ring reduce-scatter + chunk exchange, ``denominators`` trailing
+        columns normalising the rest (see
+        :func:`~repro.distributed.ops.reduce_and_redistribute`). Always
+        synchronous: it is the terminal transfer of a pass, so there is
+        no later compute to hide it behind, and its internal collective
+        is itself a blocking rendezvous of the whole grid row.
 
     ``phase`` labels the traffic for ``CommStats.by_phase``; it is set
     at initiation so synchronous and overlapped runs attribute bytes
@@ -104,6 +103,7 @@ class Transfer:
     phase: str
     op: str = "sum"
     needs: tuple[str, ...] = ()
+    denominators: int = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Transfer({self.out!r} <- {self.kind} {self.src!r})"
@@ -138,10 +138,10 @@ class CommSchedule:
             if handle is not None:
                 ctx[key] = handle.wait()
 
-        # Each step gets a span carrying its phase label and the
-        # wait_s delta it incurred (resolves + blocking transfers), so
-        # the timeline ties back to CommStats.wait_by_phase; the
-        # communicator's own wait slices nest inside the step span.
+        # Each step gets a span carrying the wait_s delta it incurred
+        # (resolves + blocking transfers), a transfer's also its phase
+        # label, so the timeline ties back to CommStats.wait_by_phase;
+        # the communicator's own wait slices nest inside the step span.
         t = tracer()
         stats = grid.comm.stats
         for step in self.steps:
@@ -161,14 +161,11 @@ class CommSchedule:
                     sp.annotate(wait_s=stats.wait_s - wait0)
             else:
                 with t.span(
-                    "sched.compute", sched=self.name,
-                    out=step.out or "", phase=step.phase,
+                    "sched.compute", sched=self.name, out=step.out or "",
                 ) as sp:
                     wait0 = stats.wait_s
                     for key in step.needs:
                         resolve(key)
-                    if step.phase is not None:
-                        stats.set_phase(step.phase)
                     result = step.fn(ctx)
                     sp.annotate(wait_s=stats.wait_s - wait0)
                 if step.out is not None:
@@ -202,5 +199,6 @@ class CommSchedule:
         if kind == "transpose":
             return itranspose_exchange(grid, payload, sequencer)
         if kind == "redistribute":
-            return ReadyResult(reduce_and_redistribute(grid, payload, sequencer))
+            return ReadyResult(reduce_and_redistribute(
+                grid, payload, sequencer, denominators=step.denominators))
         raise ValueError(f"unknown transfer kind {kind!r}")

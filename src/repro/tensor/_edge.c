@@ -31,6 +31,10 @@
 #define LANES 8
 /* Score kinds of the fused attention entries (megakernel.PSI_KINDS order). */
 enum { DOT, ADD, COSINE };
+/* What a backward sweep produces: every exit, with the softmax's row inner
+ * sum_e psi_e dpsi_e reduced in the row (IN_ROW) or read from `row_inner`
+ * (GIVEN: a row split across column blocks), or dY alone (DY_ONLY). */
+enum { IN_ROW, GIVEN, DY_ONLY };
 #define CAT_(a, b) a##_##b
 #define CAT(a, b) CAT_(a, b)
 #define FN(name) CAT(name, SUFFIX)
@@ -40,11 +44,18 @@ enum { DOT, ADD, COSINE };
 /* The gathered operand row of the edge AHEAD places on: its first two cache
  * lines (a k = 32 float row is two). A hint only; never faults. */
 #define AHEAD 8
+/* The fused sweep's row loops and their helpers are always inlined, so every
+ * instance is specialised on its kind, mode and head count: left to its own
+ * heuristics the compiler stops part-way in functions this large. */
 #if defined(__GNUC__)
+#define NOINLINE __attribute__((noinline))
+#define SPECIALISED __attribute__((always_inline)) inline
 #define PREFETCH_ROW(p) \
     (__builtin_prefetch(p), __builtin_prefetch((const char *)(p) + 64))
 #else
 #define PREFETCH_ROW(p) ((void)0)
+#define NOINLINE
+#define SPECIALISED inline
 #endif
 
 #define T float
@@ -62,7 +73,7 @@ enum { DOT, ADD, COSINE };
 
 #else /* the kernels, once per float type T */
 
-static inline T FN(dot)(const T *restrict x, const T *restrict y, int64_t k)
+static SPECIALISED T FN(dot)(const T *restrict x, const T *restrict y, int64_t k)
 {
     T acc[LANES] = {0};
     int64_t i = 0;
@@ -260,13 +271,14 @@ int FN(masked_row_softmax_backward)(int64_t n_rows, const int64_t *indptr,
  *
  * `kind` is DOT (src = x_src (n, H, k), dst = x_dst (m, H, k)), ADD (src = u
  * (n, H), dst = v (m, H), coef = the LeakyReLU slope; k unused) or COSINE
- * (DOT's operands, norms (n, H) read at both endpoints, coef = beta; a zero
- * norm product scores 0). The score is multiplied by the edge's `mask` value
- * before the softmax. Per-edge values live in `scratch`, a few vectors of
- * `max_row * heads`: a row longer than `max_row` is refused like a bad row
- * pointer. Nothing edge-sized is read or written. */
+ * (DOT's operands, norms (n, H) at the row endpoint and norms_dst (m, H) at
+ * the column one, coef = beta; a zero norm product scores 0; the other kinds
+ * read neither, which may be NULL). The score is multiplied by the edge's
+ * `mask` value before the softmax. Per-edge values live in `scratch`, a few
+ * vectors of `max_row * heads`: a row longer than `max_row` is refused like a
+ * bad row pointer. Nothing edge-sized is read or written. */
 
-static inline void FN(axpy)(T a, const T *restrict x, T *restrict y, int64_t k)
+static SPECIALISED void FN(axpy)(T a, const T *restrict x, T *restrict y, int64_t k)
 {
     for (int64_t j = 0; j < k; j++)
         y[j] += a * x[j];
@@ -299,11 +311,12 @@ static inline void FN(softmax_row_stats)(T *v, int64_t deg, int64_t stride,
 /* Masked scores of one row into s (deg, heads). The backward also keeps, per
  * edge, the pre-activation logit (ADD) or the norm product (COSINE) in `aux`
  * and the unscaled cosine in `aux2`; the forward passes NULL for both. */
-static inline void FN(score_row)(int kind, int64_t r, int64_t lo, int64_t hi,
+static SPECIALISED void FN(score_row)(int kind, int64_t r, int64_t lo, int64_t hi,
                                  int64_t last, const int64_t *indices,
                                  const T *mask, const T *src, const T *dst,
-                                 const T *norms, int64_t heads, int64_t k,
-                                 T coef, T *restrict s, T *restrict aux,
+                                 const T *norms, const T *norms_dst,
+                                 int64_t heads, int64_t k, T coef,
+                                 T *restrict s, T *restrict aux,
                                  T *restrict aux2)
 {
     const int64_t width = kind == ADD ? heads : heads * k;
@@ -323,7 +336,7 @@ static inline void FN(score_row)(int kind, int64_t r, int64_t lo, int64_t hi,
             } else {
                 v = FN(dot)(sr + h * k, dc + h * k, k);
                 if (kind == COSINE) {
-                    const T den = norms[r * heads + h] * norms[c * heads + h];
+                    const T den = norms[r * heads + h] * norms_dst[c * heads + h];
                     v = den == 0 ? 0 : v / den;
                     if (aux) {
                         aux[i + h] = den;
@@ -340,8 +353,9 @@ static inline void FN(score_row)(int kind, int64_t r, int64_t lo, int64_t hi,
 static inline int FN(attention_fwd_rows)(
     int kind, int64_t n_rows, const int64_t *indptr, const int64_t *indices,
     int64_t nnz, const T *mask, int softmax, const T *src, const T *dst,
-    const T *norms, int64_t heads, int64_t k, T coef, const T *y, int64_t kp,
-    int64_t max_row, T *scratch, T *shift, T *denom, T *restrict z)
+    const T *norms, const T *norms_dst, int64_t heads, int64_t k, T coef,
+    const T *y, int64_t kp, int64_t max_row, T *scratch, T *shift, T *denom,
+    T *restrict z)
 {
     const int64_t yw = heads * kp, last = nnz - 1;
     for (int64_t r = 0; r < n_rows; r++) {
@@ -359,7 +373,7 @@ static inline int FN(attention_fwd_rows)(
         if (hi == lo)
             continue;
         FN(score_row)(kind, r, lo, hi, last, indices, mask, src, dst, norms,
-                      heads, k, coef, scratch, 0, 0);
+                      norms_dst, heads, k, coef, scratch, 0, 0);
         if (softmax)
             for (int64_t h = 0; h < heads; h++)
                 FN(softmax_row_stats)(scratch + h, hi - lo, heads,
@@ -381,15 +395,16 @@ static inline int FN(attention_fwd_rows)(
 int FN(attention_forward)(int64_t n_rows, const int64_t *indptr,
                           const int64_t *indices, int64_t nnz, const T *mask,
                           int64_t kind, int64_t softmax, const T *src,
-                          const T *dst, const T *norms, int64_t heads,
-                          int64_t k, double coef, const T *y, int64_t kp,
-                          int64_t max_row, T *scratch, T *shift, T *denom,
-                          T *z)
+                          const T *dst, const T *norms, const T *norms_dst,
+                          int64_t heads, int64_t k, double coef, const T *y,
+                          int64_t kp, int64_t max_row, T *scratch, T *shift,
+                          T *denom, T *z)
 {
 #define FWD(KIND, HEADS) \
     FN(attention_fwd_rows)(KIND, n_rows, indptr, indices, nnz, mask, \
-                           softmax != 0, src, dst, norms, HEADS, k, (T)coef, \
-                           y, kp, max_row, scratch, shift, denom, z)
+                           softmax != 0, src, dst, norms, norms_dst, HEADS, \
+                           k, (T)coef, y, kp, max_row, scratch, shift, \
+                           denom, z)
     switch (kind) {
     case DOT: return heads == 1 ? FWD(DOT, 1) : FWD(DOT, heads);
     case ADD: return heads == 1 ? FWD(ADD, 1) : FWD(ADD, heads);
@@ -399,12 +414,13 @@ int FN(attention_forward)(int64_t n_rows, const int64_t *indptr,
 #undef FWD
 }
 
-static inline int FN(attention_bwd_rows)(
-    int kind, int64_t n_rows, const int64_t *indptr, const int64_t *indices,
-    int64_t nnz, const T *mask, int softmax, const T *src, const T *dst,
-    const T *norms, int64_t heads, int64_t k, T coef, const T *y, const T *dz,
-    int64_t kp, const T *shift, const T *denom, int64_t max_row, T *scratch,
-    T *restrict d_y, T *restrict d_dst, T *restrict d_norm_row,
+static SPECIALISED int FN(attention_bwd_rows)(
+    int kind, int mode, int64_t n_rows, const int64_t *indptr,
+    const int64_t *indices, int64_t nnz, const T *mask, int softmax,
+    const T *src, const T *dst, const T *norms, const T *norms_dst,
+    int64_t heads, int64_t k, T coef, const T *y, const T *dz, int64_t kp,
+    const T *shift, const T *denom, const T *row_inner, int64_t max_row,
+    T *scratch, T *restrict d_y, T *restrict d_dst, T *restrict d_norm_row,
     T *restrict d_norm_col, T *restrict d_coef, T *restrict d_src)
 {
     const int64_t yw = heads * kp, last = nnz - 1;
@@ -416,39 +432,53 @@ static inline int FN(attention_bwd_rows)(
         if (lo < 0 || hi < lo || hi > nnz || deg > max_row)
             return 1;
         T *dsr = d_src + r * width;
-        for (int64_t j = 0; j < width; j++)
-            dsr[j] = 0;
-        if (kind == COSINE)
-            for (int64_t h = 0; h < heads; h++)
-                d_norm_row[r * heads + h] = 0;
+        if (mode != DY_ONLY) {
+            for (int64_t j = 0; j < width; j++)
+                dsr[j] = 0;
+            if (kind == COSINE)
+                for (int64_t h = 0; h < heads; h++)
+                    d_norm_row[r * heads + h] = 0;
+        }
         if (deg == 0)
             continue;
         const T *dzr = dz + r * yw, *sr = src + r * width;
         /* The row's masked scores again, and dpsi_e = dz[r] . y[c]. */
         FN(score_row)(kind, r, lo, hi, last, indices, mask, src, dst, norms,
-                      heads, k, coef, p, aux, aux2);
-        for (int64_t e = lo; e < hi; e++) {
-            const T *yc = y + indices[e] * yw;
-            PREFETCH_ROW(y + indices[e + AHEAD < last ? e + AHEAD : last] * yw);
-            for (int64_t h = 0; h < heads; h++)
-                d[(e - lo) * heads + h] = FN(dot)(dzr + h * kp, yc + h * kp, kp);
-        }
+                      norms_dst, heads, k, coef, p, mode == DY_ONLY ? 0 : aux,
+                      aux2);
+        if (mode != DY_ONLY)
+            for (int64_t e = lo; e < hi; e++) {
+                const T *yc = y + indices[e] * yw;
+                PREFETCH_ROW(y + indices[e + AHEAD < last ? e + AHEAD : last] * yw);
+                for (int64_t h = 0; h < heads; h++)
+                    d[(e - lo) * heads + h] = FN(dot)(dzr + h * kp, yc + h * kp, kp);
+            }
         /* Score gradient per head: psi from the saved statistics and its
          * softmax backward, the mask, then the score function's own
          * derivative; row-side scalars reduce here. */
         for (int64_t h = 0; h < heads; h++) {
             if (softmax) {
                 const T sh = shift[r * heads + h], dn = denom[r * heads + h];
-                T acc[LANES] = {0};
-                for (int64_t i = 0; i < deg; i++) {
-                    const T ps = EXP(p[i * heads + h] - sh) / dn;
-                    p[i * heads + h] = ps;
-                    acc[i % LANES] += ps * d[i * heads + h];
+                T inner;
+                if (mode == IN_ROW) {
+                    T acc[LANES] = {0};
+                    for (int64_t i = 0; i < deg; i++) {
+                        const T ps = EXP(p[i * heads + h] - sh) / dn;
+                        p[i * heads + h] = ps;
+                        acc[i % LANES] += ps * d[i * heads + h];
+                    }
+                    inner = LANE_SUM(acc);
+                } else {
+                    for (int64_t i = 0; i < deg; i++)
+                        p[i * heads + h] = EXP(p[i * heads + h] - sh) / dn;
+                    inner = mode == GIVEN ? row_inner[r * heads + h] : 0;
                 }
-                const T inner = LANE_SUM(acc);
-                for (int64_t i = 0; i < deg; i++)
-                    d[i * heads + h] = p[i * heads + h] * (d[i * heads + h] - inner);
+                if (mode != DY_ONLY)
+                    for (int64_t i = 0; i < deg; i++)
+                        d[i * heads + h] = p[i * heads + h] * (d[i * heads + h] - inner);
             }
+            if (mode == DY_ONLY)
+                continue;
             T acc[LANES] = {0}, cacc[LANES] = {0};
             for (int64_t i = 0; i < deg; i++) {
                 const int64_t ih = i * heads + h;
@@ -460,7 +490,7 @@ static inline int FN(attention_bwd_rows)(
                     cacc[i % LANES] += g * aux2[ih]; /* d(score)/d(beta) */
                     g = aux[ih] == 0 ? 0 : g * coef / aux[ih];
                     aux2[ih] = -(g * aux2[ih]); /* d(norm product) */
-                    acc[i % LANES] += aux2[ih] * norms[indices[lo + i] * heads + h];
+                    acc[i % LANES] += aux2[ih] * norms_dst[indices[lo + i] * heads + h];
                 }
                 d[ih] = g;
             }
@@ -476,12 +506,14 @@ static inline int FN(attention_bwd_rows)(
             const int64_t c = indices[e], i = (e - lo) * heads;
             const int64_t ahead = indices[e + AHEAD < last ? e + AHEAD : last];
             PREFETCH_ROW(d_y + ahead * yw);
-            if (kind != ADD) {
+            if (kind != ADD && mode != DY_ONLY) {
                 PREFETCH_ROW(dst + ahead * width);
                 PREFETCH_ROW(d_dst + ahead * width);
             }
             for (int64_t h = 0; h < heads; h++) {
                 FN(axpy)(p[i + h], dzr + h * kp, d_y + c * yw + h * kp, kp);
+                if (mode == DY_ONLY)
+                    continue;
                 if (kind == ADD) {
                     d_dst[c * heads + h] += d[i + h];
                     continue;
@@ -496,34 +528,68 @@ static inline int FN(attention_bwd_rows)(
     return 0;
 }
 
+#define BWD(KIND, MODE, HEADS) \
+    FN(attention_bwd_rows)(KIND, MODE, n_rows, indptr, indices, nnz, mask, \
+                           softmax != 0, src, dst, norms, norms_dst, HEADS, \
+                           k, (T)coef, y, dz, kp, shift, denom, row_inner, \
+                           max_row, scratch, d_y, d_dst, d_norm_row, \
+                           d_norm_col, d_coef, d_src)
+#define BWD_HEADS(KIND, MODE) \
+    (heads == 1 ? BWD(KIND, MODE, 1) : BWD(KIND, MODE, heads))
+#define BWD_KINDS(MODE) \
+    switch (kind) { \
+    case DOT: return BWD_HEADS(DOT, MODE); \
+    case ADD: return BWD_HEADS(ADD, MODE); \
+    case COSINE: return BWD_HEADS(COSINE, MODE); \
+    } \
+    return 1
+
+/* A split row's modes (GIVEN, DY_ONLY) in a function of their own, so the
+ * entry holds the same six IN_ROW instances a caller that never splits a row
+ * runs: one function holding all eighteen measured slower on those. */
+static NOINLINE int FN(attention_backward_split)(
+    int64_t n_rows, const int64_t *indptr, const int64_t *indices, int64_t nnz,
+    const T *mask, int64_t kind, int64_t softmax, const T *src, const T *dst,
+    const T *norms, const T *norms_dst, int64_t heads, int64_t k, double coef,
+    const T *y, const T *dz, int64_t kp, const T *shift, const T *denom,
+    const T *row_inner, int64_t score_grad, int64_t max_row, T *scratch, T *d_y,
+    T *d_dst, T *d_norm_row, T *d_norm_col, T *d_coef, T *d_src)
+{
+    if (!score_grad) {
+        BWD_KINDS(DY_ONLY);
+    }
+    BWD_KINDS(GIVEN);
+}
+
 /* Every gradient exit of attention_forward in one row pass. Row-side exits
  * are written whole: d_src (dU, or dRow) and d_norm_row (COSINE). Column-side
  * ones are scattered into arrays the caller zeroed: d_y (m, heads, kp), d_dst
  * (dV, or dCol) and d_norm_col (COSINE). d_coef (heads; COSINE, may be NULL,
  * zeroed by the caller) takes d/d(beta): sum_e dS_e cos_e mask_e, row after
- * row. `scratch` holds four vectors. */
+ * row. `row_inner` (n, heads; may be NULL) replaces the softmax's in-row
+ * inner product; `score_grad` 0 computes d_y alone and leaves every other
+ * output untouched. `scratch` holds four vectors. */
 int FN(attention_backward)(int64_t n_rows, const int64_t *indptr,
                            const int64_t *indices, int64_t nnz, const T *mask,
                            int64_t kind, int64_t softmax, const T *src,
-                           const T *dst, const T *norms, int64_t heads,
-                           int64_t k, double coef, const T *y, const T *dz,
-                           int64_t kp, const T *shift, const T *denom,
-                           int64_t max_row, T *scratch, T *d_y, T *d_dst,
-                           T *d_norm_row, T *d_norm_col, T *d_coef,
-                           T *d_src)
+                           const T *dst, const T *norms, const T *norms_dst,
+                           int64_t heads, int64_t k, double coef, const T *y,
+                           const T *dz, int64_t kp, const T *shift,
+                           const T *denom, const T *row_inner,
+                           int64_t score_grad, int64_t max_row, T *scratch,
+                           T *d_y, T *d_dst, T *d_norm_row, T *d_norm_col,
+                           T *d_coef, T *d_src)
 {
-#define BWD(KIND, HEADS) \
-    FN(attention_bwd_rows)(KIND, n_rows, indptr, indices, nnz, mask, \
-                           softmax != 0, src, dst, norms, HEADS, k, (T)coef, \
-                           y, dz, kp, shift, denom, max_row, scratch, d_y, \
-                           d_dst, d_norm_row, d_norm_col, d_coef, d_src)
-    switch (kind) {
-    case DOT: return heads == 1 ? BWD(DOT, 1) : BWD(DOT, heads);
-    case ADD: return heads == 1 ? BWD(ADD, 1) : BWD(ADD, heads);
-    case COSINE: return heads == 1 ? BWD(COSINE, 1) : BWD(COSINE, heads);
-    }
-    return 1;
-#undef BWD
+    if (row_inner || !score_grad)
+        return FN(attention_backward_split)(
+            n_rows, indptr, indices, nnz, mask, kind, softmax, src, dst, norms,
+            norms_dst, heads, k, coef, y, dz, kp, shift, denom, row_inner,
+            score_grad, max_row, scratch, d_y, d_dst, d_norm_row, d_norm_col,
+            d_coef, d_src);
+    BWD_KINDS(IN_ROW);
 }
+#undef BWD_KINDS
+#undef BWD_HEADS
+#undef BWD
 
 #endif

@@ -45,12 +45,12 @@ _SIGNATURES = {
     "segment_softmax": (_I, _P, _I, _P, _I, _P),
     "masked_row_softmax_backward": (_I, _P, _I, _P, _P, _I, _P),
     "attention_forward": (
-        _I, _P, _P, _I, _P, _I, _I, _P, _P, _P, _I, _I, ctypes.c_double, _P, _I,
-        _I, _P, _P, _P, _P,
+        _I, _P, _P, _I, _P, _I, _I, _P, _P, _P, _P, _I, _I, ctypes.c_double, _P,
+        _I, _I, _P, _P, _P, _P,
     ),
     "attention_backward": (
-        _I, _P, _P, _I, _P, _I, _I, _P, _P, _P, _I, _I, ctypes.c_double, _P, _P,
-        _I, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P,
+        _I, _P, _P, _I, _P, _I, _I, _P, _P, _P, _P, _I, _I, ctypes.c_double, _P,
+        _P, _I, _P, _P, _P, _I, _I, _P, _P, _P, _P, _P, _P, _P,
     ),
 }
 _SUFFIX = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}

@@ -25,10 +25,13 @@ composition materialises the edge arrays the unfused kernels return, so
 
 Score kinds, plain or head-stacked: ``"dot"`` (``x_src[r] . x_dst[c]``, VA,
 no softmax by default), ``"add"`` (``LeakyReLU(u[r] + v[c])``, GAT) and
-``"cosine"`` (``beta * (x[r] . x[c]) / (norms[r] * norms[c])``, AGNN, a zero
-norm product scoring zero as in the interpreter), each times the adjacency's
-stored value (the Hadamard mask) before the softmax. Flops are charged once
-per call, equal to the summed unfused kernels.
+``"cosine"`` (``beta * (x_src[r] . x_dst[c]) / (norms[r] * norms_dst[c])``,
+AGNN, a zero norm product scoring zero as in the interpreter), each times the
+adjacency's stored value (the Hadamard mask) before the softmax. A
+column-endpoint operand defaults to its row-endpoint twin (``x_dst`` to
+``x_src``, ``norms_dst`` to ``norms``); the two differ on an off-diagonal block
+of a distributed adjacency. Flops are charged once per call, equal to the
+summed unfused kernels.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ PSI_KINDS = ("dot", "add", "cosine")
 #: One validated call, operands in the promoted dtype under their ``_edge.c``
 #: roles: ``src`` / ``dst`` are ``u`` / ``v`` for ``add``, ``k`` their width
 #: (1 for ``add``), ``coef`` the slope or beta, ``mask`` is ``a.data``.
-_Call = namedtuple("_Call", "psi heads k softmax coef mask y dz src dst norms")
+_Call = namedtuple("_Call", "psi heads k softmax coef mask y dz src dst norms norms_dst")
 
 
 @dataclass
@@ -87,7 +90,7 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def _validate(
     a, psi, y, dz, softmax, slope=0.2, beta=1.0, x_src=None, x_dst=None, u=None, v=None,
-    norms=None,
+    norms=None, norms_dst=None,
 ) -> _Call:
     """Check every operand against ``a`` — one ``ValueError`` naming the
     operand, before either backend reads it — and promote to one dtype."""
@@ -114,8 +117,10 @@ def _validate(
         feat = stack + np.shape(x_src)[-1:]
         x_dst = x_src if x_dst is None else x_dst
         checks += [("x_src", x_src, n, feat), ("x_dst", x_dst, m, feat)]
-        if psi == "cosine":  # read at both endpoints of an edge
-            checks += [("norms", norms, n, stack), ("norms", norms, m, stack)]
+        if psi == "cosine":  # one vector per endpoint of an edge
+            dst_name = "norms" if norms_dst is None else "norms_dst"
+            checks += [("norms", norms, n, stack),
+                       (dst_name, norms if norms_dst is None else norms_dst, m, stack)]
     found = {}
     for name, arr, rows, trailing in checks:
         if arr is None:
@@ -135,18 +140,19 @@ def _validate(
         float(slope if psi == "add" else beta),
         a.data.astype(dtype, copy=False).reshape((-1,) + (1,) * len(stack)),
         found.get("y"), found.get("dz"), src, found[names[1]], found.get("norms"),
+        found.get("norms_dst", found.get("norms")),
     )
 
 
 def _dispatch(c: _Call, direction: str, a: CSRMatrix, *more):
     """``(C entry or None, the arguments both entries start with)``."""
-    arrays = (c.mask, c.y, c.dz, c.src, c.dst, c.norms, *more)
+    arrays = (c.mask, c.y, c.dz, c.src, c.dst, c.norms, c.norms_dst, *more)
     fn = _edge.entry("attention_" + direction, *(x for x in arrays if x is not None))
     tracer().annotate(psi=c.psi, heads=c.heads, backend="numpy" if fn is None else "c")
     metrics().counter("megakernel." + direction).inc()
     return fn, (
         a.shape[0], a.indptr, a.indices, a.nnz, c.mask, PSI_KINDS.index(c.psi),
-        int(c.softmax), c.src, c.dst, c.norms, c.heads, c.k, c.coef,
+        int(c.softmax), c.src, c.dst, c.norms, c.norms_dst, c.heads, c.k, c.coef,
     )
 
 
@@ -162,7 +168,7 @@ def _masked_scores(c: _Call, a: CSRMatrix):
         s = sddmm_dot(a, c.src, c.dst)
         if c.psi == "cosine":
             aux = np.take(c.norms, a.expand_rows(), axis=0)
-            aux *= np.take(c.norms, a.indices, axis=0)
+            aux *= np.take(c.norms_dst, a.indices, axis=0)
             cos = _safe_div(s, aux)
             s = cos * c.coef
     s *= c.mask
@@ -221,6 +227,7 @@ def attention_forward(
     u: np.ndarray | None = None,
     v: np.ndarray | None = None,
     norms: np.ndarray | None = None,
+    norms_dst: np.ndarray | None = None,
     slope: float = 0.2,
     beta: float = 1.0,
     softmax: bool | None = None,
@@ -231,13 +238,14 @@ def attention_forward(
     ``a`` is the adjacency (its stored values are the Hadamard mask),
     ``y`` the aggregation operand ``H W``, ``(m, k)`` or ``(m, heads, k)``;
     the score operands depend on ``psi`` (module docstring), ``x_dst``
-    defaulting to ``x_src``. ``softmax=None`` means the layer
-    formulations: softmax for ``add`` / ``cosine``, none for ``dot``.
+    defaulting to ``x_src`` and ``norms_dst`` to ``norms``. ``softmax=None``
+    means the layer formulations: softmax for ``add`` / ``cosine``, none for
+    ``dot``.
 
     Returns ``(z, stats)``: ``z = Psi @ y`` in ``y``'s layout and the
     statistics :func:`attention_backward` needs (``None`` without a softmax).
     """
-    c = _validate(a, psi, y, None, softmax, slope, beta, x_src, x_dst, u, v, norms)
+    c = _validate(a, psi, y, None, softmax, slope, beta, x_src, x_dst, u, v, norms, norms_dst)
     n, work, kp = a.shape[0], a.nnz * c.heads, c.y.shape[-1]
     _charge_scores(c, work, counter)
     counter.add(2 * work * kp, "SpMM")
@@ -263,11 +271,14 @@ def attention_backward(
     dz: np.ndarray,
     *,
     stats: SweepStats | None = None,
+    row_inner: np.ndarray | None = None,
+    score_grad: bool = True,
     x_src: np.ndarray | None = None,
     x_dst: np.ndarray | None = None,
     u: np.ndarray | None = None,
     v: np.ndarray | None = None,
     norms: np.ndarray | None = None,
+    norms_dst: np.ndarray | None = None,
     slope: float = 0.2,
     beta: float = 1.0,
     softmax: bool | None = None,
@@ -280,11 +291,20 @@ def attention_backward(
     its operand's layout: always ``"dY"`` (:math:`\\Psi^T dZ`); for
     ``dot`` / ``cosine`` ``"dRow"`` / ``"dCol"`` (w.r.t. ``x_src`` /
     ``x_dst`` through the sampled Gram product); for ``cosine`` also
-    ``"dNormRow"`` / ``"dNormCol"`` (the norm vector's two endpoints) and
+    ``"dNormRow"`` / ``"dNormCol"`` (w.r.t. ``norms`` / ``norms_dst``) and
     ``"dCoef"`` (``(heads,)``, w.r.t. ``beta``: ``dS_e cos_e mask_e`` summed, so
     that it survives ``beta = 0``); for ``add`` ``"dU"`` / ``"dV"``.
+
+    ``score_grad=False`` returns ``"dY"`` alone and skips ``dPsi`` and the
+    score gradient (a Psi with nothing to train and no input gradient to pass
+    on). ``row_inner`` ``(n, heads)`` is the softmax backward's per-row
+    :math:`\\sum_e \\psi_e\\, d\\psi_e`, for a row whose entries span several
+    blocks (``stats`` then hold the whole row's statistics); ``None`` sums
+    it over the row's entries in ``a``.
     """
-    c = _validate(a, psi, y, np.asarray(dz), softmax, slope, beta, x_src, x_dst, u, v, norms)
+    c = _validate(
+        a, psi, y, np.asarray(dz), softmax, slope, beta, x_src, x_dst, u, v, norms, norms_dst
+    )
     (n, m), work, kp, dtype = a.shape, a.nnz * c.heads, c.y.shape[-1], c.y.dtype
     shift = denom = None
     if c.softmax:
@@ -293,27 +313,39 @@ def attention_backward(
         shift, denom = (np.asarray(x, dtype) for x in (stats.shift, stats.denom))
         if not shift.shape == denom.shape == (n, c.heads):
             raise ValueError(f"stats have shapes {shift.shape} / {denom.shape}, not {(n, c.heads)}")
-    counter.add(2 * work * kp, "SDDMM")  # dPsi sampled product
-    if c.softmax:
-        counter.add(4 * work, "softmax_bwd")
+    if row_inner is not None:
+        row_inner = np.asarray(row_inner, dtype)
+        if not c.softmax or row_inner.shape != (n, c.heads):
+            raise ValueError(
+                f"row_inner has shape {row_inner.shape}; it needs a softmax and {(n, c.heads)}"
+            )
+    if score_grad:
+        counter.add(2 * work * kp, "SDDMM")  # dPsi sampled product
+        if c.softmax:
+            counter.add(4 * work, "softmax_bwd")
     counter.add(2 * work * kp, "SpMM")  # dY
-    if psi != "add":  # dRow and dCol; cosine: plus the two norm-endpoint SpMVs
+    if score_grad and psi != "add":  # dRow and dCol; cosine: plus the two norm-endpoint SpMVs
         counter.add(4 * work * (c.k + (psi == "cosine")), "SpMM")
     row_key, col_key = ("dU", "dV") if psi == "add" else ("dRow", "dCol")
-    fn, args = _dispatch(c, "backward", a, shift, denom)
+    fn, args = _dispatch(c, "backward", a, shift, denom, row_inner)
     if fn is not None:
         # Fresh C-contiguous arrays (C gets their addresses); it scatters into the zeros.
-        out = {"dY": np.zeros(c.y.shape, dtype), col_key: np.zeros(c.dst.shape, dtype)}
-        if psi == "cosine":
+        out = {"dY": np.zeros(c.y.shape, dtype)}
+        if score_grad:
+            out[col_key] = np.zeros(c.dst.shape, dtype)
+        if score_grad and psi == "cosine":
             out["dNormRow"] = np.empty(c.norms.shape, dtype)
-            out["dNormCol"] = np.zeros(c.norms.shape, dtype)
+            out["dNormCol"] = np.zeros(c.norms_dst.shape, dtype)
             out["dCoef"] = np.zeros(c.heads, dtype)
         length = plan_sweep(a.structure, c.heads, c.k)
-        out[row_key] = _edge.run(
-            fn, c.src.shape, dtype, *args, c.y, c.dz, kp, shift, denom,
-            length // c.heads, np.empty(4 * length, dtype), out["dY"], out[col_key],
-            out.get("dNormRow"), out.get("dNormCol"), out.get("dCoef"),
+        row_exit = _edge.run(
+            fn, c.src.shape if score_grad else (0,), dtype, *args, c.y, c.dz, kp, shift,
+            denom, row_inner, int(score_grad), length // c.heads, np.empty(4 * length, dtype),
+            out["dY"], out.get(col_key), out.get("dNormRow"), out.get("dNormCol"),
+            out.get("dCoef"),
         )
+        if score_grad:
+            out[row_key] = row_exit
         return out
     rows, cols = a.expand_rows(), a.indices
     p, aux, cos = _masked_scores(c, a)
@@ -321,9 +353,14 @@ def attention_backward(
         p -= np.take(shift, rows, axis=0).reshape(p.shape)
         np.exp(p, out=p)
         p /= np.take(denom, rows, axis=0).reshape(p.shape)
-    g = sddmm_dot(a, c.dz, c.y)
     out = {"dY": spmm(a.with_data(p).transpose(), c.dz)}
-    if c.softmax:
+    if not score_grad:
+        return out
+    g = sddmm_dot(a, c.dz, c.y)
+    if row_inner is not None:
+        g -= np.take(row_inner, rows, axis=0).reshape(g.shape)
+        g *= p
+    elif c.softmax:
         g = masked_row_softmax_backward(p, g, a.indptr, rows=rows)
     g *= c.mask
     if psi == "add":
@@ -335,7 +372,7 @@ def attention_backward(
         out["dCoef"] = (g * cos).reshape(a.nnz, c.heads).sum(axis=0)
         g = _safe_div(g * c.coef, aux)
         dden = -(g * cos)
-        out["dNormRow"] = segment_sum(dden * np.take(c.norms, cols, axis=0), a.indptr)
+        out["dNormRow"] = segment_sum(dden * np.take(c.norms_dst, cols, axis=0), a.indptr)
         out["dNormCol"] = bincount_sum(cols, dden * np.take(c.norms, rows, axis=0), m)
     out["dRow"] = spmm(a.with_data(g), c.dst)
     out["dCol"] = spmm(a.with_data(g).transpose(), c.src)

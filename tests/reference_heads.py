@@ -3,7 +3,7 @@
 A multi-head layer must equal ``heads`` single-head layers run one
 after another on *its own* parameters (each head's contiguous view of
 the stacked storage), combined and then activated. Works for
-``AttentionLayer`` and ``DistGATLayer`` alike: ``make`` builds one
+``AttentionLayer`` and ``DistAttentionLayer`` alike: ``make`` builds one
 single-head, identity-activation layer of the right kind.
 """
 

@@ -84,9 +84,9 @@ def _call(rng, a: CSRMatrix, psi: str, heads: int, dtype) -> dict:
         kw.update(u=draw(n, *stack), v=draw(m, *stack))
     else:
         kw.update(x_src=draw(n, *stack, K), x_dst=draw(m, *stack, K))
-        if psi == "cosine":
-            kw["x_dst"] = kw["x_src"]
-            kw["norms"] = np.sqrt(np.einsum("...j,...j->...", kw["x_src"], kw["x_src"]))
+        if psi == "cosine":  # each endpoint's own norms, as on an off-diagonal block
+            kw["norms"], kw["norms_dst"] = (
+                np.sqrt(np.einsum("...j,...j->...", x, x)) for x in (kw["x_src"], kw["x_dst"]))
     return kw
 
 
@@ -98,6 +98,24 @@ def _chain(a, psi, softmax, kw) -> dict:
     out["Z"] = z
     if stats is not None:
         out["shift"], out["denom"] = stats.shift, stats.denom
+    return out
+
+
+def _split_row_exits(a, psi, softmax, kw) -> dict:
+    """The backward's two other modes: ``dY`` alone, and every exit with
+    the softmax's row inner handed in as ``dz . z`` (what a row split
+    across blocks is given)."""
+    ops = {key: val for key, val in kw.items() if key not in ("y", "dz")}
+    z, stats = attention_forward(a, psi, kw["y"], softmax=softmax, **ops)
+    out = {"dY alone": attention_backward(
+        a, psi, kw["y"], kw["dz"], stats=stats, softmax=softmax, score_grad=False, **ops
+    )["dY"]}
+    if stats is not None:
+        inner = np.einsum("...k,...k->...", kw["dz"], z).reshape(stats.shift.shape)
+        given = attention_backward(
+            a, psi, kw["y"], kw["dz"], stats=stats, row_inner=inner, softmax=softmax, **ops
+        )
+        out.update({f"{key} given inner": val for key, val in given.items()})
     return out
 
 
@@ -121,12 +139,11 @@ def _unfused_forward(a, psi, softmax, kw) -> np.ndarray:
 @pytest.mark.parametrize("psi,softmax", CHAINS)
 class TestAgainstNumpy:
     def test_every_output(self, pattern, psi, softmax, heads, dtypes, rng):
-        if psi == "cosine" and pattern.shape[0] != pattern.shape[1]:
-            pytest.skip("cosine reads one norm vector at both endpoints")
         adj_dtype, dtype = DTYPES[dtypes]
         a = pattern.astype(adj_dtype)
         kw = _call(rng, a, psi, heads, dtype)
-        got, want = _both(lambda: _chain(a, psi, softmax, kw))
+        got, want = _both(lambda: {**_chain(a, psi, softmax, kw),
+                                   **_split_row_exits(a, psi, softmax, kw)})
         wide = np.result_type(adj_dtype, dtype).type
         assert set(got) == set(want)
         for key in want:
@@ -152,6 +169,40 @@ class TestBitsOfTheForward:
             np.testing.assert_array_equal(
                 z, _unfused_forward(a, psi, softmax, kw), err_msg=name
             )
+
+
+@pytest.mark.parametrize("heads", HEADS)
+@pytest.mark.parametrize("psi,softmax", CHAINS)
+class TestSplitRowModes:
+    """On whichever side is loaded: ``dY`` alone is the full backward's
+    ``dY`` bit for bit, and a row inner handed in that equals the row's
+    own gives the in-row exits to the backend's tolerance."""
+
+    def test_agree_with_the_whole_row(self, kernels_backend, psi, softmax, heads, rng):
+        for name in ("empty_rows", "powerlaw", "rect"):
+            a = PATTERNS[name]()
+            kw = _call(rng, a, psi, heads, np.float64)
+            whole, split = _chain(a, psi, softmax, kw), _split_row_exits(a, psi, softmax, kw)
+            np.testing.assert_array_equal(split["dY alone"], whole["dY"], err_msg=name)
+            for key in (whole.keys() - {"Z", "shift", "denom"}) if softmax else ():
+                np.testing.assert_allclose(
+                    split[f"{key} given inner"], whole[key], err_msg=f"{name} {key}",
+                    **TOL[np.float64],
+                )
+
+    def test_row_inner_needs_a_softmax_and_its_shape(self, psi, softmax, heads, rng):
+        a = PATTERNS["powerlaw"]()
+        kw = _call(rng, a, psi, heads, np.float64)
+        y, dz = kw.pop("y"), kw.pop("dz")
+        _, stats = attention_forward(a, psi, y, softmax=softmax, **kw)
+        for bad in (np.zeros((a.shape[0], heads + 1)), np.zeros(a.shape[0] + 1)):
+            with pytest.raises(ValueError, match="^row_inner has shape"):
+                attention_backward(a, psi, y, dz, stats=stats, softmax=softmax,
+                                   row_inner=bad, **kw)
+        if not softmax:
+            with pytest.raises(ValueError, match="^row_inner has shape"):
+                attention_backward(a, psi, y, dz, softmax=False,
+                                   row_inner=np.zeros((a.shape[0], heads)), **kw)
 
 
 @needs_c
@@ -181,6 +232,7 @@ class TestNonFinite:
         kw = _call(rng, a, "cosine", 1, np.float64)
         kw["x_src"][5] = 0  # a zero norm: the safe division scores 0
         kw["x_src"][9, 2] = np.inf
+        kw["x_dst"], kw["norms_dst"] = kw["x_src"], None  # one vector, both endpoints
         kw["norms"] = np.sqrt(np.einsum("ij,ij->i", kw["x_src"], kw["x_src"]))
         with np.errstate(all="ignore"):
             got, want = _both(lambda: _chain(a, "cosine", True, kw))

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.distributed import distribute_adjacency, distribute_features
-from repro.distributed.layers import DistGATLayer
+from repro.distributed.layers import DistAttentionLayer
 from repro.distributed.ops import OpSequencer
 from repro.models import AttentionLayer, gat_spec
 from repro.obs.metrics import metrics
@@ -383,13 +383,14 @@ class TestDistributedCoalescing:
             grid = square_grid(comm)
             a_block = distribute_adjacency(a, grid)
             h_block = distribute_features(h, grid)
-            layer = DistGATLayer(
-                h.shape[1], 3, heads=heads, seed=5, dtype=np.float64,
+            layer = DistAttentionLayer(
+                h.shape[1], 3, gat_spec(), "elu", heads=heads, seed=5,
+                dtype=np.float64,
             )
             passes = [layer]
             if per_head:
-                passes = single_heads(layer, lambda: DistGATLayer(
-                    h.shape[1], 3, activation="identity", dtype=np.float64,
+                passes = single_heads(layer, lambda: DistAttentionLayer(
+                    h.shape[1], 3, gat_spec(), "identity", dtype=np.float64,
                 ))
             seq = OpSequencer()
             # Snapshot after block distribution: only the layer step's

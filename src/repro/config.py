@@ -10,7 +10,7 @@ default. One setting belongs to a deployment rather than to a call:
     rank records a :class:`~repro.obs.tracer.Tracer`.
 
 One path is a deployment's too: :func:`kernel_cache_dir`, where the
-compiled edge kernels are kept (``$XDG_CACHE_HOME/repro``, else
+compiled attention sweep is kept (``$XDG_CACHE_HOME/repro``, else
 ``~/.cache/repro``).
 
 The accessor reads its variable at *call* time (a caller may set

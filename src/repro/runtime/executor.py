@@ -8,7 +8,7 @@ rank), and returns every rank's return value together with the
 aggregated traffic statistics.
 
 ``fn`` may be any callable — a closure, a lambda, a bound method —
-since nothing is serialised to start a rank. The compiled edge kernels,
+since nothing is serialised to start a rank. The compiled attention sweep,
 BLAS and scipy release the GIL, so ranks overlap on real cores inside
 them; pure-Python stretches serialise. Communication *cost* is exact
 either way: it is counted, not timed.

@@ -5,8 +5,8 @@ The :class:`Fabric` is the transport layer underneath the
 tag)`` mailboxes with blocking receives, a global barrier, and abort
 propagation so one failing rank unblocks everyone else. Ranks are
 Python threads of one process and a "transfer" is a reference hand-off
-guarded by a condition variable: zero-copy, and the compiled edge
-kernels, BLAS and scipy all release the GIL, so rank threads overlap on
+guarded by a condition variable: zero-copy, and the compiled attention
+sweep, BLAS and scipy all release the GIL, so rank threads overlap on
 real cores wherever the time goes (DESIGN.md S10 records the
 measurement that retired the spawned-process fabric).
 

@@ -1,8 +1,11 @@
-"""Builds and loads the compiled edge kernels of ``_edge.c`` on first use.
+"""Builds and loads the fused attention sweep of ``_edge.c`` on first use.
 
-The first kernel call (never an import, never ``pip install``: the
-package runs from ``src/`` uninstalled) compiles ``_edge.c`` with the
-system ``cc`` / ``gcc`` into :func:`repro.config.kernel_cache_dir`, under
+``_edge.c`` is the library's one compiled kernel: the C side of
+:mod:`repro.tensor.megakernel`'s ``attention_forward`` /
+``attention_backward``, whose NumPy code is the other side. The first
+sweep call (never an import, never ``pip install``: the package runs
+from ``src/`` uninstalled) compiles ``_edge.c`` with the system
+``cc`` / ``gcc`` into :func:`repro.config.kernel_cache_dir`, under
 a name hashed from source, flags and compiler version, written by
 temporary name and ``os.replace`` so racing processes each end with a
 whole file. ``ctypes.CDLL`` binds it and drops the GIL around every
@@ -39,11 +42,6 @@ _FLAGS = ("-O3", "-shared", "-fPIC")
 _P, _I = ctypes.c_void_p, ctypes.c_int64
 #: Argument types per entry point (``_edge.c`` has the parameter names).
 _SIGNATURES = {
-    "sddmm_dot": (_I, _P, _P, _P, _P, _I, _I, _P),
-    "sddmm_add": (_I, _P, _P, _P, _P, _I, _P),
-    "sddmm_cosine": (_I, _P, _P, _P, _P, _I, _I, ctypes.c_double, _P, _P),
-    "segment_softmax": (_I, _P, _I, _P, _I, _P),
-    "masked_row_softmax_backward": (_I, _P, _I, _P, _P, _I, _P),
     "attention_forward": (
         _I, _P, _P, _I, _P, _I, _I, _P, _P, _P, _P, _I, _I, ctypes.c_double, _P,
         _I, _I, _P, _P, _P, _P,

@@ -10,19 +10,16 @@ decomposes into them (Figure 1). Design points:
 * **SDDMM family**: sampled dense-dense products computing per-edge
   attention logits without materialising the virtual :math:`n \\times n`
   score matrix (Section 6.1).
-* **Two backends, chosen by what the machine has**: SDDMM (dot / add /
-  cosine) and the row softmax with its backward run as compiled CSR
-  row loops (:mod:`repro.tensor._edge`, built from ``_edge.c`` on the
-  first call) when a C compiler exists and the operands share one of
-  float32 / float64; the NumPy code in each function is the other
-  backend — the no-compiler install and the oracle the C side is tested
-  against. Each public function validates its operands, then dispatches
-  once; no argument or variable picks a side, :func:`backend` reports
-  it and those kernels' ``kernel.*`` spans carry it as ``backend=``. The two
-  agree to rounding (a C reduction sums in another order), not bit for
-  bit. On the NumPy side edge chunks bound peak scratch — the "computed
-  in small parts using a dynamic schedule" strategy; the row loops
-  need no scratch at all.
+* **NumPy only, the oracle of the fused sweep**: SDDMM (dot / add /
+  cosine) and the row softmax with its backward are the unfused
+  kernels the paper composes, written as NumPy gathers and segment
+  reductions. The built-in layers run the fused row sweep of
+  :mod:`repro.tensor.megakernel` instead, whose compiled side
+  (:mod:`repro.tensor._edge`) is the one backend choice in the library:
+  :func:`backend` reports it. These kernels are the general route of a
+  user ``Psi``, the baselines' and the oracle the sweep is tested
+  against. SDDMM edge chunks bound peak scratch —
+  the "computed in small parts using a dynamic schedule" strategy.
 * **Kernel selection by semiring**: the real-semiring SpMM delegates
   to ``scipy.sparse`` (BLAS-backed), mirroring the paper's delegation
   to cuSPARSE; the pure-NumPy path (:func:`spmm_reference`) is the
@@ -37,12 +34,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.tracer import traced as _traced
-from repro.obs.tracer import tracer as _tracer
-from repro.tensor import _edge
 from repro.tensor._edge import backend
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.segment import (
-    _row_kernel,
+    _check_row_operands,
     expand_segments,
     segment_softmax,
     segment_sum,
@@ -57,7 +52,6 @@ __all__ = [
     "sddmm_dot",
     "sddmm_add",
     "sddmm_cosine",
-    "softmax_rows",
     "spmmm",
     "mspmm",
     "masked_row_softmax",
@@ -270,13 +264,6 @@ def _spmm_gather_reduce(
 # ----------------------------------------------------------------------
 # SDDMM family — sampled dense-dense products on the edge set
 # ----------------------------------------------------------------------
-def _edge_entry(name: str, *arrays: np.ndarray):
-    """``_edge.entry``, recorded as ``backend=`` on the open kernel span."""
-    fn = _edge.entry(name, *arrays)
-    _tracer().annotate(backend="numpy" if fn is None else "c")
-    return fn
-
-
 def _check_sddmm_dot(pattern: CSRMatrix, x: np.ndarray, y: np.ndarray) -> None:
     if x.ndim not in (2, 3) or x.ndim != y.ndim:
         raise ValueError("sddmm_dot operands must both be 2-D or both 3-D")
@@ -292,16 +279,14 @@ def sddmm_dot(
     x: np.ndarray,
     y: np.ndarray,
     counter: FlopCounter = null_counter(),
-    chunk: int | None = None,
 ) -> np.ndarray:
     """Per-edge dot products: ``e_rc = x[r] . y[c]`` for stored ``(r, c)``.
 
     This is the fused kernel behind the VA formulation
     :math:`\\mathcal{A} \\odot (H H^T)` — the dense ``H H^T`` is virtual
-    and only its sampled entries are ever computed: by one compiled
-    sweep over the CSR rows, or (NumPy backend) in bounded-memory edge
-    chunks of ``chunk`` edges, with the COO row vector from the
-    pattern's structure cache and two chunk-sized gather temporaries.
+    and only its sampled entries are ever computed, in bounded-memory
+    edge chunks of ``_SDDMM_CHUNK`` edges, with the COO row vector from
+    the pattern's structure cache and two chunk-sized gather temporaries.
 
     Head-batched operands ``(n, heads, k)`` produce ``(nnz, heads)``
     per-edge values — one pattern sweep computes every head's dot
@@ -313,14 +298,7 @@ def sddmm_dot(
     nnz = pattern.nnz
     feat = x.shape[1:]
     counter.add(2 * nnz * int(np.prod(feat)), "SDDMM")
-    fn = _edge_entry("sddmm_dot", x, y)
-    if fn is not None:
-        return _edge.run(
-            fn, (nnz,) + feat[:-1], x.dtype, pattern.shape[0], pattern.indptr,
-            pattern.indices, x, y, int(np.prod(feat[:-1])), feat[-1],
-        )
-    if chunk is None:
-        chunk = _SDDMM_CHUNK
+    chunk = _SDDMM_CHUNK
     if x.ndim == 3:
         # The chunk budget counts edges at single-head width; stacked
         # operands gather ``heads`` times more scalars per edge, so shrink
@@ -373,12 +351,6 @@ def sddmm_add(
             "the pattern shape"
         )
     counter.add(pattern.nnz * int(np.prod(u.shape[1:])), "SDDMM")
-    fn = _edge_entry("sddmm_add", u, v)
-    if fn is not None:
-        return _edge.run(
-            fn, (pattern.nnz,) + u.shape[1:], u.dtype, pattern.shape[0],
-            pattern.indptr, pattern.indices, u, v, int(np.prod(u.shape[1:])),
-        )
     out = np.take(u, pattern.expand_rows(), axis=0)
     out = out.astype(np.result_type(u, v), copy=False)
     out += np.take(v, pattern.indices, axis=0)
@@ -392,7 +364,6 @@ def sddmm_cosine(
     norms: np.ndarray | None = None,
     eps: float = 1e-12,
     counter: FlopCounter = null_counter(),
-    chunk: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge cosine similarities (the AGNN :math:`\\Psi` kernel).
 
@@ -422,16 +393,7 @@ def sddmm_cosine(
             f"operand rows {h.shape[:-1]}"
         )
     heads = int(np.prod(h.shape[1:-1]))
-    fn = _edge_entry("sddmm_cosine", h, norms)
-    if fn is not None:
-        counter.add(2 * pattern.nnz * heads * (h.shape[-1] + 1), "SDDMM")
-        values = _edge.run(
-            fn, (pattern.nnz,) + h.shape[1:-1], h.dtype, pattern.shape[0],
-            pattern.indptr, pattern.indices, h, norms, heads, h.shape[-1],
-            float(eps), None,
-        )
-        return values, norms
-    values = sddmm_dot(pattern, h, h, counter=counter, chunk=chunk)
+    values = sddmm_dot(pattern, h, h, counter=counter)
     counter.add(2 * pattern.nnz * heads, "SDDMM")
     denom = np.take(norms, pattern.expand_rows(), axis=0)
     np.multiply(denom, np.take(norms, pattern.indices, axis=0), out=denom)
@@ -574,22 +536,7 @@ def masked_row_softmax(
     in the same sweep.
     """
     counter.add(5 * s.data.size, "softmax")
-    rows = softmax_rows(s, s.data)
-    _tracer().annotate(backend="c" if rows is None else "numpy")
-    return s.with_data(segment_softmax(s.data, s.indptr, rows=rows))
-
-
-def softmax_rows(pattern: CSRMatrix, *values: np.ndarray) -> np.ndarray | None:
-    """The ``rows=`` to hand a row-softmax kernel running over ``pattern``.
-
-    Its cached COO row vector where the NumPy steps will gather through
-    it; ``None`` where the compiled row loop covers ``values`` — that
-    loop never replicates, so a cold pattern is not made to build
-    ``nnz`` int64 nobody reads.
-    """
-    if _edge.entry("segment_softmax", *values) is not None:
-        return None
-    return pattern.expand_rows()
+    return s.with_data(segment_softmax(s.data, s.indptr, rows=s.expand_rows()))
 
 
 @_traced("kernel.masked_row_softmax_backward")
@@ -614,14 +561,11 @@ def masked_row_softmax_backward(
     """
     softmax_values = np.asarray(softmax_values)
     grad_values = np.asarray(grad_values)
-    out = _row_kernel(
+    _check_row_operands(
         "masked_row_softmax_backward", np.asarray(indptr), rows,
         softmax_values, grad_values,
     )
     counter.add(4 * softmax_values.size, "softmax_bwd")
-    _tracer().annotate(backend="numpy" if out is None else "c")
-    if out is not None:
-        return out
     inner = segment_sum(softmax_values * grad_values, indptr)
     out = expand_segments(inner, indptr, rows=rows)
     np.subtract(grad_values, out, out=out)

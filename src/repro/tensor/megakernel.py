@@ -15,10 +15,10 @@ and produces every gradient exit of the chain — row-side ones reduce
 in the row, column-side ones scatter directly, with no transpose sweep.
 :func:`attention_scores` is the same Psi *materialised*.
 
-The two sweeps validate, then dispatch once, as :mod:`repro.tensor.kernels`
-does: the C entry when the library loaded and the promoted operands are
+The two sweeps validate, then dispatch once — the library's one backend
+choice: the C entry when the library loaded and the promoted operands are
 float32 / float64, otherwise the same chain composed from the unfused
-kernels. No argument or variable picks a side; the spans carry
+NumPy kernels. No argument or variable picks a side; the spans carry
 ``backend=``. The C side's scratch is :func:`plan_sweep` scalars; the
 composition materialises the edge arrays the unfused kernels return, so
 "nothing edge-sized" is the C backend's guarantee.

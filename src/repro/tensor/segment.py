@@ -9,11 +9,10 @@ an empty segment does not produce the identity element but copies the
 next value. Every helper here repairs empty segments explicitly, so
 isolated vertices are handled correctly throughout the library.
 
-The graph softmax is the one reduction here with a compiled twin:
-:func:`segment_softmax` (and ``kernels.masked_row_softmax_backward``
-through the same helper) validates its operands, then runs the row loop
-of :mod:`repro.tensor._edge` when that library loaded and the values
-are float32 / float64, and the NumPy steps otherwise.
+The graph softmax here is plain NumPy, the oracle of the fused sweep
+in :mod:`repro.tensor.megakernel`: :func:`segment_softmax` (and
+``kernels.masked_row_softmax_backward`` through the same helper)
+validates its operands before any step reads them.
 
 The scatter-style counterpart — summing per-entry values into their
 *column* — is :func:`bincount_sum`, a single C pass via
@@ -23,8 +22,6 @@ The scatter-style counterpart — summing per-entry values into their
 from __future__ import annotations
 
 import numpy as np
-
-from repro.tensor import _edge
 
 __all__ = [
     "segment_sum",
@@ -157,15 +154,15 @@ def ragged_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_kernel(
+def _check_row_operands(
     name: str, indptr: np.ndarray, rows: np.ndarray | None, *values: np.ndarray
-) -> np.ndarray | None:
-    """Check a row kernel's operands, then run it compiled if covered.
+) -> None:
+    """Check a row kernel's operands.
 
     ``values`` must share one ``(nnz,)`` / ``(nnz, heads)`` shape that
     ``indptr`` ends at (``rows``, when given, is its COO vector): a
-    ``ValueError`` naming the kernel otherwise, on either backend.
-    ``None`` sends the caller to its NumPy code (see ``_edge.entry``).
+    ``ValueError`` naming the kernel otherwise, as is a row pointer that
+    leaves ``[0, nnz]`` or decreases.
     """
     shape = values[0].shape
     if (
@@ -181,14 +178,10 @@ def _row_kernel(
             f"shape {np.shape(rows)}) need a row pointer ending at "
             f"{shape[:1]}, got {indptr[-1:]} of shape {indptr.shape}"
         )
-    fn = _edge.entry(name, *values)
-    if fn is None:
-        return None
-    return _edge.run(
-        fn, shape, values[0].dtype, indptr.size - 1,
-        np.asarray(indptr, dtype=np.int64), shape[0], *values,
-        int(np.prod(shape[1:])),
-    )
+    if indptr[0] < 0 or np.any(indptr[1:] < indptr[:-1]):
+        raise ValueError(
+            f"{name}: row pointer is not non-decreasing within the stored entries"
+        )
 
 
 def segment_softmax(
@@ -211,19 +204,12 @@ def segment_softmax(
     ``rows`` (the pattern's cached COO row vector) turns both
     replications into single gathers; without it they ``repeat`` the
     segment lengths. The values are the same either way.
-
-    float32 / float64 values run as one compiled row loop when the
-    library of :mod:`repro.tensor._edge` loaded (each row is read once,
-    nothing is replicated); the NumPy steps below are the other backend
-    and the oracle. The two agree to rounding, not bit for bit.
     """
     values = np.asarray(values)
     indptr = np.asarray(indptr)
     if not np.issubdtype(values.dtype, np.inexact):
         values = values.astype(np.float64)
-    out = _row_kernel("segment_softmax", indptr, rows, values)
-    if out is not None:
-        return out
+    _check_row_operands("segment_softmax", indptr, rows, values)
     if values.shape[0] == 0:
         return values.copy()
     result = expand_segments(

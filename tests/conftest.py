@@ -15,10 +15,10 @@ from repro.tensor.csr import CSRMatrix
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--kernels", choices=("c", "numpy"), default="c",
-        help="edge-kernel backend under test: the compiled library when it "
-        "builds (default), or the NumPy code with the loader patched to "
-        "'not available'",
+        "--kernels", choices=("c", "numpy"), default=None,
+        help="fused-sweep backend under test: the compiled library, which "
+        "must then load ('c'), or the NumPy code with the loader patched to "
+        "'not available' ('numpy'); by default the library when it builds",
     )
 
 

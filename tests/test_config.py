@@ -130,7 +130,7 @@ class TestValidation:
 
 
 class TestKernelCacheDir:
-    """Where the compiled edge kernels are cached (the loader itself:
+    """Where the compiled sweep is cached (the loader itself:
     ``tests/test_edge_kernels.py``)."""
 
     @pytest.fixture

@@ -1,15 +1,16 @@
-"""The compiled edge kernels (``tensor/_edge.c``) against their NumPy oracle.
+"""The compiled library (``tensor/_edge.c``, the fused attention sweep)
+against the NumPy kernels it fuses, stage by stage, and its loader.
 
-Both backends run inside one process: the C side is whatever
-``_edge`` loaded, the NumPy side is the same public function with the
-loader's resolved state patched to "not available" (the switch
-``--kernels numpy`` flips for a whole run). A C reduction sums in
-another order than ``einsum`` / ``add.reduceat``, so the two agree to
-the tolerance written in ``TOL`` — per dtype, for unit-scale operands
-of width ``k <= 32`` and rows of degree up to ~4200 — and not bit for
-bit. What *is* bit for bit: a score against the same score computed
-from a sub-block, from unaligned operands, or from four threads at
-once.
+Both backends run inside one process: the C side is whatever ``_edge``
+loaded, the NumPy side is the same public ``attention_forward`` /
+``attention_backward`` with the loader's resolved state patched to "not
+available" (the switch ``--kernels numpy`` flips for a whole run), which
+composes the unfused NumPy kernels. A C reduction sums in another order
+than ``einsum`` / ``add.reduceat``, so the two agree to the tolerance
+written in ``TOL`` — per dtype, for unit-scale operands of width
+``k <= 32`` and rows of degree up to ~4200 — and not bit for bit. What
+*is* bit for bit: a row against the same row swept from a sub-block, from
+unaligned operands, or from four threads at once.
 """
 
 from __future__ import annotations
@@ -25,11 +26,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.distributed.api import distributed_train
 from repro.graphs import erdos_renyi, prepare_adjacency
+from repro.models import build_model
 from repro.obs.metrics import metrics
 from repro.obs.tracer import Tracer, install_tracer
 from repro.tensor import _edge, kernels
 from repro.tensor.csr import CSRMatrix
+from repro.tensor.megakernel import attention_backward, attention_forward
 from repro.tensor.segment import segment_softmax
 from tests.conftest import random_csr
 
@@ -40,7 +44,7 @@ TOL = {
 }
 DTYPES = [np.float32, np.float64]
 HEADS = [1, 3]
-K = 32
+K, KP = 32, 16
 SRC = Path(__file__).parent.parent / "src"
 
 def _compiler() -> str | None:
@@ -50,13 +54,16 @@ def _compiler() -> str | None:
 @pytest.fixture
 def _needs_c(request, kernels_backend):
     """Skip without the compiled library (``--kernels numpy``, or no
-    compiler on this box) — but where a compiler exists and the C side
-    was asked for, the library must really be there: a failed build may
-    not turn these tests into NumPy against NumPy."""
-    if request.config.getoption("--kernels") == "c" and _compiler():
+    compiler on this box) — but where the C side was asked for
+    (``--kernels c``, as CI's C leg runs) or a compiler exists, the library
+    must really be there: a failed build may not turn these tests into
+    NumPy against NumPy."""
+    if request.config.getoption("--kernels") == "c" or (
+        request.config.getoption("--kernels") is None and _compiler()
+    ):
         assert kernels_backend == "c", kernels.backend()
     if kernels_backend != "c":
-        pytest.skip("needs the compiled edge kernels")
+        pytest.skip("needs the compiled library")
 
 
 needs_c = pytest.mark.usefixtures("_needs_c")
@@ -102,8 +109,8 @@ def _operand(rng, n: int, heads: int, dtype, k: int | None = K) -> np.ndarray:
     return rng.normal(size=shape).astype(dtype)
 
 
-def _edge_values(rng, a: CSRMatrix, heads: int, dtype) -> np.ndarray:
-    return _operand(rng, a.nnz, heads, dtype, k=None)
+def _norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("...j,...j->...", x, x))
 
 
 def _both(call):
@@ -120,73 +127,105 @@ def _close(got, want, dtype):
     np.testing.assert_allclose(got, want, **TOL[dtype])
 
 
+def _forward(a, psi, y, softmax=False, **ops) -> np.ndarray:
+    return attention_forward(a, psi, y, softmax=softmax, **ops)[0]
+
+
+def _chain(a, psi, y, dz, softmax=True, **ops) -> dict:
+    """Forward and backward through the public functions, every output."""
+    z, stats = attention_forward(a, psi, y, softmax=softmax, **ops)
+    out = attention_backward(a, psi, y, dz, stats=stats, softmax=softmax, **ops)
+    out["Z"] = z
+    if stats is not None:
+        out["shift"], out["denom"] = stats.shift, stats.denom
+    return out
+
+
 @needs_c
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("heads", HEADS)
 class TestAgainstNumpy:
+    """One stage of the chain at a time: each SDDMM kind aggregated
+    without a softmax, then the softmax and the backward."""
+
     def test_sddmm_dot(self, pattern, heads, dtype, rng):
-        x = _operand(rng, pattern.shape[0], heads, dtype)
-        y = _operand(rng, pattern.shape[1], heads, dtype)
-        _close(*_both(lambda: kernels.sddmm_dot(pattern, x, y)), dtype)
+        a = pattern.astype(dtype)
+        n, m = a.shape
+        x, xd = _operand(rng, n, heads, dtype), _operand(rng, m, heads, dtype)
+        y = _operand(rng, m, heads, dtype, KP)
+        _close(*_both(lambda: _forward(a, "dot", y, x_src=x, x_dst=xd)), dtype)
 
     def test_sddmm_dot_odd_width(self, heads, dtype, rng):
         """Widths around the eight accumulator lanes, zero included."""
-        a = PATTERNS["block"]()
+        a = PATTERNS["block"]().astype(dtype)
+        y = _operand(rng, a.shape[1], heads, dtype, KP)
         for k in (0, 1, 7, 8, 9, 19):
             x = _operand(rng, a.shape[0], heads, dtype, k)
-            y = _operand(rng, a.shape[1], heads, dtype, k)
-            _close(*_both(lambda: kernels.sddmm_dot(a, x, y)), dtype)
+            xd = _operand(rng, a.shape[1], heads, dtype, k)
+            _close(*_both(lambda: _forward(a, "dot", y, x_src=x, x_dst=xd)), dtype)
 
     def test_sddmm_add(self, pattern, heads, dtype, rng):
-        u = _operand(rng, pattern.shape[0], heads, dtype, k=None)
-        v = _operand(rng, pattern.shape[1], heads, dtype, k=None)
-        got, want = _both(lambda: kernels.sddmm_add(pattern, u, v))
-        assert got.dtype == np.dtype(dtype)
-        np.testing.assert_array_equal(got, want)  # one add: no order to differ
+        a = pattern.astype(dtype)
+        n, m = a.shape
+        u = _operand(rng, n, heads, dtype, k=None)
+        v = _operand(rng, m, heads, dtype, k=None)
+        y = _operand(rng, m, heads, dtype, KP)
+        _close(*_both(lambda: _forward(a, "add", y, u=u, v=v, slope=0.3)), dtype)
 
     @pytest.mark.parametrize("given_norms", [False, True])
     def test_sddmm_cosine(self, pattern, heads, dtype, rng, given_norms):
+        """One vector at both endpoints, or (``given_norms``) each
+        endpoint's own vector and norms, as on an off-diagonal block."""
         if pattern.shape[0] != pattern.shape[1]:
-            pytest.skip("cosine scores one operand against itself")
-        h = _operand(rng, pattern.shape[0], heads, dtype)
-        norms = np.sqrt(np.einsum("...j,...j->...", h, h)) if given_norms else None
-        got, want = _both(lambda: kernels.sddmm_cosine(pattern, h, norms=norms))
-        assert len(got) == len(want) == 2
-        _close(got[0], want[0], dtype)
-        np.testing.assert_array_equal(got[1], want[1])  # the row norms
+            pytest.skip("the rectangular block is covered by test_sddmm_dot")
+        a = pattern.astype(dtype)
+        x = _operand(rng, a.shape[0], heads, dtype)
+        y = _operand(rng, a.shape[1], heads, dtype, KP)
+        ops = {"x_src": x, "norms": _norms(x), "beta": 0.7}
         if given_norms:
-            assert got[1] is norms
+            xd = _operand(rng, a.shape[1], heads, dtype)
+            ops.update(x_dst=xd, norms_dst=_norms(xd))
+        _close(*_both(lambda: _forward(a, "cosine", y, **ops)), dtype)
 
     def test_cosine_given_norms_and_eps_clip(self, heads, dtype, rng):
-        a = PATTERNS["er"]()
-        h = _operand(rng, a.shape[0], heads, dtype)
-        h[:5] = 0  # zero rows: the denominator is the eps clip
-        norms = np.sqrt(np.einsum("...j,...j->...", h, h))
-        got, want = _both(lambda: kernels.sddmm_cosine(
-            a, h, norms=norms, eps=1e-6))
-        _close(got[0], want[0], dtype)
-        touched = (a.expand_rows() < 5) | (a.indices < 5)
-        assert touched.any() and not got[0][touched].any()  # 0 / eps
-        # Tiny norms: the product is below eps, so the clip is the divisor.
-        tiny = (h * dtype(1e-6)).astype(dtype)
-        got, want = _both(lambda: kernels.sddmm_cosine(a, tiny, eps=1e-6))
-        _close(got[0], want[0], dtype)
-        assert np.abs(got[0]).max() < 1e-3
+        """A zero norm product scores 0 on both sides; tiny norms are not
+        clipped, so a scaled operand scores as the unscaled one."""
+        a = PATTERNS["er"]().astype(dtype)
+        x = _operand(rng, a.shape[0], heads, dtype)
+        x[:5] = 0
+        y = _operand(rng, a.shape[1], heads, dtype, KP)
+        got, want = _both(lambda: attention_forward(
+            a, "cosine", y, x_src=x, norms=_norms(x), softmax=False)[0])
+        _close(got, want, dtype)
+        assert not got[:5].any()  # every edge of a zero row scored 0
+        tiny = (x * dtype(1e-6)).astype(dtype)
+        got_tiny, want_tiny = _both(lambda: _forward(
+            a, "cosine", y, x_src=tiny, norms=_norms(tiny)))
+        _close(got_tiny, want_tiny, dtype)
+        np.testing.assert_allclose(got_tiny, got, rtol=1e-3 if dtype is np.float32
+                                   else 1e-9, atol=1e-3 if dtype is np.float32 else 1e-9)
 
     def test_row_softmax(self, pattern, heads, dtype, rng):
-        s = pattern.with_data(_edge_values(rng, pattern, heads, dtype) * 4)
-        got, want = _both(lambda: kernels.masked_row_softmax(s).data)
-        _close(got, want, dtype)
-        raw, _ = _both(lambda: segment_softmax(s.data, s.indptr))
-        np.testing.assert_array_equal(raw, got)  # rows= changes nothing
+        a = pattern.astype(dtype)
+        x = _operand(rng, a.shape[0], heads, dtype) * dtype(2)
+        xd = _operand(rng, a.shape[1], heads, dtype)
+        y = _operand(rng, a.shape[1], heads, dtype, KP)
+        got, want = _both(lambda: attention_forward(
+            a, "dot", y, x_src=x, x_dst=xd, softmax=True))
+        _close(got[0], want[0], dtype)
+        _close(got[1].shift, want[1].shift, dtype)
+        _close(got[1].denom, want[1].denom, dtype)
 
     def test_row_softmax_backward(self, pattern, heads, dtype, rng):
-        soft = kernels.masked_row_softmax(
-            pattern.with_data(_edge_values(rng, pattern, heads, dtype))).data
-        grad = _edge_values(rng, pattern, heads, dtype)
-        for rows in (None, pattern.expand_rows()):
-            _close(*_both(lambda: kernels.masked_row_softmax_backward(
-                soft, grad, pattern.indptr, rows=rows)), dtype)
+        a = pattern.astype(dtype)
+        n, m = a.shape
+        ops = {"x_src": _operand(rng, n, heads, dtype),
+               "x_dst": _operand(rng, m, heads, dtype)}
+        y, dz = _operand(rng, m, heads, dtype, KP), _operand(rng, n, heads, dtype, KP)
+        got, want = _both(lambda: _chain(a, "dot", y, dz, **ops))
+        assert got.keys() == want.keys()
+        for key in want:
+            _close(got[key], want[key], dtype)
 
 
 @needs_c
@@ -204,41 +243,48 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_sddmm(self, dtype, rng):
-        a = PATTERNS["er"]()
+        """Non-finite operands through each score kind, no softmax."""
+        a = PATTERNS["er"]().astype(dtype)
         h = _operand(rng, a.shape[0], 1, dtype)
         h[3, 2], h[10, 0], h[20, 5] = np.nan, np.inf, -np.inf
         h[30] = 0
-        self._same_non_finites(
-            *_both(lambda: kernels.sddmm_dot(a, h, h)), dtype)
-        for g, w in zip(*_both(lambda: kernels.sddmm_cosine(a, h))):
-            self._same_non_finites(g, w, dtype)
+        y = _operand(rng, a.shape[1], 1, dtype, KP)
         u = h[:, 0].copy()
-        self._same_non_finites(
-            *_both(lambda: kernels.sddmm_add(a, u, u[::-1].copy())), dtype)
+        for psi, ops in (("dot", {"x_src": h}),
+                         ("cosine", {"x_src": h, "norms": _norms(h)}),
+                         ("add", {"u": u, "v": u[::-1].copy()})):
+            with np.errstate(all="ignore"):
+                got, want = _both(lambda: _forward(a, psi, y, **ops))
+            assert not np.isfinite(want).all(), psi
+            self._same_non_finites(got, want, dtype)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("heads", HEADS)
     def test_row_softmax_and_backward(self, dtype, heads, rng):
-        a = PATTERNS["er"]()
-        values = _edge_values(rng, a, heads, dtype)
-        flat = values.reshape(-1)
+        """Non-finite edge values (the adjacency mask) into the softmax, and
+        a row with nothing finite in it, forward and backward."""
+        a = PATTERNS["er"]().astype(dtype)
+        flat = a.data
         for i, bad in zip(rng.choice(flat.size, 12, replace=False),
                           [np.nan, np.inf, -np.inf] * 4):
             flat[i] = bad
-        lo, hi = a.indptr[7], a.indptr[8]
-        values[lo:hi] = -np.inf  # a row with nothing finite in it
-        got, want = _both(lambda: segment_softmax(values, a.indptr))
-        self._same_non_finites(got, want, dtype)
-        assert np.isnan(got).any() and np.isfinite(got).any()
-        grad = _edge_values(rng, a, heads, dtype)
-        self._same_non_finites(*_both(
-            lambda: kernels.masked_row_softmax_backward(want, grad, a.indptr)
-        ), dtype)
+        n, m = a.shape
+        u = np.abs(_operand(rng, n, heads, dtype, k=None)) + dtype(1)
+        v = np.abs(_operand(rng, m, heads, dtype, k=None))
+        a.data[a.indptr[7]:a.indptr[8]] = -np.inf  # positive scores: all -inf
+        y, dz = _operand(rng, m, heads, dtype, KP), _operand(rng, n, heads, dtype, KP)
+        with np.errstate(all="ignore"):
+            got, want = _both(lambda: _chain(a, "add", y, dz, u=u, v=v))
+        assert np.isnan(want["Z"]).any() and np.isfinite(want["Z"]).any()
+        assert np.isnan(want["Z"][7]).all()
+        assert got.keys() == want.keys()
+        for key in want:
+            self._same_non_finites(got[key], want[key], dtype)
 
 
 class TestValidation:
-    """Shape errors are ``ValueError``s naming the kernel and the shape,
-    the same on both backends, before any pointer crosses into C."""
+    """Shape errors of the NumPy row kernels are ``ValueError``s naming the
+    kernel and the shape, the same whether or not the library loaded."""
 
     @pytest.fixture(params=["loaded", "numpy"])
     def side(self, request):
@@ -281,7 +327,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="sddmm_cosine"):
             kernels.sddmm_cosine(a, h, norms=np.ones((a.shape[0], 1)))
 
-    @needs_c
     def test_a_decreasing_row_pointer_is_refused_not_read(self):
         bad = np.array([0, 9, 4, 6], np.int64)  # ends at len(values), dips inside
         with pytest.raises(ValueError, match="segment_softmax.*non-decreasing"):
@@ -293,82 +338,107 @@ class TestValidation:
 @needs_c
 class TestOperandsThatAreNotPlainArrays:
     def test_non_contiguous_operands_are_copied_not_misread(self, rng):
-        a = PATTERNS["block"]()
+        a = PATTERNS["block"]().astype(np.float32)
         wide = rng.normal(size=(a.shape[0], 2 * K)).astype(np.float32)
         x = wide[:, ::2]  # strided view
-        y = np.asfortranarray(rng.normal(size=(a.shape[1], K)).astype(np.float32))
-        assert not x.flags.c_contiguous and not y.flags.c_contiguous
-        np.testing.assert_array_equal(
-            kernels.sddmm_dot(a, x, y),
-            kernels.sddmm_dot(a, x.copy(), np.ascontiguousarray(y)),
-        )
-        vals = rng.normal(size=(a.nnz, 4))[:, ::2]
-        np.testing.assert_array_equal(
-            segment_softmax(vals, a.indptr),
-            segment_softmax(vals.copy(), a.indptr),
-        )
+        xd = np.asfortranarray(rng.normal(size=(a.shape[1], K)).astype(np.float32))
+        y = rng.normal(size=(a.shape[1], 2, KP)).astype(np.float32)[:, 1]
+        dz = np.asfortranarray(rng.normal(size=(a.shape[0], KP)).astype(np.float32))
+        assert not any(o.flags.c_contiguous for o in (x, xd, y, dz))
+        got = _chain(a, "dot", y, dz, x_src=x, x_dst=xd)
+        want = _chain(a, "dot", *(np.ascontiguousarray(o) for o in (y, dz)),
+                      x_src=x.copy(), x_dst=np.ascontiguousarray(xd))
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
 
     def test_mixed_and_unsupported_dtypes_take_the_numpy_path(self, rng):
+        """float16 — alone, or with integer operands, which promote to it —
+        has no C entry and runs the NumPy side, bit for bit; a float32 /
+        float64 mix promotes to the float64 entry and stays on C."""
         a = PATTERNS["block"]()
-        x = rng.normal(size=(a.shape[0], K)).astype(np.float32)
-        y = rng.normal(size=(a.shape[1], K))
-        for call in (
-            lambda: kernels.sddmm_dot(a, x, y),
-            lambda: kernels.sddmm_add(a, x[:, 0], y[:, 0]),
-            lambda: kernels.masked_row_softmax_backward(
-                np.ones(a.nnz, np.float32), np.ones(a.nnz), a.indptr),
-            lambda: segment_softmax(np.ones(a.nnz, np.float16), a.indptr),
-            lambda: segment_softmax(np.ones(a.nnz, np.int32), a.indptr),
-        ):
-            got, want = _both(call)
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        u = rng.normal(size=a.shape[0])
+        v = rng.integers(-3, 3, a.shape[1]).astype(np.int8)
+        y = rng.normal(size=(a.shape[1], KP))
+        t = Tracer()
+        install_tracer(t)
+        try:
+            for adj, ops in (
+                (a.astype(np.float16), {"u": u.astype(np.float16), "v": v,
+                                        "y": y.astype(np.float16)}),
+                (a.astype(np.float16), {"u": u.astype(np.float16),
+                                        "v": v.astype(np.float16),
+                                        "y": y.astype(np.float16)}),
+            ):
+                with np.errstate(all="ignore"):
+                    got, want = _both(lambda: _forward(adj, "add", **ops))
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            a32, y32 = a.astype(np.float32), y.astype(np.float32)
+            mixed = _forward(a32, "add", y32, u=u, v=v)
+            cast = _forward(a32.astype(np.float64), "add", y32.astype(np.float64),
+                            u=u, v=v.astype(np.float64))
+            assert mixed.dtype == np.float64
+            np.testing.assert_array_equal(mixed, cast)
+        finally:
+            install_tracer(None)
+        backends = [s.attrs["backend"] for s in t.spans if s.name == "megakernel.forward"]
+        assert backends == ["numpy"] * 4 + ["c"] * 2
 
 
 @needs_c
 class TestBitsDependOnTheOperandsAlone:
     """The serving batched == per-request contract, at its root: a row
-    scores the same inside any block and from any address."""
+    sweeps the same inside any block and from any address."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("k", [K, 19])
     def test_sub_block_and_unaligned_operands(self, dtype, k, rng):
         a = PATTERNS["er"]().astype(dtype)
         h = _operand(rng, a.shape[0], 1, dtype, k)
-        whole = kernels.sddmm_dot(a, h, h)
-        cos = kernels.sddmm_cosine(a, h)[0]
-        soft = segment_softmax(whole, a.indptr)
+        y = _operand(rng, a.shape[1], 1, dtype, KP)
+        dz = _operand(rng, a.shape[0], 1, dtype, KP)
+
+        def sweep(adj, x_src, x_dst, y, dz, norms, norms_dst):
+            return {psi: _chain(adj, psi, y, dz, x_src=x_src, x_dst=x_dst,
+                                **({"norms": norms, "norms_dst": norms_dst}
+                                   if psi == "cosine" else {}))
+                    for psi in ("dot", "cosine")}
+
+        norms = _norms(h)
+        whole = sweep(a, h, h, y, dz, norms, norms)
         rows = np.array([5, 17, 18, 150])
         lengths = np.diff(a.indptr)[rows]
-        sub_indptr = np.concatenate([[0], np.cumsum(lengths)])
         take = np.concatenate([np.arange(a.indptr[r], a.indptr[r + 1]) for r in rows])
-        sub = CSRMatrix(sub_indptr, a.indices[take], a.data[take],
-                        (len(rows), a.shape[1]))
-        np.testing.assert_array_equal(
-            kernels.sddmm_dot(sub, h[rows], h), whole[take])
-        np.testing.assert_array_equal(
-            segment_softmax(whole[take], sub_indptr), soft[take])
+        sub = CSRMatrix(np.concatenate([[0], np.cumsum(lengths)]), a.indices[take],
+                        a.data[take], (len(rows), a.shape[1]))
+        part = sweep(sub, h[rows], h, y, dz[rows], norms[rows], norms)
+        for psi in whole:  # every row-side output of those rows
+            for key in ("Z", "shift", "denom", "dRow") + ("dNormRow",) * (psi == "cosine"):
+                np.testing.assert_array_equal(
+                    part[psi][key], whole[psi][key][rows], err_msg=f"{psi} {key}")
         # The same values one element off their natural alignment.
         buf = np.empty(h.size + 1, dtype)
         shifted = buf[1:].reshape(h.shape)
         shifted[...] = h
         assert shifted.ctypes.data % 16 != h.ctypes.data % 16
-        np.testing.assert_array_equal(kernels.sddmm_dot(a, shifted, shifted), whole)
-        np.testing.assert_array_equal(kernels.sddmm_cosine(a, shifted)[0], cos)
+        moved = sweep(a, shifted, shifted, y, dz, norms, norms)
+        for psi in whole:
+            for key in whole[psi]:
+                np.testing.assert_array_equal(
+                    moved[psi][key], whole[psi][key], err_msg=f"{psi} {key}")
 
 
 class TestThreads:
     def test_four_threads_equal_the_serial_result(self, rng):
-        """Four rank threads meet in the loader and then in the kernels;
+        """Four rank threads meet in the loader and then in the sweep;
         the library holds no state, so each gets the serial bits."""
         a = PATTERNS["er"]().astype(np.float32)
         hs = [_operand(rng, a.shape[0], 1, np.float32) for _ in range(4)]
+        y = _operand(rng, a.shape[1], 1, np.float32, KP)
+        dz = _operand(rng, a.shape[0], 1, np.float32, KP)
 
         def work(h):
-            cos = kernels.sddmm_cosine(a, h)[0]
-            soft = segment_softmax(cos, a.indptr)
-            return cos, soft, kernels.masked_row_softmax_backward(
-                soft, kernels.sddmm_dot(a, h, h), a.indptr)
+            return _chain(a, "cosine", y, dz, x_src=h, norms=_norms(h))
 
         serial = [work(h) for h in hs]
         results: list = [None] * 4
@@ -391,8 +461,9 @@ class TestThreads:
             sys.setswitchinterval(interval)
             _edge._state = saved
         for got, want in zip(results, serial):
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
+            assert got.keys() == want.keys()
+            for key in want:
+                np.testing.assert_array_equal(got[key], want[key], err_msg=key)
 
 
 def _run_python(code: str, env: dict) -> subprocess.Popen:
@@ -409,11 +480,12 @@ import numpy as np
 from repro.graphs import erdos_renyi, prepare_adjacency
 from repro.obs.metrics import metrics
 from repro.tensor import kernels
+from repro.tensor.megakernel import attention_forward
 a = prepare_adjacency(erdos_renyi(50, 200, seed=1))
 h = np.random.default_rng(0).normal(size=(50, 8)).astype(np.float32)
-d = kernels.sddmm_dot(a, h, h)
-ref = np.einsum("ij,ij->i", h[a.expand_rows()], h[a.indices])
-assert np.allclose(d, ref, rtol=2e-5, atol=2e-5)
+z, _ = attention_forward(a, "dot", h, x_src=h, softmax=False)
+ref = (a.to_dense() * (h @ h.T)) @ h
+assert np.allclose(z, ref, rtol=2e-5, atol=2e-5)
 snap = metrics().snapshot()
 print(*kernels.backend(), sep="|")
 print(snap.get("kernels.fallback", 0), snap.get("kernels.build_s"), sep="|")
@@ -453,6 +525,8 @@ class TestColdStarts:
 
 class TestSaysWhichBackendRan:
     def test_backend_and_span_attribute(self, kernels_backend, rng):
+        """``backend()`` names the sweep's side and its spans carry it; the
+        unfused kernels are NumPy only and carry none."""
         name, detail = kernels.backend()
         assert name == kernels_backend
         assert os.path.isfile(detail) if name == "c" else detail
@@ -466,16 +540,16 @@ class TestSaysWhichBackendRan:
             kernels.sddmm_cosine(a, h)
             soft = kernels.masked_row_softmax(a.with_data(dots))
             kernels.masked_row_softmax_backward(soft.data, dots, a.indptr)
-            kernels.sddmm_dot(a, h, h.astype(np.float64))
+            attention_forward(a, "dot", h, x_src=h)
         finally:
             install_tracer(None)
         spans = [s for s in t.spans if s.depth == 0]
         assert [s.name for s in spans] == [
             "kernel.sddmm_dot", "kernel.sddmm_add", "kernel.sddmm_cosine",
             "kernel.masked_row_softmax", "kernel.masked_row_softmax_backward",
-            "kernel.sddmm_dot",
+            "megakernel.forward",
         ]
-        assert [s.attrs["backend"] for s in spans] == [name] * 5 + ["numpy"]
+        assert [s.attrs.get("backend") for s in spans] == [None] * 5 + [name]
 
     @needs_c
     def test_build_time_is_a_gauge(self):
@@ -486,3 +560,37 @@ class TestSaysWhichBackendRan:
             assert metrics().gauge("kernels.build_s").value == 0.0  # warm cache
         finally:
             _edge._state = saved
+
+
+@needs_c
+class TestTheCLeg:
+    """What CI's C leg holds a runner to: the library is the sweep alone,
+    and every built-in layer — single-node and on each of four ranks — is
+    one forward and one backward sweep on C, with no unfused edge kernel."""
+
+    KERNELS = ("megakernel.", "kernel.sddmm", "kernel.masked")
+
+    def test_every_layer_is_one_c_sweep_per_pass(self, monkeypatch):
+        assert set(_edge._SIGNATURES) == {"attention_forward", "attention_backward"}
+        a = prepare_adjacency(erdos_renyi(64, 256, seed=0))
+        model = build_model("gat", 8, 8, 4, num_layers=2, seed=0)
+        t = Tracer()
+        install_tracer(t)
+        try:
+            out = model.forward(a, np.ones((64, 8), np.float32), training=True)
+            model.backward(np.ones_like(out))
+        finally:
+            install_tracer(None)
+        spans = [(s.name, s.attrs.get("backend")) for s in t.spans
+                 if s.name.startswith(self.KERNELS)]
+        assert spans == [("megakernel.forward", "c")] * 2 + [
+            ("megakernel.backward", "c")] * 2
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        h = np.random.default_rng(0).normal(size=(64, 8)).astype(np.float32)
+        r = distributed_train("agnn", a, h, np.zeros(64, np.int64), 8, 4,
+                              num_layers=2, p=4)
+        ranks = [sorted((s.name, s.attrs.get("backend")) for s in q.tracer.spans
+                        if s.name.startswith(self.KERNELS))
+                 for q in r.stats.per_rank]
+        assert ranks == [[("megakernel.backward", "c")] * 2
+                         + [("megakernel.forward", "c")] * 2] * 4

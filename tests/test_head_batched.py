@@ -29,6 +29,7 @@ from repro.distributed.ops import OpSequencer
 from repro.models import AttentionLayer, gat_spec
 from repro.obs.metrics import metrics
 from repro.runtime import run_spmd, square_grid
+from repro.tensor import kernels
 from repro.tensor.kernels import (
     AVERAGE,
     masked_row_softmax,
@@ -170,12 +171,12 @@ class TestKernelParity:
             ref = sddmm_dot(a, *(_heads_of(z)[i] for z in (x, y)))
             np.testing.assert_allclose(out[:, i], ref, rtol=1e-12, atol=1e-12)
 
-    def test_sddmm_dot_batched_chunked(self, stacked):
+    def test_sddmm_dot_batched_chunked(self, stacked, monkeypatch):
         """A tiny chunk exercises the multi-chunk gather loop."""
         a, x, y, _ = stacked
-        np.testing.assert_array_equal(
-            sddmm_dot(a, x, y, chunk=7 * HEADS), sddmm_dot(a, x, y)
-        )
+        whole = sddmm_dot(a, x, y)
+        monkeypatch.setattr(kernels, "_SDDMM_CHUNK", 7 * HEADS)
+        np.testing.assert_array_equal(sddmm_dot(a, x, y), whole)
 
     def test_sddmm_add_batched_matches_per_head(self, stacked):
         a, x, y, _ = stacked

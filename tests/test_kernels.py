@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.tensor import kernels
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import (
     masked_row_softmax,
@@ -123,12 +124,12 @@ class TestSDDMM:
         full = x @ y.T
         assert np.allclose(vals, full[a.expand_rows(), a.indices])
 
-    def test_dot_chunking_invariant(self, rng):
+    def test_dot_chunking_invariant(self, rng, monkeypatch):
         a = random_csr(rng, 20, 20)
         x = rng.normal(size=(20, 3))
-        assert np.allclose(
-            sddmm_dot(a, x, x, chunk=7), sddmm_dot(a, x, x, chunk=10**6)
-        )
+        whole = sddmm_dot(a, x, x)
+        monkeypatch.setattr(kernels, "_SDDMM_CHUNK", 7)
+        assert np.allclose(sddmm_dot(a, x, x), whole)
 
     def test_dot_rectangular(self, rng):
         a = random_csr(rng, 6, 9)

@@ -13,11 +13,13 @@ The package is organised into subsystems mirroring the paper:
 ``repro.core``
     The paper's primary contribution: global tensor formulations —
     the Table-2 building blocks (``rep``, ``sum``, ``rs``, ``sm``), the
-    per-model attention operators :math:`\\Psi` and the generic
+    graph softmax, the activations and the :math:`\\Psi` spec of the
     programmable layer :math:`H^{l+1} = \\sigma((\\Phi\\circ\\oplus)(\\Psi(A,H),H))`.
 ``repro.models``
-    VA / AGNN / GAT / GCN models with manual global-formulation
-    forward *and* backward passes (Section 5 of the paper).
+    The one layer executing that equation, with the per-model
+    attention operators :math:`\\Psi` of VA / AGNN / GAT / GCN as specs
+    and manual global-formulation forward *and* backward passes
+    (Section 5 of the paper).
 ``repro.fusion``
     The op-DAG toolchain: sparsity inference, virtual tensors, and
     the fusion pass generating SDDMM-like fused kernels (Section 6.2).
@@ -29,8 +31,10 @@ The package is organised into subsystems mirroring the paper:
     The A-stationary 1.5D distribution (Section 6.3) and distributed
     implementations of all models, training and inference.
 ``repro.baselines``
-    Local-formulation (message-passing) engines standing in for
-    DGL / DistDGL, including a mini-batch sampled trainer.
+    Local-formulation engines standing in for DGL / DistDGL: the
+    Section-2.2 message-passing oracle, the 1D halo-exchange full-batch
+    engine (``repro.models`` layers on each rank's own+halo block) and a
+    mini-batch sampled trainer.
 ``repro.graphs``
     Kronecker (Graph500-style), Erdős–Rényi and power-law generators,
     preprocessing and synthetic labelled datasets.

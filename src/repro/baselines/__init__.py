@@ -8,11 +8,12 @@ distributed. These engines reproduce that execution model from scratch:
 
 * :mod:`repro.baselines.message_passing` — a DGL-flavoured single-node
   engine (``apply_edges`` / ``update_all``) plus local-formulation
-  implementations of VA/AGNN/GAT used as semantic cross-checks.
+  implementations of VA/AGNN/GAT: the Section-2.2 oracle the global
+  formulation is cross-checked against.
 * :mod:`repro.baselines.dist_local` — the distributed full-batch local
   engine: 1D partition, halo exchange of :math:`\\Theta(nkd/p)` words
   per layer (the Section-7 lower bound for the local view), forward and
-  backward.
+  backward; it runs ``build_model``'s layers on an own+halo block.
 * :mod:`repro.baselines.minibatch` — DistDGL-style mini-batch training
   with layer-wise neighbour sampling and remote feature fetches.
 """

@@ -15,38 +15,32 @@ the Fig.-7 verification experiments attribute to the local view:
 * **Backward reverse halo** — gradients destined for remote features
   travel back to their owners; weight gradients are allreduced.
 
-The per-edge compute reuses the DGL-flavoured primitives of
-:mod:`repro.baselines.message_passing`; mathematics are identical to
-the global formulation (the equivalence tests assert it), only the
-distribution differs — which is exactly the comparison the paper makes.
+The engine decides where data lives; the layer decides what is
+computed. Every rank builds the same ``build_model`` stack (parameters
+replicated by seed) and runs its layers on one square *own+halo block*:
+the owned adjacency rows over the local id space ``[own; halo]``, halo
+rows empty — the :class:`repro.tensor.sampling_graph.Block` layout, so
+each layer reads both edge endpoints from ``[H_own; H_halo]`` unchanged.
+Mathematics are therefore the single-node model's (the equivalence
+tests assert it); only the distribution differs — which is exactly the
+comparison the paper makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.core.activations import (
-    get_activation,
-    leaky_relu,
-    leaky_relu_grad,
-)
 from repro.distributed.partition import block_range
-from repro.models.attention import draw_parameters, gat_spec
+from repro.models import build_model
 from repro.runtime.communicator import Communicator
 from repro.runtime.executor import run_spmd
 from repro.runtime.stats import RunStats
 from repro.tensor.csr import CSRMatrix
-from repro.tensor.kernels import sddmm_dot, spmm
-from repro.tensor.segment import (
-    bincount_sum,
-    expand_segments,
-    segment_softmax,
-    segment_sum,
-)
 from repro.training.loss import block_loss_terms, cross_entropy_terms
-from repro.util.rng import make_rng
+from repro.training.optim import SGD
 
 __all__ = ["dist_local_inference", "dist_local_train", "LocalPartition"]
 
@@ -59,9 +53,10 @@ class LocalPartition:
     ----------
     r0, r1:
         Owned vertex range.
-    pattern:
-        Owned adjacency rows with columns remapped into the
-        owned-plus-halo local id space ``[0, n_own + n_halo)``.
+    block:
+        Square CSR over the owned-plus-halo local id space
+        ``[0, n_own + n_halo)``: rows ``[0, n_own)`` are the owned
+        adjacency rows with remapped columns, the halo rows are empty.
     halo_ids:
         Global ids of remote neighbours, sorted; local id of
         ``halo_ids[t]`` is ``n_own + t``.
@@ -75,7 +70,7 @@ class LocalPartition:
 
     r0: int
     r1: int
-    pattern: CSRMatrix
+    block: CSRMatrix
     halo_ids: np.ndarray
     send_lists: list[np.ndarray]
     recv_counts: np.ndarray
@@ -107,10 +102,11 @@ def build_partition(
     remapped[~owned] = (r1 - r0) + np.searchsorted(
         halo_ids, rows.indices[~owned]
     )
-    pattern = CSRMatrix(
-        rows.indptr, remapped, rows.data,
-        (r1 - r0, (r1 - r0) + halo_ids.shape[0]),
+    n_ext = (r1 - r0) + halo_ids.shape[0]
+    indptr = np.concatenate(
+        [rows.indptr, np.full(halo_ids.shape[0], rows.nnz, dtype=np.int64)]
     )
+    block = CSRMatrix(indptr, remapped, rows.data, (n_ext, n_ext))
 
     # Group halo ids by owner; negotiate send lists.
     boundaries = [block_range(n, p, s) for s in range(p)]
@@ -125,7 +121,7 @@ def build_partition(
     send_lists = [np.asarray(req, dtype=np.int64) - r0 for req in incoming]
     comm.stats.set_phase("default")
     return LocalPartition(
-        r0=r0, r1=r1, pattern=pattern, halo_ids=halo_ids,
+        r0=r0, r1=r1, block=block, halo_ids=halo_ids,
         send_lists=send_lists, recv_counts=recv_counts,
     )
 
@@ -171,159 +167,35 @@ def halo_reverse(
     return grad_own
 
 
-# ----------------------------------------------------------------------
-# Per-model layer math on the (own-rows x extended-cols) pattern
-# ----------------------------------------------------------------------
-def _forward_layer(
-    model: str,
-    part: LocalPartition,
-    h_own: np.ndarray,
-    h_ext: np.ndarray,
-    params: dict[str, np.ndarray],
-    counter,
-) -> tuple[np.ndarray, dict]:
-    """One local-formulation layer forward; returns (Z_own, cache)."""
-    pattern = part.pattern
-    weight = params["weight"]
-    rows = pattern.expand_rows()
-    cols = pattern.indices
-    cache: dict = {"h_own": h_own, "h_ext": h_ext}
-    if model == "gcn":
-        hp = h_ext @ weight
-        z = spmm(pattern, hp, counter=counter)
-        cache.update(hp=hp)
-        return z, cache
-    if model == "va":
-        scores = pattern.data * sddmm_dot(pattern, h_own, h_ext, counter=counter)
-    elif model == "agnn":
-        norms_own = np.sqrt(np.einsum("ij,ij->i", h_own, h_own))
-        norms_ext = np.sqrt(np.einsum("ij,ij->i", h_ext, h_ext))
-        dots = sddmm_dot(pattern, h_own, h_ext, counter=counter)
-        cos = dots / np.maximum(norms_own[rows] * norms_ext[cols], 1e-12)
-        scores = segment_softmax(cos, pattern.indptr)
-        cache.update(cos=cos, norms_own=norms_own, norms_ext=norms_ext)
-    elif model == "gat":
-        hp_own = h_own @ weight
-        hp_ext = h_ext @ weight
-        u = hp_own @ params["a_src"]
-        v = hp_ext @ params["a_dst"]
-        raw = u[rows] + v[cols]
-        scores = segment_softmax(leaky_relu(raw, 0.2), pattern.indptr)
-        cache.update(hp_own=hp_own, hp_ext=hp_ext, raw=raw)
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    counter.add(7 * pattern.nnz, "local_scores")
-    s = pattern.with_data(scores)
-    cache.update(s=s)
-    if model == "gat":
-        z = spmm(s, cache["hp_ext"], counter=counter)
-    else:
-        hp = h_ext @ weight
-        z = spmm(s, hp, counter=counter)
-        cache.update(hp=hp)
-    return z, cache
+def _replica_builder(
+    model_name: str, in_dim: int, hidden_dim: int, out_dim: int,
+    num_layers: int, seed: int, dtype,
+) -> partial:
+    """``build_model(...)`` with every argument bound: each rank calls it
+    for its replica (parameters replicated by seed). Checked once before
+    any rank starts: one halo exchange per layer reaches one hop."""
+    build = partial(build_model, model_name, in_dim, hidden_dim, out_dim,
+                    num_layers=num_layers, seed=seed, dtype=dtype)
+    build().require_one_hop(
+        f"{model_name}: the local engine exchanges a one-hop halo per layer"
+    )
+    return build
 
 
-def _backward_layer(
-    model: str,
-    part: LocalPartition,
-    cache: dict,
-    g: np.ndarray,
-    params: dict[str, np.ndarray],
-    counter,
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """One layer backward.
-
-    Returns ``(d_own, d_ext, param_grads_local)``: the gradient w.r.t.
-    this rank's owned input rows (aggregator role), the gradient w.r.t.
-    the extended feature table (neighbour role — its halo slice travels
-    back via :func:`halo_reverse`), and this rank's *local contribution*
-    to the parameter gradients (caller allreduces).
-    """
-    pattern = part.pattern
-    weight = params["weight"]
-    h_own, h_ext = cache["h_own"], cache["h_ext"]
-    rows = pattern.expand_rows()
-    cols = pattern.indices
-    if model == "gcn":
-        stg = spmm(pattern.transpose(), g, counter=counter)
-        d_weight = h_ext.T @ stg
-        d_ext = stg @ weight.T
-        d_own = np.zeros_like(h_own)
-        return d_own, d_ext, {"weight": d_weight}
-
-    s = cache["s"]
-    if model == "gat":
-        hp_ext = cache["hp_ext"]
-        ds = sddmm_dot(pattern, g, hp_ext, counter=counter)
-        inner = segment_sum(s.data * ds, pattern.indptr)
-        dlog = s.data * (ds - expand_segments(inner, pattern.indptr))
-        draw = dlog * leaky_relu_grad(cache["raw"], 0.2)
-        du = segment_sum(draw, pattern.indptr)
-        dv = bincount_sum(cols, draw, pattern.shape[1])
-        dhp_own = np.outer(du, params["a_src"])
-        dhp_ext = spmm(s.transpose(), g, counter=counter) + np.outer(
-            dv, params["a_dst"]
+def _forward(comm: Communicator, part: LocalPartition, model, h_own, training):
+    """Every layer on the own+halo block, a halo exchange before each;
+    returns the owned output rows and the layers' caches."""
+    caches = []
+    for layer in model.layers:
+        comm.stats.set_phase("halo")
+        h_ext = halo_exchange(comm, part, h_own)
+        comm.stats.set_phase("compute")
+        h_ext, cache = layer.forward(
+            part.block, h_ext, counter=comm.stats.flops, training=training
         )
-        d_weight = h_own.T @ dhp_own + h_ext.T @ dhp_ext
-        da_src = cache["hp_own"].T @ du
-        da_dst = hp_ext.T @ dv
-        return (
-            dhp_own @ weight.T,
-            dhp_ext @ weight.T,
-            {"weight": d_weight, "a_src": da_src, "a_dst": da_dst},
-        )
-
-    hp = cache["hp"]
-    stg = spmm(s.transpose(), g, counter=counter)
-    d_weight = h_ext.T @ stg
-    d_ext = stg @ weight.T
-    ds = sddmm_dot(pattern, g, hp, counter=counter)
-    if model == "va":
-        de = ds * pattern.data
-        n_mat = pattern.with_data(de)
-        d_own = spmm(n_mat, h_ext, counter=counter)
-        d_ext = d_ext + spmm(n_mat.transpose(), h_own, counter=counter)
-        return d_own, d_ext, {"weight": d_weight}
-    if model == "agnn":
-        inner = segment_sum(s.data * ds, pattern.indptr)
-        dc = s.data * (ds - expand_segments(inner, pattern.indptr))
-        norms_own = np.maximum(cache["norms_own"], 1e-12)
-        norms_ext = np.maximum(cache["norms_ext"], 1e-12)
-        d_mat = pattern.with_data(dc / (norms_own[rows] * norms_ext[cols]))
-        d_own = spmm(d_mat, h_ext, counter=counter)
-        d_ext = d_ext + spmm(d_mat.transpose(), h_own, counter=counter)
-        dcc = dc * cache["cos"]
-        rc = segment_sum(dcc, pattern.indptr)
-        cc = bincount_sum(cols, dcc, pattern.shape[1])
-        d_own -= (rc / norms_own**2)[:, None] * h_own
-        d_ext -= (cc / norms_ext**2)[:, None] * h_ext
-        return d_own, d_ext, {"weight": d_weight}
-    raise ValueError(f"unknown model {model!r}")
-
-
-def _build_params(
-    model: str, dims: list[int], seed: int, dtype
-) -> list[dict[str, np.ndarray]]:
-    """Replicated parameters, drawn exactly as the global models' are."""
-    rng = make_rng(seed)
-    psi_init = gat_spec().init if model == "gat" else None
-    params = []
-    for i in range(len(dims) - 1):
-        weight, psi = draw_parameters(
-            rng, dims[i], dims[i + 1], 1, dtype, psi_init
-        )
-        params.append({"weight": weight, **psi})
-    return params
-
-
-def _activations(model: str, num_layers: int, activation: str | None):
-    if activation is None:
-        activation = "elu" if model == "gat" else "relu"
-    return [
-        get_activation(activation if i + 1 < num_layers else "identity")
-        for i in range(num_layers)
-    ]
+        caches.append(cache)
+        h_own = h_ext[: part.n_own]
+    return h_own, caches
 
 
 def dist_local_inference(
@@ -335,7 +207,6 @@ def dist_local_inference(
     num_layers: int = 3,
     p: int = 4,
     seed: int = 0,
-    activation: str | None = None,
     dtype: np.dtype | type = np.float32,
     timeout: float = 120.0,
 ):
@@ -344,24 +215,14 @@ def dist_local_inference(
     Returns ``(output, RunStats)``; the output rows are gathered at
     rank 0 in vertex order.
     """
-    model = model_name.lower()
     n = features.shape[0]
-    dims = [features.shape[1]] + [hidden_dim] * (num_layers - 1) + [out_dim]
-    acts = _activations(model, num_layers, activation)
+    build = _replica_builder(model_name, features.shape[1], hidden_dim,
+                             out_dim, num_layers, seed, dtype)
 
     def program(comm: Communicator):
         part = build_partition(comm, a, n)
-        params = _build_params(model, dims, seed, dtype)
         h_own = np.ascontiguousarray(features[part.r0 : part.r1]).astype(dtype)
-        for layer_index in range(num_layers):
-            comm.stats.set_phase("halo")
-            h_ext = halo_exchange(comm, part, h_own)
-            comm.stats.set_phase("compute")
-            z, _ = _forward_layer(
-                model, part, h_own, h_ext, params[layer_index],
-                comm.stats.flops,
-            )
-            h_own = acts[layer_index].fn(z)
+        h_own, _ = _forward(comm, part, build(), h_own, training=False)
         gathered = comm.gather(h_own, root=0)
         return np.concatenate(gathered, axis=0) if comm.rank == 0 else None
 
@@ -382,7 +243,6 @@ def dist_local_train(
     lr: float = 0.01,
     mask: np.ndarray | None = None,
     seed: int = 0,
-    activation: str | None = None,
     dtype: np.dtype | type = np.float32,
     timeout: float = 300.0,
 ) -> tuple[list[float], RunStats]:
@@ -394,33 +254,20 @@ def dist_local_train(
     :func:`repro.distributed.api.distributed_train` isolate the
     formulation, exactly as in the paper's comparison.
     """
-    model = model_name.lower()
     n = features.shape[0]
-    dims = [features.shape[1]] + [hidden_dim] * (num_layers - 1) + [out_dim]
-    acts = _activations(model, num_layers, activation)
+    build = _replica_builder(model_name, features.shape[1], hidden_dim,
+                             out_dim, num_layers, seed, dtype)
     global_count = int(mask.sum()) if mask is not None else n
 
     def program(comm: Communicator):
         part = build_partition(comm, a, n)
-        params = _build_params(model, dims, seed, dtype)
+        model, optimizer = build(), SGD(lr)
         h_in = np.ascontiguousarray(features[part.r0 : part.r1]).astype(dtype)
         labels_own = labels[part.r0 : part.r1]
         mask_own = None if mask is None else mask[part.r0 : part.r1]
         losses = []
         for _epoch in range(epochs):
-            # Forward, caching per layer.
-            h_own = h_in
-            caches = []
-            for li in range(num_layers):
-                comm.stats.set_phase("halo")
-                h_ext = halo_exchange(comm, part, h_own)
-                comm.stats.set_phase("compute")
-                z, cache = _forward_layer(
-                    model, part, h_own, h_ext, params[li], comm.stats.flops
-                )
-                cache["z"] = z
-                caches.append(cache)
-                h_own = acts[li].fn(z)
+            h_own, caches = _forward(comm, part, model, h_in, training=True)
             # Loss + gradient on owned rows.
             local_sum, gamma = block_loss_terms(
                 cross_entropy_terms, h_own, labels_own, mask_own, global_count
@@ -428,22 +275,26 @@ def dist_local_train(
             losses.append(
                 float(comm.allreduce(np.array(local_sum))) / max(global_count, 1)
             )
-            # Backward with reverse halo exchanges.
-            for li in range(num_layers - 1, -1, -1):
+            # Backward: the halo rows' outputs are not this rank's, so
+            # their gradient is zero; the halo slice of dH goes home.
+            grads = [None] * model.num_layers
+            for li in range(model.num_layers - 1, -1, -1):
+                layer, cache = model.layers[li], caches[li]
                 comm.stats.set_phase("compute")
-                g = gamma * acts[li].grad(caches[li]["z"])
-                d_own, d_ext, local_grads = _backward_layer(
-                    model, part, caches[li], g, params[li], comm.stats.flops
+                g = np.zeros_like(cache.z)
+                g[: part.n_own] = gamma
+                d_ext, local_grads = layer.backward(
+                    cache, g * layer.activation.grad(cache.z),
+                    counter=comm.stats.flops,
                 )
-                grads = {
+                grads[li] = {
                     name: comm.allreduce(value)
                     for name, value in local_grads.items()
                 }
-                for name, value in grads.items():
-                    params[li][name] -= lr * value.astype(dtype)
                 if li > 0:
                     comm.stats.set_phase("halo")
-                    gamma = d_own + halo_reverse(comm, part, d_ext)
+                    gamma = halo_reverse(comm, part, d_ext)
+            optimizer.step(model, grads)
         return losses
 
     result = run_spmd(p, program, timeout=timeout)

@@ -5,13 +5,14 @@ generalized SDDMM — compute a value per edge from its endpoint data)
 and ``update_all`` (a generalized SpMM — aggregate edge messages into
 destination vertices). This module reimplements that model on our CSR
 substrate and expresses VA, AGNN and GAT through it, i.e. *exactly the
-local formulations of Section 2.2* the paper argues against. They serve
-two purposes: a semantic cross-check (local and global formulations
-must agree numerically, which the tests assert) and the single-node
-compute engine of the DistDGL-like baselines. AGNN and GAT here read the
-adjacency as a *pattern*, as DGL's ``edge_softmax`` does: they are
-comparators on binary graphs only — the global layers multiply stored
-weights into the score before the softmax.
+local formulations of Section 2.2* the paper argues against. They are
+the Section-2.2 oracle: local and global formulations must agree
+numerically, which ``TestLocalVsGlobalFormulation`` asserts against the
+fused sweep. Nothing else runs them — the distributed local engine,
+:mod:`repro.baselines.dist_local`, runs the global layers. AGNN and GAT
+here read the adjacency as a *pattern*, as DGL's ``edge_softmax`` does:
+they are comparators on binary graphs only — the global layers multiply
+stored weights into the score before the softmax.
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ PIZ_DAINT = MachineParams()
 #: the dense rate.
 SPARSE_LABELS = frozenset({
     "SpMM", "SDDMM", "softmax", "softmax_bwd", "agnn_vjp", "gat_vjp",
-    "gat_uv", "norms", "local_scores", "local_va_edges",
+    "gat_uv", "norms", "local_va_edges",
     "local_va_agg", "local_agnn_edges", "local_agnn_agg",
     "local_gat_edges", "local_gat_agg",
 })

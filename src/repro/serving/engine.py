@@ -184,16 +184,8 @@ class ServingEngine:
             raise ValueError(
                 "feature rows must cover every vertex of the adjacency"
             )
-        for layer in model.layers:
-            # Ego-graph serving samples one hop per layer; a layer with
-            # an internal multi-hop receptive field (SGC's K-hop
-            # propagation) would silently read truncated neighbourhoods.
-            if getattr(layer, "hops", 1) != 1:
-                raise ValueError(
-                    "serving requires one-hop layers; "
-                    f"{type(layer).__name__} propagates "
-                    f"{layer.hops} hops internally"
-                )
+        # Ego-graph serving samples one hop per layer.
+        model.require_one_hop("serving requires one-hop layers")
         self.model = model
         self.fanouts: tuple[int | None, ...] = (
             tuple(fanouts)

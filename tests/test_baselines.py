@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import dist_local
 from repro.baselines.dist_local import (
     build_partition,
     dist_local_inference,
@@ -74,15 +75,36 @@ class TestLocalVsGlobalFormulation:
                              reducer="max")
 
 
-class TestDistLocalEngine:
-    @pytest.mark.parametrize("p", [1, 3, 4])
-    @pytest.mark.parametrize("name", ["VA", "AGNN", "GAT", "GCN"])
-    def test_inference_matches_single_node(self, problem, name, p):
-        a = (
-            normalize_adjacency(problem.adjacency)
-            if name == "GCN"
-            else problem.adjacency
+def _engine_cases(name_p_id):
+    """Every model x p in {1, 3, 4} x {binary, weighted adjacency}, each
+    ``pytest.param(name, p, weighted)`` with id ``name_p_id(name, p)``,
+    suffixed ``-weighted`` on a weighted adjacency."""
+    return [
+        pytest.param(
+            name, p, weighted,
+            id=name_p_id(name, p) + ("-weighted" if weighted else ""),
         )
+        for weighted in (False, True)
+        for p in (1, 3, 4)
+        for name in ("VA", "AGNN", "GAT", "GCN", "GIN")
+    ]
+
+
+def _adjacency(problem, name, weighted):
+    """The problem's graph, optionally with stored weights U(0.5, 2);
+    GCN's is degree-normalised."""
+    a = problem.adjacency
+    if weighted:
+        a = a.with_data(make_rng(9).uniform(0.5, 2.0, a.nnz))
+    return normalize_adjacency(a) if name == "GCN" else a
+
+
+class TestDistLocalEngine:
+    @pytest.mark.parametrize(
+        "name, p, weighted", _engine_cases(lambda name, p: f"{name}-{p}")
+    )
+    def test_inference_matches_single_node(self, problem, name, p, weighted):
+        a = _adjacency(problem, name, weighted)
         h = problem.features.astype(np.float64)
         reference = build_model(
             name, 7, 8, 4, num_layers=3, seed=5, dtype=np.float64
@@ -95,14 +117,14 @@ class TestDistLocalEngine:
         if p > 1:
             assert stats.phase_bytes().get("halo", 0) > 0
 
-    @pytest.mark.parametrize("name", ["VA", "AGNN", "GAT", "GCN"])
-    def test_training_matches_single_node(self, problem, name):
+    # p = 4, the engine's default rank count, goes unnamed in the id.
+    @pytest.mark.parametrize(
+        "name, p, weighted",
+        _engine_cases(lambda name, p: name if p == 4 else f"{name}-{p}"),
+    )
+    def test_training_matches_single_node(self, problem, name, p, weighted):
         np.seterr(over="ignore", invalid="ignore")
-        a = (
-            normalize_adjacency(problem.adjacency)
-            if name == "GCN"
-            else problem.adjacency
-        )
+        a = _adjacency(problem, name, weighted)
         h = problem.features.astype(np.float64)
         model = build_model(name, 7, 8, 4, num_layers=2, seed=5,
                             dtype=np.float64)
@@ -111,11 +133,29 @@ class TestDistLocalEngine:
         )
         reference = trainer.fit(a, h, problem.labels, epochs=3)
         losses, _ = dist_local_train(
-            name, a, h, problem.labels, 8, 4, num_layers=2, p=4, epochs=3,
+            name, a, h, problem.labels, 8, 4, num_layers=2, p=p, epochs=3,
             lr=0.005, mask=problem.train_mask, seed=5, dtype=np.float64,
         )
         for ref, got in zip(reference.losses, losses):
             assert abs(ref - got) / max(1.0, abs(ref)) < 1e-8
+
+    @pytest.mark.parametrize("entry", ["inference", "train"])
+    def test_multi_hop_layer_is_rejected_before_any_rank(
+        self, problem, monkeypatch, entry
+    ):
+        """One halo exchange per layer reaches one hop: SGC's K-hop
+        propagation would read a truncated neighbourhood."""
+        monkeypatch.setattr(
+            dist_local, "run_spmd",
+            lambda *args, **kwargs: pytest.fail("a rank started"),
+        )
+        a, h = problem.adjacency, problem.features
+        with pytest.raises(ValueError, match="SGC"):
+            if entry == "inference":
+                dist_local_inference("SGC", a, h, 8, 4, num_layers=2, p=3)
+            else:
+                dist_local_train("SGC", a, h, problem.labels, 8, 4,
+                                 num_layers=2, p=3)
 
     def test_halo_plan_counts(self, problem):
         """The halo plan must request exactly the distinct remote

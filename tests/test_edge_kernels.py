@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines.dist_local import dist_local_train
 from repro.distributed.api import distributed_train
 from repro.graphs import erdos_renyi, prepare_adjacency
 from repro.models import build_model
@@ -565,10 +566,13 @@ class TestSaysWhichBackendRan:
 @needs_c
 class TestTheCLeg:
     """What CI's C leg holds a runner to: the library is the sweep alone,
-    and every built-in layer — single-node and on each of four ranks — is
-    one forward and one backward sweep on C, with no unfused edge kernel."""
+    and every built-in layer — single-node, on each of four 1.5D ranks and
+    on each rank of the local engine — is one forward and one backward
+    sweep on C, with no unfused edge kernel."""
 
     KERNELS = ("megakernel.", "kernel.sddmm", "kernel.masked")
+    #: One rank's sorted sweep spans for a two-layer forward + backward.
+    TWO_LAYERS = [("megakernel.backward", "c")] * 2 + [("megakernel.forward", "c")] * 2
 
     def test_every_layer_is_one_c_sweep_per_pass(self, monkeypatch):
         assert set(_edge._SIGNATURES) == {"attention_forward", "attention_backward"}
@@ -589,8 +593,19 @@ class TestTheCLeg:
         h = np.random.default_rng(0).normal(size=(64, 8)).astype(np.float32)
         r = distributed_train("agnn", a, h, np.zeros(64, np.int64), 8, 4,
                               num_layers=2, p=4)
-        ranks = [sorted((s.name, s.attrs.get("backend")) for s in q.tracer.spans
-                        if s.name.startswith(self.KERNELS))
-                 for q in r.stats.per_rank]
-        assert ranks == [[("megakernel.backward", "c")] * 2
-                         + [("megakernel.forward", "c")] * 2] * 4
+        assert self._rank_sweeps(r.stats) == [self.TWO_LAYERS] * 4
+
+    def test_every_local_engine_rank_is_one_c_sweep_per_pass(self, monkeypatch):
+        """The DistDGL baseline runs build_model's layers on each rank's
+        own+halo block: the same two sweeps per layer, no unfused kernel."""
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        a = prepare_adjacency(erdos_renyi(64, 256, seed=0))
+        h = np.random.default_rng(0).normal(size=(64, 8)).astype(np.float32)
+        _, stats = dist_local_train("gat", a, h, np.zeros(64, np.int64), 8, 4,
+                                    num_layers=2, p=3)
+        assert self._rank_sweeps(stats) == [self.TWO_LAYERS] * 3
+
+    def _rank_sweeps(self, stats):
+        return [sorted((s.name, s.attrs.get("backend")) for s in q.tracer.spans
+                       if s.name.startswith(self.KERNELS))
+                for q in stats.per_rank]

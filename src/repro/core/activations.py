@@ -54,16 +54,15 @@ def _tanh_grad(z: np.ndarray) -> np.ndarray:
     return 1 - t * t
 
 
-def _elu(z: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    # Clip to avoid overflow warnings in exp for very negative inputs.
-    neg = alpha * np.expm1(np.minimum(z, 0))
-    return np.where(z > 0, z, neg).astype(z.dtype, copy=False)
+def _elu(z: np.ndarray) -> np.ndarray:
+    # Branch-free (a select on random signs mispredicts): one of the two
+    # terms is an exact zero, so the sum is the select, bit for bit.
+    return np.maximum(z, 0) + np.expm1(np.minimum(z, 0))
 
 
-def _elu_grad(z: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    return np.where(z > 0, 1.0, alpha * np.exp(np.minimum(z, 0))).astype(
-        z.dtype, copy=False
-    )
+def _elu_grad(z: np.ndarray) -> np.ndarray:
+    # exp(min(z, 0)) is exactly 1 where z > 0.
+    return np.exp(np.minimum(z, 0))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.prep import ensure_min_degree, prepare_adjacency
-from repro.tensor.coo import COOMatrix
+from repro.graphs.prep import _graph_from_keys, prepare_adjacency
 from repro.tensor.csr import CSRMatrix
 from repro.util.rng import make_rng
 
@@ -86,10 +85,9 @@ def synthetic_classification(
     unfilled = same_class & (dst == 0) & (labels[src] != labels[0])
     dst[unfilled] = rng.integers(0, n, int(unfilled.sum()), dtype=np.int64)
 
-    coo = COOMatrix(src, dst, None, shape=(n, n)).remove_self_loops()
-    coo.data[:] = 1
-    coo = ensure_min_degree(coo.symmetrize(), rng=rng)
-    adjacency = prepare_adjacency(coo)
+    src *= n
+    src += dst
+    adjacency = prepare_adjacency(_graph_from_keys(src, n, rng))
 
     prototypes = rng.normal(0, 1, (num_classes, feature_dim))
     features = (

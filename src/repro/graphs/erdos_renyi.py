@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.prep import ensure_min_degree
+from repro.graphs.prep import _graph_from_keys
 from repro.tensor.coo import COOMatrix
 from repro.util.rng import make_rng
 
@@ -48,34 +48,30 @@ def erdos_renyi(
         raise ValueError("more edges requested than loop-free pairs exist")
     rng = make_rng(seed)
 
-    rows = np.empty(0, dtype=np.int64)
-    cols = np.empty(0, dtype=np.int64)
-    target = m
+    return _graph_from_keys(
+        _uniform_keys(rng, n, m, max_rounds), n, rng,
+        symmetrize=symmetrize, ensure_connected=ensure_connected,
+    )
+
+
+def _uniform_keys(
+    rng: np.random.Generator, n: int, target: int, max_rounds: int
+) -> np.ndarray:
+    """Up to ``target`` distinct loop-free edge keys ``row * n + col``."""
+    key = np.empty(0, dtype=np.int64)
     # Top-up loop: duplicates and self loops shrink each draw, so draw
     # slightly more than missing and repeat until close to target.
     for _round in range(max_rounds):
-        missing = target - rows.shape[0]
+        missing = target - key.shape[0]
         if missing <= 0:
             break
         draw = int(missing * 1.1) + 16
-        r = rng.integers(0, n, draw, dtype=np.int64)
-        c = rng.integers(0, n, draw, dtype=np.int64)
-        keep = r != c
-        rows = np.concatenate([rows, r[keep]])
-        cols = np.concatenate([cols, c[keep]])
+        rows = rng.integers(0, n, draw, dtype=np.int64)
+        cols = rng.integers(0, n, draw, dtype=np.int64)
+        keep = rows != cols
+        rows *= n
+        rows += cols
         # Deduplicate across rounds.
-        key = rows * np.int64(n) + cols
-        _, unique_index = np.unique(key, return_index=True)
-        rows = rows[unique_index]
-        cols = cols[unique_index]
-    if rows.shape[0] > target:
-        rows = rows[:target]
-        cols = cols[:target]
-
-    coo = COOMatrix(rows, cols, None, shape=(n, n))
-    coo.data[:] = 1
-    if symmetrize:
-        coo = coo.symmetrize()
-    if ensure_connected:
-        coo = ensure_min_degree(coo, rng=rng, symmetric=symmetrize)
-    return coo
+        key = COOMatrix.unique_keys(np.concatenate([key, rows[keep]]))
+    # An overshoot keeps the smallest keys.
+    return key[:target]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.prep import ensure_min_degree
+from repro.graphs.prep import _graph_from_keys
 from repro.tensor.coo import COOMatrix
 from repro.util.rng import make_rng
 
@@ -74,34 +74,51 @@ def kronecker(
     rng = make_rng(seed)
     scale = int(np.floor(np.log2(n)))
     n = 1 << scale
-
     a, b, c = initiator
-    d = 1.0 - a - b - c
-    if d < 0:
+    if 1.0 - a - b - c < 0:
         raise ValueError("initiator probabilities exceed 1")
+    if min(a, b, c) < 0:
+        raise ValueError("initiator probabilities must be non-negative")
+    return _graph_from_keys(
+        _rmat_keys(rng, m, scale, initiator, scramble), n, rng,
+        symmetrize=symmetrize, ensure_connected=ensure_connected,
+    )
 
+
+def _rmat_keys(
+    rng: np.random.Generator,
+    m: int,
+    scale: int,
+    initiator: tuple[float, float, float],
+    scramble: bool,
+) -> np.ndarray:
+    """``m`` sampled edge keys ``row * 2**scale + col``."""
+    a, b, c = initiator
     rows = np.zeros(m, dtype=np.int64)
     cols = np.zeros(m, dtype=np.int64)
+    r = np.empty(m)
+    over = np.empty(m, dtype=bool)
     # Descend the recursion level by level, fully vectorised over edges.
+    # The quadrants split [0, 1) at a <= a + b <= a + b + c into A, B
+    # (col bit), C (row bit) and D (both), so the row bit is
+    # [r >= a + b] and the col bit [r >= a] - [r >= a + b] + [r >= a + b + c].
     for _level in range(scale):
-        r = rng.random(m)
-        right = (r >= a) & (r < a + b)          # quadrant B: col bit set
-        lower = (r >= a + b) & (r < a + b + c)  # quadrant C: row bit set
-        both = r >= a + b + c                   # quadrant D: both bits
+        rng.random(out=r)
         rows <<= 1
         cols <<= 1
-        rows += (lower | both).astype(np.int64)
-        cols += (right | both).astype(np.int64)
+        np.greater_equal(r, a, out=over)
+        cols += over
+        np.greater_equal(r, a + b, out=over)
+        rows += over
+        cols -= over
+        np.greater_equal(r, a + b + c, out=over)
+        cols += over
+    del r, over
 
     if scramble:
-        permutation = rng.permutation(n)
-        rows = permutation[rows]
-        cols = permutation[cols]
-
-    coo = COOMatrix(rows, cols, None, shape=(n, n)).remove_self_loops()
-    coo.data[:] = 1  # dedup may have summed duplicates; reset to pattern
-    if symmetrize:
-        coo = coo.symmetrize()
-    if ensure_connected:
-        coo = ensure_min_degree(coo, rng=rng, symmetric=symmetrize)
-    return coo
+        permutation = rng.permutation(1 << scale)
+        np.take(permutation, rows, out=rows)
+        np.take(permutation, cols, out=cols)
+    rows <<= scale
+    rows += cols
+    return rows

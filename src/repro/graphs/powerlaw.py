@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.prep import ensure_min_degree
+from repro.graphs.prep import _graph_from_keys
 from repro.tensor.coo import COOMatrix
 from repro.util.rng import make_rng
 
@@ -44,16 +44,20 @@ def powerlaw_graph(
     ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks ** (-1.0 / (exponent - 1.0))
     prob = weights / weights.sum()
-    rows = rng.choice(n, size=m, p=prob).astype(np.int64)
-    cols = rng.choice(n, size=m, p=prob).astype(np.int64)
-    keep = rows != cols
-    coo = COOMatrix(rows[keep], cols[keep], None, shape=(n, n))
-    coo.data[:] = 1
-    if symmetrize:
-        coo = coo.symmetrize()
-    if ensure_connected:
-        coo = ensure_min_degree(coo, rng=rng, symmetric=symmetrize)
-    return coo
+    return _graph_from_keys(
+        _chung_lu_keys(rng, n, m, prob), n, rng,
+        symmetrize=symmetrize, ensure_connected=ensure_connected,
+    )
+
+
+def _chung_lu_keys(
+    rng: np.random.Generator, n: int, m: int, prob: np.ndarray
+) -> np.ndarray:
+    """``m`` sampled edge keys ``row * n + col``, both endpoints ~ ``prob``."""
+    key = rng.choice(n, size=m, p=prob).astype(np.int64, copy=False)
+    key *= n
+    key += rng.choice(n, size=m, p=prob)
+    return key
 
 
 def makg_like(

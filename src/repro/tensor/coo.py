@@ -14,6 +14,14 @@ import numpy as np
 __all__ = ["COOMatrix"]
 
 
+def _run_starts(key: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in sorted ``key``."""
+    first = np.empty(key.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return first
+
+
 class COOMatrix:
     """A sparse matrix in coordinate format.
 
@@ -110,10 +118,7 @@ class COOMatrix:
         key = key[order]
         data = self.data[order]
         # Merge duplicates: boundaries where the key changes.
-        boundary = np.empty(key.shape[0], dtype=bool)
-        boundary[0] = True
-        np.not_equal(key[1:], key[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
+        starts = np.flatnonzero(_run_starts(key))
         merged = np.add.reduceat(data, starts)
         unique_key = key[starts]
         self.rows = unique_key // self.shape[1]
@@ -121,6 +126,45 @@ class COOMatrix:
         self.data = merged.astype(data.dtype, copy=False)
         self._canonical = True
         return self
+
+    # ------------------------------------------------------------------
+    # Edge keys: ``row * n_cols + col`` sorts like the canonical order
+    # ------------------------------------------------------------------
+    @staticmethod
+    def unique_keys(key: np.ndarray) -> np.ndarray:
+        """Sort int64 ``key`` in place and drop repeats.
+
+        Returns ``key`` itself when nothing repeats.
+        """
+        key.sort()
+        first = _run_starts(key)
+        return key if first.all() else key[first]
+
+    def sorted_keys(self) -> np.ndarray:
+        """A new sorted, repeat-free array of the entries' keys.
+
+        A canonical matrix is not sorted again.
+        """
+        key = self.rows * np.int64(self.shape[1])
+        key += self.cols
+        return key if self._canonical else self.unique_keys(key)
+
+    @classmethod
+    def from_sorted_keys(
+        cls,
+        key: np.ndarray,
+        shape: tuple[int, int],
+        dtype: np.dtype | type = np.float32,
+    ) -> "COOMatrix":
+        """The canonical all-ones matrix of sorted, repeat-free ``key``.
+
+        ``key`` is overwritten: it becomes the row array.
+        """
+        cols = key % shape[1]
+        key //= shape[1]
+        out = cls(key, cols, None, shape=shape, dedup=False, dtype=dtype)
+        out._canonical = True
+        return out
 
     # ------------------------------------------------------------------
     # Structural transforms
@@ -152,13 +196,15 @@ class COOMatrix:
     def remove_self_loops(self) -> "COOMatrix":
         """Return a copy without diagonal entries."""
         keep = self.rows != self.cols
-        return COOMatrix(
+        out = COOMatrix(
             self.rows[keep],
             self.cols[keep],
             self.data[keep],
             shape=self.shape,
             dedup=not self._canonical,
         )
+        out._canonical = True  # a subset of sorted entries stays sorted
+        return out
 
     def add_self_loops(self, value: float = 1.0) -> "COOMatrix":
         """Return a copy with the full diagonal present (set to ``value``).
@@ -201,8 +247,7 @@ class COOMatrix:
 
         self.canonicalize()
         indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
-        np.add.at(indptr, self.rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(self.row_degrees(), out=indptr[1:])
         return CSRMatrix(
             indptr, self.cols.copy(), self.data.copy(), shape=self.shape
         )
@@ -212,12 +257,8 @@ class COOMatrix:
     # ------------------------------------------------------------------
     def row_degrees(self) -> np.ndarray:
         """Number of stored entries per row."""
-        deg = np.zeros(self.shape[0], dtype=np.int64)
-        np.add.at(deg, self.rows, 1)
-        return deg
+        return np.bincount(self.rows, minlength=self.shape[0])
 
     def col_degrees(self) -> np.ndarray:
         """Number of stored entries per column."""
-        deg = np.zeros(self.shape[1], dtype=np.int64)
-        np.add.at(deg, self.cols, 1)
-        return deg
+        return np.bincount(self.cols, minlength=self.shape[1])

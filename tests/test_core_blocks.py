@@ -108,6 +108,24 @@ class TestActivations:
         assert np.all(np.isfinite(out))
         assert np.isclose(out[0], -1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elu_equals_the_select_bit_for_bit(self, rng, dtype):
+        """ELU and its gradient run without a select; the ``np.where``
+        form is the oracle, to the bit: NaN, ±inf, ±0 (sign included),
+        subnormals and both tails."""
+        specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45,
+                    1e-310, -1e-310, -1e4, 1e30, -88.7, -745.2]
+        z = np.concatenate([
+            rng.normal(size=4099) * 5, np.tile(specials, 5),
+        ]).astype(dtype).reshape(-1, 2)
+        elu = get_activation("elu")
+        fn = np.where(z > 0, z, np.expm1(np.minimum(z, 0))).astype(dtype)
+        grad = np.where(z > 0, 1.0, np.exp(np.minimum(z, 0))).astype(dtype)
+        for ours, oracle in ((elu.fn(z), fn), (elu.grad(z), grad)):
+            assert ours.dtype == dtype
+            assert np.array_equal(ours, oracle, equal_nan=True)
+            assert np.array_equal(np.signbit(ours), np.signbit(oracle))
+
     def test_sigmoid_stable_both_tails(self):
         act = get_activation("sigmoid")
         out = act.fn(np.array([-1e3, 1e3]))

@@ -1,5 +1,7 @@
 """Tests for graph generators, preprocessing and IO."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from repro.graphs import (
     synthetic_classification,
 )
 from repro.tensor.coo import COOMatrix
+from tests import reference_graphs as reference
 
 
 class TestKronecker:
@@ -201,3 +204,128 @@ class TestSyntheticDataset:
     def test_invalid_homophily(self):
         with pytest.raises(ValueError):
             synthetic_classification(n=10, homophily=1.5)
+
+
+def assert_same_coo(ours, oracle):
+    assert ours.shape == oracle.shape
+    for name in ("rows", "cols", "data"):
+        a, b = getattr(ours, name), getattr(oracle, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def assert_same_csr(ours, oracle):
+    assert ours.shape == oracle.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(ours, name), getattr(oracle, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestIdentityOracle:
+    """Every generator builds, array for array, the graph the
+    ``COOMatrix`` chain of ``tests/reference_graphs.py`` builds from the
+    same draws; so does ``prepare_adjacency``. Cases cover n = 2, graphs
+    with isolated vertices (few samples), and each finishing switch."""
+
+    FINISH = [{}, {"symmetrize": False}, {"ensure_connected": False},
+              {"symmetrize": False, "ensure_connected": False}]
+
+    def check(self, ours, oracle):
+        assert_same_coo(ours, oracle)
+        for self_loops in (True, False):
+            for dtype in (np.float32, np.float64):
+                assert_same_csr(
+                    prepare_adjacency(ours, self_loops, dtype),
+                    reference.prepare_adjacency(oracle, self_loops, dtype),
+                )
+
+    @pytest.mark.parametrize("finish", FINISH)
+    @pytest.mark.parametrize("n,m,seed", [
+        (2, 1, 0), (2, 7, 3), (64, 20, 1), (256, 3000, 2), (1000, 5000, 5),
+    ])
+    def test_kronecker(self, n, m, seed, finish):
+        self.check(kronecker(n, m, seed=seed, **finish),
+                   reference.kronecker(n, m, seed=seed, **finish))
+
+    def test_kronecker_unscrambled_other_initiator(self):
+        kw = {"initiator": (0.45, 0.15, 0.3), "scramble": False}
+        self.check(kronecker(512, 4000, seed=4, **kw),
+                   reference.kronecker(512, 4000, seed=4, **kw))
+
+    @pytest.mark.parametrize("finish", FINISH)
+    @pytest.mark.parametrize("n,m,seed", [
+        (2, 3, 0), (80, 30, 1), (300, 2400, 2), (1 << 10, 29 << 10, 3),
+    ])
+    def test_powerlaw(self, n, m, seed, finish):
+        self.check(powerlaw_graph(n, m, seed=seed, **finish),
+                   reference.powerlaw_graph(n, m, seed=seed, **finish))
+
+    @pytest.mark.parametrize("finish", FINISH)
+    @pytest.mark.parametrize("n,m,seed", [
+        (2, 1, 0), (2, 2, 1), (90, 25, 2), (200, 3000, 3), (64, 4000, 4),
+    ])
+    def test_erdos_renyi(self, n, m, seed, finish):
+        self.check(erdos_renyi(n, m, seed=seed, **finish),
+                   reference.erdos_renyi(n, m, seed=seed, **finish))
+
+    @pytest.mark.parametrize("n,mean_degree,seed", [
+        (2, 1.0, 0), (60, 0.4, 1), (300, 8.0, 2),
+    ])
+    def test_synthetic_classification(self, n, mean_degree, seed):
+        data = synthetic_classification(n=n, mean_degree=mean_degree,
+                                        seed=seed)
+        adjacency, features = reference.synthetic_classification(
+            n=n, mean_degree=mean_degree, seed=seed)
+        assert_same_csr(data.adjacency, adjacency)
+        assert np.array_equal(data.features, features)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_ensure_min_degree_and_prepare_on_raw_coo(self, symmetric):
+        """Not canonical: repeats, self loops, unsorted entries."""
+        rng = np.random.default_rng(6)
+        rows, cols = rng.integers(0, 40, (2, 60))
+        rows[:5] = cols[:5]
+        for dedup in (True, False):
+            coo = COOMatrix(rows, cols, None, shape=(40, 40), dedup=dedup)
+            ours = ensure_min_degree(coo, rng=3, symmetric=symmetric)
+            oracle = reference.ensure_min_degree(
+                coo, np.random.default_rng(3), symmetric=symmetric)
+            assert_same_coo(ours, oracle)
+            for self_loops in (True, False):
+                assert_same_csr(prepare_adjacency(coo, self_loops),
+                                reference.prepare_adjacency(coo, self_loops))
+
+
+class TestBuildMemory:
+    """``tracemalloc`` budgets of graph construction at n = 2^14. The
+    ``COOMatrix`` chain peaked at ~113 (Kronecker) and ~109 (power-law)
+    bytes per returned edge, and ``prepare_adjacency`` at ~7.9x the CSR
+    it returns; on sorted int64 keys the returned COO (20 B per edge)
+    is most of the peak."""
+
+    N = 1 << 14
+
+    @staticmethod
+    def traced_peak(build):
+        """What ``build()`` returns and its traced peak above the start."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = build()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    @pytest.mark.parametrize("generator,samples_per_vertex", [
+        (kronecker, 16), (powerlaw_graph, 8),
+    ])
+    def test_generation_peak_per_edge(self, generator, samples_per_vertex):
+        g, peak = self.traced_peak(
+            lambda: generator(self.N, samples_per_vertex * self.N, seed=0))
+        assert peak <= 40 * g.nnz, f"{peak / g.nnz:.1f} B per edge"
+
+    def test_prepare_peak_over_the_csr(self):
+        coo = kronecker(self.N, 16 * self.N, seed=0)
+        a, peak = self.traced_peak(lambda: prepare_adjacency(coo))
+        csr = a.indptr.nbytes + a.indices.nbytes + a.data.nbytes
+        assert peak <= 3 * csr, f"{peak / csr:.2f}x the CSR"

@@ -82,6 +82,14 @@ class TestTransforms:
         assert out.nnz == 1
         assert out.to_dense()[1, 0] == 1.0
 
+    def test_remove_self_loops_of_canonical_stays_canonical(self):
+        """A subset of sorted entries is sorted: no second sort in to_csr."""
+        coo = COOMatrix([2, 0, 1, 1], [0, 0, 1, 2], shape=(3, 3))
+        out = coo.remove_self_loops()
+        assert out._canonical
+        assert list(out.rows) == [1, 2] and list(out.cols) == [2, 0]
+        assert list(out.to_csr().indptr) == [0, 0, 1, 2]
+
     def test_add_self_loops_full_diagonal(self):
         coo = COOMatrix([0, 1], [1, 0], shape=(3, 3))
         out = coo.add_self_loops(value=2.0).to_dense()
@@ -113,3 +121,35 @@ class TestConversions:
         coo = COOMatrix([0, 0, 2], [1, 2, 1], shape=(3, 3))
         assert list(coo.row_degrees()) == [2, 0, 1]
         assert list(coo.col_degrees()) == [0, 2, 1]
+        empty = COOMatrix(np.empty(0, np.int64), np.empty(0, np.int64),
+                          shape=(4, 2))
+        assert list(empty.row_degrees()) == [0] * 4
+        assert list(empty.col_degrees()) == [0] * 2
+        assert list(empty.to_csr().indptr) == [0] * 5
+
+
+class TestEdgeKeys:
+    def test_sorted_keys_round_trip_to_the_canonical_pattern(self):
+        """Keys ``row * n_cols + col`` of a non-square, non-canonical
+        matrix come back sorted and repeat-free; the matrix rebuilt from
+        them is the canonical pattern, flagged canonical."""
+        coo = COOMatrix([2, 0, 2, 1, 0], [1, 3, 1, 0, 3], shape=(3, 4),
+                        dedup=False)
+        key = coo.sorted_keys()
+        assert list(key) == [3, 4, 9]
+        out = COOMatrix.from_sorted_keys(key, coo.shape, np.float64)
+        ref = coo.canonicalize()
+        assert out._canonical and out.shape == (3, 4)
+        assert list(out.rows) == list(ref.rows) == [0, 1, 2]
+        assert list(out.cols) == list(ref.cols) == [3, 0, 1]
+        assert out.data.dtype == np.float64 and np.all(out.data == 1)
+        # A canonical matrix hands out fresh keys without sorting again.
+        assert list(ref.sorted_keys()) == [3, 4, 9]
+        assert not np.shares_memory(ref.sorted_keys(), ref.rows)
+
+    def test_unique_keys_returns_the_input_when_nothing_repeats(self):
+        key = np.array([5, 1, 3], dtype=np.int64)
+        assert COOMatrix.unique_keys(key) is key
+        assert list(key) == [1, 3, 5]
+        assert list(COOMatrix.unique_keys(np.array([2, 2, 0, 2]))) == [0, 2]
+        assert COOMatrix.unique_keys(np.empty(0, np.int64)).size == 0

@@ -1,8 +1,10 @@
 /* The fused attention sweep: SDDMM -> masked row softmax -> SpMM in one
- * CSR row pass, forward and backward.
+ * CSR row pass, forward and backward; and the sampler's selection, each
+ * over-fan-out seed's k smallest random keys.
  *
  * Built on first use and bound through ctypes by _edge.py; the NumPy
- * sweep in megakernel.py is the oracle and the no-compiler install. The
+ * sweep in megakernel.py and sampling_graph._smallest_per_segment are the
+ * oracles and the no-compiler install. The
  * file includes itself once per float type, so every entry point exists
  * as <name>_f32 and <name>_f64. Indices are int64, as CSRMatrix stores
  * them; `heads` is 1 for the plain layouts and H for the stacked
@@ -17,9 +19,10 @@
  *
  * Callers validate shapes, dtypes and contiguity before a pointer gets
  * here. Column indices are trusted (CSRMatrix checks them on
- * construction); a raw row pointer is not, so each entry checks every
- * row's bounds and returns 1 instead of reading outside the value array.
- * Every entry returns 0 on success.
+ * construction); a raw row pointer is not, so each sweep entry checks every
+ * row's bounds and returns 1 instead of reading outside the value array,
+ * as the selection does for segment lengths. Every entry returns 0 on
+ * success.
  */
 #ifndef T
 
@@ -416,5 +419,53 @@ int FN(attention_backward)(int64_t n_rows, const int64_t *indptr,
 #undef BWD_KINDS
 #undef BWD_HEADS
 #undef BWD
+
+/* ---- Sampler selection: each segment's k smallest keys.
+ *
+ * `keys` (num_keys, not NaN) concatenates num_seg segments of `lengths`, each
+ * longer than k >= 1. Row s of `out` (num_seg, k) receives the within-segment
+ * positions of segment s's k smallest keys, ascending. Equal keys rank by
+ * position, lowest first, as a stable sort would: a later +inf (zero-weight)
+ * key never displaces an earlier one. Row s of `out` and `scratch` (k keys)
+ * hold the best k (key, position) pairs seen so far, sorted; a candidate
+ * enters only if its key is strictly below the k-th, so most cost one
+ * compare. Lengths that overrun num_keys or do not sum to it, a length <= k,
+ * or k < 1 are refused. */
+int FN(smallest_per_segment)(int64_t num_seg, const int64_t *lengths,
+                             int64_t num_keys, const T *keys, int64_t k,
+                             T *scratch, int64_t *out)
+{
+    if (k < 1)
+        return 1;
+    int64_t start = 0;
+    for (int64_t s = 0; s < num_seg; s++) {
+        const int64_t len = lengths[s];
+        if (len <= k || len > num_keys - start)
+            return 1;
+        const T *seg = keys + start;
+        int64_t *pos = out + s * k;
+        for (int64_t i = 0; i < len; i++) {
+            const T key = seg[i];
+            if (i >= k && !(key < scratch[k - 1]))
+                continue;
+            int64_t j = i < k ? i : k - 1;
+            for (; j > 0 && scratch[j - 1] > key; j--) {
+                scratch[j] = scratch[j - 1];
+                pos[j] = pos[j - 1];
+            }
+            scratch[j] = key;
+            pos[j] = i;
+        }
+        for (int64_t i = 1; i < k; i++) { /* the winners in position order */
+            const int64_t p = pos[i];
+            int64_t j = i;
+            for (; j > 0 && pos[j - 1] > p; j--)
+                pos[j] = pos[j - 1];
+            pos[j] = p;
+        }
+        start += len;
+    }
+    return start != num_keys;
+}
 
 #endif

@@ -1,9 +1,11 @@
-"""Builds and loads the fused attention sweep of ``_edge.c`` on first use.
+"""Builds and loads ``_edge.c`` on first use.
 
-``_edge.c`` is the library's one compiled kernel: the C side of
-:mod:`repro.tensor.megakernel`'s ``attention_forward`` /
-``attention_backward``, whose NumPy code is the other side. The first
-sweep call (never an import, never ``pip install``: the package runs
+``_edge.c`` is the library's one compiled source, holding two things: the
+C side of :mod:`repro.tensor.megakernel`'s ``attention_forward`` /
+``attention_backward``, whose NumPy code is the other side, and the
+sampler's selection ``smallest_per_segment``, whose NumPy side is
+:func:`repro.tensor.sampling_graph._smallest_per_segment`. The first
+call of either (never an import, never ``pip install``: the package runs
 from ``src/`` uninstalled) compiles ``_edge.c`` with the system
 ``cc`` / ``gcc`` into :func:`repro.config.kernel_cache_dir`, under
 a name hashed from source, flags and compiler version, written by
@@ -50,6 +52,14 @@ _SIGNATURES = {
         _I, _P, _P, _I, _P, _I, _I, _P, _P, _P, _P, _I, _I, ctypes.c_double, _P,
         _P, _I, _P, _P, _P, _I, _I, _P, _P, _P, _P, _P, _P, _P,
     ),
+    "smallest_per_segment": (_I, _P, _I, _P, _I, _P, _P),
+}
+_ROW_POINTER = "row pointer is not non-decreasing within the stored entries"
+#: What an entry's status 1 means: the one input left for C to check.
+_REFUSED = {
+    "attention_forward": _ROW_POINTER,
+    "attention_backward": _ROW_POINTER,
+    "smallest_per_segment": "segment lengths must each exceed k >= 1 and sum to the key count",
 }
 _SUFFIX = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _LOCK = threading.Lock()
@@ -125,21 +135,19 @@ def entry(name: str, *arrays: np.ndarray):
 
 
 def run(fn, out_shape: tuple[int, ...], dtype: np.dtype, *args) -> np.ndarray:
-    """``fn(*args, out)`` into a fresh ``out`` of the operands' dtype.
+    """``fn(*args, out)`` into a fresh ``out`` of ``dtype``.
 
     Array arguments cross as addresses of C-contiguous data (copied if
     they were not), ints, floats and ``None`` as they are; an entry with
     more results than ``out`` writes the rest into fresh C-contiguous
     arrays passed among ``args``. The caller has checked every shape;
-    the one thing left to C is a raw row pointer, whose refusal
-    (status 1) is raised here.
+    the one thing left to C (a sweep's raw row pointer, the selection's
+    segment lengths) is refused with status 1, raised here.
     """
     keep = [np.ascontiguousarray(a) if isinstance(a, np.ndarray) else a for a in args]
     out = np.empty(out_shape, dtype)
     if fn(*(a.ctypes.data if isinstance(a, np.ndarray) else a for a in keep),
           out.ctypes.data):
-        raise ValueError(
-            f"{fn.__name__[:-4]}: row pointer is not non-decreasing within "
-            "the stored entries"
-        )
+        name = fn.__name__[:-4]
+        raise ValueError(f"{name}: {_REFUSED[name]}")
     return out

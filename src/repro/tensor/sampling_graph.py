@@ -17,7 +17,8 @@ L-hop neighbourhood. This module provides the sampling substrate
   neighbour sampling **without replacement**, vectorised: sub-fan-out
   seeds take their full CSR slice, over-fan-out seeds draw a uniform
   k-subset via random keys + per-segment partial selection, linear in
-  the candidate edges.
+  the candidate edges (compiled in ``_edge.c`` where a compiler exists,
+  NumPy otherwise).
 * :class:`Block` / :func:`sample_blocks` — layered (per-hop) message
   flow blocks over **compacted local ids**. Each block is a *square*
   CSR over its source vertex set whose non-destination rows are empty,
@@ -50,6 +51,8 @@ from itertools import pairwise
 import numpy as np
 
 from repro.obs.metrics import metrics
+from repro.obs.tracer import tracer
+from repro.tensor import _edge
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.segment import ragged_ranges
 from repro.tensor.structure import PatternStructure
@@ -93,9 +96,21 @@ class SamplingGraph:
         )
 
     # ------------------------------------------------------------------
+    def _vertex_ids(self, ids, name: str = "seeds") -> np.ndarray:
+        """``ids`` as int64 vertex ids of this graph: a ``ValueError``
+        naming ``name`` unless 1-D, and unless every id is in range."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim != 1:
+            raise ValueError(
+                f"{name} must be a 1-D array of vertex ids; got shape {ids.shape}"
+            )
+        if ids.size and (ids.min() < 0 or ids.max() >= self.num_nodes):
+            raise ValueError("seed vertex id out of range")
+        return ids
+
     def degrees(self, seeds: np.ndarray) -> np.ndarray:
         """Out-degree (stored-entry count) of each seed."""
-        seeds = np.asarray(seeds, dtype=np.int64)
+        seeds = self._vertex_ids(seeds)
         return self.indptr[seeds + 1] - self.indptr[seeds]
 
     # ------------------------------------------------------------------
@@ -126,19 +141,19 @@ class SamplingGraph:
         RNG contract: one ``rng.random(candidates)`` call — a uniform
         per candidate edge of each over-fan-out seed, in seed order,
         weighted or not — and each segment keeps its ``fanout`` smallest
-        keys, in time linear in the candidates. Arguments are validated
-        before the draw: a call that raises leaves ``rng`` where it was.
+        keys, in time linear in the candidates: ``smallest_per_segment``
+        of ``_edge.c`` when the compiled library loaded (the enclosing
+        span gets ``backend="c"``), else :func:`_smallest_per_segment`
+        (``backend="numpy"``); the two pick the same edges. Arguments
+        are validated before the draw: a call that raises leaves ``rng``
+        where it was.
 
         Tie rule: equal keys rank by edge id, lowest first. A segment
         with ``p < fanout`` positive-weight candidates returns those
         ``p`` plus its ``fanout - p`` lowest-id zero-weight edges;
         all-zero weights return each segment's lowest ``fanout`` ids.
         """
-        seeds = np.asarray(seeds, dtype=np.int64)
-        if seeds.size and (
-            seeds.min() < 0 or seeds.max() >= self.num_nodes
-        ):
-            raise ValueError("seed vertex id out of range")
+        seeds = self._vertex_ids(seeds)
         if weights is not None:
             weights = np.asarray(weights)
             if weights.shape != self.indices.shape:
@@ -179,7 +194,16 @@ class SamplingGraph:
             with np.errstate(divide="ignore", invalid="ignore"):
                 keys = -np.log1p(-keys) / w
             keys[w == 0.0] = np.inf
-        picked = starts_o[:, None] + _smallest_per_segment(keys, deg_o, fanout)
+        fn = _edge.entry("smallest_per_segment", keys)
+        tracer().annotate(backend="numpy" if fn is None else "c")
+        if fn is None:
+            positions = _smallest_per_segment(keys, deg_o, fanout)
+        else:
+            positions = _edge.run(
+                fn, (deg_o.shape[0], fanout), np.int64, deg_o.shape[0], deg_o,
+                keys.shape[0], keys, fanout, np.empty(fanout, keys.dtype),
+            )
+        picked = starts_o[:, None] + positions
         slots = np.cumsum(counts)[over, None] + np.arange(-fanout, 0)
         eids[slots.ravel()] = picked.ravel()
         return eids, counts
@@ -195,7 +219,9 @@ def _smallest_per_segment(keys: np.ndarray, lengths: np.ndarray, k: int) -> np.n
 
     ``keys`` concatenates segments of ``lengths`` (each ``> k >= 1``);
     the result is ``(segments, k)``, ascending along each row. Equal
-    keys rank by position, lowest first, as a stable sort would.
+    keys rank by position, lowest first, as a stable sort would. The
+    NumPy side of ``_edge.c``'s ``smallest_per_segment``, which returns
+    the same positions: the no-compiler path and its oracle.
 
     Linear in ``keys.size``: each degree class's keys fill one
     ``+inf``-padded ``(segments, width)`` block, ``np.partition``
@@ -310,10 +336,10 @@ def sample_one_hop(
     :meth:`SamplingGraph.sample_edges`) biases *which* edges survive a
     limited fan-out without touching the sampled edge values.
     """
-    dst_nodes = np.asarray(dst_nodes, dtype=np.int64)
-    if dst_nodes.size and np.any(np.diff(dst_nodes) <= 0):
-        raise ValueError("dst_nodes must be strictly increasing")
     graph = sampling_graph_of(a)
+    dst_nodes = graph._vertex_ids(dst_nodes, "dst_nodes")
+    if np.any(np.diff(dst_nodes) <= 0):
+        raise ValueError("dst_nodes must be strictly increasing")
     eids, counts = graph.sample_edges(dst_nodes, fanout, rng, weights)
     # One sort compacts the hop: the sorted distinct endpoints are the
     # (monotone) local id space, the inverse map their local ids.

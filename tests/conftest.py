@@ -16,7 +16,8 @@ from repro.tensor.csr import CSRMatrix
 def pytest_addoption(parser):
     parser.addoption(
         "--kernels", choices=("c", "numpy"), default=None,
-        help="fused-sweep backend under test: the compiled library, which "
+        help="backend of the fused sweep and the sampler's selection under "
+        "test: the compiled library, which "
         "must then load ('c'), or the NumPy code with the loader patched to "
         "'not available' ('numpy'); by default the library when it builds",
     )

@@ -36,6 +36,7 @@ from repro.tensor import _edge, kernels
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.megakernel import attention_backward, attention_forward
 from repro.tensor.segment import segment_softmax
+from repro.training import SGD, MinibatchTrainer, SoftmaxCrossEntropyLoss
 from tests.conftest import random_csr
 
 #: C vs NumPy: ``|c - numpy| <= atol + rtol * |numpy|`` per dtype.
@@ -565,17 +566,19 @@ class TestSaysWhichBackendRan:
 
 @needs_c
 class TestTheCLeg:
-    """What CI's C leg holds a runner to: the library is the sweep alone,
-    and every built-in layer — single-node, on each of four 1.5D ranks and
-    on each rank of the local engine — is one forward and one backward
-    sweep on C, with no unfused edge kernel."""
+    """What CI's C leg holds a runner to: the library is the sweep and the
+    sampler's selection, every built-in layer — single-node, on each of
+    four 1.5D ranks and on each rank of the local engine — is one forward
+    and one backward sweep on C, with no unfused edge kernel, and sampled
+    training chooses its neighbours on C."""
 
     KERNELS = ("megakernel.", "kernel.sddmm", "kernel.masked")
     #: One rank's sorted sweep spans for a two-layer forward + backward.
     TWO_LAYERS = [("megakernel.backward", "c")] * 2 + [("megakernel.forward", "c")] * 2
 
     def test_every_layer_is_one_c_sweep_per_pass(self, monkeypatch):
-        assert set(_edge._SIGNATURES) == {"attention_forward", "attention_backward"}
+        assert set(_edge._SIGNATURES) == {
+            "attention_forward", "attention_backward", "smallest_per_segment"}
         a = prepare_adjacency(erdos_renyi(64, 256, seed=0))
         model = build_model("gat", 8, 8, 4, num_layers=2, seed=0)
         t = Tracer()
@@ -604,6 +607,22 @@ class TestTheCLeg:
         _, stats = dist_local_train("gat", a, h, np.zeros(64, np.int64), 8, 4,
                                     num_layers=2, p=3)
         assert self._rank_sweeps(stats) == [self.TWO_LAYERS] * 3
+
+    def test_sampled_steps_choose_neighbours_on_c(self):
+        a = prepare_adjacency(erdos_renyi(64, 256, seed=0))
+        model = build_model("gat", 8, 8, 4, num_layers=2, seed=0)
+        trainer = MinibatchTrainer(model, SoftmaxCrossEntropyLoss(), SGD(0.01),
+                                   fanouts=(2, 2), batch_size=32)
+        t = Tracer()
+        install_tracer(t)
+        try:
+            trainer.fit(a, np.ones((64, 8), np.float32), np.zeros(64, np.int64),
+                        full_eval=False)
+        finally:
+            install_tracer(None)
+        # Two batches of 32 targets, each sampled before its train_step.
+        assert [s.attrs.get("backend") for s in t.spans
+                if s.name == "minibatch.sample"] == ["c", "c"]
 
     def _rank_sweeps(self, stats):
         return [sorted((s.name, s.attrs.get("backend")) for s in q.tracer.spans

@@ -18,8 +18,11 @@ from repro.fusion.layer import DagLayer
 from repro.graphs import powerlaw_graph, prepare_adjacency
 from repro.models.base import GnnModel
 from repro.obs.metrics import metrics
+from repro.tensor import _edge
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.sampling_graph import (
+    _CLASS_BITS,
+    _smallest_per_segment,
     hub_bias_weights,
     sample_blocks,
     sample_one_hop,
@@ -28,6 +31,7 @@ from repro.tensor.sampling_graph import (
 from repro.training.minibatch import backward_blocks, forward_blocks
 from tests.conftest import random_csr
 from tests.reference_sampler import reference_sample_edges
+from tests.test_edge_kernels import _needs_c, needs_c  # noqa: F401
 
 
 @pytest.fixture(scope="module")
@@ -71,10 +75,24 @@ class TestSamplingGraph:
     def test_seed_out_of_range(self, small_adjacency):
         graph = sampling_graph_of(small_adjacency)
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="out of range"):
-            graph.sample_edges(np.array([graph.num_nodes]), 2, rng)
-        with pytest.raises(ValueError, match="out of range"):
-            graph.sample_edges(np.array([-1]), 2, rng)
+        for bad in ([graph.num_nodes], [-1]):
+            with pytest.raises(ValueError, match="out of range"):
+                graph.sample_edges(np.array(bad), 2, rng)
+            with pytest.raises(ValueError, match="out of range"):
+                graph.degrees(np.array(bad))
+            with pytest.raises(ValueError, match="out of range"):
+                sample_one_hop(small_adjacency, np.array(bad), 2, rng)
+
+    def test_seeds_must_be_one_dimensional(self, small_adjacency):
+        graph = sampling_graph_of(small_adjacency)
+        rng = np.random.default_rng(0)
+        square = np.array([[0, 1], [2, 3]])
+        with pytest.raises(ValueError, match=r"seeds must be a 1-D array.*\(2, 2\)"):
+            graph.sample_edges(square, 2, rng)
+        with pytest.raises(ValueError, match="seeds must be a 1-D array"):
+            graph.degrees(np.int64(3))
+        with pytest.raises(ValueError, match="dst_nodes must be a 1-D array"):
+            sample_one_hop(small_adjacency, square, 2, rng)
 
 
 class TestSampleEdges:
@@ -657,6 +675,63 @@ class TestTieRule:
         assert np.array_equal(eids, expect)
 
 
+def _c_selection(keys, lengths, k):
+    """``_edge.c``'s ``smallest_per_segment``, called as ``sample_edges`` does."""
+    fn = _edge.entry("smallest_per_segment", keys)
+    return _edge.run(fn, (lengths.shape[0], k), np.int64, lengths.shape[0],
+                     lengths, keys.shape[0], keys, k, np.empty(k))
+
+
+@needs_c
+class TestCompiledSelection:
+    """``_edge.c``'s ``smallest_per_segment`` == ``_smallest_per_segment``,
+    position for position, on both of the NumPy side's paths."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        k=st.sampled_from([1, 2, 8, 65, 100]),
+        # Segment lengths in [k + 1, 4 (k + 1)]: one padded block; plus a hub
+        # >= 2**12 beside at least six of them: the degree-class blocks.
+        spans=st.lists(st.integers(0, 3), min_size=1, max_size=16),
+        hub=st.booleans(),
+        ties=st.sampled_from(["distinct", "coarse", "some_inf", "inf_segments"]),
+    )
+    def test_same_positions(self, seed, k, spans, hub, ties):
+        rng = np.random.default_rng(seed)
+        lengths = (k + 1) * (1 + np.array(spans)) - rng.integers(0, k + 1, len(spans)) * (
+            np.array(spans) > 0)
+        if hub:
+            lengths = np.concatenate([lengths, np.full(max(0, 6 - len(spans)), k + 1),
+                                      [2**12 + int(rng.integers(0, 64))]])
+        lengths = rng.permutation(lengths).astype(np.int64)
+        keys = rng.random(int(lengths.sum()))
+        if ties == "coarse":
+            keys = np.floor(keys * 4) / 4
+        elif ties == "some_inf":
+            keys[rng.random(keys.shape[0]) < 0.7] = np.inf
+        elif ties == "inf_segments":  # all-zero-weight seeds: the lowest k
+            starts = np.cumsum(lengths) - lengths
+            for s in rng.choice(lengths.shape[0], size=(lengths.shape[0] + 1) // 2,
+                                replace=False):
+                keys[starts[s]:starts[s] + lengths[s]] = np.inf
+        classes = lengths.shape[0] * int(lengths.max()) > keys.shape[0] << _CLASS_BITS
+        assert classes == hub  # the NumPy side's path this example covers
+        got = _c_selection(keys, lengths, k)
+        assert np.array_equal(got, _smallest_per_segment(keys, lengths, k))
+        assert np.all(np.diff(got, axis=1) > 0)
+
+    @pytest.mark.parametrize("lengths, k", [
+        ([3, 3], 2),  # one key short of the key count (7)
+        ([3, 5], 2),  # one key past it
+        ([3, 2, 2], 2),  # a segment no longer than k
+        ([3, 4], 0),  # k < 1
+    ])
+    def test_inconsistent_lengths_are_refused(self, lengths, k):
+        with pytest.raises(ValueError, match="smallest_per_segment: segment lengths"):
+            _c_selection(np.zeros(7), np.array(lengths, np.int64), k)
+
+
 class TestRejectedCallsLeaveTheStreamAlone:
     def test_state_unchanged_after_each_rejection(self, small_adjacency):
         graph = sampling_graph_of(small_adjacency)
@@ -671,6 +746,7 @@ class TestRejectedCallsLeaveTheStreamAlone:
             (seeds, 1, np.ones(nnz - 1)),
             (np.array([graph.num_nodes]), 1, None),
             (np.array([0, -1]), 1, None),
+            (seeds.reshape(2, -1), 1, None),
             (seeds, -1, None),
         ]
         rng = np.random.default_rng(3)

@@ -492,7 +492,7 @@ class TestBatchedIdentity:
         assert metrics().counter("sample.hop").value == hops_before
 
     def test_each_sampled_hop_gets_a_serve_sample_span(
-        self, adjacency, features
+        self, adjacency, features, kernels_backend
     ):
         engine = ServingEngine(_model(), adjacency, features,
                                fanouts=(3, 3), seed=5)
@@ -508,6 +508,8 @@ class TestBatchedIdentity:
         assert hops[0]["frontier"] == seeds.size
         for hop in hops:
             assert 0 < hop["sampled_edges"] <= 3 * hop["frontier"]
+            # Every frontier holds a seed of degree > 3: the selection ran.
+            assert hop["backend"] == kernels_backend
 
 
 # ----------------------------------------------------------------------

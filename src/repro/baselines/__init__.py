@@ -13,9 +13,12 @@ distributed. These engines reproduce that execution model from scratch:
 * :mod:`repro.baselines.dist_local` — the distributed full-batch local
   engine: 1D partition, halo exchange of :math:`\\Theta(nkd/p)` words
   per layer (the Section-7 lower bound for the local view), forward and
-  backward; it runs ``build_model``'s layers on an own+halo block.
+  backward: a batch source for the one
+  :func:`~repro.training.trainer.train_step` over ``build_model``'s
+  layers, with an own+halo block as every layer's hop.
 * :mod:`repro.baselines.minibatch` — DistDGL-style mini-batch training
-  with layer-wise neighbour sampling and remote feature fetches.
+  with layer-wise neighbour sampling and remote feature fetches, into
+  the same step.
 """
 
 from repro.baselines.message_passing import (

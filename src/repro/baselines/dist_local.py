@@ -17,10 +17,13 @@ the Fig.-7 verification experiments attribute to the local view:
 
 The engine decides where data lives; the layer decides what is
 computed. Every rank builds the same ``build_model`` stack (parameters
-replicated by seed) and runs its layers on one square *own+halo block*:
-the owned adjacency rows over the local id space ``[own; halo]``, halo
-rows empty — the :class:`repro.tensor.sampling_graph.Block` layout, so
-each layer reads both edge endpoints from ``[H_own; H_halo]`` unchanged.
+replicated by seed) and is a batch source for the one
+:func:`~repro.training.trainer.train_step`: every layer's hop is one
+square *own+halo block* — the owned adjacency rows over the local id
+space ``[own; halo]``, halo rows empty (the
+:class:`repro.tensor.sampling_graph.Block` layout, so each layer reads
+both edge endpoints from ``[H_own; H_halo]`` unchanged) — and
+:func:`halo_exchange` / :func:`halo_reverse` are its exchange pair.
 Mathematics are therefore the single-node model's (the equivalence
 tests assert it); only the distribution differs — which is exactly the
 comparison the paper makes.
@@ -33,14 +36,16 @@ from functools import partial
 
 import numpy as np
 
-from repro.distributed.partition import block_range
+from repro.distributed.partition import block_range, check_inputs, split_by_owner
 from repro.models import build_model
+from repro.models.base import Hop, forward_blocks
 from repro.runtime.communicator import Communicator
 from repro.runtime.executor import run_spmd
 from repro.runtime.stats import RunStats
 from repro.tensor.csr import CSRMatrix
-from repro.training.loss import block_loss_terms, cross_entropy_terms
+from repro.training.loss import PartitionedLoss, cross_entropy_terms
 from repro.training.optim import SGD
+from repro.training.trainer import train_step
 
 __all__ = ["dist_local_inference", "dist_local_train", "LocalPartition"]
 
@@ -109,14 +114,8 @@ def build_partition(
     block = CSRMatrix(indptr, remapped, rows.data, (n_ext, n_ext))
 
     # Group halo ids by owner; negotiate send lists.
-    boundaries = [block_range(n, p, s) for s in range(p)]
-    requests = []
-    recv_counts = np.zeros(p, dtype=np.int64)
-    for s in range(p):
-        s0, s1 = boundaries[s]
-        wanted = halo_ids[(halo_ids >= s0) & (halo_ids < s1)]
-        recv_counts[s] = wanted.shape[0]
-        requests.append(wanted)
+    requests = split_by_owner(halo_ids, n, p)
+    recv_counts = np.array([len(wanted) for wanted in requests], dtype=np.int64)
     incoming = comm.alltoall(requests)
     send_lists = [np.asarray(req, dtype=np.int64) - r0 for req in incoming]
     comm.stats.set_phase("default")
@@ -137,13 +136,7 @@ def halo_exchange(
     payloads = [
         np.ascontiguousarray(h_own[idx]) for idx in part.send_lists
     ]
-    received = comm.alltoall(payloads)
-    halo = (
-        np.concatenate(received, axis=0)
-        if part.halo_ids.size
-        else np.empty((0, h_own.shape[1]), dtype=h_own.dtype)
-    )
-    return np.concatenate([h_own, halo], axis=0)
+    return np.concatenate([h_own, *comm.alltoall(payloads)], axis=0)
 
 
 def halo_reverse(
@@ -167,35 +160,32 @@ def halo_reverse(
     return grad_own
 
 
-def _replica_builder(
-    model_name: str, in_dim: int, hidden_dim: int, out_dim: int,
-    num_layers: int, seed: int, dtype,
-) -> partial:
-    """``build_model(...)`` with every argument bound: each rank calls it
-    for its replica (parameters replicated by seed). Checked once before
-    any rank starts: one halo exchange per layer reaches one hop."""
-    build = partial(build_model, model_name, in_dim, hidden_dim, out_dim,
+def _rank_setup(model_name, a, features, hidden_dim, out_dim, num_layers, seed, dtype):
+    """What each rank calls first: its partition, ``build_model``
+    replica (parameters replicated by seed), owned input rows, the
+    own+halo block as every layer's hop and the halo exchange pair
+    (traffic labelled ``"halo"``, the rest ``"compute"``). Checked once
+    before any rank starts: one halo exchange per layer reaches one hop."""
+    build = partial(build_model, model_name, features.shape[1], hidden_dim, out_dim,
                     num_layers=num_layers, seed=seed, dtype=dtype)
-    build().require_one_hop(
-        f"{model_name}: the local engine exchanges a one-hop halo per layer"
-    )
-    return build
+    build().require_one_hop(f"{model_name}: the local engine exchanges a one-hop halo per layer")
 
+    def setup(comm: Communicator):
+        part = build_partition(comm, a, features.shape[0])
 
-def _forward(comm: Communicator, part: LocalPartition, model, h_own, training):
-    """Every layer on the own+halo block, a halo exchange before each;
-    returns the owned output rows and the layers' caches."""
-    caches = []
-    for layer in model.layers:
-        comm.stats.set_phase("halo")
-        h_ext = halo_exchange(comm, part, h_own)
-        comm.stats.set_phase("compute")
-        h_ext, cache = layer.forward(
-            part.block, h_ext, counter=comm.stats.flops, training=training
-        )
-        caches.append(cache)
-        h_own = h_ext[: part.n_own]
-    return h_own, caches
+        def halo(move):
+            def run(rows: np.ndarray) -> np.ndarray:
+                comm.stats.set_phase("halo")
+                rows = move(comm, part, rows)
+                comm.stats.set_phase("compute")
+                return rows
+            return run
+
+        hops = [Hop(part.block, np.arange(part.n_own))] * num_layers
+        h_own = np.ascontiguousarray(features[part.r0 : part.r1]).astype(dtype)
+        return part, build(), hops, (halo(halo_exchange), halo(halo_reverse)), h_own
+
+    return setup
 
 
 def dist_local_inference(
@@ -215,15 +205,14 @@ def dist_local_inference(
     Returns ``(output, RunStats)``; the output rows are gathered at
     rank 0 in vertex order.
     """
-    n = features.shape[0]
-    build = _replica_builder(model_name, features.shape[1], hidden_dim,
-                             out_dim, num_layers, seed, dtype)
+    check_inputs(a, features)
+    setup = _rank_setup(model_name, a, features, hidden_dim, out_dim, num_layers, seed, dtype)
 
     def program(comm: Communicator):
-        part = build_partition(comm, a, n)
-        h_own = np.ascontiguousarray(features[part.r0 : part.r1]).astype(dtype)
-        h_own, _ = _forward(comm, part, build(), h_own, training=False)
-        gathered = comm.gather(h_own, root=0)
+        _, model, hops, exchange, h_own = setup(comm)
+        out, _ = forward_blocks(model, hops, h_own, comm.stats.flops,
+                                training=False, exchange=exchange)
+        gathered = comm.gather(out, root=0)
         return np.concatenate(gathered, axis=0) if comm.rank == 0 else None
 
     result = run_spmd(p, program, timeout=timeout)
@@ -254,48 +243,20 @@ def dist_local_train(
     :func:`repro.distributed.api.distributed_train` isolate the
     formulation, exactly as in the paper's comparison.
     """
-    n = features.shape[0]
-    build = _replica_builder(model_name, features.shape[1], hidden_dim,
-                             out_dim, num_layers, seed, dtype)
-    global_count = int(mask.sum()) if mask is not None else n
+    check_inputs(a, features, labels, mask, "ce", out_dim)
+    setup = _rank_setup(model_name, a, features, hidden_dim, out_dim, num_layers, seed, dtype)
+    count = len(features) if mask is None else int(mask.sum())
 
     def program(comm: Communicator):
-        part = build_partition(comm, a, n)
-        model, optimizer = build(), SGD(lr)
-        h_in = np.ascontiguousarray(features[part.r0 : part.r1]).astype(dtype)
-        labels_own = labels[part.r0 : part.r1]
-        mask_own = None if mask is None else mask[part.r0 : part.r1]
-        losses = []
-        for _epoch in range(epochs):
-            h_own, caches = _forward(comm, part, model, h_in, training=True)
-            # Loss + gradient on owned rows.
-            local_sum, gamma = block_loss_terms(
-                cross_entropy_terms, h_own, labels_own, mask_own, global_count
-            )
-            losses.append(
-                float(comm.allreduce(np.array(local_sum))) / max(global_count, 1)
-            )
-            # Backward: the halo rows' outputs are not this rank's, so
-            # their gradient is zero; the halo slice of dH goes home.
-            grads = [None] * model.num_layers
-            for li in range(model.num_layers - 1, -1, -1):
-                layer, cache = model.layers[li], caches[li]
-                comm.stats.set_phase("compute")
-                g = np.zeros_like(cache.z)
-                g[: part.n_own] = gamma
-                d_ext, local_grads = layer.backward(
-                    cache, g * layer.activation.grad(cache.z),
-                    counter=comm.stats.flops,
-                )
-                grads[li] = {
-                    name: comm.allreduce(value)
-                    for name, value in local_grads.items()
-                }
-                if li > 0:
-                    comm.stats.set_phase("halo")
-                    gamma = halo_reverse(comm, part, d_ext)
-            optimizer.step(model, grads)
-        return losses
+        part, model, hops, exchange, h_own = setup(comm)
+        own = slice(part.r0, part.r1)
+        # A rank's loss is its owned rows' share of the global mean, so
+        # the weight gradients sum over the ranks.
+        loss = PartitionedLoss(cross_entropy_terms, None if mask is None else mask[own],
+                               count, comm.allreduce)
+        optimizer = SGD(lr)
+        return [train_step(model, loss, optimizer, hops, h_own, labels[own], comm.stats.flops,
+                           exchange, sync=comm.allreduce) for _ in range(epochs)]
 
     result = run_spmd(p, program, timeout=timeout)
     return result.values[0], result.stats

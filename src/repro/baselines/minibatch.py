@@ -13,10 +13,11 @@ profile:
   in DistDGL's partitioned graph store with local sampling servers);
 * features of sampled vertices owned by other ranks are fetched
   (``alltoall``), charging :math:`k` words per remote vertex;
-* the model runs forward + backward on a block containing only the
-  *sampled* edges plus self loops (DGL's message-flow-block semantics,
+* the one :func:`~repro.training.trainer.train_step` runs forward +
+  backward with a block containing only the *sampled* edges plus self
+  loops as every layer's hop (DGL's message-flow-block semantics,
   whose edge count is bounded by the fan-out budget, not by graph
-  density), and weight gradients are allreduced (data-parallel
+  density), and weight gradients are allreduce-averaged (data-parallel
   training, as DistDGL does).
 
 Loss/accuracy semantics of sampled training differ from full-batch by
@@ -31,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.distributed.partition import block_range
+from repro.distributed.partition import block_range, check_inputs, split_by_owner
 from repro.models import build_model
+from repro.models.base import Hop
 from repro.runtime.communicator import Communicator
 from repro.runtime.executor import run_spmd
 from repro.runtime.stats import RunStats
@@ -40,7 +42,9 @@ from repro.tensor.coo import COOMatrix
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.sampling_graph import sampling_graph_of
 from repro.training.loss import SoftmaxCrossEntropyLoss
+from repro.training.minibatch import check_fanouts
 from repro.training.optim import SGD
+from repro.training.trainer import train_step
 from repro.util.rng import make_rng
 
 __all__ = ["MiniBatchConfig", "minibatch_train", "sample_block"]
@@ -130,67 +134,49 @@ def minibatch_train(
     Returns per-iteration mean losses (across ranks) and the traffic
     statistics. Remote-feature fetch volume is recorded under the
     ``fetch`` phase, gradient synchronisation under ``gradsync``.
+    ``config.fanouts`` needs one fan-out per layer, and malformed inputs
+    are refused before any rank starts.
     """
     config = config or MiniBatchConfig(fanouts=tuple([10] * num_layers))
+    check_inputs(a, features, labels, loss="ce", out_dim=out_dim)
+    check_fanouts(config.fanouts, num_layers)
     n = features.shape[0]
 
     def program(comm: Communicator):
         rng = make_rng(config.seed * 7919 + comm.rank)
         r0, r1 = block_range(n, comm.size, comm.rank)
         local_batch = max(1, config.batch_size // comm.size)
-        model = build_model(
-            model_name, features.shape[1], hidden_dim, out_dim,
-            num_layers=num_layers, seed=seed, dtype=dtype,
-        )
-        loss = SoftmaxCrossEntropyLoss()
-        optimizer = SGD(lr)
+        model = build_model(model_name, features.shape[1], hidden_dim, out_dim,
+                            num_layers=num_layers, seed=seed, dtype=dtype)
+        loss, optimizer = SoftmaxCrossEntropyLoss(), SGD(lr)
+
+        def average(grad: np.ndarray) -> np.ndarray:
+            # Data-parallel: each rank's loss is its own block's mean.
+            comm.stats.set_phase("gradsync")
+            return comm.allreduce(grad) / comm.size
+
         losses = []
         for _it in range(iterations):
             comm.stats.set_phase("sample")
             targets = rng.integers(r0, r1, local_batch, dtype=np.int64)
-            vertices, sub, sampled_edges = sample_block(
-                a, targets, config.fanouts, rng
-            )
-            comm.stats.flops.add(
-                SAMPLING_FLOPS_PER_EDGE * sampled_edges, "sampling"
-            )
+            vertices, sub, sampled_edges = sample_block(a, targets, config.fanouts, rng)
+            comm.stats.flops.add(SAMPLING_FLOPS_PER_EDGE * sampled_edges, "sampling")
 
             comm.stats.set_phase("fetch")
             # Fetch features of sampled vertices from their owners.
-            requests = []
-            for s in range(comm.size):
-                s0, s1 = block_range(n, comm.size, s)
-                wanted = vertices[(vertices >= s0) & (vertices < s1)]
-                requests.append(wanted if s != comm.rank else wanted[:0])
+            requests = split_by_owner(vertices, n, comm.size)
+            requests[comm.rank] = requests[comm.rank][:0]
             incoming = comm.alltoall(requests)
-            replies = [
-                np.ascontiguousarray(features[req]) for req in incoming
-            ]
-            comm.alltoall(replies)
+            comm.alltoall([np.ascontiguousarray(features[req]) for req in incoming])
             # (The returned arrays model the wire transfer; feature
             # values themselves are globally addressable in-process.)
             h_block = np.ascontiguousarray(features[vertices]).astype(dtype)
 
+            # The one sampled block is every layer's hop.
             comm.stats.set_phase("compute")
-            out = model.forward(sub, h_block, counter=comm.stats.flops,
-                                training=True)
-            y_block = labels[vertices]
-            value = loss.value(out, y_block)
-            grads = model.backward(
-                loss.gradient(out, y_block), counter=comm.stats.flops
-            )
-
-            comm.stats.set_phase("gradsync")
-            synced = [
-                {
-                    name: comm.allreduce(grad) / comm.size
-                    for name, grad in layer.items()
-                }
-                for layer in grads
-            ]
-            optimizer.step(model, synced)
+            value = train_step(model, loss, optimizer, [Hop(sub)] * num_layers, h_block,
+                               labels[vertices], comm.stats.flops, sync=average)
             losses.append(float(comm.allreduce(np.array(value))) / comm.size)
-        model.zero_caches()
         return losses
 
     result = run_spmd(p, program, timeout=timeout)

@@ -18,10 +18,43 @@ from repro.tensor.csr import CSRMatrix
 __all__ = [
     "block_range",
     "block_ranges",
+    "check_inputs",
+    "split_by_owner",
     "distribute_adjacency",
     "distribute_features",
     "collect_feature_blocks",
 ]
+
+
+def check_inputs(
+    a: CSRMatrix,
+    features: np.ndarray,
+    labels: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+    loss: str | None = None,
+    out_dim: int | None = None,
+) -> None:
+    """Refuse a run that would fail inside a rank thread, naming the
+    argument: a square adjacency, one feature row per vertex, ``labels``
+    / ``mask`` of length ``n``, and for ``"ce"`` integer labels in
+    ``[0, out_dim)`` wherever the mask reads one. Every partitioned
+    entry point (1.5D and DistDGL-style) checks this before any rank
+    starts."""
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError(f"a has shape {a.shape}; the adjacency must be square")
+    if np.ndim(features) != 2 or len(features) != n:
+        raise ValueError(
+            f"features has shape {np.shape(features)}; a {a.shape} adjacency needs ({n}, in_dim)")
+    for name, value in (("labels", labels), ("mask", mask)):
+        if value is not None and len(value) != n:
+            raise ValueError(f"{name} has length {len(value)}; the graph has {n} vertices")
+    if loss == "ce":
+        read = np.asarray(labels) if mask is None else np.asarray(labels)[np.asarray(mask, bool)]
+        if read.ndim != 1 or not np.issubdtype(read.dtype, np.integer) or (
+            read.size and (read.min() < 0 or read.max() >= out_dim)
+        ):
+            raise ValueError(f'labels for loss "ce" must be integer classes in [0, {out_dim})')
 
 
 def block_ranges(n: int, parts: int) -> list[tuple[int, int]]:
@@ -41,6 +74,13 @@ def block_ranges(n: int, parts: int) -> list[tuple[int, int]]:
         ranges.append((start, stop))
         start = stop
     return ranges
+
+
+def split_by_owner(ids: np.ndarray, n: int, parts: int) -> list[np.ndarray]:
+    """Sorted vertex ids split by the range of :func:`block_ranges`
+    that owns them, in rank order."""
+    starts = [start for start, _ in block_ranges(n, parts)[1:]]
+    return np.split(ids, np.searchsorted(ids, starts))
 
 
 def block_range(n: int, parts: int, index: int) -> tuple[int, int]:

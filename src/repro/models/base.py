@@ -6,25 +6,30 @@ These mirror the three base classes the paper's artifact describes in
 .. math:: Z^l = (\\Phi \\circ \\oplus)(\\Psi(\\mathcal{A}, H^l), H^l),
           \\qquad H^{l+1} = \\sigma(Z^l)
 
-and, for training, caches whatever its backward pass needs. The model
-owns the *error chaining* of Section 5: the loss provides
-:math:`\\nabla_{H^L}\\mathcal{L}`, the model bootstraps
+and, for training, caches whatever its backward pass needs. The
+*error chaining* of Section 5 is written once, in
+:func:`backward_blocks`: the loss provides
+:math:`\\nabla_{H^L}\\mathcal{L}`, the chain bootstraps
 :math:`G^L = \\nabla_{H^L}\\mathcal{L} \\odot \\sigma'(Z^L)` (Eq. 4) and
 walks the layers backwards, converting each layer's input-feature
 gradient into the previous layer's :math:`G^{l-1} = \\sigma'(Z^{l-1})
-\\odot \\Gamma^l` (Eq. 6).
+\\odot \\Gamma^l` (Eq. 6). :func:`forward_blocks` is its forward twin.
+Both walk one :class:`Hop` per layer — the whole graph for
+:meth:`GnnModel.forward` / :meth:`GnnModel.backward`, a sampled block,
+or a rank's own+halo block with an exchange pair around each layer.
 
 The same three classes carry distributed training: a
 :mod:`repro.distributed.layers` layer *is* a :class:`GnnLayer` over a
 rank's blocks (ending in its own reduce+redistribute, Section 6.3), so
 ``build_dist_model`` returns a plain :class:`GnnModel`. The update rule
-lives in :mod:`repro.training.optim`.
+lives in :mod:`repro.training.optim`, the step in
+:func:`repro.training.train_step`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from repro.core.activations import Activation, get_activation
 from repro.tensor.csr import CSRMatrix
 from repro.util.counters import FlopCounter, null_counter
 
-__all__ = ["GnnLayer", "GnnModel", "Loss", "glorot"]
+__all__ = ["GnnLayer", "GnnModel", "Hop", "Loss", "backward_blocks", "forward_blocks", "glorot"]
 
 
 def glorot(
@@ -109,7 +114,8 @@ class GnnModel:
     ``forward`` retains per-layer caches on the instance (full-batch
     training stores all layer activations, which is exactly the memory
     behaviour the paper's scaling study measures); call with
-    ``training=False`` for cache-free inference.
+    ``training=False`` for cache-free inference. ``output`` holds the
+    rows the last :func:`repro.training.train_step` fed its loss.
     """
 
     def __init__(self, layers: Sequence[GnnLayer]) -> None:
@@ -117,6 +123,7 @@ class GnnModel:
             raise ValueError("a model needs at least one layer")
         self.layers = list(layers)
         self._caches: list[Any] | None = None
+        self.output: np.ndarray | None = None
 
     @property
     def num_layers(self) -> int:
@@ -147,11 +154,8 @@ class GnnModel:
         counter: FlopCounter = null_counter(),
         training: bool = True,
     ) -> np.ndarray:
-        """Full forward pass over all layers."""
-        caches: list[Any] = []
-        for layer in self.layers:
-            h, cache = layer.forward(a, h, counter=counter, training=training)
-            caches.append(cache)
+        """Full forward pass: the whole graph is every layer's hop."""
+        h, caches = forward_blocks(self, [Hop(a)] * self.num_layers, h, counter, training)
         self._caches = caches if training else None
         return h
 
@@ -167,21 +171,11 @@ class GnnModel:
         ``self.layers``). Requires a preceding ``forward`` in training
         mode.
         """
-        caches = self._caches
-        if not caches:
-            raise RuntimeError(
-                "backward requires a prior forward(training=True)"
-            )
-        grads: list[dict[str, np.ndarray]] = [None] * len(self.layers)  # type: ignore[list-item]
-        gamma = d_h_out
-        for index in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[index]
-            cache = caches[index]
-            # Eq. (4)/(6): mask the incoming feature gradient with sigma'.
-            g = gamma * layer.activation.grad(cache.z)
-            gamma, layer_grads = layer.backward(cache, g, counter=counter)
-            grads[index] = layer_grads
-        return grads
+        if not self._caches:
+            raise RuntimeError("backward requires a prior forward(training=True)")
+        # Every row is kept, so the backward reads no adjacency.
+        hops = [Hop(None)] * self.num_layers
+        return backward_blocks(self, hops, self._caches, d_h_out, counter)
 
     # ------------------------------------------------------------------
     def parameters(self) -> list[dict[str, np.ndarray]]:
@@ -189,8 +183,80 @@ class GnnModel:
         return [layer.parameters() for layer in self.layers]
 
     def zero_caches(self) -> None:
-        """Drop cached activations (frees full-batch training memory)."""
+        """Drop cached activations and the last step's output (frees
+        full-batch training memory)."""
         self._caches = None
+        self.output = None
+
+
+class Hop(NamedTuple):
+    """One layer's adjacency and the rows of its output the next layer
+    reads (``None``: every row). A sampled
+    :class:`~repro.tensor.sampling_graph.Block` is one too."""
+
+    matrix: CSRMatrix | None
+    dst_positions: np.ndarray | None = None
+
+
+#: ``(gather, reverse)``: ``gather`` turns a layer's input rows into the
+#: rows its hop reads (a halo exchange); ``reverse`` folds the gradient
+#: over those rows back into the input rows.
+Exchange = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
+
+
+def forward_blocks(model: GnnModel, blocks: Sequence[Hop], h0: np.ndarray,
+                   counter: FlopCounter = null_counter(), training: bool = True,
+                   exchange: Exchange | None = None) -> tuple[np.ndarray, list]:
+    """Run the model layer by layer, one hop each; returns the last
+    layer's kept rows and the per-layer training caches.
+
+    Each layer reads its hop's source rows — ``h0`` for the first, after
+    ``exchange``'s gather if any — and its kept rows ``z[dst_positions]``
+    feed the next layer (the next hop's sources, by the sampling
+    contract).
+    """
+    if len(blocks) != model.num_layers:
+        raise ValueError(f"got {len(blocks)} blocks for {model.num_layers} layers; "
+                         "sample with one fan-out per layer")
+    caches: list = []
+    h = h0
+    for layer, block in zip(model.layers, blocks):
+        if exchange is not None:
+            h = exchange[0](h)
+        if h.shape[0] != block.matrix.shape[1]:
+            raise ValueError("feature rows do not match the block's source set")
+        h, cache = layer.forward(block.matrix, h, counter=counter, training=training)
+        caches.append(cache)
+        if block.dst_positions is not None:
+            h = h[block.dst_positions]
+    return h, caches
+
+
+def backward_blocks(model: GnnModel, blocks: Sequence[Hop], caches: list, d_out: np.ndarray,
+                    counter: FlopCounter = null_counter(),
+                    exchange: Exchange | None = None) -> list[dict[str, np.ndarray]]:
+    """Error chaining (Eq. 4/6) through the hops, from the loss
+    gradient ``d_out`` over the last hop's kept rows.
+
+    Each hop scatters its kept-row gradient into its source frame (zeros
+    elsewhere: those rows produced nothing, so nothing flows back through
+    them), masks with :math:`\\sigma'(Z^l)` and runs the layer's
+    backward; ``exchange``'s reverse then returns the input-feature
+    gradient to the previous layer's rows.
+    """
+    grads: list = [None] * model.num_layers
+    gamma_dst = d_out
+    for index in range(model.num_layers - 1, -1, -1):
+        layer, block, cache = model.layers[index], blocks[index], caches[index]
+        gamma = gamma_dst
+        if block.dst_positions is not None:
+            gamma = np.zeros((cache.z.shape[0],) + gamma_dst.shape[1:], gamma_dst.dtype)
+            gamma[block.dst_positions] = gamma_dst
+        g = gamma * layer.activation.grad(cache.z)
+        gamma_dst, grads[index] = layer.backward(cache, g, counter=counter)
+        if exchange is not None and index > 0:
+            gamma_dst = exchange[1](gamma_dst)
+    return grads
 
 
 class Loss(ABC):
@@ -203,3 +269,8 @@ class Loss(ABC):
     @abstractmethod
     def gradient(self, h_out: np.ndarray, target: np.ndarray) -> np.ndarray:
         """:math:`\\nabla_{H^L}\\mathcal{L}` — the backward bootstrap."""
+
+    def evaluate(self, h_out: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(value, gradient)``, what a training step reads; losses
+        whose two share work evaluate them together."""
+        return self.value(h_out, target), self.gradient(h_out, target)

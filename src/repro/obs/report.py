@@ -16,7 +16,7 @@ Cases:
     ER graph — driver-only timeline (epoch, layer, kernel spans).
 ``minibatch``
     The serial :class:`~repro.training.minibatch.MinibatchTrainer` —
-    adds per-batch sample/train_step spans.
+    adds per-batch sample/train.step spans.
 ``distributed``
     :func:`~repro.distributed.api.distributed_train` at ``p = 4`` on
     the same problem — one Perfetto track per rank; each rank's

@@ -11,9 +11,10 @@ The arithmetic of each mean loss is written once, over the rows at hand
 and an explicit ``count`` of averaged terms: :func:`cross_entropy_terms`
 and :func:`squared_error_terms` return the *unnormalised* sum and the
 gradient of ``sum / count``. A single-node loss passes its own count; a
-rank of a partitioned run passes the global one through
-:func:`block_loss_terms`, allreduces the sums and divides — so block
-gradients concatenate, and block sums add, to the single-node result.
+rank of a partitioned run (:class:`PartitionedLoss`) passes the global
+one through :func:`block_loss_terms`, allreduces the sums and divides —
+so block gradients concatenate, and block sums add, to the single-node
+result.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.models.base import Loss
 __all__ = [
     "SoftmaxCrossEntropyLoss",
     "MSELoss",
+    "PartitionedLoss",
     "block_loss_terms",
     "cross_entropy_terms",
     "squared_error_terms",
@@ -97,7 +99,7 @@ class _MeanLoss(Loss):
     def __init__(self, mask: np.ndarray | None = None) -> None:
         self.mask = None if mask is None else np.asarray(mask, dtype=bool)
 
-    def _evaluate(
+    def evaluate(
         self, h_out: np.ndarray, target: np.ndarray
     ) -> tuple[float, np.ndarray]:
         count = h_out.shape[0] if self.mask is None else int(self.mask.sum())
@@ -109,10 +111,10 @@ class _MeanLoss(Loss):
         return total / max(count, 1), grad
 
     def value(self, h_out: np.ndarray, target: np.ndarray) -> float:
-        return self._evaluate(h_out, target)[0]
+        return self.evaluate(h_out, target)[0]
 
     def gradient(self, h_out: np.ndarray, target: np.ndarray) -> np.ndarray:
-        return self._evaluate(h_out, target)[1]
+        return self.evaluate(h_out, target)[1]
 
 
 class SoftmaxCrossEntropyLoss(_MeanLoss):
@@ -131,3 +133,21 @@ class MSELoss(_MeanLoss):
 
     _terms = staticmethod(squared_error_terms)
     _per_element = True
+
+
+class PartitionedLoss(_MeanLoss):
+    """One rank's share of a mean loss over a partitioned output:
+    ``terms`` over the rank's rows that ``mask`` selects, averaged over
+    the *global* ``count`` (so the gradient is the rank's block of the
+    single-node one); the value allreduces every rank's sum, ``0`` from a
+    rank whose rows another rank also holds (``counted=False``)."""
+
+    def __init__(self, terms: LossTerms, mask: np.ndarray | None, count: int,
+                 allreduce: Callable[[np.ndarray], np.ndarray], counted: bool = True) -> None:
+        self._terms, self.mask, self.count = terms, mask, count
+        self.allreduce, self.counted = allreduce, counted
+
+    def evaluate(self, h_out: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+        total, grad = block_loss_terms(self._terms, h_out, target, self.mask, self.count)
+        total = self.allreduce(np.array(total if self.counted else 0.0))
+        return float(total) / max(self.count, 1), grad

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import dist_local
+from repro.baselines import minibatch as baseline_minibatch
 from repro.baselines.dist_local import (
     build_partition,
     dist_local_inference,
@@ -157,6 +158,25 @@ class TestDistLocalEngine:
                 dist_local_train("SGC", a, h, problem.labels, 8, 4,
                                  num_layers=2, p=3)
 
+    @pytest.mark.parametrize("case", ["short-labels", "class-out-of-range", "short-features"])
+    def test_malformed_inputs_are_rejected_before_any_rank(self, problem, monkeypatch, case):
+        """Each used to surface as ``rank r failed: IndexError``."""
+        monkeypatch.setattr(
+            dist_local, "run_spmd",
+            lambda *args, **kwargs: pytest.fail("a rank started"),
+        )
+        a, h, labels = problem.adjacency, problem.features, problem.labels
+        if case == "short-labels":
+            with pytest.raises(ValueError, match="labels has length 10"):
+                dist_local_train("GAT", a, h, labels[:10], 8, 4, num_layers=2, p=3)
+        elif case == "class-out-of-range":
+            with pytest.raises(ValueError, match=r"labels .* in \[0, 4\)"):
+                dist_local_train("GAT", a, h, np.full(len(labels), 9), 8, 4,
+                                 num_layers=2, p=3)
+        else:
+            with pytest.raises(ValueError, match="features"):
+                dist_local_inference("GAT", a, h[:-1], 8, 4, num_layers=2, p=3)
+
     def test_halo_plan_counts(self, problem):
         """The halo plan must request exactly the distinct remote
         neighbours of the owned rows."""
@@ -239,6 +259,23 @@ class TestMiniBatch:
         phases = stats.phase_bytes()
         assert phases.get("fetch", 0) > 0
         assert phases.get("gradsync", 0) > 0
+
+    def test_short_labels_are_rejected_before_any_rank(self, problem, monkeypatch):
+        monkeypatch.setattr(
+            baseline_minibatch, "run_spmd",
+            lambda *args, **kwargs: pytest.fail("a rank started"),
+        )
+        with pytest.raises(ValueError, match="labels has length 10"):
+            minibatch_train("GAT", problem.adjacency, problem.features,
+                            problem.labels[:10], 8, 4, num_layers=2, p=2)
+
+    def test_fanouts_need_one_per_layer(self, problem):
+        """Four fan-outs for a two-layer model used to sample four hops
+        and return a loss."""
+        with pytest.raises(ValueError, match="need one per layer"):
+            minibatch_train("GAT", problem.adjacency, problem.features,
+                            problem.labels, 8, 4, num_layers=2, p=2,
+                            config=MiniBatchConfig(fanouts=(3, 3, 3, 3)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

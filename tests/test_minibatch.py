@@ -253,6 +253,23 @@ class TestValidation:
                 targets=np.ones(3, dtype=bool), full_eval=False,
             )
 
+    @pytest.mark.parametrize(
+        "targets, match",
+        [([0.5, 1.9, 2.2], "integer vertex ids"), ([], "no vertex"),
+         (np.zeros(80, dtype=bool), "no vertex")],
+        ids=["float-ids", "empty", "all-false-mask"],
+    )
+    def test_targets_that_select_nothing_real_are_rejected(
+        self, problem, features, targets, match
+    ):
+        """Float ids used to truncate to vertices 0, 1, 2 and train; an
+        empty selection used to report a loss of 0.0 never computed."""
+        model, loss, opt = _ingredients("GAT", problem)
+        trainer = MinibatchTrainer(model, loss, opt, fanouts=(4, 4))
+        with pytest.raises(ValueError, match=match):
+            trainer.fit(problem.adjacency.astype(np.float64), features,
+                        problem.labels, targets=targets, full_eval=False)
+
     def test_feature_row_mismatch_rejected(self, problem, features):
         a = problem.adjacency.astype(np.float64)
         model, loss, opt = _ingredients("GAT", problem)

@@ -155,7 +155,8 @@ class TestSharedLossTerms:
 
 class TestOneTrainingStack:
     """Structure: one model class, one copy of the loss arithmetic, one
-    SGD, one sampled-training loop (``ast`` scan of ``src/repro``)."""
+    SGD, one layer walk and one training step (``ast`` scan of
+    ``src/repro``)."""
 
     GONE_DEFS = {
         "apply_gradients", "redistribute", "_block_loss_gradient",
@@ -193,6 +194,49 @@ class TestOneTrainingStack:
             == "log_softmax"
         }
         assert callers == {"training/loss.py"}
+
+    @staticmethod
+    def _callers(trees, matches):
+        """``path:Qual.name`` of every function whose own body (nested
+        definitions apart) makes a call whose callee ``matches``."""
+        found = set()
+
+        def visit(path, node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = scope + (child.name,)
+                elif isinstance(child, ast.Call) and matches(child.func):
+                    found.add(f"{path}:{'.'.join(scope)}")
+                visit(path, child, inner)
+
+        for path, tree in trees.items():
+            visit(path, tree, ())
+        return found
+
+    def test_error_chaining_is_written_once(self, trees):
+        """Eq. 4/6's sigma' mask: only the one layer walk applies it."""
+        callers = self._callers(
+            trees, lambda f: getattr(f, "attr", None) == "grad"
+            and getattr(f.value, "attr", None) == "activation",
+        )
+        assert callers == {"models/base.py:backward_blocks"}
+
+    def test_one_step_updates_parameters(self, trees):
+        callers = self._callers(trees, lambda f: getattr(f, "attr", None) == "step")
+        assert callers == {"training/trainer.py:train_step"}
+
+    def test_every_training_loop_runs_the_one_step(self, trees):
+        callers = self._callers(
+            trees, lambda f: getattr(f, "id", getattr(f, "attr", None)) == "train_step"
+        )
+        assert callers == {
+            "training/trainer.py:Trainer.fit.epoch_losses",
+            "training/minibatch.py:MinibatchTrainer.fit.epoch_losses",
+            "distributed/api.py:distributed_train.program",
+            "baselines/dist_local.py:dist_local_train.program",
+            "baselines/minibatch.py:minibatch_train.program",
+        }
 
     def test_passes_take_no_per_call_binding(self, trees):
         offenders = [
@@ -291,6 +335,29 @@ class TestTrainer:
             val_mask=sbm_data.val_mask, patience=5,
         )
         assert len(result.losses) < 500
+
+    def test_patience_without_val_mask_is_rejected(self, sbm_data):
+        """Early stopping reads validation accuracy; without a val_mask
+        ``patience`` used to be ignored silently."""
+        model = build_model("GCN", 12, 8, sbm_data.num_classes, num_layers=2)
+        trainer = Trainer(model, SoftmaxCrossEntropyLoss(), SGD(0.01))
+        with pytest.raises(ValueError, match="val_mask"):
+            trainer.fit(sbm_data.adjacency, sbm_data.features, sbm_data.labels,
+                        epochs=3, patience=0)
+
+    def test_one_loss_evaluation_per_epoch(self, sbm_data, monkeypatch):
+        """The step reads value and gradient from one evaluation, so the
+        log-softmax runs once per epoch."""
+        import repro.training.loss as loss_module
+
+        calls = []
+        original = loss_module.log_softmax
+        monkeypatch.setattr(loss_module, "log_softmax",
+                            lambda z: calls.append(1) or original(z))
+        model = build_model("GCN", 12, 8, sbm_data.num_classes, num_layers=2)
+        Trainer(model, SoftmaxCrossEntropyLoss(), SGD(0.01)).fit(
+            sbm_data.adjacency, sbm_data.features, sbm_data.labels, epochs=3)
+        assert len(calls) == 3
 
 
 class TestMetrics:

@@ -7,10 +7,12 @@ This example does exactly that, twice, on the same ``AttentionLayer``
 class the built-in VA/AGNN/GAT/GCN models run on:
 
 1. A *temperature-scaled dot-product* attention (a softmax'd VA — the
-   transformer scoring rule on graphs). It *declares* its score kind,
-   so the layer runs it as one fused SDDMM → softmax → SpMM sweep; the
-   only code written here is dense: the operand prep ``H / T`` and its
-   two-term chain rule. The custom model is fully trainable.
+   transformer scoring rule on graphs), written *once*, as the layer's
+   global formulation in the op-DAG IR. ``lower_layer_dag`` derives
+   everything else: the score kind the fused SDDMM → softmax → SpMM sweep
+   computes, the dense operand prep ``H / T`` and its chain rule. No
+   backward code and no distributed code is written; the same spec
+   trains single-node and on a 2 x 2 grid of ranks, one line apart.
 2. A *max-pooling attention* variant whose aggregation runs over the
    tropical max-plus semiring (Section 4.3) — a Psi that hands the layer
    its score matrix ``S`` (the general route); inference-only, since
@@ -27,32 +29,28 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.formulation import AttentionSpec
+from repro.distributed.api import distributed_train
+from repro.fusion import OpDag, lower_layer_dag
 from repro.graphs import synthetic_classification
 from repro.models import AttentionLayer, GnnModel
 from repro.tensor.semiring import TROPICAL_MAX, adjacency_values
-from repro.training import Adam, SoftmaxCrossEntropyLoss, Trainer
+from repro.training import SGD, SoftmaxCrossEntropyLoss, Trainer
+from repro.util.rng import make_rng
 
 
 # ----------------------------------------------------------------------
-# 1. Scaled dot-product attention: Psi = sm(A ⊙ (H H^T / sqrt(k)))
+# 1. Scaled dot-product attention: Z = sm(A ⊙ (H / T) H^T) (H W)
 # ----------------------------------------------------------------------
 def make_scaled_dot_spec(temperature: float) -> AttentionSpec:
-    # The sweep scores an edge (i, j) as x_src[i] . x_dst[j]; the operand
-    # prep is (X, params, counter) -> its keyword operands. This Psi has
-    # no parameters of its own and reads the layer input H.
-    def operands(h, params, counter):
-        return {"x_src": h / temperature, "x_dst": h}
-
-    # The sweep's backward returns the gradients of those operands; what
-    # is left is (exits, X, params, operands, counter) -> (dX, parameter
-    # gradients): H entered twice, once through the division.
-    def operands_vjp(exits, h, params, ops, counter):
-        return exits["dRow"] / temperature + exits["dCol"], {}
-
-    return AttentionSpec(
-        kind="dot", softmax=True, operands=operands,
-        operands_vjp=operands_vjp, name="scaled-dot",
-    )
+    dag = OpDag()
+    h = dag.input("H", "nk")
+    a = dag.input("A", "nn", sparse=True)
+    w = dag.input("W", "kk")
+    scores = dag.matmul(dag.scale(h, 1.0 / temperature), dag.transpose(h))
+    e = dag.exp(dag.hadamard(a, scores))  # virtual n x n, sampled on A
+    psi = dag.divide(e, dag.replicate(dag.row_sum(e)))  # graph softmax
+    dag.set_output(dag.matmul(psi, dag.matmul(h, w)))
+    return lower_layer_dag(dag, name="scaled-dot")
 
 
 # ----------------------------------------------------------------------
@@ -71,26 +69,27 @@ def make_max_pool_spec() -> AttentionSpec:
 def main() -> None:
     data = synthetic_classification(n=600, feature_dim=16, seed=3)
     k, classes = 16, data.num_classes
+    a, x, y = data.adjacency, data.features.astype(np.float64), data.labels
+    epochs, lr = 40, 0.5
 
-    # --- trainable custom model ---------------------------------------
-    layers = [
-        AttentionLayer(k, 32, make_scaled_dot_spec(np.sqrt(k)),
-                       activation="relu", seed=0),
-        AttentionLayer(32, classes, make_scaled_dot_spec(np.sqrt(32)),
-                       activation="identity", seed=1),
-    ]
-    model = GnnModel(layers)
-    trainer = Trainer(model, SoftmaxCrossEntropyLoss(data.train_mask),
-                      Adam(0.01))
-    result = trainer.fit(data.adjacency, data.features, data.labels,
-                         epochs=50)
-    acc = trainer.evaluate(
-        data.adjacency, data.features, data.labels, data.test_mask
-    )
-    print("scaled dot-product attention (custom, trainable):")
-    print(f"  loss {result.losses[0]:.3f} -> {result.final_loss:.3f}, "
+    # --- trainable custom model: single node, then at p = 4 -------------
+    spec = make_scaled_dot_spec(np.sqrt(k))
+    seeds = make_rng(0)  # the seed stream distributed_train draws from
+    model = GnnModel([
+        AttentionLayer(k, 32, spec, "relu", seed=seeds, dtype=np.float64),
+        AttentionLayer(32, classes, spec, "identity", seed=seeds, dtype=np.float64),
+    ])
+    trainer = Trainer(model, SoftmaxCrossEntropyLoss(data.train_mask), SGD(lr))
+    single = trainer.fit(a, x, y, epochs=epochs).losses
+    grid = distributed_train(spec, a, x, y, 32, classes, num_layers=2, p=4, epochs=epochs,
+                             lr=lr, mask=data.train_mask, seed=0, dtype=np.float64).losses
+    acc = trainer.evaluate(a, x, y, data.test_mask)
+    match = np.allclose(grid, single, rtol=1e-8, atol=0)
+    print("scaled dot-product attention (one layer DAG, derived spec):")
+    print(f"  loss {single[0]:.3f} -> {single[-1]:.3f}, "
           f"test accuracy {acc:.3f}")
-    assert acc > 0.75
+    print(f"  p = 4 loss {grid[-1]:.3f}: loss match {'yes' if match else 'no'}")
+    assert match and acc > 0.75
 
     # --- semiring aggregation model (inference) ------------------------
     # ⊕ and the Phi∘⊕ order are the layer's, not Psi's.

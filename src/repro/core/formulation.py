@@ -91,6 +91,10 @@ class AttentionSpec:
         ``(exits, X, params, operands, counter) -> (dX, grads)``: their
         chain rule, from ``attention_backward``'s exits. ``None`` detaches
         attention, as a missing ``psi_vjp`` does.
+    multihead:
+        ``False`` when the code handles plain ``(n, d)`` operands only — a
+        spec lowered from a layer DAG (:mod:`repro.fusion.lower`), whose
+        IR has no head axis; a layer refuses it more than one head.
     """
 
     psi: PsiFn | None = None
@@ -102,6 +106,7 @@ class AttentionSpec:
     softmax: bool | None = None
     operands: Callable[..., dict[str, Any]] | None = None
     operands_vjp: Callable[..., tuple[np.ndarray, PsiParams]] | None = None
+    multihead: bool = True
 
     def __post_init__(self) -> None:
         swept = self.kind in PSI_KINDS and self.operands is not None

@@ -9,15 +9,20 @@ materialised, Section 6.1); the fusion pass (:mod:`repro.fusion.fuse`)
 walks the execution DAG, finds paths from a virtual-producing edge to
 the sparse sampling that consumes it, and collapses them into
 SDDMM-like fused kernels; the interpreter (:mod:`repro.fusion.interp`)
-executes either the fused program (production) or a tile-materialising
-fallback (the ablation baseline quantifying what fusion buys).
+executes either the fused program or a tile-materialising fallback (the
+ablation baseline quantifying what fusion buys).
 
 Pre-built DAGs for the paper's three models live in
 :mod:`repro.fusion.models`. Reverse-mode autodiff over the IR
 (:mod:`repro.fusion.autodiff`) derives the Section-5 backward
-formulations from the same forward DAGs, and
-:class:`repro.fusion.layer.DagLayer` trains models from them with zero
-hand-written backward code.
+formulations from the same forward DAGs. There is one attention
+executor: :mod:`repro.fusion.lower` lowers a layer DAG to an
+:class:`~repro.core.formulation.AttentionSpec` — score kind, dense
+operands and their VJP all derived — which
+:class:`~repro.models.attention.AttentionLayer` runs as one compiled
+sweep per pass, on one node or on a grid.
+:class:`repro.fusion.layer.DagLayer` trains models either way, the
+interpreter being the oracle, with zero hand-written backward code.
 """
 
 from repro.fusion.autodiff import GradProgram, build_vjp
@@ -25,6 +30,7 @@ from repro.fusion.dag import OpDag, OpNode
 from repro.fusion.fuse import FusedKernel, FusedProgram, fuse
 from repro.fusion.interp import ProgramRunner, execute
 from repro.fusion.layer import DagLayer
+from repro.fusion.lower import lower_layer_dag
 from repro.fusion.models import (
     agnn_layer_dag,
     agnn_psi_dag,
@@ -48,6 +54,7 @@ __all__ = [
     "GradProgram",
     "build_vjp",
     "DagLayer",
+    "lower_layer_dag",
     "va_psi_dag",
     "agnn_psi_dag",
     "gat_psi_dag",

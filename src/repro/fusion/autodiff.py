@@ -46,7 +46,7 @@ output first and the gradients later, against cached activations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.fusion.dag import OpDag
 from repro.fusion.fuse import FusedProgram, fuse
@@ -70,16 +70,18 @@ class GradProgram:
         named outputs ``grad:<name>`` are the input gradients.
     seed:
         Name of the gradient-seed input (bind it before running any
-        gradient output).
+        gradient output); the names in order when several outputs are
+        seeded.
     output:
-        Id of the forward output node inside the joint DAG.
+        Id of the forward output node inside the joint DAG (``None``
+        when named outputs are seeded).
     grads:
         Differentiated input name -> gradient node id.
     """
 
     dag: OpDag
-    seed: str
-    output: int
+    seed: str | tuple[str, ...]
+    output: int | None
     grads: dict[str, int] = field(default_factory=dict)
 
     def fuse(self) -> FusedProgram:
@@ -94,7 +96,7 @@ class GradProgram:
 def build_vjp(
     forward: OpDag,
     wrt: Iterable[str],
-    seed_name: str = "dOut",
+    seed_name: str | Sequence[tuple[str, str]] = "dOut",
 ) -> GradProgram:
     """Derive the backward DAG of ``forward`` w.r.t. named inputs.
 
@@ -110,15 +112,26 @@ def build_vjp(
         Name of the seed input carrying :math:`\\partial L/\\partial
         \\mathrm{out}`. It shares the output's shape kind, and is a
         sparse input when the output is SPARSE (bind the gradient edge
-        values as a CSR on the adjacency pattern).
+        values as a CSR on the adjacency pattern). Or several
+        ``(named output, seed name)`` pairs, the VJP of all those outputs
+        at once: seeds that reach one node are summed in pair order, so
+        an output named twice, or two names of one node, add up.
 
     Returns
     -------
     A :class:`GradProgram` whose DAG contains the forward program plus
     the derived backward, with ``grad:<name>`` outputs registered.
     """
-    if forward.output is None:
-        raise ValueError("forward DAG has no output set")
+    if isinstance(seed_name, str):
+        if forward.output is None:
+            raise ValueError("forward DAG has no output set")
+        pairs, output = [(forward.output, seed_name)], forward.output
+    else:
+        unknown = [out for out, _ in seed_name if out not in forward.outputs]
+        if unknown or not seed_name:
+            raise ValueError(f"no named outputs {unknown} to seed")
+        pairs = [(forward.outputs[out], seed) for out, seed in seed_name]
+        output = None
     wrt = tuple(wrt)
     names = {
         node.name for node in forward.nodes if node.op == "input"
@@ -139,7 +152,7 @@ def build_vjp(
             needs.add(node.id)
         elif any(i in needs for i in node.inputs):
             needs.add(node.id)
-    if forward.output not in needs:
+    if not any(nid in needs for nid, _ in pairs):
         raise ValueError(
             "the output does not depend on any requested input"
         )
@@ -155,18 +168,16 @@ def build_vjp(
             cls_cache.update(infer_sparsity(dag))
         return cls_cache[nid]
 
-    out_kind = forward.nodes[forward.output].shape_kind
-    seed = dag.input(
-        seed_name,
-        out_kind,
-        sparse=fwd_cls[forward.output] is Sparsity.SPARSE,
-    )
-
-    contributions: dict[int, list[int]] = {forward.output: [seed]}
+    contributions: dict[int, list[int]] = {}
 
     def push(target: int, grad: int) -> None:
         if target in needs:
             contributions.setdefault(target, []).append(grad)
+
+    for nid, name in pairs:
+        kind = forward.nodes[nid].shape_kind
+        sparse = fwd_cls[nid] is Sparsity.SPARSE
+        push(nid, dag.input(name, kind, sparse=sparse))
 
     grads: dict[str, int] = {}
     for nid in range(fwd_count - 1, -1, -1):
@@ -193,8 +204,10 @@ def build_vjp(
         if name not in grads:  # pragma: no cover - guarded by `needs`
             raise RuntimeError(f"no gradient reached input {name!r}")
         dag.mark_output(f"grad:{name}", grads[name])
+    seeds = tuple(name for _, name in pairs)
     return GradProgram(
-        dag=dag, seed=seed_name, output=forward.output, grads=grads
+        dag=dag, seed=seeds[0] if output is not None else seeds,
+        output=output, grads=grads,
     )
 
 

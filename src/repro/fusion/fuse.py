@@ -19,6 +19,9 @@ The fused program is interpreted by :mod:`repro.fusion.interp`, whose
 fused mode evaluates each kernel only at the stored entries of the
 sampling pattern — the "basic form of the kernels iterates over the
 non-zero values of the sparse matrix performing the sampling".
+:func:`match_attention_chain` recognises a layer's whole SDDMM →
+softmax → SpMM chain, forward only, for :mod:`repro.fusion.lower`,
+which derives from it the spec the compiled sweep runs.
 """
 
 from __future__ import annotations
@@ -113,33 +116,20 @@ class FusedProgram:
 class AttentionChain:
     """A recognised SDDMM → (softmax) → SpMM attention chain.
 
-    Produced by :func:`match_attention_chain`; consumed by the
-    megakernel adapter in :mod:`repro.fusion.interp`, which lowers the
-    whole chain — forward and, when the joint program's backward
-    emission is also recognised, backward — to the single-sweep
-    executor in :mod:`repro.tensor.megakernel`.
-
-    All fields ending in a node role hold *node ids* of the program's
-    DAG: ``adjacency`` (the sparse input whose stored values are the
-    Hadamard mask), ``y`` (the DENSE aggregation operand, ``H W``), the
-    psi-specific score operands (``x_src``/``x_dst`` for
-    ``"dot"``/``"cosine"``, ``u``/``v`` for ``"add"``, plus ``norms``
-    for ``"cosine"``), and ``seed`` (the gradient-seed input of a joint
-    program; ``None`` when only the forward chain matched).
-
-    ``exits`` maps DENSE node ids to megakernel output keys (``"Z"``,
-    ``"dY"``, ``"dRow"``, ``"dCol"``, ``"dNormRow"``, ``"dNormCol"``,
-    ``"dU"``, ``"dV"``): every node the megakernel computes in one
-    sweep instead of the kernel-at-a-time interpreter. Everything
-    downstream of the exits (dense gradient assembly, ``grad:W``
-    accumulation) stays on the generic interpreter.
+    Produced by :func:`match_attention_chain`, consumed by
+    :func:`repro.fusion.lower.lower_layer_dag`, which turns it into the
+    score ``kind`` of an :class:`~repro.core.formulation.AttentionSpec`.
+    The node-valued fields hold *node ids* of the program's DAG:
+    ``adjacency`` (the sparse input whose stored values are the Hadamard
+    mask), ``y`` (the DENSE aggregation operand) and the dense score
+    operands — ``x_src`` / ``x_dst`` for ``"dot"`` / ``"cosine"``, plus
+    ``norms`` for ``"cosine"``, ``u`` / ``v`` for ``"add"``.
     """
 
     psi_kind: str  #: ``"dot"`` | ``"add"`` | ``"cosine"``
     softmax: bool
     adjacency: int
     y: int
-    exits: dict[int, str]
     slope: float = 0.2
     beta: float = 1.0
     x_src: int | None = None
@@ -147,39 +137,34 @@ class AttentionChain:
     norms: int | None = None
     u: int | None = None
     v: int | None = None
-    seed: int | None = None
 
 
 def match_attention_chain(program: FusedProgram) -> AttentionChain | None:
-    """Recognise the attention chain in a fused program, or ``None``.
+    """Recognise the attention chain of a fused layer program, or ``None``.
 
-    Matches the layer shapes built by :mod:`repro.fusion.models` —
+    Matches the forward shapes of the :mod:`repro.fusion.models` layers —
     ``Z = Psi @ Y`` with ``Psi`` either a masked virtual score
     (``hadamard(A, score)``) or the Section-4.2 graph softmax of one —
     for all three score kinds:
 
-    * ``matmul(x, transpose(x_dst))``            → ``"dot"`` (VA)
+    * ``matmul(x_src, transpose(x_dst))``          → ``"dot"`` (VA)
     * ``scale(divide(gram, outer(norms, norms)))`` → ``"cosine"`` (AGNN)
     * ``leaky_relu(add(replicate(u), replicate_t(v)))`` → ``"add"`` (GAT)
 
-    On a joint program (from :func:`repro.fusion.autodiff.build_vjp`)
-    it additionally matches the deterministic backward emission —
-    sampled ``dPsi``, the softmax VJP chain, and the per-kind gradient
-    reductions — and registers their root nodes as extra exits. A
-    joint program whose backward does not match still yields a
-    forward-only chain (``seed is None``); any forward mismatch yields
-    ``None`` so the caller falls back to the interpreter.
+    Only the forward is matched: the sweep's backward is derived from it,
+    not recognised in an autodiff emission.
     """
     dag = program.dag
     nodes = dag.nodes
     sparsity = program.sparsity
 
-    def resolve_transpose(nid: int) -> tuple[int, int]:
+    def transposed(nid: int) -> int | None:
+        """The base of an odd number of transposes, else ``None``."""
         hops = 0
         while nodes[nid].op == "transpose":
             nid = nodes[nid].inputs[0]
             hops += 1
-        return nid, hops
+        return nid if hops % 2 else None
 
     z = dag.output
     if z is None or nodes[z].op != "matmul" or len(nodes[z].inputs) != 2:
@@ -195,7 +180,6 @@ def match_attention_chain(program: FusedProgram) -> AttentionChain | None:
 
     # ---- optional graph softmax: divide(exp(m), replicate(row_sum)) --
     softmax = False
-    exp_id = denom_rep = None
     masked_id = psi_id
     top = nodes[psi_id]
     if top.op == "divide":
@@ -226,33 +210,19 @@ def match_attention_chain(program: FusedProgram) -> AttentionChain | None:
 
     # ---- classify the score expression -------------------------------
     chain = AttentionChain(
-        psi_kind="", softmax=softmax, adjacency=adjacency, y=y_id,
-        exits={z: "Z"},
+        psi_kind="", softmax=softmax, adjacency=adjacency, y=y_id
     )
     score = nodes[score_id]
-    gram_id = cos_id = outer_id = c_id = None
-    if score.op == "matmul":
-        chain.psi_kind = "dot"
-        gram_id = score_id
-        left, right = score.inputs
-        base, hops = resolve_transpose(right)
-        if hops % 2 != 1:
-            return None
-        chain.x_src, chain.x_dst = left, base
-    elif score.op == "scale":
+    gram_id = score_id
+    if score.op == "scale":
         chain.psi_kind = "cosine"
         chain.beta = float(score.attrs["factor"])
         cos_id = score.inputs[0]
         if nodes[cos_id].op != "divide":
             return None
         gram_id, outer_id = nodes[cos_id].inputs
-        if nodes[gram_id].op != "matmul" or nodes[outer_id].op != "outer":
+        if nodes[outer_id].op != "outer":
             return None
-        left, right = nodes[gram_id].inputs
-        base, hops = resolve_transpose(right)
-        if hops % 2 != 1:
-            return None
-        chain.x_src, chain.x_dst = left, base
         norms_l, norms_r = nodes[outer_id].inputs
         if norms_l != norms_r or nodes[norms_l].shape_kind != "n":
             return None
@@ -263,200 +233,22 @@ def match_attention_chain(program: FusedProgram) -> AttentionChain | None:
         c_id = score.inputs[0]
         if nodes[c_id].op != "add":
             return None
-        rep_a, rep_b = nodes[c_id].inputs
-        if nodes[rep_a].op == "replicate" and nodes[rep_b].op == "replicate_t":
-            chain.u = nodes[rep_a].inputs[0]
-            chain.v = nodes[rep_b].inputs[0]
-        elif (
-            nodes[rep_b].op == "replicate"
-            and nodes[rep_a].op == "replicate_t"
-        ):
-            chain.u = nodes[rep_b].inputs[0]
-            chain.v = nodes[rep_a].inputs[0]
-        else:
+        reps = {nodes[r].op: r for r in nodes[c_id].inputs}
+        if set(reps) != {"replicate", "replicate_t"}:
             return None
+        chain.u, chain.v = (
+            nodes[reps[op]].inputs[0] for op in ("replicate", "replicate_t")
+        )
+        return chain
+    elif score.op == "matmul":
+        chain.psi_kind = "dot"
     else:
         return None
-
-    # ---- backward emission (joint programs) --------------------------
-    consumers = dag.consumers()
-
-    def sole(nid: int, op: str, check=None) -> int | None:
-        """The unique consumer of ``nid`` with ``op`` passing ``check``."""
-        found = None
-        for user in consumers[nid]:
-            node = nodes[user]
-            if node.op != op or (check is not None and not check(node)):
-                continue
-            if found is not None:
-                return None  # ambiguous — refuse to guess
-            found = user
-        return found
-
-    def factor_is(value):
-        return lambda node: float(node.attrs.get("factor", 0.0)) == value
-
-    forward_only = chain
-
-    # dPsi = sample(matmul(seed, transpose(y))) — ``y`` may have several
-    # transpose consumers (GAT shares ``H W``), so search for the full
-    # sampled-product shape rather than a unique transpose.
-    seed = sample_id = None
-    for t_y in consumers[y_id]:
-        if nodes[t_y].op != "transpose":
-            continue
-        for mm in consumers[t_y]:
-            node = nodes[mm]
-            if node.op != "matmul" or len(node.inputs) != 2:
-                continue
-            if node.inputs[1] != t_y:
-                continue
-            if nodes[node.inputs[0]].op != "input":
-                continue
-            samp = sole(mm, "sample")
-            if samp is None:
-                continue
-            if sample_id is not None:
-                return forward_only  # ambiguous — refuse to guess
-            seed, sample_id = node.inputs[0], samp
-    if sample_id is None:
-        return forward_only
-
-    # dY = matmul(transpose(psi), seed)
-    t_psi = sole(psi_id, "transpose")
-    if t_psi is None:
-        return forward_only
-    dy = sole(
-        t_psi, "matmul", lambda node: node.inputs == (t_psi, seed)
-    )
-    if dy is None:
-        return forward_only
-    exits = dict(chain.exits)
-    exits[dy] = "dY"
-
-    # softmax VJP: dMasked = psi * (dPsi - rowsum(psi * dPsi))
-    if softmax:
-        d1 = sole(
-            sample_id, "divide",
-            lambda node: node.inputs == (sample_id, denom_rep),
-        )
-        if d1 is None:
-            return forward_only
-        h1 = sole(d1, "hadamard", lambda node: node.inputs == (d1, psi_id))
-        if h1 is None:
-            return forward_only
-        s1 = sole(h1, "scale", factor_is(-1.0))
-        rs = sole(s1, "row_sum") if s1 is not None else None
-        rep2 = sole(rs, "replicate") if rs is not None else None
-        if rep2 is None:
-            return forward_only
-        ad = sole(rep2, "add", lambda node: node.inputs == (d1, rep2))
-        if ad is None:
-            return forward_only
-        d_masked = sole(
-            ad, "hadamard", lambda node: node.inputs == (ad, exp_id)
-        )
-        if d_masked is None:
-            return forward_only
-        grad_root = d_masked
-    else:
-        grad_root = sample_id
-
-    # dMasked ⊙ A (adjacency on either side)
-    d_masked_a = sole(
-        grad_root, "hadamard", lambda node: adjacency in node.inputs
-    )
-    if d_masked_a is None:
-        return forward_only
-
-    def gram_grad_exits(dgram: int) -> bool:
-        """Register dRow/dCol: the sampled-Gram endpoint gradients."""
-        def is_dst(node):
-            base, hops = resolve_transpose(node.inputs[1])
-            return base == chain.x_dst and hops % 2 == 0
-
-        drow = sole(
-            dgram, "matmul", lambda node: node.inputs[0] == dgram
-            and is_dst(node)
-        )
-        t_dgram = sole(dgram, "transpose")
-        dcol = (
-            sole(
-                t_dgram, "matmul",
-                lambda node: node.inputs == (t_dgram, chain.x_src),
-            )
-            if t_dgram is not None
-            else None
-        )
-        if drow is None or dcol is None:
-            return False
-        exits[drow] = "dRow"
-        exits[dcol] = "dCol"
-        return True
-
-    if chain.psi_kind == "dot":
-        if not gram_grad_exits(d_masked_a):
-            return forward_only
-    elif chain.psi_kind == "cosine":
-        dcos = sole(d_masked_a, "scale", factor_is(chain.beta))
-        dgram = (
-            sole(
-                dcos, "divide",
-                lambda node: node.inputs == (dcos, outer_id),
-            )
-            if dcos is not None
-            else None
-        )
-        if dgram is None or not gram_grad_exits(dgram):
-            return forward_only
-        h_cos = sole(
-            dgram, "hadamard", lambda node: node.inputs == (dgram, cos_id)
-        )
-        d_denom = sole(h_cos, "scale", factor_is(-1.0)) if h_cos else None
-        if d_denom is None:
-            return forward_only
-        dnorm_row = sole(
-            d_denom, "matmul",
-            lambda node: node.inputs == (d_denom, chain.norms),
-        )
-        t_dd = sole(d_denom, "transpose")
-        dnorm_col = (
-            sole(
-                t_dd, "matmul",
-                lambda node: node.inputs == (t_dd, chain.norms),
-            )
-            if t_dd is not None
-            else None
-        )
-        if dnorm_row is None or dnorm_col is None:
-            return forward_only
-        exits[dnorm_row] = "dNormRow"
-        exits[dnorm_col] = "dNormCol"
-    else:  # add (GAT): dC = dMaskedA ⊙ LeakyReLU'(c); dU/dV row/col sums
-        lr_grad = sole(
-            c_id, "leaky_relu_grad",
-            lambda node: float(node.attrs["slope"]) == chain.slope,
-        )
-        dc = (
-            sole(
-                d_masked_a, "hadamard",
-                lambda node: node.inputs == (d_masked_a, lr_grad),
-            )
-            if lr_grad is not None
-            else None
-        )
-        if dc is None:
-            return forward_only
-        dv = sole(dc, "col_sum")
-        du = sole(dc, "row_sum")
-        if dv is None or du is None:
-            return forward_only
-        exits[dv] = "dV"
-        exits[du] = "dU"
-
-    chain.exits = exits
-    chain.seed = seed
-    return chain
+    if nodes[gram_id].op != "matmul":
+        return None
+    left, right = nodes[gram_id].inputs
+    chain.x_src, chain.x_dst = left, transposed(right)
+    return chain if chain.x_dst is not None else None
 
 
 def fuse(dag: OpDag) -> FusedProgram:

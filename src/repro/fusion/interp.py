@@ -1,9 +1,15 @@
-"""Executors for fused op-DAG programs.
+"""The op-DAG interpreter: fused programs evaluated op by op.
 
-Three modes, sharing one evaluation engine:
+This is the derived-path oracle, not a second attention executor: it
+never dispatches to the compiled sweep of :mod:`repro.tensor.megakernel`.
+A layer DAG reaches that sweep one way only — lowered once to an
+:class:`~repro.core.formulation.AttentionSpec`
+(:mod:`repro.fusion.lower`) and run by
+:class:`~repro.models.attention.AttentionLayer`. Three modes, sharing
+one evaluation engine:
 
 ``"fused"``
-    Production semantics: SPARSE nodes are computed by evaluating their
+    Fused-kernel semantics: SPARSE nodes are computed by evaluating their
     upstream (possibly virtual) expressions *only at the stored entries*
     of the adjacency pattern — each :class:`~repro.fusion.fuse.FusedKernel`
     becomes one gather + vectorised arithmetic sweep over the edges.
@@ -34,15 +40,12 @@ from typing import Any
 import numpy as np
 
 from repro.fusion.dag import BINARY_ELEMENTWISE, UNARY, OpDag
-from repro.fusion.fuse import FusedProgram, fuse, match_attention_chain
-from repro.obs.metrics import metrics
-from repro.obs.tracer import tracer
+from repro.fusion.fuse import FusedProgram, fuse
 from repro.fusion.sparsity import Sparsity
+from repro.obs.tracer import tracer
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import spmm
-from repro.tensor.megakernel import attention_backward, attention_forward
 from repro.tensor.segment import bincount_sum, segment_sum
-from repro.util.counters import FlopCounter, null_counter
 
 __all__ = ["execute", "ProgramRunner"]
 
@@ -53,8 +56,6 @@ def execute(
     mode: str = "fused",
     tile_rows: int = 128,
     outputs: list[str] | tuple[str, ...] | None = None,
-    fused: bool = False,
-    counter: FlopCounter = null_counter(),
 ):
     """Run a psi DAG; returns the output node's value.
 
@@ -68,20 +69,13 @@ def execute(
     mode:
         ``"fused"``, ``"tiled"`` or ``"dense"``.
     tile_rows:
-        Row-tile height for the tiled executor.
+        Row-tile height for the tiled executor, a positive integer.
     outputs:
         Names of registered outputs (``dag.mark_output``) to evaluate;
         returns a dict. With ``None`` the single ``dag.output`` value
         is returned directly.
-    fused:
-        Megakernel switch — see :class:`ProgramRunner`.
-    counter:
-        Flop counter threaded into the executor's kernels.
     """
-    runner = ProgramRunner(
-        program, inputs, mode=mode, tile_rows=tile_rows, fused=fused,
-        counter=counter,
-    )
+    runner = ProgramRunner(program, inputs, mode=mode, tile_rows=tile_rows)
     if outputs is None:
         return runner.run()
     return {name: runner.run(name) for name in outputs}
@@ -91,7 +85,7 @@ class ProgramRunner:
     """Stateful program executor with cached activations.
 
     Wraps one :class:`_Engine` whose memo tables persist across
-    :meth:`run` calls — the execution contract behind
+    :meth:`run` calls — the execution contract behind the interpreted
     :class:`repro.fusion.layer.DagLayer`: run the forward output first,
     :meth:`bind` the gradient seed, then run the gradient outputs; all
     forward intermediates (softmax values, projected features, …) are
@@ -105,33 +99,24 @@ class ProgramRunner:
         inputs: dict[str, Any],
         mode: str = "fused",
         tile_rows: int = 128,
-        fused: bool = False,
-        counter: FlopCounter = null_counter(),
     ) -> None:
         if isinstance(program, OpDag):
             program = fuse(program)
         if mode not in ("fused", "tiled", "dense"):
             raise ValueError("mode must be 'fused', 'tiled' or 'dense'")
+        if isinstance(tile_rows, bool) or not isinstance(
+            tile_rows, (int, np.integer)
+        ) or tile_rows < 1:
+            raise ValueError(
+                f"tile_rows must be a positive integer, got {tile_rows!r}"
+            )
         self.program = program
         self.dag = program.dag
         self._inputs = dict(inputs)
         pattern = _find_pattern(self.dag, self._inputs)
-        chain = None
-        if fused and mode == "fused":
-            # Megakernel lowering: only the production executor has
-            # single-sweep semantics; tiled/dense ablations stay as-is.
-            chain = match_attention_chain(program)
-            if chain is None:
-                metrics().counter("megakernel.unmatched").inc()
-        self.fused = chain is not None
         self._engine = _Engine(
-            program, self._inputs, pattern, mode, tile_rows,
-            chain=chain, counter=counter,
+            program, self._inputs, pattern, mode, int(tile_rows)
         )
-
-    def set_counter(self, counter: FlopCounter) -> None:
-        """Redirect kernel flop accounting (e.g. per training phase)."""
-        self._engine.counter = counter
 
     @property
     def pattern(self) -> CSRMatrix | None:
@@ -152,15 +137,7 @@ class ProgramRunner:
                         "rebinding would desynchronise cached values"
                     )
                 if node.id in self.dag.sparse_inputs:
-                    if not isinstance(value, CSRMatrix):
-                        raise TypeError(
-                            f"sparse input {name!r} must be a CSRMatrix"
-                        )
-                    pattern = self._engine.pattern
-                    if pattern is not None and value.nnz != pattern.nnz:
-                        raise ValueError(
-                            "all sparse inputs must share one pattern"
-                        )
+                    _check_sparse(name, value, self._engine.pattern)
                 self._inputs[name] = value
                 return
         raise KeyError(f"no input named {name!r}")
@@ -176,18 +153,33 @@ class ProgramRunner:
         return self._engine.result(self.dag.outputs[output])
 
 
+def _check_sparse(name: str, value: Any, pattern: CSRMatrix | None) -> None:
+    """A sparse input is a CSR on the pattern every sparse input shares:
+    the same shape, ``indptr`` and ``indices`` (equal ``nnz`` is not
+    enough — the values would land on another pattern's edges)."""
+    if not isinstance(value, CSRMatrix):
+        raise TypeError(f"sparse input {name!r} must be a CSRMatrix")
+    if pattern is None or value.structure is pattern.structure:
+        return
+    if not (
+        value.shape == pattern.shape
+        and np.array_equal(value.indptr, pattern.indptr)
+        and np.array_equal(value.indices, pattern.indices)
+    ):
+        raise ValueError(
+            f"sparse input {name!r} is not on the pattern the other sparse "
+            "inputs share"
+        )
+
+
 def _find_pattern(dag: OpDag, inputs: dict[str, Any]) -> CSRMatrix | None:
     pattern = None
     for nid in dag.sparse_inputs:
         name = dag.nodes[nid].name
         if name not in inputs:
             continue  # may be bound later (e.g. the autodiff seed)
-        value = inputs.get(name)
-        if not isinstance(value, CSRMatrix):
-            raise TypeError(f"sparse input {name!r} must be a CSRMatrix")
-        if pattern is not None and value.nnz != pattern.nnz:
-            raise ValueError("all sparse inputs must share one pattern")
-        pattern = value
+        _check_sparse(name, inputs[name], pattern)
+        pattern = inputs[name]
     if pattern is None and dag.sparse_inputs:
         raise TypeError(
             "at least one sparse input must be bound at construction"
@@ -199,20 +191,15 @@ class _Engine:
     """Evaluates node values with lazy virtual semantics."""
 
     def __init__(self, program: FusedProgram, inputs, pattern, mode,
-                 tile_rows, chain=None,
-                 counter: FlopCounter = null_counter()) -> None:
+                 tile_rows) -> None:
         self.dag = program.dag
         self.sparsity = program.sparsity
         self.inputs = inputs
         self.pattern = pattern
         self.mode = mode
         self.tile_rows = tile_rows
-        self.counter = counter
         self._dense: dict[int, np.ndarray] = {}
         self._edge: dict[int, np.ndarray] = {}
-        self._chain = chain  # matched AttentionChain, or None
-        self._mega_stats = None
-        self._mega_backward_done = False
 
     # ------------------------------------------------------------------
     def result(self, nid: int):
@@ -223,62 +210,10 @@ class _Engine:
         return self.value(nid)
 
     # ------------------------------------------------------------------
-    # Megakernel lowering of a matched attention chain
-    # ------------------------------------------------------------------
-    def _mega_operands(self, chain) -> dict:
-        """Evaluate the chain's dense score operands (all generic)."""
-        kwargs: dict = {"slope": chain.slope, "beta": chain.beta}
-        if chain.psi_kind == "add":
-            kwargs["u"] = self.value(chain.u)
-            kwargs["v"] = self.value(chain.v)
-        else:
-            kwargs["x_src"] = self.value(chain.x_src)
-            kwargs["x_dst"] = self.value(chain.x_dst)
-            if chain.norms is not None:
-                kwargs["norms"] = self.value(chain.norms)
-        return kwargs
-
-    def _run_megakernel(self, backward: bool) -> None:
-        """Populate every chain exit reachable from the request.
-
-        The forward sweep runs once (first exit requested, or first
-        backward exit — its softmax statistics feed the recomputation);
-        the backward sweeps run once and fill all gradient exits
-        together, so the generic interpreter only ever sees finished
-        DENSE values at the chain boundary.
-        """
-        chain = self._chain
-        adjacency = self.inputs[self.dag.nodes[chain.adjacency].name]
-        z_nid = next(
-            nid for nid, key in chain.exits.items() if key == "Z"
-        )
-        kwargs = self._mega_operands(chain)
-        if z_nid not in self._dense:
-            z, stats = attention_forward(
-                adjacency, chain.psi_kind, self.value(chain.y),
-                softmax=chain.softmax, counter=self.counter, **kwargs,
-            )
-            self._dense[z_nid] = z
-            self._mega_stats = stats
-        if backward and not self._mega_backward_done:
-            grads = attention_backward(
-                adjacency, chain.psi_kind, self.value(chain.y),
-                self.value(chain.seed), stats=self._mega_stats,
-                softmax=chain.softmax, counter=self.counter, **kwargs,
-            )
-            for nid, key in chain.exits.items():
-                if key != "Z":
-                    self._dense[nid] = grads[key]
-            self._mega_backward_done = True
-
-    # ------------------------------------------------------------------
     # Dense-value evaluation (eager)
     # ------------------------------------------------------------------
     def value(self, nid: int) -> np.ndarray:
         if nid in self._dense:
-            return self._dense[nid]
-        if self._chain is not None and nid in self._chain.exits:
-            self._run_megakernel(self._chain.exits[nid] != "Z")
             return self._dense[nid]
         node = self.dag.nodes[nid]
         sp = self.sparsity[nid]

@@ -39,8 +39,11 @@ GAT's Ψ depends on ``W`` through ``H'``, so its VJP lands in the weight
 gradient (Eq. 7's second term) and it may run ``heads`` attention heads,
 all in the *same* sweep over stacked ``(n, heads, d)`` features; a single
 head hands the kernels plain 2-D operands.
-:class:`repro.fusion.layer.DagLayer` derives the same chain from the IR —
-the two are tested against each other.
+A spec need not be hand-written: :func:`repro.fusion.lower.lower_layer_dag`
+derives one — kind, dense operands and their VJP — from a layer written
+once in the op-DAG IR, and :class:`repro.fusion.layer.DagLayer` is this
+layer over such a spec; the derived and hand-written specs are tested
+against each other.
 """
 
 from __future__ import annotations
@@ -342,6 +345,8 @@ class AttentionLayer(GnnLayer):
             raise ValueError(
                 f"{spec.name}: multiple heads need a Psi on H W"
             )
+        if heads > 1 and not spec.multihead:
+            raise ValueError(f"{spec.name}: this Psi is single-head")
         self.weight, self.psi_params = draw_parameters(
             make_rng(seed), in_dim, out_dim, heads, dtype, spec.init
         )

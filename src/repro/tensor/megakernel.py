@@ -1,9 +1,10 @@
 """Fused attention: SDDMM → masked row softmax → SpMM as one row sweep.
 
-Every attention layer's edge level: ``AttentionLayer`` calls it directly for
-any spec that declares a score kind, ``DagLayer(fused=True)`` by matching the
-chain in the IR, whose interpreter otherwise runs separate Table-2 kernels with
-an ``(nnz,)``- or ``(nnz, heads)``-sized edge array between each pair. Here the
+Every attention layer's edge level: ``AttentionLayer`` (and so
+``DagLayer(fused=True)``, over a spec lowered from its layer DAG) calls it
+for any spec that declares a score kind, ``DistAttentionLayer`` once per rank
+block; the op-DAG interpreter instead runs separate Table-2 kernels with an
+``(nnz,)``- or ``(nnz, heads)``-sized edge array between each pair. Here the
 chain is one pass over the CSR
 rows (``attention_forward`` / ``attention_backward`` in ``_edge.c``, the
 row-local strategy of DF-GNN): per row the masked scores, their stable

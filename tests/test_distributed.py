@@ -380,8 +380,9 @@ class TestOneAttentionLayer:
 
     def test_example_scaled_dot_spec_trains_at_p4(self, rng, small_adjacency):
         """``examples/custom_attention_model.py``'s scaled dot-product spec
-        — dense operand code only, nothing distributed — trains at p = 4
-        through ``build_dist_model`` and matches its single-node stack."""
+        — written once as a layer DAG, lowered, nothing distributed —
+        trains at p = 4 through ``build_dist_model`` and matches its
+        single-node stack."""
         path = Path(__file__).parent.parent / "examples" / "custom_attention_model.py"
         loader = importlib.util.spec_from_file_location("custom_attention_model", path)
         example = importlib.util.module_from_spec(loader)

@@ -15,10 +15,12 @@ import pytest
 
 from repro.distributed.api import distributed_inference, distributed_train
 from repro.distributed.partition import block_range
+from repro.fusion import DagLayer
 from repro.graphs import synthetic_classification
-from repro.models import build_model, normalize_adjacency
+from repro.models import GnnModel, build_model, normalize_adjacency
 from repro.tensor.csr import CSRMatrix
 from repro.training import SGD, SoftmaxCrossEntropyLoss, Trainer
+from repro.util.rng import make_rng
 
 #: Test id -> (model name, model keywords).
 CASES = {
@@ -190,6 +192,32 @@ class TestTrainingEquivalence:
         assert result.output.shape == expected.shape == (123, 4)
         gap = np.abs(result.output - expected).max() / max(1.0, np.abs(expected).max())
         assert gap < TOL[np.float64][0]
+
+
+class TestDerivedSpec:
+    """The spec a ``DagLayer`` lowers from its layer DAG — no operand code,
+    no VJP and no distributed code written for it — trains at p = 4."""
+
+    @pytest.mark.parametrize("model", ["va", "agnn", "gat"])
+    def test_trains_at_p4_like_the_single_node_stack(self, problem, model):
+        # Unit-norm rows keep VA's unbounded dot-product scores tame.
+        h = problem.features.astype(np.float64)
+        h /= np.linalg.norm(h, axis=1, keepdims=True)
+        seeds, act = make_rng(5), "elu" if model == "gat" else "relu"
+        single = GnnModel([
+            DagLayer(model, 7, 8, act, fused=True, seed=seeds),
+            DagLayer(model, 8, 4, "identity", fused=True, seed=seeds),
+        ])
+        mask = problem.train_mask
+        reference = Trainer(single, SoftmaxCrossEntropyLoss(mask), SGD(0.005)).fit(
+            problem.adjacency, h, problem.labels, epochs=4).losses
+        result = distributed_train(
+            single.layers[0].spec, problem.adjacency, h, problem.labels, 8, 4,
+            num_layers=2, p=4, epochs=4, lr=0.005, mask=mask, seed=5, dtype=np.float64,
+        )
+        assert reference[-1] < reference[0]
+        gap = max(abs(r - d) / max(1.0, abs(r)) for r, d in zip(reference, result.losses))
+        assert gap < TOL[np.float64][1]
 
 
 class TestFloat32:

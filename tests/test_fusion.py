@@ -1,21 +1,39 @@
-"""Tests for the op-DAG toolchain: IR, sparsity, fusion, execution."""
+"""Tests for the op-DAG toolchain: IR, sparsity, fusion, execution,
+lowering."""
+
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.fusion import (
+    DagLayer,
     OpDag,
+    ProgramRunner,
     Sparsity,
     agnn_psi_dag,
+    build_vjp,
     execute,
     fuse,
     gat_psi_dag,
     infer_sparsity,
+    lower_layer_dag,
     va_psi_dag,
 )
+from repro.fusion import layer as fusion_layer
+from repro.fusion.fuse import AttentionChain
+from repro.fusion.layer import compiled_layer_program
 from repro.graphs import erdos_renyi
 from repro.graphs.prep import prepare_adjacency
+from repro.models import AttentionLayer
+from repro.models.attention import VA, agnn_spec, gat_spec
+from repro.tensor.csr import CSRMatrix
 from repro.tensor.megakernel import attention_scores
+from repro.util.counters import FlopCounter
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +244,136 @@ class TestExecution:
         _, h, *_ = graph_inputs
         with pytest.raises(TypeError):
             execute(va_psi_dag(), {"H": h, "A": np.eye(60)})
+
+
+class TestInterpreterChecksItsInputs:
+    @pytest.mark.parametrize("tile_rows", [-4, 0, 2.5, True])
+    def test_tile_rows_must_be_a_positive_integer(self, graph_inputs, tile_rows):
+        a, h, *_ = graph_inputs
+        with pytest.raises(ValueError, match="tile_rows"):
+            execute(agnn_psi_dag(), {"H": h, "A": a}, mode="tiled",
+                    tile_rows=tile_rows)
+
+    def test_sparse_inputs_share_indptr_and_indices_not_only_nnz(
+        self, graph_inputs
+    ):
+        """A seed on another pattern with A's ``nnz`` is refused, bound at
+        construction or later; one on A's pattern, rebuilt, is accepted."""
+        a, h, *_ = graph_inputs
+        shifted = CSRMatrix.from_dense(np.roll(a.to_dense(), 1, axis=1))
+        assert shifted.nnz == a.nnz
+        assert not np.array_equal(shifted.indices, a.indices)
+        program = build_vjp(va_psi_dag(), ("H",), seed_name="dS").dag
+        with pytest.raises(ValueError, match="pattern"):
+            ProgramRunner(program, {"H": h, "A": a, "dS": shifted})
+        runner = ProgramRunner(program, {"H": h, "A": a})
+        with pytest.raises(ValueError, match="pattern"):
+            runner.bind("dS", shifted)
+        runner.bind("dS", CSRMatrix.from_dense(a.to_dense()))
+        assert runner.run("grad:H").shape == h.shape
+
+
+class TestLowering:
+    """A layer DAG lowers to the spec AttentionLayer runs: derived kind,
+    operands and VJP, checked against the hand-written specs."""
+
+    HAND = {"va": VA, "agnn": agnn_spec(0.7), "gat": gat_spec(0.3)}
+
+    @pytest.mark.parametrize("model", ["va", "agnn", "gat"])
+    def test_derived_spec_matches_the_hand_written_one(self, graph_inputs, model):
+        _, h, _, a_src, a_dst = graph_inputs
+        hand = self.HAND[model]
+        spec = DagLayer(model, 5, 5, beta=0.7, slope=0.3).spec
+        assert (spec.kind, spec.on_projected, spec.multihead) == (
+            hand.kind, hand.on_projected, False)
+        assert spec.softmax == (hand.kind != "dot")
+        params = {"a_src": a_src, "a_dst": a_dst} if model == "gat" else {}
+        counter = FlopCounter()
+        want = hand.operands(h, params, counter)
+        got = spec.operands(h, params, counter)
+        for key, value in want.items():  # the same arithmetic, bit for bit
+            assert np.array_equal(got[key], value), key
+        rng = np.random.default_rng(3)
+        exits = {key: rng.normal(size=h.shape if key in ("dRow", "dCol") else 60)
+                 for key in ("dRow", "dCol", "dNormRow", "dNormCol", "dU", "dV")}
+        dx, grads = spec.operands_vjp(exits, h, params, got, counter)
+        dx_ref, grads_ref = hand.operands_vjp(exits, h, params, want, counter)
+        np.testing.assert_allclose(dx, dx_ref, rtol=1e-12, atol=1e-12)
+        assert grads.keys() == grads_ref.keys()
+        for key in grads:
+            np.testing.assert_allclose(grads[key], grads_ref[key], rtol=1e-12)
+
+    def test_derived_spec_is_single_head(self):
+        spec = DagLayer("gat", 4, 4).spec
+        with pytest.raises(ValueError, match="single-head"):
+            AttentionLayer(4, 4, spec, heads=2)
+
+    def test_layer_dags_without_a_lowerable_chain_are_refused(self):
+        with pytest.raises(ValueError, match="no SDDMM"):
+            lower_layer_dag(va_psi_dag())  # no aggregation: Psi alone
+        dag = OpDag()
+        h = dag.input("H", "nk")
+        a = dag.input("A", "nn", sparse=True)
+        hw = dag.matmul(h, dag.input("W", "kk"))
+        # Scores reading both H and H W have no one operand root.
+        dag.set_output(dag.matmul(dag.hadamard(a, dag.matmul(h, dag.transpose(hw))), hw))
+        with pytest.raises(ValueError, match="exactly one of H and H W"):
+            lower_layer_dag(dag)
+
+    @pytest.mark.parametrize("arg,value", [
+        ("beta", float("nan")), ("beta", float("inf")), ("slope", float("-inf")),
+        ("slope", float("nan")),
+    ])
+    def test_non_finite_beta_or_slope_is_refused(self, arg, value):
+        before = len(fusion_layer._PROGRAM_CACHE)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=arg):
+                compiled_layer_program("agnn", **{arg: value})
+        with pytest.raises(ValueError, match=arg):
+            DagLayer("gat", 4, 4, **{arg: value})
+        assert len(fusion_layer._PROGRAM_CACHE) == before
+
+
+class TestOneSweepExecutor:
+    """Structure (``ast`` scan of ``src/repro``): the compiled sweep has one
+    caller per execution engine and the IR toolchain is not one of them."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        package = Path(repro.__file__).parent
+        return {
+            path.relative_to(package).as_posix(): ast.parse(path.read_text())
+            for path in sorted(package.rglob("*.py"))
+        }
+
+    def test_sweep_is_called_only_by_the_attention_layers(self, trees):
+        callers = {
+            path
+            for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("attention_forward", "attention_backward")
+        }
+        assert callers - {"tensor/megakernel.py"} == {
+            "models/attention.py", "distributed/layers.py"}
+
+    def test_fusion_does_not_import_the_megakernel(self, trees):
+        imports = [
+            path
+            for path, tree in trees.items() if path.startswith("fusion/")
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom) and (
+                node.module == "repro.tensor.megakernel"
+                or node.module == "repro.tensor"
+                and any(alias.name == "megakernel" for alias in node.names)))
+            or (isinstance(node, ast.Import) and any(
+                alias.name.startswith("repro.tensor.megakernel") for alias in node.names))
+        ]
+        assert imports == []
+
+    def test_the_interpreter_has_no_sweep_switch(self):
+        assert "fused" not in inspect.signature(ProgramRunner).parameters
+        assert "fused" not in inspect.signature(execute).parameters
+        names = {field.name for field in dataclasses.fields(AttentionChain)}
+        assert not names & {"exits", "seed"}

@@ -9,7 +9,8 @@ Three layers of assurance:
   heads × {empty-row, single-row, power-law} patterns at rtol 1e-10 —
   forward and every gradient output.
 * **Program parity** — :class:`repro.fusion.layer.DagLayer` with
-  ``fused=True`` against the untouched kernel-at-a-time interpreter
+  ``fused=True`` (``AttentionLayer``'s sweep over the spec lowered from
+  the layer DAG) against the kernel-at-a-time interpreter
   (``fused=False``), plus a numeric gradcheck through the fused path.
 * **Resource guarantees** — on the C backend no ``(nnz,)``-sized
   score/softmax intermediate is materialised on the fused path (the
@@ -17,8 +18,8 @@ Three layers of assurance:
   the returned arrays stays within a few vectors of the longest row;
   the NumPy fallback composes the unfused kernels and says so on its
   spans), the scratch length is memoised per pattern, flop accounting
-  equals the summed unfused counts, and the megakernel engages only when
-  ``fused=True`` is passed.
+  equals the summed unfused counts, and a ``DagLayer`` takes the sweep
+  only when ``fused=True`` is passed.
 * **Mixed operand dtypes** — float64 adjacency values over float32
   features run the same sweep as the all-float64 call.
 
@@ -36,6 +37,7 @@ import pytest
 
 from repro.fusion.interp import ProgramRunner
 from repro.fusion.layer import DagLayer
+from repro.models.attention import LayerCache
 from repro.graphs import erdos_renyi
 from repro.graphs.powerlaw import powerlaw_graph
 from repro.graphs.prep import prepare_adjacency
@@ -196,6 +198,11 @@ def megakernel_results(a, psi, ops, slope, beta, counter=None):
     return {"Z": z, **grads}, counter
 
 
+def _swept(cache) -> bool:
+    """The layer's forward was one sweep: dense operands cached, no ``S``."""
+    return isinstance(cache, LayerCache) and cache.ops is not None and cache.s is None
+
+
 class TestKernelParity:
     """Megakernel vs the unfused kernel chain, every output.
 
@@ -268,7 +275,7 @@ class TestKernelParity:
 
 
 class TestProgramParity:
-    """DagLayer(fused=True) against the untouched interpreter."""
+    """DagLayer(fused=True) against the interpreter it was derived on."""
 
     @pytest.fixture(scope="class")
     def adjacency(self):
@@ -289,7 +296,7 @@ class TestProgramParity:
         fus = DagLayer(model, 12, 6, seed=4, fused=True, **kw)
         h_ref, cache_ref = ref.forward(adjacency, h)
         h_fus, cache_fus = fus.forward(adjacency, h)
-        assert cache_fus.runner.fused and not cache_ref.runner.fused
+        assert _swept(cache_fus) and isinstance(cache_ref.runner, ProgramRunner)
         np.testing.assert_allclose(h_fus, h_ref, rtol=RTOL, atol=ATOL)
         dh_ref, grads_ref = ref.backward(cache_ref, g)
         dh_fus, grads_fus = fus.backward(cache_fus, g)
@@ -354,8 +361,9 @@ class TestResourceGuarantees:
     def test_no_nnz_sized_intermediates(self, kernels_backend):
         """Fused training step on a graph whose rows are far shorter than
         its edge list: beyond the arrays it returns, the C sweep allocates
-        a few vectors of the longest row — nothing that grows with nnz —
-        and the engine memoises no edge array. The NumPy fallback composes
+        a few vectors of the longest row, and the layer around it (the
+        derived operand VJP) a few dense ``(n, k)`` temporaries — nothing
+        that grows with nnz, and no ``S``. The NumPy fallback composes
         the unfused kernels (edge arrays and all); there the test checks
         that it ran and that its spans say so."""
         a = prepare_adjacency(
@@ -402,7 +410,7 @@ class TestResourceGuarantees:
             tracemalloc.stop()
             install_tracer(None)
         after = metrics().counters()
-        assert cache.runner.fused
+        assert _swept(cache)
         assert gamma.shape == h.shape and grads
         assert after.get("megakernel.forward", 0) > base.get(
             "megakernel.forward", 0
@@ -410,7 +418,6 @@ class TestResourceGuarantees:
         assert after.get("megakernel.backward", 0) > base.get(
             "megakernel.backward", 0
         )
-        assert cache.runner._engine._edge == {}  # no edge arrays memoised
         sweeps = [s for s in tracer.spans if s.name.startswith("megakernel.")]
         assert len(sweeps) == 4
         assert {s.attrs["backend"] for s in sweeps} == {kernels_backend}
@@ -420,12 +427,15 @@ class TestResourceGuarantees:
             return
         # One scratch vector in the forward, four in the backward, each of
         # the longest row (heads = 1); the rest is tracemalloc's own
-        # bookkeeping of small Python objects.
+        # bookkeeping of small Python objects. The layer's backward also
+        # holds the derived VJP's dense temporaries (GAT: the two rank-1
+        # terms outer(dU, a_src), outer(dV, a_dst) and their sum).
         itemsize = h.dtype.itemsize
         cap = 8 * longest * itemsize
-        assert 100 * cap < a.nnz * itemsize  # far below one (nnz,) edge array
-        assert max(scratch) <= cap, (
-            f"scratch {scratch} bytes (cap {cap}, longest row {longest}, nnz={a.nnz})"
+        dense = 3 * g.size * itemsize
+        assert 10 * (cap + dense) < a.nnz * itemsize  # far below one (nnz,) edge array
+        assert max(scratch[2:]) <= cap and max(scratch[:2]) <= cap + dense, (
+            f"scratch {scratch} bytes (cap {cap} + {dense}, longest row {longest}, nnz={a.nnz})"
         )
 
     @pytest.mark.parametrize(
@@ -516,32 +526,6 @@ class TestResourceGuarantees:
         h = np.random.default_rng(5).normal(size=(12, 4))
         layer_kwargs = dict(model="va", in_dim=4, out_dim=3, seed=1)
         _, cache = DagLayer(**layer_kwargs).forward(a, h)
-        assert not cache.runner.fused  # default: interpreter untouched
+        assert isinstance(cache.runner, ProgramRunner)  # default: interpreter
         _, cache = DagLayer(**layer_kwargs, fused=True).forward(a, h)
-        assert cache.runner.fused
-
-    def test_unmatched_program_falls_back(self):
-        """A program without the attention chain runs on the
-        interpreter even with fused=True (plus an unmatched event)."""
-        from repro.fusion.dag import OpDag
-
-        dag = OpDag()
-        h = dag.input("H", "nk")
-        a = dag.input("A", "nn", sparse=True)
-        psi = dag.hadamard(a, dag.matmul(h, dag.transpose(h)))
-        dag.set_output(dag.row_sum(psi))  # not Z = Psi @ Y
-        rng = np.random.default_rng(6)
-        csr = random_csr(rng, 10, 10, density=0.4)
-        base = metrics().counters()
-        runner = ProgramRunner(
-            dag, {"H": rng.normal(size=(10, 3)), "A": csr}, fused=True
-        )
-        assert not runner.fused
-        after = metrics().counters()
-        assert after.get("megakernel.unmatched", 0) > base.get(
-            "megakernel.unmatched", 0
-        )
-        ref = ProgramRunner(
-            dag, {"H": runner._inputs["H"], "A": csr}, fused=False
-        )
-        np.testing.assert_allclose(runner.run(), ref.run(), rtol=RTOL)
+        assert _swept(cache)

@@ -78,13 +78,24 @@ class TestFullFanoutBitParity:
         assert all(np.isfinite(result.losses))
 
     def test_dag_fused_parity(self, problem, features):
+        """The spec lowered from the GAT layer DAG: full fan-out rows equal
+        full-batch rows."""
+        self._check_dag_fused_parity(problem, features, "gat")
+
+    @pytest.mark.parametrize("model", ["va", "agnn"])
+    def test_dag_fused_parity_other_models(self, problem, features, model):
+        """The same parity for the specs lowered from the VA and AGNN DAGs."""
+        self._check_dag_fused_parity(problem, features, model)
+
+    @staticmethod
+    def _check_dag_fused_parity(problem, features, model):
         a = problem.adjacency.astype(np.float64)
         c = problem.num_classes
 
         def dag_model():
             return GnnModel([
-                DagLayer("gat", 6, 8, seed=0, fused=True, dtype=np.float64),
-                DagLayer("gat", 8, c, seed=1, fused=True,
+                DagLayer(model, 6, 8, seed=0, fused=True, dtype=np.float64),
+                DagLayer(model, 8, c, seed=1, fused=True,
                          activation="identity", dtype=np.float64),
             ])
 

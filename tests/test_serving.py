@@ -44,9 +44,10 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.fusion import DagLayer
 from repro.graphs import erdos_renyi
 from repro.graphs.prep import prepare_adjacency
-from repro.models import build_model, state_dict
+from repro.models import GnnModel, build_model, state_dict
 from repro.obs.metrics import metrics
 from repro.obs.tracer import Tracer, install_tracer
 from repro.serving import (
@@ -461,6 +462,20 @@ class TestBatchedIdentity:
         )
         per = np.vstack([per_engine.serve([int(s)]) for s in seeds])
         assert np.array_equal(batched, per)  # bit-identical
+
+    @pytest.mark.parametrize("name", ["va", "agnn", "gat"])
+    def test_derived_spec_batch_matches_per_request(self, adjacency, features, name):
+        """Layers over the spec lowered from a layer DAG serve batched rows
+        bit-identical to per-request ones."""
+        model = GnnModel([
+            DagLayer(name, FEAT, 12, fused=True, seed=0, dtype=np.float32),
+            DagLayer(name, 12, 6, "identity", fused=True, seed=1, dtype=np.float32),
+        ])
+        seeds = np.unique(np.random.default_rng(2).integers(0, N, 12))
+        batched = ServingEngine(model, adjacency, features, seed=5).serve_unique(seeds)
+        per_engine = ServingEngine(model, adjacency, features, seed=5)
+        per = np.vstack([per_engine.serve([int(s)]) for s in seeds])
+        assert np.array_equal(batched, per)
 
     def test_batch_matches_full_forward(self, adjacency, features):
         model = _model("gat")

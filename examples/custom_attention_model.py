@@ -11,8 +11,10 @@ class the built-in VA/AGNN/GAT/GCN models run on:
    global formulation in the op-DAG IR. ``lower_layer_dag`` derives
    everything else: the score kind the fused SDDMM → softmax → SpMM sweep
    computes, the dense operand prep ``H / T`` and its chain rule. No
-   backward code and no distributed code is written; the same spec
-   trains single-node and on a 2 x 2 grid of ranks, one line apart.
+   backward code and no distributed code is written: ``build_model``
+   takes the spec where it takes a model name, and it trains full-batch,
+   sampled, on a 2 x 2 grid of ranks and on the DistDGL-style local
+   baseline, one call apart, to the same losses.
 2. A *max-pooling attention* variant whose aggregation runs over the
    tropical max-plus semiring (Section 4.3) — a Psi that hands the layer
    its score matrix ``S`` (the general route); inference-only, since
@@ -28,14 +30,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines import dist_local_train
 from repro.core.formulation import AttentionSpec
 from repro.distributed.api import distributed_train
 from repro.fusion import OpDag, lower_layer_dag
 from repro.graphs import synthetic_classification
-from repro.models import AttentionLayer, GnnModel
+from repro.models import AttentionLayer, build_model
 from repro.tensor.semiring import TROPICAL_MAX, adjacency_values
-from repro.training import SGD, SoftmaxCrossEntropyLoss, Trainer
-from repro.util.rng import make_rng
+from repro.training import SGD, MinibatchTrainer, SoftmaxCrossEntropyLoss, Trainer
 
 
 # ----------------------------------------------------------------------
@@ -72,24 +74,31 @@ def main() -> None:
     a, x, y = data.adjacency, data.features.astype(np.float64), data.labels
     epochs, lr = 40, 0.5
 
-    # --- trainable custom model: single node, then at p = 4 -------------
+    # --- trainable custom model: one spec, four engines -----------------
+    # `build_model` takes the spec where it takes "GAT"; every engine that
+    # takes a model name takes it too, so each run is one call apart.
     spec = make_scaled_dot_spec(np.sqrt(k))
-    seeds = make_rng(0)  # the seed stream distributed_train draws from
-    model = GnnModel([
-        AttentionLayer(k, 32, spec, "relu", seed=seeds, dtype=np.float64),
-        AttentionLayer(32, classes, spec, "identity", seed=seeds, dtype=np.float64),
-    ])
+    model = build_model(spec, k, 32, classes, num_layers=2, dtype=np.float64)
     trainer = Trainer(model, SoftmaxCrossEntropyLoss(data.train_mask), SGD(lr))
     single = trainer.fit(a, x, y, epochs=epochs).losses
+    sampled = MinibatchTrainer(  # full fan-out, one batch of every labelled vertex
+        build_model(spec, k, 32, classes, num_layers=2, dtype=np.float64),
+        SoftmaxCrossEntropyLoss(), SGD(lr), fanouts=(None, None), batch_size=len(y),
+        shuffle=False,
+    ).fit(a, x, y, epochs=epochs, targets=data.train_mask, full_eval=False).losses
     grid = distributed_train(spec, a, x, y, 32, classes, num_layers=2, p=4, epochs=epochs,
                              lr=lr, mask=data.train_mask, seed=0, dtype=np.float64).losses
+    local, _ = dist_local_train(spec, a, x, y, 32, classes, num_layers=2, p=4, epochs=epochs,
+                                lr=lr, mask=data.train_mask, seed=0, dtype=np.float64)
     acc = trainer.evaluate(a, x, y, data.test_mask)
-    match = np.allclose(grid, single, rtol=1e-8, atol=0)
     print("scaled dot-product attention (one layer DAG, derived spec):")
     print(f"  loss {single[0]:.3f} -> {single[-1]:.3f}, "
           f"test accuracy {acc:.3f}")
-    print(f"  p = 4 loss {grid[-1]:.3f}: loss match {'yes' if match else 'no'}")
-    assert match and acc > 0.75
+    for engine, losses in [("sampled", sampled), ("p = 4, 1.5D", grid), ("p = 4, local", local)]:
+        match = np.allclose(losses, single, rtol=1e-8, atol=0)
+        print(f"  {engine} loss {losses[-1]:.3f}: loss match {'yes' if match else 'no'}")
+        assert match
+    assert acc > 0.75
 
     # --- semiring aggregation model (inference) ------------------------
     # ⊕ and the Phi∘⊕ order are the layer's, not Psi's.

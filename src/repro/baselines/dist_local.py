@@ -36,6 +36,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.core.formulation import AttentionSpec
 from repro.distributed.partition import block_range, check_inputs, split_by_owner
 from repro.models import build_model
 from repro.models.base import Hop, forward_blocks
@@ -189,7 +190,7 @@ def _rank_setup(model_name, a, features, hidden_dim, out_dim, num_layers, seed, 
 
 
 def dist_local_inference(
-    model_name: str,
+    model_name: str | AttentionSpec,
     a: CSRMatrix,
     features: np.ndarray,
     hidden_dim: int,
@@ -220,7 +221,7 @@ def dist_local_inference(
 
 
 def dist_local_train(
-    model_name: str,
+    model_name: str | AttentionSpec,
     a: CSRMatrix,
     features: np.ndarray,
     labels: np.ndarray,

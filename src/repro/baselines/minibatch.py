@@ -29,9 +29,11 @@ this engine reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from repro.core.formulation import AttentionSpec
 from repro.distributed.partition import block_range, check_inputs, split_by_owner
 from repro.models import build_model
 from repro.models.base import Hop
@@ -114,7 +116,7 @@ def sample_block(
 
 
 def minibatch_train(
-    model_name: str,
+    model_name: str | AttentionSpec,
     a: CSRMatrix,
     features: np.ndarray,
     labels: np.ndarray,
@@ -134,20 +136,23 @@ def minibatch_train(
     Returns per-iteration mean losses (across ranks) and the traffic
     statistics. Remote-feature fetch volume is recorded under the
     ``fetch`` phase, gradient synchronisation under ``gradsync``.
-    ``config.fanouts`` needs one fan-out per layer, and malformed inputs
-    are refused before any rank starts.
+    ``model_name`` is a name or spec, as :func:`build_model` takes.
+    ``config.fanouts`` needs one fan-out per layer, and malformed inputs,
+    model arguments included, are refused before any rank starts.
     """
     config = config or MiniBatchConfig(fanouts=tuple([10] * num_layers))
     check_inputs(a, features, labels, loss="ce", out_dim=out_dim)
     check_fanouts(config.fanouts, num_layers)
     n = features.shape[0]
+    build = partial(build_model, model_name, features.shape[1], hidden_dim, out_dim,
+                    num_layers=num_layers, seed=seed, dtype=dtype)
+    build()  # bad model arguments raise here, before any rank starts
 
     def program(comm: Communicator):
         rng = make_rng(config.seed * 7919 + comm.rank)
         r0, r1 = block_range(n, comm.size, comm.rank)
         local_batch = max(1, config.batch_size // comm.size)
-        model = build_model(model_name, features.shape[1], hidden_dim, out_dim,
-                            num_layers=num_layers, seed=seed, dtype=dtype)
+        model = build()
         loss, optimizer = SoftmaxCrossEntropyLoss(), SGD(lr)
 
         def average(grad: np.ndarray) -> np.ndarray:

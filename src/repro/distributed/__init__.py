@@ -21,10 +21,10 @@ Modules:
 * :mod:`repro.distributed.layers` — ``DistAttentionLayer`` (VA, AGNN,
   GAT or any spec with a score ``kind``: one fused sweep per block) and
   ``DistGCNLayer``, each an ``AttentionLayer`` bound to a rank's grid.
-* :mod:`repro.distributed.model` — ``build_dist_model``: binds a stack
-  of those layers to a rank's grid and returns the one
-  :class:`~repro.models.base.GnnModel`; loss terms and optimisers come
-  from :mod:`repro.training`.
+* :mod:`repro.distributed.model` — ``build_dist_model``: stacks those
+  layers through ``build_model``'s resolver and loop, binds them to a
+  rank's grid and returns the one :class:`~repro.models.base.GnnModel`;
+  loss terms and optimisers come from :mod:`repro.training`.
 * :mod:`repro.distributed.api` — one-call helpers that run a whole
   distributed inference/training job on the simulated cluster and
   return outputs plus communication statistics.

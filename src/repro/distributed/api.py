@@ -16,8 +16,9 @@ match the single-node trainer's to summation-order noise — relative
 1e-10 in float64 and 1e-5 in float32, the tolerances
 ``tests/test_distributed_equivalence.py`` writes down. Malformed inputs
 are refused with a ``ValueError`` naming the argument before any rank
-starts (:func:`~repro.distributed.partition.check_inputs`, plus the
-square grid's ``p``).
+starts (:func:`~repro.distributed.partition.check_inputs`, the square
+grid's ``p``, and the model's own arguments, by one unbound
+:func:`build_dist_model`).
 
 Ranks are threads of this process (:func:`repro.runtime.executor.run_spmd`);
 the ``backend`` keyword both entry points still carry selects nothing —
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -121,14 +123,16 @@ def distributed_inference(
     _check_backend(backend)
     _check_square(p)
     check_inputs(a, features)
+    build = partial(build_dist_model, name=model_name, in_dim=features.shape[1],
+                    hidden_dim=hidden_dim, out_dim=out_dim, num_layers=num_layers, seed=seed,
+                    dtype=dtype, overlap=overlap, **layer_kwargs)
+    build(None)  # bad model arguments raise here, before any rank starts
 
     def program(comm):
         grid = square_grid(comm)
         a_block = distribute_adjacency(a, grid)
         h_block = distribute_features(features, grid)
-        model = build_dist_model(grid, model_name, features.shape[1], hidden_dim, out_dim,
-                                 num_layers=num_layers, seed=seed, dtype=dtype,
-                                 overlap=overlap, **layer_kwargs)
+        model = build(grid)
         out_block = model.forward(a_block, h_block, counter=comm.stats.flops, training=False)
         return collect_feature_blocks(grid, out_block)
 
@@ -174,6 +178,10 @@ def distributed_train(
     n = features.shape[0]
     # Globally averaged terms: labelled rows ("ce"), their elements ("mse").
     count = (n if mask is None else int(mask.sum())) * (out_dim if loss == "mse" else 1)
+    build = partial(build_dist_model, name=model_name, in_dim=features.shape[1],
+                    hidden_dim=hidden_dim, out_dim=out_dim, num_layers=num_layers, seed=seed,
+                    dtype=dtype, overlap=overlap, **layer_kwargs)
+    build(None)  # bad model arguments raise here, before any rank starts
 
     def program(comm):
         # The rank's adjacency block is every layer's hop; the layers
@@ -187,9 +195,7 @@ def distributed_train(
         # block's loss contribution exactly once (grid row 0).
         block_loss = PartitionedLoss(_LOSS_TERMS[loss], None if mask is None else mask[own],
                                      count, grid.comm.allreduce, counted=grid.row == 0)
-        model = build_dist_model(grid, model_name, features.shape[1], hidden_dim, out_dim,
-                                 num_layers=num_layers, seed=seed, dtype=dtype,
-                                 overlap=overlap, **layer_kwargs)
+        model = build(grid)
         hops, optimizer = [Hop(a_block)] * model.num_layers, SGD(lr)
         losses = [train_step(model, block_loss, optimizer, hops, h_block, labels[own],
                              comm.stats.flops) for _ in range(epochs)]

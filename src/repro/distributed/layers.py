@@ -177,10 +177,10 @@ class DistAttentionLayer(DistGnnLayer):
         heads: int = 1, combine: str = "concat",
         seed: int | np.random.Generator | None = 0, dtype: np.dtype | type = np.float32,
     ) -> None:
-        if spec.kind is None:
-            raise ValueError(f"{spec.name}: the distributed sweep needs a spec with a kind")
         super().__init__(in_dim, out_dim, spec, activation, heads=heads, combine=combine,
                          seed=seed, dtype=dtype)
+        if spec.kind is None:
+            raise ValueError(f"{spec.name}: the distributed sweep needs a spec with a kind")
         self.softmax = spec.kind != "dot" if spec.softmax is None else bool(spec.softmax)
         #: The context entry Psi reads on the local block.
         self.x = "hp" if spec.on_projected else "h_block"

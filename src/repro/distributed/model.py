@@ -10,7 +10,9 @@ every rank and :mod:`repro.models.serialize` checkpoints load per rank.
 
 Build the model *inside* the rank function: bound layers hold per-rank
 state and a reference to the rank's communicator, so one model object
-belongs to exactly one rank thread.
+belongs to exactly one rank thread. What the layers are is decided where
+``build_model`` decides it, by :func:`~repro.models.attention.resolve_spec`
+and :func:`~repro.models.base.stack_layers`.
 """
 
 from __future__ import annotations
@@ -18,21 +20,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.formulation import AttentionSpec
-from repro.distributed.layers import DistAttentionLayer, DistGCNLayer, DistGnnLayer
+from repro.distributed.layers import DistAttentionLayer, DistGCNLayer
 from repro.distributed.ops import OpSequencer
-from repro.models.attention import GCN, VA, agnn_spec, gat_spec
-from repro.models.base import GnnModel
+from repro.models.attention import GCN, resolve_spec
+from repro.models.base import GnnModel, stack_layers
 from repro.runtime.grid import ProcessGrid
-from repro.util.rng import make_rng
 
 __all__ = ["build_dist_model"]
 
-#: Built-in models by name; keyword arguments are their spec's.
-_SPECS = {"va": lambda: VA, "agnn": agnn_spec, "gat": gat_spec, "gcn": lambda: GCN}
-
 
 def build_dist_model(
-    grid: ProcessGrid,
+    grid: ProcessGrid | None,
     name: str | AttentionSpec,
     in_dim: int,
     hidden_dim: int,
@@ -45,51 +43,31 @@ def build_dist_model(
     heads: int = 1,
     **spec_kwargs,
 ) -> GnnModel:
-    """Construct a distributed model by name (VA / AGNN / GAT / GCN, with
-    ``agnn_spec`` / ``gat_spec`` keywords such as ``learnable_beta`` or
-    ``slope``) or from an :class:`~repro.core.formulation.AttentionSpec`
-    that declares a score ``kind``.
+    """:func:`repro.models.build_model`'s twin: its resolver and stacking
+    loop over :class:`DistAttentionLayer` / :class:`DistGCNLayer`, so the
+    two draw the same parameters and compute the same numbers. ``name`` is
+    VA / AGNN / GAT / GCN (keywords: the spec's) or a spec that declares a
+    score ``kind``.
 
-    Mirrors :func:`repro.models.build_model` — same dims, same seeds,
-    same activations, hidden layers concatenating their heads and the
-    final linear one averaging them — so the two compute the same
-    numbers given the same inputs, which the equivalence tests rely on.
-    Call it *inside* the SPMD rank function, after the grid exists; the
-    same arguments (in particular ``seed``) on every rank guarantee
-    replicated parameters. Every layer is bound to ``grid`` and the
-    model's one ``OpSequencer``; the first skips its input-feature
-    gradient. Layers run comm/compute-overlapped by default;
-    ``overlap=False`` is the synchronous parity oracle (results and
-    traffic are bit-identical either way).
+    Call it *inside* the SPMD rank function; the same arguments (``seed``
+    above all) on every rank replicate the parameters. Every layer is bound
+    to ``grid`` and the model's one ``OpSequencer``, the first skipping its
+    input-feature gradient; ``overlap=False`` is the synchronous parity
+    oracle (bit-identical results and traffic). ``grid=None`` leaves them
+    unbound: the entry points build one so, to refuse bad arguments
+    before any rank starts.
     """
-    if isinstance(name, AttentionSpec):
-        if spec_kwargs:
-            raise TypeError(f"a spec takes no model keywords, got {sorted(spec_kwargs)}")
-        spec = name
-    elif name.lower() in _SPECS:
-        spec = _SPECS[name.lower()](**spec_kwargs)
-    else:
-        raise ValueError(f"unknown model {name!r}; use VA, AGNN, GAT or GCN")
-    if heads > 1 and not spec.on_projected:
-        raise ValueError("multi-head execution is a GAT feature (a Psi on H W)")
-    if activation is None:
-        activation = "elu" if spec.name == "gat" else "relu"
-    rng = make_rng(seed)
+    spec, hidden_activation = resolve_spec(name, **spec_kwargs)
+
+    def layer(width, out, act, combine, rng):
+        if spec is GCN and heads == 1:  # any other count reaches AttentionLayer's checks
+            return DistGCNLayer(width, out, act, seed=rng, dtype=dtype)
+        return DistAttentionLayer(width, out, spec, act, heads=heads, combine=combine,
+                                  seed=rng, dtype=dtype)
+
+    model = stack_layers(layer, in_dim, hidden_dim, out_dim, num_layers,
+                         activation or hidden_activation, seed)
     sequencer = OpSequencer()
-    layers: list[DistGnnLayer] = []
-    width = in_dim
-    for i in range(num_layers):
-        last = i + 1 == num_layers
-        dims = (width, out_dim if last else hidden_dim)
-        act = "identity" if last else activation
-        if spec is GCN:
-            layer = DistGCNLayer(*dims, act, seed=rng, dtype=dtype)
-        else:
-            layer = DistAttentionLayer(
-                *dims, spec, act, heads=heads, combine="mean" if last else "concat",
-                seed=rng, dtype=dtype,
-            )
-        layer.bind(grid, sequencer, overlap=overlap, input_grad=i > 0)
-        layers.append(layer)
-        width = layer.out_dim
-    return GnnModel(layers)
+    for index, bound in enumerate(model.layers):
+        bound.bind(grid, sequencer, overlap=overlap, input_grad=index > 0)
+    return model

@@ -5,23 +5,24 @@ base classes are mirrored here, but where the artifact overloads
 forward and backward per model, VA, AGNN, GAT and GCN are one
 :class:`AttentionLayer` — Eq. (1) with its backward chain — taking
 the model's :math:`\\Psi` as a spec; it caches intermediate results
-for training. The distributed twins live in ``repro.distributed``.
+for training. :func:`build_model` is the one way to build a model:
+a name or a spec, stacked by :func:`~repro.models.base.stack_layers`,
+whose distributed twin ``repro.distributed.model.build_dist_model``
+resolves and stacks the same way.
 """
 
-from repro.models.base import GnnLayer, GnnModel, Loss
+from repro.core.formulation import AttentionSpec
+from repro.models.base import GnnLayer, GnnModel, Loss, stack_layers
 from repro.models.attention import (
     GCN,
     VA,
     AttentionLayer,
-    agnn_model,
     agnn_spec,
-    gat_model,
     gat_spec,
-    gcn_model,
-    va_model,
+    resolve_spec,
 )
 from repro.models.gcn import normalize_adjacency
-from repro.models.gin import GINLayer, gin_model
+from repro.models.gin import GINLayer
 from repro.models.sgc import SGCLayer, sgc_model
 from repro.models.serialize import (
     load_model,
@@ -41,11 +42,6 @@ __all__ = [
     "gat_spec",
     "GINLayer",
     "SGCLayer",
-    "va_model",
-    "agnn_model",
-    "gat_model",
-    "gcn_model",
-    "gin_model",
     "sgc_model",
     "normalize_adjacency",
     "build_model",
@@ -57,7 +53,7 @@ __all__ = [
 
 
 def build_model(
-    name: str,
+    name: str | AttentionSpec,
     in_dim: int,
     hidden_dim: int,
     out_dim: int,
@@ -65,30 +61,30 @@ def build_model(
     seed: int = 0,
     **kwargs,
 ) -> GnnModel:
-    """Construct a model by name — the benchmark drivers' entry point.
+    """Construct a model — the entry point of every engine that takes one.
 
     ``name`` is one of ``"VA"``, ``"AGNN"``, ``"GAT"`` (the paper's
     A-GNNs), ``"GCN"``, ``"GIN"``, ``"SGC"`` (C-GNN comparators),
     case-insensitive — matching and extending the artifact's
-    ``--model`` flag.
+    ``--model`` flag — or an :class:`AttentionSpec`, a user's Ψ. An
+    attention model takes ``activation=`` (its hidden layers'),
+    ``order=``, ``heads=``, ``dtype=`` and its spec's keywords
+    (``beta=``, ``learnable_beta=``, ``slope=``); GIN takes
+    :class:`GINLayer`'s. SGC is one layer, ``num_layers`` its
+    propagation depth.
     """
-    name_lower = name.lower()
-    if name_lower == "sgc":
-        # SGC has no hidden layers: one projection over propagated
-        # features; `num_layers` becomes the propagation depth.
-        return sgc_model(in_dim, out_dim, hops=num_layers, seed=seed,
-                         **kwargs)
-    factory = {
-        "va": va_model,
-        "agnn": agnn_model,
-        "gat": gat_model,
-        "gcn": gcn_model,
-        "gin": gin_model,
-    }.get(name_lower)
-    if factory is None:
-        raise ValueError(
-            f"unknown model {name!r}; use VA, AGNN, GAT, GCN, GIN or SGC"
-        )
-    return factory(
-        in_dim, hidden_dim, out_dim, num_layers=num_layers, seed=seed, **kwargs
-    )
+    builtin = name.lower() if isinstance(name, str) else None
+    if builtin == "sgc":
+        return sgc_model(in_dim, out_dim, hops=num_layers, seed=seed, **kwargs)
+    activation = kwargs.pop("activation", None)
+    if builtin == "gin":
+        def layer(width, out, act, _combine, rng):
+            return GINLayer(width, hidden_dim, out, activation=act, seed=rng, **kwargs)
+    else:
+        layer_kwargs = {key: kwargs.pop(key) for key in ("order", "heads", "dtype") if key in kwargs}
+        spec, hidden_activation = resolve_spec(name, **kwargs)
+        activation = activation or hidden_activation
+
+        def layer(width, out, act, combine, rng):
+            return AttentionLayer(width, out, spec, act, combine=combine, seed=rng, **layer_kwargs)
+    return stack_layers(layer, in_dim, hidden_dim, out_dim, num_layers, activation or "relu", seed)

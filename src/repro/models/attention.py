@@ -48,13 +48,14 @@ against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.core.formulation import AttentionSpec, PsiInitFn
-from repro.models.base import GnnLayer, GnnModel, glorot
+from repro.models.base import GnnLayer, glorot
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import mm, sddmm_dot, spmm
 from repro.tensor.megakernel import SweepStats, attention_backward, attention_forward
@@ -74,10 +75,8 @@ __all__ = [
     "GCN",
     "agnn_spec",
     "gat_spec",
-    "va_model",
-    "agnn_model",
-    "gat_model",
-    "gcn_model",
+    "SPECS",
+    "resolve_spec",
 ]
 
 
@@ -106,6 +105,7 @@ def agnn_spec(beta: float = 1.0, learnable_beta: bool = False) -> AttentionSpec:
     a trained parameter (the original AGNN of Thekumparampil et al.).
     A vertex with a zero feature row scores 0 against every neighbour.
     """
+    _require_finite("beta", beta)
 
     def operands(h, params, counter):
         counter.add(2 * h.size, "norms")
@@ -146,6 +146,7 @@ def gat_spec(slope: float = 0.2) -> AttentionSpec:
     ``hp`` is ``(n, d)``, or ``(n, heads, d)`` with the vectors stacked
     ``(heads, d)``.
     """
+    _require_finite("slope", slope)
 
     def operands(hp, params, counter):
         # einsum (not BLAS gemv) in both layouts: each row's logit is then
@@ -183,6 +184,34 @@ def gat_spec(slope: float = 0.2) -> AttentionSpec:
         kind="add", operands=operands, operands_vjp=operands_vjp, init=init,
         on_projected=True, name="gat",
     )
+
+
+def _require_finite(arg: str, value: float) -> None:
+    """A non-finite score coefficient turns every output row non-finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{arg} must be finite, got {value!r}")
+
+
+#: The built-in models' Ψ by name; keywords are the spec factory's
+#: (``beta`` / ``learnable_beta`` for AGNN, ``slope`` for GAT).
+SPECS = {"va": lambda: VA, "agnn": agnn_spec, "gat": gat_spec, "gcn": lambda: GCN}
+
+
+def resolve_spec(model: str | AttentionSpec, **spec_kwargs) -> tuple[AttentionSpec, str]:
+    """``(spec, hidden activation)`` of a model: a name in :data:`SPECS`
+    (case-insensitive), its spec built with ``spec_kwargs``, or a spec
+    itself, which takes none. GAT's hidden layers use ELU, as in the GAT
+    paper; every other model's ReLU."""
+    if isinstance(model, AttentionSpec):
+        if spec_kwargs:
+            raise TypeError(f"a spec takes no model keywords, got {sorted(spec_kwargs)}")
+        spec = model
+    elif model.lower() in SPECS:
+        spec = SPECS[model.lower()](**spec_kwargs)
+    else:
+        raise ValueError(f"unknown model {model!r}; use VA, AGNN, GAT, GCN, an AttentionSpec "
+                         "or, single-node, GIN or SGC")
+    return spec, "elu" if spec.name == "gat" else "relu"
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +370,8 @@ class AttentionLayer(GnnLayer):
             raise ValueError(
                 f"{spec.name}: a Psi on H W needs order='project_first'"
             )
+        if heads < 1:
+            raise ValueError(f"heads must be >= 1, got {heads}")
         if heads > 1 and not spec.on_projected:
             raise ValueError(
                 f"{spec.name}: multiple heads need a Psi on H W"
@@ -479,126 +510,3 @@ class AttentionLayer(GnnLayer):
     # ------------------------------------------------------------------
     def parameters(self) -> dict[str, np.ndarray]:
         return named_parameters(self.weight, self.psi_params, self.heads)
-
-
-# ----------------------------------------------------------------------
-# Model factories: one stacking loop
-# ----------------------------------------------------------------------
-def _stack(
-    spec: AttentionSpec,
-    in_dim: int,
-    hidden_dim: int,
-    out_dim: int,
-    num_layers: int,
-    activation: str,
-    seed: int,
-    dtype: np.dtype | type,
-    order: str = "project_first",
-    heads: int = 1,
-) -> GnnModel:
-    """``num_layers`` layers of one spec sharing one seed stream.
-
-    Hidden layers use ``activation`` and concatenate their heads; the
-    final layer is linear (identity activation, heads averaged) so its
-    output feeds a downstream loss directly, following the usual GNN
-    benchmark setup.
-    """
-    rng = make_rng(seed)
-    layers: list[GnnLayer] = []
-    width = in_dim
-    for i in range(num_layers):
-        last = i + 1 == num_layers
-        layer = AttentionLayer(
-            width,
-            out_dim if last else hidden_dim,
-            spec,
-            activation="identity" if last else activation,
-            order=order,
-            heads=heads,
-            combine="mean" if last else "concat",
-            seed=rng,
-            dtype=dtype,
-        )
-        layers.append(layer)
-        width = layer.out_dim
-    return GnnModel(layers)
-
-
-def va_model(
-    in_dim: int,
-    hidden_dim: int,
-    out_dim: int,
-    num_layers: int = 3,
-    activation: str = "relu",
-    order: str = "project_first",
-    seed: int = 0,
-    dtype: np.dtype | type = np.float32,
-) -> GnnModel:
-    """Build an ``num_layers``-deep VA model (Figure 1; Eqs. 7–13)."""
-    return _stack(
-        VA, in_dim, hidden_dim, out_dim, num_layers, activation, seed,
-        dtype, order=order,
-    )
-
-
-def agnn_model(
-    in_dim: int,
-    hidden_dim: int,
-    out_dim: int,
-    num_layers: int = 3,
-    activation: str = "relu",
-    order: str = "project_first",
-    beta: float = 1.0,
-    learnable_beta: bool = False,
-    seed: int = 0,
-    dtype: np.dtype | type = np.float32,
-) -> GnnModel:
-    """Build an ``num_layers``-deep AGNN model (cosine attention)."""
-    return _stack(
-        agnn_spec(beta, learnable_beta), in_dim, hidden_dim, out_dim,
-        num_layers, activation, seed, dtype, order=order,
-    )
-
-
-def gat_model(
-    in_dim: int,
-    hidden_dim: int,
-    out_dim: int,
-    num_layers: int = 3,
-    activation: str = "elu",
-    slope: float = 0.2,
-    heads: int = 1,
-    seed: int = 0,
-    dtype: np.dtype | type = np.float32,
-) -> GnnModel:
-    """Build an ``num_layers``-deep GAT model (Figure 1/2).
-
-    ``heads == 1`` is the paper's benchmarked configuration; with more,
-    hidden layers concatenate their heads and the final layer averages
-    them, as in the original GAT paper.
-    """
-    return _stack(
-        gat_spec(slope), in_dim, hidden_dim, out_dim, num_layers,
-        activation, seed, dtype, heads=heads,
-    )
-
-
-def gcn_model(
-    in_dim: int,
-    hidden_dim: int,
-    out_dim: int,
-    num_layers: int = 3,
-    activation: str = "relu",
-    order: str = "project_first",
-    seed: int = 0,
-    dtype: np.dtype | type = np.float32,
-) -> GnnModel:
-    """Build an ``num_layers``-deep GCN — Section 8.4's C-GNN.
-
-    The adjacency passed to ``forward`` must already be normalised
-    (:func:`repro.models.gcn.normalize_adjacency`).
-    """
-    return _stack(
-        GCN, in_dim, hidden_dim, out_dim, num_layers, activation, seed,
-        dtype, order=order,
-    )

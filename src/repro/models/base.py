@@ -21,7 +21,8 @@ or a rank's own+halo block with an exchange pair around each layer.
 The same three classes carry distributed training: a
 :mod:`repro.distributed.layers` layer *is* a :class:`GnnLayer` over a
 rank's blocks (ending in its own reduce+redistribute, Section 6.3), so
-``build_dist_model`` returns a plain :class:`GnnModel`. The update rule
+``build_dist_model`` returns a plain :class:`GnnModel`, stacked by the
+same :func:`stack_layers` as ``build_model``'s. The update rule
 lives in :mod:`repro.training.optim`, the step in
 :func:`repro.training.train_step`.
 """
@@ -36,8 +37,12 @@ import numpy as np
 from repro.core.activations import Activation, get_activation
 from repro.tensor.csr import CSRMatrix
 from repro.util.counters import FlopCounter, null_counter
+from repro.util.rng import make_rng
 
-__all__ = ["GnnLayer", "GnnModel", "Hop", "Loss", "backward_blocks", "forward_blocks", "glorot"]
+__all__ = [
+    "GnnLayer", "GnnModel", "Hop", "Loss", "backward_blocks", "forward_blocks", "glorot",
+    "stack_layers",
+]
 
 
 def glorot(
@@ -187,6 +192,32 @@ class GnnModel:
         full-batch training memory)."""
         self._caches = None
         self.output = None
+
+
+def stack_layers(layer: Callable[[int, int, str, str, np.random.Generator], GnnLayer],
+                 in_dim: int, hidden_dim: int, out_dim: int, num_layers: int, activation: str,
+                 seed: int | np.random.Generator | None) -> GnnModel:
+    """The one stacking policy: ``num_layers`` layers of
+    ``layer(in_dim, out_dim, activation, combine, rng)``, every one drawing
+    its parameters in turn from one ``seed`` stream.
+
+    Hidden layers are ``hidden_dim`` wide, apply ``activation`` and
+    concatenate their heads (``combine="concat"``); the last is ``out_dim``
+    wide, linear and averages them (``"mean"``), so its output feeds a loss
+    directly, as in the usual GNN benchmark setup.
+    """
+    for arg, dim in (("in_dim", in_dim), ("hidden_dim", hidden_dim), ("out_dim", out_dim)):
+        if dim < 1:
+            raise ValueError(f"{arg} must be positive, got {dim}")
+    rng = make_rng(seed)
+    layers: list[GnnLayer] = []
+    width = in_dim
+    for i in range(num_layers):
+        last = i + 1 == num_layers
+        layers.append(layer(width, out_dim if last else hidden_dim,
+                            "identity" if last else activation, "mean" if last else "concat", rng))
+        width = layers[-1].out_dim
+    return GnnModel(layers)
 
 
 class Hop(NamedTuple):

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.models.base import GnnLayer, GnnModel, glorot
+from repro.models.base import GnnLayer, glorot
 from repro.core.activations import get_activation
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import mm, spmm
 from repro.util.counters import FlopCounter, null_counter
 from repro.util.rng import make_rng
 
-__all__ = ["GINLayer", "gin_model"]
+__all__ = ["GINLayer"]
 
 
 @dataclass
@@ -122,33 +122,3 @@ class GINLayer(GnnLayer):
         if self.learnable_epsilon:
             params["epsilon"] = self.epsilon
         return params
-
-
-def gin_model(
-    in_dim: int,
-    hidden_dim: int,
-    out_dim: int,
-    num_layers: int = 3,
-    epsilon: float = 0.0,
-    learnable_epsilon: bool = True,
-    activation: str = "relu",
-    seed: int = 0,
-    dtype: np.dtype | type = np.float32,
-) -> GnnModel:
-    """Build an ``num_layers``-deep GIN (linear final layer)."""
-    rng = make_rng(seed)
-    dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
-    layers = [
-        GINLayer(
-            dims[i],
-            hidden_dim,
-            dims[i + 1],
-            epsilon=epsilon,
-            learnable_epsilon=learnable_epsilon,
-            activation=activation if i + 1 < num_layers else "identity",
-            seed=rng,
-            dtype=dtype,
-        )
-        for i in range(num_layers)
-    ]
-    return GnnModel(layers)

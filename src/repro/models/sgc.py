@@ -118,7 +118,6 @@ def sgc_model(
     hops: int = 2,
     seed: int = 0,
     dtype: np.dtype | type = np.float32,
-    **_ignored,
 ) -> GnnModel:
     """A one-layer SGC model (K-hop propagation + linear projection)."""
     return GnnModel(

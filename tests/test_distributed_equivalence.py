@@ -316,7 +316,8 @@ class TestMultiHeadEquivalence:
         assert np.allclose(reference.losses, result.losses, rtol=1e-9)
 
     def test_multihead_requires_gat(self, problem):
-        with pytest.raises(RuntimeError, match="GAT feature"):
+        # Refused in the caller's thread, before any rank starts.
+        with pytest.raises(ValueError, match="multiple heads need a Psi on H W"):
             distributed_inference(
                 "VA", problem.adjacency, problem.features, 8, 4, p=4,
                 seed=0, heads=2,

@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 import ast
+from functools import partial
 from pathlib import Path
 
+import repro
 import repro.core
 import repro.models
+from repro.baselines.dist_local import dist_local_train
+from repro.baselines.minibatch import MiniBatchConfig, minibatch_train
+from repro.distributed.api import distributed_inference, distributed_train
+from repro.distributed.model import build_dist_model
+from repro.fusion import lower_layer_dag
+from repro.fusion.models import gat_layer_dag
+from repro.graphs import synthetic_classification
 from repro.models import (
     GCN,
     VA,
@@ -17,7 +26,12 @@ from repro.models import (
     build_model,
     gat_spec,
     normalize_adjacency,
+    state_dict,
 )
+from repro.runtime.executor import run_spmd
+from repro.runtime.grid import square_grid
+from repro.serving import ServingEngine
+from repro.training import SGD, MinibatchTrainer, SoftmaxCrossEntropyLoss, Trainer
 from repro.util.counters import FlopCounter
 
 MODELS = ["VA", "AGNN", "GAT", "GCN"]
@@ -222,3 +236,180 @@ class TestNormalizeAdjacency:
     def test_invalid_mode(self, small_adjacency):
         with pytest.raises(ValueError):
             normalize_adjacency(small_adjacency, mode="cube")
+
+
+class TestOneModelBuilder:
+    """One policy turns a model description into a layer stack: the
+    resolver (a name or an ``AttentionSpec`` → Ψ and its hidden
+    activation) and the stacking loop, shared by ``build_model`` and
+    ``build_dist_model`` (``ast`` scan of ``src/repro`` included)."""
+
+    CASES = [("va", {}), ("agnn", {}), ("agnn", {"learnable_beta": True}),
+             ("gat", {"heads": 1}), ("gat", {"heads": 2}), ("gcn", {})]
+    LAYERS = {"AttentionLayer", "DistAttentionLayer", "DistGCNLayer", "GINLayer"}
+    SPECS = {"VA", "GCN", "agnn_spec", "gat_spec"}
+    GONE = {"va_model", "agnn_model", "gat_model", "gcn_model", "gin_model", "_stack", "_SPECS"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_parameters_bit_equal_to_the_distributed_stack(self, p, dtype):
+        def program(comm):
+            grid = square_grid(comm)
+            return [state_dict(build_dist_model(grid, name, 6, 8, 3, seed=5, dtype=dtype, **kw))
+                    for name, kw in self.CASES]
+
+        ranks = run_spmd(p, program, timeout=60).values
+        for case, (name, kw) in enumerate(self.CASES):
+            single = state_dict(build_model(name, 6, 8, 3, seed=5, dtype=dtype, **kw))
+            for rank in ranks:
+                dist = rank[case]
+                assert dist.keys() == single.keys(), (name, kw)
+                for key, value in single.items():
+                    assert dist[key].dtype == value.dtype and np.array_equal(dist[key], value)
+
+    def test_a_spec_builds_what_its_name_builds(self):
+        by_name = build_model("GAT", 6, 8, 3, seed=2, slope=0.1)
+        by_spec = build_model(gat_spec(0.1), 6, 8, 3, seed=2)
+        assert [layer.activation.name for layer in by_spec.layers] == ["elu", "elu", "identity"]
+        named, specced = state_dict(by_name), state_dict(by_spec)
+        assert named.keys() == specced.keys()
+        assert all(np.array_equal(named[key], specced[key]) for key in named)
+        with pytest.raises(TypeError, match="a spec takes no model keywords"):
+            build_model(gat_spec(), 6, 8, 3, slope=0.1)
+
+    def test_a_dag_lowered_spec_runs_on_every_engine(self):
+        spec = lower_layer_dag(gat_layer_dag(), "derived-gat")
+        data = synthetic_classification(n=120, feature_dim=6, seed=1)
+        a, x, y, k = data.adjacency, data.features.astype(np.float64), data.labels, data.num_classes
+        build = partial(build_model, spec, 6, 8, k, num_layers=2, seed=3, dtype=np.float64)
+        full = Trainer(build(), SoftmaxCrossEntropyLoss(), SGD(0.1)).fit(a, x, y, epochs=3).losses
+        sampled = MinibatchTrainer(
+            build(), SoftmaxCrossEntropyLoss(), SGD(0.1), fanouts=(None, None),
+            batch_size=len(y), shuffle=False,
+        ).fit(a, x, y, epochs=3, full_eval=False).losses
+        assert sampled == full
+        local, _ = dist_local_train(spec, a, x, y, 8, k, num_layers=2, p=4, epochs=3, lr=0.1,
+                                    seed=3, dtype=np.float64)
+        np.testing.assert_allclose(local, full, rtol=1e-10)
+        grid = distributed_train(spec, a, x, y, 8, k, num_layers=2, p=4, epochs=3, lr=0.1,
+                                 seed=3, dtype=np.float64).losses
+        np.testing.assert_allclose(grid, full, rtol=1e-10)
+        batches, _ = minibatch_train(spec, a, x, y, 8, k, num_layers=2, p=2, iterations=2,
+                                     config=MiniBatchConfig(batch_size=32, fanouts=(4, 4)), seed=3)
+        assert len(batches) == 2 and np.all(np.isfinite(batches))
+        model = build()
+        served = ServingEngine(model, a, x, cache=None).serve(np.arange(0, 120, 7))
+        np.testing.assert_allclose(served, model.forward(a, x, training=False)[::7],
+                                   rtol=1e-10, atol=1e-12)
+
+    # -- structure -----------------------------------------------------
+    @pytest.fixture(scope="class")
+    def trees(self):
+        package = Path(repro.__file__).parent
+        return {
+            path.relative_to(package).as_posix(): ast.parse(path.read_text())
+            for path in sorted(package.rglob("*.py"))
+        }
+
+    @staticmethod
+    def _name(func):
+        return getattr(func, "id", getattr(func, "attr", None))
+
+    def test_layers_are_constructed_only_for_the_one_stacking_loop(self, trees):
+        """Every ``AttentionLayer`` / ``DistAttentionLayer`` /
+        ``DistGCNLayer`` / ``GINLayer`` construction sits in a layer
+        callable handed to ``stack_layers`` (``DagLayer`` builds through
+        ``super().__init__``), and only the model builders hand it one."""
+        definitions, builders, offenders = [], set(), []
+        for path, tree in trees.items():
+            parents = {child: node for node in ast.walk(tree)
+                       for child in ast.iter_child_nodes(node)}
+
+            def scope(node):
+                while node in parents and not isinstance(
+                        node, (ast.FunctionDef, ast.Lambda)):
+                    node = parents[node]
+                return node
+
+            makers = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "stack_layers":
+                    definitions.append(path)
+                if isinstance(node, ast.Call) and self._name(node.func) == "stack_layers":
+                    builder = scope(parents[node])
+                    builders.add(f"{path}:{builder.name}")
+                    maker = node.args[0]
+                    makers.update([maker] if isinstance(maker, ast.Lambda) else [
+                        d for d in ast.walk(builder)
+                        if isinstance(d, ast.FunctionDef) and d.name == maker.id])
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and self._name(node.func) in self.LAYERS
+                        and scope(node) not in makers):
+                    offenders.append(f"{path}:{node.lineno}")
+        assert definitions == ["models/base.py"]
+        assert builders == {"models/__init__.py:build_model",
+                            "distributed/model.py:build_dist_model"}
+        assert offenders == []
+
+    def test_one_name_to_spec_table(self, trees):
+        tables = [
+            f"{path}:{node.lineno}"
+            for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Dict)
+            and any(isinstance(sub, ast.Name) and sub.id in self.SPECS
+                    for value in node.values for sub in ast.walk(value))
+        ]
+        assert [table.split(":")[0] for table in tables] == ["models/attention.py"]
+        gone = [
+            f"{path}:{getattr(node, 'name', getattr(node, 'id', ''))}"
+            for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if getattr(node, "name", None) in self.GONE
+            or (isinstance(node, ast.Name) and node.id in self.GONE)
+        ]
+        assert gone == []
+
+    # -- refused arguments ---------------------------------------------
+    @pytest.mark.parametrize("heads", [0, -1])
+    def test_heads_below_one_refused(self, small_adjacency, heads):
+        with pytest.raises(ValueError, match="heads must be >= 1"):
+            build_model("gat", 4, 8, 3, heads=heads)
+        with pytest.raises(ValueError, match="heads must be >= 1"):
+            distributed_inference("gat", small_adjacency, np.ones((60, 4)), 8, 3, p=4,
+                                  heads=heads)
+
+    @pytest.mark.parametrize("arg,dims", [("in_dim", (0, 8, 3)), ("hidden_dim", (4, 0, 3)),
+                                          ("out_dim", (4, 8, -1))])
+    def test_non_positive_dimensions_refused(self, arg, dims):
+        with pytest.raises(ValueError, match=f"^{arg} must be positive"):
+            build_model("gat", *dims)
+
+    @pytest.mark.parametrize("factory,arg,value", [
+        (gat_spec, "slope", float("nan")), (agnn_spec, "beta", float("inf")),
+        (agnn_spec, "beta", float("nan")),
+    ])
+    def test_non_finite_coefficients_refused(self, factory, arg, value):
+        with pytest.raises(ValueError, match=f"{arg} must be finite, got {value!r}"):
+            factory(**{arg: value})
+
+    def test_sgc_refuses_unknown_keywords(self):
+        with pytest.raises(TypeError):
+            build_model("sgc", 4, 8, 3, activation="tanh", heads=5)
+
+    @pytest.mark.parametrize("engine", ["distributed_inference", "distributed_train",
+                                        "minibatch_train"])
+    def test_model_arguments_refused_before_any_rank_starts(self, small_adjacency, engine):
+        """A ``ValueError`` in the caller's thread: a rank's error would
+        reach it as ``RuntimeError``."""
+        x, y = np.ones((60, 4)), np.zeros(60, dtype=np.int64)
+        run = {
+            "distributed_inference": lambda: distributed_inference(
+                "VA", small_adjacency, x, 8, 3, p=4, heads=2),
+            "distributed_train": lambda: distributed_train(
+                "transformer", small_adjacency, x, y, 8, 3, p=4),
+            "minibatch_train": lambda: minibatch_train(
+                "transformer", small_adjacency, x, y, 8, 3, p=2),
+        }[engine]
+        with pytest.raises(ValueError):
+            run()

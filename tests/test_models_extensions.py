@@ -5,7 +5,6 @@ import pytest
 
 from repro.models import (
     build_model,
-    gin_model,
     load_model,
     load_state_dict,
     normalize_adjacency,
@@ -76,8 +75,8 @@ class TestSGC:
 
 class TestGIN:
     def test_forward_matches_manual(self, rng, small_adjacency):
-        model = gin_model(5, 8, 3, num_layers=1, epsilon=0.3, seed=2,
-                          dtype=np.float64)
+        model = build_model("gin", 5, 8, 3, num_layers=1, epsilon=0.3, seed=2,
+                            dtype=np.float64)
         layer = model.layers[0]
         h = rng.normal(size=(60, 5))
         out = model.forward(small_adjacency, h, training=False)
@@ -88,14 +87,14 @@ class TestGIN:
     def test_gradcheck_including_epsilon(self, rng, small_adjacency):
         h = rng.normal(size=(60, 5))
         target = rng.normal(size=(60, 3))
-        model = gin_model(5, 6, 3, num_layers=2, epsilon=0.1, seed=3,
-                          dtype=np.float64, activation="tanh")
+        model = build_model("gin", 5, 6, 3, num_layers=2, epsilon=0.1, seed=3,
+                            dtype=np.float64, activation="tanh")
         # Inner ReLU kinks make finite differences slightly noisy.
         assert max_rel_gradient_error(model, small_adjacency, h, target,
                                       rng) < 1e-4
 
     def test_learns_sbm(self, sbm_data):
-        model = gin_model(12, 16, sbm_data.num_classes, num_layers=2, seed=0)
+        model = build_model("gin", 12, 16, sbm_data.num_classes, num_layers=2, seed=0)
         trainer = Trainer(
             model, SoftmaxCrossEntropyLoss(sbm_data.train_mask), Adam(0.01)
         )

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.graphs import erdos_renyi, synthetic_classification
 from repro.graphs.prep import prepare_adjacency
-from repro.models import build_model, gat_model
+from repro.models import build_model
 from repro.obs.metrics import metrics
 from repro.obs.tracer import Tracer, install_tracer
 from repro.tensor.csr import CSRMatrix
@@ -266,7 +266,7 @@ class TestAmortization:
             erdos_renyi(80, 600, seed=2), dtype=np.float64
         )
         h = data.features.astype(np.float64)
-        model = gat_model(8, 16, data.num_classes, num_layers=3, seed=0)
+        model = build_model("gat", 8, 16, data.num_classes, num_layers=3, seed=0)
 
         def epoch():
             out = model.forward(a, h, training=True)
@@ -331,7 +331,7 @@ class TestAmortization:
     def test_first_epoch_computes_at_most_once_per_pattern(self):
         a = prepare_adjacency(erdos_renyi(50, 300, seed=5), dtype=np.float64)
         h = np.random.default_rng(0).normal(size=(50, 6))
-        model = gat_model(6, 8, 3, num_layers=3, seed=0)
+        model = build_model("gat", 6, 8, 3, num_layers=3, seed=0)
         base = metrics().counters()
         out = model.forward(a, h, training=True)
         model.backward(np.ones_like(out) / out.size)

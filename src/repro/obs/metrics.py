@@ -154,6 +154,14 @@ class Histogram:
             self._out_min = min(self._out_min, value)
             self._out_max = max(self._out_max, value)
 
+    def observe_many(self, values) -> None:
+        """:meth:`observe` each of ``values``: one ``extend`` below the cap."""
+        values = [float(value) for value in values]
+        room = max(RESERVOIR_CAP - len(self.values), 0)
+        self.values.extend(values[:room])
+        for value in values[room:]:
+            self.observe(value)
+
     @property
     def count(self) -> int:
         return len(self.values) + self._out_count

@@ -20,7 +20,7 @@ a *single* union ego-batch rather than per-request forwards:
    statement (layer ``forward`` on the block matrix, slice
    ``dst_positions``), assembling each layer's input frame from cached
    rows plus the rows just computed. Per-seed output rows scatter back
-   to the requests' futures.
+   to the requests' futures in one gather (``rows[inverse]``).
 
 Identity contract (property-tested): every layer is row-wise in its
 source frame, compaction is monotone, and cached rows are exact prior
@@ -30,8 +30,8 @@ outputs — so with full fan-out the batched output row of a seed is
 The descent/ascent contract: the hop block for layer ``j`` is sampled
 with ``dst = need_{j+1}`` (the uncached frontier at level ``j+1``), so
 ``block_j.dst_nodes == block_{j+1}.src_nodes[~hits_{j+1}]`` exactly —
-both sorted — and splicing computed rows into the next frame is a
-single sliced assignment, no searching.
+both sorted — and a frame is two masked assignments (computed rows at
+``~hits``, the cache's stacked hit rows at ``hits``): no search, no loop.
 """
 
 from __future__ import annotations
@@ -97,17 +97,15 @@ def compute_union_rows(
 
     # Descent: top-level lookup, then expand only uncached frontiers.
     # ``lookups[j]`` pairs with ``hop_blocks``' layer-``j`` block: the
-    # cache rows/hits over that block's source frame at level ``j``.
-    top_rows: list[np.ndarray | None]
+    # cached rows/hits over that block's source frame at level ``j``.
+    top_rows: np.ndarray | None = None
+    top_hits = np.zeros(seeds.size, dtype=bool)
     if cache is not None:
         with tracer().span("serve.cache", level=num_layers,
                            nodes=int(seeds.size)):
             top_rows, top_hits = cache.get_rows(num_layers, seeds, version)
-    else:
-        top_rows = [None] * seeds.size
-        top_hits = np.zeros(seeds.size, dtype=bool)
     hop_blocks: list[tuple[int, Block]] = []
-    lookups: dict[int, tuple[list[np.ndarray | None], np.ndarray]] = {}
+    lookups: dict[int, tuple[np.ndarray | None, np.ndarray]] = {}
     frontier = seeds[~top_hits]
     level = num_layers
     while frontier.size and level > 0:
@@ -132,26 +130,16 @@ def compute_union_rows(
     # the forward_blocks arithmetic with cached rows spliced in.
     hop_blocks.reverse()
     out: np.ndarray | None = None
-    h: np.ndarray | None = None
     for index, (layer_index, block) in enumerate(hop_blocks):
-        if index == 0:
-            if layer_index == 0:
-                h = np.asarray(features)[block.src_nodes]
-            else:
-                # Truncated base: the whole source frame was cached.
-                rows, _ = lookups[layer_index]
-                h = np.array(rows)
+        if index == 0 and layer_index == 0:
+            h = np.asarray(features)[block.src_nodes]
+        elif index == 0:
+            h = lookups[layer_index][0]  # truncated base: all cached
         elif cache is None:
             h = out  # prev dst set IS this frame (sample_blocks contract)
         else:
-            rows, hits = lookups[layer_index]
-            assert out is not None
-            h = np.empty(
-                (block.num_src, out.shape[1]), dtype=out.dtype
-            )
-            h[~hits] = out  # prev dst == this frame's miss rows, in order
-            for position in np.flatnonzero(hits):
-                h[position] = rows[position]
+            # prev dst == this frame's miss rows, in order
+            h = _splice(out, *lookups[layer_index])
         h_next, _ = model.layers[layer_index].forward(
             block.matrix, h, counter=counter, training=False
         )
@@ -161,13 +149,18 @@ def compute_union_rows(
 
     # Final frame over the unique seeds: cached top rows + computed.
     if out is None:  # every seed's output was cached
-        result = np.array(top_rows)
-    else:
-        result = np.empty((seeds.size, out.shape[1]), dtype=out.dtype)
-        result[~top_hits] = out
-        for position in np.flatnonzero(top_hits):
-            result[position] = top_rows[position]
-    return result
+        return top_rows
+    return _splice(out, top_rows, top_hits)
+
+
+def _splice(computed: np.ndarray, cached: np.ndarray | None, hits: np.ndarray) -> np.ndarray:
+    """The frame of ``cached`` rows at ``hits``, ``computed`` elsewhere."""
+    if not hits.any():
+        return computed
+    frame = np.empty((hits.size,) + computed.shape[1:], dtype=computed.dtype)
+    frame[~hits] = computed
+    frame[hits] = cached
+    return frame
 
 
 # ----------------------------------------------------------------------
@@ -191,9 +184,10 @@ def flush_batch(engine, requests: list[InferenceRequest]) -> None:
             return
         now = time.perf_counter()
         registry = metrics()
-        latency = registry.histogram("serving.latency_ms")
-        for request, row_index in zip(requests, inverse):
-            request.future.set_result(rows[row_index])
-            latency.observe((now - request.t_submit) * 1e3)
+        for request, row in zip(requests, rows[inverse]):
+            request.future.set_result(row)
+        registry.histogram("serving.latency_ms").observe_many(
+            [(now - request.t_submit) * 1e3 for request in requests]
+        )
         registry.histogram("serving.batch_size").observe(len(requests))
         registry.histogram("serving.unique_seeds").observe(seeds.size)

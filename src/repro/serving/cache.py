@@ -1,4 +1,4 @@
-"""One-live-version LRU cache of per-node hidden activations.
+"""One-live-version exact-LRU cache of per-node hidden activations.
 
 The serving engine's second lever (after coalescing): a node's
 layer-ℓ activation is a pure function of its ℓ-hop neighbourhood, the
@@ -11,7 +11,7 @@ reused. Entries are keyed ``(level, node)`` and all belong to the one
   post-activation output of layer ``ℓ-1`` (``level L`` is the model
   output, so repeat queries for a hot node skip compute entirely).
   Level 0 is the input feature matrix itself and is never cached.
-* ``node`` — global vertex id; entries are whole rows.
+* ``node`` — global vertex id (non-negative); entries are whole rows.
 * The live version is the engine snapshot version the cache was last
   advanced to (0 at construction), covering model parameters *and*
   graph/feature state. :meth:`advance` deletes the rows a mutation
@@ -21,6 +21,12 @@ reused. Entries are keyed ``(level, node)`` and all belong to the one
   :meth:`put_rows` at any other version stores nothing: a row is only
   readable under the version it was computed against, so a serve that
   a mutation overtakes reads nothing more and leaves nothing behind.
+
+Storage is arrays, each step a few whole-array operations: ``capacity``
+slots shared by all levels (level, node, last-use tick each), a
+``[level, node]`` → slot map and per level a ``(capacity, width)`` slab
+rows are *copied* into. Eviction is exact LRU: each use queues a
+``(tick, slot)`` record, live while its slot still carries that tick.
 
 The depth-truncation payoff: a cached level-ℓ row terminates sampling
 below level ℓ for that node — the serving engine treats cached rows as
@@ -37,7 +43,6 @@ rows dropped by :meth:`advance` as ``serving.cache.invalidated``.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -45,28 +50,35 @@ from repro.obs.metrics import metrics
 
 __all__ = ["ActivationCache"]
 
-_NO_ROWS = np.zeros(0, dtype=bool)  # presence mask of a level never stored
-
 
 class ActivationCache:
-    """Bounded LRU of ``(level, node)`` → activation row, one version."""
+    """Bounded exact-LRU of ``(level, node)`` → activation row, one version."""
 
     def __init__(self, capacity: int = 65536) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = int(capacity)
-        self._rows: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-        #: ``level`` → mask over node ids, true exactly where a row is
-        #: stored: :meth:`advance` intersects with it, not with the store.
-        self._present: dict[int, np.ndarray] = {}
         self._version = 0
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        """Free every slot and forget every level."""
+        self._size = self._head = self._tail = self._clock = 0
+        self._level = np.zeros(self.capacity, dtype=np.int64)  # per slot
+        self._node = np.zeros(self.capacity, dtype=np.int64)
+        self._tick = np.full(self.capacity, -1, dtype=np.int64)  # -1: free
+        self._free = np.arange(self.capacity)  # a stack of free slots
+        self._n_free = self.capacity
+        self._slot_of = np.full((1, 1), -1, dtype=np.int64)  # [level, node]
+        self._slab: dict[int, np.ndarray] = {}  # level → (capacity, width)
+        self._queue = np.empty((2, 2 * self.capacity), dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._size
 
     @property
     def hit_rate(self) -> float:
@@ -75,76 +87,133 @@ class ActivationCache:
         return self.hits / total if total else float("nan")
 
     # ------------------------------------------------------------------
+    # Slot bookkeeping (the lock is held)
+    # ------------------------------------------------------------------
+    def _find(self, level: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(slots, hits)`` at a stored ``level``; an id off the map misses."""
+        slots = self._slot_of[level].take(nodes, mode="clip")
+        return slots, (slots >= 0) & (self._node[slots] == nodes)
+
+    def _touch(self, slots: np.ndarray) -> None:
+        """Make ``slots`` the newest entries, in order (a repeat at its last)."""
+        ticks = np.arange(self._clock, self._clock + slots.size)
+        self._clock += slots.size
+        np.maximum.at(self._tick, slots, ticks)  # older records of them die
+        if slots.size > self.capacity:  # repeats: keep the live records
+            live = self._tick[slots] == ticks
+            ticks, slots = ticks[live], slots[live]
+        if self._tail + slots.size > self._queue.shape[1]:
+            records = self._queue[:, self._head:self._tail]
+            records = records[:, self._tick[records[1]] == records[0]]
+            self._head, self._tail = 0, records.shape[1]
+            self._queue[:, : self._tail] = records
+        self._queue[0, self._tail:self._tail + slots.size] = ticks
+        self._queue[1, self._tail:self._tail + slots.size] = slots
+        self._tail += slots.size
+
+    def _release(self, slots: np.ndarray) -> None:
+        """Delete the entries in the distinct, occupied ``slots``; free them."""
+        self._slot_of[self._level[slots], self._node[slots]] = -1
+        self._tick[slots] = -1
+        self._size -= slots.size
+        self._free[self._n_free:self._n_free + slots.size] = slots
+        self._n_free += slots.size
+
+    def _evict_oldest(self, count: int) -> int:
+        """Release the ``count`` least recently used entries; ``count``."""
+        left = count
+        while left:
+            stop = min(self._tail, self._head + 4 * left + 1024)
+            ticks, slots = self._queue[:, self._head:stop]
+            live = np.flatnonzero(self._tick[slots] == ticks)[:left]
+            self._head = self._head + int(live[-1]) + 1 if live.size == left else stop
+            self._release(slots[live])
+            left -= live.size
+        return count
+
+    # ------------------------------------------------------------------
     def get_rows(
         self, level: int, nodes: np.ndarray, version: int
-    ) -> tuple[list[np.ndarray | None], np.ndarray]:
-        """Look up ``nodes`` at ``level``/``version``.
-
-        Returns ``(rows, hit_mask)``: ``rows[i]`` is the cached row for
-        ``nodes[i]`` (``None`` on miss) and ``hit_mask`` the boolean
-        hit vector. Returned rows are the stored arrays — treat them
-        as read-only. Hits are refreshed in LRU order. Every lookup at
-        a ``version`` other than the live one misses.
-        """
-        rows: list[np.ndarray | None] = [None] * len(nodes)
-        hit_mask = np.zeros(len(nodes), dtype=bool)
-        n_hit = 0
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """``(rows, hit_mask)`` of ``nodes`` at ``level``/``version``: the
+        hit rows stacked in ``nodes`` order (a fresh array; ``None`` when
+        nothing can hit — another version, a level never stored) and the
+        boolean hit vector. Hits are refreshed in LRU order; negative ids
+        and ids past anything stored miss."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        rows, hits = None, np.zeros(nodes.size, dtype=bool)
         with self._lock:
-            if version == self._version:
-                store = self._rows
-                for i, node in enumerate(np.asarray(nodes).tolist()):
-                    key = (level, node)
-                    row = store.get(key)
-                    if row is not None:
-                        store.move_to_end(key)
-                        hit_mask[i] = True
-                        n_hit += 1
-                        rows[i] = row
+            if version == self._version and level in self._slab:
+                slots, hits = self._find(level, nodes)
+                slots = slots[hits]
+                rows = self._slab[level][slots]
+                self._touch(slots)
+            n_hit = int(np.count_nonzero(hits))
             self.hits += n_hit
-            self.misses += len(nodes) - n_hit
+            self.misses += nodes.size - n_hit
         registry = metrics()
         registry.counter("serving.cache.hit").inc(n_hit)
-        registry.counter("serving.cache.miss").inc(len(nodes) - n_hit)
-        return rows, hit_mask
+        registry.counter("serving.cache.miss").inc(nodes.size - n_hit)
+        return rows, hits
 
     # ------------------------------------------------------------------
     def put_rows(
-        self,
-        level: int,
-        nodes: np.ndarray,
-        values: np.ndarray,
-        version: int,
+        self, level: int, nodes: np.ndarray, values: np.ndarray, version: int
     ) -> None:
         """Store ``values[i]`` as the ``level`` activation of ``nodes[i]``.
 
-        Rows are stored by reference (callers hand over freshly
-        computed arrays); oldest entries are evicted past capacity.
-        Rows computed against a ``version`` other than the live one
-        could never be read, so they are not stored.
-        """
+        Rows are copied in; a repeated id keeps its last row; the oldest
+        entries are evicted past capacity, as storing rows one by one
+        would. Rows of a ``version`` other than the live one could never
+        be read, so are not stored. A negative id, or a row shape or
+        dtype other than its level's, raises ``ValueError``."""
         if len(nodes) != len(values):
             raise ValueError("one value row per node required")
-        nodes = np.asarray(nodes)
+        ids = nodes = np.asarray(nodes, dtype=np.int64)
+        values = np.asarray(values)
+        if nodes.size > 1 and not (nodes[1:] > nodes[:-1]).all():
+            ids, first = np.unique(nodes[::-1], return_index=True)  # sorted
+            last = np.sort(nodes.size - 1 - first)  # each id's last row
+            nodes, values = nodes[last], values[last]
+        if not nodes.size:
+            return
+        if ids[0] < 0:
+            raise ValueError(f"node ids must be non-negative, got {ids[0]}")
         evicted = 0
         with self._lock:
-            if version != self._version or not nodes.size:
+            if version != self._version:
                 return
-            store = self._rows
-            for node, row in zip(nodes.tolist(), values):
-                key = (level, node)
-                store[key] = row
-                store.move_to_end(key)
-            mask = self._present.get(level, _NO_ROWS)
-            top = int(nodes.max()) + 1
-            if mask.size < top:
-                grown = np.zeros(max(top, 2 * mask.size), dtype=bool)
-                grown[: mask.size] = mask
-                self._present[level] = mask = grown
-            mask[nodes] = True
-            while len(store) > self.capacity:
-                (old_level, node), _ = store.popitem(last=False)
-                self._present[old_level][node] = False
-                evicted += 1
+            slab = self._slab.get(level)
+            if slab is None:
+                shape = (self.capacity,) + values.shape[1:]
+                slab = self._slab[level] = np.empty(shape, dtype=values.dtype)
+            if (slab.shape[1:], slab.dtype) != (values.shape[1:], values.dtype):
+                raise ValueError(f"level {level} holds {slab.dtype} {slab.shape[1:]} rows")
+            rows, cols = self._slot_of.shape
+            if level >= rows or ids[-1] >= cols:
+                grown = np.full((max(level + 1, rows), max(int(ids[-1]) + 1, 2 * cols)), -1)
+                grown[:rows, :cols] = self._slot_of
+                self._slot_of = grown
+            table = self._slot_of[level]
+            excess = nodes.size - self.capacity
+            if excess > 0:
+                # Rows this put's own newest would evict: gone, counted once.
+                slots, hits = self._find(level, nodes[:excess])
+                self._release(slots[hits])
+                nodes, values, evicted = nodes[excess:], values[excess:], excess
+            slots = table[nodes]
+            new = slots < 0
+            self._tick[slots[~new]] = -1  # refreshed below: never evicted
+            added = nodes[new]
+            if added.size > self._n_free:
+                evicted += self._evict_oldest(added.size - self._n_free)
+            self._n_free -= added.size
+            slots[new] = fresh = self._free[self._n_free:self._n_free + added.size]
+            table[added] = fresh
+            self._level[fresh], self._node[fresh] = level, added
+            self._size += added.size
+            slab[slots] = values
+            self._touch(slots)
             self.evictions += evicted
         if evicted:
             metrics().counter("serving.cache.evict").inc(evicted)
@@ -163,9 +232,10 @@ class ActivationCache:
         those entries — and, when ``dropped`` is ``None``, *all*
         entries — are deleted. Everything else stays in place, in LRU
         order, readable under ``new_version``; the cost is the ids
-        named plus the rows deleted, never the rows stored. Returns
-        the number of rows that survive. ``old_version`` must be the
-        live version (``ValueError`` otherwise, nothing changed).
+        named (any never stored, negative ones too, are passed over)
+        plus the rows deleted, never the rows stored. Returns the number
+        of rows that survive. ``old_version`` must be the live version
+        (``ValueError`` otherwise, nothing changed).
         """
         if new_version == old_version:
             raise ValueError("advance requires a new version")
@@ -175,22 +245,17 @@ class ActivationCache:
                     f"cache is at version {self._version}, cannot "
                     f"advance from {old_version}"
                 )
-            store = self._rows
-            before = len(store)
+            before = self._size
             if dropped is None:
-                store.clear()
-                self._present.clear()
+                self._reset()
             else:
                 for level, nodes in dropped.items():
-                    mask = self._present.get(level, _NO_ROWS)
-                    nodes = np.asarray(nodes).ravel()
-                    nodes = nodes[nodes < mask.size]
-                    stale = nodes[mask[nodes]]
-                    mask[stale] = False
-                    for node in stale.tolist():
-                        store.pop((level, node), None)
+                    if level in self._slab:
+                        nodes = np.asarray(nodes, dtype=np.int64).ravel()
+                        slots, hits = self._find(level, nodes)
+                        self._release(np.unique(slots[hits]))
             self._version = new_version
-            survived = len(store)
+            survived = self._size
         metrics().counter("serving.cache.invalidated").inc(before - survived)
         return survived
 
@@ -198,11 +263,8 @@ class ActivationCache:
     def clear(self) -> None:
         """Drop every entry (counters and the live version are kept)."""
         with self._lock:
-            self._rows.clear()
-            self._present.clear()
+            self._reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ActivationCache(n={len(self._rows)}/{self.capacity}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
+        n, hits, misses = f"{self._size}/{self.capacity}", self.hits, self.misses
+        return f"ActivationCache(n={n}, hits={hits}, misses={misses})"

@@ -236,9 +236,10 @@ class ServingEngine:
     # Reads
     # ------------------------------------------------------------------
     def serve(self, nodes) -> np.ndarray:
-        """Output rows for ``nodes`` (any order, duplicates allowed)."""
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
-        seeds, inverse = np.unique(nodes, return_inverse=True)
+        """Output rows for ``nodes`` (any order, duplicates allowed); an id
+        that is not an integer in ``[0, num_nodes)`` raises ``ValueError``."""
+        seeds, inverse = np.unique(np.atleast_1d(np.asarray(nodes)), return_inverse=True)
+        seeds = _vertex_ids(seeds, self.num_nodes, "nodes")
         return self.serve_unique(seeds)[inverse]
 
     def serve_unique(self, seeds: np.ndarray) -> np.ndarray:
@@ -451,9 +452,10 @@ class ServingServer:
     def submit_many(self, nodes) -> list[Future]:
         """Enqueue a burst of requests (one future per node, in order).
 
-        An id that is not an integer in ``[0, engine.num_nodes)`` fails
-        on its own future with ``ValueError`` and is never enqueued, so
-        it cannot fail the requests it would have been batched with.
+        An id that is not an integer in ``[0, engine.num_nodes)`` (a
+        bool included) fails on its own future with ``ValueError`` and
+        is never enqueued, so it cannot fail the requests it would have
+        been batched with.
         The valid ones enter the queue together: an idle worker sees the
         whole burst and drains it in ``max_batch``-wide flushes.
         """
@@ -461,7 +463,8 @@ class ServingServer:
         # dtype=object: each id keeps its own type, so a fractional id
         # in a list cannot turn its integer neighbours into floats.
         nodes = np.atleast_1d(np.asarray(nodes, dtype=object)).tolist()
-        valid = [isinstance(v, numbers.Integral) and 0 <= v < n for v in nodes]
+        valid = [isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                 and 0 <= v < n for v in nodes]
         admitted = iter(self.queue.submit_many(
             [node for node, ok in zip(nodes, valid) if ok]
         ))

@@ -76,9 +76,9 @@ class SweepStats:
 
 def plan_sweep(structure: PatternStructure, heads: int, k: int) -> int:
     """Scalars in one scratch vector of a sweep over this pattern: its longest
-    row (from the memoised ``degree_stats``) times ``heads``. The feature width
+    row (the memoised ``max_row_length()``) times ``heads``. The feature width
     ``k`` does not enter; ``benchmarks/e2e`` still passes it."""
-    return structure.degree_stats().max * int(heads)
+    return structure.max_row_length() * int(heads)
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:

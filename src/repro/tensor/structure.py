@@ -25,8 +25,8 @@ call. This module provides that cache:
 
 Cache/compute events are counters in the :func:`repro.obs.metrics`
 registry under the labels ``pattern.*``, ``expand_rows.*``,
-``row_lengths.*``, ``transpose_perm.*`` and ``scipy_view.*`` so tests
-can assert the amortization actually happens.
+``row_lengths.*``, ``max_row.*``, ``transpose_perm.*`` and
+``scipy_view.*`` so tests can assert the amortization actually happens.
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ __all__ = [
 class DegreeStats:
     """Summary statistics of a pattern's row lengths (out-degrees).
 
-    ``max`` sizes the per-row scratch of the fused row sweep
-    (:mod:`repro.tensor.megakernel`); the coefficient of variation
-    separates near-uniform patterns from skewed/power-law ones, and the
-    histogram makes the shape of the tail inspectable — the reordering
-    diagnostics of :mod:`repro.graphs.reorder`.
+    The coefficient of variation separates near-uniform patterns from
+    skewed/power-law ones, and the histogram makes the shape of the tail
+    inspectable — the reordering diagnostics of :mod:`repro.graphs.reorder`.
     """
 
     n_rows: int
@@ -88,6 +86,7 @@ class PatternStructure:
         "indices",
         "shape",
         "_row_lengths",
+        "_max_row",
         "_expand_rows",
         "_tperm",
         "_transpose",
@@ -105,6 +104,7 @@ class PatternStructure:
         self.indices = indices
         self.shape = shape
         self._row_lengths: np.ndarray | None = None
+        self._max_row: int | None = None
         self._expand_rows: np.ndarray | None = None
         self._tperm: np.ndarray | None = None
         self._transpose: "PatternStructure | None" = None
@@ -138,6 +138,18 @@ class PatternStructure:
             metrics().counter("row_lengths.hit").inc()
         return out
 
+    def max_row_length(self) -> int:
+        """Entries in the longest row, 0 without rows (cached): the sweep's
+        scratch size. Events: ``max_row.computed`` / ``max_row.hit``."""
+        out = self._max_row
+        if out is None:
+            lengths = self.row_lengths()
+            out = self._max_row = int(lengths.max()) if lengths.size else 0
+            metrics().counter("max_row.computed").inc()
+        else:
+            metrics().counter("max_row.hit").inc()
+        return out
+
     def expand_rows(self) -> np.ndarray:
         """Row index of every stored entry (read-only, cached)."""
         out = self._expand_rows
@@ -157,9 +169,9 @@ class PatternStructure:
     def degree_stats(self) -> DegreeStats:
         """Row-length summary statistics (cached per pattern).
 
-        Derived once from :meth:`row_lengths`; the megakernel reads
-        ``max`` on every call, so the warm path is a single attribute
-        load. Events: ``degree_stats.computed`` / ``degree_stats.hit``.
+        Derived once from :meth:`row_lengths` for the reordering
+        diagnostics (the megakernel reads :meth:`max_row_length`).
+        Events: ``degree_stats.computed`` / ``degree_stats.hit``.
         """
         out = self._degree_stats
         if out is None:

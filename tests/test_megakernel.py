@@ -492,8 +492,8 @@ class TestResourceGuarantees:
             assert any(s.name.startswith("kernel.sddmm_") and s.depth > 0
                        for s in tracer.spans)
             return
-        # The adjacency and the input were there before; the degree
-        # statistics the first sweep memoises on the pattern are scalars.
+        # The adjacency and the input were there before; the longest row
+        # the first sweep memoises on the pattern is a scalar.
         given = {id(x): 0 for x in (a.data, a.indices, a.indptr, h)}
         dense = array_bytes([caches, out, grads], given)
         itemsize, heads = h.dtype.itemsize, kw.get("heads", 1)
@@ -504,8 +504,8 @@ class TestResourceGuarantees:
         assert 2 * (peak - base) < edge_array, (peak - base, edge_array)
 
     def test_plan_memoised_per_pattern_heads_k(self):
-        """The scratch length is read from the pattern's memoised degree
-        statistics: computed once, whatever heads and k are asked for."""
+        """The scratch length is read from the pattern's memoised longest
+        row: computed once, whatever heads and k are asked for."""
         a = prepare_adjacency(erdos_renyi(64, 512, seed=2), dtype=np.float64)
         longest = int(a.row_lengths().max())
         base = metrics().counters()
@@ -513,12 +513,10 @@ class TestResourceGuarantees:
         assert plan_sweep(a.structure, 1, 32) == longest
         assert plan_sweep(a.structure, 8, 16) == 8 * longest
         after = metrics().counters()
-        assert after.get("degree_stats.computed", 0) - base.get(
-            "degree_stats.computed", 0
+        assert after.get("max_row.computed", 0) - base.get(
+            "max_row.computed", 0
         ) == 1
-        assert after.get("degree_stats.hit", 0) - base.get(
-            "degree_stats.hit", 0
-        ) == 2
+        assert after.get("max_row.hit", 0) - base.get("max_row.hit", 0) == 2
         assert not any(name.startswith("megaplan.") for name in after)
 
     def test_megakernel_is_opt_in_by_argument(self):

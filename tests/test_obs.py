@@ -313,6 +313,25 @@ class TestMetrics:
         assert h.sum == float(workers * each)
         assert len(h.values) <= 64 + workers
 
+    def test_observe_many_is_a_loop_of_observe(self, monkeypatch):
+        """Below the cap, across it and past it: the same retained
+        values, count, sum, min and max as one ``observe`` per value."""
+        module = sys.modules["repro.obs.metrics"]
+        monkeypatch.setattr(module, "RESERVOIR_CAP", 64)
+        values = np.random.default_rng(2).lognormal(size=400).tolist()
+        many, loop = Histogram("many"), Histogram("loop")
+        for chunk in (values[:10], values[10:50], values[50:90], values[90:]):
+            many.observe_many(chunk)
+            for value in chunk:
+                loop.observe(value)
+            assert many.values == loop.values
+            assert many.count == loop.count and many.sum == loop.sum
+            summary, expected = many.summary(), loop.summary()
+            assert (summary["min"], summary["max"]) == (
+                expected["min"], expected["max"]
+            )
+        assert len(many.values) == 64 and many.count == 400
+
     def test_histogram_validates_quantile(self):
         h = Histogram("lat")
         h.observe(1.0)

@@ -114,26 +114,27 @@ def no_leaked_serve_worker():
 # ----------------------------------------------------------------------
 class _LoopCache:
     """The cache as a per-entry loop over one ordered dict: the oracle
-    for the presence-mask bookkeeping in :class:`ActivationCache`."""
+    for the slot-array bookkeeping in :class:`ActivationCache`."""
 
     def __init__(self, capacity: int) -> None:
         self.capacity, self.version, self.evictions = capacity, 0, 0
-        self.rows: OrderedDict[tuple[int, int], None] = OrderedDict()
+        self.rows: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
 
-    def get(self, level, nodes, version) -> list[bool]:
-        hits = []
+    def get(self, level, nodes, version) -> tuple[list[bool], list]:
+        hits, rows = [], []
         for node in nodes:
             key = (level, int(node))
             hits.append(version == self.version and key in self.rows)
             if hits[-1]:
                 self.rows.move_to_end(key)
-        return hits
+                rows.append(self.rows[key])
+        return hits, rows
 
-    def put(self, level, nodes, version) -> None:
+    def put(self, level, nodes, values, version) -> None:
         if version != self.version:
             return
-        for node in nodes:
-            self.rows[(level, int(node))] = None
+        for node, row in zip(nodes, values):
+            self.rows[(level, int(node))] = row.copy()
             self.rows.move_to_end((level, int(node)))
         while len(self.rows) > self.capacity:
             self.rows.popitem(last=False)
@@ -149,9 +150,11 @@ class _LoopCache:
 class TestActivationCache:
     @pytest.mark.parametrize("capacity", [3, 40, 4096])
     def test_matches_the_per_entry_loop_under_random_traffic(self, capacity):
-        """Hits (so LRU order and evictions), size and version gating
-        equal the loop oracle's over puts, gets, targeted and total
-        advances, and accesses at a version that is not the live one."""
+        """Hits (so LRU order and evictions), the rows returned, size
+        and version gating equal the loop oracle's over puts (some
+        wider than the cache), gets (both sometimes repeating ids),
+        targeted and total advances, and accesses at a version that is
+        not the live one."""
         rng = np.random.default_rng(capacity)
         cache, oracle = ActivationCache(capacity), _LoopCache(capacity)
         for _ in range(400):
@@ -159,13 +162,22 @@ class TestActivationCache:
             level = int(rng.integers(1, 4))
             nodes = np.unique(rng.integers(0, 60, rng.integers(1, 12)))
             version = oracle.version - int(rng.random() < 0.15)
+            if op < 3 and rng.random() < 0.2:  # wider than a small cache
+                nodes = rng.permutation(60)[: int(rng.integers(4, 60))]
+            if op < 7 and rng.random() < 0.3:  # repeated ids: the last use counts
+                nodes = rng.choice(nodes, 2 * nodes.size)
             if op < 3:
                 rows = rng.standard_normal((nodes.size, 2))
                 cache.put_rows(level, nodes, rows, version)
-                oracle.put(level, nodes, version)
+                oracle.put(level, nodes, rows, version)
             elif op < 7:
-                _, hits = cache.get_rows(level, nodes, version)
-                assert list(hits) == oracle.get(level, nodes, version)
+                rows, hits = cache.get_rows(level, nodes, version)
+                want_hits, want_rows = oracle.get(level, nodes, version)
+                assert list(hits) == want_hits
+                if want_rows:
+                    assert np.array_equal(rows, np.stack(want_rows))
+                else:
+                    assert rows is None or rows.shape[0] == 0
             else:
                 dropped = None if rng.random() < 0.2 else {
                     lvl: np.unique(rng.integers(0, 90, rng.integers(0, 30)))
@@ -186,10 +198,28 @@ class TestActivationCache:
         cache.put_rows(1, nodes, rows, version=0)
         got, hits = cache.get_rows(1, np.array([5, 7, 9]), version=0)
         assert list(hits) == [True, False, True]
-        assert np.array_equal(got[0], rows[1])
-        assert got[1] is None
-        assert np.array_equal(got[2], rows[2])
-        assert cache.hits == 2 and cache.misses == 1
+        assert np.array_equal(got, rows[[1, 2]])  # hit rows, stacked
+        rows[:] = -1.0  # rows were copied in, not kept by reference
+        again, _ = cache.get_rows(1, np.array([2]), version=0)
+        assert np.array_equal(again, [[0.0, 1.0, 2.0]])
+        assert cache.hits == 3 and cache.misses == 1
+        none, hits = cache.get_rows(2, nodes, version=0)
+        assert none is None and not hits.any()  # a level never stored
+
+    def test_negative_ids_never_touch_stored_rows(self):
+        """NumPy would wrap ``-1`` onto the highest stored node: a put
+        refuses it, an advance and a get pass over it."""
+        cache = ActivationCache(capacity=8)
+        cache.put_rows(1, np.array([2, 5]), np.ones((2, 2)), version=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            cache.put_rows(1, np.array([3, -1]), np.ones((2, 2)), version=0)
+        assert len(cache) == 2
+        assert cache.advance(0, 1, {1: np.array([-1])}) == 2
+        _, hits = cache.get_rows(1, np.array([-1, 2, 5]), version=1)
+        assert list(hits) == [False, True, True]
+        assert cache.advance(1, 2, {1: np.array([5])}) == 1
+        _, hits = cache.get_rows(1, np.array([5]), version=2)
+        assert not hits.any()
 
     def test_level_and_version_partition_the_keyspace(self):
         cache = ActivationCache(capacity=8)
@@ -276,6 +306,37 @@ class TestActivationCache:
         assert cache.advance(0, 1, {1: np.array([0, 1])}) == 1
         after = metrics().counter("serving.cache.invalidated").value
         assert after - before == 1  # node 0 was evicted, not invalidated
+
+    def test_threads_sharing_a_full_cache_read_only_their_rows(self):
+        """Four threads storing and reading one evicting cache, a thread
+        switch every microsecond: every hit is the row stored for its id
+        (each row holds its id), and no lookup or entry is lost."""
+        cache, lookups, wrong = ActivationCache(capacity=16), [], []
+
+        def worker(index: int) -> None:
+            rng = np.random.default_rng(index)
+            for _ in range(300):
+                nodes = np.unique(rng.integers(0, 40, rng.integers(1, 10)))
+                cache.put_rows(1, nodes, np.repeat(nodes[:, None], 3, 1) * 1.0, 0)
+                rows, hits = cache.get_rows(1, nodes, 0)
+                if rows is not None and not np.array_equal(rows[:, 0], nodes[hits]):
+                    wrong.append(index)
+                lookups.append(nodes.size)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong and len(lookups) == 4 * 300
+        assert cache.hits + cache.misses == sum(lookups)
+        assert len(cache) == 16 and cache.evictions > 0
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -496,6 +557,19 @@ class TestBatchedIdentity:
         assert np.array_equal(rows[1], unique_rows[1])
         assert np.array_equal(rows[2], unique_rows[2])
         assert np.array_equal(rows[3], unique_rows[0])
+
+    @pytest.mark.parametrize(
+        "bad", [[2.7], [True], np.array([True, False]), [0, N], [-1]]
+    )
+    def test_serve_refuses_ids_it_would_truncate_or_read_from_bools(
+        self, adjacency, features, bad
+    ):
+        """``[2.7]`` would serve node 2 and ``[True]`` node 1 through an
+        int64 cast: both raise, as an id out of range does."""
+        engine = ServingEngine(_model(), adjacency, features, seed=5)
+        with pytest.raises(ValueError, match="integer vertex ids"):
+            engine.serve(bad)
+        assert engine.cache.hits + engine.cache.misses == 0
 
     def test_fully_cached_serve_skips_sampling(self, adjacency, features):
         engine = ServingEngine(_model(), adjacency, features,
@@ -925,7 +999,9 @@ class TestServingServer:
             with pytest.raises(ValueError):
                 future.result(timeout=30)
 
-    @pytest.mark.parametrize("bad", [N + 5, -1, 2.9, np.float64(2.0)])
+    @pytest.mark.parametrize(
+        "bad", [N + 5, -1, 2.9, np.float64(2.0), True, np.True_]
+    )
     def test_bad_id_fails_alone(self, adjacency, features, bad):
         """One malformed request in a flush of five: its future names
         the id, the four valid ones of the same batch get their rows."""

@@ -14,8 +14,13 @@
  * combined in a fixed tree, and a lane is chosen by position within the
  * row or the feature vector alone. A score's bits therefore depend on its
  * operands and on k (or the row's degree), never on pointer alignment,
- * vector width or which batch the row sits in: no -ffast-math, and the
- * compiler may vectorise across lanes but not reassociate within one.
+ * which batch the row sits in or the ISA the file is built for: no
+ * -ffast-math and -ffp-contract=off (an FMA rounds once where a multiply
+ * and an add round twice), so the compiler may vectorise across lanes but
+ * not reassociate or fuse within one. _edge.py builds for the host's CPU
+ * (-march=native), and the dot product and axpy are explicit LANES-wide
+ * vectors so that its vector width pays; a portable build gives the same
+ * bits.
  *
  * Callers validate shapes, dtypes and contiguity before a pointer gets
  * here. Column indices are trusted (CSRMatrix checks them on
@@ -43,21 +48,18 @@ enum { IN_ROW, GIVEN, DY_ONLY };
 #define LANE_SUM(a) \
     (((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7])))
 /* The gathered operand row of the edge AHEAD places on: its first two cache
- * lines (a k = 32 float row is two). A hint only; never faults. */
-#define AHEAD 8
+ * lines (a k = 32 float row is two). A hint only; never faults. 16 since the
+ * host-ISA build shortened each edge's work (8 measured ~2 % slower). */
+#define AHEAD 16
 /* The fused sweep's row loops and their helpers are always inlined, so every
- * instance is specialised on its kind, mode and head count: left to its own
- * heuristics the compiler stops part-way in functions this large. */
-#if defined(__GNUC__)
+ * instance is specialised on its kind, mode, head count and (forward, one
+ * head) output width: left to its own heuristics the compiler stops
+ * part-way in functions this large. GNU C (gcc, clang) throughout: the
+ * reductions are written in its vector extension. */
 #define NOINLINE __attribute__((noinline))
 #define SPECIALISED __attribute__((always_inline)) inline
 #define PREFETCH_ROW(p) \
     (__builtin_prefetch(p), __builtin_prefetch((const char *)(p) + 64))
-#else
-#define PREFETCH_ROW(p) ((void)0)
-#define NOINLINE
-#define SPECIALISED inline
-#endif
 
 #define T float
 #define SUFFIX f32
@@ -74,23 +76,37 @@ enum { IN_ROW, GIVEN, DY_ONLY };
 
 #else /* the kernels, once per float type T */
 
+/* LANES consecutive T; alignment of one T, so any address loads. */
+typedef T FN(lanes) __attribute__((vector_size(LANES * sizeof(T)),
+                                   aligned(sizeof(T))));
+
+/* LANE_SUM of a vector in vector halves: a[j] + a[j + 4], then the same
+ * pairs on those four lanes: half the instructions of lane-by-lane. */
+typedef T FN(half) __attribute__((vector_size(LANES / 2 * sizeof(T))));
+static inline T FN(lane_sum)(const FN(lanes) *a)
+{
+    FN(half) lo, hi;
+    __builtin_memcpy(&lo, a, sizeof lo);
+    __builtin_memcpy(&hi, (const char *)a + sizeof lo, sizeof hi);
+    lo += hi;
+    return (lo[0] + lo[2]) + (lo[1] + lo[3]);
+}
+
 static SPECIALISED T FN(dot)(const T *restrict x, const T *restrict y, int64_t k)
 {
-    T acc[LANES] = {0};
+    FN(lanes) acc = {0};
     int64_t i = 0;
     for (; i + LANES <= k; i += LANES)
-        for (int j = 0; j < LANES; j++)
-            acc[j] += x[i + j] * y[i + j];
+        acc += *(const FN(lanes) *)(x + i) * *(const FN(lanes) *)(y + i);
     if (i < k) { /* the tail as one more full step over zero-padded copies */
-        T tx[LANES] = {0}, ty[LANES] = {0};
+        FN(lanes) tx = {0}, ty = {0};
         for (int j = 0; i + j < k; j++) {
             tx[j] = x[i + j];
             ty[j] = y[i + j];
         }
-        for (int j = 0; j < LANES; j++)
-            acc[j] += tx[j] * ty[j];
+        acc += tx * ty;
     }
-    return LANE_SUM(acc);
+    return FN(lane_sum)(&acc);
 }
 
 /* ---- Fused attention: SDDMM -> masked row softmax -> SpMM, one row sweep.
@@ -106,7 +122,10 @@ static SPECIALISED T FN(dot)(const T *restrict x, const T *restrict y, int64_t k
 
 static SPECIALISED void FN(axpy)(T a, const T *restrict x, T *restrict y, int64_t k)
 {
-    for (int64_t j = 0; j < k; j++)
+    int64_t j = 0;
+    for (; j + LANES <= k; j += LANES)
+        *(FN(lanes) *)(y + j) += a * *(const FN(lanes) *)(x + j);
+    for (; j < k; j++)
         y[j] += a * x[j];
 }
 
@@ -178,7 +197,7 @@ static SPECIALISED void FN(score_row)(int kind, int64_t r, int64_t lo, int64_t h
     }
 }
 
-static inline int FN(attention_fwd_rows)(
+static SPECIALISED int FN(attention_fwd_rows)(
     int kind, int64_t n_rows, const int64_t *indptr, const int64_t *indices,
     int64_t nnz, const T *mask, int softmax, const T *src, const T *dst,
     const T *norms, const T *norms_dst, int64_t heads, int64_t k, T coef,
@@ -228,17 +247,27 @@ int FN(attention_forward)(int64_t n_rows, const int64_t *indptr,
                           int64_t kp, int64_t max_row, T *scratch, T *shift,
                           T *denom, T *z)
 {
-#define FWD(KIND, HEADS) \
+#define FWD(KIND, HEADS, KP) \
     FN(attention_fwd_rows)(KIND, n_rows, indptr, indices, nnz, mask, \
                            softmax != 0, src, dst, norms, norms_dst, HEADS, \
-                           k, (T)coef, y, kp, max_row, scratch, shift, \
+                           k, (T)coef, y, KP, max_row, scratch, shift, \
                            denom, z)
+/* One head's rows at the widths the models use, with kp a literal: each
+ * edge's axpy into z's row is then whole vectors, unrolled, with no tail.
+ * The backward is not specialised so: measured 2-15 % slower. */
+#define FWD_WIDTHS(KIND) \
+    (heads != 1 ? FWD(KIND, heads, kp) \
+     : kp == 8 ? FWD(KIND, 1, 8) \
+     : kp == 16 ? FWD(KIND, 1, 16) \
+     : kp == 32 ? FWD(KIND, 1, 32) \
+     : kp == 64 ? FWD(KIND, 1, 64) : FWD(KIND, 1, kp))
     switch (kind) {
-    case DOT: return heads == 1 ? FWD(DOT, 1) : FWD(DOT, heads);
-    case ADD: return heads == 1 ? FWD(ADD, 1) : FWD(ADD, heads);
-    case COSINE: return heads == 1 ? FWD(COSINE, 1) : FWD(COSINE, heads);
+    case DOT: return FWD_WIDTHS(DOT);
+    case ADD: return FWD_WIDTHS(ADD);
+    case COSINE: return FWD_WIDTHS(COSINE);
     }
     return 1;
+#undef FWD_WIDTHS
 #undef FWD
 }
 

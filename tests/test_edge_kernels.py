@@ -10,7 +10,8 @@ than ``einsum`` / ``add.reduceat``, so the two agree to the tolerance
 written in ``TOL`` — per dtype, for unit-scale operands of width
 ``k <= 32`` and rows of degree up to ~4200 — and not bit for bit. What
 *is* bit for bit: a row against the same row swept from a sub-block, from
-unaligned operands, or from four threads at once.
+unaligned operands, from four threads at once, by a forward specialised
+on its width or by a library built without the host's ISA flags.
 """
 
 from __future__ import annotations
@@ -387,6 +388,15 @@ class TestOperandsThatAreNotPlainArrays:
         assert backends == ["numpy"] * 4 + ["c"] * 2
 
 
+def _unaligned(x: np.ndarray) -> np.ndarray:
+    """``x``'s values one element off ``x``'s own alignment."""
+    buf = np.empty(x.size + 1, x.dtype)
+    moved = buf[1:].reshape(x.shape)
+    moved[...] = x
+    assert moved.ctypes.data % 16 != x.ctypes.data % 16
+    return moved
+
+
 @needs_c
 class TestBitsDependOnTheOperandsAlone:
     """The serving batched == per-request contract, at its root: a row
@@ -399,35 +409,123 @@ class TestBitsDependOnTheOperandsAlone:
         h = _operand(rng, a.shape[0], 1, dtype, k)
         y = _operand(rng, a.shape[1], 1, dtype, KP)
         dz = _operand(rng, a.shape[0], 1, dtype, KP)
+        u = _operand(rng, a.shape[0], 1, dtype, None)
+        v = _operand(rng, a.shape[1], 1, dtype, None)
 
-        def sweep(adj, x_src, x_dst, y, dz, norms, norms_dst):
-            return {psi: _chain(adj, psi, y, dz, x_src=x_src, x_dst=x_dst,
-                                **({"norms": norms, "norms_dst": norms_dst}
-                                   if psi == "cosine" else {}))
-                    for psi in ("dot", "cosine")}
+        def sweep(adj, x_src, x_dst, y, dz, norms, norms_dst, u, v):
+            ops = {"dot": dict(x_src=x_src, x_dst=x_dst),
+                   "cosine": dict(x_src=x_src, x_dst=x_dst, norms=norms,
+                                  norms_dst=norms_dst),
+                   "add": dict(u=u, v=v)}  # the score loop on hardware gathers
+            return {psi: _chain(adj, psi, y, dz, **kw) for psi, kw in ops.items()}
 
         norms = _norms(h)
-        whole = sweep(a, h, h, y, dz, norms, norms)
+        whole = sweep(a, h, h, y, dz, norms, norms, u, v)
         rows = np.array([5, 17, 18, 150])
         lengths = np.diff(a.indptr)[rows]
         take = np.concatenate([np.arange(a.indptr[r], a.indptr[r + 1]) for r in rows])
         sub = CSRMatrix(np.concatenate([[0], np.cumsum(lengths)]), a.indices[take],
                         a.data[take], (len(rows), a.shape[1]))
-        part = sweep(sub, h[rows], h, y, dz[rows], norms[rows], norms)
+        part = sweep(sub, h[rows], h, y, dz[rows], norms[rows], norms, u[rows], v)
+        row_side = {"dot": ("dRow",), "cosine": ("dRow", "dNormRow"), "add": ("dU",)}
         for psi in whole:  # every row-side output of those rows
-            for key in ("Z", "shift", "denom", "dRow") + ("dNormRow",) * (psi == "cosine"):
+            for key in ("Z", "shift", "denom") + row_side[psi]:
                 np.testing.assert_array_equal(
                     part[psi][key], whole[psi][key][rows], err_msg=f"{psi} {key}")
-        # The same values one element off their natural alignment.
-        buf = np.empty(h.size + 1, dtype)
-        shifted = buf[1:].reshape(h.shape)
-        shifted[...] = h
-        assert shifted.ctypes.data % 16 != h.ctypes.data % 16
-        moved = sweep(a, shifted, shifted, y, dz, norms, norms)
+        # The same values one element off their natural alignment, the
+        # aggregated operand and the incoming gradient included.
+        shifted = _unaligned(h)
+        moved = sweep(a, shifted, shifted, _unaligned(y), _unaligned(dz), norms,
+                      norms, _unaligned(u), _unaligned(v))
         for psi in whole:
             for key in whole[psi]:
                 np.testing.assert_array_equal(
                     moved[psi][key], whole[psi][key], err_msg=f"{psi} {key}")
+
+
+def _score_operands(psi: str, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> dict:
+    """``psi``'s score operands: ``x`` (dot, cosine) or ``u`` / ``v`` (add)."""
+    return {"dot": dict(x_src=x), "cosine": dict(x_src=x, norms=_norms(x)),
+            "add": dict(u=u, v=v)}[psi]
+
+
+@needs_c
+class TestSpecialisedWidths:
+    """The forward instantiates one-head rows with a literal output width
+    for the widths the models use; each must equal the run-time-width
+    instance, reached here by one zero column more."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("psi", ["dot", "add", "cosine"])
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_a_literal_width_equals_the_run_time_one(self, psi, dtype, width, rng):
+        a = PATTERNS["er"]().astype(dtype)
+        h = _operand(rng, a.shape[0], 1, dtype)
+        ops = _score_operands(psi, h, h[:, 0].copy(), h[:, 1].copy())
+        y = _operand(rng, a.shape[1], 1, dtype, width)
+        z, stats = attention_forward(a, psi, y, softmax=True, **ops)
+        z1, stats1 = attention_forward(
+            a, psi, np.pad(y, ((0, 0), (0, 1))), softmax=True, **ops)
+        np.testing.assert_array_equal(z1[:, :width], z)
+        np.testing.assert_array_equal(stats1.shift, stats.shift)
+        np.testing.assert_array_equal(stats1.denom, stats.denom)
+
+
+def _sweep_every_case() -> dict[str, np.ndarray]:
+    """Forward and backward of every kind, head count, dtype and width
+    around the lanes and the specialised widths, on fixed operands."""
+    rng = np.random.default_rng(7)
+    base = PATTERNS["er"]()
+    out = {}
+    for psi in ("dot", "add", "cosine"):
+        for heads in HEADS:
+            for dtype in DTYPES:
+                a = base.astype(dtype)
+                n = a.shape[0]
+                for width in (5, 8, 16, 32, 33, 64):
+                    ops = _score_operands(
+                        psi, _operand(rng, n, heads, dtype, width),
+                        _operand(rng, n, heads, dtype, None),
+                        _operand(rng, n, heads, dtype, None))
+                    y = _operand(rng, n, heads, dtype, width)
+                    dz = _operand(rng, n, heads, dtype, width)
+                    name = f"{psi}-{heads}-{np.dtype(dtype).name}-{width}"
+                    for key, value in _chain(a, psi, y, dz, **ops).items():
+                        out[f"{name}-{key}"] = value
+    return out
+
+
+_PORTABLE_SWEEPS = """
+import sys
+import numpy as np
+from repro.tensor import _edge, kernels
+_edge._FLAGS = _edge._portable(_edge._FLAGS)
+from tests.test_edge_kernels import _sweep_every_case
+np.savez(sys.argv[1], **_sweep_every_case())
+print(*kernels.backend(), sep="|")
+"""
+
+
+@needs_c
+class TestBitsDependOnTheBuild:
+    def test_the_portable_build_sweeps_the_host_builds_bits(self, tmp_path):
+        """The host-ISA library against one built without ``-march`` /
+        ``-mtune`` (a compiler that rejects them gets that one): the lane
+        tree and ``-ffp-contract=off`` leave no bit to the ISA."""
+        out = tmp_path / "portable.npz"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", _PORTABLE_SWEEPS, str(out)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(SRC), str(SRC.parent)])},
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("|")[0] == "c", proc.stdout
+        portable = np.load(out)
+        host = _sweep_every_case()
+        assert sorted(portable.files) == sorted(host)
+        for key, value in host.items():
+            np.testing.assert_array_equal(portable[key], value, err_msg=key)
 
 
 class TestThreads:
@@ -523,6 +621,50 @@ class TestColdStarts:
         backend, reason = out.splitlines()[0].split("|")
         assert backend == "numpy" and "no C compiler" in reason
         assert out.splitlines()[1] == "1|None"  # counted once, nothing built
+
+    @pytest.mark.skipif(_compiler() is None, reason="no C compiler on PATH")
+    def test_each_host_builds_and_loads_its_own_library(self, tmp_path, monkeypatch):
+        """One cache directory, two CPUs (the target probe answers for
+        either): two libraries, and each host loads its own."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_edge, "_FLAGS", ("-O0", "-shared", "-fPIC"))  # a quick build
+        probe = _edge._target
+
+        def start_on(host: bytes) -> tuple[str, str]:
+            monkeypatch.setattr(_edge, "_target", lambda cc, flags: probe(cc, flags) + host)
+            monkeypatch.setattr(_edge, "_state", None)
+            return kernels.backend()
+
+        first, second = start_on(b"cpu a"), start_on(b"cpu b")
+        assert first[0] == second[0] == "c" and first[1] != second[1]
+        assert sorted(p.name for p in (tmp_path / "repro").iterdir()) == sorted(
+            os.path.basename(path) for path in (first[1], second[1]))
+        for host, built in ((b"cpu a", first), (b"cpu b", second)):
+            assert start_on(host) == built
+            assert metrics().gauge("kernels.build_s").value == 0.0  # loaded, not built
+
+    @pytest.mark.skipif(_compiler() is None, reason="no C compiler on PATH")
+    def test_a_compiler_that_rejects_the_host_flags_builds_portable(self, tmp_path):
+        """Not the NumPy fallback: one more build without the host flags
+        (the library the bit-contract test builds, so the cache shares it)."""
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        fake = bin_dir / "cc"
+        fake.write_text(
+            "#!/bin/sh\n"
+            'for arg in "$@"; do [ "$arg" = -march=native ] && exit 1; done\n'
+            f'exec "{_compiler()}" "$@"\n'
+        )
+        fake.chmod(0o755)
+        env = {key: os.environ[key] for key in ("HOME", "XDG_CACHE_HOME")
+               if key in os.environ}
+        env["PATH"] = os.pathsep.join([str(bin_dir), os.environ["PATH"]])
+        proc = _run_python(_PROBE, env)
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        backend, path = out.splitlines()[0].split("|")
+        assert backend == "c" and path != kernels.backend()[1], out
+        assert out.splitlines()[1].split("|")[0] == "0"  # kernels.fallback
 
 
 class TestSaysWhichBackendRan:

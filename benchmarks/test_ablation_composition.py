@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import make_graph
-from repro.models import VA, AttentionLayer
+from repro.models import AttentionLayer, layer_spec
 from repro.util.counters import FlopCounter
 
 N = 2048
@@ -27,7 +27,7 @@ def graph():
 
 
 def _flops(order, in_dim, out_dim, graph, h):
-    layer = AttentionLayer(in_dim, out_dim, VA, order=order, seed=0,
+    layer = AttentionLayer(in_dim, out_dim, layer_spec("va"), order=order, seed=0,
                            dtype=np.float32)
     counter = FlopCounter()
     layer.forward(graph, h, counter=counter, training=False)
@@ -42,7 +42,7 @@ def test_composition_order_timing(benchmark, graph, order, dims):
     rng = np.random.default_rng(0)
     in_dim, out_dim = dims
     h = rng.normal(size=(N, in_dim)).astype(np.float32)
-    layer = AttentionLayer(in_dim, out_dim, VA, order=order, seed=0,
+    layer = AttentionLayer(in_dim, out_dim, layer_spec("va"), order=order, seed=0,
                            dtype=np.float32)
     out = benchmark(lambda: layer.forward(graph, h, training=False)[0])
     assert out.shape == (N, out_dim)
@@ -69,7 +69,7 @@ def test_orders_agree_numerically(benchmark, graph):
     rng = np.random.default_rng(0)
     h = rng.normal(size=(N, 16)).astype(np.float64)
     proj, agg = (
-        AttentionLayer(16, 16, VA, order=order, seed=3, dtype=np.float64)
+        AttentionLayer(16, 16, layer_spec("va"), order=order, seed=3, dtype=np.float64)
         for order in ("project_first", "aggregate_first")
     )
     out_p, _ = proj.forward(graph, h)

@@ -174,7 +174,7 @@ def test_multihead_batched_speedup(benchmark):
     Timed with looped batches so sub-millisecond steps are not noise.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    from repro.models import AttentionLayer, gat_spec
+    from repro.models import AttentionLayer, layer_spec
     from tests.reference_heads import (
         combine_heads,
         head_gradients,
@@ -186,10 +186,10 @@ def test_multihead_batched_speedup(benchmark):
     rng = np.random.default_rng(0)
     h = rng.normal(size=(n, f))
     g = rng.normal(size=(n, heads * d))
-    layer = AttentionLayer(f, d, gat_spec(), activation="elu", heads=heads,
+    layer = AttentionLayer(f, d, layer_spec("gat"), activation="elu", heads=heads,
                            seed=3, dtype=np.float64)
     per_head = single_heads(layer, lambda: AttentionLayer(
-        f, d, gat_spec(), activation="identity", dtype=np.float64))
+        f, d, layer_spec("gat"), activation="identity", dtype=np.float64))
 
     def step_batched():
         out, cache = layer.forward(a, h)

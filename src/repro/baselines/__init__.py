@@ -6,10 +6,6 @@ aggregations (DGL's generalized SDDMM/SpMM programming model), with a
 1D vertex partition and neighbour-feature halo exchanges when
 distributed. These engines reproduce that execution model from scratch:
 
-* :mod:`repro.baselines.message_passing` — a DGL-flavoured single-node
-  engine (``apply_edges`` / ``update_all``) plus local-formulation
-  implementations of VA/AGNN/GAT: the Section-2.2 oracle the global
-  formulation is cross-checked against.
 * :mod:`repro.baselines.dist_local` — the distributed full-batch local
   engine: 1D partition, halo exchange of :math:`\\Theta(nkd/p)` words
   per layer (the Section-7 lower bound for the local view), forward and
@@ -19,14 +15,12 @@ distributed. These engines reproduce that execution model from scratch:
 * :mod:`repro.baselines.minibatch` — DistDGL-style mini-batch training
   with layer-wise neighbour sampling and remote feature fetches, into
   the same step.
+
+The Section-2.2 oracle — the local formulations of VA / AGNN / GAT on a
+DGL-flavoured ``apply_edges`` / ``update_all`` engine — is test code
+(``tests/reference_message_passing.py``).
 """
 
-from repro.baselines.message_passing import (
-    LocalGraph,
-    local_agnn_layer,
-    local_gat_layer,
-    local_va_layer,
-)
 from repro.baselines.dist_local import (
     dist_local_inference,
     dist_local_train,
@@ -37,10 +31,6 @@ from repro.baselines.minibatch import (
 )
 
 __all__ = [
-    "LocalGraph",
-    "local_va_layer",
-    "local_agnn_layer",
-    "local_gat_layer",
     "dist_local_inference",
     "dist_local_train",
     "MiniBatchConfig",

@@ -11,8 +11,9 @@ This package holds the model-agnostic pieces of Sections 3–5:
 * :mod:`repro.core.formulation` — the :math:`\\Psi` spec of Eq. (1),
   :math:`H^{l+1} = \\sigma((\\Phi \\circ \\oplus)(\\Psi, H))`; the
   layer executing it is :class:`repro.models.attention.AttentionLayer`,
-  which ships the per-model operators of Section 4.1 (VA, AGNN, GAT) as
-  specs over the fused sweep of :mod:`repro.tensor.megakernel`.
+  whose built-in operators of Section 4.1 (VA, AGNN, GAT) are specs
+  lowered from their layer DAGs onto the fused sweep of
+  :mod:`repro.tensor.megakernel`.
 """
 
 from repro.core.activations import Activation, get_activation

@@ -7,9 +7,10 @@ A model is *only* its :math:`\\Psi`. Everything else in Eq. (1) — the
 linear update :math:`\\Phi`, the aggregation semiring :math:`\\oplus`,
 their composition order (Section 4.4), the heads, and the whole
 backward chain of Section 5 — is written once, in
-:class:`repro.models.attention.AttentionLayer`. VA, AGNN, GAT and GCN
-are the :class:`AttentionSpec` instances that module ships; a user
-model is one more instance (see ``examples/custom_attention_model.py``).
+:class:`repro.models.attention.AttentionLayer`. VA, AGNN and GAT are the
+:class:`AttentionSpec` instances :mod:`repro.fusion.lower` derives from
+their layer DAGs, GCN a literal one; a user model is one more instance
+(see ``examples/custom_attention_model.py``).
 
 A :math:`\\Psi` is declared one of two ways. One the fused row sweep of
 :mod:`repro.tensor.megakernel` can score (a sampled dot product, a cosine
@@ -91,10 +92,6 @@ class AttentionSpec:
         ``(exits, X, params, operands, counter) -> (dX, grads)``: their
         chain rule, from ``attention_backward``'s exits. ``None`` detaches
         attention, as a missing ``psi_vjp`` does.
-    multihead:
-        ``False`` when the code handles plain ``(n, d)`` operands only — a
-        spec lowered from a layer DAG (:mod:`repro.fusion.lower`), whose
-        IR has no head axis; a layer refuses it more than one head.
     """
 
     psi: PsiFn | None = None
@@ -106,7 +103,6 @@ class AttentionSpec:
     softmax: bool | None = None
     operands: Callable[..., dict[str, Any]] | None = None
     operands_vjp: Callable[..., tuple[np.ndarray, PsiParams]] | None = None
-    multihead: bool = True
 
     def __post_init__(self) -> None:
         swept = self.kind in PSI_KINDS and self.operands is not None

@@ -20,16 +20,15 @@ executor: :mod:`repro.fusion.lower` lowers a layer DAG to an
 :class:`~repro.core.formulation.AttentionSpec` — score kind, dense
 operands and their VJP all derived — which
 :class:`~repro.models.attention.AttentionLayer` runs as one compiled
-sweep per pass, on one node or on a grid.
-:class:`repro.fusion.layer.DagLayer` trains models either way, the
-interpreter being the oracle, with zero hand-written backward code.
+sweep per pass, on one node or on a grid — the built-in VA, AGNN and GAT
+included. :class:`repro.fusion.layer.DagLayer` trains models either way,
+the interpreter being the oracle, with zero hand-written backward code.
 """
 
 from repro.fusion.autodiff import GradProgram, build_vjp
 from repro.fusion.dag import OpDag, OpNode
 from repro.fusion.fuse import FusedKernel, FusedProgram, fuse
 from repro.fusion.interp import ProgramRunner, execute
-from repro.fusion.layer import DagLayer
 from repro.fusion.lower import lower_layer_dag
 from repro.fusion.models import (
     agnn_layer_dag,
@@ -62,3 +61,13 @@ __all__ = [
     "agnn_layer_dag",
     "gat_layer_dag",
 ]
+
+
+def __getattr__(name: str):
+    # DagLayer is an AttentionLayer, whose module lowers the built-in specs
+    # through this package: the layer is imported on first use.
+    if name == "DagLayer":
+        from repro.fusion.layer import DagLayer
+
+        return DagLayer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

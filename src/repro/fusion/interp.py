@@ -30,7 +30,11 @@ values; DENSE results return arrays. A program with *named* outputs
 :mod:`repro.fusion.autodiff`) can be run output-by-output through a
 :class:`ProgramRunner`, which keeps every intermediate it computed —
 so a backward output evaluated after the forward one reuses the cached
-activations instead of recomputing them.
+activations instead of recomputing them. A fixed set of named outputs
+evaluated again and again — a lowered spec's dense operands and their
+VJP, on every layer pass — runs through a :class:`Schedule` instead: one
+evaluation order per program, each intermediate freed after its last
+read.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import spmm
 from repro.tensor.segment import bincount_sum, segment_sum
 
-__all__ = ["execute", "ProgramRunner"]
+__all__ = ["execute", "ProgramRunner", "Schedule"]
 
 
 def execute(
@@ -72,13 +76,95 @@ def execute(
         Row-tile height for the tiled executor, a positive integer.
     outputs:
         Names of registered outputs (``dag.mark_output``) to evaluate;
-        returns a dict. With ``None`` the single ``dag.output`` value
-        is returned directly.
+        returns a dict, through a one-off :class:`Schedule`. With ``None``
+        the single ``dag.output`` value is returned directly.
     """
-    runner = ProgramRunner(program, inputs, mode=mode, tile_rows=tile_rows)
-    if outputs is None:
-        return runner.run()
-    return {name: runner.run(name) for name in outputs}
+    if outputs is not None:
+        return Schedule(program, outputs, mode=mode, tile_rows=tile_rows).run(inputs)
+    return ProgramRunner(program, inputs, mode=mode, tile_rows=tile_rows).run()
+
+
+class Schedule:
+    """Named outputs of one program in a fixed evaluation order: the dense
+    nodes they read, depth first from each output, each step freeing the
+    intermediates it reads last (a dense node read by a sparse or virtual
+    one, whose edge evaluation is lazy, is kept) and a sum landing in such
+    an operand of its own shape. Built once; :meth:`run` evaluates on the
+    same engine as :class:`ProgramRunner`, without its per-op ``ir.*``
+    spans: a schedule runs inside a caller's span, on every layer pass."""
+
+    def __init__(self, program: OpDag | FusedProgram, outputs, mode: str = "fused",
+                 tile_rows: int = 128) -> None:
+        program = _checked(program, mode, tile_rows)
+        dag, sparsity = program.dag, program.sparsity
+        for name in outputs:
+            if name not in dag.outputs:
+                raise KeyError(f"no output named {name!r}")
+        self.program, self.mode, self.tile_rows = program, mode, int(tile_rows)
+        self.outputs = tuple((name, dag.outputs[name]) for name in outputs)
+        # Depth-first from each output in turn: one output's nodes run back
+        # to back, so an intermediate lives only as long as its output needs.
+        order: list[int] = []
+
+        def visit(nid: int) -> None:
+            if nid not in needed:
+                needed.add(nid)
+                for operand in dag.nodes[nid].inputs:
+                    visit(operand)
+                order.append(nid)
+
+        needed: set[int] = set()
+        for _, nid in self.outputs:
+            visit(nid)
+        dense = [nid for nid in order if sparsity[nid] is Sparsity.DENSE]
+        self.bound = tuple((nid, dag.nodes[nid].name) for nid in dense
+                           if dag.nodes[nid].op == "input")
+        steps = [dag.nodes[nid] for nid in dense if dag.nodes[nid].op != "input"]
+        kept = {nid for _, nid in self.outputs} | {
+            operand for nid in needed if sparsity[nid] is not Sparsity.DENSE
+            for operand in dag.nodes[nid].inputs}
+        last = {operand: node.id for node in steps for operand in node.inputs
+                if operand not in kept and sparsity[operand] is Sparsity.DENSE}
+        # A sum may land in an operand this step computed earlier and reads last.
+        owned = {node.id for node in steps if node.op != "transpose"}
+        self.steps = tuple((node, tuple(d for d, at in last.items() if at == node.id), next(
+            (i for i in node.inputs if node.op == "add" and i in owned and last.get(i) == node.id),
+            None)) for node in steps)
+
+    def run(self, inputs: dict[str, Any]) -> dict[str, Any]:
+        """Evaluate the outputs for one set of input bindings."""
+        dag = self.program.dag
+        pattern = _find_pattern(dag, inputs) if dag.sparse_inputs else None
+        engine = _Engine(self.program, inputs, pattern, self.mode, self.tile_rows)
+        values = engine._dense
+        for nid, name in self.bound:
+            values[nid] = np.asarray(inputs[name])
+        for node, dead, into in self.steps:
+            if into is not None and (a := values[node.inputs[0]]).shape == (
+                b := values[node.inputs[1]]
+            ).shape and a.dtype == b.dtype:
+                values[node.id] = np.add(a, b, out=values[into])
+            else:  # value() without its memo check and span: each step runs once
+                values[node.id] = engine._dense_op(node)
+            for done in dead:
+                del values[done]
+        return {name: values[nid] if nid in values else engine.result(nid)
+                for name, nid in self.outputs}
+
+
+def _checked(program: OpDag | FusedProgram, mode: str, tile_rows: int) -> FusedProgram:
+    """``program`` fused, once ``mode`` and ``tile_rows`` are valid."""
+    if isinstance(program, OpDag):
+        program = fuse(program)
+    if mode not in ("fused", "tiled", "dense"):
+        raise ValueError("mode must be 'fused', 'tiled' or 'dense'")
+    if isinstance(tile_rows, bool) or not isinstance(
+        tile_rows, (int, np.integer)
+    ) or tile_rows < 1:
+        raise ValueError(
+            f"tile_rows must be a positive integer, got {tile_rows!r}"
+        )
+    return program
 
 
 class ProgramRunner:
@@ -100,16 +186,7 @@ class ProgramRunner:
         mode: str = "fused",
         tile_rows: int = 128,
     ) -> None:
-        if isinstance(program, OpDag):
-            program = fuse(program)
-        if mode not in ("fused", "tiled", "dense"):
-            raise ValueError("mode must be 'fused', 'tiled' or 'dense'")
-        if isinstance(tile_rows, bool) or not isinstance(
-            tile_rows, (int, np.integer)
-        ) or tile_rows < 1:
-            raise ValueError(
-                f"tile_rows must be a positive integer, got {tile_rows!r}"
-            )
+        program = _checked(program, mode, tile_rows)
         self.program = program
         self.dag = program.dag
         self._inputs = dict(inputs)
@@ -310,11 +387,16 @@ class _Engine:
             return spmm(left, self.value(node.inputs[1]))
         a = self.value(node.inputs[0])
         b = self.value(node.inputs[1])
-        if a.ndim == 2 and b.ndim == 1:
+        if a.ndim == 2 and b.ndim == 1 and not (
+            self.dag.nodes[node.inputs[0]].shape_kind == "kn" and a.T.flags.c_contiguous
+        ):
             # Row-stable matrix-vector product: BLAS gemv accumulates
             # differently depending on the row count, which would make
             # attention logits (hence outputs) depend on ego-batch
-            # composition; einsum keeps each row's dot bitwise fixed.
+            # composition; einsum keeps each row's dot bitwise fixed. A
+            # column reduction X^T g of a whole X sums over every row
+            # anyway and takes BLAS; of one head's strided slice it stays
+            # einsum, the sum a head-stacked "nhd,nh->hd" computes.
             return np.einsum("nd,d->n", a, b)
         return a @ b
 
@@ -322,7 +404,7 @@ class _Engine:
         if node.op == "outer":
             a = self.value(node.inputs[0])
             b = self.value(node.inputs[1])
-            return np.outer(a, b)
+            return a[:, None] * b  # np.outer's product, without its wrapper
         x = self.value(node.inputs[0])
         n = x.shape[0]
         if node.op == "replicate":

@@ -12,15 +12,17 @@ as ``build_model`` layers do, with derived dense operands and VJP. With
 :func:`repro.fusion.autodiff.build_vjp` derives on the kernel-at-a-time
 interpreter instead, one :class:`~repro.fusion.interp.ProgramRunner` per
 step, the backward reusing the cached forward activations — the
-derived-path oracle. Tests hold the two routes and the hand-written
-specs to each other, which is the paper's argument that the global
-formulations and their derived gradients are the single source of truth.
+derived-path oracle. Tests hold the two routes to each other, which is
+the paper's argument that the global formulations and their derived
+gradients are the single source of truth.
 
 Program/parameter split
 -----------------------
 A layer's programs — the joint DAG, its fused kernel grouping and the
-lowered spec — are a pure function of ``(model, beta, slope)``; only
-the parameter arrays differ between two GAT ``DagLayer`` instances.
+lowered spec (:func:`~repro.models.attention.layer_spec`'s, which
+``build_model`` layers run too) — are a pure function of ``(model, beta,
+slope)``; only the parameter arrays differ between two GAT ``DagLayer``
+instances.
 They are therefore interned in a module-level cache and shared
 read-only: the per-step runner (which binds the actual arrays and
 memoises activations) is the *per-request* state, so one compiled
@@ -30,7 +32,7 @@ batches, and derivation runs once per distinct layer shape.
 
 from __future__ import annotations
 
-import math
+import inspect
 import threading
 from dataclasses import dataclass
 
@@ -40,22 +42,13 @@ from repro.core.formulation import AttentionSpec
 from repro.fusion.autodiff import GradProgram, build_vjp
 from repro.fusion.fuse import FusedProgram, fuse
 from repro.fusion.interp import ProgramRunner
-from repro.fusion.lower import lower_layer_dag
-from repro.fusion.models import agnn_layer_dag, gat_layer_dag, va_layer_dag
-from repro.models.attention import AttentionLayer
+from repro.models.attention import SPECS, AttentionLayer, layer_spec
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 from repro.tensor.csr import CSRMatrix
 from repro.util.counters import FlopCounter, null_counter
 
-__all__ = ["DagLayer", "LAYER_DAG_BUILDERS", "compiled_layer_program"]
-
-#: model name -> ``(beta, slope) -> layer OpDag``
-LAYER_DAG_BUILDERS = {
-    "va": lambda beta, slope: va_layer_dag(),
-    "agnn": lambda beta, slope: agnn_layer_dag(beta=beta),
-    "gat": lambda beta, slope: gat_layer_dag(slope=slope),
-}
+__all__ = ["DagLayer", "compiled_layer_program"]
 
 #: (model, beta, slope) -> (joint program, its fusion, lowered spec).
 #: All immutable once built; runners bind inputs privately.
@@ -68,25 +61,25 @@ _PROGRAM_LOCK = threading.Lock()
 def _compile(
     model: str, beta: float, slope: float
 ) -> tuple[GradProgram, FusedProgram, AttentionSpec]:
-    if model not in LAYER_DAG_BUILDERS:
-        raise ValueError(
-            f"unknown model {model!r}; expected one of "
-            f"{sorted(LAYER_DAG_BUILDERS)}"
-        )
-    for arg, value in (("beta", beta), ("slope", slope)):
-        if not math.isfinite(value):
-            raise ValueError(f"{arg} must be finite, got {value!r}")
+    builder = SPECS.get(model)
+    if not callable(builder):
+        layers = sorted(name for name, entry in SPECS.items() if callable(entry))
+        raise ValueError(f"unknown model {model!r}; expected one of {layers}")
+    # Each layer DAG takes the keywords it reads, of beta and slope.
+    kwargs = {arg: value for arg, value in (("beta", beta), ("slope", slope))
+              if arg in inspect.signature(builder).parameters}
+    spec = layer_spec(model, **kwargs)  # lowered first: it refuses a non-finite value
     key = (model, float(beta), float(slope))
     with _PROGRAM_LOCK:
         entry = _PROGRAM_CACHE.get(key)
         if entry is None:
-            forward = LAYER_DAG_BUILDERS[model](beta, slope)
+            forward = builder(**kwargs)
             wrt = tuple(
                 node.name for node in forward.nodes
                 if node.op == "input" and node.id not in forward.sparse_inputs
             )
             program = build_vjp(forward, wrt, seed_name="dZ")
-            entry = (program, fuse(program.dag), lower_layer_dag(forward, model))
+            entry = (program, fuse(program.dag), spec)
             _PROGRAM_CACHE[key] = entry
             metrics().counter("dag_program.built").inc()
         else:
@@ -99,12 +92,12 @@ def compiled_layer_program(
 ) -> tuple[GradProgram, FusedProgram]:
     """The interned (derived, fused) program pair for one layer shape.
 
-    Built once per distinct ``(model, beta, slope)`` — together with the
-    lowered spec — and shared by every :class:`DagLayer` with that
-    shape; programs carry no parameter values, so sharing is safe across
-    instances, reloads and concurrent requests. A non-finite ``beta`` or
-    ``slope`` is refused. Events ``dag_program.built`` /
-    ``dag_program.hit`` report cache behaviour.
+    Built once per distinct ``(model, beta, slope)`` and shared by every
+    :class:`DagLayer` with that shape; programs carry no parameter
+    values, so sharing is safe across instances, reloads and concurrent
+    requests. A non-finite ``beta`` or ``slope`` the model's DAG reads is
+    refused. Events ``dag_program.built`` / ``dag_program.hit`` report
+    cache behaviour.
     """
     return _compile(model, beta, slope)[:2]
 

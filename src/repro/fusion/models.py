@@ -3,9 +3,10 @@
 These are the global tensor formulations written in the toolchain IR —
 the programmability demonstration of the paper: each model is a handful
 of Table-2 building blocks, and the fusion pass turns every virtual
-intermediate into an SDDMM-like kernel automatically. The executed
-results match :func:`repro.tensor.megakernel.attention_scores` and the
-layers built on the fused sweep (tests assert it).
+intermediate into an SDDMM-like kernel automatically. They are the
+library's only definition of these models:
+:data:`repro.models.attention.SPECS` lowers the layer DAGs to the specs
+every engine runs.
 
 Two granularities are provided:
 
@@ -134,10 +135,11 @@ def agnn_layer_dag(beta: float = 1.0) -> OpDag:
     """AGNN layer pre-activation :math:`Z = \\Psi_{AGNN} (H W)`.
 
     ``beta`` is baked into the DAG as a ``scale`` attribute — the
-    paper's formulation keeps the temperature fixed; a learnable beta
-    is the hand-written layer's
-    (:func:`repro.models.attention.agnn_spec` with
-    ``learnable_beta=True``).
+    paper's formulation keeps the temperature fixed; the lowering makes
+    it a trained parameter when asked
+    (:func:`repro.fusion.lower.lower_layer_dag` with
+    ``learnable_beta=True``, as ``build_model("agnn",
+    learnable_beta=True)`` asks).
     """
     dag = OpDag()
     h = dag.input("H", "nk")

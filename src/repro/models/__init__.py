@@ -13,14 +13,7 @@ resolves and stacks the same way.
 
 from repro.core.formulation import AttentionSpec
 from repro.models.base import GnnLayer, GnnModel, Loss, stack_layers
-from repro.models.attention import (
-    GCN,
-    VA,
-    AttentionLayer,
-    agnn_spec,
-    gat_spec,
-    resolve_spec,
-)
+from repro.models.attention import GCN, AttentionLayer, layer_spec, resolve_spec
 from repro.models.gcn import normalize_adjacency
 from repro.models.gin import GINLayer
 from repro.models.sgc import SGCLayer, sgc_model
@@ -36,10 +29,8 @@ __all__ = [
     "GnnModel",
     "Loss",
     "AttentionLayer",
-    "VA",
     "GCN",
-    "agnn_spec",
-    "gat_spec",
+    "layer_spec",
     "GINLayer",
     "SGCLayer",
     "sgc_model",

@@ -10,12 +10,13 @@ aggregation semiring, the heads, and the whole backward chain — the
 weight gradient :math:`Y = H^T \\Psi^T G` (Eq. 13), the score-gradient
 SDDMM :math:`dS = \\mathcal{A} \\odot (\\cdot\\,\\cdot^T)` (Eq. 9) and
 the hand-off to the Ψ VJP (Eqs. 7, 11). A model contributes an
-:class:`~repro.core.formulation.AttentionSpec` and nothing else:
+:class:`~repro.core.formulation.AttentionSpec` and nothing else, and the
+built-in ones are :data:`SPECS`:
 
 ========  ================================================  =========
-spec      :math:`\\Psi`                                      reads
+model     :math:`\\Psi`                                      reads
 ========  ================================================  =========
-``VA``    :math:`\\mathcal{A} \\odot (H H^T)`                 ``H``
+VA        :math:`\\mathcal{A} \\odot (H H^T)`                 ``H``
 AGNN      :math:`\\mathrm{sm}(\\mathcal{A} \\odot \\beta\\,
           (H H^T \\oslash n\\,n^T))`                          ``H``
 GAT       :math:`\\mathrm{sm}(\\mathcal{A} \\odot
@@ -24,7 +25,9 @@ GAT       :math:`\\mathrm{sm}(\\mathcal{A} \\odot
 ``GCN``   :math:`\\mathcal{A}` (pre-normalised, constant)    —
 ========  ================================================  =========
 
-VA, AGNN and GAT declare a score ``kind`` the fused row sweep of
+VA, AGNN and GAT are written once, as the layer DAGs of
+:mod:`repro.fusion.models`, and :func:`repro.fusion.lower.lower_layer_dag`
+derives their specs: a score ``kind`` the fused row sweep of
 :mod:`repro.tensor.megakernel` computes, plus the dense code around it
 (AGNN's row norms, GAT's ``u = H'a``, ``v = H'ā``, and their chain rule).
 Over the real semiring such a layer is *one* ``attention_forward`` — SDDMM
@@ -39,29 +42,26 @@ GAT's Ψ depends on ``W`` through ``H'``, so its VJP lands in the weight
 gradient (Eq. 7's second term) and it may run ``heads`` attention heads,
 all in the *same* sweep over stacked ``(n, heads, d)`` features; a single
 head hands the kernels plain 2-D operands.
-A spec need not be hand-written: :func:`repro.fusion.lower.lower_layer_dag`
-derives one — kind, dense operands and their VJP — from a layer written
-once in the op-DAG IR, and :class:`repro.fusion.layer.DagLayer` is this
-layer over such a spec; the derived and hand-written specs are tested
-against each other.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
 from repro.core.formulation import AttentionSpec, PsiInitFn
-from repro.models.base import GnnLayer, glorot
+from repro.fusion.lower import lower_layer_dag
+from repro.fusion.models import agnn_layer_dag, gat_layer_dag, va_layer_dag
+from repro.models.base import GnnLayer
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import mm, sddmm_dot, spmm
 from repro.tensor.megakernel import SweepStats, attention_backward, attention_forward
 from repro.tensor.semiring import REAL, Semiring
 from repro.util.counters import FlopCounter, null_counter
-from repro.util.rng import make_rng
+from repro.util.rng import glorot, make_rng
 
 __all__ = [
     "AttentionLayer",
@@ -71,146 +71,61 @@ __all__ = [
     "head_major",
     "projection",
     "split_heads",
-    "VA",
     "GCN",
-    "agnn_spec",
-    "gat_spec",
     "SPECS",
+    "layer_spec",
     "resolve_spec",
 ]
 
 
 # ----------------------------------------------------------------------
-# The built-in Ψ specs
+# The built-in Ψ
 # ----------------------------------------------------------------------
-#: Vanilla attention: sampled dot products, no softmax; both endpoints of
-#: an edge read ``H``, so :math:`dH = N H + N^T H` (Eq. 11) is the two exits.
-VA = AttentionSpec(
-    kind="dot", name="va", operands=lambda h, params, counter: {"x_src": h},
-    operands_vjp=lambda ex, h, params, ops, counter: (ex["dRow"] + ex["dCol"], {}),
-)
-
 #: The C-GNN case: the (pre-normalised) adjacency *is* Ψ — a constant,
 #: so there is no VJP and the gradient stops at Ψ (Section 4.4).
 GCN = AttentionSpec(
     psi=lambda a, h, params, counter: (a, None), name="gcn"
 )
 
-
-def agnn_spec(beta: float = 1.0, learnable_beta: bool = False) -> AttentionSpec:
-    """AGNN's cosine attention with propagation temperature ``beta``.
-
-    The paper's AGNN keeps :math:`\\beta` fixed
-    (:math:`\\partial\\Psi/\\partial W = 0`); ``learnable_beta`` makes it
-    a trained parameter (the original AGNN of Thekumparampil et al.).
-    A vertex with a zero feature row scores 0 against every neighbour.
-    """
-    _require_finite("beta", beta)
-
-    def operands(h, params, counter):
-        counter.add(2 * h.size, "norms")
-        return {
-            "x_src": h,
-            "norms": np.sqrt(np.einsum("ij,ij->i", h, h)),
-            "beta": float(params.get("beta", beta)),
-        }
-
-    def operands_vjp(exits, h, params, ops, counter):
-        # Both endpoints read H, and n_i = |h_i| gives dn_i / dh_i = h_i / n_i
-        # (a zero row has no direction: its norm gradient is dropped).
-        dnorm = exits["dNormRow"] + exits["dNormCol"]
-        np.divide(dnorm, ops["norms"], out=dnorm, where=ops["norms"] != 0)
-        dh = exits["dRow"] + exits["dCol"] + dnorm[:, None] * h
-        counter.add(4 * h.size, "agnn_vjp")
-        if not learnable_beta:
-            return dh, {}
-        return dh, {"beta": np.array(exits["dCoef"][0], dtype=h.dtype)}
-
-    def init(rng, width, dtype):
-        return {"beta": np.array(beta, dtype=dtype)}
-
-    return AttentionSpec(
-        kind="cosine", operands=operands, operands_vjp=operands_vjp,
-        init=init if learnable_beta else None, name="agnn",
-    )
+#: The built-in models' Ψ by name: VA, AGNN and GAT as their layer DAGs
+#: (keywords ``beta`` for AGNN, ``slope`` for GAT), which
+#: :func:`layer_spec` lowers; GCN's constant Ψ as its spec.
+SPECS = {"va": va_layer_dag, "agnn": agnn_layer_dag, "gat": gat_layer_dag, "gcn": GCN}
 
 
-def gat_spec(slope: float = 0.2) -> AttentionSpec:
-    """GAT's additive attention on the projected features ``H W``.
-
-    ``slope`` is the LeakyReLU negative slope inside the logits (0.2 in
-    the GAT paper). Each head draws its split attention vector
-    :math:`\\mathbf{a} = (a\\;\\bar{a})`. Figure 2's derivation: the
-    concatenated dot product :math:`\\mathbf{a}^T [Wh_i \\| Wh_j]` splits
-    into :math:`u_i + v_j` with :math:`u = H W a,\\; v = H W \\bar{a}`;
-    ``hp`` is ``(n, d)``, or ``(n, heads, d)`` with the vectors stacked
-    ``(heads, d)``.
-    """
-    _require_finite("slope", slope)
-
-    def operands(hp, params, counter):
-        # einsum (not BLAS gemv) in both layouts: each row's logit is then
-        # bitwise independent of how many other rows share the batch, so a
-        # vertex scores identically in any ego-batch that contains it (the
-        # serving coalescer's batched == per-request identity contract).
-        logit = "nhd,hd->nh" if hp.ndim == 3 else "nd,d->n"
-        counter.add(4 * hp.size, "gat_uv")
-        return {
-            "u": np.einsum(logit, hp, params["a_src"]),
-            "v": np.einsum(logit, hp, params["a_dst"]),
-            "slope": slope,
-        }
-
-    def operands_vjp(exits, hp, params, ops, counter):
-        # u = hp . a_src, v = hp . a_dst: rank-1 feature gradients (one
-        # rank-1 update per head in the stacked layout).
-        du, dv = exits["dU"], exits["dV"]
-        counter.add(6 * hp.size, "gat_vjp")
-        dhp = du[..., None] * params["a_src"] + dv[..., None] * params["a_dst"]
-        if hp.ndim == 3:
-            return dhp, {
-                "a_src": np.einsum("nhd,nh->hd", hp, du),
-                "a_dst": np.einsum("nhd,nh->hd", hp, dv),
-            }
-        return dhp, {"a_src": hp.T @ du, "a_dst": hp.T @ dv}
-
-    def init(rng, width, dtype):
-        return {
-            "a_src": glorot(rng, (width,), dtype),
-            "a_dst": glorot(rng, (width,), dtype),
-        }
-
-    return AttentionSpec(
-        kind="add", operands=operands, operands_vjp=operands_vjp, init=init,
-        on_projected=True, name="gat",
-    )
+def layer_spec(model: str, learnable_beta: bool = False, **dag_kwargs) -> AttentionSpec:
+    """The spec of a built-in model, by case-insensitive name: its layer
+    DAG built with ``dag_kwargs`` and lowered — once per keyword set, so
+    every layer of one shape shares a spec — or GCN's spec.
+    ``learnable_beta`` makes AGNN's temperature a trained parameter (the
+    original AGNN of Thekumparampil et al.; the paper's keeps it fixed)."""
+    entry = SPECS.get(model.lower())
+    if entry is None:
+        raise ValueError(f"unknown model {model!r}; use VA, AGNN, GAT, GCN, an AttentionSpec "
+                         "or, single-node, GIN or SGC")
+    if isinstance(entry, AttentionSpec):
+        if learnable_beta or dag_kwargs:
+            raise TypeError(f"{entry.name} takes no model keywords")
+        return entry
+    return _lowered(model.lower(), bool(learnable_beta), tuple(sorted(dag_kwargs.items())))
 
 
-def _require_finite(arg: str, value: float) -> None:
-    """A non-finite score coefficient turns every output row non-finite."""
-    if not math.isfinite(value):
-        raise ValueError(f"{arg} must be finite, got {value!r}")
-
-
-#: The built-in models' Ψ by name; keywords are the spec factory's
-#: (``beta`` / ``learnable_beta`` for AGNN, ``slope`` for GAT).
-SPECS = {"va": lambda: VA, "agnn": agnn_spec, "gat": gat_spec, "gcn": lambda: GCN}
+@lru_cache(maxsize=None)
+def _lowered(model: str, learnable_beta: bool, dag_kwargs: tuple) -> AttentionSpec:
+    return lower_layer_dag(SPECS[model](**dict(dag_kwargs)), model, learnable_beta)
 
 
 def resolve_spec(model: str | AttentionSpec, **spec_kwargs) -> tuple[AttentionSpec, str]:
-    """``(spec, hidden activation)`` of a model: a name in :data:`SPECS`
-    (case-insensitive), its spec built with ``spec_kwargs``, or a spec
+    """``(spec, hidden activation)`` of a model: a name in :data:`SPECS`,
+    its spec built by :func:`layer_spec` with ``spec_kwargs``, or a spec
     itself, which takes none. GAT's hidden layers use ELU, as in the GAT
     paper; every other model's ReLU."""
     if isinstance(model, AttentionSpec):
         if spec_kwargs:
             raise TypeError(f"a spec takes no model keywords, got {sorted(spec_kwargs)}")
         spec = model
-    elif model.lower() in SPECS:
-        spec = SPECS[model.lower()](**spec_kwargs)
     else:
-        raise ValueError(f"unknown model {model!r}; use VA, AGNN, GAT, GCN, an AttentionSpec "
-                         "or, single-node, GIN or SGC")
+        spec = layer_spec(model, **spec_kwargs)
     return spec, "elu" if spec.name == "gat" else "relu"
 
 
@@ -316,8 +231,8 @@ class AttentionLayer(GnnLayer):
         Feature dimensions of one head's
         :math:`W \\in \\mathbb{R}^{in \\times out}`.
     spec:
-        The attention operator Ψ (``VA``, ``GCN``, :func:`agnn_spec`,
-        :func:`gat_spec`, or a user-defined one).
+        The attention operator Ψ (a built-in's, :func:`layer_spec`, or a
+        user-defined one).
     activation:
         Output non-linearity :math:`\\sigma`, applied once after the
         heads are combined.
@@ -376,8 +291,6 @@ class AttentionLayer(GnnLayer):
             raise ValueError(
                 f"{spec.name}: multiple heads need a Psi on H W"
             )
-        if heads > 1 and not spec.multihead:
-            raise ValueError(f"{spec.name}: this Psi is single-head")
         self.weight, self.psi_params = draw_parameters(
             make_rng(seed), in_dim, out_dim, heads, dtype, spec.init
         )

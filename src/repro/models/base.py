@@ -40,20 +40,9 @@ from repro.util.counters import FlopCounter, null_counter
 from repro.util.rng import make_rng
 
 __all__ = [
-    "GnnLayer", "GnnModel", "Hop", "Loss", "backward_blocks", "forward_blocks", "glorot",
+    "GnnLayer", "GnnModel", "Hop", "Loss", "backward_blocks", "forward_blocks",
     "stack_layers",
 ]
-
-
-def glorot(
-    rng: np.random.Generator,
-    shape: tuple[int, ...],
-    dtype: np.dtype | type = np.float32,
-) -> np.ndarray:
-    """Glorot/Xavier-uniform initialisation (fan-in + fan-out scaled)."""
-    fan_in, fan_out = shape[0], shape[-1]
-    limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-limit, limit, shape).astype(dtype)
 
 
 class GnnLayer(ABC):

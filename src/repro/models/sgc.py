@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.models.base import GnnLayer, GnnModel, glorot
+from repro.models.base import GnnLayer, GnnModel
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import mm, spmm
 from repro.util.counters import FlopCounter, null_counter
-from repro.util.rng import make_rng
+from repro.util.rng import glorot, make_rng
 
 __all__ = ["SGCLayer", "sgc_model", "propagate"]
 

@@ -60,14 +60,12 @@ class MachineParams:
 #: Piz-Daint-flavoured defaults used by the benchmark harness.
 PIZ_DAINT = MachineParams()
 
-#: Flop-counter labels charged at the sparse (memory-bound) rate; all
-#: other labels (dense GEMMs, the pre-calibrated sampling charge) use
-#: the dense rate.
+#: Flop-counter labels charged at the sparse (memory-bound) rate: the
+#: edge kernels, and the vector-wide dense code of a spec (its score
+#: operands and their VJP); all other labels (dense GEMMs, the
+#: pre-calibrated sampling charge) use the dense rate.
 SPARSE_LABELS = frozenset({
-    "SpMM", "SDDMM", "softmax", "softmax_bwd", "agnn_vjp", "gat_vjp",
-    "gat_uv", "norms", "local_va_edges",
-    "local_va_agg", "local_agnn_edges", "local_agnn_agg",
-    "local_gat_edges", "local_gat_agg",
+    "SpMM", "SDDMM", "softmax", "softmax_bwd", "norms", "operands", "operands_vjp",
 })
 
 

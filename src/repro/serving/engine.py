@@ -68,6 +68,7 @@ from repro.serving.queue import AdmissionQueue, _positive_int
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.sampling_graph import hub_bias_weights
 from repro.tensor.segment import ragged_ranges
+from repro.training.minibatch import check_fanouts
 
 __all__ = ["ServingEngine", "ServingServer"]
 
@@ -192,11 +193,7 @@ class ServingEngine:
             if fanouts is not None
             else (None,) * model.num_layers
         )
-        if len(self.fanouts) != model.num_layers:
-            raise ValueError(
-                f"got {len(self.fanouts)} fan-outs for "
-                f"{model.num_layers} layers"
-            )
+        check_fanouts(self.fanouts, model.num_layers)
         if isinstance(cache, int):
             cache = ActivationCache(capacity=cache)
         self.cache = cache

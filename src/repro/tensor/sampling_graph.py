@@ -45,6 +45,8 @@ counters in the :func:`repro.obs.metrics` registry.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -60,11 +62,22 @@ from repro.tensor.structure import PatternStructure
 __all__ = [
     "Block",
     "SamplingGraph",
+    "is_fanout",
     "sampling_graph_of",
     "sample_one_hop",
     "sample_blocks",
     "hub_bias_weights",
 ]
+
+
+def is_fanout(fanout) -> bool:
+    """A fan-out is ``None`` (every neighbour) or an integral number >= 0:
+    a fraction, a bool or a string is not one (it would be truncated)."""
+    if fanout is None:
+        return True
+    if isinstance(fanout, (bool, np.bool_)) or not isinstance(fanout, numbers.Real):
+        return False
+    return math.isfinite(fanout) and fanout >= 0 and fanout == int(fanout)
 
 
 class SamplingGraph:
@@ -163,12 +176,12 @@ class SamplingGraph:
                 )
         starts = self.indptr[seeds]
         deg = self.indptr[seeds + 1] - starts
+        if not is_fanout(fanout):
+            raise ValueError(f"fanout must be an integer >= 0 (or None), got {fanout!r}")
         if fanout is None:
             counts = deg
         else:
             fanout = int(fanout)
-            if fanout < 0:
-                raise ValueError("fanout must be >= 0 (or None)")
             counts = np.minimum(deg, fanout)
         # Every seed's leading ``counts`` edges: final at or under the
         # fan-out, overwritten below for the rest.

@@ -55,13 +55,10 @@ def global_layer_words(
     """
     if p <= 1:
         return 0.0
-    # Feature-block transfers per layer (see distributed.layers table).
-    transfers = {
-        "gcn": 2.0,   # reduce-scatter + exchange only
-        "va": 4.0,    # + diagonal broadcast (~2 with the tree algorithm)
-        "agnn": 4.0,
-        "gat": 4.0,
-    }.get(model.lower(), 4.0)
+    # Feature-block transfers per layer (see distributed.layers table):
+    # GCN's reduce-scatter + exchange; an attention layer adds the
+    # diagonal broadcast (~2 with the tree algorithm).
+    transfers = 2.0 if model.lower() == "gcn" else 4.0
     if training:
         transfers *= 2.5  # g broadcast, two allreduces, transpose swap
     log_p = max(np.log2(p), 1.0)

@@ -35,7 +35,7 @@ import numpy as np
 from repro.models.base import GnnModel, Loss, backward_blocks, forward_blocks
 from repro.obs.tracer import tracer
 from repro.tensor.csr import CSRMatrix
-from repro.tensor.sampling_graph import sample_blocks
+from repro.tensor.sampling_graph import is_fanout, sample_blocks
 from repro.training.optim import Optimizer
 from repro.training.trainer import Trainer, TrainResult, train_step
 from repro.util.counters import FlopCounter, null_counter
@@ -178,14 +178,14 @@ class MinibatchTrainer(Trainer):
 
 
 def check_fanouts(fanouts: tuple, num_layers: int) -> None:
-    """One fan-out >= 0 (or ``None``: all) per layer: a sampler that draws
-    more or fewer hops than the model has layers trains on the wrong
-    neighbourhood."""
+    """One fan-out — an integer >= 0, or ``None``: all — per layer: a
+    sampler that draws more or fewer hops than the model has layers trains
+    on the wrong neighbourhood, and a fraction would be truncated."""
     if len(fanouts) != num_layers:
         raise ValueError(f"{len(fanouts)} fan-outs for a {num_layers}-layer model; "
                          "need one per layer")
-    if any(f is not None and int(f) < 0 for f in fanouts):
-        raise ValueError("fan-outs must be >= 0 (or None for all)")
+    if not all(map(is_fanout, fanouts)):
+        raise ValueError(f"fan-outs must be integers >= 0 (or None for all), got {fanouts!r}")
 
 
 def _as_target_ids(targets, n: int) -> np.ndarray:

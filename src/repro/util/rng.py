@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng"]
+__all__ = ["glorot", "make_rng"]
 
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -24,3 +24,14 @@ def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def glorot(
+    rng: np.random.Generator,
+    shape: tuple[int, ...],
+    dtype: np.dtype | type = np.float32,
+) -> np.ndarray:
+    """Glorot/Xavier-uniform initialisation (fan-in + fan-out scaled)."""
+    fan_in, fan_out = shape[0], shape[-1]
+    limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
+    return rng.uniform(-limit, limit, shape).astype(dtype)

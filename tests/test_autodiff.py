@@ -22,7 +22,7 @@ from repro.fusion import (
     gat_psi_dag,
     va_psi_dag,
 )
-from repro.models import VA, AttentionLayer, agnn_spec, gat_spec
+from repro.models import AttentionLayer
 from repro.models.base import GnnModel
 from repro.tensor.megakernel import (
     attention_backward,
@@ -30,6 +30,7 @@ from repro.tensor.megakernel import (
     attention_scores,
 )
 from repro.training import SGD
+from tests.reference_specs import VA, agnn_spec, gat_spec
 
 TIGHT = 1e-8  # acceptance: DAG-derived grads match the sweep's to <= 1e-8
 

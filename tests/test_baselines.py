@@ -10,7 +10,7 @@ from repro.baselines.dist_local import (
     dist_local_inference,
     dist_local_train,
 )
-from repro.baselines.message_passing import (
+from tests.reference_message_passing import (
     LocalGraph,
     local_agnn_layer,
     local_gat_layer,

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.formulation import AttentionSpec
-from repro.models import VA, AttentionLayer, agnn_spec
+from repro.models import AttentionLayer, layer_spec
 from repro.models.base import GnnModel
 from repro.tensor.kernels import spmm
 from repro.tensor.megakernel import attention_scores
 from repro.tensor.semiring import TROPICAL_MAX, adjacency_values
 from repro.training import SGD
 from repro.util.counters import FlopCounter
+
+VA = layer_spec("va")
 
 
 def _raw_va_psi(a, h, params, counter):
@@ -162,7 +164,7 @@ class TestRouteFollowsSpecAndSemiring:
         self, rng, small_adjacency
     ):
         h = rng.normal(size=(60, 5))
-        layer = AttentionLayer(5, 4, agnn_spec(beta=1.3), activation="identity",
+        layer = AttentionLayer(5, 4, layer_spec("agnn", beta=1.3), activation="identity",
                                aggregate=TROPICAL_MAX, seed=0, dtype=np.float64)
         out, cache = layer.forward(small_adjacency, h)
         norms = np.sqrt((h * h).sum(axis=1))
@@ -177,11 +179,12 @@ class TestRouteFollowsSpecAndSemiring:
 
     def test_sweep_cache_holds_nothing_edge_sized(self, rng, small_adjacency):
         h = rng.normal(size=(60, 5))
-        layer = AttentionLayer(5, 4, agnn_spec(), seed=0, dtype=np.float64)
+        layer = AttentionLayer(5, 4, layer_spec("agnn"), seed=0, dtype=np.float64)
         _, cache = layer.forward(small_adjacency, h)
         assert cache.s is None and cache.psi_cache is None
         assert cache.stats.shift.shape == cache.stats.denom.shape == (60, 1)
-        assert set(cache.ops) == {"x_src", "norms", "beta"}
+        assert set(cache.ops) == {"x_src", "x_dst", "norms", "slope", "beta"}
+        assert cache.ops["x_dst"] is cache.ops["x_src"] is h
 
     def test_kind_spec_without_operands_vjp_detaches_attention(
         self, rng, small_adjacency
@@ -214,7 +217,7 @@ class TestSpecValidation:
 
     def test_kind_spec_stays_hashable_with_its_filled_in_psi(self, rng,
                                                              small_adjacency):
-        assert hash(VA) == hash(VA) and VA == VA and len({VA, agnn_spec()}) == 2
+        assert hash(VA) == hash(VA) and VA == VA and len({VA, layer_spec("agnn")}) == 2
         h = rng.normal(size=(60, 3))
         s, cache = VA.psi(small_adjacency, h, {}, FlopCounter())
         assert cache is None
@@ -225,9 +228,7 @@ class TestSpecValidation:
             AttentionLayer(4, 3, VA, order="sideways")
 
     def test_psi_on_projection_pins_order_and_heads(self):
-        from repro.models import gat_spec
-
         with pytest.raises(ValueError, match="project_first"):
-            AttentionLayer(4, 3, gat_spec(), order="aggregate_first")
+            AttentionLayer(4, 3, layer_spec("gat"), order="aggregate_first")
         with pytest.raises(ValueError, match="heads"):
             AttentionLayer(4, 3, VA, heads=2)

@@ -52,7 +52,7 @@ class TestTwoRateModel:
         adding a new kernel label silently billed at dense speed would
         skew every benchmark."""
         for label in ("SpMM", "SDDMM", "softmax", "softmax_bwd",
-                      "agnn_vjp", "gat_vjp"):
+                      "operands", "operands_vjp"):
             assert label in SPARSE_LABELS
 
     def test_sparse_rate_validated(self):

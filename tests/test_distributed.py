@@ -24,7 +24,7 @@ from repro.distributed.partition import (
     distribute_features,
 )
 from repro.graphs import erdos_renyi, prepare_adjacency
-from repro.models import AttentionLayer, GnnModel, agnn_spec
+from repro.models import AttentionLayer, GnnModel, layer_spec
 from repro.runtime import run_spmd, square_grid
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import spmm_reference
@@ -415,7 +415,7 @@ class TestOneAttentionLayer:
         h[[3, 44]] = 0  # in different blocks of a 2 x 2 grid
         assert a.row_lengths()[[3, 44]].min() > 1
         g = rng.normal(size=(60, 4))
-        spec = agnn_spec(learnable_beta=True)
+        spec = layer_spec("agnn", learnable_beta=True)
         single = AttentionLayer(5, 4, spec, "identity", seed=3, dtype=np.float64)
         out, cache = single.forward(a, h)
         dh, grads = single.backward(cache, g)

@@ -7,7 +7,7 @@ from repro.core.formulation import AttentionSpec
 from repro.distributed.api import distributed_train
 from repro.fusion import DagLayer, execute, fuse, va_psi_dag
 from repro.graphs import erdos_renyi, prepare_adjacency
-from repro.models import AttentionLayer, agnn_spec, build_model, gat_spec
+from repro.models import AttentionLayer, build_model
 from repro.runtime import run_spmd
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import spmm
@@ -15,6 +15,7 @@ from repro.tensor.megakernel import attention_scores
 from repro.tensor.semiring import AVERAGE
 from repro.training import SGD, SoftmaxCrossEntropyLoss, Trainer
 from tests.conftest import numeric_gradient, random_csr
+from tests.reference_specs import agnn_spec, gat_spec
 
 
 class TestWeightedAdjacency:

@@ -26,7 +26,7 @@ import pytest
 from repro.distributed import distribute_adjacency, distribute_features
 from repro.distributed.layers import DistAttentionLayer
 from repro.distributed.ops import OpSequencer
-from repro.models import AttentionLayer, gat_spec
+from repro.models import AttentionLayer, layer_spec
 from repro.obs.metrics import metrics
 from repro.runtime import run_spmd, square_grid
 from repro.tensor import kernels
@@ -60,7 +60,7 @@ HEADS = 4
 
 
 def _gat_layer(in_dim, out_dim, **kwargs):
-    return AttentionLayer(in_dim, out_dim, gat_spec(), **kwargs)
+    return AttentionLayer(in_dim, out_dim, layer_spec("gat"), **kwargs)
 
 
 def _per_head_step(layer, a, h, g, counter=null_counter()):
@@ -385,13 +385,13 @@ class TestDistributedCoalescing:
             a_block = distribute_adjacency(a, grid)
             h_block = distribute_features(h, grid)
             layer = DistAttentionLayer(
-                h.shape[1], 3, gat_spec(), "elu", heads=heads, seed=5,
+                h.shape[1], 3, layer_spec("gat"), "elu", heads=heads, seed=5,
                 dtype=np.float64,
             )
             passes = [layer]
             if per_head:
                 passes = single_heads(layer, lambda: DistAttentionLayer(
-                    h.shape[1], 3, gat_spec(), "identity", dtype=np.float64,
+                    h.shape[1], 3, layer_spec("gat"), "identity", dtype=np.float64,
                 ))
             seq = OpSequencer()
             # Snapshot after block distribution: only the layer step's

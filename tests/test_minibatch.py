@@ -19,7 +19,8 @@ import pytest
 
 from repro.fusion.layer import DagLayer
 from repro.graphs import synthetic_classification
-from repro.models import AttentionLayer, build_model, gat_spec
+from repro.models import AttentionLayer, build_model, layer_spec
+from repro.training.minibatch import check_fanouts
 from repro.models.base import GnnModel
 from repro.training import (
     SGD,
@@ -172,9 +173,9 @@ class TestSampledTraining:
         a = problem.adjacency.astype(np.float64)
         c = problem.num_classes
         model = GnnModel([
-            AttentionLayer(6, 8, gat_spec(), activation="elu", heads=4,
+            AttentionLayer(6, 8, layer_spec("gat"), activation="elu", heads=4,
                            seed=0, dtype=np.float64),
-            AttentionLayer(32, c, gat_spec(), activation="elu", seed=1,
+            AttentionLayer(32, c, layer_spec("gat"), activation="elu", seed=1,
                            dtype=np.float64),
         ])
         trainer = MinibatchTrainer(
@@ -242,6 +243,14 @@ class TestValidation:
         model, loss, opt = _ingredients("GAT", problem)
         with pytest.raises(ValueError, match="fan-outs"):
             MinibatchTrainer(model, loss, opt, fanouts=(4, -1))
+
+    @pytest.mark.parametrize("fanout", [2.5, True, "4"])
+    def test_non_integer_fanout_rejected(self, problem, fanout):
+        model, loss, opt = _ingredients("GAT", problem)
+        with pytest.raises(ValueError, match="fan-outs"):
+            MinibatchTrainer(model, loss, opt, fanouts=(4, fanout))
+        with pytest.raises(ValueError, match="fan-outs"):
+            check_fanouts((fanout, 4), 2)
 
     def test_batch_size_must_be_positive(self, problem):
         model, loss, opt = _ingredients("GAT", problem)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.models.base import glorot
+from repro.util.rng import glorot
 from repro.training import SGD, SoftmaxCrossEntropyLoss, Trainer
 from repro.util.counters import FlopCounter
 from repro.util.rng import make_rng

@@ -16,7 +16,7 @@ from repro.fusion import DagLayer
 from repro.models import (
     AttentionLayer,
     build_model,
-    gat_spec,
+    layer_spec,
     normalize_adjacency,
 )
 from repro.models.base import GnnModel
@@ -109,11 +109,11 @@ class TestGradcheck:
         """Stacked ``(n, heads, d)`` operands, and the mean combine's
         broadcast (non-contiguous) ``dZ``, through the sweep."""
         a, h, _ = problem
-        first = AttentionLayer(5, 4, gat_spec(), activation="tanh",
+        first = AttentionLayer(5, 4, layer_spec("gat"), activation="tanh",
                                heads=heads, combine=combine, seed=11,
                                dtype=np.float64)
         model = GnnModel([first, AttentionLayer(
-            first.out_dim, 3, gat_spec(slope=0.1), activation="identity",
+            first.out_dim, 3, layer_spec("gat", slope=0.1), activation="identity",
             heads=heads, combine=combine, seed=12, dtype=np.float64,
         )])
         target = rng.normal(size=(a.shape[0], model.layers[-1].out_dim))
@@ -212,11 +212,10 @@ class TestDagLayerGradcheck:
     def test_mixed_hand_and_dag_stack(self, rng, problem):
         """DagLayer honours the GnnLayer contract: it stacks with the
         hand-fused layers inside one model."""
-        from repro.models import VA, AttentionLayer
 
         a, h, target = problem
         model = GnnModel([
-            AttentionLayer(5, 6, VA, activation="tanh", seed=11,
+            AttentionLayer(5, 6, layer_spec("va"), activation="tanh", seed=11,
                            dtype=np.float64),
             DagLayer("va", 6, 3, activation="identity", seed=12,
                      dtype=np.float64),

@@ -157,6 +157,15 @@ class TestSampleEdges:
                 np.array([0], dtype=np.int64), -1, np.random.default_rng(6)
             )
 
+    @pytest.mark.parametrize("fanout", [3.7, True, "3", float("nan")])
+    def test_non_integer_fanout_rejected_not_truncated(self, fanout):
+        """``int(3.7)`` used to sample 3 per row and ``True`` 1."""
+        from repro.graphs import erdos_renyi, prepare_adjacency
+
+        graph = sampling_graph_of(prepare_adjacency(erdos_renyi(64, 600, seed=1)))
+        with pytest.raises(ValueError, match="fanout"):
+            graph.sample_edges(np.arange(8, dtype=np.int64), fanout, np.random.default_rng(6))
+
     def test_seeded_streams_reproduce(self, small_adjacency):
         graph = sampling_graph_of(small_adjacency)
         seeds = np.arange(graph.num_nodes, dtype=np.int64)

@@ -842,6 +842,12 @@ class TestEngineMutations:
         with pytest.raises(ValueError, match="weights"):
             engine.apply_graph_delta(adjacency)
 
+    @pytest.mark.parametrize("fanouts", [(2.5, 2), (2, True), (2, "2"), (2,), (-1, 2)])
+    def test_fanouts_checked_like_the_trainer(self, adjacency, features, fanouts):
+        """``(2.5, 2)`` used to build and serve, sampling 2 per row."""
+        with pytest.raises(ValueError, match="fan-outs"):
+            ServingEngine(_model(), adjacency, features, fanouts=fanouts)
+
     def test_multi_hop_layers_rejected(self, adjacency, features):
         sgc = build_model("sgc", FEAT, 12, 6, num_layers=2, seed=0)
         with pytest.raises(ValueError, match="one-hop"):

@@ -19,11 +19,12 @@ The engine decides where data lives; the layer decides what is
 computed. Every rank builds the same ``build_model`` stack (parameters
 replicated by seed) and is a batch source for the one
 :func:`~repro.training.trainer.train_step`: every layer's hop is one
-square *own+halo block* — the owned adjacency rows over the local id
-space ``[own; halo]``, halo rows empty (the
+*own+halo block* — the owned adjacency rows over the local id space
+``[own; halo]``, the owned vertices its destinations (the
 :class:`repro.tensor.sampling_graph.Block` layout, so each layer reads
-both edge endpoints from ``[H_own; H_halo]`` unchanged) — and
-:func:`halo_exchange` / :func:`halo_reverse` are its exchange pair.
+both edge endpoints from ``[H_own; H_halo]`` and computes the owned rows
+only) — and :func:`halo_exchange` / :func:`halo_reverse` are its
+exchange pair.
 Mathematics are therefore the single-node model's (the equivalence
 tests assert it); only the distribution differs — which is exactly the
 comparison the paper makes.
@@ -60,9 +61,8 @@ class LocalPartition:
     r0, r1:
         Owned vertex range.
     block:
-        Square CSR over the owned-plus-halo local id space
-        ``[0, n_own + n_halo)``: rows ``[0, n_own)`` are the owned
-        adjacency rows with remapped columns, the halo rows are empty.
+        The ``(n_own, n_own + n_halo)`` CSR of the owned adjacency rows,
+        columns remapped to the owned-plus-halo local id space.
     halo_ids:
         Global ids of remote neighbours, sorted; local id of
         ``halo_ids[t]`` is ``n_own + t``.
@@ -108,11 +108,7 @@ def build_partition(
     remapped[~owned] = (r1 - r0) + np.searchsorted(
         halo_ids, rows.indices[~owned]
     )
-    n_ext = (r1 - r0) + halo_ids.shape[0]
-    indptr = np.concatenate(
-        [rows.indptr, np.full(halo_ids.shape[0], rows.nnz, dtype=np.int64)]
-    )
-    block = CSRMatrix(indptr, remapped, rows.data, (n_ext, n_ext))
+    block = CSRMatrix(rows.indptr, remapped, rows.data, (r1 - r0, (r1 - r0) + halo_ids.shape[0]))
 
     # Group halo ids by owner; negotiate send lists.
     requests = split_by_owner(halo_ids, n, p)

@@ -55,7 +55,8 @@ from repro.core.formulation import AttentionSpec
 from repro.distributed.ops import OpSequencer
 from repro.distributed.schedule import CommSchedule, Compute, Transfer
 from repro.models.attention import (
-    GCN, AttentionLayer, head_major, named_parameters, projection, split_heads)
+    EXITS, GCN, AttentionLayer, block_operands, head_major, named_parameters, projection,
+    split_heads)
 from repro.runtime.grid import ProcessGrid
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import mm, spmm
@@ -66,29 +67,11 @@ __all__ = ["DistGnnLayer", "DistAttentionLayer", "DistGCNLayer"]
 
 Step = Compute | Transfer
 
-#: (row-endpoint, column-endpoint) score operands of the sweep; a column one
-#: a spec leaves out is its row twin, as in the sweep's own defaults.
-_ENDPOINTS = (("x_src", "x_dst"), ("u", "v"), ("norms", "norms_dst"))
-#: The sweep's gradient exits of those operands, paired the same way.
-_EXITS = (("dRow", "dCol"), ("dU", "dV"), ("dNormRow", "dNormCol"))
-
-
-def _block_operands(row: dict[str, Any], col: dict[str, Any]) -> dict[str, Any]:
-    """The sweep's keywords on ``A[i, j]``: row-endpoint operands and the
-    scalars (``slope``, ``beta``) from the spec on row block ``i``,
-    column-endpoint ones from it on column block ``j``."""
-    ops = {key: value for key, value in row.items() if key not in dict(_ENDPOINTS).values()}
-    for src, dst in _ENDPOINTS:
-        if dst in col or src in col:
-            ops[dst] = col.get(dst, col.get(src))
-    return ops
-
-
 def _side_exits(exits: dict[str, np.ndarray], side: int) -> dict[str, np.ndarray]:
     """The exits of one endpoint side (0 row, 1 column), the other side's
     read-only zeros; ``dCoef`` rides with the row side."""
     out = {}
-    for pair in _EXITS:
+    for pair in EXITS:
         if pair[side] in exits:
             kept = out[pair[side]] = exits[pair[side]]
             out[pair[1 - side]] = np.broadcast_to(np.zeros((), kept.dtype), kept.shape)
@@ -111,28 +94,29 @@ class DistGnnLayer(AttentionLayer):
 
     Every rank draws bit-identical parameter replicas from the same
     ``seed``. Subclasses declare ``_forward_steps`` (leaving ``z_block``)
-    and ``_backward_steps`` (leaving ``d_weight``, ``psi_grads`` when Psi
-    has parameters and ``gamma`` when bound with ``input_grad``). Where and
+    and ``_backward_steps(input_grad)`` (leaving ``d_weight``, ``psi_grads``
+    when Psi has parameters and, with ``input_grad``, ``gamma``). Where and
     how a layer runs is bound once, by :meth:`bind`.
     """
 
     #: Context entries the backward schedule reads, kept by the forward.
     cached: tuple[str, ...] = ("a_block", "h_block")
 
-    def bind(self, grid: ProcessGrid, sequencer: OpSequencer, overlap: bool = True,
-             input_grad: bool = True) -> None:
+    def bind(self, grid: ProcessGrid, sequencer: OpSequencer, overlap: bool = True) -> None:
         """Attach this rank's grid and the model's one ``sequencer``.
-        ``overlap=False`` is the synchronous parity oracle;
-        ``input_grad=False`` (a first layer) skips the input gradient."""
-        self.grid, self.sequencer = grid, sequencer
-        self.overlap, self.input_grad = overlap, input_grad
+        ``overlap=False`` is the synchronous parity oracle."""
+        self.grid, self.sequencer, self.overlap = grid, sequencer, overlap
 
     def forward(
         self, a_block: CSRMatrix, h_block: np.ndarray,
         counter: FlopCounter = null_counter(), training: bool = True,
+        rows: np.ndarray | None = None,
     ) -> tuple[np.ndarray, _DistLayerCache | None]:
         """:math:`H^{l+1}_j` (post-activation, redistributed) from this
-        rank's input block :math:`H_j`, and a training cache."""
+        rank's input block :math:`H_j`, and a training cache. The rank's
+        adjacency block is its whole hop: there are no ``rows``."""
+        if rows is not None:
+            raise ValueError("a 1.5D layer's hop is its adjacency block; it takes no rows")
         ctx = {"grid": self.grid, "a_block": a_block, "h_block": h_block, "counter": counter}
         self._run(self._forward_steps(), ctx, "forward")
         h_next = self.activation.fn(ctx["z_block"])
@@ -143,12 +127,13 @@ class DistGnnLayer(AttentionLayer):
 
     def backward(
         self, cache: _DistLayerCache, g_block: np.ndarray, counter: FlopCounter = null_counter(),
+        input_grad: bool = True,
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         """The input-gradient block (``None`` without ``input_grad``) and the
         replicated parameter gradients from :math:`dL/dZ` on block ``j``."""
         ctx = {**cache.ctx, "grid": self.grid, "counter": counter, "g_block": g_block}
-        self._run(self._backward_steps(), ctx, "backward")
-        return ctx["gamma"] if self.input_grad else None, named_parameters(
+        self._run(self._backward_steps(input_grad), ctx, "backward")
+        return ctx["gamma"] if input_grad else None, named_parameters(
             head_major(ctx["d_weight"], self.heads), ctx.get("psi_grads", {}), self.heads)
 
     def _run(self, steps: list[Step], ctx: dict[str, Any], direction: str) -> None:
@@ -195,7 +180,7 @@ class DistAttentionLayer(DistGnnLayer):
         def sweep(c):
             z, c["stats"] = attention_forward(
                 c["a_block"], spec.kind, split_heads(c["hp"], heads), softmax=spec.softmax,
-                counter=c["counter"], **_block_operands(c["ops_row"], c["ops_col"]))
+                counter=c["counter"], **block_operands(c["ops_row"], c["ops_col"]))
             return z.reshape(len(z), -1)
 
         # Psi on H W broadcasts H'_i; on H, H_i goes out under the projection.
@@ -240,13 +225,13 @@ class DistAttentionLayer(DistGnnLayer):
         num = z.reshape(len(z), self.heads, -1) * weight[:, :, None]
         return np.concatenate([num.reshape(len(z), -1), weight], axis=1)
 
-    def _backward_steps(self) -> list[Step]:
+    def _backward_steps(self, input_grad: bool) -> list[Step]:
         spec, heads, width, projected = self.spec, self.heads, self.out_dim, self.spec.on_projected
         # The sweep's score half feeds the operand VJP, for an input gradient,
         # Psi's parameters or (Psi on H W) the weight; else dY is all it needs.
         vjp = spec.operands_vjp is not None and (
-            self.input_grad or projected or bool(self.psi_params))
-        rows = vjp and (self.input_grad or projected)  # the row side's dX is used
+            input_grad or projected or bool(self.psi_params))
+        rows = vjp and (input_grad or projected)  # the row side's dX is used
         names = tuple(self.psi_params) if vjp else ()
 
         def w_t(c, x):
@@ -272,7 +257,7 @@ class DistAttentionLayer(DistGnnLayer):
             return attention_backward(
                 c["a_block"], spec.kind, split_heads(c["hp"], heads), self._uncombine(g),
                 stats=stats, row_inner=inner, score_grad=vjp, softmax=spec.softmax,
-                counter=c["counter"], **_block_operands(c["ops_row"], c["ops_col"]))
+                counter=c["counter"], **block_operands(c["ops_row"], c["ops_col"]))
 
         def operand_grads(c):
             # The spec's VJP once per side; returns the row side's dX.
@@ -324,7 +309,7 @@ class DistAttentionLayer(DistGnnLayer):
         if rows:
             steps.append(Transfer("row_sum", "row_allreduce", "dx_row", phase="backward"))
         steps.append(Compute("dhp", dhp))
-        if self.input_grad:
+        if input_grad:
             steps += [Compute("col_partial", col_partial),
                       Transfer("col_sum", "col_allreduce", "col_partial", phase="backward")]
         steps += [
@@ -332,7 +317,7 @@ class DistAttentionLayer(DistGnnLayer):
                     needs=("row_sum",) if rows and projected else ()),
             Transfer("param_sum", "allreduce", "param_partial", phase="backward"),
         ]
-        if self.input_grad:
+        if input_grad:
             if vjp:
                 steps.append(Transfer("row_t", "transpose", "row_sum", phase="backward"))
             steps.append(Compute("gamma", gamma, needs=("col_sum",) + ("row_t",) * vjp))
@@ -357,7 +342,7 @@ class DistGCNLayer(DistGnnLayer):
             Transfer("z_block", "redistribute", "partial", phase="redistribute"),
         ]
 
-    def _backward_steps(self) -> list[Step]:
+    def _backward_steps(self, input_grad: bool) -> list[Step]:
         # Eq. 13: G broadcast along the grid row, dW = H^T (Psi^T G) summed.
         steps = [
             Transfer("g_row", "row_bcast", "g_block", phase="backward"),
@@ -366,7 +351,7 @@ class DistGCNLayer(DistGnnLayer):
             Compute("dw_local", lambda c: mm(c["h_block"].T, c["stg"], counter=c["counter"])),
             Transfer("d_weight", "allreduce", "dw_local", phase="backward"),
         ]
-        if self.input_grad:
+        if input_grad:
             steps += [
                 Compute("gamma_local", lambda c: mm(c["stg"], self.weight.T, counter=c["counter"])),
                 Transfer("gamma", "col_allreduce", "gamma_local", phase="backward"),

@@ -51,9 +51,9 @@ def build_dist_model(
 
     Call it *inside* the SPMD rank function; the same arguments (``seed``
     above all) on every rank replicate the parameters. Every layer is bound
-    to ``grid`` and the model's one ``OpSequencer``, the first skipping its
-    input-feature gradient; ``overlap=False`` is the synchronous parity
-    oracle (bit-identical results and traffic). ``grid=None`` leaves them
+    to ``grid`` and the model's one ``OpSequencer`` (the layer walk tells
+    the first to skip its input-feature gradient); ``overlap=False`` is the
+    synchronous parity oracle (bit-identical results and traffic). ``grid=None`` leaves them
     unbound: the entry points build one so, to refuse bad arguments
     before any rank starts.
     """
@@ -68,6 +68,6 @@ def build_dist_model(
     model = stack_layers(layer, in_dim, hidden_dim, out_dim, num_layers,
                          activation or hidden_activation, seed)
     sequencer = OpSequencer()
-    for index, bound in enumerate(model.layers):
-        bound.bind(grid, sequencer, overlap=overlap, input_grad=index > 0)
+    for bound in model.layers:
+        bound.bind(grid, sequencer, overlap=overlap)
     return model

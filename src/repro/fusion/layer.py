@@ -114,6 +114,8 @@ class _DagCache:
 
     runner: ProgramRunner
     z: np.ndarray
+    rows: np.ndarray | None  # the hop's destinations among its sources
+    num_src: int
 
 
 class DagLayer(AttentionLayer):
@@ -165,40 +167,50 @@ class DagLayer(AttentionLayer):
         h: np.ndarray,
         counter: FlopCounter = null_counter(),
         training: bool = True,
+        rows: np.ndarray | None = None,
     ):
         with tracer().span(
             "daglayer.forward", counter=counter, model=self.model,
         ):
             if self.fused:
-                return super().forward(a, h, counter=counter, training=training)
+                return super().forward(a, h, counter=counter, training=training, rows=rows)
+            # The program reads A square: a hop with rows runs in the
+            # frame of its sources, its other rows empty.
             runner = ProgramRunner(
                 self._fused_program,
-                {"A": a, "H": h, "W": self.weight, **self.psi_params},
+                {"A": a if rows is None else a.lift_rows(rows), "H": h, "W": self.weight,
+                 **self.psi_params},
             )
             z = runner.run()
+            if rows is not None:
+                z = z[rows]
             h_next = self.activation.fn(z)
         if not training:
             return h_next, None
-        return h_next, _DagCache(runner=runner, z=z)
+        return h_next, _DagCache(runner=runner, z=z, rows=rows, num_src=h.shape[0])
 
     def backward(
         self,
         cache,
         g: np.ndarray,
         counter: FlopCounter = null_counter(),
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        input_grad: bool = True,
+    ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         with tracer().span(
             "daglayer.backward", counter=counter, model=self.model,
         ):
             if self.fused:
-                return super().backward(cache, g, counter=counter)
-            runner = cache.runner
-            runner.bind(self.program.seed, np.asarray(g))
+                return super().backward(cache, g, counter=counter, input_grad=input_grad)
+            runner, g = cache.runner, np.asarray(g)
+            if cache.rows is not None:
+                g_rows, g = g, np.zeros((cache.num_src,) + g.shape[1:], g.dtype)
+                g[cache.rows] = g_rows
+            runner.bind(self.program.seed, g)
             grads = {
                 "weight" if name == "W" else name: runner.run(f"grad:{name}")
                 for name in ("W", *self.psi_params)
             }
-            return runner.run("grad:H"), grads
+            return runner.run("grad:H") if input_grad else None, grads
 
     def describe(self) -> str:
         """Full joint-program listing (forward + derived backward)."""

@@ -58,7 +58,8 @@ from repro.fusion.models import agnn_layer_dag, gat_layer_dag, va_layer_dag
 from repro.models.base import GnnLayer
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import mm, sddmm_dot, spmm
-from repro.tensor.megakernel import SweepStats, attention_backward, attention_forward
+from repro.tensor.megakernel import (
+    SweepStats, attention_backward, attention_forward, attention_scores)
 from repro.tensor.semiring import REAL, Semiring
 from repro.util.counters import FlopCounter, null_counter
 from repro.util.rng import glorot, make_rng
@@ -203,6 +204,55 @@ def head_major(d_weight: np.ndarray, heads: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# Score operands by endpoint, shared with the distributed layers
+# ----------------------------------------------------------------------
+#: (row-endpoint, column-endpoint) score operands of the sweep; a column one
+#: a spec leaves out is its row twin, as in the sweep's own defaults.
+ENDPOINTS = (("x_src", "x_dst"), ("u", "v"), ("norms", "norms_dst"))
+#: The sweep's gradient exits of those operands, paired the same way.
+EXITS = (("dRow", "dCol"), ("dU", "dV"), ("dNormRow", "dNormCol"))
+
+
+def block_operands(row: dict[str, Any], col: dict[str, Any]) -> dict[str, Any]:
+    """The sweep's keywords on a block whose rows are those of ``row``'s
+    operands and whose columns those of ``col``'s: row-endpoint operands
+    and the scalars (``slope``, ``beta``) from ``row``, column-endpoint
+    ones from ``col``."""
+    ops = {key: value for key, value in row.items() if key not in dict(ENDPOINTS).values()}
+    for src, dst in ENDPOINTS:
+        if dst in col or src in col:
+            ops[dst] = col.get(dst, col.get(src))
+    return ops
+
+
+def _at_rows(ops: dict[str, Any], rows: np.ndarray | None) -> dict[str, Any]:
+    """``ops``, computed over a hop's sources, as the keywords of a sweep
+    over its destinations ``rows`` (``None``: every source)."""
+    if rows is None:
+        return ops
+    row_keys = dict(ENDPOINTS)
+    return block_operands({key: value[rows] if key in row_keys else value
+                           for key, value in ops.items()}, ops)
+
+
+def _to_sources(exits: dict[str, np.ndarray], rows: np.ndarray | None,
+                num_src: int) -> dict[str, np.ndarray]:
+    """The sweep's exits over a hop's destinations ``rows``, the row-side
+    ones scattered into the source frame (zeros at the other sources, as a
+    square hop's empty rows give), so the operand VJP reads them as it
+    reads a square hop's."""
+    if rows is None:
+        return exits
+    out = dict(exits)
+    for row_key, _ in EXITS:
+        if row_key in exits:
+            full = np.zeros((num_src,) + exits[row_key].shape[1:], exits[row_key].dtype)
+            full[rows] = exits[row_key]
+            out[row_key] = full
+    return out
+
+
+# ----------------------------------------------------------------------
 # The layer
 # ----------------------------------------------------------------------
 @dataclass
@@ -220,6 +270,7 @@ class LayerCache:
     stats: SweepStats | None = None
     s: CSRMatrix | None = None
     psi_cache: Any = None
+    rows: np.ndarray | None = None  # the forward's ``rows``
 
 
 class AttentionLayer(GnnLayer):
@@ -333,6 +384,7 @@ class AttentionLayer(GnnLayer):
         h: np.ndarray,
         counter: FlopCounter = null_counter(),
         training: bool = True,
+        rows: np.ndarray | None = None,
     ) -> tuple[np.ndarray, LayerCache | None]:
         spec, w = self.spec, projection(self.weight)
         project = self.order == "project_first"
@@ -341,14 +393,27 @@ class AttentionLayer(GnnLayer):
             hp = split_heads(mm(h, w, counter=counter), self.heads)
         y = hp if project else h  # what Psi aggregates
         x = hp if spec.on_projected else h  # what Psi reads
-        if spec.kind is not None and self.aggregate is REAL:
-            # One fused row sweep: no S, nothing edge-sized.
+        if spec.kind is not None:
+            # The operands over every source; the sweep reads the
+            # row-endpoint ones at the destinations.
             ops = spec.operands(x, self.psi_params, counter)
-            zy, stats = attention_forward(
-                a, spec.kind, y, softmax=spec.softmax, counter=counter, **ops
-            )
+            row_ops = _at_rows(ops, rows)
+            if self.aggregate is REAL:
+                # One fused row sweep: no S, nothing edge-sized.
+                zy, stats = attention_forward(
+                    a, spec.kind, y, softmax=spec.softmax, counter=counter, **row_ops
+                )
+            else:
+                s = attention_scores(a, spec.kind, softmax=spec.softmax, counter=counter,
+                                     **row_ops)
+                zy, ops = spmm(s, y, semiring=self.aggregate, counter=counter), None
         else:
-            s, psi_cache = spec.psi(a, x, self.psi_params, counter)
+            # A user's psi reads X by A's row and column ids: it scores the
+            # hop in the square frame of its sources, on A's entries.
+            s, psi_cache = spec.psi(a if rows is None else a.lift_rows(rows), x,
+                                    self.psi_params, counter)
+            if rows is not None:
+                s = a.with_data(s.data)
             zy = spmm(s, y, semiring=self.aggregate, counter=counter)
         if project:
             z = self._combine(zy)
@@ -358,7 +423,8 @@ class AttentionLayer(GnnLayer):
         if not training:
             return h_next, None
         return h_next, LayerCache(
-            a=a, h=h, hp=hp, ah=ah, z=z, ops=ops, stats=stats, s=s, psi_cache=psi_cache
+            a=a, h=h, hp=hp, ah=ah, z=z, ops=ops, stats=stats, s=s, psi_cache=psi_cache,
+            rows=rows,
         )
 
     # ------------------------------------------------------------------
@@ -367,7 +433,8 @@ class AttentionLayer(GnnLayer):
         cache: LayerCache,
         g: np.ndarray,
         counter: FlopCounter = null_counter(),
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        input_grad: bool = True,
+    ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         if self.aggregate is not REAL:
             raise NotImplementedError(
                 "training requires the real aggregation semiring"
@@ -383,14 +450,16 @@ class AttentionLayer(GnnLayer):
                 dhp, dx = dhp + dx, None
             dhp = dhp.reshape(dhp.shape[0], -1)
             d_weight = mm(cache.h.T, dhp, counter=counter)
-            dh = mm(dhp, w.T, counter=counter)
+            dh = mm(dhp, w.T, counter=counter) if input_grad else None
         else:
             # Z = (Psi H) W:  dW = (Psi H)^T G;  dH = Psi^T (G W^T).
             dh, dx, psi_grads = self._psi_backward(
                 cache, mm(g, w.T, counter=counter), cache.h, counter
             )
             d_weight = mm(cache.ah.T, g, counter=counter)
-        if dx is not None:
+        if not input_grad:
+            dh = None
+        elif dx is not None:
             dh = dh + dx
         return dh, named_parameters(
             head_major(d_weight, self.heads), psi_grads, self.heads
@@ -402,17 +471,19 @@ class AttentionLayer(GnnLayer):
         """``(Psi^T L, dX, parameter gradients)`` for ``Z' = Psi R`` and
         ``L = dZ'``, ``X`` being what Psi read. The sweep emits all of it in
         one pass (``dY`` is Eq. 13's :math:`\\Psi^T L`; the score-side exits
-        feed the spec's dense VJP); the general route hands ``dS = A ⊙
-        (L R^T)`` (Eq. 9) to ``psi_vjp``. No VJP: the gradient stops at Psi."""
+        feed the spec's dense VJP, row-side ones in the source frame); the
+        general route hands ``dS = A ⊙ (L R^T)`` (Eq. 9) to ``psi_vjp``. No
+        VJP: the gradient stops at Psi."""
         spec = self.spec
         if cache.ops is not None:  # the forward was a sweep
             exits = attention_backward(
                 cache.a, spec.kind, right, left, stats=cache.stats,
-                softmax=spec.softmax, counter=counter, **cache.ops,
+                softmax=spec.softmax, counter=counter, **_at_rows(cache.ops, cache.rows),
             )
             if spec.operands_vjp is None:
                 return exits["dY"], None, {}
             x = cache.hp if spec.on_projected else cache.h
+            exits = _to_sources(exits, cache.rows, x.shape[0])
             return exits["dY"], *spec.operands_vjp(exits, x, self.psi_params, cache.ops, counter)
         psi_t_left = spmm(cache.s.transpose(), left, counter=counter)
         if spec.psi_vjp is None:

@@ -66,10 +66,17 @@ class GnnLayer(ABC):
         h: np.ndarray,
         counter: FlopCounter = null_counter(),
         training: bool = True,
+        rows: np.ndarray | None = None,
     ) -> tuple[np.ndarray, Any]:
         """Compute ``H_next`` (post-activation) and a training cache.
 
-        With ``training=False`` the cache is ``None`` and no
+        ``h`` holds the hop's source rows, one per column of ``a``.
+        ``rows=None`` means ``a`` is square and every source is a
+        destination; otherwise ``a`` has one row per destination and
+        ``rows`` (ascending) are their positions among the sources — where
+        a layer reads its row-endpoint operands and self terms. Either
+        way the output and the cache's ``z`` have one row per row of
+        ``a``. With ``training=False`` the cache is ``None`` and no
         intermediate matrices are retained (the artifact's
         ``--inference`` mode).
         """
@@ -80,14 +87,16 @@ class GnnLayer(ABC):
         cache: Any,
         g: np.ndarray,
         counter: FlopCounter = null_counter(),
+        input_grad: bool = True,
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         """Given ``g = dL/dZ`` of this layer, return ``(dH_in, grads)``.
 
         ``dH_in`` is the loss gradient w.r.t. this layer's input
-        features (the :math:`\\Gamma` of Eq. 6, before the previous
-        layer's :math:`\\sigma'` mask); a model's first layer may
-        return ``None``, since nothing reads it. ``grads`` maps
-        parameter names to gradients.
+        features, one row per source (the :math:`\\Gamma` of Eq. 6,
+        before the previous layer's :math:`\\sigma'` mask);
+        ``input_grad=False`` — a model's first layer, whose input
+        gradient nothing reads — skips its products and returns ``None``.
+        ``grads`` maps parameter names to gradients.
         """
 
     @abstractmethod
@@ -167,9 +176,7 @@ class GnnModel:
         """
         if not self._caches:
             raise RuntimeError("backward requires a prior forward(training=True)")
-        # Every row is kept, so the backward reads no adjacency.
-        hops = [Hop(None)] * self.num_layers
-        return backward_blocks(self, hops, self._caches, d_h_out, counter)
+        return backward_blocks(self, (), self._caches, d_h_out, counter)
 
     # ------------------------------------------------------------------
     def parameters(self) -> list[dict[str, np.ndarray]]:
@@ -210,11 +217,12 @@ def stack_layers(layer: Callable[[int, int, str, str, np.random.Generator], GnnL
 
 
 class Hop(NamedTuple):
-    """One layer's adjacency and the rows of its output the next layer
-    reads (``None``: every row). A sampled
+    """One layer's adjacency, one row per destination, and the
+    destinations' positions among its sources (``None``: the adjacency is
+    square, every source a destination). A sampled
     :class:`~repro.tensor.sampling_graph.Block` is one too."""
 
-    matrix: CSRMatrix | None
+    matrix: CSRMatrix
     dst_positions: np.ndarray | None = None
 
 
@@ -228,12 +236,12 @@ def forward_blocks(model: GnnModel, blocks: Sequence[Hop], h0: np.ndarray,
                    counter: FlopCounter = null_counter(), training: bool = True,
                    exchange: Exchange | None = None) -> tuple[np.ndarray, list]:
     """Run the model layer by layer, one hop each; returns the last
-    layer's kept rows and the per-layer training caches.
+    layer's output rows and the per-layer training caches.
 
     Each layer reads its hop's source rows — ``h0`` for the first, after
-    ``exchange``'s gather if any — and its kept rows ``z[dst_positions]``
-    feed the next layer (the next hop's sources, by the sampling
-    contract).
+    ``exchange``'s gather if any — and computes the rows of its hop's
+    matrix, one per destination (``rows=dst_positions``), which feed the
+    next layer (the next hop's sources, by the sampling contract).
     """
     if len(blocks) != model.num_layers:
         raise ValueError(f"got {len(blocks)} blocks for {model.num_layers} layers; "
@@ -245,10 +253,9 @@ def forward_blocks(model: GnnModel, blocks: Sequence[Hop], h0: np.ndarray,
             h = exchange[0](h)
         if h.shape[0] != block.matrix.shape[1]:
             raise ValueError("feature rows do not match the block's source set")
-        h, cache = layer.forward(block.matrix, h, counter=counter, training=training)
+        h, cache = layer.forward(block.matrix, h, counter=counter, training=training,
+                                 rows=block.dst_positions)
         caches.append(cache)
-        if block.dst_positions is not None:
-            h = h[block.dst_positions]
     return h, caches
 
 
@@ -256,26 +263,24 @@ def backward_blocks(model: GnnModel, blocks: Sequence[Hop], caches: list, d_out:
                     counter: FlopCounter = null_counter(),
                     exchange: Exchange | None = None) -> list[dict[str, np.ndarray]]:
     """Error chaining (Eq. 4/6) through the hops, from the loss
-    gradient ``d_out`` over the last hop's kept rows.
+    gradient ``d_out`` over the last hop's rows.
 
-    Each hop scatters its kept-row gradient into its source frame (zeros
-    elsewhere: those rows produced nothing, so nothing flows back through
-    them), masks with :math:`\\sigma'(Z^l)` and runs the layer's
-    backward; ``exchange``'s reverse then returns the input-feature
-    gradient to the previous layer's rows.
+    Each layer's output gradient is the next layer's input gradient,
+    row for row (its hop's destinations are the next hop's sources); it
+    is masked with :math:`\\sigma'(Z^l)` and runs the layer's backward,
+    the first layer's without an input gradient; ``exchange``'s reverse
+    then returns the input-feature gradient to the previous layer's rows.
+    ``blocks``, the hops the forward ran, is not read: each cache holds
+    what its layer's backward needs.
     """
     grads: list = [None] * model.num_layers
-    gamma_dst = d_out
+    gamma = d_out
     for index in range(model.num_layers - 1, -1, -1):
-        layer, block, cache = model.layers[index], blocks[index], caches[index]
-        gamma = gamma_dst
-        if block.dst_positions is not None:
-            gamma = np.zeros((cache.z.shape[0],) + gamma_dst.shape[1:], gamma_dst.dtype)
-            gamma[block.dst_positions] = gamma_dst
+        layer, cache = model.layers[index], caches[index]
         g = gamma * layer.activation.grad(cache.z)
-        gamma_dst, grads[index] = layer.backward(cache, g, counter=counter)
+        gamma, grads[index] = layer.backward(cache, g, counter=counter, input_grad=index > 0)
         if exchange is not None and index > 0:
-            gamma_dst = exchange[1](gamma_dst)
+            gamma = exchange[1](gamma)
     return grads
 
 

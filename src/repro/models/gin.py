@@ -16,6 +16,7 @@ full manual backward pass like every other model here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,12 @@ __all__ = ["GINLayer"]
 @dataclass
 class _GINCache:
     a: CSRMatrix
-    h: np.ndarray
-    combined: np.ndarray   # (1+eps) H + A H
+    h: np.ndarray           # H[rows]
+    combined: np.ndarray   # (1+eps) H[rows] + A H
     hidden_pre: np.ndarray  # combined @ W1
     hidden: np.ndarray      # inner_act(hidden_pre)
     z: np.ndarray           # hidden @ W2
+    rows: np.ndarray | None
 
 
 class GINLayer(GnnLayer):
@@ -81,10 +83,12 @@ class GINLayer(GnnLayer):
         h: np.ndarray,
         counter: FlopCounter = null_counter(),
         training: bool = True,
+        rows: np.ndarray | None = None,
     ) -> tuple[np.ndarray, _GINCache | None]:
         aggregated = spmm(a, h, counter=counter)
-        combined = (1.0 + float(self.epsilon)) * h + aggregated
-        counter.add(2 * h.size, "gin_combine")
+        own = h if rows is None else h[rows]
+        combined = (1.0 + float(self.epsilon)) * own + aggregated
+        counter.add(2 * own.size, "gin_combine")
         hidden_pre = mm(combined, self.w1, counter=counter)
         hidden = self.inner.fn(hidden_pre)
         z = mm(hidden, self.w2, counter=counter)
@@ -92,8 +96,8 @@ class GINLayer(GnnLayer):
         if not training:
             return h_next, None
         return h_next, _GINCache(
-            a=a, h=h, combined=combined, hidden_pre=hidden_pre,
-            hidden=hidden, z=z,
+            a=a, h=own, combined=combined, hidden_pre=hidden_pre,
+            hidden=hidden, z=z, rows=rows,
         )
 
     def backward(
@@ -101,20 +105,29 @@ class GINLayer(GnnLayer):
         cache: _GINCache,
         g: np.ndarray,
         counter: FlopCounter = null_counter(),
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        input_grad: bool = True,
+    ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         d_w2 = mm(cache.hidden.T, g, counter=counter)
         d_hidden = mm(g, self.w2.T, counter=counter)
         d_hidden_pre = d_hidden * self.inner.grad(cache.hidden_pre)
         d_w1 = mm(cache.combined.T, d_hidden_pre, counter=counter)
         d_combined = mm(d_hidden_pre, self.w1.T, counter=counter)
-        # combined = (1+eps) H + A H.
-        dh = (1.0 + float(self.epsilon)) * d_combined
-        dh = dh + spmm(cache.a.transpose(), d_combined, counter=counter)
         grads = {"w1": d_w1, "w2": d_w2}
         if self.learnable_epsilon:
+            # An exactly rounded sum: rows of zeros (a square hop's
+            # non-destination rows) cannot change it.
             grads["epsilon"] = np.array(
-                float(np.sum(d_combined * cache.h)), dtype=self.epsilon.dtype
+                math.fsum((d_combined * cache.h).ravel().tolist()), dtype=self.epsilon.dtype
             )
+        if not input_grad:
+            return None, grads
+        # combined = (1+eps) H[rows] + A H.
+        dh = spmm(cache.a.transpose(), d_combined, counter=counter)
+        d_own = (1.0 + float(self.epsilon)) * d_combined
+        if cache.rows is None:
+            dh = d_own + dh
+        else:
+            dh[cache.rows] += d_own
         return dh, grads
 
     def parameters(self) -> dict[str, np.ndarray]:

@@ -47,6 +47,7 @@ def propagate(
 
 @dataclass
 class _SGCCache:
+    a: CSRMatrix
     propagated: np.ndarray
     z: np.ndarray
 
@@ -84,7 +85,12 @@ class SGCLayer(GnnLayer):
         h: np.ndarray,
         counter: FlopCounter = null_counter(),
         training: bool = True,
+        rows: np.ndarray | None = None,
     ) -> tuple[np.ndarray, _SGCCache | None]:
+        if rows is not None and self.hops != 1:
+            # A hop with rows is one step of propagation, not K.
+            raise ValueError(f"a hop with destination rows propagates once; this SGC "
+                             f"layer propagates {self.hops} hops")
         key = (id(a), id(h))
         if self._prop_key != key:
             self._propagated = propagate(a, h, self.hops, counter=counter)
@@ -94,18 +100,23 @@ class SGCLayer(GnnLayer):
         h_next = self.activation.fn(z)
         if not training:
             return h_next, None
-        return h_next, _SGCCache(propagated=propagated, z=z)
+        return h_next, _SGCCache(a=a, propagated=propagated, z=z)
 
     def backward(
         self,
         cache: _SGCCache,
         g: np.ndarray,
         counter: FlopCounter = null_counter(),
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        input_grad: bool = True,
+    ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         d_weight = mm(cache.propagated.T, g, counter=counter)
-        # Input gradient through A^K: K transposed SpMMs would be needed;
-        # SGC is always the first (and only) layer, so it is never used.
+        if not input_grad:  # SGC is a first layer: the usual case
+            return None, {"weight": d_weight}
+        # Through A^K: K transposed SpMMs.
         dh = mm(g, self.weight.T, counter=counter)
+        a_t = cache.a.transpose()
+        for _hop in range(self.hops):
+            dh = spmm(a_t, dh, counter=counter)
         return dh, {"weight": d_weight}
 
     def parameters(self) -> dict[str, np.ndarray]:

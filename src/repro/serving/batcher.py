@@ -7,8 +7,8 @@ a *single* union ego-batch rather than per-request forwards:
    (:func:`repro.tensor.sampling_graph.sample_one_hop` per level), so
    overlapping neighbourhoods — the common case on power-law graphs —
    are sampled and computed once per flush instead of once per request.
-   The blocks keep the square-CSR contract, so the fused megakernel and
-   head-batched kernels run on the union batch unchanged.
+   Each block has one row per destination over its source frame, so a
+   layer computes the rows the next level reads and no others.
 2. **Depth truncation** — before sampling below a level, the frontier
    is checked against the :class:`~repro.serving.cache.ActivationCache`:
    a node whose level-ℓ activation is cached contributes no sub-tree,
@@ -17,9 +17,9 @@ a *single* union ego-batch rather than per-request forwards:
    cached seed costs zero sampling and zero compute.
 3. **Single forward + scatter** — the ascent mirrors
    :func:`repro.training.minibatch.forward_blocks` statement for
-   statement (layer ``forward`` on the block matrix, slice
-   ``dst_positions``), assembling each layer's input frame from cached
-   rows plus the rows just computed. Per-seed output rows scatter back
+   statement (layer ``forward`` on the block matrix with
+   ``rows=dst_positions``), assembling each layer's input frame from
+   cached rows plus the rows just computed. Per-seed output rows scatter back
    to the requests' futures in one gather (``rows[inverse]``).
 
 Identity contract (property-tested): every layer is row-wise in its
@@ -126,8 +126,8 @@ def compute_union_rows(
         lookups[level] = (rows, hits)
         frontier = block.src_nodes[~hits]
 
-    # Ascent: assemble each layer's input frame, run it, slice dst —
-    # the forward_blocks arithmetic with cached rows spliced in.
+    # Ascent: assemble each layer's input frame and run it over the dst
+    # rows — the forward_blocks arithmetic with cached rows spliced in.
     hop_blocks.reverse()
     out: np.ndarray | None = None
     for index, (layer_index, block) in enumerate(hop_blocks):
@@ -140,10 +140,9 @@ def compute_union_rows(
         else:
             # prev dst == this frame's miss rows, in order
             h = _splice(out, *lookups[layer_index])
-        h_next, _ = model.layers[layer_index].forward(
-            block.matrix, h, counter=counter, training=False
+        out, _ = model.layers[layer_index].forward(
+            block.matrix, h, counter=counter, training=False, rows=block.dst_positions
         )
-        out = h_next[block.dst_positions]
         if cache is not None:
             cache.put_rows(layer_index + 1, block.dst_nodes, out, version)
 

@@ -232,6 +232,18 @@ class CSRMatrix:
         """
         return self._structure.transpose_permutation()
 
+    def lift_rows(self, rows: np.ndarray) -> "CSRMatrix":
+        """The square ``(m, m)`` matrix, ``m`` this one's column count,
+        whose row ``rows[i]`` is row ``i`` of this one and whose other rows
+        are empty: a hop that keeps the source rows ``rows`` (ascending,
+        one per row), in the frame of its sources. Entries keep their order,
+        so values and any per-entry array stay aligned."""
+        m = self.shape[1]
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        indptr[np.asarray(rows) + 1] = self.row_lengths()
+        np.cumsum(indptr, out=indptr)
+        return CSRMatrix(indptr, self.indices, self.data, (m, m))
+
     def extract_block(
         self, r0: int, r1: int, c0: int, c1: int
     ) -> "CSRMatrix":

@@ -20,11 +20,14 @@ L-hop neighbourhood. This module provides the sampling substrate
   the candidate edges (compiled in ``_edge.c`` where a compiler exists,
   NumPy otherwise).
 * :class:`Block` / :func:`sample_blocks` — layered (per-hop) message
-  flow blocks over **compacted local ids**. Each block is a *square*
-  CSR over its source vertex set whose non-destination rows are empty,
-  so it flows through the pattern cache, the head-batched kernels, the
-  fused row sweep every ``build_model`` layer runs and ``DagLayer``
-  completely unchanged.
+  flow blocks over **compacted local ids**. Each block is a
+  *rectangular* ``(num_dst, num_src)`` CSR, one row per destination
+  over the hop's source set, as DGL's blocks are: the global
+  formulation's ``σ(Ψ(A, H) · H W)`` runs over the rows of ``A``, so a
+  layer computes its destination rows and nothing else. A layer reads
+  the hop's source features and is told which of them are the
+  destinations (``rows=dst_positions``), for the row-endpoint operands
+  of a score and GIN's self term.
 
 Bit-identity anchor
 -------------------
@@ -35,7 +38,10 @@ to A's. Because the compaction map is monotone (source ids are kept
 sorted), per-row summation order is preserved for any target subset of
 a canonical (row-sorted) adjacency — sampled forward/backward are then
 *bit-identical* to the full-batch path, which is what
-``tests/test_minibatch.py`` asserts for VA/AGNN/GAT.
+``tests/test_minibatch.py`` asserts for VA/AGNN/GAT; and a block's rows
+are those of its square lift (``matrix.lift_rows(dst_positions)``) at
+``dst_positions``, which ``tests/test_rectangular_hops.py`` holds every
+layer to.
 
 Events: ``sampling_graph.built`` / ``sampling_graph.hit`` (structure
 interning), ``sample.hop`` (one hop sampled), ``sample.candidates``
@@ -300,19 +306,15 @@ def sampling_graph_of(a: CSRMatrix) -> SamplingGraph:
 class Block:
     """One hop's message-flow block over compacted local ids.
 
-    ``matrix`` is a *square* CSR of shape ``(num_src, num_src)`` whose
-    row ``r`` holds the sampled in-edges of ``src_nodes[r]`` if that
-    vertex is a destination of this hop and is empty otherwise. Keeping
-    the block square (rather than DGL's rectangular blocks) is what
-    lets the existing pattern cache, head-batched kernels, the fused
-    row sweep of the default layers and ``DagLayer`` run on it unchanged
-    — empty rows cost nothing in a CSR sweep.
+    ``matrix`` is a ``(num_dst, num_src)`` CSR whose row ``i`` holds the
+    sampled in-edges of ``dst_nodes[i]``, columns local source ids.
 
     ``src_nodes`` are the hop's input vertices as **sorted global
     ids** (the compaction map is monotone); ``dst_positions`` indexes
-    the destination rows within ``src_nodes``. A layer consumes
-    features over ``src_nodes`` and its meaningful outputs are
-    ``z[dst_positions]``.
+    the destination vertices within ``src_nodes`` (ascending, so
+    ``matrix.lift_rows(dst_positions)`` is the block in the square
+    frame of its sources). A layer consumes features over ``src_nodes``
+    and outputs one row per destination.
     """
 
     matrix: CSRMatrix
@@ -358,14 +360,10 @@ def sample_one_hop(
     # (monotone) local id space, the inverse map their local ids.
     num_dst = dst_nodes.shape[0]
     src_nodes, local = np.unique(np.concatenate((dst_nodes, a.indices[eids])), return_inverse=True)
-    num_src = int(src_nodes.shape[0])
     dst_positions, local_cols = local[:num_dst], local[num_dst:]
-    indptr = np.zeros(num_src + 1, dtype=np.int64)
-    indptr[dst_positions + 1] = counts
-    np.cumsum(indptr, out=indptr)
-    matrix = CSRMatrix(
-        indptr, local_cols, a.data[eids], (num_src, num_src)
-    )
+    indptr = np.zeros(num_dst + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    matrix = CSRMatrix(indptr, local_cols, a.data[eids], (num_dst, src_nodes.shape[0]))
     metrics().counter("sample.hop").inc()
     return Block(
         matrix=matrix,

@@ -12,10 +12,11 @@ trainer's epoch loop: per epoch it shuffles the target vertices and
 hands each batch's sampled blocks to the one
 :func:`~repro.training.trainer.train_step`, which runs the *unchanged*
 model layers (``AttentionLayer``'s one row sweep per block,
-``DagLayer``-derived, interpreted or fused — blocks are square CSR
-matrices, so every execution path applies as-is; a block is a cold
-pattern, and the sweep builds neither its transpose nor its row-index
-vector). ``train_step`` and :mod:`repro.models.base`'s
+``DagLayer``-derived, interpreted or fused). A block has one row per
+destination over its source frame, and each layer computes exactly
+those rows (``rows=dst_positions``); the first layer forms no input
+gradient. A block is a cold pattern, and the sweep builds neither its
+transpose nor its row-index vector. ``train_step`` and :mod:`repro.models.base`'s
 ``forward_blocks`` / ``backward_blocks`` are re-exported here.
 
 Bit-identity contract (tested per model in
@@ -66,7 +67,9 @@ class MinibatchTrainer(Trainer):
     model, loss, optimizer:
         Exactly the full-batch trainer's ingredients. The loss must be
         unmasked: sampled training selects labelled vertices by
-        passing them as ``targets`` instead.
+        passing them as ``targets`` instead. Every layer must read one
+        hop (each block is one sampled hop; SGC with ``hops > 1`` is
+        refused).
     fanouts:
         Per-layer neighbour fan-outs (length must equal the model
         depth); ``None`` entries take every neighbour.
@@ -92,6 +95,7 @@ class MinibatchTrainer(Trainer):
     ) -> None:
         fanouts = tuple(fanouts)
         check_fanouts(fanouts, model.num_layers)
+        model.require_one_hop("sampled training samples one hop per layer")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         if getattr(loss, "mask", None) is not None:
@@ -120,8 +124,9 @@ class MinibatchTrainer(Trainer):
     ) -> MinibatchResult:
         """Train for ``epochs`` passes over the (shuffled) targets.
 
-        ``targets`` may be integer vertex ids or a boolean mask (defaults
-        to every vertex); it must select at least one vertex.
+        ``targets`` may be integer vertex ids in ``[0, n)`` or a boolean
+        mask (defaults to every vertex); it must select at least one
+        vertex. Bad targets raise before any batch trains.
         ``full_eval`` runs a cache-free *full-graph* forward after each
         epoch for train/val accuracy — the standard sampled-training
         protocol (sample to train, full graph to evaluate); disable it
@@ -199,4 +204,7 @@ def _as_target_ids(targets, n: int) -> np.ndarray:
                          "boolean mask")
     if targets.size == 0:
         raise ValueError("targets selects no vertex; there is nothing to train on")
+    if targets.min() < 0 or targets.max() >= n:
+        raise ValueError(f"targets must be vertex ids in [0, {n}); got ids from "
+                         f"{targets.min()} to {targets.max()}")
     return np.unique(targets.astype(np.int64))

@@ -22,6 +22,7 @@ from repro.tensor.megakernel import SweepStats, attention_backward, attention_fo
 from repro.tensor.sampling_graph import sample_blocks
 from repro.tensor.segment import segment_softmax
 from tests.conftest import random_csr
+from tests.reference_blocks import square_hop
 from tests.test_edge_kernels import TOL, _both, _needs_c, needs_c, numpy_side  # noqa: F401
 
 #: (psi, softmax): the layer formulations, plus VA's dot under a softmax.
@@ -48,11 +49,13 @@ def _hub(n: int = 300) -> CSRMatrix:
 
 
 def _hop_block() -> CSRMatrix:
-    """A sampled hop: square, and every non-destination row is empty."""
+    """A sampled hop in the square frame of its sources: every
+    non-destination row is empty."""
     a = prepare_adjacency(erdos_renyi(200, 1500, seed=2), dtype=np.float64)
     block = sample_blocks(a, np.arange(0, 40, 3), (4,), np.random.default_rng(0))[0]
-    assert np.count_nonzero(block.matrix.row_lengths() == 0) > block.num_dst
-    return block.matrix
+    square = square_hop(block.matrix, block.dst_positions)
+    assert np.count_nonzero(square.row_lengths() == 0) > block.num_dst
+    return square
 
 
 PATTERNS = {

@@ -19,7 +19,7 @@ import pytest
 
 from repro.fusion.layer import DagLayer
 from repro.graphs import synthetic_classification
-from repro.models import AttentionLayer, build_model, layer_spec
+from repro.models import AttentionLayer, build_model, layer_spec, state_dict
 from repro.training.minibatch import check_fanouts
 from repro.models.base import GnnModel
 from repro.training import (
@@ -289,6 +289,28 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             trainer.fit(problem.adjacency.astype(np.float64), features,
                         problem.labels, targets=targets, full_eval=False)
+
+    @pytest.mark.parametrize("bad", [-1, 80], ids=["negative", "n"])
+    def test_out_of_range_targets_rejected_before_any_step(self, problem, features, bad):
+        """An id outside ``[0, n)`` used to fail only in its own batch,
+        after the earlier batches had stepped the optimizer."""
+        model, loss, opt = _ingredients("GAT", problem)
+        before = state_dict(model)
+        trainer = MinibatchTrainer(model, loss, opt, fanouts=(4, 4), batch_size=4,
+                                   shuffle=False)
+        targets = np.array([0, 1, 2, 3, 4, 5, 6, 7, bad])
+        with pytest.raises(ValueError, match="targets"):
+            trainer.fit(problem.adjacency.astype(np.float64), features,
+                        problem.labels, targets=targets, full_eval=False)
+        after = state_dict(model)
+        assert all(np.array_equal(before[name], after[name]) for name in before)
+
+    def test_multi_hop_layer_rejected(self, problem):
+        """A block is one sampled hop: SGC's two-hop propagation used to
+        train silently on one-hop blocks."""
+        model = build_model("sgc", 6, 8, problem.num_classes, num_layers=2, seed=5)
+        with pytest.raises(ValueError, match="propagates 2 hops"):
+            MinibatchTrainer(model, SoftmaxCrossEntropyLoss(), SGD(0.01), fanouts=(4,))
 
     def test_feature_row_mismatch_rejected(self, problem, features):
         a = problem.adjacency.astype(np.float64)

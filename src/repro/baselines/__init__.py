@@ -13,8 +13,8 @@ distributed. These engines reproduce that execution model from scratch:
   :func:`~repro.training.trainer.train_step` over ``build_model``'s
   layers, with an own+halo block as every layer's hop.
 * :mod:`repro.baselines.minibatch` — DistDGL-style mini-batch training
-  with layer-wise neighbour sampling and remote feature fetches, into
-  the same step.
+  over the shared sampler's per-layer blocks, with remote feature
+  fetches, into the same step.
 
 The Section-2.2 oracle — the local formulations of VA / AGNN / GAT on a
 DGL-flavoured ``apply_edges`` / ``update_all`` engine — is test code

@@ -8,16 +8,18 @@ fewer vertices" than a full batch. This engine reproduces that cost
 profile:
 
 * each rank draws ``batch_size / p`` targets from its own 1D partition;
-* layer-wise neighbour sampling with per-layer fan-out caps expands the
-  target set into the input vertex set (structure lookups are local, as
-  in DistDGL's partitioned graph store with local sampling servers);
-* features of sampled vertices owned by other ranks are fetched
-  (``alltoall``), charging :math:`k` words per remote vertex;
+* :func:`~repro.tensor.sampling_graph.sample_blocks` — the sampler
+  every batch source shares — draws one message-flow block per layer
+  with that layer's fan-out cap, outward from the targets (structure
+  lookups are local, as in DistDGL's partitioned graph store with local
+  sampling servers); each block holds only the *sampled* edges, one row
+  per destination, so its edge count is bounded by the fan-out budget,
+  not by graph density;
+* features of the first block's sources owned by other ranks are
+  fetched (``alltoall``), charging :math:`k` words per remote vertex;
 * the one :func:`~repro.training.trainer.train_step` runs forward +
-  backward with a block containing only the *sampled* edges plus self
-  loops as every layer's hop (DGL's message-flow-block semantics,
-  whose edge count is bounded by the fan-out budget, not by graph
-  density), and weight gradients are allreduce-averaged (data-parallel
+  backward over the blocks and takes the loss on the targets only, as
+  DGL does, and weight gradients are allreduce-averaged (data-parallel
   training, as DistDGL does).
 
 Loss/accuracy semantics of sampled training differ from full-batch by
@@ -36,20 +38,17 @@ import numpy as np
 from repro.core.formulation import AttentionSpec
 from repro.distributed.partition import block_range, check_inputs, split_by_owner
 from repro.models import build_model
-from repro.models.base import Hop
 from repro.runtime.communicator import Communicator
 from repro.runtime.executor import run_spmd
 from repro.runtime.stats import RunStats
-from repro.tensor.coo import COOMatrix
 from repro.tensor.csr import CSRMatrix
-from repro.tensor.sampling_graph import sampling_graph_of
+from repro.tensor.sampling_graph import check_fanouts, is_fanout, sample_blocks
 from repro.training.loss import SoftmaxCrossEntropyLoss
-from repro.training.minibatch import check_fanouts
 from repro.training.optim import SGD
 from repro.training.trainer import train_step
 from repro.util.rng import make_rng
 
-__all__ = ["MiniBatchConfig", "minibatch_train", "sample_block"]
+__all__ = ["MiniBatchConfig", "minibatch_train"]
 
 #: Flop-equivalents charged per sampled edge. Neighbour sampling is a
 #: CPU-side pointer-chasing + feature-slicing pipeline (DistDGL's
@@ -68,51 +67,15 @@ class MiniBatchConfig:
     """Sampling configuration (defaults follow common DistDGL setups)."""
 
     batch_size: int = 1024
-    fanouts: tuple[int, ...] = (10, 10, 10)
+    fanouts: tuple[int | None, ...] = (10, 10, 10)
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if not self.fanouts or any(f < 1 for f in self.fanouts):
-            raise ValueError("fanouts must be positive")
-
-
-def sample_block(
-    a: CSRMatrix,
-    targets: np.ndarray,
-    fanouts: tuple[int, ...],
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, CSRMatrix, int]:
-    """Layer-wise neighbour sampling producing a DGL-style block.
-
-    Starting from ``targets``, each hop samples up to ``fanout``
-    neighbours per frontier vertex, without replacement within a vertex
-    (one :meth:`~repro.tensor.sampling_graph.SamplingGraph.sample_edges`
-    call per hop does the drawing). Returns ``(vertices, block,
-    sampled_edges)`` where ``vertices`` is the sorted union of sampled
-    vertices and ``block`` is a square CSR over them containing only
-    the *sampled* edges (plus self loops) — mirroring DGL's
-    message-flow blocks, whose edge count is bounded by the fan-out
-    budget rather than by graph density.
-    """
-    graph = sampling_graph_of(a)
-    vertices = frontier = np.unique(targets)
-    rows = cols = np.empty(0, dtype=np.int64)
-    for fanout in fanouts:
-        eids, counts = graph.sample_edges(frontier, fanout, rng)
-        rows = np.append(rows, np.repeat(frontier, counts))
-        cols = np.append(cols, a.indices[eids])
-        # Each vertex is expanded once, at the hop that discovers it.
-        frontier = np.setdiff1d(cols, vertices)
-        vertices = np.union1d(vertices, frontier)
-    nv = vertices.shape[0]
-    coo = COOMatrix(
-        np.searchsorted(vertices, rows), np.searchsorted(vertices, cols), None, shape=(nv, nv)
-    ).add_self_loops()
-    block = coo.to_csr()
-    block = block.with_data(np.ones(block.nnz, dtype=a.dtype))
-    return vertices, block, int(rows.shape[0])
+        if not self.fanouts or not all(map(is_fanout, self.fanouts)):
+            raise ValueError(f"fanouts must be integers >= 0 (or None for all), "
+                             f"got {self.fanouts!r}")
 
 
 def minibatch_train(
@@ -144,9 +107,11 @@ def minibatch_train(
     check_inputs(a, features, labels, loss="ce", out_dim=out_dim)
     check_fanouts(config.fanouts, num_layers)
     n = features.shape[0]
+    h = np.asarray(features, dtype=dtype)
     build = partial(build_model, model_name, features.shape[1], hidden_dim, out_dim,
                     num_layers=num_layers, seed=seed, dtype=dtype)
-    build()  # bad model arguments raise here, before any rank starts
+    # Bad model arguments raise here, before any rank starts.
+    build().require_one_hop("the mini-batch engine samples one hop per layer")
 
     def program(comm: Communicator):
         rng = make_rng(config.seed * 7919 + comm.rank)
@@ -164,23 +129,22 @@ def minibatch_train(
         for _it in range(iterations):
             comm.stats.set_phase("sample")
             targets = rng.integers(r0, r1, local_batch, dtype=np.int64)
-            vertices, sub, sampled_edges = sample_block(a, targets, config.fanouts, rng)
+            blocks = sample_blocks(a, targets, config.fanouts, rng)
+            sampled_edges = sum(block.sampled_edges for block in blocks)
             comm.stats.flops.add(SAMPLING_FLOPS_PER_EDGE * sampled_edges, "sampling")
 
             comm.stats.set_phase("fetch")
-            # Fetch features of sampled vertices from their owners.
-            requests = split_by_owner(vertices, n, comm.size)
+            # Fetch features of the first layer's sources from their owners.
+            requests = split_by_owner(blocks[0].src_nodes, n, comm.size)
             requests[comm.rank] = requests[comm.rank][:0]
             incoming = comm.alltoall(requests)
             comm.alltoall([np.ascontiguousarray(features[req]) for req in incoming])
             # (The returned arrays model the wire transfer; feature
-            # values themselves are globally addressable in-process.)
-            h_block = np.ascontiguousarray(features[vertices]).astype(dtype)
-
-            # The one sampled block is every layer's hop.
+            # values themselves are globally addressable in-process, and
+            # train_step gathers the block's rows.)
             comm.stats.set_phase("compute")
-            value = train_step(model, loss, optimizer, [Hop(sub)] * num_layers, h_block,
-                               labels[vertices], comm.stats.flops, sync=average)
+            value = train_step(model, loss, optimizer, blocks, h, labels,
+                               comm.stats.flops, sync=average)
             losses.append(float(comm.allreduce(np.array(value))) / comm.size)
         return losses
 

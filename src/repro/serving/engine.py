@@ -66,9 +66,8 @@ from repro.serving.batcher import compute_union_rows, flush_batch
 from repro.serving.cache import ActivationCache
 from repro.serving.queue import AdmissionQueue, _positive_int
 from repro.tensor.csr import CSRMatrix
-from repro.tensor.sampling_graph import hub_bias_weights
+from repro.tensor.sampling_graph import check_fanouts, hub_bias_weights, vertex_ids
 from repro.tensor.segment import ragged_ranges
-from repro.training.minibatch import check_fanouts
 
 __all__ = ["ServingEngine", "ServingServer"]
 
@@ -142,20 +141,10 @@ def _expand_dirty(
 
 
 def _vertex_ids(ids, n: int, name: str) -> np.ndarray:
-    """``ids`` as sorted unique int64, or ``ValueError`` naming ``name``.
-
-    An id NumPy would wrap (negative) or truncate (fractional) writes
-    one row and invalidates the cone of another: stale rows, silently.
-    """
-    ids = np.unique(np.atleast_1d(np.asarray(ids)))
-    if ids.size and (
-        ids.dtype.kind not in "iu" or ids[0] < 0 or ids[-1] >= n
-    ):
-        raise ValueError(
-            f"{name} must be integer vertex ids in [0, {n}); got "
-            f"{ids.dtype} values from {ids[0]} to {ids[-1]}"
-        )
-    return ids.astype(np.int64)
+    """``ids`` as sorted unique int64 vertex ids, or ``ValueError`` naming
+    ``name``: an id NumPy would wrap (negative) or truncate (fractional)
+    writes one row and invalidates the cone of another, silently."""
+    return np.unique(vertex_ids(np.atleast_1d(ids), n, name))
 
 
 class ServingEngine:

@@ -28,6 +28,8 @@ L-hop neighbourhood. This module provides the sampling substrate
   the hop's source features and is told which of them are the
   destinations (``rows=dst_positions``), for the row-endpoint operands
   of a score and GIN's self term.
+* :func:`vertex_ids` / :func:`check_fanouts` — the one vertex-id rule
+  and the one fan-out rule of the sampler, the trainers and serving.
 
 Bit-identity anchor
 -------------------
@@ -68,11 +70,13 @@ from repro.tensor.structure import PatternStructure
 __all__ = [
     "Block",
     "SamplingGraph",
+    "check_fanouts",
     "is_fanout",
     "sampling_graph_of",
     "sample_one_hop",
     "sample_blocks",
     "hub_bias_weights",
+    "vertex_ids",
 ]
 
 
@@ -84,6 +88,38 @@ def is_fanout(fanout) -> bool:
     if isinstance(fanout, (bool, np.bool_)) or not isinstance(fanout, numbers.Real):
         return False
     return math.isfinite(fanout) and fanout >= 0 and fanout == int(fanout)
+
+
+def check_fanouts(fanouts: tuple, num_layers: int) -> None:
+    """One fan-out — an integer >= 0, or ``None``: all — per layer: a
+    sampler that draws more or fewer hops than the model has layers trains
+    on the wrong neighbourhood, and a fraction would be truncated."""
+    if len(fanouts) != num_layers:
+        raise ValueError(f"{len(fanouts)} fan-outs for a {num_layers}-layer model; "
+                         "need one per layer")
+    if not all(map(is_fanout, fanouts)):
+        raise ValueError(f"fan-outs must be integers >= 0 (or None for all), got {fanouts!r}")
+
+
+def vertex_ids(ids, n: int, name: str = "seeds") -> np.ndarray:
+    """``ids`` as int64 vertex ids of an ``n``-vertex graph, order kept.
+
+    A ``ValueError`` naming ``name`` unless ``ids`` is 1-D, of an
+    integer dtype and in ``[0, n)``: a cast would truncate a fraction
+    and read a bool as vertex 0 or 1, so neither is an id.
+    """
+    ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array of vertex ids; got shape {ids.shape}")
+    if not ids.size:
+        return ids.astype(np.int64)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integer vertex ids in [0, {n}); got dtype {ids.dtype}")
+    lo, hi = ids.min(), ids.max()
+    if lo < 0 or hi >= n:
+        raise ValueError(f"{name} must be integer vertex ids in [0, {n}); ids from {lo} "
+                         f"to {hi} are out of range")
+    return ids.astype(np.int64, copy=False)
 
 
 class SamplingGraph:
@@ -115,21 +151,9 @@ class SamplingGraph:
         )
 
     # ------------------------------------------------------------------
-    def _vertex_ids(self, ids, name: str = "seeds") -> np.ndarray:
-        """``ids`` as int64 vertex ids of this graph: a ``ValueError``
-        naming ``name`` unless 1-D, and unless every id is in range."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 1:
-            raise ValueError(
-                f"{name} must be a 1-D array of vertex ids; got shape {ids.shape}"
-            )
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_nodes):
-            raise ValueError("seed vertex id out of range")
-        return ids
-
     def degrees(self, seeds: np.ndarray) -> np.ndarray:
         """Out-degree (stored-entry count) of each seed."""
-        seeds = self._vertex_ids(seeds)
+        seeds = vertex_ids(seeds, self.num_nodes)
         return self.indptr[seeds + 1] - self.indptr[seeds]
 
     # ------------------------------------------------------------------
@@ -172,7 +196,7 @@ class SamplingGraph:
         ``p`` plus its ``fanout - p`` lowest-id zero-weight edges;
         all-zero weights return each segment's lowest ``fanout`` ids.
         """
-        seeds = self._vertex_ids(seeds)
+        seeds = vertex_ids(seeds, self.num_nodes)
         if weights is not None:
             weights = np.asarray(weights)
             if weights.shape != self.indices.shape:
@@ -352,7 +376,7 @@ def sample_one_hop(
     limited fan-out without touching the sampled edge values.
     """
     graph = sampling_graph_of(a)
-    dst_nodes = graph._vertex_ids(dst_nodes, "dst_nodes")
+    dst_nodes = vertex_ids(dst_nodes, graph.num_nodes, "dst_nodes")
     if np.any(np.diff(dst_nodes) <= 0):
         raise ValueError("dst_nodes must be strictly increasing")
     eids, counts = graph.sample_edges(dst_nodes, fanout, rng, weights)
@@ -395,7 +419,7 @@ def sample_blocks(
     """
     if not fanouts:
         raise ValueError("need at least one fan-out (one per layer)")
-    dst = np.unique(np.asarray(targets, dtype=np.int64))
+    dst = np.unique(vertex_ids(targets, a.shape[0], "targets"))
     blocks: list[Block] = []
     for fanout in reversed(tuple(fanouts)):
         block = sample_one_hop(a, dst, fanout, rng, weights)

@@ -36,7 +36,7 @@ import numpy as np
 from repro.models.base import GnnModel, Loss, backward_blocks, forward_blocks
 from repro.obs.tracer import tracer
 from repro.tensor.csr import CSRMatrix
-from repro.tensor.sampling_graph import is_fanout, sample_blocks
+from repro.tensor.sampling_graph import check_fanouts, sample_blocks, vertex_ids
 from repro.training.optim import Optimizer
 from repro.training.trainer import Trainer, TrainResult, train_step
 from repro.util.counters import FlopCounter, null_counter
@@ -156,42 +156,6 @@ class MinibatchTrainer(Trainer):
             labels, np.isin(np.arange(a.shape[0]), targets), val_mask, None, verbose,
         )
 
-    # ------------------------------------------------------------------
-    def predict(
-        self,
-        a: CSRMatrix,
-        features: np.ndarray,
-        targets: np.ndarray,
-        seed: int | None = None,
-    ) -> np.ndarray:
-        """Sampled inference: one output row per entry of ``targets``,
-        in the caller's order (duplicates allowed).
-
-        Uses the trainer's fan-outs; with full fan-outs this equals the
-        full-batch forward rows bit-for-bit (the ego-graph serving
-        path's building block).
-        """
-        seeds, inverse = np.unique(
-            np.atleast_1d(np.asarray(targets, dtype=np.int64)),
-            return_inverse=True,
-        )
-        rng = make_rng(self.seed if seed is None else seed)
-        blocks = sample_blocks(a, seeds, self.fanouts, rng)
-        h0 = np.ascontiguousarray(features[blocks[0].src_nodes])
-        out, _ = forward_blocks(self.model, blocks, h0, training=False)
-        return out[inverse]
-
-
-def check_fanouts(fanouts: tuple, num_layers: int) -> None:
-    """One fan-out — an integer >= 0, or ``None``: all — per layer: a
-    sampler that draws more or fewer hops than the model has layers trains
-    on the wrong neighbourhood, and a fraction would be truncated."""
-    if len(fanouts) != num_layers:
-        raise ValueError(f"{len(fanouts)} fan-outs for a {num_layers}-layer model; "
-                         "need one per layer")
-    if not all(map(is_fanout, fanouts)):
-        raise ValueError(f"fan-outs must be integers >= 0 (or None for all), got {fanouts!r}")
-
 
 def _as_target_ids(targets, n: int) -> np.ndarray:
     targets = np.arange(n) if targets is None else np.asarray(targets)
@@ -199,12 +163,7 @@ def _as_target_ids(targets, n: int) -> np.ndarray:
         if targets.shape != (n,):
             raise ValueError("boolean target mask must have length n")
         targets = np.flatnonzero(targets)
-    elif targets.size and not np.issubdtype(targets.dtype, np.integer):
-        raise ValueError(f"targets has dtype {targets.dtype}; pass integer vertex ids or a "
-                         "boolean mask")
+    targets = vertex_ids(targets, n, "targets")
     if targets.size == 0:
         raise ValueError("targets selects no vertex; there is nothing to train on")
-    if targets.min() < 0 or targets.max() >= n:
-        raise ValueError(f"targets must be vertex ids in [0, {n}); got ids from "
-                         f"{targets.min()} to {targets.max()}")
-    return np.unique(targets.astype(np.int64))
+    return np.unique(targets)

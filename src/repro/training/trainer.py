@@ -6,8 +6,8 @@ source, the hops, rows and exchange they hand it: the whole graph as
 every layer's hop (:class:`Trainer`, one complete forward and backward
 pass per epoch — the paper's measured unit of work), sampled blocks
 (:mod:`repro.training.minibatch`), a rank's 1.5D adjacency block
-(:mod:`repro.distributed.api`), or a DistDGL-style own+halo or sampled
-block (:mod:`repro.baselines`). The trainers record per-epoch
+(:mod:`repro.distributed.api`), or a DistDGL-style own+halo block or
+sampled blocks (:mod:`repro.baselines`). The trainers record per-epoch
 loss/metric history and support early stopping on a validation mask.
 """
 

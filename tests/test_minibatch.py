@@ -20,8 +20,9 @@ import pytest
 from repro.fusion.layer import DagLayer
 from repro.graphs import synthetic_classification
 from repro.models import AttentionLayer, build_model, layer_spec, state_dict
-from repro.training.minibatch import check_fanouts
 from repro.models.base import GnnModel
+from repro.serving import ServingEngine
+from repro.tensor.sampling_graph import check_fanouts
 from repro.training import (
     SGD,
     MinibatchTrainer,
@@ -122,26 +123,21 @@ class TestFullFanoutBitParity:
     def test_predict_subset_matches_full_forward_rows(
         self, problem, features
     ):
+        """Sampled prediction is serving: a full-fan-out, cache-free
+        ``ServingEngine`` answers a target subset with the full
+        forward's rows exactly."""
         a = problem.adjacency.astype(np.float64)
-        model, loss, opt = _ingredients("GAT", problem)
-        trainer = MinibatchTrainer(
-            model, loss, opt, fanouts=(None, None), batch_size=16
-        )
+        model, _, _ = _ingredients("GAT", problem)
         targets = np.arange(0, a.shape[0], 3)
-        out = trainer.predict(a, features, targets)
+        out = ServingEngine(model, a, features, fanouts=None, cache=None).serve(targets)
         full = model.forward(a, features, training=False)
-        # The ego-graph serving path: rows for a target subset equal the
-        # full forward's rows exactly at full fan-out.
         assert np.array_equal(out, full[targets])
 
     def test_predict_answers_in_request_order(self, problem, features):
         a = problem.adjacency.astype(np.float64)
-        model, loss, opt = _ingredients("GAT", problem)
-        trainer = MinibatchTrainer(
-            model, loss, opt, fanouts=(None, None), batch_size=16
-        )
+        model, _, _ = _ingredients("GAT", problem)
         targets = np.array([5, 2, 2, 40, 0, 5])
-        out = trainer.predict(a, features, targets)
+        out = ServingEngine(model, a, features, fanouts=None, cache=None).serve(targets)
         full = model.forward(a, features, training=False)
         # One row per requested target, unsorted and duplicated alike.
         assert np.array_equal(out, full[targets])

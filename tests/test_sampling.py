@@ -27,6 +27,7 @@ from repro.tensor.sampling_graph import (
     sample_blocks,
     sample_one_hop,
     sampling_graph_of,
+    vertex_ids,
 )
 from repro.training.minibatch import backward_blocks, forward_blocks
 from tests.conftest import random_csr
@@ -82,6 +83,29 @@ class TestSamplingGraph:
                 graph.degrees(np.array(bad))
             with pytest.raises(ValueError, match="out of range"):
                 sample_one_hop(small_adjacency, np.array(bad), 2, rng)
+
+    @pytest.mark.parametrize("bad", [[2.7, 4.2], [True], np.array([True, False])],
+                             ids=["fractions", "bool", "bool-mask"])
+    def test_ids_are_neither_truncated_nor_read_from_bools(self, small_adjacency, bad):
+        """An int64 cast used to sample vertices 2 and 4 for ``[2.7, 4.2]``
+        and read ``[True]`` as vertex 1: every entry point refuses both."""
+        graph = sampling_graph_of(small_adjacency)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for call in (lambda: graph.degrees(np.array(bad)),
+                     lambda: graph.sample_edges(np.array(bad), 2, rng),
+                     lambda: sample_one_hop(small_adjacency, np.array(bad), 2, rng),
+                     lambda: sample_blocks(small_adjacency, np.array(bad), (2, 2), rng)):
+            with pytest.raises(ValueError, match="integer vertex ids"):
+                call()
+        assert rng.bit_generator.state == state
+
+    def test_vertex_ids_keep_order_and_widen(self):
+        ids = vertex_ids(np.array([4, 0, 4, 2], dtype=np.uint8), 5, "ids")
+        assert ids.dtype == np.int64 and ids.tolist() == [4, 0, 4, 2]
+        assert vertex_ids([], 5).dtype == np.int64
+        with pytest.raises(ValueError, match="targets must be integer vertex ids"):
+            vertex_ids([0, 5], 5, "targets")
 
     def test_seeds_must_be_one_dimensional(self, small_adjacency):
         graph = sampling_graph_of(small_adjacency)

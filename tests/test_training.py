@@ -155,8 +155,8 @@ class TestSharedLossTerms:
 
 class TestOneTrainingStack:
     """Structure: one model class, one copy of the loss arithmetic, one
-    SGD, one layer walk and one training step (``ast`` scan of
-    ``src/repro``)."""
+    SGD, one layer walk, one training step and one sampler (``ast`` scan
+    of ``src/repro``)."""
 
     GONE_DEFS = {
         "apply_gradients", "redistribute", "_block_loss_gradient",
@@ -236,6 +236,24 @@ class TestOneTrainingStack:
             "distributed/api.py:distributed_train.program",
             "baselines/dist_local.py:dist_local_train.program",
             "baselines/minibatch.py:minibatch_train.program",
+        }
+
+    def test_batch_sources_reach_one_sampler(self, trees):
+        """Only the sampling module draws edges itself; the batch sources
+        reach it through ``sample_blocks`` (training and the DistDGL-style
+        baseline) and ``sample_one_hop`` (serving's per-level descent)."""
+        callers = {
+            f"{caller}->{entry}"
+            for entry in ("sample_edges", "sampling_graph_of", "sample_one_hop", "sample_blocks")
+            for caller in self._callers(
+                trees, lambda f, entry=entry: getattr(f, "id", getattr(f, "attr", None)) == entry
+            )
+            if not caller.startswith("tensor/sampling_graph.py:")
+        }
+        assert callers == {
+            "training/minibatch.py:MinibatchTrainer.fit.epoch_losses->sample_blocks",
+            "baselines/minibatch.py:minibatch_train.program->sample_blocks",
+            "serving/batcher.py:compute_union_rows->sample_one_hop",
         }
 
     def test_passes_take_no_per_call_binding(self, trees):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.graphs import synthetic_classification
 from repro.models import build_model
+from repro.tensor.kernels import backend
 from repro.training import Adam, SoftmaxCrossEntropyLoss, Trainer
 
 
@@ -28,6 +29,9 @@ def main() -> None:
         f"graph: n={data.adjacency.shape[0]}, m={data.adjacency.nnz}, "
         f"classes={data.num_classes}"
     )
+    # The attention sweep runs compiled where a C compiler exists, in
+    # NumPy otherwise; this names the side this process got, and why.
+    print("kernel backend: {} ({})".format(*backend()))
 
     # 2. A 2-layer GAT. `build_model` accepts "VA", "AGNN", "GAT", "GCN";
     #    every model exposes identical forward/backward interfaces.

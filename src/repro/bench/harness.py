@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -194,17 +194,34 @@ def _dispatch(
 
 
 def write_csv(rows: list[BenchRow], path: str | Path) -> None:
-    """Append rows to a unified results CSV (header written once)."""
+    """Write rows into a results CSV, one row per configuration.
+
+    A row's configuration is every column before ``measured_s``. A new
+    row takes the place of the stored row of its configuration, or is
+    appended; the header keeps its column order and new columns go last.
+    A stored row that differs only in its wall-clock ``measured_s`` is
+    kept, so re-running a figure leaves the file as it was unless a
+    modeled number moved.
+    """
     path = Path(path)
-    rows_flat = [row.as_flat_dict() for row in rows]
-    fields: list[str] = []
-    for row in rows_flat:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
-    exists = path.exists()
-    with path.open("a", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields, restval="")
-        if not exists:
-            writer.writeheader()
-        writer.writerows(rows_flat)
+    key_columns = [f.name for f in fields(BenchRow)]
+    key_columns = key_columns[: key_columns.index("measured_s")]
+    columns: list[str] = []
+    stored: dict[tuple, dict] = {}
+    if path.exists():
+        with path.open(newline="") as handle:
+            reader = csv.DictReader(handle)
+            columns = list(reader.fieldnames or [])
+            stored = {tuple(r[c] for c in key_columns): r for r in reader}
+    for row in rows:
+        flat = {k: "" if v is None else str(v) for k, v in row.as_flat_dict().items()}
+        columns += [k for k in flat if k not in columns]
+        key = tuple(flat[c] for c in key_columns)
+        old = stored.get(key)
+        if old is None or any(old.get(c, "") != flat.get(c, "")
+                              for c in columns if c != "measured_s"):
+            stored[key] = flat
+    with path.open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=columns, restval="")
+        writer.writeheader()
+        writer.writerows(stored.values())

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Activation", "get_activation", "leaky_relu", "leaky_relu_grad"]
+__all__ = ["Activation", "get_activation", "leaky_relu"]
 
 
 @dataclass(frozen=True)
@@ -65,20 +65,6 @@ def _elu_grad(z: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(z, 0))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _sigmoid_grad(z: np.ndarray) -> np.ndarray:
-    s = _sigmoid(z)
-    return s * (1 - s)
-
-
 #: Default negative slope of LeakyReLU, matching the GAT paper.
 LEAKY_SLOPE = 0.2
 
@@ -88,23 +74,11 @@ def leaky_relu(z: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
     return np.where(z > 0, z, slope * z).astype(z.dtype, copy=False)
 
 
-def leaky_relu_grad(z: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
-    """Derivative of :func:`leaky_relu` w.r.t. its input."""
-    dt = z.dtype if isinstance(z, np.ndarray) else np.float64
-    return np.where(z > 0, 1.0, slope).astype(dt, copy=False)
-
-
 _REGISTRY: dict[str, Activation] = {
     "relu": Activation("relu", _relu, _relu_grad),
     "identity": Activation("identity", _identity, _identity_grad),
     "tanh": Activation("tanh", _tanh, _tanh_grad),
     "elu": Activation("elu", _elu, _elu_grad),
-    "sigmoid": Activation("sigmoid", _sigmoid, _sigmoid_grad),
-    "leaky_relu": Activation(
-        "leaky_relu",
-        lambda z: leaky_relu(z),
-        lambda z: leaky_relu_grad(z),
-    ),
 }
 
 

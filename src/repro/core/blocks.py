@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.tensor.coo import COOMatrix
 from repro.tensor.csr import CSRMatrix
+from repro.tensor.segment import bincount_sum
 
 __all__ = [
     "rep",
@@ -59,7 +61,7 @@ def sum_rows(x: np.ndarray | CSRMatrix) -> np.ndarray:
 def sum_cols(x: np.ndarray | CSRMatrix) -> np.ndarray:
     """Column summation ``sum^T(X) = 1^T X`` (a row vector of column sums)."""
     if isinstance(x, CSRMatrix):
-        return x.col_sum()
+        return bincount_sum(x.indices, x.data, x.shape[1])
     return np.asarray(x).sum(axis=0)
 
 
@@ -80,13 +82,20 @@ def gram(x: np.ndarray) -> np.ndarray:
 def matrix_plus_transpose(x: np.ndarray | CSRMatrix) -> np.ndarray | CSRMatrix:
     """Symmetrisation :math:`X_+ = X + X^T` (Table 2, new block).
 
-    Dispatches on the input type: sparse inputs stay sparse via the
-    general-pattern CSR add, dense inputs use NumPy broadcasting.
+    Dispatches on the input type: sparse inputs stay sparse (entries
+    of both merged by summation), dense inputs use NumPy broadcasting.
     """
     if isinstance(x, CSRMatrix):
         if x.shape[0] != x.shape[1]:
             raise ValueError("X + X^T requires a square matrix")
-        return x.add(x.transpose())
+        t = x.transpose()
+        both = COOMatrix(
+            np.concatenate([x.expand_rows(), t.expand_rows()]),
+            np.concatenate([x.indices, t.indices]),
+            np.concatenate([x.data, t.data]),
+            shape=x.shape,
+        )
+        return CSRMatrix.from_entries(both.rows, both.cols, both.data, x.shape)
     x = np.asarray(x)
     if x.shape[0] != x.shape[1]:
         raise ValueError("X + X^T requires a square matrix")

@@ -47,11 +47,7 @@ from repro.runtime.executor import run_spmd
 from repro.runtime.grid import square_grid
 from repro.runtime.stats import RunStats
 from repro.tensor.csr import CSRMatrix
-from repro.training.loss import (
-    PartitionedLoss,
-    cross_entropy_terms,
-    squared_error_terms,
-)
+from repro.training.loss import PartitionedLoss, cross_entropy_terms
 from repro.training.optim import SGD
 from repro.training.trainer import train_step
 
@@ -62,7 +58,7 @@ __all__ = [
 ]
 
 #: ``distributed_train(loss=...)`` names.
-_LOSS_TERMS = {"ce": cross_entropy_terms, "mse": squared_error_terms}
+_LOSS_TERMS = {"ce": cross_entropy_terms}
 
 
 def _check_backend(backend: str) -> None:
@@ -176,8 +172,8 @@ def distributed_train(
     _check_square(p)
     check_inputs(a, features, labels, mask, loss, out_dim)
     n = features.shape[0]
-    # Globally averaged terms: labelled rows ("ce"), their elements ("mse").
-    count = (n if mask is None else int(mask.sum())) * (out_dim if loss == "mse" else 1)
+    # Globally averaged terms: one per labelled row.
+    count = n if mask is None else int(mask.sum())
     build = partial(build_dist_model, name=model_name, in_dim=features.shape[1],
                     hidden_dim=hidden_dim, out_dim=out_dim, num_layers=num_layers, seed=seed,
                     dtype=dtype, overlap=overlap, **layer_kwargs)

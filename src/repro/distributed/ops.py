@@ -29,11 +29,10 @@ import numpy as np
 
 from repro.distributed.partition import block_ranges
 from repro.runtime.grid import ProcessGrid
-from repro.tensor.csr import CSRMatrix
 
 __all__ = [
     "irow_bcast_from_diagonal", "reduce_and_redistribute", "itranspose_exchange",
-    "distributed_semiring_aggregate", "OpSequencer", "ReadyResult",
+    "OpSequencer", "ReadyResult",
 ]
 
 
@@ -95,14 +94,13 @@ def _normalised(block: np.ndarray, heads: int) -> np.ndarray:
 
 
 def reduce_and_redistribute(
-    grid: ProcessGrid, partial: np.ndarray, sequencer: OpSequencer, op: str = "sum",
+    grid: ProcessGrid, partial: np.ndarray, sequencer: OpSequencer,
     denominators: int = 0,
 ) -> np.ndarray:
     """Reduce row-wise partial outputs and form next-layer input blocks.
 
     ``partial`` is this rank's :math:`\\Psi_{ij} H'_j` share of output row
-    block ``i``. A ring reduce-scatter along the grid row with ``op``
-    leaves rank ``(i, j)`` the reduced ``j``-th chunk of row block ``i``;
+    block ``i``. A ring reduce-scatter along the grid row leaves rank ``(i, j)`` the reduced ``j``-th chunk of row block ``i``;
     the chunk exchange sends it to every rank of grid *column* ``i``
     (next-layer input block ``i``) and gathers block ``j``'s chunks from
     grid row ``j``. Returns the column-replicated next input block
@@ -121,7 +119,7 @@ def reduce_and_redistribute(
         np.ascontiguousarray(partial[start:stop])
         for start, stop in block_ranges(partial.shape[0], p)
     ]
-    mine = _normalised(grid.row_comm.reduce_scatter(chunks, op=op), denominators)
+    mine = _normalised(grid.row_comm.reduce_scatter(chunks), denominators)
     comm = grid.comm
     # Send my chunk (rows of block `grid.row`) to every rank in grid
     # column `grid.row`; receive block `grid.col`'s chunks from grid
@@ -148,32 +146,7 @@ def itranspose_exchange(grid: ProcessGrid, block: np.ndarray, sequencer: OpSeque
     if grid.row == grid.col:
         return ReadyResult(block)
     partner = grid.col * grid.py + grid.row
-    grid.comm.isend(block, partner, tag=tag)
+    grid.comm.send(block, partner, tag=tag)
     return grid.comm.irecv(partner, tag=tag)
 
 
-def distributed_semiring_aggregate(
-    grid: ProcessGrid, a_block: CSRMatrix, h_block: np.ndarray, semiring, sequencer: OpSequencer,
-) -> np.ndarray:
-    """Semiring aggregation :math:`\\mathcal{A} \\oplus H` on the 1.5D grid.
-
-    The generalisation of Section 4.3 to the distributed schedule: the
-    local blocks run the semiring SpMM, and the cross-rank combination
-    reuses the reduce+redistribute pipeline with the semiring's *own*
-    additive monoid (min/max ride the communicator's ``min``/``max``
-    reduce ops; the commutative-monoid laws are exactly what makes the
-    ring reduce-scatter valid for them).
-
-    Supports the real and tropical semirings; the pair-valued AVERAGE
-    semiring would need a two-channel reduce and is left to the
-    single-node path.
-    """
-    from repro.tensor.kernels import spmm_reference
-
-    if semiring.pair_valued:
-        raise NotImplementedError("pair-valued semirings are not distributed")
-    op = {"add": "sum", "minimum": "min", "maximum": "max"}.get(semiring.add.__name__)
-    if op is None:
-        raise ValueError(f"no collective reduce op for {semiring.name}")
-    partial = spmm_reference(a_block, h_block, semiring=semiring)
-    return reduce_and_redistribute(grid, partial, sequencer, op=op)

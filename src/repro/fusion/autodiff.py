@@ -273,10 +273,6 @@ def _emit_vjp(dag: OpDag, node, g: int, push, cls, needs) -> None:
     elif op == "scale":
         if operand in needs:
             push(operand, dag.scale(g, node.attrs["factor"]))
-    elif op == "reciprocal":
-        if operand in needs:
-            sq = dag.hadamard(node.id, node.id)
-            push(operand, dag.scale(dag.hadamard(g, sq), -1.0))
     elif op == "row_sum":
         if operand in needs:
             if kind(operand) != "nn":

@@ -25,9 +25,7 @@ SHAPE_KINDS = ("nn", "nk", "kn", "kk", "n", "k", "scalar")
 
 #: The element-wise op vocabulary: sparsity inference, the fusion pass
 #: and the executors all dispatch on these two sets.
-UNARY = frozenset(
-    {"exp", "leaky_relu", "leaky_relu_grad", "scale", "reciprocal"}
-)
+UNARY = frozenset({"exp", "leaky_relu", "leaky_relu_grad", "scale"})
 BINARY_ELEMENTWISE = frozenset({"hadamard", "divide", "add"})
 
 
@@ -164,9 +162,6 @@ class OpDag:
     def scale(self, a: int, factor: float) -> int:
         return self._add("scale", (a,), self._kind(a), factor=factor)
 
-    def reciprocal(self, a: int, eps: float = 0.0) -> int:
-        return self._add("reciprocal", (a,), self._kind(a), eps=eps)
-
     def row_sum(self, a: int) -> int:
         """``sum(X) = X 1`` — per-row summation (Table 2)."""
         kind = {"nn": "n", "nk": "n", "kk": "k"}.get(self._kind(a))
@@ -252,9 +247,6 @@ class OpDag:
         self.outputs[name] = a
 
     # ------------------------------------------------------------------
-    def topological_order(self) -> list[int]:
-        """Node ids in definition (already topological) order."""
-        return list(range(len(self.nodes)))
 
     def consumers(self) -> dict[int, list[int]]:
         """Map node id -> ids of nodes consuming it."""

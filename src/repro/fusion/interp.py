@@ -658,6 +658,4 @@ def _apply_unary(op: str, v: np.ndarray, attrs: dict) -> np.ndarray:
         return np.where(v > 0, np.ones_like(v), attrs["slope"])
     if op == "scale":
         return attrs["factor"] * v
-    if op == "reciprocal":
-        return 1.0 / np.maximum(v, attrs.get("eps", 0.0) or 1e-300)
     raise ValueError(op)

@@ -212,6 +212,3 @@ class DagLayer(AttentionLayer):
             }
             return runner.run("grad:H") if input_grad else None, grads
 
-    def describe(self) -> str:
-        """Full joint-program listing (forward + derived backward)."""
-        return self.program.describe()

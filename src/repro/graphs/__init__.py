@@ -15,10 +15,9 @@ COO ``.npz`` loading/saving matches the artifact's file format.
 from repro.graphs.erdos_renyi import erdos_renyi
 from repro.graphs.io import load_npz, save_npz
 from repro.graphs.kronecker import kronecker
-from repro.graphs.powerlaw import makg_like, powerlaw_graph
+from repro.graphs.powerlaw import powerlaw_graph
 from repro.graphs.prep import (
     density,
-    ensure_min_degree,
     graph_stats,
     prepare_adjacency,
 )
@@ -34,11 +33,9 @@ __all__ = [
     "kronecker",
     "erdos_renyi",
     "powerlaw_graph",
-    "makg_like",
     "load_npz",
     "save_npz",
     "prepare_adjacency",
-    "ensure_min_degree",
     "density",
     "graph_stats",
     "synthetic_classification",

@@ -6,8 +6,7 @@ offline. Per DESIGN.md, we substitute a Chung–Lu random graph with a
 power-law expected-degree sequence: what the MAKG experiments probe is
 scaling behaviour under a heavy-tail degree distribution at a given
 density, and Chung–Lu reproduces exactly that skew with a controllable
-exponent. :func:`makg_like` pins the exponent and density to
-citation-network-like values.
+exponent.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.graphs.prep import _graph_from_keys
 from repro.tensor.coo import COOMatrix
 from repro.util.rng import make_rng
 
-__all__ = ["powerlaw_graph", "makg_like"]
+__all__ = ["powerlaw_graph"]
 
 
 def powerlaw_graph(
@@ -60,15 +59,3 @@ def _chung_lu_keys(
     return key
 
 
-def makg_like(
-    n: int = 1 << 14,
-    seed: int | np.random.Generator | None = 0,
-) -> COOMatrix:
-    """A scaled-down MAKG stand-in.
-
-    MAKG has ~111M vertices and ~3.2B directed edges — roughly 29 edges
-    per vertex and a citation-like power-law tail. This helper keeps
-    the 29x edge multiplier and an exponent of 2.1 while shrinking
-    ``n`` to the simulated-cluster scale.
-    """
-    return powerlaw_graph(n, 29 * n, exponent=2.1, seed=seed)

@@ -20,10 +20,8 @@ import numpy as np
 
 from repro.tensor.coo import COOMatrix
 from repro.tensor.csr import CSRMatrix
-from repro.util.rng import make_rng
 
 __all__ = [
-    "ensure_min_degree",
     "prepare_adjacency",
     "density",
     "graph_stats",
@@ -44,8 +42,8 @@ def _graph_from_keys(
     consumed: pass an array nothing else refers to, so it is freed at
     the first step. Self loops are dropped, edges mirrored when
     ``symmetrize``, repeats merged, and with ``ensure_connected`` every
-    isolated vertex is attached as :func:`ensure_min_degree` does, with
-    the same draw from ``rng``. Returns the canonical binary pattern.
+    isolated vertex is attached to a random other vertex
+    (:func:`_attach_isolated`). Returns the canonical binary pattern.
     """
     # row == col exactly when the key is a multiple of n + 1.
     key = key[key % (n + 1) != 0]
@@ -106,30 +104,6 @@ def _attach_isolated(
     return _union(key, np.unique(np.concatenate(extra)))
 
 
-def ensure_min_degree(
-    coo: COOMatrix,
-    rng: int | np.random.Generator | None = 0,
-    symmetric: bool = True,
-) -> COOMatrix:
-    """Attach every isolated vertex to a random other vertex.
-
-    The artifact: the generated graph "is further processed ... by
-    ensuring that each vertex is connected to at least one other
-    vertex". A vertex is isolated when it has neither out- nor
-    in-edges; the repair edge avoids self loops and is mirrored when
-    ``symmetric``. Returns ``coo`` itself when nothing is isolated.
-    """
-    rng = make_rng(rng)
-    n = coo.shape[0]
-    if coo.shape[1] != n:
-        raise ValueError("ensure_min_degree requires a square matrix")
-    key = coo.sorted_keys()
-    repaired = _attach_isolated(key, n, rng, symmetric)
-    if repaired is key:
-        return coo
-    return COOMatrix.from_sorted_keys(repaired, coo.shape, coo.dtype)
-
-
 def prepare_adjacency(
     coo: COOMatrix,
     self_loops: bool = True,
@@ -144,7 +118,7 @@ def prepare_adjacency(
     """
     n_rows, n_cols = coo.shape
     if self_loops and n_rows != n_cols:
-        raise ValueError("add_self_loops requires a square matrix")
+        raise ValueError("self loops require a square matrix")
     key = coo.sorted_keys()
     if self_loops:
         key = _union(key, np.arange(n_rows, dtype=np.int64) * (n_rows + 1))

@@ -25,7 +25,6 @@ __all__ = [
     "permute",
     "random_order",
     "degree_sort_order",
-    "scramble_if_skewed",
     "load_balance_report",
     "LoadBalanceReport",
 ]
@@ -45,12 +44,13 @@ def permute(
         raise ValueError("permute expects a square adjacency")
     if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("order must be a permutation of range(n)")
-    was_csr = isinstance(graph, CSRMatrix)
-    coo = graph.to_coo() if was_csr else graph
-    out = COOMatrix(
-        order[coo.rows], order[coo.cols], coo.data.copy(), shape=graph.shape
+    if isinstance(graph, CSRMatrix):
+        return CSRMatrix.from_entries(
+            order[graph.expand_rows()], order[graph.indices], graph.data, graph.shape
+        )
+    return COOMatrix(
+        order[graph.rows], order[graph.cols], graph.data.copy(), shape=graph.shape
     )
-    return out.to_csr() if was_csr else out
 
 
 def random_order(n: int, seed: int | np.random.Generator | None = 0
@@ -74,27 +74,6 @@ def degree_sort_order(graph: COOMatrix | CSRMatrix,
     order = np.empty_like(ranks)
     order[ranks] = np.arange(len(ranks))
     return order
-
-
-def scramble_if_skewed(
-    a: CSRMatrix,
-    cv_threshold: float = 1.0,
-    seed: int | np.random.Generator | None = 0,
-) -> np.ndarray | None:
-    """A random order when the degree distribution warrants one.
-
-    Reads the pattern's cached
-    :meth:`~repro.tensor.structure.PatternStructure.degree_stats` and
-    returns a Graph500-style scramble permutation when the row-length
-    coefficient of variation exceeds ``cv_threshold`` — the regime
-    where hub clustering unbalances 2D blocks. Near-regular graphs
-    return ``None``: scrambling them costs cache locality for no balance
-    gain.
-    """
-    stats = a.degree_stats()
-    if stats.cv <= cv_threshold:
-        return None
-    return random_order(a.shape[0], seed)
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,7 @@ from repro.models.attention import GCN, AttentionLayer, layer_spec, resolve_spec
 from repro.models.gcn import normalize_adjacency
 from repro.models.gin import GINLayer
 from repro.models.sgc import SGCLayer, sgc_model
-from repro.models.serialize import (
-    load_model,
-    load_state_dict,
-    save_model,
-    state_dict,
-)
+from repro.models.serialize import load_state_dict, state_dict
 
 __all__ = [
     "GnnLayer",
@@ -36,8 +31,6 @@ __all__ = [
     "sgc_model",
     "normalize_adjacency",
     "build_model",
-    "save_model",
-    "load_model",
     "state_dict",
     "load_state_dict",
 ]

@@ -31,13 +31,25 @@ def normalize_adjacency(
     if mode not in ("sym", "row", "none"):
         raise ValueError("mode must be 'sym', 'row' or 'none'")
     if add_self_loops:
-        a = a.to_coo().add_self_loops().to_csr()
+        if a.shape[0] != a.shape[1]:
+            raise ValueError("self loops require a square matrix")
+        n = a.shape[0]
+        rows = a.expand_rows()
+        off = rows != a.indices
+        diag = np.arange(n, dtype=np.int64)
+        a = CSRMatrix.from_entries(
+            np.concatenate([rows[off], diag]),
+            np.concatenate([a.indices[off], diag]),
+            np.concatenate([a.data[off], np.ones(n, a.dtype)]),
+            a.shape,
+        )
     if mode == "none":
         return a
     deg = a.row_sum().astype(np.float64)
+    rows = a.expand_rows()
     if mode == "row":
         inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1e-12), 0.0)
-        return a.scale_rows(inv.astype(a.dtype))
+        return a.with_data(a.data * inv.astype(a.dtype)[rows])
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
     inv_sqrt = inv_sqrt.astype(a.dtype)
-    return a.scale_rows(inv_sqrt).scale_cols(inv_sqrt)
+    return a.with_data(a.data * inv_sqrt[rows] * inv_sqrt[a.indices])

@@ -1,32 +1,26 @@
-"""Model checkpointing: parameter snapshots and compressed-npz files.
+"""Model checkpointing: parameter snapshots.
 
 Parameters are the model's only durable state (activations and
 gradients live for one forward/backward round trip), so a checkpoint
 is a flat ``layer{i}.{name}`` → array mapping and nothing else: no
 pickled code, no architecture metadata beyond a shape check.
 
-Two layers of API:
-
-* :func:`state_dict` / :func:`load_state_dict` — in-memory snapshot
-  and *in-place* restore. Loading copies into the existing parameter
+:func:`state_dict` / :func:`load_state_dict` are an in-memory snapshot
+and an *in-place* restore. Loading copies into the existing parameter
   arrays (``np.copyto``), so every live view of the parameters — layer
   attributes, serving-engine models mid-flight, optimizer slots —
   observes the new values without rebinding. This is the hot-swap
   primitive the serving engine's model reload uses (paired with a
   params-version bump that invalidates its activation cache).
-* :func:`save_model` / :func:`load_model` — the same mapping as a
-  compressed npz on disk.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
 from repro.models.base import GnnModel
 
-__all__ = ["state_dict", "load_state_dict", "save_model", "load_model"]
+__all__ = ["state_dict", "load_state_dict"]
 
 
 def state_dict(model: GnnModel) -> dict[str, np.ndarray]:
@@ -86,16 +80,3 @@ def load_state_dict(
     return model
 
 
-def save_model(model: GnnModel, path: str | Path) -> None:
-    """Write every layer's parameters to ``path`` (npz)."""
-    np.savez_compressed(Path(path), **state_dict(model))
-
-
-def load_model(model: GnnModel, path: str | Path) -> GnnModel:
-    """Load parameters saved by :func:`save_model` into ``model``.
-
-    Equivalent to :func:`load_state_dict` on the file's contents: same
-    architecture checks, same in-place copy semantics.
-    """
-    with np.load(Path(path)) as blob:
-        return load_state_dict(model, {k: blob[k] for k in blob.files})

@@ -7,13 +7,13 @@ cluster instead (see DESIGN.md's substitution table):
 * :mod:`repro.runtime.fabric` — the one fabric: per-``(src, dst,
   tag)`` mailboxes, ranks are Python threads of this process.
 * :mod:`repro.runtime.communicator` — an mpi4py-flavoured communicator
-  (``send``/``recv``/``bcast``/``reduce``/``allreduce``/``allgather``/
-  ``alltoall``/``reduce_scatter``/``split``) whose collectives use real
-  algorithms (binomial trees, rings), so the *communication volume each
-  rank observes matches what a real MPI job would move*. Every
-  collective also has a non-blocking ``i``-variant returning a
-  :class:`~repro.runtime.communicator.CollectiveHandle` (plus
-  ``isend``/``irecv`` point-to-point futures) — the substrate of the
+  (``send``/``recv``/``irecv``/``ibcast``/``allreduce``/``allgather``/
+  ``alltoall``/``reduce_scatter``/``gather``/``split``) whose collectives
+  use real algorithms (binomial trees, rings), so the *communication
+  volume each rank observes matches what a real MPI job would move*.
+  ``ibcast`` and ``iallreduce`` return a
+  :class:`~repro.runtime.communicator.CollectiveHandle` and ``irecv`` a
+  :class:`~repro.runtime.communicator.RecvFuture` — the substrate of the
   comm/compute-overlapped 1.5D layer schedules.
 * :mod:`repro.runtime.stats` — per-rank byte/message/flop accounting
   plus the wall-time split into compute vs. blocked-on-recv seconds;
@@ -35,12 +35,7 @@ from repro.runtime.communicator import (
 )
 from repro.runtime.costmodel import CostModel, MachineParams
 from repro.runtime.executor import SpmdResult, run_spmd
-from repro.runtime.fabric import (
-    Fabric,
-    FabricTimeoutError,
-    RecvHandle,
-    SendHandle,
-)
+from repro.runtime.fabric import Fabric, FabricTimeoutError
 from repro.runtime.grid import ProcessGrid, square_grid
 from repro.runtime.stats import CommStats, RunStats
 
@@ -50,8 +45,6 @@ __all__ = [
     "Communicator",
     "CollectiveHandle",
     "RecvFuture",
-    "SendHandle",
-    "RecvHandle",
     "CommStats",
     "RunStats",
     "CostModel",

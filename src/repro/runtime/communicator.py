@@ -1,8 +1,8 @@
 """MPI-flavoured communicator over the in-process fabric.
 
 The API mirrors the mpi4py subset the paper's implementation uses
-(point-to-point plus ``bcast``/``reduce``/``allreduce``/``allgather``/
-``alltoall``/``reduce_scatter``/``scatter``/``gather``/``split``), and
+(point-to-point plus ``ibcast``/``allreduce``/``allgather``/
+``alltoall``/``reduce_scatter``/``gather``/``split``), and
 the collectives are implemented with *real distribution algorithms* —
 binomial trees and rings — on top of point-to-point sends. This matters
 for fidelity: the per-rank byte counts recorded by
@@ -22,8 +22,7 @@ Every collective body is written once, as a *generator* that performs
 its sends eagerly and ``yield``s ``(src, tag)`` whenever it needs a
 message. The blocking API runs the generator to completion on the
 spot; the ``i``-prefixed variants (:meth:`Communicator.ibcast`,
-:meth:`Communicator.ireduce`, :meth:`Communicator.iallreduce`,
-:meth:`Communicator.iallgather`) start the generator, advance it as far
+:meth:`Communicator.iallreduce`) start the generator, advance it as far
 as arrived messages allow, and return a :class:`CollectiveHandle` to
 finish later — so the traffic (bytes, message count, phase attribution)
 is identical by construction whether or not the caller overlaps.
@@ -46,12 +45,7 @@ from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
-from repro.runtime.fabric import (
-    ABORT_MESSAGE,
-    Fabric,
-    FabricTimeoutError,
-    SendHandle,
-)
+from repro.runtime.fabric import ABORT_MESSAGE, Fabric, FabricTimeoutError
 from repro.runtime.stats import CommStats
 
 __all__ = ["Communicator", "CollectiveHandle", "RecvFuture"]
@@ -94,11 +88,9 @@ class CollectiveHandle:
     """Completion handle of a non-blocking collective.
 
     ``wait()`` blocks until the collective finishes and returns its
-    result (repeating ``wait`` returns the cached result); ``test()``
-    makes as much progress as arrived messages allow and reports
-    completion without blocking. Handles must ultimately be waited in
-    *initiation order* across ranks — the engine enforces this by
-    draining earlier outstanding handles first.
+    result (repeating ``wait`` returns the cached result). Handles must
+    ultimately be waited in *initiation order* across ranks — the engine
+    enforces this by draining earlier outstanding handles first.
     """
 
     __slots__ = ("_comm", "_gen", "_phase", "_want", "_started", "_done",
@@ -114,14 +106,6 @@ class CollectiveHandle:
         self._started = False
         self._done = False
         self._result: Any = None
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def test(self) -> bool:
-        """Advance with whatever has arrived; never blocks."""
-        return self._comm._engine.progress(self)
 
     def wait(self) -> Any:
         """Complete this collective (draining earlier handles first)."""
@@ -219,20 +203,14 @@ class _AsyncEngine:
                     pass
         return handle._result
 
-    def drain(self) -> None:
-        """Complete every outstanding collective, oldest first."""
-        while self.outstanding:
-            self.complete(self.outstanding[0])
-
 
 class RecvFuture:
     """Completion handle of a communicator-level non-blocking receive.
 
-    Unlike the raw fabric handle, waiting on this future keeps the
-    rank's outstanding asynchronous collectives progressing, so a
-    point-to-point receive can never starve a collective a peer is
-    blocked inside — and blocked time is charged to
-    :attr:`CommStats.wait_s`.
+    Waiting on this future keeps the rank's outstanding asynchronous
+    collectives progressing, so a point-to-point receive can never
+    starve a collective a peer is blocked inside — and blocked time is
+    charged to :attr:`CommStats.wait_s`.
     """
 
     __slots__ = ("_comm", "_src", "_tag", "_done", "_value")
@@ -243,19 +221,6 @@ class RecvFuture:
         self._tag = tag
         self._done = False
         self._value: Any = None
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def test(self) -> bool:
-        if self._done:
-            return True
-        ok, value = self._comm._try_recv(self._src, self._tag)
-        if ok:
-            self._value = value
-            self._done = True
-        return self._done
 
     def wait(self) -> Any:
         if not self._done:
@@ -318,12 +283,6 @@ class Communicator:
         """Blocking receive from local rank ``src``."""
         return self._recv_raw(src, ("user", tag))
 
-    def isend(self, payload: Any, dst: int, tag: Any = 0) -> SendHandle:
-        """Non-blocking send. Sends are buffered, so the handle is
-        born complete; traffic accounting is identical to :meth:`send`."""
-        self._send_raw(payload, dst, ("user", tag))
-        return SendHandle()
-
     def irecv(self, src: int, tag: Any = 0) -> RecvFuture:
         """Post a non-blocking receive; returns a :class:`RecvFuture`."""
         if not 0 <= src < self.size:
@@ -368,7 +327,7 @@ class Communicator:
                     return payload
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    self.fabric._trip_abort()
+                    self.fabric.abort()
                     raise self.fabric.stuck_in_recv(
                         gsrc, gdst, key, timed_out_after=self.fabric.timeout
                     )
@@ -412,25 +371,14 @@ class Communicator:
     # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------
-    def barrier(self) -> None:
-        """Synchronise the communicator (tree gather + broadcast of tokens)."""
-        op = ("barrier", self._next_op())
-
-        def gen():
-            token = yield from self._binomial_reduce_gen(
-                0, 0, lambda a, b: 0, op
-            )
-            yield from self._binomial_bcast_gen(token, 0, op)
-
-        self._run(gen())
-
     #: Payloads at least this large (bytes) use the van de Geijn
     #: scatter+allgather broadcast instead of the binomial tree.
     LARGE_BCAST_BYTES = 1 << 15
 
-    def bcast(self, payload: Any, root: int = 0,
-              algorithm: str | None = None) -> Any:
-        """Broadcast; returns the payload on every rank.
+    def ibcast(self, payload: Any, root: int = 0,
+               algorithm: str | None = None) -> CollectiveHandle:
+        """Non-blocking broadcast; the handle's ``wait`` returns the payload
+        on every rank.
 
         Two algorithms, mirroring production MPI libraries:
 
@@ -449,11 +397,6 @@ class Communicator:
         path), as real MPI does — on narrow communicators the ring's
         extra message latency outweighs the volume saving.
         """
-        return self._run(self._bcast_gen(payload, root, algorithm))
-
-    def ibcast(self, payload: Any, root: int = 0,
-               algorithm: str | None = None) -> CollectiveHandle:
-        """Non-blocking :meth:`bcast`; complete via the returned handle."""
         return self._start(self._bcast_gen(payload, root, algorithm))
 
     def _bcast_gen(self, payload: Any, root: int,
@@ -510,22 +453,6 @@ class Communicator:
         gathered = yield from self._allgather_gen(mine, ("sag_allgather", op))
         return np.concatenate(gathered).reshape(shape).astype(dtype, copy=False)
 
-    def reduce(self, payload: Any, root: int = 0, op: str = "sum") -> Any:
-        """Binomial-tree reduction to ``root`` (others return ``None``)."""
-        return self._run(self._reduce_gen(payload, root, op))
-
-    def ireduce(self, payload: Any, root: int = 0,
-                op: str = "sum") -> CollectiveHandle:
-        """Non-blocking :meth:`reduce`."""
-        return self._start(self._reduce_gen(payload, root, op))
-
-    def _reduce_gen(self, payload: Any, root: int, op: str) -> Generator:
-        tag = ("reduce", self._next_op())
-        result = yield from self._binomial_reduce_gen(
-            payload, root, _REDUCE_OPS[op], tag
-        )
-        return result if self.rank == root else None
-
     def allreduce(self, payload: Any, op: str = "sum") -> Any:
         """Reduce-to-root followed by broadcast (``2 log p`` supersteps)."""
         return self._run(self._allreduce_gen(payload, op))
@@ -552,12 +479,6 @@ class Communicator:
         assigns to feature-block replication.
         """
         return self._run(
-            self._allgather_gen(payload, ("allgather", self._next_op()))
-        )
-
-    def iallgather(self, payload: Any) -> CollectiveHandle:
-        """Non-blocking :meth:`allgather` (pipelined ring)."""
-        return self._start(
             self._allgather_gen(payload, ("allgather", self._next_op()))
         )
 
@@ -603,11 +524,6 @@ class Communicator:
         """
         return self._run(self._reduce_scatter_gen(blocks, op))
 
-    def ireduce_scatter(self, blocks: Sequence[np.ndarray],
-                        op: str = "sum") -> CollectiveHandle:
-        """Non-blocking :meth:`reduce_scatter`."""
-        return self._start(self._reduce_scatter_gen(blocks, op))
-
     def _reduce_scatter_gen(self, blocks: Sequence[np.ndarray],
                             op: str) -> Generator:
         if len(blocks) != self.size:
@@ -645,12 +561,6 @@ class Communicator:
             return out
         self._send_raw(payload, root, tag)
         return None
-
-    def scatter(self, payloads: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter one payload per rank from ``root``."""
-        return self._run(
-            self._scatter_gen(payloads, root, ("scatter", self._next_op()))
-        )
 
     def _scatter_gen(self, payloads: Sequence[Any] | None, root: int,
                      tag: Any) -> Generator:

@@ -2,8 +2,8 @@
 
 The :class:`Fabric` is the transport layer underneath the
 :class:`~repro.runtime.communicator.Communicator`: per-``(src, dst,
-tag)`` mailboxes with blocking receives, a global barrier, and abort
-propagation so one failing rank unblocks everyone else. Ranks are
+tag)`` mailboxes with blocking receives and abort propagation so one
+failing rank unblocks everyone else. Ranks are
 Python threads of one process and a "transfer" is a reference hand-off
 guarded by a condition variable: zero-copy, and the compiled attention
 sweep, BLAS and scipy all release the GIL, so rank threads overlap on
@@ -11,11 +11,9 @@ real cores wherever the time goes (DESIGN.md S10 records the
 measurement that retired the spawned-process fabric).
 
 On top of the mailbox model sit the *non-blocking* primitives:
-:meth:`Fabric.try_get` (probe-and-pop), :meth:`Fabric.poll` (bounded
-wait for arrivals) and the :meth:`Fabric.isend` / :meth:`Fabric.irecv`
-pair returning completion handles (:class:`SendHandle` /
-:class:`RecvHandle` with ``wait``/``test``). Blocking
-:meth:`Fabric.get` is built on those primitives, and its deadlock
+:meth:`Fabric.try_get` (probe-and-pop) and :meth:`Fabric.poll` (bounded
+wait for arrivals). Blocking :meth:`Fabric.get` is built on those
+primitives, and its deadlock
 timeout report — each stuck rank's blocked ``(src, dst, tag)`` plus
 every undelivered mailbox, joined in rank order by
 :func:`format_deadlock` — is identical across runs.
@@ -33,12 +31,7 @@ import time
 from collections import defaultdict, deque
 from typing import Any, Hashable
 
-__all__ = [
-    "Fabric",
-    "FabricTimeoutError",
-    "SendHandle",
-    "RecvHandle",
-]
+__all__ = ["Fabric", "FabricTimeoutError"]
 
 #: Default seconds a blocked receive waits before declaring deadlock.
 DEFAULT_TIMEOUT = 60.0
@@ -99,9 +92,7 @@ def format_timeout(
 
     ``pending`` maps ``(src, dst, tag)`` to the number of messages
     deposited but never received — the first place to look when a tag
-    mismatch or a diverging collective sequence hangs a rank. Messages
-    posted with :meth:`Fabric.isend` land in the same mailboxes, so
-    pending isends show up here exactly like blocking sends.
+    mismatch or a diverging collective sequence hangs a rank.
     """
     return (
         f"{_edge(src, dst, tag)} timed out after {timeout}s — likely "
@@ -123,78 +114,6 @@ def format_deadlock(reports: list[tuple[int, str]]) -> str:
         "fabric timed out — likely deadlock; stuck ranks in rank order:\n"
         + "\n".join(lines)
     )
-
-
-class SendHandle:
-    """Completion handle of a non-blocking send.
-
-    The fabric buffers sends (a deposit never blocks on the receiver),
-    so the handle is born complete; it exists so SPMD code can treat
-    sends and receives uniformly (``wait`` all handles of a phase).
-    """
-
-    __slots__ = ()
-
-    def test(self) -> bool:
-        """Whether the send has completed locally (always ``True``)."""
-        return True
-
-    @property
-    def done(self) -> bool:
-        return True
-
-    def wait(self, timeout: float | None = None) -> None:
-        """No-op: the payload left this rank at post time."""
-        return None
-
-
-class RecvHandle:
-    """Completion handle of a non-blocking receive.
-
-    ``test()`` probes without blocking, ``wait()`` blocks with the
-    fabric's deadlock diagnostics. Completion is sticky: the first
-    successful ``wait``/``test`` caches the payload, and every later
-    ``wait`` returns the same object (double-wait is legal, as in MPI's
-    ``MPI_Wait`` on an inactive request). Waiting after the fabric
-    aborted raises :class:`FabricTimeoutError` instead of hanging.
-    """
-
-    __slots__ = ("_fabric", "src", "dst", "tag", "_done", "_value")
-
-    def __init__(self, fabric: "Fabric", src: int, dst: int,
-                 tag: Hashable) -> None:
-        self._fabric = fabric
-        self.src = src
-        self.dst = dst
-        self.tag = tag
-        self._done = False
-        self._value: Any = None
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def test(self) -> bool:
-        """Probe for completion without blocking."""
-        if self._done:
-            return True
-        if self._fabric.aborted:
-            raise FabricTimeoutError(ABORT_MESSAGE)
-        ok, payload = self._fabric.try_get(self.src, self.dst, self.tag)
-        if ok:
-            self._value = payload
-            self._done = True
-        return self._done
-
-    def wait(self, timeout: float | None = None) -> Any:
-        """Block until the message arrives; returns the payload."""
-        if self._done:
-            return self._value
-        self._value = self._fabric.get(
-            self.src, self.dst, self.tag, timeout=timeout
-        )
-        self._done = True
-        return self._value
 
 
 class Fabric:
@@ -232,7 +151,6 @@ class Fabric:
         self._lock = threading.Lock()
         self._condition = threading.Condition(self._lock)
         self._mailboxes: dict[tuple[int, int, Hashable], deque] = defaultdict(deque)
-        self._barrier = threading.Barrier(size)
         self._aborted = False
 
     # -- mailbox primitives ----------------------------------------------
@@ -279,24 +197,13 @@ class Fabric:
         """Whether any rank tripped the abort flag."""
         return self._aborted
 
-    def _trip_abort(self) -> None:
-        """Set the abort flag and wake blocked ranks (no barrier abort)."""
-        with self._condition:
-            self._aborted = True
-            self._condition.notify_all()
-
     def abort(self) -> None:
         """Unblock every waiting rank with an error (failure propagation)."""
         with self._condition:
             self._aborted = True
-            self._barrier.abort()
             self._condition.notify_all()
 
-    def barrier(self) -> None:
-        """Global synchronisation across all ranks."""
-        self._barrier.wait(timeout=self.timeout)
-
-    # -- blocking receive + non-blocking handles --------------------------
+    # -- blocking receive --------------------------------------------------
     def get(self, src: int, dst: int, tag: Hashable,
             timeout: float | None = None) -> Any:
         """Blocking receive of the oldest matching message.
@@ -304,8 +211,7 @@ class Fabric:
         On timeout the abort flag is tripped (unblocking all other
         ranks). Both the rank whose timer fired and the ranks that
         abort wakes raise an error naming their own blocked edge plus
-        every undelivered mailbox — including payloads posted via
-        ``isend`` that nobody received.
+        every undelivered mailbox.
         """
         self._check_ranks(src, dst)
         limit = self.timeout if timeout is None else timeout
@@ -318,7 +224,7 @@ class Fabric:
                 return payload
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                self._trip_abort()
+                self.abort()
                 raise self.stuck_in_recv(src, dst, tag, timed_out_after=limit)
             self.poll(src, dst, tag, remaining)
 
@@ -344,17 +250,6 @@ class Fabric:
         )
         error.blocked = blocked
         return error
-
-    def isend(self, src: int, dst: int, tag: Hashable,
-              payload: Any) -> SendHandle:
-        """Non-blocking send; the returned handle is born complete."""
-        self.put(src, dst, tag, payload)
-        return SendHandle()
-
-    def irecv(self, src: int, dst: int, tag: Hashable) -> RecvHandle:
-        """Post a non-blocking receive; complete via ``wait``/``test``."""
-        self._check_ranks(src, dst)
-        return RecvHandle(self, src, dst, tag)
 
     # ------------------------------------------------------------------
     def _check_ranks(self, src: int, dst: int) -> None:

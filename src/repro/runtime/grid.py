@@ -44,10 +44,6 @@ class ProcessGrid:
     row_comm: Communicator
     col_comm: Communicator
 
-    @property
-    def size(self) -> int:
-        return self.px * self.py
-
 
 def square_grid(comm: Communicator, px: int | None = None,
                 py: int | None = None) -> ProcessGrid:

@@ -115,16 +115,6 @@ class CommStats:
             end = time.perf_counter()
             self.tracer.add_slice("wait", end - seconds, end, phase=label)
 
-    @property
-    def compute_s(self) -> float:
-        """Wall-clock share spent computing rather than blocked."""
-        return max(0.0, self.wall_s - self.wait_s)
-
-    @property
-    def words_sent(self) -> int:
-        """Traffic in fp32 words — the unit of the Section-7 bounds."""
-        return self.bytes_sent // WORD_BYTES
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"CommStats(rank={self.rank}, msgs={self.messages_sent}, "
@@ -138,10 +128,6 @@ class RunStats:
     """Aggregate over all ranks of one SPMD execution."""
 
     per_rank: list[CommStats] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return len(self.per_rank)
 
     @property
     def max_bytes_sent(self) -> int:
@@ -180,26 +166,6 @@ class RunStats:
     def total_wait_s(self) -> float:
         return sum(s.wait_s for s in self.per_rank)
 
-    def breakdown(self) -> list[dict[str, float]]:
-        """Per-rank compute-vs-wait split of the measured wall time.
-
-        Each entry reports ``wall_s``, ``wait_s`` (blocked on a
-        receive), ``compute_s`` (the difference) and the blocked
-        fraction — the number the comm/compute overlap work moves.
-        """
-        rows = []
-        for stats in self.per_rank:
-            wall = stats.wall_s
-            rows.append({
-                "rank": stats.rank,
-                "wall_s": wall,
-                "wait_s": stats.wait_s,
-                "compute_s": stats.compute_s,
-                "wait_fraction": (stats.wait_s / wall) if wall > 0 else 0.0,
-                "wait_by_phase": dict(stats.wait_by_phase),
-            })
-        return rows
-
     def phase_bytes(self) -> dict[str, int]:
         """Per-phase max-over-ranks byte counts."""
         phases: dict[str, int] = {}
@@ -226,25 +192,3 @@ class RunStats:
                 phases[phase] = max(phases.get(phase, 0.0), seconds)
         return phases
 
-    def summary(self) -> dict[str, float]:
-        """Flat dict for CSV emission by the benchmark harness.
-
-        Includes the overlap-era wait columns: ``total_wait_s``,
-        ``wait_fraction`` and one ``max_wait_<phase>_s`` column per
-        traffic phase that recorded blocked time.
-        """
-        out = {
-            "ranks": self.size,
-            "max_bytes_sent": self.max_bytes_sent,
-            "max_words_sent": self.max_words_sent,
-            "total_bytes_sent": self.total_bytes_sent,
-            "max_messages_sent": self.max_messages_sent,
-            "max_flops": self.max_flops,
-            "max_wall_s": self.max_wall_s,
-            "max_wait_s": self.max_wait_s,
-            "total_wait_s": self.total_wait_s,
-            "wait_fraction": self.wait_fraction,
-        }
-        for phase, seconds in sorted(self.max_wait_by_phase().items()):
-            out[f"max_wait_{phase}_s"] = seconds
-        return out

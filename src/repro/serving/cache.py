@@ -47,6 +47,7 @@ import threading
 import numpy as np
 
 from repro.obs.metrics import metrics
+from repro.serving.queue import _positive_int
 
 __all__ = ["ActivationCache"]
 
@@ -55,9 +56,7 @@ class ActivationCache:
     """Bounded exact-LRU of ``(level, node)`` → activation row, one version."""
 
     def __init__(self, capacity: int = 65536) -> None:
-        if capacity < 1:
-            raise ValueError("cache capacity must be positive")
-        self.capacity = int(capacity)
+        self.capacity = _positive_int("cache capacity", capacity)
         self._version = 0
         self._lock = threading.Lock()
         self.hits = 0
@@ -79,12 +78,6 @@ class ActivationCache:
 
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def hit_rate(self) -> float:
-        """Lifetime hit fraction (NaN before the first lookup)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else float("nan")
 
     # ------------------------------------------------------------------
     # Slot bookkeeping (the lock is held)
@@ -260,10 +253,6 @@ class ActivationCache:
         return survived
 
     # ------------------------------------------------------------------
-    def clear(self) -> None:
-        """Drop every entry (counters and the live version are kept)."""
-        with self._lock:
-            self._reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         n, hits, misses = f"{self._size}/{self.capacity}", self.hits, self.misses

@@ -163,7 +163,8 @@ class ServingEngine:
         """``fanouts=None`` serves exact (full fan-out) ego graphs.
 
         ``cache`` accepts a ready :class:`ActivationCache`, a capacity
-        (entries), or ``None`` to disable caching. ``weights="hub"``
+        (a positive integer of entries; a bool is neither), or ``None`` to
+        disable caching. ``weights="hub"``
         turns on degree-biased importance sampling
         (:func:`~repro.tensor.sampling_graph.hub_bias_weights`) so
         limited fan-outs keep the most cacheable vertices; it is
@@ -183,7 +184,7 @@ class ServingEngine:
             else (None,) * model.num_layers
         )
         check_fanouts(self.fanouts, model.num_layers)
-        if isinstance(cache, int):
+        if cache is not None and not isinstance(cache, ActivationCache):
             cache = ActivationCache(capacity=cache)
         self.cache = cache
         self._weights_mode = weights if isinstance(weights, str) else None
@@ -209,11 +210,6 @@ class ServingEngine:
         self._ticket = itertools.count()
 
     # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """The live snapshot's version (bumps on every mutation)."""
-        return self._snapshot.version
-
     @property
     def num_nodes(self) -> int:
         return int(self._snapshot.a.shape[0])

@@ -8,8 +8,7 @@ only while nothing is pending, then takes up to ``max_batch`` requests
 at once. Batches grow only from load — requests that arrive while every
 worker is busy — and an idle server never holds a request back.
 
-:meth:`AdmissionQueue.submit` / :meth:`~AdmissionQueue.submit_many` are
-the client edge (``serve.admit`` span; one future per seed, resolving
+:meth:`AdmissionQueue.submit_many` is the client edge (``serve.admit`` span; one future per seed, resolving
 to its output row; a burst enters under one lock hold and one wake-up).
 :meth:`~AdmissionQueue.next_batch` is the worker edge: it drains FIFO
 and marks each future running, so it can no longer be cancelled; one
@@ -67,21 +66,13 @@ class AdmissionQueue:
         self._cond = threading.Condition()
         self._closed = False
 
-    def __len__(self) -> int:
-        return len(self._pending)
-
     # ------------------------------------------------------------------
-    def submit(self, node: int) -> Future:
-        """Enqueue one seed vertex; returns the future of its output row.
-
-        Raises ``RuntimeError`` after :meth:`close` — a closed queue
-        can no longer guarantee the future would ever resolve.
-        """
-        return self.submit_many([node])[0]
 
     def submit_many(self, nodes) -> list[Future]:
         """Enqueue a burst under one lock hold and one wake-up, so an idle
-        worker sees all of it; one future per node, as :meth:`submit`."""
+        worker sees all of it; one future per node, resolving to its
+        output row. Raises ``RuntimeError`` after :meth:`close` — a closed
+        queue can no longer guarantee a future would ever resolve."""
         requests = [InferenceRequest(node=int(node)) for node in nodes]
         with tracer().span("serve.admit", requests=len(requests)):
             with self._cond:

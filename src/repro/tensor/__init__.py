@@ -34,8 +34,6 @@ from repro.tensor.kernels import (
 from repro.tensor.segment import (
     bincount_sum,
     segment_max,
-    segment_mean,
-    segment_min,
     segment_softmax,
     segment_sum,
 )
@@ -66,8 +64,6 @@ __all__ = [
     "mspmm",
     "segment_sum",
     "segment_max",
-    "segment_min",
-    "segment_mean",
     "segment_softmax",
     "bincount_sum",
     "PatternStructure",

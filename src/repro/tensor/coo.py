@@ -92,12 +92,8 @@ class COOMatrix:
         """Number of stored entries."""
         return int(self.rows.shape[0])
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"COOMatrix(shape={self.shape}, nnz={self.nnz}, dtype={self.dtype})"
+        return f"COOMatrix(shape={self.shape}, nnz={self.nnz}, dtype={self.data.dtype})"
 
     # ------------------------------------------------------------------
     # Canonicalisation
@@ -167,70 +163,11 @@ class COOMatrix:
         return out
 
     # ------------------------------------------------------------------
-    # Structural transforms
-    # ------------------------------------------------------------------
-    def transpose(self) -> "COOMatrix":
-        """Return the transpose as a new canonical COO matrix."""
-        return COOMatrix(
-            self.cols.copy(),
-            self.rows.copy(),
-            self.data.copy(),
-            shape=(self.shape[1], self.shape[0]),
-        )
-
-    def symmetrize(self) -> "COOMatrix":
-        """Return the pattern-symmetrised matrix ``sign(X + X^T)``.
-
-        Used on generated graphs to model undirected edges; values are
-        reset to ones (an adjacency pattern), matching the paper's
-        pre-normalisation adjacency matrix.
-        """
-        if self.shape[0] != self.shape[1]:
-            raise ValueError("symmetrize requires a square matrix")
-        rows = np.concatenate([self.rows, self.cols])
-        cols = np.concatenate([self.cols, self.rows])
-        out = COOMatrix(rows, cols, None, shape=self.shape, dtype=self.dtype)
-        out.data = np.ones(out.nnz, dtype=self.dtype)
-        return out
-
-    def remove_self_loops(self) -> "COOMatrix":
-        """Return a copy without diagonal entries."""
-        keep = self.rows != self.cols
-        out = COOMatrix(
-            self.rows[keep],
-            self.cols[keep],
-            self.data[keep],
-            shape=self.shape,
-            dedup=not self._canonical,
-        )
-        out._canonical = True  # a subset of sorted entries stays sorted
-        return out
-
-    def add_self_loops(self, value: float = 1.0) -> "COOMatrix":
-        """Return a copy with the full diagonal present (set to ``value``).
-
-        Existing diagonal entries are overwritten, not accumulated —
-        models such as GAT attend over ``N(v) ∪ {v}``, where the self
-        edge must appear exactly once.
-        """
-        if self.shape[0] != self.shape[1]:
-            raise ValueError("add_self_loops requires a square matrix")
-        base = self.remove_self_loops()
-        n = self.shape[0]
-        diag = np.arange(n, dtype=np.int64)
-        rows = np.concatenate([base.rows, diag])
-        cols = np.concatenate([base.cols, diag])
-        data = np.concatenate(
-            [base.data, np.full(n, value, dtype=self.dtype)]
-        )
-        return COOMatrix(rows, cols, data, shape=self.shape)
-
-    # ------------------------------------------------------------------
     # Dense interop (test/reference use only — O(n^2) memory)
     # ------------------------------------------------------------------
     def to_dense(self) -> np.ndarray:
         """Materialise as a dense array. Reference/testing use only."""
-        out = np.zeros(self.shape, dtype=self.dtype)
+        out = np.zeros(self.shape, dtype=self.data.dtype)
         np.add.at(out, (self.rows, self.cols), self.data)
         return out
 
@@ -240,17 +177,6 @@ class COOMatrix:
         dense = np.asarray(dense)
         rows, cols = np.nonzero(dense)
         return cls(rows, cols, dense[rows, cols], shape=dense.shape)
-
-    def to_csr(self) -> "CSRMatrix":
-        """Convert to CSR (the compute format)."""
-        from repro.tensor.csr import CSRMatrix
-
-        self.canonicalize()
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
-        np.cumsum(self.row_degrees(), out=indptr[1:])
-        return CSRMatrix(
-            indptr, self.cols.copy(), self.data.copy(), shape=self.shape
-        )
 
     # ------------------------------------------------------------------
     # Degree statistics (used by theory predictors and preprocessing)

@@ -10,8 +10,8 @@ directly on the raw arrays.
 
 Every matrix carries a :class:`~repro.tensor.structure.PatternStructure`
 interned on the identity of its ``(indptr, indices)`` arrays: matrices
-derived via :meth:`CSRMatrix.with_data` / :meth:`CSRMatrix.astype` /
-:meth:`CSRMatrix.scale_rows` share the structure object, so
+derived via :meth:`CSRMatrix.with_data` / :meth:`CSRMatrix.astype`
+share the structure object, so
 ``expand_rows``, ``transpose_permutation``, the transposed pattern and
 the scipy view are computed at most once per sparsity pattern per
 process. The index arrays are frozen (read-only) on construction —
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.segment import ragged_ranges
 from repro.tensor.structure import (
     PatternStructure,
     intern_structure,
@@ -157,7 +156,7 @@ class CSRMatrix:
         return self._structure.degree_stats()
 
     # ------------------------------------------------------------------
-    # Same-pattern value algebra
+    # Same-pattern values
     # ------------------------------------------------------------------
     def with_data(self, data: np.ndarray) -> "CSRMatrix":
         """A new matrix sharing this pattern with different values.
@@ -170,42 +169,11 @@ class CSRMatrix:
         """
         return CSRMatrix._from_structure(self._structure, data)
 
-    def scale_rows(self, row_factors: np.ndarray) -> "CSRMatrix":
-        """Multiply each row by a scalar: ``diag(f) @ X`` (same pattern)."""
-        row_factors = np.asarray(row_factors)
-        if row_factors.shape != (self.shape[0],):
-            raise ValueError("row_factors must have length n_rows")
-        factors = row_factors[self.expand_rows()]
-        if self.data.ndim == 2:
-            factors = factors[:, None]
-        return self.with_data(self.data * factors)
-
-    def scale_cols(self, col_factors: np.ndarray) -> "CSRMatrix":
-        """Multiply each column by a scalar: ``X @ diag(f)`` (same pattern)."""
-        col_factors = np.asarray(col_factors)
-        if col_factors.shape != (self.shape[1],):
-            raise ValueError("col_factors must have length n_cols")
-        factors = col_factors[self.indices]
-        if self.data.ndim == 2:
-            factors = factors[:, None]
-        return self.with_data(self.data * factors)
-
     def row_sum(self) -> np.ndarray:
         """Per-row sum of stored values — ``sum(X) = X @ 1`` of Table 2."""
         from repro.tensor.segment import segment_sum
 
         return segment_sum(self.data, self.indptr)
-
-    def col_sum(self) -> np.ndarray:
-        """Per-column sum of stored values — ``sum^T(X) = 1^T X``.
-
-        Uses ``np.bincount`` (a single C pass) rather than the much
-        slower ``np.add.at`` scatter; accumulation happens in float64
-        and the result is cast back to the value dtype.
-        """
-        from repro.tensor.segment import bincount_sum
-
-        return bincount_sum(self.indices, self.data, self.shape[1])
 
     # ------------------------------------------------------------------
     # Structural transforms
@@ -221,16 +189,6 @@ class CSRMatrix:
         structure_t = self._structure.transpose()
         perm = self._structure.transpose_permutation()
         return CSRMatrix._from_structure(structure_t, self.data[perm])
-
-    def transpose_permutation(self) -> np.ndarray:
-        """Permutation ``p`` such that entry ``i`` of ``X^T`` (row-major
-        order of the transpose) is entry ``p[i]`` of ``X``.
-
-        Backward passes repeatedly need values of :math:`\\Psi^T`; with
-        this permutation they are a single fancy-index away instead of a
-        full re-transposition. Cached per pattern (read-only).
-        """
-        return self._structure.transpose_permutation()
 
     def lift_rows(self, rows: np.ndarray) -> "CSRMatrix":
         """The square ``(m, m)`` matrix, ``m`` this one's column count,
@@ -273,73 +231,9 @@ class CSRMatrix:
             (r1 - r0, c1 - c0),
         )
 
-    def extract_submatrix(self, vertices: np.ndarray) -> "CSRMatrix":
-        """Induced square submatrix on a sorted vertex subset.
-
-        Rows and columns are restricted to ``vertices`` (strictly
-        increasing global ids) and relabelled to ``[0, len(vertices))``.
-        Used by the mini-batch baseline to build sampled training
-        blocks.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size and np.any(np.diff(vertices) <= 0):
-            raise ValueError("vertices must be strictly increasing")
-        nv = vertices.shape[0]
-        starts = self.indptr[vertices]
-        lengths = self.indptr[vertices + 1] - starts
-        gather = ragged_ranges(starts, lengths)
-        cols = self.indices[gather]
-        data = self.data[gather]
-        row_of_entry = np.repeat(np.arange(nv, dtype=np.int64), lengths)
-        # Keep entries whose column is in the subset; remap both axes.
-        pos = np.searchsorted(vertices, cols)
-        pos_clipped = np.minimum(pos, max(nv - 1, 0))
-        keep = nv > 0 and vertices[pos_clipped] == cols
-        keep = np.asarray(keep, dtype=bool) & (pos < nv)
-        new_rows = row_of_entry[keep]
-        new_cols = pos_clipped[keep]
-        indptr = np.zeros(nv + 1, dtype=np.int64)
-        np.cumsum(np.bincount(new_rows, minlength=nv), out=indptr[1:])
-        return CSRMatrix(indptr, new_cols, data[keep], (nv, nv))
-
-    # ------------------------------------------------------------------
-    # Elementwise combination (general pattern)
-    # ------------------------------------------------------------------
-    def add(self, other: "CSRMatrix") -> "CSRMatrix":
-        """Entry-wise sum with another CSR matrix (patterns may differ)."""
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in CSR add")
-        from repro.tensor.coo import COOMatrix
-
-        rows = np.concatenate([self.expand_rows(), other.expand_rows()])
-        cols = np.concatenate([self.indices, other.indices])
-        data = np.concatenate(
-            [self.data, other.data.astype(self.data.dtype, copy=False)]
-        )
-        return COOMatrix(rows, cols, data, shape=self.shape).to_csr()
-
-    def hadamard_same_pattern(self, other: "CSRMatrix") -> "CSRMatrix":
-        """Entry-wise product assuming identical patterns (checked cheaply)."""
-        if self.shape != other.shape or self.nnz != other.nnz:
-            raise ValueError("pattern mismatch in hadamard_same_pattern")
-        return self.with_data(self.data * other.data)
-
     # ------------------------------------------------------------------
     # Interop
     # ------------------------------------------------------------------
-    def to_coo(self) -> "COOMatrix":
-        from repro.tensor.coo import COOMatrix
-
-        out = COOMatrix(
-            self.expand_rows().copy(),
-            self.indices.copy(),
-            self.data.copy(),
-            shape=self.shape,
-            dedup=False,
-        )
-        out._canonical = True
-        return out
-
     def to_dense(self) -> np.ndarray:
         """Materialise as dense. Reference/testing use only.
 
@@ -354,47 +248,32 @@ class CSRMatrix:
 
         The scipy wrapper (including its int32 index downcast) is built
         once per pattern and shallow-cloned per call. Only scalar edge
-        values have a scipy counterpart; head-batched matrices must go
-        through the head-interleaved view used by the batched SpMM.
+        values have a scipy counterpart.
         """
         if self.data.ndim != 1:
-            raise ValueError(
-                "to_scipy requires scalar edge values; head-batched "
-                "matrices use structure.head_scipy_view"
-            )
+            raise ValueError("to_scipy requires scalar edge values")
         return self._structure.scipy_view(self.data)
 
     @classmethod
-    def from_scipy(cls, mat) -> "CSRMatrix":
-        """Build from any scipy sparse matrix."""
-        mat = mat.tocsr()
-        if not mat.has_sorted_indices:
-            mat = mat.copy()
-            mat.sort_indices()
-        return cls(
-            mat.indptr.astype(np.int64),
-            mat.indices.astype(np.int64),
-            np.array(mat.data),
-            mat.shape,
-        )
+    def from_entries(
+        cls, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+        shape: tuple[int, int],
+    ) -> "CSRMatrix":
+        """Build from distinct entries ``(rows[e], cols[e]) = data[e]`` in
+        any order (sorted row-major here)."""
+        order = np.argsort(rows * np.int64(shape[1]) + cols, kind="stable")
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(indptr, cols[order], data[order], shape)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
-        from repro.tensor.coo import COOMatrix
-
-        return COOMatrix.from_dense(dense).to_csr()
+        """Build from a dense array, storing the nonzero entries."""
+        dense = np.asarray(dense)
+        rows, cols = np.nonzero(dense)
+        return cls.from_entries(rows, cols, dense[rows, cols], dense.shape)
 
     def astype(self, dtype) -> "CSRMatrix":
         """Pattern-sharing cast of the values."""
         return self.with_data(self.data.astype(dtype))
 
-    def copy(self) -> "CSRMatrix":
-        """An independent copy: fresh data *and* fresh index arrays.
-
-        The copy deliberately does not share this matrix's structure
-        cache (its index arrays are new objects), which also makes it
-        the way to obtain a cache-cold matrix in tests.
-        """
-        return CSRMatrix(
-            self.indptr.copy(), self.indices.copy(), self.data.copy(), self.shape
-        )

@@ -104,11 +104,10 @@ def spmm(
 ) -> np.ndarray:
     """Sparse-dense product :math:`\\mathcal{A} \\oplus H` over a semiring.
 
-    The semiring picks the kernel: the real semiring multiplies through
-    the pattern's cached scipy view (one BLAS-backed C sweep; stacked
-    values go through the head-interleaved view), every other semiring
-    runs the gather + segment-reduce path that :func:`spmm_reference`
-    exposes for all of them.
+    The real semiring multiplies through the pattern's cached scipy
+    view (one BLAS-backed C sweep, one per head for stacked values);
+    every other semiring runs the gather + segment-reduce path that
+    :func:`spmm_reference` exposes for all of them.
 
     Parameters
     ----------
@@ -135,8 +134,15 @@ def spmm(
     """
     h, out_shape = _spmm_operand(a, h)
     counter.add(2 * a.nnz * int(np.prod(h.shape[1:])), "SpMM")
-    if semiring is REAL:
-        out = _spmm_scipy(a, h)
+    if semiring is REAL and a.data.ndim == 1:
+        out = a.to_scipy() @ h
+    elif semiring is REAL:
+        # One scipy product per head: the same per-row sums, in the same
+        # order, as one product over the whole stack.
+        out = np.stack([
+            a.with_data(np.ascontiguousarray(a.data[:, i])).to_scipy() @ h[:, i]
+            for i in range(h.shape[1])
+        ], axis=1)
     else:
         out = _spmm_semiring(a, h, semiring)
     return out.reshape(out_shape)
@@ -182,24 +188,6 @@ def _spmm_operand(
     if a.shape[1] != h.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {h.shape}")
     return h, out_shape
-
-
-def _spmm_scipy(a: CSRMatrix, h: np.ndarray) -> np.ndarray:
-    """Real-semiring SpMM through scipy's C kernel.
-
-    Stacked values multiply through the cached head-interleaved
-    ``(n·heads) x (m·heads)`` pattern, so one sweep serves every head.
-    """
-    if a.data.ndim == 1:
-        return a.to_scipy() @ h
-    heads = a.data.shape[1]
-    n, m = a.shape
-    k = h.shape[2]
-    _, _, perm = a.structure.head_interleave(heads)
-    data_x = np.ascontiguousarray(a.data).reshape(-1)[perm]
-    mat = a.structure.head_scipy_view(heads, data_x)
-    out = mat @ h.reshape(m * heads, k)
-    return out.reshape(n, heads, k)
 
 
 def _spmm_semiring(
@@ -465,18 +453,12 @@ def mspmm(
     gradient :math:`H^T \\Psi^T G`. Evaluated as ``D (A E)`` when that
     is cheaper, otherwise as ``((A^T D^T))^T E`` — both reuse the SpMM
     kernel, since a dense-times-sparse product is the transpose of a
-    sparse-times-dense one.
-
-    With stacked per-head values ``(nnz, heads)`` on ``a``, ``d`` is a
-    shared ``(kd, n)`` left operand, ``e`` a head-batched
-    ``(m, heads, ke)`` right operand, and the result is per-head:
-    ``(heads, kd, ke)`` — the batched form of the per-head weight
-    gradients.
+    sparse-times-dense one. ``a`` holds one value per edge.
     """
     d = np.asarray(d)
     e = np.asarray(e)
-    if a.data.ndim == 2:
-        return _mspmm_batched(d, a, e, counter)
+    if a.data.ndim != 1:
+        raise ValueError("mspmm takes one value per edge, not stacked heads")
     kd, ke = d.shape[0], e.shape[1]
     cost_right = 2 * a.nnz * ke + 2 * d.shape[0] * a.shape[0] * ke
     cost_left = 2 * a.nnz * kd + 2 * kd * a.shape[1] * ke
@@ -484,42 +466,6 @@ def mspmm(
         return mm(d, spmm(a, e, counter=counter), counter=counter)
     da = spmm(a.transpose(), d.T, counter=counter).T
     return mm(da, e, counter=counter)
-
-
-def _mspmm_batched(
-    d: np.ndarray,
-    a: CSRMatrix,
-    e: np.ndarray,
-    counter: FlopCounter,
-) -> np.ndarray:
-    """Head-batched MSpMM: shared ``(kd, n)`` × stacked A × ``(m, H, ke)``.
-
-    Returns ``(heads, kd, ke)``. Association order follows the same
-    flop comparison as the scalar kernel, scaled uniformly by
-    ``heads``, so it agrees with the per-head loop's choice.
-    """
-    heads = a.data.shape[1]
-    if e.ndim != 3 or e.shape[1] != heads:
-        raise ValueError(
-            f"batched MSpMM needs a (m, {heads}, ke) right operand, got "
-            f"shape {e.shape}"
-        )
-    if d.ndim != 2 or d.shape[1] != a.shape[0]:
-        raise ValueError(
-            f"batched MSpMM needs a shared (kd, {a.shape[0]}) left "
-            f"operand, got shape {d.shape}"
-        )
-    kd, ke = d.shape[0], e.shape[2]
-    cost_right = heads * (2 * a.nnz * ke + 2 * kd * a.shape[0] * ke)
-    cost_left = heads * (2 * a.nnz * kd + 2 * kd * a.shape[1] * ke)
-    if cost_right <= cost_left:
-        ae = spmm(a, e, counter=counter)
-        counter.add(2 * heads * kd * a.shape[0] * ke, "MM")
-        return np.einsum("kn,nhe->hke", d, ae)
-    dt = np.broadcast_to(d.T[:, None, :], (a.shape[0], heads, kd))
-    da = spmm(a.transpose(), dt, counter=counter)
-    counter.add(2 * heads * kd * a.shape[1] * ke, "MM")
-    return np.einsum("mhk,mhe->hke", da, e)
 
 
 # ----------------------------------------------------------------------

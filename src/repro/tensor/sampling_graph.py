@@ -151,10 +151,6 @@ class SamplingGraph:
         )
 
     # ------------------------------------------------------------------
-    def degrees(self, seeds: np.ndarray) -> np.ndarray:
-        """Out-degree (stored-entry count) of each seed."""
-        seeds = vertex_ids(seeds, self.num_nodes)
-        return self.indptr[seeds + 1] - self.indptr[seeds]
 
     # ------------------------------------------------------------------
     def sample_edges(
@@ -349,10 +345,6 @@ class Block:
     @property
     def num_src(self) -> int:
         return int(self.src_nodes.shape[0])
-
-    @property
-    def num_dst(self) -> int:
-        return int(self.dst_positions.shape[0])
 
     @property
     def dst_nodes(self) -> np.ndarray:

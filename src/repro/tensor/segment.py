@@ -26,8 +26,6 @@ import numpy as np
 __all__ = [
     "segment_sum",
     "segment_max",
-    "segment_min",
-    "segment_mean",
     "segment_softmax",
     "expand_segments",
     "ragged_ranges",
@@ -73,24 +71,6 @@ def segment_max(values: np.ndarray, indptr: np.ndarray,
     return _reduceat(np.maximum, np.asarray(values), np.asarray(indptr), identity)
 
 
-def segment_min(values: np.ndarray, indptr: np.ndarray,
-                identity: float = np.inf) -> np.ndarray:
-    """Per-segment minimum; empty segments yield ``identity``."""
-    return _reduceat(np.minimum, np.asarray(values), np.asarray(indptr), identity)
-
-
-def segment_mean(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-segment arithmetic mean; empty segments yield 0."""
-    values = np.asarray(values)
-    indptr = np.asarray(indptr)
-    total = segment_sum(values, indptr)
-    lengths = np.diff(indptr).astype(values.dtype)
-    safe = np.maximum(lengths, 1)
-    if values.ndim == 2:
-        safe = safe[:, None]
-    return total / safe
-
-
 def bincount_sum(
     indices: np.ndarray, weights: np.ndarray, minlength: int
 ) -> np.ndarray:
@@ -99,7 +79,7 @@ def bincount_sum(
     A dtype-preserving wrapper around ``np.bincount``: accumulation
     happens in float64 (bincount's native precision) and the result is
     cast back to ``weights``' dtype. Replaces ``np.add.at``, which
-    dispatches per element, on all column-scatter paths (``col_sum``,
+    dispatches per element, on all column-scatter paths (column sums,
     GAT/AGNN column gradients).
 
     ``weights`` may be 2-D (``(nnz, heads)`` stacked per-head values);

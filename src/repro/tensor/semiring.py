@@ -41,9 +41,6 @@ __all__ = [
     "AVERAGE",
     "adjacency_values",
     "semiring_matmul_dense",
-    "average_lift",
-    "average_mul",
-    "average_merge",
 ]
 
 
@@ -83,12 +80,6 @@ class Semiring:
             if self.add is None or self.mul is None:
                 raise ValueError("scalar semirings need add and mul ufuncs")
 
-    def reduce(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Reduce an array with ``op1`` along ``axis``."""
-        if self.pair_valued:
-            raise TypeError("pair-valued semiring has no scalar reduce")
-        return self.add.reduce(values, axis=axis)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Semiring({self.name})"
 
@@ -113,44 +104,6 @@ def adjacency_values(semiring: Semiring, weights: np.ndarray) -> np.ndarray:
     if semiring.name in ("tropical_min", "tropical_max"):
         return np.full_like(weights, semiring.one)
     return weights
-
-
-# ----------------------------------------------------------------------
-# AVERAGE semiring pair operations (Section 4.3, verbatim semantics)
-# ----------------------------------------------------------------------
-def average_lift(x: np.ndarray) -> np.ndarray:
-    """Lift adjacency entries ``x`` to pairs ``(x, x)``, shape (..., 2)."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.stack([x, x], axis=-1)
-
-
-def average_mul(a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``op2`` combining a lifted adjacency pair with a feature scalar.
-
-    ``(a1, a2) ⊗ h = (a1 * h, a2)`` — the weighted feature keeps its
-    weight for the later merge.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    return np.stack([a[..., 0] * h, a[..., 1]], axis=-1)
-
-
-def average_merge(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``op1`` merging two partial weighted averages.
-
-    ``(v1, w1) ⊕ (v2, w2) = ((v1*w1 + v2*w2)/(w1+w2), w1+w2)`` where
-    ``v`` is the running weighted average and ``w`` the accumulated
-    weight. This matches the paper's merge that "computes the weighted
-    average" while "keeping track of partial sums and of their
-    contributions". Associative and commutative, with identity (0, 0).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    w = p[..., 1] + q[..., 1]
-    safe_w = np.where(w == 0, 1.0, w)
-    v = (p[..., 0] * p[..., 1] + q[..., 0] * q[..., 1]) / safe_w
-    v = np.where(w == 0, 0.0, v)
-    return np.stack([v, w], axis=-1)
 
 
 def semiring_matmul_dense(

@@ -11,8 +11,8 @@ call. This module provides that cache:
 
 * :class:`PatternStructure` memoizes every derived quantity lazily.
 * Structures are **interned**: all CSR matrices built from the same
-  ``indptr``/``indices`` array objects (``with_data``, ``astype``,
-  ``scale_rows``, …) share one :class:`PatternStructure`, looked up by
+  ``indptr``/``indices`` array objects (``with_data``, ``astype``)
+  share one :class:`PatternStructure`, looked up by
   array identity in a weak registry.
 * Structure arrays are frozen (``writeable = False``) on registration,
   so a cached quantity can never be invalidated by mutation; ``data``
@@ -91,7 +91,6 @@ class PatternStructure:
         "_tperm",
         "_transpose",
         "_scipy_proto",
-        "_head_cache",
         "_degree_stats",
         "_sampling_graph",
         "__weakref__",
@@ -109,7 +108,6 @@ class PatternStructure:
         self._tperm: np.ndarray | None = None
         self._transpose: "PatternStructure | None" = None
         self._scipy_proto = None
-        self._head_cache: dict[int, list] = {}
         self._degree_stats: DegreeStats | None = None
         #: Interned :class:`repro.tensor.sampling_graph.SamplingGraph`
         #: (built lazily by ``sampling_graph_of``; structural only, so
@@ -117,12 +115,8 @@ class PatternStructure:
         #: the cache).
         self._sampling_graph = None
 
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.shape[0])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"PatternStructure(shape={self.shape}, nnz={self.nnz})"
+        return f"PatternStructure(shape={self.shape}, nnz={self.indices.shape[0]})"
 
     # ------------------------------------------------------------------
     # Lazily-cached structural quantities
@@ -177,7 +171,7 @@ class PatternStructure:
         if out is None:
             lengths = self.row_lengths()
             n = int(lengths.shape[0])
-            nnz = self.nnz
+            nnz = int(self.indices.shape[0])
             if n == 0:
                 hist: tuple[int, ...] = ()
                 mx, mean, std = 0, 0.0, 0.0
@@ -269,83 +263,6 @@ class PatternStructure:
             metrics().counter("scipy_view.hit").inc()
         view = copy.copy(proto)
         view.data = data
-        return view
-
-    # ------------------------------------------------------------------
-    # Head-interleaved pattern (batched multi-head kernels)
-    # ------------------------------------------------------------------
-    def head_interleave(self, heads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The head-interleaved expansion of this pattern, cached per ``heads``.
-
-        For stacked edge values of shape ``(nnz, heads)`` the batched
-        real-semiring SpMM runs as **one** sparse product over an
-        ``(n·heads) x (m·heads)`` block-diagonal-per-entry pattern: row
-        ``r·heads + h`` holds row ``r``'s entries at columns
-        ``c·heads + h``, so every head's aggregation happens in a single
-        CSR sweep. Returns ``(indptr_x, indices_x, perm)`` where
-        ``perm`` gathers the expanded entry values from the C-order
-        ravel of the stacked ``(nnz, heads)`` data
-        (``perm[i] = e_i * heads + h_i``). All three arrays are frozen.
-        """
-        heads = int(heads)
-        if heads < 1:
-            raise ValueError("heads must be >= 1")
-        cache = self._head_cache.get(heads)
-        if cache is None:
-            n = self.shape[0]
-            lengths = self.row_lengths()
-            lengths_x = np.repeat(lengths, heads)
-            indptr_x = np.zeros(n * heads + 1, dtype=np.int64)
-            np.cumsum(lengths_x, out=indptr_x[1:])
-            total = self.nnz * heads
-            if total:
-                # Ragged-range gather: block b = (r, h) spans entries
-                # indptr[r] + j for j < lengths[r].
-                starts_x = np.repeat(self.indptr[:-1], heads)
-                e = np.repeat(starts_x - indptr_x[:-1], lengths_x)
-                e += np.arange(total, dtype=np.int64)
-                h = np.repeat(
-                    np.tile(np.arange(heads, dtype=np.int64), n), lengths_x
-                )
-            else:
-                e = np.empty(0, dtype=np.int64)
-                h = np.empty(0, dtype=np.int64)
-            cache = [
-                _freeze(indptr_x),
-                _freeze(self.indices[e] * heads + h),
-                _freeze(e * heads + h),
-                None,  # scipy prototype, built lazily
-            ]
-            self._head_cache[heads] = cache
-            metrics().counter("head_interleave.computed").inc()
-        else:
-            metrics().counter("head_interleave.hit").inc()
-        return cache[0], cache[1], cache[2]
-
-    def head_scipy_view(self, heads: int, data_x: np.ndarray):
-        """Scipy CSR view over the head-interleaved pattern.
-
-        ``data_x`` must already be in interleaved entry order (gathered
-        through the ``perm`` of :meth:`head_interleave`). Prototype
-        construction (scipy validation + index downcast) is paid once
-        per ``(pattern, heads)`` pair, like :meth:`scipy_view`.
-        """
-        import scipy.sparse as sp
-
-        indptr_x, indices_x, _ = self.head_interleave(heads)
-        cache = self._head_cache[heads]
-        proto = cache[3]
-        if proto is None:
-            proto = sp.csr_matrix(
-                (data_x, indices_x, indptr_x),
-                shape=(self.shape[0] * heads, self.shape[1] * heads),
-            )
-            cache[3] = proto
-            metrics().counter("head_scipy_view.built").inc()
-        else:
-            metrics().counter("head_scipy_view.hit").inc()
-        view = copy.copy(proto)
-        view.data = data_x
         return view
 
 

@@ -10,14 +10,12 @@ from repro.theory.comm_model import (
     crossover_density,
     exact_local_halo_words,
     global_layer_words,
-    local_layer_words_bound,
     erdos_renyi_local_words,
     predict_training_words,
 )
 
 __all__ = [
     "global_layer_words",
-    "local_layer_words_bound",
     "erdos_renyi_local_words",
     "exact_local_halo_words",
     "crossover_density",

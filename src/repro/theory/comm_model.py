@@ -30,7 +30,6 @@ from repro.tensor.csr import CSRMatrix
 
 __all__ = [
     "global_layer_words",
-    "local_layer_words_bound",
     "erdos_renyi_local_words",
     "exact_local_halo_words",
     "crossover_density",
@@ -65,28 +64,6 @@ def global_layer_words(
     return constant * (
         transfers * n * k / np.sqrt(p) + (k * k) * log_p
     )
-
-
-def local_layer_words_bound(
-    n: int,
-    k: int,
-    p: int,
-    d: float,
-    training: bool = False,
-    constant: float = 1.0,
-) -> float:
-    """Worst-case per-layer volume of the local formulation.
-
-    :math:`c \\cdot (\\min(nkd/p,\\; nk) + k^2 \\log_2 p)` — the halo
-    cannot exceed fetching every vertex once. Training roughly doubles
-    it (reverse halo).
-    """
-    if p <= 1:
-        return 0.0
-    halo = min(n * k * d / p, n * k * (p - 1) / p)
-    if training:
-        halo *= 2.0
-    return constant * (halo + k * k * max(np.log2(p), 1.0))
 
 
 def erdos_renyi_local_words(
@@ -148,16 +125,7 @@ def predict_training_words(
     p: int,
     layers: int,
     model: str = "gat",
-    formulation: str = "global",
-    d: float | None = None,
 ) -> float:
-    """End-to-end per-iteration volume (forward + backward, all layers)."""
-    if formulation == "global":
-        per_layer = global_layer_words(n, k, p, model=model, training=True)
-    elif formulation == "local":
-        if d is None:
-            raise ValueError("local prediction needs the max degree d")
-        per_layer = local_layer_words_bound(n, k, p, d, training=True)
-    else:
-        raise ValueError("formulation must be 'global' or 'local'")
-    return layers * per_layer
+    """End-to-end per-iteration volume of the global formulation
+    (forward + backward, all layers)."""
+    return layers * global_layer_words(n, k, p, model=model, training=True)

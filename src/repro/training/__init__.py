@@ -9,15 +9,14 @@ beyond the full-batch memory ceiling :class:`MinibatchTrainer`, which
 drives the same models over sampled layered blocks instead.
 """
 
-from repro.training.loss import MSELoss, SoftmaxCrossEntropyLoss
-from repro.training.metrics import accuracy, f1_macro
+from repro.training.loss import SoftmaxCrossEntropyLoss
+from repro.training.metrics import accuracy
 from repro.training.minibatch import MinibatchResult, MinibatchTrainer
 from repro.training.optim import SGD, Adam, Optimizer
 from repro.training.trainer import TrainResult, Trainer, train_step
 
 __all__ = [
     "SoftmaxCrossEntropyLoss",
-    "MSELoss",
     "Optimizer",
     "SGD",
     "Adam",
@@ -27,5 +26,4 @@ __all__ = [
     "MinibatchResult",
     "train_step",
     "accuracy",
-    "f1_macro",
 ]

@@ -9,8 +9,7 @@ semi-supervised node-classification setting.
 
 The arithmetic of each mean loss is written once, over the rows at hand
 and an explicit ``count`` of averaged terms: :func:`cross_entropy_terms`
-and :func:`squared_error_terms` return the *unnormalised* sum and the
-gradient of ``sum / count``. A single-node loss passes its own count; a
+returns the *unnormalised* sum and the gradient of ``sum / count``. A single-node loss passes its own count; a
 rank of a partitioned run (:class:`PartitionedLoss`) passes the global
 one through :func:`block_loss_terms`, allreduces the sums and divides —
 so block gradients concatenate, and block sums add, to the single-node
@@ -27,11 +26,9 @@ from repro.models.base import Loss
 
 __all__ = [
     "SoftmaxCrossEntropyLoss",
-    "MSELoss",
     "PartitionedLoss",
     "block_loss_terms",
     "cross_entropy_terms",
-    "squared_error_terms",
 ]
 
 #: ``(rows of h, their targets, count) -> (unnormalised sum, gradient)``.
@@ -59,16 +56,6 @@ def cross_entropy_terms(
     return total, grad
 
 
-def squared_error_terms(
-    h: np.ndarray, target: np.ndarray, count: int
-) -> tuple[float, np.ndarray]:
-    """``(Σ (h − t)², 2 (h − t) / count)``; ``count`` is the number of
-    *elements* the mean runs over — ``h.size``, or the global labelled
-    rows times the width."""
-    diff = h.astype(np.float64) - target
-    return float((diff * diff).sum()), 2.0 * diff / max(count, 1)
-
-
 def block_loss_terms(
     terms: LossTerms,
     h: np.ndarray,
@@ -93,8 +80,6 @@ class _MeanLoss(Loss):
     """The mean of ``_terms`` over the (masked) rows."""
 
     _terms: LossTerms
-    #: The mean runs over every element of those rows, not over the rows.
-    _per_element = False
 
     def __init__(self, mask: np.ndarray | None = None) -> None:
         self.mask = None if mask is None else np.asarray(mask, dtype=bool)
@@ -103,8 +88,6 @@ class _MeanLoss(Loss):
         self, h_out: np.ndarray, target: np.ndarray
     ) -> tuple[float, np.ndarray]:
         count = h_out.shape[0] if self.mask is None else int(self.mask.sum())
-        if self._per_element:
-            count *= int(np.prod(h_out.shape[1:]))
         total, grad = block_loss_terms(
             self._terms, h_out, np.asarray(target), self.mask, count
         )
@@ -126,13 +109,6 @@ class SoftmaxCrossEntropyLoss(_MeanLoss):
     """
 
     _terms = staticmethod(cross_entropy_terms)
-
-
-class MSELoss(_MeanLoss):
-    """Mean squared error over (masked) vertices against dense targets."""
-
-    _terms = staticmethod(squared_error_terms)
-    _per_element = True
 
 
 class PartitionedLoss(_MeanLoss):

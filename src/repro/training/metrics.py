@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "f1_macro"]
+__all__ = ["accuracy"]
 
 
 def accuracy(
@@ -23,24 +23,3 @@ def accuracy(
     return float((pred == labels).mean())
 
 
-def f1_macro(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> float:
-    """Unweighted mean of per-class F1 scores over the present classes."""
-    pred = np.asarray(logits).argmax(axis=1)
-    labels = np.asarray(labels)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        pred, labels = pred[mask], labels[mask]
-    if labels.size == 0:
-        return 0.0
-    scores = []
-    for cls in np.unique(labels):
-        tp = np.sum((pred == cls) & (labels == cls))
-        fp = np.sum((pred == cls) & (labels != cls))
-        fn = np.sum((pred != cls) & (labels == cls))
-        denom = 2 * tp + fp + fn
-        scores.append(2 * tp / denom if denom else 0.0)
-    return float(np.mean(scores))

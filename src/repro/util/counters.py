@@ -33,16 +33,6 @@ class FlopCounter:
         self.total += int(flops)
         self.by_label[label] = self.by_label.get(label, 0) + int(flops)
 
-    def reset(self) -> None:
-        self.total = 0
-        self.by_label.clear()
-
-    def merge(self, other: "FlopCounter") -> None:
-        """Fold another counter's tallies into this one."""
-        self.total += other.total
-        for label, flops in other.by_label.items():
-            self.by_label[label] = self.by_label.get(label, 0) + flops
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FlopCounter(total={self.total})"
 

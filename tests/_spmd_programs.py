@@ -10,7 +10,7 @@ def collective_roundtrip(comm, n: int = 50_000):
     x = np.full(n, float(comm.rank + 1))
     total = comm.allreduce(x)
     blocks = comm.allgather(np.array([comm.rank * 10.0]))
-    comm.barrier()
+    comm.allreduce(0)  # a barrier
     return float(total[0]) + sum(float(b[0]) for b in blocks)
 
 
@@ -40,7 +40,7 @@ def self_deadlock(comm):
 def traced_sends(comm):
     """A few phase-labelled sends for trace plumbing tests."""
     comm.stats.set_phase("alpha")
-    comm.bcast(np.zeros(64, dtype=np.float32), root=0)
+    comm.ibcast(np.zeros(64, dtype=np.float32), root=0).wait()
     comm.stats.set_phase("beta")
     comm.allreduce(np.ones(8))
     return comm.stats.messages_sent
@@ -59,11 +59,11 @@ def ring_collectives(comm, stray_rank: int | None = None):
 
 
 def isend_then_deadlock(comm):
-    """Rank 1's pending *isend* must appear in rank 0's deadlock report."""
+    """Rank 1's undelivered send must appear in rank 0's deadlock report."""
     if comm.rank == 0:
         comm.recv(1, tag="missing")
     else:
-        comm.isend(np.ones(4), 0, tag="decoy")
+        comm.send(np.ones(4), 0, tag="decoy")
         comm.recv(0, tag="reply-never-sent")
 
 

@@ -1,13 +1,14 @@
 """Test oracle: the four generators as they were built on ``COOMatrix``.
 
 Each generator used to finish its sampled edges with the ``COOMatrix``
-chain — construct (``argsort`` canonicalize, duplicates merged),
-``remove_self_loops``, ``symmetrize``, the isolated-vertex repair — and
-``prepare_adjacency`` used ``add_self_loops().to_csr()`` plus a
-``with_data`` of ones. The production code now does all of it on
-sorted int64 edge keys (``repro.graphs.prep``); this module keeps the
-old construction, with the same random draws in the same order, as the
-identity oracle. It shares no code with ``repro.graphs``.
+chain — construct (``argsort`` canonicalize, duplicates merged), drop
+self loops, mirror, the isolated-vertex repair — and
+``prepare_adjacency`` added the diagonal, built the CSR and gave it
+values of one. The production code now does all of it on sorted int64
+edge keys (``repro.graphs.prep``); this module keeps the old
+construction, each step a ``COOMatrix`` built from concatenated or
+masked coordinates, with the same random draws in the same order, as
+the identity oracle. It shares no code with ``repro.graphs``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.tensor.coo import COOMatrix
+from repro.tensor.csr import CSRMatrix
+
+
+def _without_self_loops(coo):
+    keep = coo.rows != coo.cols
+    return COOMatrix(coo.rows[keep], coo.cols[keep], coo.data[keep], shape=coo.shape)
 
 
 def ensure_min_degree(coo, rng, symmetric=True):
@@ -34,7 +41,7 @@ def ensure_min_degree(coo, rng, symmetric=True):
         rows.append(partners)
         cols.append(isolated)
     out = COOMatrix(np.concatenate(rows), np.concatenate(cols), None,
-                    shape=coo.shape, dtype=coo.dtype)
+                    shape=coo.shape, dtype=coo.data.dtype)
     out.data[:] = 1
     return out
 
@@ -42,17 +49,26 @@ def ensure_min_degree(coo, rng, symmetric=True):
 def _finish(coo, rng, symmetrize, ensure_connected):
     coo.data[:] = 1
     if symmetrize:
-        coo = coo.symmetrize()
+        coo = COOMatrix(np.concatenate([coo.rows, coo.cols]),
+                        np.concatenate([coo.cols, coo.rows]), None,
+                        shape=coo.shape, dtype=coo.data.dtype)
+        coo.data[:] = 1
     if ensure_connected:
         coo = ensure_min_degree(coo, rng, symmetric=symmetrize)
     return coo
 
 
 def prepare_adjacency(coo, self_loops=True, dtype=np.float32):
+    rows, cols = coo.rows, coo.cols
     if self_loops:
-        coo = coo.add_self_loops()
-    csr = coo.to_csr()
-    return csr.with_data(np.ones(csr.nnz, dtype=dtype))
+        keep = rows != cols
+        diag = np.arange(coo.shape[0])
+        rows = np.concatenate([rows[keep], diag])
+        cols = np.concatenate([cols[keep], diag])
+    coo = COOMatrix(rows, cols, None, shape=coo.shape)
+    indptr = np.zeros(coo.shape[0] + 1, dtype=np.int64)
+    np.cumsum(coo.row_degrees(), out=indptr[1:])
+    return CSRMatrix(indptr, coo.cols, np.ones(coo.nnz, dtype=dtype), coo.shape)
 
 
 def kronecker(n, m, seed=0, initiator=(0.57, 0.19, 0.19), symmetrize=True,
@@ -76,7 +92,7 @@ def kronecker(n, m, seed=0, initiator=(0.57, 0.19, 0.19), symmetrize=True,
         permutation = rng.permutation(n)
         rows = permutation[rows]
         cols = permutation[cols]
-    coo = COOMatrix(rows, cols, None, shape=(n, n)).remove_self_loops()
+    coo = _without_self_loops(COOMatrix(rows, cols, None, shape=(n, n)))
     return _finish(coo, rng, symmetrize, ensure_connected)
 
 
@@ -136,7 +152,7 @@ def synthetic_classification(n=512, num_classes=4, feature_dim=16,
     dst[rest] = rng.integers(0, n, int(rest.sum()), dtype=np.int64)
     unfilled = same_class & (dst == 0) & (labels[src] != labels[0])
     dst[unfilled] = rng.integers(0, n, int(unfilled.sum()), dtype=np.int64)
-    coo = COOMatrix(src, dst, None, shape=(n, n)).remove_self_loops()
+    coo = _without_self_loops(COOMatrix(src, dst, None, shape=(n, n)))
     coo = _finish(coo, rng, symmetrize=True, ensure_connected=True)
     adjacency = prepare_adjacency(coo)
     prototypes = rng.normal(0, 1, (num_classes, feature_dim))

@@ -315,5 +315,5 @@ class TestDagLayer:
 
     def test_describe_mentions_derived_gradients(self):
         layer = DagLayer("gat", 4, 4)
-        text = layer.describe()
+        text = layer.program.describe()
         assert "grad:W" in text and "grad:a_src" in text

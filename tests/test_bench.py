@@ -1,6 +1,8 @@
 """Tests for the benchmark harness, configs, CLI and report renderer."""
 
 import ast
+import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -89,10 +91,32 @@ class TestCsvAndReport:
         ]
         path = tmp_path / "out.csv"
         write_csv(rows, path)
-        write_csv(rows, path)  # append is idempotent header-wise
+        write_csv(rows, path)  # one row per configuration, one header
         loaded = load_results(tmp_path)
         assert {r["figure"] for r in loaded} == {"figX"}
         assert {r["p"] for r in loaded} == {"1", "4"}
+
+    def test_rewriting_rows_leaves_the_file_byte_identical(self, tmp_path, small_graph):
+        rows = [
+            run_config("figX", "VA", "global", "inference", small_graph,
+                       k=8, layers=1, p=p)
+            for p in (1, 4)
+        ]
+        path = tmp_path / "out.csv"
+        write_csv(rows, path)
+        first = path.read_bytes()
+        write_csv(rows, path)
+        assert path.read_bytes() == first
+        # Only the wall clock moved: the stored row stays.
+        write_csv([replace(rows[0], measured_s=rows[0].measured_s + 1.0)], path)
+        assert path.read_bytes() == first
+        # A modeled number moved: the row is replaced where it stood.
+        write_csv([replace(rows[0], modeled_s=2.5)], path)
+        with path.open(newline="") as handle:
+            loaded = list(csv.DictReader(handle))
+        assert [(r["p"], r["modeled_s"]) for r in loaded] == [
+            ("1", "2.5"), ("4", str(rows[1].modeled_s))
+        ]
 
     def test_render_figure(self, tmp_path, small_graph):
         rows = [

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.activations import (
-    get_activation,
-    leaky_relu,
-    leaky_relu_grad,
-)
+from repro.core.activations import get_activation, leaky_relu
 from repro.core.blocks import (
     gram,
     matrix_plus_transpose,
@@ -85,7 +81,7 @@ class TestGramAndSymmetrise:
 
 class TestActivations:
     @pytest.mark.parametrize(
-        "name", ["relu", "identity", "tanh", "elu", "sigmoid", "leaky_relu"]
+        "name", ["relu", "identity", "tanh", "elu"]
     )
     def test_gradient_matches_numeric(self, rng, name):
         act = get_activation(name)
@@ -126,12 +122,6 @@ class TestActivations:
             assert np.array_equal(ours, oracle, equal_nan=True)
             assert np.array_equal(np.signbit(ours), np.signbit(oracle))
 
-    def test_sigmoid_stable_both_tails(self):
-        act = get_activation("sigmoid")
-        out = act.fn(np.array([-1e3, 1e3]))
-        assert np.allclose(out, [0.0, 1.0])
-
     def test_leaky_relu_slope(self):
         z = np.array([-2.0, 2.0])
         assert np.allclose(leaky_relu(z, 0.1), [-0.2, 2.0])
-        assert np.allclose(leaky_relu_grad(z, 0.1), [0.1, 1.0])

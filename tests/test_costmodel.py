@@ -69,22 +69,6 @@ class TestFlopCounter:
         assert counter.total == 18
         assert counter.by_label == {"a": 15, "b": 3}
 
-    def test_merge(self):
-        a, b = FlopCounter(), FlopCounter()
-        a.add(10, "x")
-        b.add(5, "x")
-        b.add(2, "y")
-        a.merge(b)
-        assert a.total == 17
-        assert a.by_label == {"x": 15, "y": 2}
-
-    def test_reset(self):
-        counter = FlopCounter()
-        counter.add(10)
-        counter.reset()
-        assert counter.total == 0
-        assert counter.by_label == {}
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             FlopCounter().add(-1)
@@ -105,7 +89,7 @@ class TestCommStatsPhases:
         stats.record_send(50)
         assert stats.by_phase == {"one": 100, "two": 100}
         assert stats.messages_sent == 3
-        assert stats.words_sent == 50
+        assert stats.bytes_sent == 200
 
     def test_runstats_phase_max(self):
         a, b = CommStats(0), CommStats(1)

@@ -450,13 +450,13 @@ class TestOneAttentionLayer:
             a_block, h_block = distribute_adjacency(a, grid), distribute_features(h, grid)
             model = build_dist_model(grid, name, 8, 8, 4, num_layers=2, dtype=np.float64, **kw)
             model.forward(a_block, h_block, training=False)  # pattern statistics
-            comm.barrier()
+            comm.allreduce(0)  # a barrier
             base = tracemalloc.get_traced_memory()[0]
-            comm.barrier()
+            comm.allreduce(0)  # a barrier
             model.forward(a_block, h_block, training=True)
-            comm.barrier()
+            comm.allreduce(0)  # a barrier
             held = tracemalloc.get_traced_memory()[0] - base
-            comm.barrier()
+            comm.allreduce(0)  # a barrier
             given = {id(x): 0 for x in (a_block.data, a_block.indices, a_block.indptr, h_block)}
             assert not any(isinstance(x, CSRMatrix) and x is not a_block
                            for cache in model._caches for x in cache.ctx.values())

@@ -54,7 +54,7 @@ def _hop_block() -> CSRMatrix:
     a = prepare_adjacency(erdos_renyi(200, 1500, seed=2), dtype=np.float64)
     block = sample_blocks(a, np.arange(0, 40, 3), (4,), np.random.default_rng(0))[0]
     square = square_hop(block.matrix, block.dst_positions)
-    assert np.count_nonzero(square.row_lengths() == 0) > block.num_dst
+    assert np.count_nonzero(square.row_lengths() == 0) > block.dst_positions.shape[0]
     return square
 
 

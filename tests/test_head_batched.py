@@ -27,14 +27,12 @@ from repro.distributed import distribute_adjacency, distribute_features
 from repro.distributed.layers import DistAttentionLayer
 from repro.distributed.ops import OpSequencer
 from repro.models import AttentionLayer, layer_spec
-from repro.obs.metrics import metrics
 from repro.runtime import run_spmd, square_grid
 from repro.tensor import kernels
 from repro.tensor.kernels import (
     AVERAGE,
     masked_row_softmax,
     masked_row_softmax_backward,
-    mspmm,
     sddmm_add,
     sddmm_cosine,
     sddmm_dot,
@@ -205,16 +203,6 @@ class TestKernelParity:
             ref = spmmm(a.with_data(vals[:, i].copy()), xi, w)
             np.testing.assert_allclose(out[:, i], ref, rtol=1e-12, atol=1e-12)
 
-    def test_mspmm_batched_matches_per_head(self, stacked):
-        a, x, y, vals = stacked
-        sa = a.with_data(vals)
-        d = np.ascontiguousarray(x[:, 0].T)  # shared (kd, n) left operand
-        out = mspmm(d, sa, y)
-        assert out.shape == (HEADS, d.shape[0], y.shape[2])
-        for i, yi in enumerate(_heads_of(y)):
-            ref = mspmm(d, a.with_data(vals[:, i].copy()), yi)
-            np.testing.assert_allclose(out[i], ref, rtol=1e-12, atol=1e-12)
-
     def test_masked_row_softmax_batched_matches_per_head(self, stacked):
         a, _, _, vals = stacked
         s = masked_row_softmax(a.with_data(vals))
@@ -239,20 +227,6 @@ class TestKernelParity:
             )
             np.testing.assert_allclose(out[:, i], ref, rtol=1e-12, atol=1e-12)
 
-    def test_head_interleave_is_cached_per_pattern(self, stacked):
-        a, x, _, vals = stacked
-        sa = a.with_data(vals)
-        spmm(sa, x)  # warm
-        before = metrics().counters()
-        spmm(sa, x)
-        after = metrics().counters()
-        assert after.get("head_interleave.computed", 0) == before.get(
-            "head_interleave.computed", 0
-        )
-        assert after.get("head_scipy_view.hit", 0) > before.get(
-            "head_scipy_view.hit", 0
-        )
-
 
 # ----------------------------------------------------------------------
 # Flop accounting parity
@@ -261,9 +235,7 @@ class TestFlopParity:
     def _sum_per_head(self, fns):
         total = FlopCounter()
         for fn in fns:
-            c = FlopCounter()
-            fn(c)
-            total.merge(c)
+            fn(total)
         return total
 
     def assert_equal_counts(self, batched: FlopCounter, summed: FlopCounter):

@@ -12,7 +12,7 @@ from repro.baselines.dist_local import dist_local_train
 from repro.distributed.api import distributed_inference, distributed_train
 from repro.graphs import kronecker, synthetic_classification
 from repro.graphs.prep import graph_stats, prepare_adjacency
-from repro.models import build_model, load_model, save_model
+from repro.models import build_model, load_state_dict, state_dict
 from repro.runtime import run_spmd
 from repro.training import Adam, SoftmaxCrossEntropyLoss, Trainer
 
@@ -46,8 +46,7 @@ class TestFullPipeline:
         )
         trainer.fit(data.adjacency, h, data.labels, epochs=10)
         reference = model.forward(data.adjacency, h, training=False)
-        path = tmp_path / "gat.npz"
-        save_model(model, path)
+        checkpoint = state_dict(model)
 
         # Distributed inference builds replicated models from the same
         # constructor seed; to use *trained* weights each rank loads the
@@ -64,7 +63,7 @@ class TestFullPipeline:
             grid = square_grid(comm)
             dist = build_dist_model(grid, "GAT", 6, 8, data.num_classes,
                                     num_layers=2, seed=3, dtype=np.float64)
-            load_model(dist, path)
+            load_state_dict(dist, checkpoint)
             out = dist.forward(
                 distribute_adjacency(data.adjacency, grid),
                 distribute_features(h, grid),

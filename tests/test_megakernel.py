@@ -45,7 +45,6 @@ from repro.models import build_model
 from repro.models.base import GnnModel
 from repro.obs.metrics import metrics
 from repro.obs.tracer import Tracer, install_tracer
-from repro.training.loss import MSELoss
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.kernels import (
     masked_row_softmax,
@@ -327,9 +326,11 @@ class TestProgramParity:
             DagLayer(model, 5, 3, activation="identity", seed=3,
                      fused=True, **kw),
         ])
-        loss = MSELoss()
+        def loss(out):  # mean squared error
+            return float(np.mean((out - target) ** 2))
+
         out = net.forward(a, h, training=True)
-        grads = net.backward(loss.gradient(out, target))
+        grads = net.backward(2.0 * (out - target) / out.size)
         eps = 1e-6
         for layer_index, layer in enumerate(net.layers):
             for name, param in layer.parameters().items():
@@ -339,11 +340,9 @@ class TestProgramParity:
                 ):
                     orig = flat[i]
                     flat[i] = orig + eps
-                    up = loss.value(net.forward(a, h, training=False), target)
+                    up = loss(net.forward(a, h, training=False))
                     flat[i] = orig - eps
-                    down = loss.value(
-                        net.forward(a, h, training=False), target
-                    )
+                    down = loss(net.forward(a, h, training=False))
                     flat[i] = orig
                     numeric = (up - down) / (2 * eps)
                     analytic = np.asarray(

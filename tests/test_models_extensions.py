@@ -5,10 +5,8 @@ import pytest
 
 from repro.models import (
     build_model,
-    load_model,
     load_state_dict,
     normalize_adjacency,
-    save_model,
     sgc_model,
     state_dict,
 )
@@ -111,40 +109,35 @@ class TestGIN:
 
 class TestSerialization:
     @pytest.mark.parametrize("name", ["VA", "AGNN", "GAT", "GIN"])
-    def test_roundtrip_preserves_outputs(self, tmp_path, rng,
+    def test_roundtrip_preserves_outputs(self, rng,
                                          small_adjacency, name):
         h = rng.normal(size=(60, 5)).astype(np.float64)
         model = build_model(name, 5, 8, 3, num_layers=2, seed=4,
                             dtype=np.float64)
         reference = model.forward(small_adjacency, h, training=False)
-        path = tmp_path / "model.npz"
-        save_model(model, path)
+        snapshot = state_dict(model)
 
         fresh = build_model(name, 5, 8, 3, num_layers=2, seed=99,
                             dtype=np.float64)
         assert not np.allclose(
             fresh.forward(small_adjacency, h, training=False), reference
         )
-        load_model(fresh, path)
+        load_state_dict(fresh, snapshot)
         assert np.allclose(
             fresh.forward(small_adjacency, h, training=False), reference
         )
 
-    def test_architecture_mismatch_rejected(self, tmp_path):
+    def test_architecture_mismatch_rejected(self):
         a = build_model("VA", 5, 8, 3, num_layers=2)
         b = build_model("VA", 5, 8, 3, num_layers=3)
-        path = tmp_path / "model.npz"
-        save_model(a, path)
         with pytest.raises(ValueError, match="mismatch"):
-            load_model(b, path)
+            load_state_dict(b, state_dict(a))
 
-    def test_shape_mismatch_rejected(self, tmp_path):
+    def test_shape_mismatch_rejected(self):
         a = build_model("VA", 5, 8, 3, num_layers=2)
         b = build_model("VA", 5, 16, 3, num_layers=2)
-        path = tmp_path / "model.npz"
-        save_model(a, path)
         with pytest.raises(ValueError):
-            load_model(b, path)
+            load_state_dict(b, state_dict(a))
 
     def test_rejected_load_leaves_model_untouched(self):
         """A bad *last* entry must not tear the entries before it."""

@@ -617,11 +617,9 @@ class TestRunStatsWaitSummary:
             self._stats(0, 2.0, [("alpha", 0.5), ("beta", 0.25)]),
             self._stats(1, 4.0, [("alpha", 1.0)]),
         ])
-        summary = run.summary()
-        assert summary["total_wait_s"] == pytest.approx(1.75)
-        assert summary["wait_fraction"] == pytest.approx(1.0 / 4.0)
-        assert summary["max_wait_alpha_s"] == pytest.approx(1.0)
-        assert summary["max_wait_beta_s"] == pytest.approx(0.25)
+        assert run.total_wait_s == pytest.approx(1.75)
+        assert run.wait_fraction == pytest.approx(1.0 / 4.0)
+        assert run.max_wait_by_phase() == pytest.approx({"alpha": 1.0, "beta": 0.25})
 
     def test_wait_fraction_zero_without_wall(self):
         run = RunStats(per_rank=[self._stats(0, 0.0, [("a", 1.0)])])

@@ -121,15 +121,15 @@ class TestRandomisedCollectives:
         payload = rng.normal(size=size).astype(np.float32)
 
         def program(comm):
-            tree = comm.bcast(
+            tree = comm.ibcast(
                 payload if comm.rank == 0 else None, root=0,
                 algorithm="binomial",
-            )
-            sag = comm.bcast(
+            ).wait()
+            sag = comm.ibcast(
                 payload if comm.rank == 0 else None, root=0,
                 algorithm="scatter_allgather",
-            )
-            auto = comm.bcast(payload if comm.rank == 0 else None, root=0)
+            ).wait()
+            auto = comm.ibcast(payload if comm.rank == 0 else None, root=0).wait()
             assert np.array_equal(tree, payload)
             assert np.array_equal(sag, payload)
             assert np.array_equal(auto, payload)

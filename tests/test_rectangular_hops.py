@@ -68,7 +68,7 @@ def _hop(dtype, n=60, m=420, targets=slice(0, 60, 4), fanout=5, seed=0):
     """One sampled hop of an ER graph, and scaled source features."""
     a = prepare_adjacency(erdos_renyi(n, m, seed=seed), dtype=dtype)
     block = sample_blocks(a, np.arange(n)[targets], (fanout,), np.random.default_rng(seed))[0]
-    assert 0 < block.num_dst < block.num_src
+    assert 0 < block.dst_positions.shape[0] < block.num_src
     h = (0.5 * np.random.default_rng(seed + 1).normal(size=(block.num_src, K_IN))).astype(dtype)
     return block, h
 
@@ -94,7 +94,7 @@ def _both_layouts(layer, block, h, seed=2):
 def test_rectangular_hop_equals_its_square_lift(name, dtype):
     block, h = _hop(dtype)
     (out, dh, grads), (out_sq, dh_sq, grads_sq) = _both_layouts(LAYERS[name](dtype), block, h)
-    assert out.shape == (block.num_dst,) + out.shape[1:]
+    assert out.shape == (block.dst_positions.shape[0],) + out.shape[1:]
     assert np.array_equal(out, out_sq)
     assert dh.shape == h.shape and np.array_equal(dh, dh_sq)
     assert grads.keys() == grads_sq.keys()

@@ -65,22 +65,12 @@ class TestSamplingGraph:
         with pytest.raises(ValueError, match="square"):
             sampling_graph_of(rect)
 
-    def test_degrees(self, small_adjacency):
-        graph = sampling_graph_of(small_adjacency)
-        seeds = np.array([0, 7, 13], dtype=np.int64)
-        expect = (
-            small_adjacency.indptr[seeds + 1] - small_adjacency.indptr[seeds]
-        )
-        assert np.array_equal(graph.degrees(seeds), expect)
-
     def test_seed_out_of_range(self, small_adjacency):
         graph = sampling_graph_of(small_adjacency)
         rng = np.random.default_rng(0)
         for bad in ([graph.num_nodes], [-1]):
             with pytest.raises(ValueError, match="out of range"):
                 graph.sample_edges(np.array(bad), 2, rng)
-            with pytest.raises(ValueError, match="out of range"):
-                graph.degrees(np.array(bad))
             with pytest.raises(ValueError, match="out of range"):
                 sample_one_hop(small_adjacency, np.array(bad), 2, rng)
 
@@ -92,8 +82,7 @@ class TestSamplingGraph:
         graph = sampling_graph_of(small_adjacency)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        for call in (lambda: graph.degrees(np.array(bad)),
-                     lambda: graph.sample_edges(np.array(bad), 2, rng),
+        for call in (lambda: graph.sample_edges(np.array(bad), 2, rng),
                      lambda: sample_one_hop(small_adjacency, np.array(bad), 2, rng),
                      lambda: sample_blocks(small_adjacency, np.array(bad), (2, 2), rng)):
             with pytest.raises(ValueError, match="integer vertex ids"):
@@ -114,7 +103,7 @@ class TestSamplingGraph:
         with pytest.raises(ValueError, match=r"seeds must be a 1-D array.*\(2, 2\)"):
             graph.sample_edges(square, 2, rng)
         with pytest.raises(ValueError, match="seeds must be a 1-D array"):
-            graph.degrees(np.int64(3))
+            graph.sample_edges(np.int64(3), 2, rng)
         with pytest.raises(ValueError, match="dst_nodes must be a 1-D array"):
             sample_one_hop(small_adjacency, square, 2, rng)
 
@@ -124,7 +113,7 @@ class TestSampleEdges:
         graph = sampling_graph_of(small_adjacency)
         seeds = np.arange(graph.num_nodes, dtype=np.int64)
         eids, counts = graph.sample_edges(seeds, 3, np.random.default_rng(1))
-        assert np.array_equal(counts, np.minimum(graph.degrees(seeds), 3))
+        assert np.array_equal(counts, np.minimum(np.diff(graph.indptr)[seeds], 3))
         assert eids.shape[0] == int(counts.sum())
 
     def test_no_duplicates_within_a_seed(self, small_adjacency):
@@ -144,7 +133,7 @@ class TestSampleEdges:
     def test_fanout_above_degree_takes_full_slice(self, small_adjacency):
         graph = sampling_graph_of(small_adjacency)
         seeds = np.arange(graph.num_nodes, dtype=np.int64)
-        degrees = graph.degrees(seeds)
+        degrees = np.diff(graph.indptr)[seeds]
         huge = int(degrees.max()) + 5
         rng = np.random.default_rng(3)
         state_before = rng.bit_generator.state
@@ -163,7 +152,7 @@ class TestSampleEdges:
         eids, counts = graph.sample_edges(
             seeds, None, np.random.default_rng(4)
         )
-        assert np.array_equal(counts, graph.degrees(seeds))
+        assert np.array_equal(counts, np.diff(graph.indptr)[seeds])
         assert eids.shape[0] == small_adjacency.nnz
 
     def test_zero_fanout(self, small_adjacency):
@@ -203,7 +192,7 @@ class TestSampleEdges:
         # Sub-fan-out draws are uniform subsets: across repeated draws
         # every neighbour of a high-degree seed eventually appears.
         graph = sampling_graph_of(small_adjacency)
-        seed = int(np.argmax(graph.degrees(np.arange(graph.num_nodes))))
+        seed = int(np.argmax(np.diff(graph.indptr)))
         lo, hi = graph.indptr[seed], graph.indptr[seed + 1]
         rng = np.random.default_rng(9)
         seen: set[int] = set()
@@ -388,7 +377,7 @@ class TestCompactionProperty:
             assert np.array_equal(block.dst_nodes, dst_expect)
             assert np.all(np.diff(block.src_nodes) > 0)  # monotone map
             m = block.matrix
-            assert m.shape == (block.num_dst, block.num_src)
+            assert m.shape == (block.dst_positions.shape[0], block.num_src)
             for r, g_dst in enumerate(block.dst_nodes):
                 lo, hi = m.indptr[r], m.indptr[r + 1]
                 local = m.indices[lo:hi]
@@ -403,7 +392,7 @@ class TestCompactionProperty:
                 pos = np.searchsorted(row_cols, global_src)
                 assert np.array_equal(row_cols[pos], global_src)
                 assert np.array_equal(m.data[lo:hi], a.data[row][pos])
-            assert m.indptr.shape == (block.num_dst + 1,)
+            assert m.indptr.shape == (block.dst_positions.shape[0] + 1,)
             assert m.indptr[-1] == m.nnz == block.sampled_edges
             dst_expect = block.src_nodes
 
@@ -659,7 +648,7 @@ class TestSelectionParity:
         for hop_seeds in (blocks[1].dst_nodes, blocks[1].src_nodes):
             eids, _ = _assert_matches_oracle(graph, hop_seeds, 8, weights)
             sampled += eids.shape[0]
-        assert graph.degrees(blocks[1].src_nodes).max() > 2**10
+        assert np.diff(graph.indptr)[blocks[1].src_nodes].max() > 2**10
         assert sampled == sum(b.sampled_edges for b in blocks)
 
 
@@ -793,7 +782,7 @@ class TestCandidateEvent:
     def test_counts_keys_drawn(self, small_adjacency):
         graph = sampling_graph_of(small_adjacency)
         seeds = np.arange(graph.num_nodes, dtype=np.int64)
-        deg = graph.degrees(seeds)
+        deg = np.diff(graph.indptr)[seeds]
         before = metrics().counter("sample.candidates").value
         graph.sample_edges(seeds, 3, np.random.default_rng(0))
         drawn = metrics().counter("sample.candidates").value - before

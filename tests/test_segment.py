@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from repro.tensor.segment import (
     expand_segments,
     segment_max,
-    segment_mean,
-    segment_min,
     segment_softmax,
     segment_sum,
 )
@@ -54,20 +52,6 @@ class TestAgainstBruteForce:
         values, indptr = case
         expected = brute_segments(values, indptr, np.max, -np.inf)
         assert np.array_equal(segment_max(values, indptr), expected)
-
-    @given(segmented_values())
-    @settings(max_examples=60, deadline=None)
-    def test_min(self, case):
-        values, indptr = case
-        expected = brute_segments(values, indptr, np.min, np.inf)
-        assert np.array_equal(segment_min(values, indptr), expected)
-
-    @given(segmented_values())
-    @settings(max_examples=60, deadline=None)
-    def test_mean(self, case):
-        values, indptr = case
-        expected = brute_segments(values, indptr, np.mean, 0.0)
-        assert np.allclose(segment_mean(values, indptr), expected)
 
 
 class TestEdgeCases:

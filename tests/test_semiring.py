@@ -12,9 +12,6 @@ from repro.tensor.semiring import (
     TROPICAL_MIN,
     Semiring,
     adjacency_values,
-    average_lift,
-    average_merge,
-    average_mul,
     semiring_matmul_dense,
 )
 
@@ -46,46 +43,6 @@ class TestScalarSemiringLaws:
         left = sr.mul(a, sr.add(b, c))
         right = sr.add(sr.mul(a, b), sr.mul(a, c))
         assert np.isclose(left, right)
-
-    def test_reduce(self):
-        assert REAL.reduce(np.array([1.0, 2.0, 3.0])) == 6.0
-        assert TROPICAL_MIN.reduce(np.array([3.0, 1.0, 2.0])) == 1.0
-        assert TROPICAL_MAX.reduce(np.array([3.0, 1.0, 2.0])) == 3.0
-
-    def test_pair_valued_has_no_scalar_reduce(self):
-        with pytest.raises(TypeError):
-            AVERAGE.reduce(np.array([1.0]))
-
-
-class TestAverageSemiring:
-    @given(v1=finite, w1=positive, v2=finite, w2=positive, v3=finite,
-           w3=positive)
-    @settings(max_examples=40, deadline=None)
-    def test_merge_associative(self, v1, w1, v2, w2, v3, w3):
-        a = np.array([v1, w1])
-        b = np.array([v2, w2])
-        c = np.array([v3, w3])
-        left = average_merge(average_merge(a, b), c)
-        right = average_merge(a, average_merge(b, c))
-        assert np.allclose(left, right, atol=1e-8)
-
-    @given(v=finite, w=positive)
-    @settings(max_examples=40, deadline=None)
-    def test_merge_identity(self, v, w):
-        ident = np.array([0.0, 0.0])
-        assert np.allclose(average_merge(np.array([v, w]), ident), [v, w])
-        assert np.allclose(average_merge(ident, np.array([v, w])), [v, w])
-
-    def test_merge_computes_weighted_average(self):
-        out = average_merge(np.array([1.0, 1.0]), np.array([3.0, 3.0]))
-        assert np.isclose(out[0], (1 * 1 + 3 * 3) / 4)
-        assert out[1] == 4.0
-
-    def test_lift_and_mul(self):
-        pair = average_lift(np.array([2.0]))
-        assert np.allclose(pair, [[2.0, 2.0]])
-        combined = average_mul(pair, np.array([5.0]))
-        assert np.allclose(combined, [[10.0, 2.0]])
 
 
 class TestAdjacencyLifting:

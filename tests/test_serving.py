@@ -342,6 +342,16 @@ class TestActivationCache:
         with pytest.raises(ValueError, match="capacity"):
             ActivationCache(capacity=0)
 
+    @pytest.mark.parametrize("capacity", [2.7, True, 0])
+    def test_capacity_is_never_truncated(self, capacity):
+        """A fraction or a bool is refused, by the cache and the engine alike."""
+        with pytest.raises(ValueError, match="capacity"):
+            ActivationCache(capacity=capacity)
+        a = prepare_adjacency(erdos_renyi(16, 40, seed=0))
+        model = build_model("gcn", 4, 4, 2, seed=0)
+        with pytest.raises(ValueError, match="capacity"):
+            ServingEngine(model, a, np.zeros((16, 4)), cache=capacity)
+
 
 # ----------------------------------------------------------------------
 # Admission queue
@@ -349,23 +359,23 @@ class TestActivationCache:
 class TestAdmissionQueue:
     def test_flush_on_max_batch(self):
         queue = AdmissionQueue(max_batch=3)
-        futures = [queue.submit(i) for i in range(5)]
+        futures = [queue.submit_many([i])[0] for i in range(5)]
         batch = queue.next_batch()
         assert [r.node for r in batch] == [0, 1, 2]
         assert [r.future for r in batch] == futures[:3]
-        assert len(queue) == 2
+        assert len(queue._pending) == 2
 
     def test_lone_request_is_returned_at_once(self):
         """Work-conserving: one pending request is a batch; nothing
         waits for company (there is no timer to wait out)."""
         queue = AdmissionQueue(max_batch=64)
-        future = queue.submit(42)
+        future = queue.submit_many([42])[0]
         t0 = time.perf_counter()
         batch = queue.next_batch()
         assert time.perf_counter() - t0 < 0.5
         assert [r.node for r in batch] == [42]
         assert batch[0].future is future and future.running()
-        assert len(queue) == 0
+        assert len(queue._pending) == 0
 
     def test_submit_wakes_a_blocked_worker(self):
         queue = AdmissionQueue()
@@ -376,7 +386,7 @@ class TestAdmissionQueue:
         worker.start()
         worker.join(timeout=0.05)
         assert worker.is_alive()  # blocked: the queue is empty and open
-        queue.submit(7)
+        queue.submit_many([7])
         worker.join(timeout=10)
         assert not worker.is_alive()
         assert [r.node for r in got[0]] == [7]
@@ -392,7 +402,7 @@ class TestAdmissionQueue:
 
     def test_close_drains_then_signals_exit(self):
         queue = AdmissionQueue(max_batch=2)
-        queue.submit(7)
+        queue.submit_many([7])
         queue.close()
         assert [r.node for r in queue.next_batch()] == [7]
         assert queue.next_batch() is None
@@ -401,7 +411,7 @@ class TestAdmissionQueue:
         queue = AdmissionQueue(max_batch=2)
         queue.close()
         with pytest.raises(RuntimeError, match="closed"):
-            queue.submit(0)
+            queue.submit_many([0])
         with pytest.raises(RuntimeError, match="closed"):
             queue.submit_many([0, 1])
 
@@ -456,7 +466,7 @@ class AdmissionMachine(RuleBasedStateMachine):
     @rule()
     def submit(self):
         (node,) = self._nodes(1)
-        self._admit([node], lambda: [self.queue.submit(node)])
+        self._admit([node], lambda: self.queue.submit_many([node]))
 
     @rule(count=st.integers(0, 9))
     def submit_many(self, count):
@@ -632,7 +642,7 @@ class TestEngineMutations:
         bad["layer1.weight"] = bad["layer1.weight"][:, :-1]
         with pytest.raises(ValueError, match="layer1.weight"):
             engine.reload(bad)
-        assert engine.version == 0
+        assert engine._snapshot.version == 0
         assert len(engine.cache) == cached > 0
         after = state_dict(model)
         assert all(np.array_equal(after[k], params[k]) for k in params)
@@ -694,7 +704,7 @@ class TestEngineMutations:
         entries = len(engine.cache)
         with pytest.raises(ValueError, match="nodes|rows"):
             engine.apply_feature_delta(nodes, rows)
-        assert engine.version == 0
+        assert engine._snapshot.version == 0
         assert len(engine.cache) == entries
         assert np.array_equal(engine.serve_unique(seeds), reference)
 
@@ -709,7 +719,7 @@ class TestEngineMutations:
         entries = len(engine.cache)
         with pytest.raises(ValueError, match="touched_dst"):
             engine.apply_graph_delta(adjacency, touched_dst=np.array(touched))
-        assert engine.version == 0
+        assert engine._snapshot.version == 0
         assert len(engine.cache) == entries
         assert np.array_equal(engine.serve_unique(seeds), reference)
 
@@ -749,7 +759,7 @@ class TestEngineMutations:
         stale[touched] = True
         for level in (1, 2):
             stale = reach[:, stale].any(axis=1)
-            _, hits = engine.cache.get_rows(level, everyone, engine.version)
+            _, hits = engine.cache.get_rows(level, everyone, engine._snapshot.version)
             assert np.array_equal(hits, ~stale)
 
     def test_mutations_emit_a_delta_span_and_metrics(
@@ -824,7 +834,7 @@ class TestEngineMutations:
         cache.overtake = overtake
         hits = cache.hits
         got = engine.serve_unique(seeds)
-        assert engine.version == 1 and after_delta  # it was overtaken
+        assert engine._snapshot.version == 1 and after_delta  # it was overtaken
         assert np.array_equal(got, old[seeds])
         assert cache.hits == hits + 1  # vertex 2, read before the delta
         assert len(cache) == after_delta[0]  # its late writes stored nothing
@@ -926,7 +936,7 @@ class TestNeverStale:
                         rows[rng.integers(nodes.size), rng.integers(FEAT)] = (
                             rng.choice([np.nan, np.inf, -np.inf])
                         )
-                    version = engine.version
+                    version = engine._snapshot.version
                     try:
                         engine.apply_feature_delta(nodes, rows)
                     except ValueError:
@@ -934,7 +944,7 @@ class TestNeverStale:
                             kind == "nonfinite"
                             or nodes[0] < 0 or nodes[-1] >= N
                         )
-                        assert engine.version == version
+                        assert engine._snapshot.version == version
                     else:
                         assert kind != "nonfinite"
                         current[nodes] = rows

@@ -59,63 +59,10 @@ class TestCanonicalize:
         assert coo.to_dense().sum() == 0
 
 
-class TestTransforms:
-    def test_transpose_roundtrip(self, rng):
-        dense = (rng.random((6, 4)) < 0.4) * rng.normal(size=(6, 4))
-        coo = COOMatrix.from_dense(dense)
-        assert np.allclose(coo.transpose().to_dense(), dense.T)
-
-    def test_symmetrize_makes_pattern_symmetric(self, rng):
-        dense = (rng.random((8, 8)) < 0.3).astype(np.float32)
-        np.fill_diagonal(dense, 0)
-        sym = COOMatrix.from_dense(dense).symmetrize().to_dense()
-        assert np.array_equal(sym != 0, (sym != 0).T)
-        assert set(np.unique(sym)) <= {0.0, 1.0}
-
-    def test_symmetrize_requires_square(self):
-        with pytest.raises(ValueError):
-            COOMatrix([0], [1], shape=(2, 3)).symmetrize()
-
-    def test_remove_self_loops(self):
-        coo = COOMatrix([0, 1, 1], [0, 1, 0], [1.0, 1.0, 1.0], shape=(2, 2))
-        out = coo.remove_self_loops()
-        assert out.nnz == 1
-        assert out.to_dense()[1, 0] == 1.0
-
-    def test_remove_self_loops_of_canonical_stays_canonical(self):
-        """A subset of sorted entries is sorted: no second sort in to_csr."""
-        coo = COOMatrix([2, 0, 1, 1], [0, 0, 1, 2], shape=(3, 3))
-        out = coo.remove_self_loops()
-        assert out._canonical
-        assert list(out.rows) == [1, 2] and list(out.cols) == [2, 0]
-        assert list(out.to_csr().indptr) == [0, 0, 1, 2]
-
-    def test_add_self_loops_full_diagonal(self):
-        coo = COOMatrix([0, 1], [1, 0], shape=(3, 3))
-        out = coo.add_self_loops(value=2.0).to_dense()
-        assert np.all(np.diag(out) == 2.0)
-
-    def test_add_self_loops_overwrites_existing(self):
-        coo = COOMatrix([0, 0], [0, 1], [5.0, 1.0], shape=(2, 2))
-        out = coo.add_self_loops(value=1.0).to_dense()
-        assert out[0, 0] == 1.0  # not 6.0
-
-
 class TestConversions:
     def test_dense_roundtrip(self, rng):
         dense = (rng.random((7, 5)) < 0.5) * rng.normal(size=(7, 5))
         assert np.allclose(COOMatrix.from_dense(dense).to_dense(), dense)
-
-    def test_to_csr_matches_scipy(self, rng):
-        import scipy.sparse as sp
-
-        dense = (rng.random((9, 9)) < 0.3) * rng.normal(size=(9, 9))
-        csr = COOMatrix.from_dense(dense).to_csr()
-        ref = sp.csr_matrix(dense)
-        ref.sort_indices()
-        assert np.array_equal(csr.indptr, ref.indptr)
-        assert np.array_equal(csr.indices, ref.indices)
-        assert np.allclose(csr.data, ref.data)
 
     def test_degrees(self):
         coo = COOMatrix([0, 0, 2], [1, 2, 1], shape=(3, 3))
@@ -125,7 +72,6 @@ class TestConversions:
                           shape=(4, 2))
         assert list(empty.row_degrees()) == [0] * 4
         assert list(empty.col_degrees()) == [0] * 2
-        assert list(empty.to_csr().indptr) == [0] * 5
 
 
 class TestEdgeKeys:

@@ -13,7 +13,6 @@ from repro.theory import (
     erdos_renyi_local_words,
     exact_local_halo_words,
     global_layer_words,
-    local_layer_words_bound,
     predict_training_words,
 )
 
@@ -26,25 +25,23 @@ class TestClosedForms:
         assert v16 == pytest.approx(v4 / 2, rel=0.1)
 
     def test_local_scales_inverse_p_before_cap(self):
-        v4 = local_layer_words_bound(10000, 16, 4, d=2)
-        v8 = local_layer_words_bound(10000, 16, 8, d=2)
+        v4 = erdos_renyi_local_words(10000, 16, 4, 1e-5)
+        v8 = erdos_renyi_local_words(10000, 16, 8, 1e-5)
         assert v8 < v4
 
     def test_local_capped_regime_grows_toward_nk(self):
-        """Once the halo saturates (d huge), more ranks fetch more of
-        the graph — the cap rises with (p-1)/p."""
-        v4 = local_layer_words_bound(10000, 16, 4, d=10**6)
-        v8 = local_layer_words_bound(10000, 16, 8, d=10**6)
+        """Once the halo saturates (dense graph), more ranks fetch more
+        of the graph — the cap rises with (p-1)/p."""
+        v4 = erdos_renyi_local_words(10000, 16, 4, 0.5)
+        v8 = erdos_renyi_local_words(10000, 16, 8, 0.5)
         assert v8 > v4
 
     def test_local_caps_at_nk(self):
         n, k, p = 1000, 16, 4
-        capped = local_layer_words_bound(n, k, p, d=10**6)
-        assert capped <= n * k + k * k * np.log2(p) + 1
+        assert erdos_renyi_local_words(n, k, p, 0.9) <= n * k
 
     def test_single_rank_is_free(self):
         assert global_layer_words(1000, 16, 1) == 0
-        assert local_layer_words_bound(1000, 16, 1, d=5) == 0
         assert erdos_renyi_local_words(1000, 16, 1, 0.1) == 0
 
     def test_er_volume_increases_with_density(self):
@@ -58,19 +55,14 @@ class TestClosedForms:
     def test_global_beats_local_above_crossover(self):
         """d in omega(sqrt p): the paper's headline comparison."""
         n, k, p = 4096, 16, 64
-        d = 64  # >> sqrt(64)
-        assert global_layer_words(n, k, p) < local_layer_words_bound(
-            n, k, p, d
-        )
+        q = 64 / n  # mean degree 64 >> sqrt(64)
+        assert global_layer_words(n, k, p) < erdos_renyi_local_words(n, k, p, q)
 
     def test_training_prediction_dispatch(self):
-        g = predict_training_words(1000, 16, 4, 3, formulation="global")
-        l = predict_training_words(1000, 16, 4, 3, formulation="local", d=30)
-        assert g > 0 and l > 0
-        with pytest.raises(ValueError):
-            predict_training_words(1000, 16, 4, 3, formulation="local")
-        with pytest.raises(ValueError):
-            predict_training_words(1000, 16, 4, 3, formulation="hybrid")
+        """Every layer's global training volume, dispatched on the model."""
+        gat = predict_training_words(1000, 16, 4, 3)
+        assert gat == 3 * global_layer_words(1000, 16, 4, training=True)
+        assert predict_training_words(1000, 16, 4, 3, model="gcn") < gat
 
 
 class TestMeasuredVsPredicted:

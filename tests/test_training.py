@@ -10,18 +10,12 @@ import repro
 from repro.models import build_model, normalize_adjacency
 from repro.training import (
     Adam,
-    MSELoss,
     SGD,
     SoftmaxCrossEntropyLoss,
     Trainer,
     accuracy,
-    f1_macro,
 )
-from repro.training.loss import (
-    block_loss_terms,
-    cross_entropy_terms,
-    squared_error_terms,
-)
+from repro.training.loss import block_loss_terms, cross_entropy_terms
 
 
 class TestCrossEntropy:
@@ -72,27 +66,6 @@ class TestCrossEntropy:
         assert np.isfinite(value)
 
 
-class TestMSE:
-    def test_gradient_numeric(self, rng):
-        h = rng.normal(size=(5, 3))
-        t = rng.normal(size=(5, 3))
-        loss = MSELoss()
-        grad = loss.gradient(h, t)
-        eps = 1e-6
-        up = h.copy(); up[2, 1] += eps
-        down = h.copy(); down[2, 1] -= eps
-        num = (loss.value(up, t) - loss.value(down, t)) / (2 * eps)
-        assert np.isclose(grad[2, 1], num, atol=1e-6)
-
-    def test_masked(self, rng):
-        h = rng.normal(size=(6, 2))
-        t = rng.normal(size=(6, 2))
-        mask = np.array([True, False, True, False, True, False])
-        loss = MSELoss(mask)
-        assert np.isclose(loss.value(h, t), MSELoss().value(h[mask], t[mask]))
-        assert np.allclose(loss.gradient(h, t)[~mask], 0)
-
-
 class TestSharedLossTerms:
     """One copy of each loss's arithmetic serves the ``Loss`` classes
     (local count) and the partitioned runs (global count)."""
@@ -101,8 +74,6 @@ class TestSharedLossTerms:
         # (terms, Loss class, target maker, averaged terms per row)
         (cross_entropy_terms, SoftmaxCrossEntropyLoss,
          lambda rng, n, c: rng.integers(0, c, n), lambda c: 1),
-        (squared_error_terms, MSELoss,
-         lambda rng, n, c: rng.normal(size=(n, c)), lambda c: c),
     ]
 
     @pytest.mark.parametrize("terms, loss_cls, make_target, per_row", CASES)
@@ -388,16 +359,6 @@ class TestMetrics:
         logits = np.array([[2.0, 0.0], [0.0, 2.0], [2.0, 0.0]])
         labels = np.array([0, 1, 1])
         assert accuracy(logits, labels, np.array([True, True, False])) == 1.0
-
-    def test_f1_macro_bounds(self, rng):
-        logits = rng.normal(size=(50, 4))
-        labels = rng.integers(0, 4, 50)
-        score = f1_macro(logits, labels)
-        assert 0.0 <= score <= 1.0
-
-    def test_f1_perfect(self):
-        logits = np.eye(3) * 5
-        assert f1_macro(logits, np.arange(3)) == 1.0
 
     def test_empty_selection(self):
         assert accuracy(np.empty((0, 2)), np.empty(0, dtype=int)) == 0.0

@@ -240,7 +240,7 @@ def dist_local_train(
     :func:`repro.distributed.api.distributed_train` isolate the
     formulation, exactly as in the paper's comparison.
     """
-    check_inputs(a, features, labels, mask, "ce", out_dim)
+    check_inputs(a, features, labels, mask, out_dim)
     setup = _rank_setup(model_name, a, features, hidden_dim, out_dim, num_layers, seed, dtype)
     count = len(features) if mask is None else int(mask.sum())
 

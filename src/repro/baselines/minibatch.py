@@ -104,7 +104,7 @@ def minibatch_train(
     model arguments included, are refused before any rank starts.
     """
     config = config or MiniBatchConfig(fanouts=tuple([10] * num_layers))
-    check_inputs(a, features, labels, loss="ce", out_dim=out_dim)
+    check_inputs(a, features, labels, out_dim=out_dim)
     check_fanouts(config.fanouts, num_layers)
     n = features.shape[0]
     h = np.asarray(features, dtype=dtype)

@@ -57,10 +57,6 @@ __all__ = [
     "distributed_train",
 ]
 
-#: ``distributed_train(loss=...)`` names.
-_LOSS_TERMS = {"ce": cross_entropy_terms}
-
-
 def _check_backend(backend: str) -> None:
     """Refuse anything but ``"thread"``.
 
@@ -147,7 +143,6 @@ def distributed_train(
     p: int = 4,
     epochs: int = 1,
     lr: float = 0.01,
-    loss: str = "ce",
     mask: np.ndarray | None = None,
     seed: int = 0,
     dtype: np.dtype | type = np.float32,
@@ -167,10 +162,8 @@ def distributed_train(
     synchronous parity oracle.
     """
     _check_backend(backend)
-    if loss not in _LOSS_TERMS:
-        raise ValueError(f"loss must be one of {sorted(_LOSS_TERMS)}, got {loss!r}")
     _check_square(p)
-    check_inputs(a, features, labels, mask, loss, out_dim)
+    check_inputs(a, features, labels, mask, out_dim)
     n = features.shape[0]
     # Globally averaged terms: one per labelled row.
     count = n if mask is None else int(mask.sum())
@@ -189,7 +182,7 @@ def distributed_train(
         own = slice(*block_range(n, grid.py, grid.col))
         # Feature blocks are replicated down grid columns; count each
         # block's loss contribution exactly once (grid row 0).
-        block_loss = PartitionedLoss(_LOSS_TERMS[loss], None if mask is None else mask[own],
+        block_loss = PartitionedLoss(cross_entropy_terms, None if mask is None else mask[own],
                                      count, grid.comm.allreduce, counted=grid.row == 0)
         model = build(grid)
         hops, optimizer = [Hop(a_block)] * model.num_layers, SGD(lr)

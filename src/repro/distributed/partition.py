@@ -31,15 +31,14 @@ def check_inputs(
     features: np.ndarray,
     labels: np.ndarray | None = None,
     mask: np.ndarray | None = None,
-    loss: str | None = None,
     out_dim: int | None = None,
 ) -> None:
     """Refuse a run that would fail inside a rank thread, naming the
     argument: a square adjacency, one feature row per vertex, ``labels``
-    / ``mask`` of length ``n``, and for ``"ce"`` integer labels in
-    ``[0, out_dim)`` wherever the mask reads one. Every partitioned
-    entry point (1.5D and DistDGL-style) checks this before any rank
-    starts."""
+    / ``mask`` of length ``n``, and, given ``labels`` and ``out_dim``,
+    integer classes in ``[0, out_dim)`` wherever the mask reads one.
+    Every partitioned entry point (1.5D and DistDGL-style) checks this
+    before any rank starts."""
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"a has shape {a.shape}; the adjacency must be square")
@@ -49,12 +48,12 @@ def check_inputs(
     for name, value in (("labels", labels), ("mask", mask)):
         if value is not None and len(value) != n:
             raise ValueError(f"{name} has length {len(value)}; the graph has {n} vertices")
-    if loss == "ce":
+    if labels is not None and out_dim is not None:
         read = np.asarray(labels) if mask is None else np.asarray(labels)[np.asarray(mask, bool)]
         if read.ndim != 1 or not np.issubdtype(read.dtype, np.integer) or (
             read.size and (read.min() < 0 or read.max() >= out_dim)
         ):
-            raise ValueError(f'labels for loss "ce" must be integer classes in [0, {out_dim})')
+            raise ValueError(f"labels must be integer classes in [0, {out_dim})")
 
 
 def block_ranges(n: int, parts: int) -> list[tuple[int, int]]:

@@ -15,19 +15,19 @@ a *single* union ego-batch rather than per-request forwards:
    because its row can be spliced into layer ℓ's input frame directly.
    The descent therefore only expands *uncached* nodes, and a fully
    cached seed costs zero sampling and zero compute.
-3. **Single forward + scatter** — the ascent mirrors
-   :func:`repro.training.minibatch.forward_blocks` statement for
-   statement (layer ``forward`` on the block matrix with
-   ``rows=dst_positions``), assembling each layer's input frame from
-   cached rows plus the rows just computed. Per-seed output rows scatter back
-   to the requests' futures in one gather (``rows[inverse]``).
+3. **One layer walk + scatter** — the ascent is
+   :func:`repro.models.base.forward_blocks` over the sampled blocks,
+   from the lowest level sampled; with a cache, its exchange gather
+   stores each layer's computed rows and splices the cached ones in.
+   Per-seed output rows scatter back to the requests' futures in one
+   gather (``rows[inverse]``).
 
 Identity contract (property-tested): every layer is row-wise in its
 source frame, compaction is monotone, and cached rows are exact prior
 outputs — so with full fan-out the batched output row of a seed is
 **bit-identical** to a per-request forward, with or without cache hits.
 
-The descent/ascent contract: the hop block for layer ``j`` is sampled
+The descent/ascent contract: the block layer ``j`` reads is sampled
 with ``dst = need_{j+1}`` (the uncached frontier at level ``j+1``), so
 ``block_j.dst_nodes == block_{j+1}.src_nodes[~hits_{j+1}]`` exactly —
 both sorted — and a frame is two masked assignments (computed rows at
@@ -36,11 +36,12 @@ both sorted — and a frame is two masked assignments (computed rows at
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
 
-from repro.models.base import GnnModel
+from repro.models.base import GnnModel, forward_blocks
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 from repro.serving.cache import ActivationCache
@@ -95,60 +96,58 @@ def compute_union_rows(
             f"got {len(fanouts)} fan-outs for {num_layers} layers"
         )
 
-    # Descent: top-level lookup, then expand only uncached frontiers.
-    # ``lookups[j]`` pairs with ``hop_blocks``' layer-``j`` block: the
-    # cached rows/hits over that block's source frame at level ``j``.
+    # Descent: top-level lookup, then expand only uncached frontiers,
+    # stopping at an empty one. ``lookups[level]`` holds the cached
+    # rows/hits over the source frame of the block that layer ``level``
+    # reads.
     top_rows: np.ndarray | None = None
     top_hits = np.zeros(seeds.size, dtype=bool)
     if cache is not None:
         with tracer().span("serve.cache", level=num_layers,
                            nodes=int(seeds.size)):
             top_rows, top_hits = cache.get_rows(num_layers, seeds, version)
-    hop_blocks: list[tuple[int, Block]] = []
+    blocks: list[Block] = []
     lookups: dict[int, tuple[np.ndarray | None, np.ndarray]] = {}
     frontier = seeds[~top_hits]
     level = num_layers
     while frontier.size and level > 0:
-        layer_index = level - 1
-        with tracer().span("serve.sample", level=level, frontier=int(frontier.size)) as span:
-            block = sample_one_hop(a, frontier, fanouts[layer_index], rng, weights)
+        level -= 1
+        with tracer().span("serve.sample", level=level + 1, frontier=int(frontier.size)) as span:
+            block = sample_one_hop(a, frontier, fanouts[level], rng, weights)
             span.annotate(sampled_edges=block.sampled_edges)
-        hop_blocks.append((layer_index, block))
-        level = layer_index
-        if level == 0:
-            break
-        if cache is None:
-            frontier = block.src_nodes
-            continue
-        with tracer().span("serve.cache", level=level,
-                           nodes=int(block.num_src)):
-            rows, hits = cache.get_rows(level, block.src_nodes, version)
-        lookups[level] = (rows, hits)
-        frontier = block.src_nodes[~hits]
-
-    # Ascent: assemble each layer's input frame and run it over the dst
-    # rows — the forward_blocks arithmetic with cached rows spliced in.
-    hop_blocks.reverse()
-    out: np.ndarray | None = None
-    for index, (layer_index, block) in enumerate(hop_blocks):
-        if index == 0 and layer_index == 0:
-            h = np.asarray(features)[block.src_nodes]
-        elif index == 0:
-            h = lookups[layer_index][0]  # truncated base: all cached
-        elif cache is None:
-            h = out  # prev dst set IS this frame (sample_blocks contract)
-        else:
-            # prev dst == this frame's miss rows, in order
-            h = _splice(out, *lookups[layer_index])
-        out, _ = model.layers[layer_index].forward(
-            block.matrix, h, counter=counter, training=False, rows=block.dst_positions
-        )
-        if cache is not None:
-            cache.put_rows(layer_index + 1, block.dst_nodes, out, version)
-
-    # Final frame over the unique seeds: cached top rows + computed.
-    if out is None:  # every seed's output was cached
+        blocks.append(block)
+        frontier = block.src_nodes
+        if cache is not None and level > 0:
+            with tracer().span("serve.cache", level=level,
+                               nodes=int(block.num_src)):
+                rows, hits = cache.get_rows(level, block.src_nodes, version)
+            lookups[level] = (rows, hits)
+            frontier = frontier[~hits]
+    if not blocks:  # every seed's output was cached
         return top_rows
+
+    # Ascent: the one layer walk over the layers above the lowest level
+    # sampled, from the features or that level's (all cached) rows.
+    blocks.reverse()
+    first = num_layers - len(blocks)
+    h0 = lookups[first][0] if first else np.asarray(features)[blocks[0].src_nodes]
+    levels = itertools.count(first)
+
+    def splice(rows: np.ndarray) -> np.ndarray:
+        # Cache the rows the layer below computed (this layer's uncached
+        # sources, in order) and splice the cached ones in.
+        level = next(levels)
+        if level == first:
+            return rows
+        cache.put_rows(level, blocks[level - first - 1].dst_nodes, rows, version)
+        return _splice(rows, *lookups[level])
+
+    walk = GnnModel(model.layers[first:]) if first else model
+    out, _ = forward_blocks(walk, blocks, h0, counter, training=False,
+                            exchange=None if cache is None else (splice, None))
+    if cache is not None:
+        cache.put_rows(num_layers, blocks[-1].dst_nodes, out, version)
+    # Final frame over the unique seeds: cached top rows + computed.
     return _splice(out, top_rows, top_hits)
 
 

@@ -220,8 +220,8 @@ class ServingEngine:
     def serve(self, nodes) -> np.ndarray:
         """Output rows for ``nodes`` (any order, duplicates allowed); an id
         that is not an integer in ``[0, num_nodes)`` raises ``ValueError``."""
-        seeds, inverse = np.unique(np.atleast_1d(np.asarray(nodes)), return_inverse=True)
-        seeds = _vertex_ids(seeds, self.num_nodes, "nodes")
+        ids = vertex_ids(np.atleast_1d(nodes), self.num_nodes, "nodes")
+        seeds, inverse = np.unique(ids, return_inverse=True)
         return self.serve_unique(seeds)[inverse]
 
     def serve_unique(self, seeds: np.ndarray) -> np.ndarray:

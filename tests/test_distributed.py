@@ -258,22 +258,6 @@ class TestOneModelClass:
                     final[name], value, rtol=1e-6, atol=1e-9, err_msg=name
                 )
 
-    @pytest.mark.parametrize("epochs", [0, 2])
-    def test_unknown_loss_rejected_before_any_rank_starts(
-        self, rng, small_adjacency, monkeypatch, epochs
-    ):
-        from repro.distributed import api
-
-        def no_ranks(*args, **kwargs):
-            raise AssertionError("a rank program was launched")
-
-        monkeypatch.setattr(api, "run_spmd", no_ranks)
-        with pytest.raises(ValueError, match="bogus"):
-            api.distributed_train(
-                "va", small_adjacency, rng.normal(size=(60, 5)),
-                rng.integers(0, 3, 60), 8, 3, loss="bogus", epochs=epochs,
-            )
-
     @pytest.mark.parametrize("case", [
         "short-features", "short-labels", "label-out-of-range",
         "short-mask", "p-2", "rectangular-a",

@@ -250,15 +250,6 @@ class TestDistributedValidation:
                 "VA", problem.adjacency, problem.features, 8, 4, p=6, seed=0
             )
 
-    def test_bad_loss_name(self, problem):
-        # Rejected by the driver, before any rank starts.
-        with pytest.raises(ValueError, match="loss must be one of"):
-            distributed_train(
-                "VA", problem.adjacency,
-                problem.features.astype(np.float64), problem.labels,
-                8, 4, p=4, loss="hinge", seed=0,
-            )
-
 
 class TestMultiHeadEquivalence:
     @pytest.mark.parametrize("p", [1, 4])

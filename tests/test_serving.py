@@ -590,6 +590,24 @@ class TestBatchedIdentity:
         engine.serve_unique(seeds)
         assert metrics().counter("sample.hop").value == hops_before
 
+    @pytest.mark.parametrize("name", ["va", "gat"])
+    def test_walk_from_a_fully_cached_level_matches_full_forward(
+        self, adjacency, features, name
+    ):
+        """Serving every vertex but ``u`` caches every level-1 row, so
+        ``u``'s descent samples one hop and stops: the walk starts at
+        layer 1, from cached rows, and still serves the full forward's
+        row bit for bit."""
+        model = _model(name)
+        engine = ServingEngine(model, adjacency, features, cache=4096, seed=5)
+        u = 17
+        engine.serve_unique(np.delete(np.arange(N), u))
+        hops_before = metrics().counter("sample.hop").value
+        served = engine.serve_unique(np.array([u]))
+        assert metrics().counter("sample.hop").value == hops_before + 1
+        reference = model.forward(adjacency, features, training=False)
+        assert np.array_equal(served[0], reference[u])
+
     def test_each_sampled_hop_gets_a_serve_sample_span(
         self, adjacency, features, kernels_backend
     ):

@@ -193,6 +193,21 @@ class TestOneTrainingStack:
         )
         assert callers == {"models/base.py:backward_blocks"}
 
+    def test_every_forward_walk_is_forward_blocks(self, trees):
+        """Its forward twin: outside the layer classes, only the one
+        layer walk calls a layer's ``forward``. A model's (a receiver
+        named ``model`` or ``build_model(...)``) and ``super().forward``
+        are not a layer's."""
+        def on_a_layer(f):
+            if getattr(f, "attr", None) != "forward":
+                return False
+            receiver = f.value
+            if isinstance(receiver, ast.Call):
+                return getattr(receiver.func, "id", None) not in ("super", "build_model")
+            return getattr(receiver, "id", getattr(receiver, "attr", None)) != "model"
+
+        assert self._callers(trees, on_a_layer) == {"models/base.py:forward_blocks"}
+
     def test_one_step_updates_parameters(self, trees):
         callers = self._callers(trees, lambda f: getattr(f, "attr", None) == "step")
         assert callers == {"training/trainer.py:train_step"}

@@ -46,6 +46,7 @@ head hands the kernels plain 2-D operands.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
@@ -108,6 +109,11 @@ def layer_spec(model: str, learnable_beta: bool = False, **dag_kwargs) -> Attent
         if learnable_beta or dag_kwargs:
             raise TypeError(f"{entry.name} takes no model keywords")
         return entry
+    known = inspect.signature(entry).parameters
+    unknown = sorted(set(dag_kwargs) - set(known))
+    if unknown:
+        raise TypeError(f"model {model!r} got an unexpected keyword argument {unknown[0]!r}; "
+                        f"it takes {', '.join(['learnable_beta', *known])}")
     return _lowered(model.lower(), bool(learnable_beta), tuple(sorted(dag_kwargs.items())))
 
 

@@ -1,11 +1,14 @@
 """Builds and loads ``_edge.c`` on first use.
 
-``_edge.c`` is the library's one compiled source, holding two things: the
-C side of :mod:`repro.tensor.megakernel`'s ``attention_forward`` /
-``attention_backward``, whose NumPy code is the other side, and the
-sampler's selection ``smallest_per_segment``, whose NumPy side is
-:func:`repro.tensor.sampling_graph._smallest_per_segment`. The first
-call of either (never an import, never ``pip install``: the package runs
+``_edge.c`` is the library's one compiled source, holding three things:
+the C side of :mod:`repro.tensor.megakernel`'s ``attention_forward`` /
+``attention_backward``, whose NumPy code is the other side; the
+sampler's weighted selection ``smallest_per_segment``, whose NumPy side
+is :func:`repro.tensor.sampling_graph._smallest_per_segment`; and the
+sampler's hop ``sample_hop`` (Floyd's selection, edge gather and
+compaction), whose NumPy side is the NumPy branch of
+:func:`repro.tensor.sampling_graph._hop`. The first call of any (never
+an import, never ``pip install``: the package runs
 from ``src/`` uninstalled) compiles ``_edge.c`` with the system
 ``cc`` / ``gcc`` into :func:`repro.config.kernel_cache_dir`, under
 a name hashed from source, flags, compiler version and the target the
@@ -70,6 +73,7 @@ _SIGNATURES = {
         _P, _I, _P, _P, _P, _I, _I, _P, _P, _P, _P, _P, _P, _P,
     ),
     "smallest_per_segment": (_I, _P, _I, _P, _I, _P, _P),
+    "sample_hop": (_I, _P, _P, _P, _I, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P),
 }
 _ROW_POINTER = "row pointer is not non-decreasing within the stored entries"
 #: What an entry's status 1 means: the one input left for C to check.
@@ -77,6 +81,7 @@ _REFUSED = {
     "attention_forward": _ROW_POINTER,
     "attention_backward": _ROW_POINTER,
     "smallest_per_segment": "segment lengths must each exceed k >= 1 and sum to the key count",
+    "sample_hop": "destinations must be strictly increasing vertex ids in [0, n)",
 }
 _SUFFIX = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _LOCK = threading.Lock()

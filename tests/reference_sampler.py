@@ -1,13 +1,18 @@
-"""Test oracle: PR 8's ``lexsort`` neighbour selection.
+"""Test oracles of ``SamplingGraph.sample_edges``' two selections.
 
-``SamplingGraph.sample_edges`` used to select each over-fan-out
-segment's ``fanout`` smallest random keys with one stable
-``np.lexsort`` over *every* candidate edge. The production code now
-does that in linear time; this is the old O(candidates · log) selection
-kept verbatim as the parity oracle — same RNG contract (one uniform per
-candidate edge of an over-fan-out seed, in seed order), same
-Efraimidis–Spirakis keys, same tie rule (the stable sort breaks equal
-keys by lowest edge id).
+Uniform (``weights=None``): a textbook per-seed scalar Floyd loop
+(Bentley & Floyd, CACM 1987) over the same draw — ``fanout`` uniforms
+per over-fan-out seed, one ``rng.random((seeds, fanout))`` call — that
+the production code vectorises over seeds and ``_edge.c`` compiles.
+
+Weighted: PR 8's ``lexsort`` selection. ``sample_edges`` used to select
+each over-fan-out segment's ``fanout`` smallest random keys with one
+stable ``np.lexsort`` over *every* candidate edge; the production code
+now does that in linear time, and this is the old O(candidates · log)
+selection kept verbatim as the parity oracle — same RNG contract (one
+uniform per candidate edge of an over-fan-out seed, in seed order),
+same Efraimidis–Spirakis keys, same tie rule (the stable sort breaks
+equal keys by lowest edge id).
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ def reference_sample_edges(
     rng: np.random.Generator,
     weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``graph.sample_edges(seeds, fanout, rng, weights)``, by full sort."""
+    """``graph.sample_edges(seeds, fanout, rng, weights)``: by Floyd's loop,
+    seed by seed, or, weighted, by full sort."""
     seeds = np.asarray(seeds, dtype=np.int64)
     starts = graph.indptr[seeds]
     deg = graph.indptr[seeds + 1] - starts
@@ -55,6 +61,17 @@ def reference_sample_edges(
     dst_pos = ragged_ranges(offsets[take_all], counts[take_all])
     eids[dst_pos] = ragged_ranges(starts[take_all], counts[take_all])
     deg_o = deg[over]
+    if weights is None:
+        uniforms = rng.random((deg_o.shape[0], fanout))
+        picked = []
+        for row, start, d in zip(uniforms, starts[over], deg_o):
+            chosen: set[int] = set()
+            for j, top in enumerate(range(int(d) - fanout, int(d))):
+                t = int(row[j] * (top + 1))  # uniform on 0..top
+                chosen.add(top if t in chosen else t)
+            picked.extend(int(start) + p for p in sorted(chosen))
+        eids[ragged_ranges(offsets[over], counts[over])] = picked
+        return eids, counts
     cand = ragged_ranges(starts[over], deg_o)
     seg = np.repeat(np.arange(deg_o.shape[0], dtype=np.int64), deg_o)
     keys = rng.random(cand.shape[0])

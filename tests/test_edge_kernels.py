@@ -708,11 +708,11 @@ class TestSaysWhichBackendRan:
 
 @needs_c
 class TestTheCLeg:
-    """What CI's C leg holds a runner to: the library is the sweep and the
-    sampler's selection, every built-in layer — single-node, on each of
-    four 1.5D ranks and on each rank of the local engine — is one forward
-    and one backward sweep on C, with no unfused edge kernel, and sampled
-    training chooses its neighbours on C."""
+    """What CI's C leg holds a runner to: the library is the sweep, the
+    sampler's weighted selection and its hop, every built-in layer —
+    single-node, on each of four 1.5D ranks and on each rank of the local
+    engine — is one forward and one backward sweep on C, with no unfused
+    edge kernel, and sampled training samples its hops on C."""
 
     KERNELS = ("megakernel.", "kernel.sddmm", "kernel.masked")
     #: One rank's sorted sweep spans for a two-layer forward + backward.
@@ -720,7 +720,7 @@ class TestTheCLeg:
 
     def test_every_layer_is_one_c_sweep_per_pass(self, monkeypatch):
         assert set(_edge._SIGNATURES) == {
-            "attention_forward", "attention_backward", "smallest_per_segment"}
+            "attention_forward", "attention_backward", "smallest_per_segment", "sample_hop"}
         a = prepare_adjacency(erdos_renyi(64, 256, seed=0))
         model = build_model("gat", 8, 8, 4, num_layers=2, seed=0)
         t = Tracer()

@@ -9,6 +9,8 @@ to the global adjacency exactly (topology *and* edge values).
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from repro.tensor import _edge
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.sampling_graph import (
     _CLASS_BITS,
+    _floyd,
     _smallest_per_segment,
     hub_bias_weights,
     sample_blocks,
@@ -33,6 +36,13 @@ from repro.training.minibatch import backward_blocks, forward_blocks
 from tests.conftest import random_csr
 from tests.reference_sampler import reference_sample_edges
 from tests.test_edge_kernels import _needs_c, needs_c  # noqa: F401
+
+
+@pytest.fixture(scope="module")
+def e2e_graph() -> CSRMatrix:
+    """The ``sampled_train`` shape: power-law n = 2^15, m = 8n."""
+    n = 1 << 15
+    return prepare_adjacency(powerlaw_graph(n, 8 * n, seed=0))
 
 
 @pytest.fixture(scope="module")
@@ -625,12 +635,6 @@ class TestSelectionParity:
                     weights[a.indptr[row] : a.indptr[row + 1]] = 0.0
         _assert_matches_oracle(graph, seeds, fanout, weights, seed)
 
-    @pytest.fixture(scope="class")
-    def e2e_graph(self):
-        """The ``sampled_train`` shape: power-law n = 2^15, m = 8n."""
-        n = 1 << 15
-        return prepare_adjacency(powerlaw_graph(n, 8 * n, seed=0))
-
     @pytest.mark.parametrize("weighted", [False, True])
     def test_e2e_shape_two_hops(self, e2e_graph, weighted):
         a = e2e_graph
@@ -750,6 +754,203 @@ class TestCompiledSelection:
             _c_selection(np.zeros(7), np.array(lengths, np.int64), k)
 
 
+class TestFloyd:
+    """The uniform selection: Floyd's k draws per seed."""
+
+    @pytest.mark.parametrize("deg, k", [(5, 2), (6, 3), (7, 1), (6, 5)])
+    def test_every_k_subset_equally_likely(self, deg, k):
+        """Chi-square over every k-subset of one seed's ``deg`` edges,
+        drawn 200 times each in one call (the seed repeated)."""
+        from itertools import combinations
+
+        from scipy.stats import chisquare
+
+        indptr = np.full(deg + 1, deg, dtype=np.int64)
+        indptr[0] = 0  # row 0 holds every column, the rest are empty
+        graph = sampling_graph_of(CSRMatrix(indptr, np.arange(deg), np.ones(deg), (deg, deg)))
+        subsets = {s: i for i, s in enumerate(combinations(range(deg), k))}
+        draws = 200 * len(subsets)
+        eids, counts = graph.sample_edges(np.zeros(draws, np.int64), k,
+                                          np.random.default_rng(deg * 10 + k))
+        assert np.all(counts == k)
+        rows = eids.reshape(draws, k)
+        assert np.all(np.diff(rows, axis=1) > 0)  # sorted and distinct
+        seen = np.bincount([subsets[tuple(r)] for r in rows.tolist()], minlength=len(subsets))
+        assert seen.min() > 0
+        assert chisquare(seen).pvalue > 1e-3
+
+    @pytest.mark.parametrize("deg", [9, 4101, 10**6, 2**40, 2**53 - 1])
+    def test_the_largest_uniform_maps_into_range(self, deg):
+        """``u = nextafter(1, 0)`` is the largest ``rng.random`` value: each
+        pick is then the top of its range, ``deg - k + j``, never ``deg``."""
+        k = 8
+        top = np.full((3, k), np.nextafter(1.0, 0.0))
+        picks = _floyd(top, np.full(3, deg, np.int64))
+        assert np.array_equal(picks, np.broadcast_to(np.arange(deg - k, deg), (3, k)))
+
+    def test_matches_the_scalar_loop(self):
+        """Repeats within a row take the top of the range; the vectorised
+        rounds equal the scalar loop of ``tests/reference_sampler.py``."""
+        rng = np.random.default_rng(3)
+        deg = rng.integers(9, 40, size=500)
+        u = rng.random((500, 8))
+        picks = _floyd(u, deg)
+        for row, d, got in zip(u, deg, picks):
+            chosen: set[int] = set()
+            for j, top in enumerate(range(int(d) - 8, int(d))):
+                t = int(row[j] * (top + 1))
+                chosen.add(top if t in chosen else t)
+            assert got.tolist() == sorted(chosen)
+
+
+class _Uniforms:
+    """A stand-in generator whose every uniform is ``value``."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+@contextlib.contextmanager
+def _numpy_side():
+    """The loader answering "no library" for the block: the NumPy hop."""
+    saved = _edge._state
+    _edge._state = (None, "the NumPy side, for comparison")
+    try:
+        yield
+    finally:
+        _edge._state = saved
+
+
+def _assert_same_blocks(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.sampled_edges == w.sampled_edges
+        for name in ("src_nodes", "dst_positions"):
+            assert getattr(g, name).dtype == getattr(w, name).dtype
+            assert np.array_equal(getattr(g, name), getattr(w, name)), name
+        assert g.matrix.shape == w.matrix.shape
+        for name in ("indptr", "indices", "data"):
+            assert getattr(g.matrix, name).dtype == getattr(w.matrix, name).dtype
+            assert np.array_equal(getattr(g.matrix, name), getattr(w.matrix, name)), name
+
+
+@needs_c
+class TestCompiledHop:
+    """``_edge.c``'s ``sample_hop`` == the NumPy hop (``_sample_edges``
+    and one ``np.unique``), block for block, stream included."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        extra=st.lists(st.sampled_from(EXTRA_DEGREES), max_size=12),
+        fanout=st.sampled_from([0, 1, 2, 8, 65, 100, None]),
+        weighted=st.booleans(),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        empty_rows=st.integers(0, 3),
+    )
+    def test_same_blocks(self, seed, extra, fanout, weighted, dtype, empty_rows):
+        rng = np.random.default_rng(seed)
+        degrees = np.array(ANCHOR_DEGREES + tuple(extra), dtype=np.int64)
+        rng.shuffle(degrees)
+        a = _ragged_pattern(rng, degrees)
+        a = a.with_data(rng.normal(size=a.nnz).astype(dtype))
+        rows = np.arange(degrees.shape[0])
+        dst = np.union1d(rng.choice(rows, size=int(rng.integers(1, rows.shape[0] + 1)),
+                                    replace=False),
+                         # rows past the degree list are empty, far apart
+                         rng.choice(np.arange(rows.shape[0], a.shape[0]), size=empty_rows,
+                                    replace=False))
+        weights = rng.random(a.nnz) + 0.05 if weighted else None
+        got = sample_one_hop(a, dst, fanout, c_rng := np.random.default_rng(seed), weights)
+        with _numpy_side():
+            want = sample_one_hop(a, dst, fanout, np_rng := np.random.default_rng(seed), weights)
+        _assert_same_blocks([got], [want])
+        assert c_rng.bit_generator.state == np_rng.bit_generator.state
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_same_blocks_on_the_e2e_shape(self, e2e_graph, weighted):
+        weights = hub_bias_weights(e2e_graph) if weighted else None
+
+        def draw():
+            rng = np.random.default_rng(1)
+            return [sample_blocks(e2e_graph, rng.choice(e2e_graph.shape[0], 256, replace=False),
+                                  (8, 8), rng, weights) for _ in range(4)]
+
+        compiled = draw()
+        with _numpy_side():
+            for got, want in zip(compiled, draw(), strict=True):
+                _assert_same_blocks(got, want)
+
+    def test_the_largest_uniform_keeps_the_last_edges(self):
+        rng = np.random.default_rng(5)
+        degrees = np.array([3, 12, 2**12 + 5, 9, 0])
+        a = _ragged_pattern(rng, degrees)
+        dst = np.arange(degrees.shape[0])
+        got = sample_one_hop(a, dst, 8, _Uniforms(np.nextafter(1.0, 0.0)))
+        with _numpy_side():
+            want = sample_one_hop(a, dst, 8, _Uniforms(np.nextafter(1.0, 0.0)))
+        _assert_same_blocks([got], [want])
+        m = got.matrix
+        for r, d in enumerate(degrees):
+            cols = got.src_nodes[m.indices[m.indptr[r]:m.indptr[r + 1]]]
+            row = a.indices[a.indptr[r]:a.indptr[r + 1]]
+            assert np.array_equal(cols, row[max(0, d - 8):])
+
+    def test_threads_sampling_one_pattern_keep_their_own_scratch(self, e2e_graph):
+        """Rank threads sample one pattern at once and the hop drops the
+        GIL: four threads, each with its own seeded generator, draw the
+        blocks sequential calls draw."""
+        import sys
+        import threading
+
+        def draw(seed):
+            rng = np.random.default_rng(seed)
+            return [sample_blocks(e2e_graph, rng.choice(e2e_graph.shape[0], 256, replace=False),
+                                  (8, 8), rng) for _ in range(8)]
+
+        sequential = [draw(seed) for seed in range(4)]
+        results: dict[int, list] = {}
+        start = threading.Barrier(4)
+
+        def worker(seed):
+            start.wait(timeout=30)
+            results[seed] = draw(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for seed, batches in enumerate(sequential):
+            for got, want in zip(results[seed], batches, strict=True):
+                _assert_same_blocks(got, want)
+
+    def test_unsorted_destinations_are_refused(self, small_adjacency):
+        """What only the private hop could pass: the entry checks its
+        destinations before it writes anything."""
+        fn = _edge.entry("sample_hop", small_adjacency.data)
+        graph = sampling_graph_of(small_adjacency)
+        for dst in ([3, 1], [2, 2], [0, graph.num_nodes]):
+            dst = np.array(dst, np.int64)
+            with pytest.raises(ValueError, match="sample_hop: destinations must be strictly"):
+                _edge.run(fn, (1,), np.int64, graph.num_nodes, graph.indptr, graph.indices,
+                          small_adjacency.data, 2, dst, -1, None, None,
+                          *graph._scratch_arrays(), np.empty(2, np.int64),
+                          np.empty(3, np.int64), np.empty(0, np.int64),
+                          np.empty(0, small_adjacency.data.dtype), np.empty(2, np.int64))
+        bits, _ = graph._scratch_arrays()
+        assert not bits.any()
+
+
 class TestRejectedCallsLeaveTheStreamAlone:
     def test_state_unchanged_after_each_rejection(self, small_adjacency):
         graph = sampling_graph_of(small_adjacency)
@@ -780,13 +981,29 @@ class TestRejectedCallsLeaveTheStreamAlone:
 
 class TestCandidateEvent:
     def test_counts_keys_drawn(self, small_adjacency):
+        """Uniform: ``fanout`` per over-fan-out seed; weighted: one key
+        per candidate edge of such a seed."""
         graph = sampling_graph_of(small_adjacency)
         seeds = np.arange(graph.num_nodes, dtype=np.int64)
         deg = np.diff(graph.indptr)[seeds]
         before = metrics().counter("sample.candidates").value
         graph.sample_edges(seeds, 3, np.random.default_rng(0))
         drawn = metrics().counter("sample.candidates").value - before
-        assert drawn == int(deg[deg > 3].sum())
+        assert drawn == 3 * int(np.count_nonzero(deg > 3))
         # Full fan-out draws nothing.
         graph.sample_edges(seeds, None, np.random.default_rng(0))
         assert metrics().counter("sample.candidates").value - before == drawn
+        graph.sample_edges(seeds, 3, np.random.default_rng(0), np.ones(small_adjacency.nnz))
+        weighted = metrics().counter("sample.candidates").value - before - drawn
+        assert weighted == int(deg[deg > 3].sum())
+
+    def test_at_most_one_draw_per_kept_edge_on_the_e2e_shape(self, e2e_graph):
+        """The ``sampled_train`` shape drew 12.3 keys per kept edge when
+        every over-fan-out seed drew one per neighbour."""
+        rng = np.random.default_rng(0)
+        before = metrics().counter("sample.candidates").value
+        kept = 0
+        for _ in range(8):
+            targets = rng.choice(e2e_graph.shape[0], size=256, replace=False)
+            kept += sum(b.sampled_edges for b in sample_blocks(e2e_graph, targets, (8, 8), rng))
+        assert metrics().counter("sample.candidates").value - before <= kept

@@ -2,71 +2,24 @@
 
 Each benchmark file regenerates one figure of the paper: it sweeps that
 figure's (model, formulation, n, m, k, p) grid on the simulated
-cluster, prints the series the figure plots (modeled time and
-communication volume per configuration), appends them to
-``benchmarks/results/unified_results.csv``, and asserts the figure's
-qualitative claims (who wins, how the gap moves). Wall-clock of a
+cluster through :func:`repro.bench.sweep.run_sweep` (the
+``python -m repro.bench.sweep`` loop), prints the series the figure
+plots (modeled time and communication volume per configuration),
+writes them to ``benchmarks/results/<figure>.csv``, and asserts the
+figure's qualitative claims (who wins, how the gap moves). Wall-clock of a
 representative configuration is measured through the pytest-benchmark
 fixture so ``--benchmark-only`` produces a timing table as well.
 """
 
 from __future__ import annotations
 
-import functools
 from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import BenchRow, make_graph, run_config, write_csv
+from repro.bench.harness import BenchRow, write_csv
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-@functools.lru_cache(maxsize=32)
-def cached_graph(kind: str, n: int, m: int, seed: int = 0):
-    """Graphs are expensive to generate; share them across sweep points."""
-    return make_graph(kind, n, m, seed=seed)
-
-
-def run_point(
-    figure: str,
-    model: str,
-    formulation: str,
-    task: str,
-    kind: str,
-    n: int,
-    m: int,
-    k: int,
-    p: int,
-    layers: int = 3,
-    seed: int = 0,
-    minibatch_fraction: float = 0.125,
-    minibatch_fanout: int = 10,
-    rho: float | None = None,
-) -> BenchRow:
-    """Run one sweep point (graph cached by parameters).
-
-    ``minibatch_fraction`` scales the DistDGL-like batch with the graph,
-    preserving the paper's 16k-of-131k ratio at reduced n; the fan-out
-    stays at DistDGL's absolute per-hop budget of 10, and the density
-    ladder preserves the paper's average-degree-vs-fan-out regimes (see
-    ``repro.bench.configs``).
-    """
-    graph = cached_graph(kind, n, m, seed)
-    return run_config(
-        figure=figure,
-        model=model,
-        formulation=formulation,
-        task=task,
-        a=graph,
-        k=k,
-        layers=layers,
-        p=p,
-        seed=seed,
-        minibatch_size=max(8, int(graph.shape[0] * minibatch_fraction)),
-        minibatch_fanout=minibatch_fanout,
-        extra_info=None if rho is None else {"rho": rho},
-    )
 
 
 def emit(rows: list[BenchRow], csv_name: str) -> None:

@@ -19,32 +19,12 @@ Reproduced claims (asserted):
 
 from __future__ import annotations
 
-import pytest
-
-from benchmarks.conftest import by, emit, run_point, sweep_benchmark
-from repro.bench.configs import FIGURE_CONFIGS
+from benchmarks.conftest import by, emit, sweep_benchmark
+from repro.bench.sweep import run_sweep
 
 
-def _sweep(config_name: str):
-    config = FIGURE_CONFIGS[config_name]
-    rows = []
-    for model, formulation, n, m, k, p, rho in config.points():
-        rows.append(
-            run_point(
-                config.figure, model, formulation, config.task,
-                config.graph_kind, n, m, k, p, layers=config.layers,
-            )
-        )
-    return rows
-
-
-@pytest.fixture(scope="module")
-def fig6_k16_rows():
-    return _sweep("fig6_k16")
-
-
-def test_fig6_k16(sweep_benchmark, fig6_k16_rows):
-    rows = sweep_benchmark(lambda: fig6_k16_rows)
+def test_fig6_k16(sweep_benchmark):
+    rows = sweep_benchmark(lambda: run_sweep("fig6_k16"))
     emit(rows, "fig6_k16.csv")
 
     lowest_density = min(r.density for r in rows)
@@ -89,7 +69,7 @@ def test_fig6_k16(sweep_benchmark, fig6_k16_rows):
 
 
 def test_fig6_k128(sweep_benchmark):
-    rows = sweep_benchmark(lambda: _sweep("fig6_k128"))
+    rows = sweep_benchmark(lambda: run_sweep("fig6_k128"))
     emit(rows, "fig6_k128.csv")
     # The paper: at k=128 GAT is the best-performing global model (it
     # broadcasts projected features once and reuses them).

@@ -24,26 +24,12 @@ Reproduced claims (asserted):
 from __future__ import annotations
 
 
-from benchmarks.conftest import by, emit, run_point, sweep_benchmark
-from repro.bench.configs import FIGURE_CONFIGS
-
-
-def _sweep():
-    config = FIGURE_CONFIGS["fig7_makg"]
-    rows = []
-    for task in ("inference", "training"):
-        for model, _form, n, m, k, p, _rho in config.points():
-            rows.append(
-                run_point(
-                    config.figure, model, "global", task,
-                    config.graph_kind, n, m, k, p, layers=config.layers,
-                )
-            )
-    return rows
+from benchmarks.conftest import by, emit, sweep_benchmark
+from repro.bench.sweep import run_sweep
 
 
 def test_fig7_makg(sweep_benchmark):
-    rows = sweep_benchmark(_sweep)
+    rows = sweep_benchmark(lambda: run_sweep("fig7_makg"))
     emit(rows, "fig7_makg.csv")
 
     for model in ("VA", "AGNN", "GAT"):

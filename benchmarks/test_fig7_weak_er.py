@@ -31,28 +31,11 @@ the theory-bearing observables and both reproduce.
 
 from __future__ import annotations
 
-import functools
-
 import pytest
 
-from benchmarks.conftest import by, emit, run_point, sweep_benchmark
-from repro.bench.configs import FIGURE_CONFIGS
+from benchmarks.conftest import by, emit, sweep_benchmark
+from repro.bench.sweep import run_sweep
 from repro.theory import erdos_renyi_local_words
-
-
-@functools.lru_cache(maxsize=1)
-def _sweep():
-    config = FIGURE_CONFIGS["fig7_weak_er"]
-    rows = []
-    for model, formulation, n, m, k, p, rho in config.points():
-        rows.append(
-            run_point(
-                config.figure, model, formulation, config.task,
-                config.graph_kind, n, m, k, p, layers=config.layers,
-                rho=rho,
-            )
-        )
-    return rows
 
 
 def _gaps(rows, model, p, metric="modeled_s"):
@@ -72,7 +55,7 @@ def _gaps(rows, model, p, metric="modeled_s"):
 
 
 def test_fig7_weak_er(sweep_benchmark):
-    rows = sweep_benchmark(_sweep)
+    rows = sweep_benchmark(lambda: run_sweep("fig7_weak_er"))
     emit(rows, "fig7_weak_er.csv")
 
     models = ("VA", "AGNN", "GAT", "GCN")
@@ -133,7 +116,7 @@ def test_fig7_weak_er(sweep_benchmark):
     "(EXPERIMENTS.md, Fig. 7 weak scaling)",
 )
 def test_fig7_va_modeled_crossover():
-    series = _gaps(_sweep(), "VA", 16)
+    series = _gaps(run_sweep("fig7_weak_er", verbose=False), "VA", 16)
     assert series[-1] > 1.0, (
         f"VA: global should win above the crossover ({series[-1]:.2f})"
     )

@@ -18,26 +18,12 @@ Reproduced claims (asserted):
 from __future__ import annotations
 
 
-from benchmarks.conftest import by, emit, run_point, sweep_benchmark
-from repro.bench.configs import FIGURE_CONFIGS
-
-
-def _sweep():
-    config = FIGURE_CONFIGS["fig8_weak_kron"]
-    rows = []
-    for model, formulation, n, m, k, p, rho in config.points():
-        rows.append(
-            run_point(
-                config.figure, model, formulation, config.task,
-                config.graph_kind, n, m, k, p, layers=config.layers,
-                rho=rho,
-            )
-        )
-    return rows
+from benchmarks.conftest import by, emit, sweep_benchmark
+from repro.bench.sweep import run_sweep
 
 
 def test_fig8_weak_kronecker(sweep_benchmark):
-    rows = sweep_benchmark(_sweep)
+    rows = sweep_benchmark(lambda: run_sweep("fig8_weak_kron"))
     emit(rows, "fig8_weak_kron.csv")
 
     for model in ("VA", "AGNN", "GAT"):

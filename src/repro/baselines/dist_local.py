@@ -161,11 +161,11 @@ def _rank_setup(model_name, a, features, hidden_dim, out_dim, num_layers, seed, 
     """What each rank calls first: its partition, ``build_model``
     replica (parameters replicated by seed), owned input rows, the
     own+halo block as every layer's hop and the halo exchange pair
-    (traffic labelled ``"halo"``, the rest ``"compute"``). Checked once
-    before any rank starts: one halo exchange per layer reaches one hop."""
+    (traffic labelled ``"halo"``, the rest ``"compute"``). Bad model
+    arguments raise here, before any rank starts."""
     build = partial(build_model, model_name, features.shape[1], hidden_dim, out_dim,
                     num_layers=num_layers, seed=seed, dtype=dtype)
-    build().require_one_hop(f"{model_name}: the local engine exchanges a one-hop halo per layer")
+    build()
 
     def setup(comm: Communicator):
         part = build_partition(comm, a, features.shape[0])

@@ -111,7 +111,7 @@ def minibatch_train(
     build = partial(build_model, model_name, features.shape[1], hidden_dim, out_dim,
                     num_layers=num_layers, seed=seed, dtype=dtype)
     # Bad model arguments raise here, before any rank starts.
-    build().require_one_hop("the mini-batch engine samples one hop per layer")
+    build()
 
     def program(comm: Communicator):
         rng = make_rng(config.seed * 7919 + comm.rank)

@@ -32,7 +32,7 @@ class FigureConfig:
     figure: str
     description: str
     graph_kind: str
-    task: str
+    tasks: tuple[str, ...]            # each runs the whole grid, in order
     scaling: str                      # "strong" | "weak"
     base_n: int
     densities: tuple[float, ...]
@@ -43,7 +43,7 @@ class FigureConfig:
     formulations: tuple[str, ...] = ("global", "minibatch")
 
     def points(self, scale: float = 1.0):
-        """Yield (model, formulation, n, m, k, p) sweep points.
+        """Yield (model, formulation, n, m, k, p, rho) sweep points.
 
         Strong scaling fixes (n, m) and sweeps p; weak scaling grows
         n ∝ sqrt(p) at fixed density, so m (= rho n^2) grows ∝ p —
@@ -67,7 +67,7 @@ FIGURE_CONFIGS: dict[str, FigureConfig] = {
         figure="fig6_k16",
         description="Strong scaling, Kronecker, training, k=16 (Fig. 6 a-d)",
         graph_kind="kronecker",
-        task="training",
+        tasks=("training",),
         scaling="strong",
         base_n=1 << 12,
         # Degree-preserving ladder: the paper's rho in {1%, 0.1%, 0.01%}
@@ -81,7 +81,7 @@ FIGURE_CONFIGS: dict[str, FigureConfig] = {
         figure="fig6_k128",
         description="Strong scaling, Kronecker, training, k=128 (Fig. 6 e-h)",
         graph_kind="kronecker",
-        task="training",
+        tasks=("training",),
         scaling="strong",
         base_n=1 << 12,
         densities=(1024 / 4096, 8 / 4096),
@@ -91,7 +91,7 @@ FIGURE_CONFIGS: dict[str, FigureConfig] = {
         figure="fig8_weak_kron",
         description="Weak scaling, Kronecker, training, k=16 (Fig. 8)",
         graph_kind="kronecker",
-        task="training",
+        tasks=("training",),
         scaling="weak",
         base_n=1 << 11,
         # Chosen so the per-rank edge work (rho * n0^2 edges) amortises
@@ -106,7 +106,7 @@ FIGURE_CONFIGS: dict[str, FigureConfig] = {
             "(Fig. 7, three rightmost plots / Sec. 8.4)"
         ),
         graph_kind="uniform",
-        task="inference",
+        tasks=("inference",),
         scaling="weak",
         base_n=1 << 10,
         densities=(0.01, 0.001, 0.0001),
@@ -121,7 +121,7 @@ FIGURE_CONFIGS: dict[str, FigureConfig] = {
             "+ training (Fig. 7, two leftmost plots)"
         ),
         graph_kind="powerlaw",
-        task="training",
+        tasks=("inference", "training"),
         scaling="strong",
         base_n=1 << 13,
         densities=(29.0 / (1 << 13),),  # 29 edges per vertex, MAKG-like

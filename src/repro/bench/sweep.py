@@ -11,12 +11,15 @@ whole sweep runs in-process:
     $ python -m repro.bench.sweep --list
     $ python -m repro.bench.sweep fig8_weak_kron --scale 2.0
 
+The figure benchmarks (``benchmarks/test_fig*.py``) run the same
+:func:`run_sweep`, so either way a figure's CSV gets the same rows.
 After a sweep, render the figures with ``python -m repro.bench.report``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -26,42 +29,53 @@ from repro.bench.harness import make_graph, run_config, write_csv
 __all__ = ["run_sweep", "main"]
 
 
+@functools.lru_cache(maxsize=32)
+def _graph(kind: str, n: int, m: int, seed: int):
+    """Graphs are expensive to generate; every sweep of a process shares them."""
+    return make_graph(kind, n, m, seed=seed)
+
+
 def run_sweep(
     figure: str,
     scale: float = 1.0,
     seed: int = 0,
     verbose: bool = True,
 ) -> list:
-    """Run every sweep point of a figure; returns the measurement rows."""
+    """Run every sweep point of a figure, task by task; returns the rows.
+
+    A weak-scaling point records its nominal density as ``extra_rho``: n
+    grows with p there, so the generated graphs' measured densities
+    drift, and the nominal one names the rung of the density ladder.
+    """
     config = FIGURE_CONFIGS[figure]
     rows = []
-    graphs: dict[tuple, object] = {}
-    for model, formulation, n, m, k, p, rho in config.points(scale):
-        key = (config.graph_kind, n, m)
-        if key not in graphs:
-            graphs[key] = make_graph(config.graph_kind, n, m, seed=seed)
-        start = time.perf_counter()
-        row = run_config(
-            figure=figure,
-            model=model,
-            formulation=formulation,
-            task=config.task,
-            a=graphs[key],
-            k=k,
-            layers=config.layers,
-            p=p,
-            seed=seed,
-            minibatch_size=max(8, graphs[key].shape[0] // 8),
-            extra_info={"rho": rho},
-        )
-        rows.append(row)
-        if verbose:
-            wall = time.perf_counter() - start
-            print(
-                f"  {model:<5} {formulation:<10} n={n:<7} k={k:<4} "
-                f"p={p:<3} rho={rho:<8.4g} modeled={row.modeled_s:.3e}s "
-                f"({wall:.1f}s wall)"
+    for task in config.tasks:
+        for model, formulation, n, m, k, p, rho in config.points(scale):
+            a = _graph(config.graph_kind, n, m, seed)
+            start = time.perf_counter()
+            row = run_config(
+                figure=figure,
+                model=model,
+                formulation=formulation,
+                task=task,
+                a=a,
+                k=k,
+                layers=config.layers,
+                p=p,
+                seed=seed,
+                # An eighth of the graph per batch keeps the paper's 16k-of-131k
+                # DistDGL batch at reduced n (its fan-out stays 10 per hop).
+                minibatch_size=max(8, a.shape[0] // 8),
+                extra_info={"rho": rho} if config.scaling == "weak" else None,
             )
+            rows.append(row)
+            if verbose:
+                wall = time.perf_counter() - start
+                print(
+                    f"  {model:<5} {formulation:<10} {task:<9} n={n:<7} k={k:<4} "
+                    f"p={p:<3} rho={rho:<8.4g} modeled={row.modeled_s:.3e}s "
+                    f"({wall:.1f}s wall)"
+                )
     return rows
 
 

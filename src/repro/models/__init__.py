@@ -16,7 +16,6 @@ from repro.models.base import GnnLayer, GnnModel, Loss, stack_layers
 from repro.models.attention import GCN, AttentionLayer, layer_spec, resolve_spec
 from repro.models.gcn import normalize_adjacency
 from repro.models.gin import GINLayer
-from repro.models.sgc import SGCLayer, sgc_model
 from repro.models.serialize import load_state_dict, state_dict
 
 __all__ = [
@@ -27,8 +26,6 @@ __all__ = [
     "GCN",
     "layer_spec",
     "GINLayer",
-    "SGCLayer",
-    "sgc_model",
     "normalize_adjacency",
     "build_model",
     "state_dict",
@@ -48,20 +45,16 @@ def build_model(
     """Construct a model — the entry point of every engine that takes one.
 
     ``name`` is one of ``"VA"``, ``"AGNN"``, ``"GAT"`` (the paper's
-    A-GNNs), ``"GCN"``, ``"GIN"``, ``"SGC"`` (C-GNN comparators),
+    A-GNNs), ``"GCN"``, ``"GIN"`` (C-GNN comparators),
     case-insensitive — matching and extending the artifact's
     ``--model`` flag — or an :class:`AttentionSpec`, a user's Ψ. An
     attention model takes ``activation=`` (its hidden layers'),
     ``order=``, ``heads=``, ``dtype=`` and its spec's keywords
     (``beta=``, ``learnable_beta=``, ``slope=``); GIN takes
-    :class:`GINLayer`'s. SGC is one layer, ``num_layers`` its
-    propagation depth.
+    :class:`GINLayer`'s.
     """
-    builtin = name.lower() if isinstance(name, str) else None
-    if builtin == "sgc":
-        return sgc_model(in_dim, out_dim, hops=num_layers, seed=seed, **kwargs)
     activation = kwargs.pop("activation", None)
-    if builtin == "gin":
+    if isinstance(name, str) and name.lower() == "gin":
         def layer(width, out, act, _combine, rng):
             return GINLayer(width, hidden_dim, out, activation=act, seed=rng, **kwargs)
     else:

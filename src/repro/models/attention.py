@@ -104,7 +104,7 @@ def layer_spec(model: str, learnable_beta: bool = False, **dag_kwargs) -> Attent
     entry = SPECS.get(model.lower())
     if entry is None:
         raise ValueError(f"unknown model {model!r}; use VA, AGNN, GAT, GCN, an AttentionSpec "
-                         "or, single-node, GIN or SGC")
+                         "or, single-node, GIN")
     if isinstance(entry, AttentionSpec):
         if learnable_beta or dag_kwargs:
             raise TypeError(f"{entry.name} takes no model keywords")

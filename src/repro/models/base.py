@@ -132,23 +132,6 @@ class GnnModel:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    def require_one_hop(self, why: str) -> None:
-        """Raise ``ValueError`` (prefixed by ``why``) unless every layer
-        reads only its one-hop neighbours.
-
-        Engines that fetch one hop of neighbourhood per layer (ego-graph
-        serving, the local engine's halo exchange) would silently read
-        truncated inputs under a layer with an internal multi-hop
-        receptive field (SGC's K-hop propagation).
-        """
-        for layer in self.layers:
-            hops = getattr(layer, "hops", 1)
-            if hops != 1:
-                raise ValueError(
-                    f"{why}; {type(layer).__name__} propagates "
-                    f"{hops} hops internally"
-                )
-
     # ------------------------------------------------------------------
     def forward(
         self,

@@ -157,7 +157,7 @@ class ServingEngine:
         features: np.ndarray,
         fanouts: tuple[int | None, ...] | None = None,
         cache: ActivationCache | int | None = 65536,
-        weights: np.ndarray | str | None = None,
+        weights: str | None = None,
         seed: int = 0,
     ) -> None:
         """``fanouts=None`` serves exact (full fan-out) ego graphs.
@@ -168,15 +168,12 @@ class ServingEngine:
         turns on degree-biased importance sampling
         (:func:`~repro.tensor.sampling_graph.hub_bias_weights`) so
         limited fan-outs keep the most cacheable vertices; it is
-        recomputed on graph swaps. Explicit per-edge arrays pass
-        through unchanged (and must be re-supplied with a new graph).
+        recomputed on graph swaps. ``None`` samples uniformly.
         """
         if features.shape[0] != a.shape[0]:
             raise ValueError(
                 "feature rows must cover every vertex of the adjacency"
             )
-        # Ego-graph serving samples one hop per layer.
-        model.require_one_hop("serving requires one-hop layers")
         self.model = model
         self.fanouts: tuple[int | None, ...] = (
             tuple(fanouts)
@@ -187,21 +184,13 @@ class ServingEngine:
         if cache is not None and not isinstance(cache, ActivationCache):
             cache = ActivationCache(capacity=cache)
         self.cache = cache
-        self._weights_mode = weights if isinstance(weights, str) else None
-        if self._weights_mode is not None and self._weights_mode != "hub":
-            raise ValueError(
-                f"unknown weights mode {weights!r}; use 'hub', an "
-                "explicit per-edge array, or None"
-            )
-        resolved = (
-            hub_bias_weights(a)
-            if self._weights_mode == "hub"
-            else (None if weights is None else np.asarray(weights))
-        )
+        if not (weights is None or (isinstance(weights, str) and weights == "hub")):
+            raise ValueError(f"unknown weights {weights!r}; use 'hub' or None")
+        self._hub = weights is not None
         self._snapshot = _Snapshot(
             a=a,
             features=np.asarray(features),
-            weights=resolved,
+            weights=hub_bias_weights(a) if self._hub else None,
             version=0,
         )
         self._mutate = threading.Lock()
@@ -373,15 +362,7 @@ class ServingEngine:
             touched_dst = _vertex_ids(touched_dst, a.shape[0], "touched_dst")
         with self._mutation("graph") as span:
             old = self._snapshot
-            if self._weights_mode == "hub":
-                weights = hub_bias_weights(a)
-            elif old.weights is not None:
-                raise ValueError(
-                    "explicit sampling weights cannot survive a graph "
-                    "swap; re-create the engine or use weights='hub'"
-                )
-            else:
-                weights = None
+            weights = hub_bias_weights(a) if self._hub else None
             # Level-1 activations of the touched destinations are
             # stale; each further level adds one hop of the forward
             # cone under either adjacency.

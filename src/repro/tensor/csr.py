@@ -148,13 +148,6 @@ class CSRMatrix:
         """
         return self._structure.expand_rows()
 
-    def degree_stats(self):
-        """Row-length summary statistics (cached per pattern).
-
-        See :meth:`repro.tensor.structure.PatternStructure.degree_stats`.
-        """
-        return self._structure.degree_stats()
-
     # ------------------------------------------------------------------
     # Same-pattern values
     # ------------------------------------------------------------------

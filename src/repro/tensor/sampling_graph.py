@@ -529,18 +529,16 @@ def sample_blocks(
     return blocks
 
 
-def hub_bias_weights(a: CSRMatrix, power: float = 1.0) -> np.ndarray:
+def hub_bias_weights(a: CSRMatrix) -> np.ndarray:
     """Per-edge propensities favouring high-degree source vertices.
 
-    Weight of edge ``(i <- j)`` is ``deg(j) ** power`` (``deg`` counts
-    stored entries of row ``j``) — the importance-sampling prior the
-    serving engine uses to keep power-law hubs, whose activations are
-    the most reusable cache entries, inside limited-fan-out ego
-    batches. ``power=0`` reduces to uniform, negative powers bias
-    toward the tail.
+    Weight of edge ``(i <- j)`` is ``deg(j)`` (``deg`` counts stored
+    entries of row ``j``) — the importance-sampling prior the serving
+    engine uses to keep power-law hubs, whose activations are the most
+    reusable cache entries, inside limited-fan-out ego batches.
     """
     structure = a.structure
     deg = (structure.indptr[1:] - structure.indptr[:-1]).astype(np.float64)
-    # Sources with no stored in-edges of their own count as degree 1 so
-    # negative powers stay finite (weights must be finite to sample).
-    return np.maximum(deg, 1.0)[a.indices] ** float(power)
+    # Sources with no stored in-edges of their own count as degree 1, so
+    # every edge keeps a positive weight.
+    return np.maximum(deg, 1.0)[a.indices]

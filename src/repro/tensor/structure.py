@@ -33,39 +33,16 @@ from __future__ import annotations
 
 import copy
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.obs.metrics import metrics
 
 __all__ = [
-    "DegreeStats",
     "PatternStructure",
     "intern_structure",
     "lookup_structure",
 ]
-
-
-@dataclass(frozen=True)
-class DegreeStats:
-    """Summary statistics of a pattern's row lengths (out-degrees).
-
-    The coefficient of variation separates near-uniform patterns from
-    skewed/power-law ones, and the histogram makes the shape of the tail
-    inspectable — the reordering diagnostics of :mod:`repro.graphs.reorder`.
-    """
-
-    n_rows: int
-    nnz: int
-    max: int
-    mean: float
-    std: float
-    cv: float  #: std / mean; 0.0 for empty patterns
-    empty_rows: int
-    #: ``histogram[0]`` counts empty rows; ``histogram[b]`` (b >= 1)
-    #: counts rows with length in ``[2**(b-1), 2**b)``.
-    histogram: tuple[int, ...]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -91,7 +68,6 @@ class PatternStructure:
         "_tperm",
         "_transpose",
         "_scipy_proto",
-        "_degree_stats",
         "_sampling_graph",
         "__weakref__",
     )
@@ -108,7 +84,6 @@ class PatternStructure:
         self._tperm: np.ndarray | None = None
         self._transpose: "PatternStructure | None" = None
         self._scipy_proto = None
-        self._degree_stats: DegreeStats | None = None
         #: Interned :class:`repro.tensor.sampling_graph.SamplingGraph`
         #: (built lazily by ``sampling_graph_of``; structural only, so
         #: it is shared by every same-pattern matrix like the rest of
@@ -158,48 +133,6 @@ class PatternStructure:
             metrics().counter("expand_rows.computed").inc()
         else:
             metrics().counter("expand_rows.hit").inc()
-        return out
-
-    def degree_stats(self) -> DegreeStats:
-        """Row-length summary statistics (cached per pattern).
-
-        Derived once from :meth:`row_lengths` for the reordering
-        diagnostics (the megakernel reads :meth:`max_row_length`).
-        Events: ``degree_stats.computed`` / ``degree_stats.hit``.
-        """
-        out = self._degree_stats
-        if out is None:
-            lengths = self.row_lengths()
-            n = int(lengths.shape[0])
-            nnz = int(self.indices.shape[0])
-            if n == 0:
-                hist: tuple[int, ...] = ()
-                mx, mean, std = 0, 0.0, 0.0
-                empty = 0
-            else:
-                # Bucket b >= 1 holds lengths in [2**(b-1), 2**b);
-                # frexp's exponent is exactly bit_length for ints > 0
-                # and 0 for length-0 rows.
-                buckets = np.frexp(lengths.astype(np.float64))[1]
-                hist = tuple(int(c) for c in np.bincount(buckets))
-                mx = int(lengths.max())
-                mean = float(lengths.mean())
-                std = float(lengths.std())
-                empty = int(np.count_nonzero(lengths == 0))
-            out = DegreeStats(
-                n_rows=n,
-                nnz=nnz,
-                max=mx,
-                mean=mean,
-                std=std,
-                cv=(std / mean) if mean > 0 else 0.0,
-                empty_rows=empty,
-                histogram=hist,
-            )
-            self._degree_stats = out
-            metrics().counter("degree_stats.computed").inc()
-        else:
-            metrics().counter("degree_stats.hit").inc()
         return out
 
     def transpose_permutation(self) -> np.ndarray:

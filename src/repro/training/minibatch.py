@@ -67,9 +67,8 @@ class MinibatchTrainer(Trainer):
     model, loss, optimizer:
         Exactly the full-batch trainer's ingredients. The loss must be
         unmasked: sampled training selects labelled vertices by
-        passing them as ``targets`` instead. Every layer must read one
-        hop (each block is one sampled hop; SGC with ``hops > 1`` is
-        refused).
+        passing them as ``targets`` instead. Each layer runs on one
+        block, one sampled hop.
     fanouts:
         Per-layer neighbour fan-outs (length must equal the model
         depth); ``None`` entries take every neighbour.
@@ -95,7 +94,6 @@ class MinibatchTrainer(Trainer):
     ) -> None:
         fanouts = tuple(fanouts)
         check_fanouts(fanouts, model.num_layers)
-        model.require_one_hop("sampled training samples one hop per layer")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         if getattr(loss, "mask", None) is not None:

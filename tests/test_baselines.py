@@ -136,24 +136,6 @@ class TestDistLocalEngine:
         for ref, got in zip(reference.losses, losses):
             assert abs(ref - got) / max(1.0, abs(ref)) < 1e-8
 
-    @pytest.mark.parametrize("entry", ["inference", "train"])
-    def test_multi_hop_layer_is_rejected_before_any_rank(
-        self, problem, monkeypatch, entry
-    ):
-        """One halo exchange per layer reaches one hop: SGC's K-hop
-        propagation would read a truncated neighbourhood."""
-        monkeypatch.setattr(
-            dist_local, "run_spmd",
-            lambda *args, **kwargs: pytest.fail("a rank started"),
-        )
-        a, h = problem.adjacency, problem.features
-        with pytest.raises(ValueError, match="SGC"):
-            if entry == "inference":
-                dist_local_inference("SGC", a, h, 8, 4, num_layers=2, p=3)
-            else:
-                dist_local_train("SGC", a, h, problem.labels, 8, 4,
-                                 num_layers=2, p=3)
-
     @pytest.mark.parametrize("case", ["short-labels", "class-out-of-range", "short-features"])
     def test_malformed_inputs_are_rejected_before_any_rank(self, problem, monkeypatch, case):
         """Each used to surface as ``rank r failed: IndexError``."""
@@ -257,17 +239,6 @@ class TestMiniBatch:
         with pytest.raises(ValueError, match="labels has length 10"):
             minibatch_train("GAT", problem.adjacency, problem.features,
                             problem.labels[:10], 8, 4, num_layers=2, p=2)
-
-    def test_multi_hop_layer_is_rejected_before_any_rank(self, problem, monkeypatch):
-        """A block is one sampled hop: SGC's K-hop propagation would read a
-        truncated neighbourhood."""
-        monkeypatch.setattr(
-            baseline_minibatch, "run_spmd",
-            lambda *args, **kwargs: pytest.fail("a rank started"),
-        )
-        with pytest.raises(ValueError, match="SGC"):
-            minibatch_train("SGC", problem.adjacency, problem.features,
-                            problem.labels, 8, 4, num_layers=2, p=2)
 
     def test_fanouts_need_one_per_layer(self, problem):
         """Four fan-outs for a two-layer model used to sample four hops

@@ -368,7 +368,7 @@ class TestResourceGuarantees:
         a = prepare_adjacency(
             erdos_renyi(2048, 800000, seed=1), dtype=np.float64
         )
-        longest = a.structure.degree_stats().max
+        longest = a.structure.max_row_length()
         assert 1000 * longest < a.nnz  # the claim is non-vacuous
         rng = np.random.default_rng(0)
         h = rng.normal(size=(2048, 32))
@@ -468,7 +468,7 @@ class TestResourceGuarantees:
         a = prepare_adjacency(
             erdos_renyi(2048, 800000, seed=1), dtype=np.float64
         )
-        longest = a.structure.degree_stats().max
+        longest = a.structure.max_row_length()
         h = np.random.default_rng(0).normal(size=(2048, 8))
         model = build_model(name, 8, 8, 4, num_layers=3, seed=3,
                             dtype=np.float64, **kw)

@@ -301,13 +301,6 @@ class TestValidation:
         after = state_dict(model)
         assert all(np.array_equal(before[name], after[name]) for name in before)
 
-    def test_multi_hop_layer_rejected(self, problem):
-        """A block is one sampled hop: SGC's two-hop propagation used to
-        train silently on one-hop blocks."""
-        model = build_model("sgc", 6, 8, problem.num_classes, num_layers=2, seed=5)
-        with pytest.raises(ValueError, match="propagates 2 hops"):
-            MinibatchTrainer(model, SoftmaxCrossEntropyLoss(), SGD(0.01), fanouts=(4,))
-
     def test_feature_row_mismatch_rejected(self, problem, features):
         a = problem.adjacency.astype(np.float64)
         model, loss, opt = _ingredients("GAT", problem)

@@ -55,8 +55,9 @@ class TestBuildModel:
         assert model.layers[0].activation.name == "elu"
 
     def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            build_model("Transformer", 8, 16, 3)
+        for name in ("Transformer", "sgc"):
+            with pytest.raises(ValueError, match="unknown model"):
+                build_model(name, 8, 16, 3)
 
     def test_empty_model_rejected(self):
         with pytest.raises(ValueError):
@@ -425,12 +426,8 @@ class TestOneModelBuilder:
             with pytest.raises(ValueError, match=f"{arg} must be finite, got {value!r}"):
                 build(**{arg: value})
 
-    def test_sgc_refuses_unknown_keywords(self):
-        with pytest.raises(TypeError):
-            build_model("sgc", 4, 8, 3, activation="tanh", heads=5)
-
     @pytest.mark.parametrize("engine", ["distributed_inference", "distributed_train",
-                                        "minibatch_train"])
+                                        "minibatch_train", "dist_local_train"])
     def test_model_arguments_refused_before_any_rank_starts(self, small_adjacency, engine):
         """A ``ValueError`` in the caller's thread: a rank's error would
         reach it as ``RuntimeError``."""
@@ -442,6 +439,8 @@ class TestOneModelBuilder:
                 "transformer", small_adjacency, x, y, 8, 3, p=4),
             "minibatch_train": lambda: minibatch_train(
                 "transformer", small_adjacency, x, y, 8, 3, p=2),
+            "dist_local_train": lambda: dist_local_train(
+                "transformer", small_adjacency, x, y, 8, 3, p=3),
         }[engine]
         with pytest.raises(ValueError):
             run()

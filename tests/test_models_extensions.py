@@ -1,4 +1,4 @@
-"""Tests for the extension models (SGC, GIN) and checkpointing."""
+"""Tests for the extension model GIN and checkpointing."""
 
 import numpy as np
 import pytest
@@ -6,69 +6,10 @@ import pytest
 from repro.models import (
     build_model,
     load_state_dict,
-    normalize_adjacency,
-    sgc_model,
     state_dict,
 )
-from repro.models.sgc import propagate
 from repro.training import Adam, SoftmaxCrossEntropyLoss, Trainer
 from tests.test_models_gradcheck import max_rel_gradient_error
-
-
-class TestSGC:
-    def test_propagation_matches_repeated_spmm(self, rng, small_adjacency):
-        a = normalize_adjacency(small_adjacency)
-        h = rng.normal(size=(60, 5))
-        out = propagate(a, h, 3)
-        dense = a.to_dense()
-        expected = dense @ (dense @ (dense @ h))
-        assert np.allclose(out, expected, atol=1e-5)
-
-    def test_zero_hops_is_identity(self, rng, small_adjacency):
-        a = normalize_adjacency(small_adjacency)
-        h = rng.normal(size=(60, 5))
-        assert np.array_equal(propagate(a, h, 0), h)
-
-    def test_learns_sbm(self, sbm_data):
-        a = normalize_adjacency(sbm_data.adjacency)
-        model = sgc_model(12, sbm_data.num_classes, hops=2, seed=0)
-        trainer = Trainer(
-            model, SoftmaxCrossEntropyLoss(sbm_data.train_mask), Adam(0.05)
-        )
-        result = trainer.fit(a, sbm_data.features, sbm_data.labels,
-                             epochs=60)
-        acc = trainer.evaluate(a, sbm_data.features, sbm_data.labels,
-                               sbm_data.test_mask)
-        assert result.losses[-1] < result.losses[0]
-        assert acc > 0.75
-
-    def test_propagation_cached_across_epochs(self, rng, small_adjacency):
-        a = normalize_adjacency(small_adjacency)
-        h = rng.normal(size=(60, 5)).astype(np.float32)
-        model = sgc_model(5, 3, hops=2, seed=0)
-        from repro.util.counters import FlopCounter
-
-        first, second = FlopCounter(), FlopCounter()
-        model.forward(a, h, counter=first)
-        model.forward(a, h, counter=second)
-        # The second epoch skips the K SpMMs.
-        assert second.by_label.get("SpMM", 0) < first.by_label.get("SpMM", 1)
-
-    def test_gradcheck(self, rng, small_adjacency):
-        a = normalize_adjacency(small_adjacency)
-        h = rng.normal(size=(60, 5))
-        target = rng.normal(size=(60, 3))
-        model = sgc_model(5, 3, hops=2, seed=1, dtype=np.float64)
-        assert max_rel_gradient_error(model, a, h, target, rng) < 1e-7
-
-    def test_invalid_hops(self):
-        with pytest.raises(ValueError):
-            sgc_model(4, 2, hops=-1)
-
-    def test_build_model_dispatch(self, sbm_data):
-        model = build_model("SGC", 12, 999, sbm_data.num_classes,
-                            num_layers=2)
-        assert model.num_layers == 1  # single projection layer
 
 
 class TestGIN:

@@ -160,76 +160,6 @@ class TestStructureImmutability:
         assert np.array_equal(p[q], np.arange(csr.nnz))
 
 
-class TestDegreeStats:
-    """Property tests for the cached row-length summary statistics."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(min_value=0, max_value=24),
-        m=st.integers(min_value=1, max_value=24),
-        density=st.floats(min_value=0.0, max_value=0.9),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_consistent_with_row_lengths(self, n, m, density, seed):
-        rng = np.random.default_rng(seed)
-        csr = random_csr(rng, max(n, 1), m, density=density,
-                         ensure_empty_row=True)
-        stats = csr.degree_stats()
-        lengths = csr.row_lengths().astype(np.float64)
-        assert stats.n_rows == csr.shape[0]
-        assert stats.nnz == csr.nnz
-        assert stats.max == int(lengths.max())
-        assert stats.mean == pytest.approx(float(lengths.mean()))
-        assert stats.std == pytest.approx(float(lengths.std()))
-        expected_cv = float(lengths.std() / lengths.mean()) if \
-            lengths.mean() > 0 else 0.0
-        assert stats.cv == pytest.approx(expected_cv)
-        assert stats.empty_rows == int(np.count_nonzero(lengths == 0))
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=24),
-        density=st.floats(min_value=0.0, max_value=0.9),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_histogram_buckets(self, n, density, seed):
-        rng = np.random.default_rng(seed)
-        csr = random_csr(rng, n, n, density=density, ensure_empty_row=True)
-        stats = csr.degree_stats()
-        hist = stats.histogram
-        # Every row lands in exactly one power-of-two bucket …
-        assert sum(hist) == stats.n_rows
-        # … bucket 0 holds exactly the empty rows …
-        assert hist[0] == stats.empty_rows
-        # … and bucket b >= 1 counts rows with length in [2^(b-1), 2^b).
-        lengths = csr.row_lengths()
-        for b in range(1, len(hist)):
-            lo, hi = 1 << (b - 1), 1 << b
-            assert hist[b] == int(
-                np.count_nonzero((lengths >= lo) & (lengths < hi))
-            )
-
-    def test_warm_equals_cold_and_caches(self, rng):
-        warm = random_csr(rng, 16, 16, density=0.3, ensure_empty_row=True)
-        base = metrics().counters()
-        first = warm.degree_stats()
-        again = warm.degree_stats()
-        assert again is first  # memoised on the structure
-        cold = cold_copy(warm)
-        assert cold.degree_stats() == first  # value-equal, fresh cache
-        after = metrics().counters()
-        computed = after.get("degree_stats.computed", 0) - base.get(
-            "degree_stats.computed", 0
-        )
-        hits = after.get("degree_stats.hit", 0) - base.get(
-            "degree_stats.hit", 0
-        )
-        assert computed == 2  # once per structure (warm + cold)
-        assert hits == 1
-        # Same-pattern derivatives share the cached stats object.
-        assert warm.with_data(np.ones(warm.nnz)).degree_stats() is first
-
-
 class TestAmortization:
     """Structural quantities are computed at most once per pattern."""
 

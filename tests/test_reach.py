@@ -14,9 +14,7 @@ from tests.reach_probe import ALLOWLIST, SRC, allowlist, functions
 
 TAGS = ("error path", "fallback", "oracle", "cli", "interface", "deferred")
 DEFERRED = (
-    "src/repro/models/gin.py::", "src/repro/models/sgc.py::",
-    "src/repro/obs/", "::CSRMatrix.degree_stats",
-    "::PatternStructure.degree_stats", "::DistGCNLayer._backward_steps",
+    "src/repro/models/gin.py::", "src/repro/obs/", "::DistGCNLayer._backward_steps",
     "::Communicator._scatter_allgather_bcast_gen", "::Communicator._scatter_gen",
 )
 ENTRIES = allowlist()

@@ -10,8 +10,8 @@ ran before blocks were rectangular. Both must agree bit for bit: every
 reduction over a hop's rows sees the same entries in the same order, and
 a square lift's extra rows are empty or multiply zeros.
 
-Products whose row count is the hop's row count — GIN's MLP, SGC's
-projection, ``aggregate_first``'s ``(Psi H) W`` and the weight
+Products whose row count is the hop's row count — GIN's MLP,
+``aggregate_first``'s ``(Psi H) W`` and the weight
 gradients that sum over those rows — are BLAS products of a different
 shape on the two layouts. OpenBLAS blocks long inner and outer
 dimensions, so on a hop of some thousand rows such a product can round
@@ -33,7 +33,6 @@ from repro.models import build_model
 from repro.models.attention import GCN, AttentionLayer, layer_spec
 from repro.models.base import backward_blocks, forward_blocks
 from repro.models.gin import GINLayer
-from repro.models.sgc import SGCLayer
 from repro.tensor.sampling_graph import sample_blocks
 from repro.tensor.semiring import AVERAGE
 from repro.util.counters import FlopCounter
@@ -56,7 +55,6 @@ LAYERS = {
         K_IN, K_OUT, layer_spec("va"), order="aggregate_first", seed=1, dtype=dt),
     "gcn": lambda dt: AttentionLayer(K_IN, K_OUT, GCN, seed=1, dtype=dt),
     "gin": lambda dt: GINLayer(K_IN, 5, K_OUT, epsilon=0.3, seed=1, dtype=dt),
-    "sgc": lambda dt: SGCLayer(K_IN, K_OUT, hops=1, seed=1, dtype=dt),
     **{f"dag-{model}-{'fused' if fused else 'interpreted'}": (
         lambda dt, model=model, fused=fused: DagLayer(
             model, K_IN, K_OUT, fused=fused, seed=1, dtype=dt))
@@ -133,12 +131,6 @@ def test_other_semirings_score_the_destination_rows(spec):
     out, _ = layer.forward(block.matrix, h, training=False, rows=block.dst_positions)
     out_sq, _ = layer.forward(square_hop(block.matrix, block.dst_positions), h, training=False)
     assert np.array_equal(out, out_sq[block.dst_positions])
-
-
-def test_multi_hop_sgc_refuses_destination_rows():
-    block, h = _hop(np.float64)
-    with pytest.raises(ValueError, match="propagates once"):
-        SGCLayer(K_IN, K_OUT, hops=2).forward(block.matrix, h, rows=block.dst_positions)
 
 
 class TestFirstLayerInputGradient:

@@ -525,13 +525,6 @@ class TestWeightedSampling:
             np.diff(small_adjacency.indptr), 1
         ).astype(np.float64)
         assert np.array_equal(weights, deg[small_adjacency.indices])
-        assert np.array_equal(
-            hub_bias_weights(small_adjacency, power=0.0),
-            np.ones(small_adjacency.nnz),
-        )
-        inv = hub_bias_weights(small_adjacency, power=-1.0)
-        assert np.all(np.isfinite(inv)) and np.all(inv > 0.0)
-        assert np.array_equal(inv, 1.0 / deg[small_adjacency.indices])
 
     def test_weighted_blocks_keep_the_layer_contract(self, small_adjacency):
         weights = hub_bias_weights(small_adjacency)

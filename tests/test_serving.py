@@ -59,6 +59,7 @@ from repro.serving import (
 )
 from repro.serving.queue import InferenceRequest
 from repro.tensor.csr import CSRMatrix
+from repro.tensor.sampling_graph import hub_bias_weights
 
 N = 40
 FEAT = 8
@@ -548,6 +549,24 @@ class TestBatchedIdentity:
         per = np.vstack([per_engine.serve([int(s)]) for s in seeds])
         assert np.array_equal(batched, per)
 
+    def test_hub_weighted_requests_match_the_union_batch(self, adjacency, features):
+        """``weights="hub"`` under limited fan-outs, as both ``serve_*``
+        workloads run: a burst of requests through ``serve`` (duplicates,
+        any order) gets ``serve_unique``'s rows bit for bit, and the hub
+        prior does pick other neighbours than uniform sampling."""
+        model = _model("gat")
+        seeds = np.unique(np.random.default_rng(1).integers(0, N, 12))
+        requests = np.random.default_rng(2).permutation(np.repeat(seeds, 2))
+
+        def engine(weights):
+            return ServingEngine(model, adjacency, features, fanouts=(2, 2),
+                                 weights=weights, seed=5)
+
+        batched = engine("hub").serve_unique(seeds)
+        per = engine("hub").serve(requests)
+        assert np.array_equal(per, batched[np.searchsorted(seeds, requests)])
+        assert not np.array_equal(batched, engine(None).serve_unique(seeds))
+
     def test_batch_matches_full_forward(self, adjacency, features):
         model = _model("gat")
         engine = ServingEngine(model, adjacency, features, cache=256, seed=5)
@@ -859,27 +878,25 @@ class TestEngineMutations:
         assert np.array_equal(engine.serve_unique(seeds), new[seeds])
         assert len(cache) > after_delta[0]  # the live version does cache
 
-    def test_explicit_weights_rejected_on_graph_swap(
-        self, adjacency, features
-    ):
-        weights = np.ones(adjacency.nnz)
-        engine = ServingEngine(
-            _model(), adjacency, features, fanouts=(2, 2),
-            weights=weights, seed=5,
-        )
-        with pytest.raises(ValueError, match="weights"):
-            engine.apply_graph_delta(adjacency)
+    def test_hub_weights_follow_a_graph_swap(self, adjacency, features):
+        engine = ServingEngine(_model(), adjacency, features, fanouts=(2, 2),
+                               weights="hub", seed=5)
+        new_a = _adjacency(seed=8)
+        engine.apply_graph_delta(new_a)
+        assert np.array_equal(engine._snapshot.weights, hub_bias_weights(new_a))
+
+    @pytest.mark.parametrize("weights", ["uniform", "array"])
+    def test_weights_are_hub_or_none(self, adjacency, features, weights):
+        """A per-edge array used to be taken as the sampling weights."""
+        bad = np.ones(adjacency.nnz) if weights == "array" else weights
+        with pytest.raises(ValueError, match="'hub' or None"):
+            ServingEngine(_model(), adjacency, features, fanouts=(2, 2), weights=bad)
 
     @pytest.mark.parametrize("fanouts", [(2.5, 2), (2, True), (2, "2"), (2,), (-1, 2)])
     def test_fanouts_checked_like_the_trainer(self, adjacency, features, fanouts):
         """``(2.5, 2)`` used to build and serve, sampling 2 per row."""
         with pytest.raises(ValueError, match="fan-outs"):
             ServingEngine(_model(), adjacency, features, fanouts=fanouts)
-
-    def test_multi_hop_layers_rejected(self, adjacency, features):
-        sgc = build_model("sgc", FEAT, 12, 6, num_layers=2, seed=0)
-        with pytest.raises(ValueError, match="one-hop"):
-            ServingEngine(sgc, adjacency, features)
 
 
 # ----------------------------------------------------------------------
